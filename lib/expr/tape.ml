@@ -244,7 +244,23 @@ let eval_float tp sc inputs =
    record (e.g. from inf - inf); both encodings are empty under
    [Ia.is_empty], so observable behaviour agrees. *)
 
-module R = Interval.Round
+(* Inline copies of {!Interval.Round.next_down} and
+   {!Interval.Round.next_up}, the exact round-to-nearest predecessor and
+   successor: a call into [Round] is never inlined under [-opaque] and
+   would box its argument and result (see round.mli). *)
+let[@inline] down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = infinity then Float.max_float else x -. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then x -. 0x1p-1074
+  else ((x *. 0x1p53) -. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
+
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = neg_infinity then -.Float.max_float else x +. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then if x = -0x1p-1074 then -0.0 else x +. 0x1p-1074
+  else ((x *. 0x1p53) +. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
 
 (* Product of two bounds with the interval convention 0 * inf = 0
    (mirrors Ia.prod). *)
@@ -299,8 +315,8 @@ let forward_intervals tp sc (inputs : I.t array) =
         Array.unsafe_set hi s (Array.unsafe_get tp.const_his s)
     | OAdd (a, b) ->
         (* NaN operands propagate through the sums into the guard. *)
-        let l = R.next_after (Array.unsafe_get lo a +. Array.unsafe_get lo b) neg_infinity
-        and h = R.next_after (Array.unsafe_get hi a +. Array.unsafe_get hi b) infinity in
+        let l = down (Array.unsafe_get lo a +. Array.unsafe_get lo b)
+        and h = up (Array.unsafe_get hi a +. Array.unsafe_get hi b) in
         if l <> l || h <> h then begin
           Array.unsafe_set lo s nan;
           Array.unsafe_set hi s nan
@@ -310,8 +326,8 @@ let forward_intervals tp sc (inputs : I.t array) =
           Array.unsafe_set hi s h
         end
     | OSub (a, b) ->
-        let l = R.next_after (Array.unsafe_get lo a -. Array.unsafe_get hi b) neg_infinity
-        and h = R.next_after (Array.unsafe_get hi a -. Array.unsafe_get lo b) infinity in
+        let l = down (Array.unsafe_get lo a -. Array.unsafe_get hi b)
+        and h = up (Array.unsafe_get hi a -. Array.unsafe_get lo b) in
         if l <> l || h <> h then begin
           Array.unsafe_set lo s nan;
           Array.unsafe_set hi s nan
@@ -335,9 +351,9 @@ let forward_intervals tp sc (inputs : I.t array) =
           and p3 = prod ah bl
           and p4 = prod ah bh in
           Array.unsafe_set lo s
-            (R.next_after (fmin (fmin p1 p2) (fmin p3 p4)) neg_infinity);
+            (down (fmin (fmin p1 p2) (fmin p3 p4)));
           Array.unsafe_set hi s
-            (R.next_after (fmax (fmax p1 p2) (fmax p3 p4)) infinity)
+            (up (fmax (fmax p1 p2) (fmax p3 p4)))
         end
     | ONeg a ->
         Array.unsafe_set lo s (-.Array.unsafe_get hi a);
@@ -354,8 +370,8 @@ let forward_intervals tp sc (inputs : I.t array) =
           let l = Float.abs al and h = Float.abs ah in
           let m = if al <= 0.0 && 0.0 <= ah then 0.0 else fmin l h in
           let g = fmax l h in
-          Array.unsafe_set lo s (if m = 0.0 then 0.0 else R.next_after (m *. m) neg_infinity);
-          Array.unsafe_set hi s (R.next_after (g *. g) infinity)
+          Array.unsafe_set lo s (if m = 0.0 then 0.0 else down (m *. m));
+          Array.unsafe_set hi s (up (g *. g))
         end
     | OPow (a, k) -> set_slot_itv sc s (I.pow_int (slot_itv sc a) k)
     | ODiv (a, b) ->
@@ -377,15 +393,15 @@ let forward_intervals tp sc (inputs : I.t array) =
           else begin
             let cl =
               if bl < 0.0 && bh > 0.0 then neg_infinity
-              else if bl = 0.0 then R.next_after (1.0 /. bh) neg_infinity
+              else if bl = 0.0 then down (1.0 /. bh)
               else if bh = 0.0 then neg_infinity
               else
-                R.next_after (fmin (1.0 /. bh) (1.0 /. bl)) neg_infinity
+                down (fmin (1.0 /. bh) (1.0 /. bl))
             and ch =
               if bl < 0.0 && bh > 0.0 then infinity
               else if bl = 0.0 then infinity
-              else if bh = 0.0 then R.next_after (1.0 /. bl) infinity
-              else R.next_after (fmax (1.0 /. bh) (1.0 /. bl)) infinity
+              else if bh = 0.0 then up (1.0 /. bl)
+              else up (fmax (1.0 /. bh) (1.0 /. bl))
             in
             let ah = Array.unsafe_get hi a in
             let p1 = prod al cl
@@ -393,9 +409,9 @@ let forward_intervals tp sc (inputs : I.t array) =
             and p3 = prod ah cl
             and p4 = prod ah ch in
             Array.unsafe_set lo s
-              (R.next_after (fmin (fmin p1 p2) (fmin p3 p4)) neg_infinity);
+              (down (fmin (fmin p1 p2) (fmin p3 p4)));
             Array.unsafe_set hi s
-              (R.next_after (fmax (fmax p1 p2) (fmax p3 p4)) infinity)
+              (up (fmax (fmax p1 p2) (fmax p3 p4)))
           end
         end
     | OExp a -> set_slot_itv sc s (I.exp (slot_itv sc a))
@@ -765,19 +781,19 @@ and push tp sc s =
   | OAdd (a, b) ->
       (* a ∈ v - b, then b ∈ v - a with a's freshly tightened bounds. *)
       let req = sc.req in
-      req.rlo <- R.next_after (vlo -. Array.unsafe_get ihis b) neg_infinity;
-      req.rhi <- R.next_after (vhi -. Array.unsafe_get ilos b) infinity;
+      req.rlo <- down (vlo -. Array.unsafe_get ihis b);
+      req.rhi <- up (vhi -. Array.unsafe_get ilos b);
       require tp sc a;
-      req.rlo <- R.next_after (vlo -. Array.unsafe_get ihis a) neg_infinity;
-      req.rhi <- R.next_after (vhi -. Array.unsafe_get ilos a) infinity;
+      req.rlo <- down (vlo -. Array.unsafe_get ihis a);
+      req.rhi <- up (vhi -. Array.unsafe_get ilos a);
       require tp sc b
   | OSub (a, b) ->
       let req = sc.req in
-      req.rlo <- R.next_after (vlo +. Array.unsafe_get ilos b) neg_infinity;
-      req.rhi <- R.next_after (vhi +. Array.unsafe_get ihis b) infinity;
+      req.rlo <- down (vlo +. Array.unsafe_get ilos b);
+      req.rhi <- up (vhi +. Array.unsafe_get ihis b);
       require tp sc a;
-      req.rlo <- R.next_after (Array.unsafe_get ilos a -. vhi) neg_infinity;
-      req.rhi <- R.next_after (Array.unsafe_get ihis a -. vlo) infinity;
+      req.rlo <- down (Array.unsafe_get ilos a -. vhi);
+      req.rhi <- up (Array.unsafe_get ihis a -. vlo);
       require tp sc b
   | OMul (a, b) ->
       let bl = Array.unsafe_get ilos b and bh = Array.unsafe_get ihis b in

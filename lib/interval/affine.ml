@@ -11,7 +11,6 @@
    argument ever depends on a float operation being exact. *)
 
 module I = Ia
-module R = Round
 
 let tm_affine = Telemetry.Span.probe "icp.affine"
 let m_refutations = Telemetry.Counter.make ~always:true "affine.refutations"
@@ -81,13 +80,28 @@ type t =
 
 (* ---- Rounding helpers ---- *)
 
-let[@inline] up x = R.next_after x infinity
-let[@inline] down x = R.next_after x neg_infinity
+(* Inline copies of {!Round.next_up} and {!Round.next_down}, the exact
+   round-to-nearest successor and predecessor: a call into [Round] is
+   never inlined under [-opaque] and would box its argument and result
+   (see round.mli). *)
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = neg_infinity then -.Float.max_float else x +. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then if x = -0x1p-1074 then -0.0 else x +. 0x1p-1074
+  else ((x *. 0x1p53) +. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
+
+let[@inline] down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = infinity then Float.max_float else x -. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then x -. 0x1p-1074
+  else ((x *. 0x1p53) -. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
 
 (* Upper bound on the distance between a computed float and the exact
    result it rounded from: the gap just above |z| dominates the gap just
    below it everywhere (they only differ at powers of two, where the
-   upper gap is the larger), so one [next_after] suffices. *)
+   upper gap is the larger), so one successor step suffices. *)
 let[@inline] ulp z =
   let az = Float.abs z in
   if az = infinity then infinity else up az -. az

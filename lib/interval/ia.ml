@@ -9,6 +9,46 @@
 
 type t = { lo : float; hi : float }
 
+(* Inline copies of {!Round.next_down} and {!Round.next_up}, the exact
+   round-to-nearest predecessor and successor: a call into [Round] is
+   never inlined under [-opaque] and would box its argument and result
+   (see round.mli). *)
+let[@inline] down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = infinity then Float.max_float else x -. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then x -. 0x1p-1074
+  else ((x *. 0x1p53) -. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
+
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = neg_infinity then -.Float.max_float else x +. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then if x = -0x1p-1074 then -0.0 else x +. 0x1p-1074
+  else ((x *. 0x1p53) +. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
+
+(* Two-ulp widening, for libm transcendentals (faithfully rounded at
+   best). *)
+let[@inline] down2 x = down (down x)
+let[@inline] up2 x = up (up x)
+
+(* [Float.min]/[Float.max], result for result, signed zeros and NaNs
+   included, without the [sign_bit] C call on ordered or equal
+   operands: equal zeros combine by sign (min is -0 if either is,
+   max is +0 if either is), and only a NaN operand reaches the
+   [Float] function. *)
+let[@inline] fmin (x : float) (y : float) =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if x = 0.0 then -.(-.x -. y) else x
+  else Float.min x y
+
+let[@inline] fmax (x : float) (y : float) =
+  if x > y then x
+  else if y > x then y
+  else if x = y then if x = 0.0 then x +. y else x
+  else Float.max x y
+
 let empty = { lo = nan; hi = nan }
 let is_empty i = Float.is_nan i.lo || Float.is_nan i.hi
 let entire = { lo = neg_infinity; hi = infinity }
@@ -26,7 +66,7 @@ let of_float x = if Float.is_nan x then empty else { lo = x; hi = x }
 (* Smallest interval with double bounds containing the real whose decimal
    representation rounded to [x]; used to absorb decimal-literal error. *)
 let of_literal x =
-  if Float.is_nan x then empty else { lo = Round.lo1 x; hi = Round.hi1 x }
+  if Float.is_nan x then empty else { lo = down x; hi = up x }
 
 let lo i = i.lo
 let hi i = i.hi
@@ -49,43 +89,43 @@ let overlap a b =
 let inter a b =
   if is_empty a || is_empty b then empty
   else
-    let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
+    let lo = fmax a.lo b.lo and hi = fmin a.hi b.hi in
     if lo > hi then empty else { lo; hi }
 
 let hull a b =
   if is_empty a then b
   else if is_empty b then a
-  else { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
+  else { lo = fmin a.lo b.lo; hi = fmax a.hi b.hi }
 
-let width i = if is_empty i then 0.0 else Round.hi1 (i.hi -. i.lo)
-let rad i = if is_empty i then 0.0 else Round.hi1 (0.5 *. (i.hi -. i.lo))
+let width i = if is_empty i then 0.0 else up (i.hi -. i.lo)
+let rad i = if is_empty i then 0.0 else up (0.5 *. (i.hi -. i.lo))
 
 (* Midpoint, clamped to a finite representable value inside the interval. *)
 let mid i =
   if is_empty i then nan
   else if is_entire i then 0.0
-  else if i.lo = neg_infinity then Float.min i.hi (-.Float.max_float *. 0.5)
-  else if i.hi = infinity then Float.max i.lo (Float.max_float *. 0.5)
+  else if i.lo = neg_infinity then fmin i.hi (-.Float.max_float *. 0.5)
+  else if i.hi = infinity then fmax i.lo (Float.max_float *. 0.5)
   else
     let m = 0.5 *. (i.lo +. i.hi) in
-    if Float.is_finite m then Float.max i.lo (Float.min i.hi m)
+    if Float.is_finite m then fmax i.lo (fmin i.hi m)
     else 0.5 *. i.lo +. 0.5 *. i.hi
 
-let mag i = if is_empty i then 0.0 else Float.max (Float.abs i.lo) (Float.abs i.hi)
+let mag i = if is_empty i then 0.0 else fmax (Float.abs i.lo) (Float.abs i.hi)
 
 let mig i =
   if is_empty i then 0.0
   else if i.lo <= 0.0 && 0.0 <= i.hi then 0.0
-  else Float.min (Float.abs i.lo) (Float.abs i.hi)
+  else fmin (Float.abs i.lo) (Float.abs i.hi)
 
 (* Hausdorff distance between two nonempty intervals. *)
 let dist a b =
   if is_empty a || is_empty b then nan
-  else Float.max (Float.abs (a.lo -. b.lo)) (Float.abs (a.hi -. b.hi))
+  else fmax (Float.abs (a.lo -. b.lo)) (Float.abs (a.hi -. b.hi))
 
 let inflate eps i =
   if is_empty i then empty
-  else { lo = Round.lo1 (i.lo -. eps); hi = Round.hi1 (i.hi +. eps) }
+  else { lo = down (i.lo -. eps); hi = up (i.hi +. eps) }
 
 let split i =
   if is_empty i then (empty, empty)
@@ -97,21 +137,17 @@ let split i =
 
 let neg i = if is_empty i then empty else { lo = -.i.hi; hi = -.i.lo }
 
-(* The ring operations below widen with [Round.next_after] applied
-   directly: the external call is unboxed, where the [lo1]/[hi1]
-   wrappers would box every bound (see {!Round}). *)
-
 let add a b =
   if is_empty a || is_empty b then empty
   else
-    { lo = Round.next_after (a.lo +. b.lo) neg_infinity;
-      hi = Round.next_after (a.hi +. b.hi) infinity }
+    { lo = down (a.lo +. b.lo);
+      hi = up (a.hi +. b.hi) }
 
 let sub a b =
   if is_empty a || is_empty b then empty
   else
-    { lo = Round.next_after (a.lo -. b.hi) neg_infinity;
-      hi = Round.next_after (a.hi -. b.lo) infinity }
+    { lo = down (a.lo -. b.hi);
+      hi = up (a.hi -. b.lo) }
 
 let add_float a x = add a (of_float x)
 let sub_float a x = sub a (of_float x)
@@ -126,8 +162,8 @@ let mul a b =
     and p2 = prod a.lo b.hi
     and p3 = prod a.hi b.lo
     and p4 = prod a.hi b.hi in
-    { lo = Round.next_after (Float.min (Float.min p1 p2) (Float.min p3 p4)) neg_infinity;
-      hi = Round.next_after (Float.max (Float.max p1 p2) (Float.max p3 p4)) infinity }
+    { lo = down (fmin (fmin p1 p2) (fmin p3 p4));
+      hi = up (fmax (fmax p1 p2) (fmax p3 p4)) }
 
 let mul_float a x = mul a (of_float x)
 
@@ -135,9 +171,9 @@ let sqr i =
   if is_empty i then empty
   else
     let l = Float.abs i.lo and h = Float.abs i.hi in
-    let m = mig i and g = Float.max l h in
-    let lo = if m = 0.0 then 0.0 else Round.next_after (m *. m) neg_infinity in
-    { lo; hi = Round.next_after (g *. g) infinity }
+    let m = mig i and g = fmax l h in
+    let lo = if m = 0.0 then 0.0 else down (m *. m) in
+    { lo; hi = up (g *. g) }
 
 (* Reciprocal.  If the interval straddles zero the result is the whole
    line (a connected over-approximation of the two unbounded branches);
@@ -147,13 +183,13 @@ let inv i =
   else if i.lo = 0.0 && i.hi = 0.0 then empty
   else if i.lo < 0.0 && i.hi > 0.0 then entire
   else if i.lo = 0.0 then
-    { lo = Round.next_after (1.0 /. i.hi) neg_infinity; hi = infinity }
+    { lo = down (1.0 /. i.hi); hi = infinity }
   else if i.hi = 0.0 then
-    { lo = neg_infinity; hi = Round.next_after (1.0 /. i.lo) infinity }
+    { lo = neg_infinity; hi = up (1.0 /. i.lo) }
   else
     let a = 1.0 /. i.hi and b = 1.0 /. i.lo in
-    { lo = Round.next_after (Float.min a b) neg_infinity;
-      hi = Round.next_after (Float.max a b) infinity }
+    { lo = down (fmin a b);
+      hi = up (fmax a b) }
 
 let div a b = if is_empty a || is_empty b then empty else mul a (inv b)
 
@@ -167,47 +203,47 @@ let rec pow_int i n =
   else if n mod 2 = 0 then
     let m = mig i and g = mag i in
     let p x = Float.pow x (float_of_int n) in
-    let lo = if m = 0.0 then 0.0 else Float.max 0.0 (Round.lo2 (p m)) in
-    { lo; hi = Round.hi2 (p g) }
+    let lo = if m = 0.0 then 0.0 else fmax 0.0 (down2 (p m)) in
+    { lo; hi = up2 (p g) }
   else
     let p x =
       (* Float.pow of a negative base with integer exponent is defined. *)
       Float.pow x (float_of_int n)
     in
-    { lo = Round.lo2 (p i.lo); hi = Round.hi2 (p i.hi) }
+    { lo = down2 (p i.lo); hi = up2 (p i.hi) }
 
 (* ---- Monotone elementary functions ---- *)
 
 let monotone_incr f i =
   if is_empty i then empty
-  else { lo = Round.lo2 (f i.lo); hi = Round.hi2 (f i.hi) }
+  else { lo = down2 (f i.lo); hi = up2 (f i.hi) }
 
 let exp i =
   if is_empty i then empty
   else
-    let l = Round.lo2 (Float.exp i.lo) and h = Round.hi2 (Float.exp i.hi) in
-    { lo = Float.max 0.0 l; hi = h }
+    let l = down2 (Float.exp i.lo) and h = up2 (Float.exp i.hi) in
+    { lo = fmax 0.0 l; hi = h }
 
 let log i =
   if is_empty i then empty
   else if i.hi <= 0.0 then empty
   else
-    let lo = if i.lo <= 0.0 then neg_infinity else Round.lo2 (Float.log i.lo) in
-    { lo; hi = Round.hi2 (Float.log i.hi) }
+    let lo = if i.lo <= 0.0 then neg_infinity else down2 (Float.log i.lo) in
+    { lo; hi = up2 (Float.log i.hi) }
 
 let sqrt i =
   if is_empty i then empty
   else if i.hi < 0.0 then empty
   else
-    let l = if i.lo <= 0.0 then 0.0 else Float.max 0.0 (Round.lo2 (Float.sqrt i.lo)) in
-    { lo = l; hi = Round.hi2 (Float.sqrt i.hi) }
+    let l = if i.lo <= 0.0 then 0.0 else fmax 0.0 (down2 (Float.sqrt i.lo)) in
+    { lo = l; hi = up2 (Float.sqrt i.hi) }
 
 let atan i = monotone_incr Float.atan i
 let tanh i =
   if is_empty i then empty
   else
-    let l = Float.max (-1.0) (Round.lo2 (Float.tanh i.lo))
-    and h = Float.min 1.0 (Round.hi2 (Float.tanh i.hi)) in
+    let l = fmax (-1.0) (down2 (Float.tanh i.lo))
+    and h = fmin 1.0 (up2 (Float.tanh i.hi)) in
     { lo = l; hi = h }
 
 let abs i =
@@ -216,11 +252,11 @@ let abs i =
 
 let min_ a b =
   if is_empty a || is_empty b then empty
-  else { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
+  else { lo = fmin a.lo b.lo; hi = fmin a.hi b.hi }
 
 let max_ a b =
   if is_empty a || is_empty b then empty
-  else { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
+  else { lo = fmax a.lo b.lo; hi = fmax a.hi b.hi }
 
 (* Real power through exp/log on the positive part of the base. *)
 let pow a b =
@@ -240,11 +276,11 @@ let root i n =
       else if x = neg_infinity then neg_infinity
       else Float.copy_sign (Float.pow (Float.abs x) (1.0 /. float_of_int n)) x
     in
-    if n mod 2 = 1 then { lo = Round.lo2 (r i.lo); hi = Round.hi2 (r i.hi) }
+    if n mod 2 = 1 then { lo = down2 (r i.lo); hi = up2 (r i.hi) }
     else if i.hi < 0.0 then empty
     else
-      let lo = if i.lo <= 0.0 then 0.0 else Float.max 0.0 (Round.lo2 (r i.lo)) in
-      { lo; hi = Round.hi2 (r i.hi) }
+      let lo = if i.lo <= 0.0 then 0.0 else fmax 0.0 (down2 (r i.lo)) in
+      { lo; hi = up2 (r i.hi) }
 
 (* Inverse hyperbolic tangent on the intersection with (-1, 1). *)
 let atanh i =
@@ -254,8 +290,8 @@ let atanh i =
     if is_empty j then empty
     else
       let f x = 0.5 *. Float.log ((1.0 +. x) /. (1.0 -. x)) in
-      let lo = if j.lo <= -1.0 then neg_infinity else Round.lo2 (f j.lo) in
-      let hi = if j.hi >= 1.0 then infinity else Round.hi2 (f j.hi) in
+      let lo = if j.lo <= -1.0 then neg_infinity else down2 (f j.lo) in
+      let hi = if j.hi >= 1.0 then infinity else up2 (f j.hi) in
       { lo; hi }
 
 (* ---- Trigonometric functions ----
@@ -293,8 +329,8 @@ let cos i =
     let cl = Float.cos i.lo and ch = Float.cos i.hi in
     let has_max = contains_multiple ~offset:0.0 ~period:0.0 i.lo i.hi in
     let has_min = contains_multiple ~offset:Float.pi ~period:0.0 i.lo i.hi in
-    let hi_b = if has_max then 1.0 else Float.min 1.0 (Round.hi2 (Float.max cl ch) +. trig_guard) in
-    let lo_b = if has_min then -1.0 else Float.max (-1.0) (Round.lo2 (Float.min cl ch) -. trig_guard) in
+    let hi_b = if has_max then 1.0 else fmin 1.0 (up2 (fmax cl ch) +. trig_guard) in
+    let lo_b = if has_min then -1.0 else fmax (-1.0) (down2 (fmin cl ch) -. trig_guard) in
     { lo = lo_b; hi = hi_b }
 
 let sin i =
@@ -311,7 +347,7 @@ let tan i =
   else
     let tl = Float.tan i.lo and th = Float.tan i.hi in
     if tl > th then entire
-    else { lo = Round.lo2 tl -. trig_guard; hi = Round.hi2 th +. trig_guard }
+    else { lo = down2 tl -. trig_guard; hi = up2 th +. trig_guard }
 
 (* ---- Sign queries (used by the decision procedure) ---- *)
 

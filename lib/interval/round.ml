@@ -8,28 +8,38 @@
    enclosure.  Transcendental functions from libm are faithfully rounded at
    best, so we step two ulps outward for them. *)
 
-(* Redeclared here so it is part of this module's interface: a direct
-   application of an external compiles to an unboxed C call, whereas
-   calling the wrappers below from another compilation unit boxes both
-   argument and result (no cross-module inlining without flambda).
-   Hot interval kernels widen with [next_after x neg_infinity] /
-   [next_after x infinity] directly. *)
 external next_after : float -> float -> float
   = "caml_nextafter_float" "caml_nextafter"
 [@@unboxed] [@@noalloc]
 
-(* [next_after] already realizes the wanted limit behaviour: nan maps to
-   nan and the infinities are fixed points of stepping outward. *)
-let next_up x = next_after x infinity
-let next_down x = next_after x neg_infinity
+(* Successor and predecessor in round-to-nearest, after Rump, Zimmermann,
+   Boldo and Melquiond, "Computing predecessor and successor in rounding
+   to nearest", BIT 49 (2009).  With u = 2^-53, eta = 2^-1074 and
+   phi = u(1 + 2u) = 0x1.0000000000001p-53:
+   - |x| >= u^-2 eta / 2 = 2^-969: succ x = x + phi|x|, computed in
+     round-to-nearest, is exact;
+   - |x| < u^-1 eta = 2^-1021: the spacing is eta, so x + eta is exact;
+   - in between, the first case applied to x scaled by 2^53 (exact
+     both ways) gives the answer.
+   Three inputs need care to equal libm's [nextafter] bit for bit:
+   succ (-2^-1074) is -0 (x + eta rounds to +0), succ (-inf) is
+   -max_float (-inf + inf is NaN), and by symmetry pred inf is
+   max_float.  NaN maps to NaN and the infinities are fixed points of
+   stepping outward.  See round.mli for why each kernel module keeps
+   its own copy of these two functions. *)
+let next_up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = neg_infinity then -.Float.max_float else x +. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then if x = -0x1p-1074 then -0.0 else x +. 0x1p-1074
+  else ((x *. 0x1p53) +. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
 
-(* One-ulp widening: sound for correctly rounded operations. *)
-let lo1 x = next_down x
-let hi1 x = next_up x
-
-(* Two-ulp widening: used for libm transcendentals. *)
-let lo2 x = next_down (next_down x)
-let hi2 x = next_up (next_up x)
+let next_down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = infinity then Float.max_float else x -. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then x -. 0x1p-1074
+  else ((x *. 0x1p53) -. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
 
 (* Pi enclosures.  [Float.pi] is the nearest double to the real pi and is
    known to round down; we still widen both sides for robustness. *)

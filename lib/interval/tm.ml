@@ -2,10 +2,17 @@
    remainder over the same normalized input symbols as Affine.  See
    tm.mli for the soundness contract; the layout below mirrors
    affine.ml so the two operand interpretations stay reviewable side by
-   side. *)
+   side.
+
+   The range bounds, products, sums, linear maps and the smart
+   constructor compute on plain floats.  Each interval step there is the
+   {!Ia} operation transcribed bound by bound — same formulas, same
+   operand order, same outward steps — so every result is bit-identical
+   to composing [Ia] calls, without an [Ia.t] record or a boxed float
+   per step.  [Ia.t] values remain where a model's remainder is stored
+   and where the unary linearizations call the interval kernels. *)
 
 module I = Ia
-module R = Round
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                          *)
@@ -52,25 +59,52 @@ let clear_enabled_override () = Atomic.set override None
 (* Representation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Monomial families are kept as parallel (index, coefficient) arrays,
-   each sorted by index ([cross_idx] lexicographically with i < j) with
-   finite nonzero coefficients; [rem] is a nonempty bounded interval.
-   The model denotes { c + Σ lin·ε + Σ diag·ε² + Σ cross·εε' + r :
-   ε ∈ [−1,1]ⁿ, r ∈ rem }. *)
+(* Monomial families are kept as parallel (key, coefficient) arrays,
+   each sorted by key with finite nonzero coefficients.  A linear or
+   diagonal monomial is keyed by its symbol, a cross monomial εᵢεⱼ
+   (i < j) by [pack i j], whose integer order is the lexicographic
+   order on (i, j).  [rem] is a nonempty bounded interval.  The model
+   denotes { c + Σ lin·ε + Σ diag·ε² + Σ cross·εε' + r :
+   ε ∈ [−1,1]ⁿ, r ∈ rem }.  Key arrays are never mutated, so models
+   share them freely. *)
 type form = {
   c : float;
   lin_idx : int array;
   lin : float array;
   diag_idx : int array;
   diag : float array;
-  cross_idx : (int * int) array;
+  cross_idx : int array;
   cross : float array;
   rem : I.t;
 }
 
 type t = Bot | Itv of I.t | Tm of form
 
-let[@inline] up x = R.next_after x infinity
+let[@inline] pack i j = (i lsl 31) lor j
+let[@inline] key_i k = k lsr 31
+let[@inline] key_j k = k land 0x7FFF_FFFF
+
+(* ------------------------------------------------------------------ *)
+(* Flat rounding and interval steps                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Inline copies of {!Round.next_up} and {!Round.next_down}, the exact
+   round-to-nearest successor and predecessor: a call into [Round] is
+   never inlined under [-opaque] and would box its argument and result
+   (see round.mli). *)
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = neg_infinity then -.Float.max_float else x +. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then if x = -0x1p-1074 then -0.0 else x +. 0x1p-1074
+  else ((x *. 0x1p53) +. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
+
+let[@inline] down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 then
+    if x = infinity then Float.max_float else x -. (0x1.0000000000001p-53 *. a)
+  else if a < 0x1p-1021 then x -. 0x1p-1074
+  else ((x *. 0x1p53) -. (0x1.0000000000001p-53 *. (a *. 0x1p53))) *. 0x1p-53
 
 let[@inline] ulp z =
   let az = Float.abs z in
@@ -79,71 +113,132 @@ let[@inline] ulp z =
 (* Running upward-rounded slack accumulator. *)
 let[@inline] eplus e d = up (e +. d)
 
-let unit_itv = I.make (-1.0) 1.0
-let unit_sq = I.make 0.0 1.0
+let[@inline] finite x = x -. x = 0.0
+
+(* [Float.min]/[Float.max] result for result, as in {!Ia}: no
+   [sign_bit] C call unless an operand is NaN. *)
+let[@inline] fmin (x : float) (y : float) =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if x = 0.0 then -.(-.x -. y) else x
+  else Float.min x y
+
+let[@inline] fmax (x : float) (y : float) =
+  if x > y then x
+  else if y > x then y
+  else if x = y then if x = 0.0 then x +. y else x
+  else Float.max x y
+
+(* Bounds of [Ia.mul [al, ah] [bl, bh]] and [Ia.sqr [l, h]] on nonempty
+   operands: [Ia.prod]'s 0·∞ = 0 and the order of the four products
+   included. *)
+let[@inline] prod x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+
+let[@inline] mul_lo al ah bl bh =
+  down (fmin (fmin (prod al bl) (prod al bh)) (fmin (prod ah bl) (prod ah bh)))
+
+let[@inline] mul_hi al ah bl bh =
+  up (fmax (fmax (prod al bl) (prod al bh)) (fmax (prod ah bl) (prod ah bh)))
+
+let[@inline] sqr_lo l h =
+  let m = if l <= 0.0 && 0.0 <= h then 0.0 else fmin (Float.abs l) (Float.abs h) in
+  if m = 0.0 then 0.0 else down (m *. m)
+
+let[@inline] sqr_hi l h =
+  let g = fmax (Float.abs l) (Float.abs h) in
+  up (g *. g)
+
+(* The bounds of [Ia.mul] of the point v (non-NaN) by [−1, 1] and by
+   [0, 1], in either operand order: the ranges of the monomials
+   v·εᵢεⱼ, v·εᵢ and v·εᵢ².  [Ia.prod] maps every product with v = ±0
+   to +0, and the outward step sends ±0 to the same neighbour, so
+   [−|v|, |v|] and [min(v, 0), max(v, 0)] reproduce its four-product
+   bounds exactly. *)
+let[@inline] sym_lo v = down (-.Float.abs v)
+let[@inline] sym_hi v = up (Float.abs v)
+let[@inline] unit_lo v = down (if v < 0.0 then v else 0.0)
+let[@inline] unit_hi v = up (if v > 0.0 then v else 0.0)
+
+(* [Ia.mid] of a bounded nonempty interval. *)
+let[@inline] mid_bounded l h =
+  let m = 0.5 *. (l +. h) in
+  if finite m then fmax l (fmin h m) else (0.5 *. l) +. (0.5 *. h)
+
+(* A pair of bounds stored flat: where the range bounds write their
+   result, and the slack accumulator of the family merges. *)
+type cell = { mutable lo : float; mutable hi : float }
 
 (* ------------------------------------------------------------------ *)
 (* Range bounds                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Range of the linear monomials: symmetric, Σ|lᵢ| upward. *)
-let lin_range f =
+(* Radius s of the linear monomials' range [−s, s]: Σ|lᵢ| upward. *)
+let[@inline] lin_radius f =
   let s = ref 0.0 in
-  Array.iter (fun v -> s := eplus !s (Float.abs v)) f.lin;
-  I.make (-. !s) !s
+  for k = 0 to Array.length f.lin - 1 do
+    s := eplus !s (Float.abs (Array.unsafe_get f.lin k))
+  done;
+  !s
 
-(* Range of the quadratic monomials by interval evaluation:
-   diag·[0,1] + cross·[−1,1]. *)
-let quad_range f =
-  let acc = ref I.zero in
-  Array.iter (fun v -> acc := I.add !acc (I.mul_float unit_sq v)) f.diag;
-  Array.iter (fun v -> acc := I.add !acc (I.mul_float unit_itv v)) f.cross;
-  !acc
+(* Range of the quadratic monomials by interval evaluation,
+   diag·[0,1] + cross·[−1,1], written to [r]. *)
+let quad_range r f =
+  let lo = ref 0.0 and hi = ref 0.0 in
+  for k = 0 to Array.length f.diag - 1 do
+    let v = Array.unsafe_get f.diag k in
+    lo := down (!lo +. unit_lo v);
+    hi := up (!hi +. unit_hi v)
+  done;
+  for k = 0 to Array.length f.cross - 1 do
+    let v = Array.unsafe_get f.cross k in
+    lo := down (!lo +. sym_lo v);
+    hi := up (!hi +. sym_hi v)
+  done;
+  r.lo <- !lo;
+  r.hi <- !hi
 
-(* Range of the whole polynomial part (constant included).  Per
-   variable the univariate slice g(t) = q·t² + l·t on [−1,1] is bounded
-   by its degree-2 Bernstein coefficients — over [−1,1] these are
-   b₀ = g(−1) = q − l, b₁ = −q, b₂ = g(1) = q + l, and the control
-   polygon [min bᵢ, max bᵢ] encloses the curve — intersected with the
-   interval evaluation l·[−1,1] + q·[0,1].  Each bound is sound on its
-   own (Bernstein wins when l, q interact, e.g. (t−1)² near its root;
-   the interval form wins when the parabola's vertex lies outside
-   [−1,1]), so the intersection is sound and never empty.  Coefficient
-   arithmetic runs in interval space, keeping the bound outward-rounded.
-   Cross monomials, which couple two variables, are bounded by
-   magnitude. *)
-let poly_range f =
-  let acc = ref (I.of_float f.c) in
+(* Range of the whole polynomial part (constant included), written to
+   [r].  Per variable the univariate slice g(t) = q·t² + l·t on [−1,1]
+   is bounded by its degree-2 Bernstein coefficients — over [−1,1]
+   these are b₀ = g(−1) = q − l, b₁ = −q, b₂ = g(1) = q + l, and the
+   control polygon [min bᵢ, max bᵢ] encloses the curve — intersected
+   with the interval evaluation l·[−1,1] + q·[0,1].  Each bound is
+   sound on its own (Bernstein wins when l, q interact, e.g. (t−1)²
+   near its root; the interval form wins when the parabola's vertex
+   lies outside [−1,1]), so the intersection is sound, and since both
+   enclose the slice's range it is never empty.  Coefficient arithmetic
+   is outward-rounded.  Cross monomials, which couple two variables,
+   are bounded by magnitude. *)
+let poly_range r f =
+  let lo = ref f.c and hi = ref f.c in
   let nl = Array.length f.lin_idx and nd = Array.length f.diag_idx in
   let i = ref 0 and j = ref 0 in
   while !i < nl || !j < nd do
-    let l, q =
-      if !j >= nd || (!i < nl && f.lin_idx.(!i) < f.diag_idx.(!j)) then begin
-        let l = f.lin.(!i) in
-        incr i;
-        (l, 0.0)
-      end
-      else if !i >= nl || f.diag_idx.(!j) < f.lin_idx.(!i) then begin
-        let q = f.diag.(!j) in
-        incr j;
-        (0.0, q)
-      end
-      else begin
-        let l = f.lin.(!i) and q = f.diag.(!j) in
-        incr i;
-        incr j;
-        (l, q)
-      end
-    in
-    let li = I.of_float l and qi = I.of_float q in
-    let bern = I.hull (I.hull (I.sub qi li) (I.neg qi)) (I.add qi li) in
-    let itv = I.add (I.mul li unit_itv) (I.mul qi unit_sq) in
-    acc := I.add !acc (I.inter bern itv)
+    let ki = if !i < nl then Array.unsafe_get f.lin_idx !i else max_int
+    and kj = if !j < nd then Array.unsafe_get f.diag_idx !j else max_int in
+    let l = if ki <= kj then Array.unsafe_get f.lin !i else 0.0
+    and q = if kj <= ki then Array.unsafe_get f.diag !j else 0.0 in
+    if ki <= kj then incr i;
+    if kj <= ki then incr j;
+    (* Hull of the control points q − l, −q and q + l. *)
+    let b_lo = fmin (fmin (down (q -. l)) (-.q)) (down (q +. l))
+    and b_hi = fmax (fmax (up (q -. l)) (-.q)) (up (q +. l)) in
+    let i_lo = down (sym_lo l +. unit_lo q) and i_hi = up (sym_hi l +. unit_hi q) in
+    lo := down (!lo +. fmax b_lo i_lo);
+    hi := up (!hi +. fmin b_hi i_hi)
   done;
-  Array.iter (fun v -> acc := I.add !acc (I.mul_float unit_itv v)) f.cross;
-  !acc
+  for k = 0 to Array.length f.cross - 1 do
+    let v = Array.unsafe_get f.cross k in
+    lo := down (!lo +. sym_lo v);
+    hi := up (!hi +. sym_hi v)
+  done;
+  r.lo <- !lo;
+  r.hi <- !hi
 
-let concretize_form f = I.add (poly_range f) f.rem
+let concretize_form f =
+  let r = { lo = 0.0; hi = 0.0 } in
+  poly_range r f;
+  I.make_unordered (down (r.lo +. f.rem.I.lo)) (up (r.hi +. f.rem.I.hi))
 
 let concretize = function
   | Bot -> I.empty
@@ -174,7 +269,8 @@ let pp ppf = function
         (fun k i -> Fmt.pf ppf " %+g·e%d²" f.diag.(k) i)
         f.diag_idx;
       Array.iteri
-        (fun k (i, j) -> Fmt.pf ppf " %+g·e%de%d" f.cross.(k) i j)
+        (fun k key ->
+          Fmt.pf ppf " %+g·e%de%d" f.cross.(k) (key_i key) (key_j key))
         f.cross_idx;
       Fmt.pf ppf " + %a@]" I.pp f.rem
 
@@ -185,36 +281,33 @@ let pp ppf = function
 let mk_itv v = if I.is_empty v then Bot else Itv v
 
 (* Deterministic condensation of one monomial family past the budget:
-   rank by |coefficient| descending (index ascending on ties), keep the
-   top [b], fold the rest into an interval via [to_itv].  Shares the
-   affine noise budget so BIOMC_AFFINE_BUDGET tunes both layers. *)
-let condense_family b idx coef to_itv =
+   rank by |coefficient| descending (position ascending on ties), keep
+   the top [b], and add the rest — [−|v|, |v|] each, or v·[0,1] for
+   the [diag] family — into [e].  Shares the affine noise budget so
+   BIOMC_AFFINE_BUDGET tunes both layers. *)
+let condense_family b ~diag idx coef e =
   let n = Array.length coef in
-  if n <= b then (idx, coef, I.zero)
-  else begin
-    let order = Array.init n (fun k -> k) in
-    Array.sort
-      (fun a bk ->
-        let ca = Float.abs coef.(a) and cb = Float.abs coef.(bk) in
-        if ca > cb then -1 else if ca < cb then 1 else compare a bk)
-      order;
-    let keep = Array.sub order 0 b in
-    Array.sort compare keep;
-    let folded = ref I.zero in
-    for k = b to n - 1 do
-      folded := I.add !folded (to_itv coef.(order.(k)))
-    done;
-    ( Array.map (fun k -> idx.(k)) keep,
-      Array.map (fun k -> coef.(k)) keep,
-      !folded )
-  end
-
-let sym_itv v =
-  let a = Float.abs v in
-  I.make (-.a) a
-
-(* diag monomials range over coef·[0,1]. *)
-let diag_itv v = I.mul_float unit_sq v
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a bk ->
+      let ca = Float.abs coef.(a) and cb = Float.abs coef.(bk) in
+      if ca > cb then -1 else if ca < cb then 1 else Int.compare a bk)
+    order;
+  let keep = Array.sub order 0 b in
+  Array.sort Int.compare keep;
+  for k = b to n - 1 do
+    let v = coef.(order.(k)) in
+    if diag then begin
+      e.lo <- down (e.lo +. unit_lo v);
+      e.hi <- up (e.hi +. unit_hi v)
+    end
+    else begin
+      let a = Float.abs v in
+      e.lo <- down (e.lo +. -.a);
+      e.hi <- up (e.hi +. a)
+    end
+  done;
+  (Array.map (fun k -> idx.(k)) keep, Array.map (fun k -> coef.(k)) keep)
 
 (* Drop zero coefficients from a family (products and scalings create
    exact zeros that would otherwise accumulate as dead monomials). *)
@@ -238,39 +331,72 @@ let compact idx coef =
     (idx', coef')
   end
 
-let finite_arr a = Array.for_all Float.is_finite a
+let finite_arr a =
+  let ok = ref true in
+  for k = 0 to Array.length a - 1 do
+    if not (finite (Array.unsafe_get a k)) then ok := false
+  done;
+  !ok
 
-(* Smart constructor: folds accumulated rounding slack into the
-   remainder, demotes non-finite results to a sound interval fallback,
-   drops zero coefficients and condenses each family to the budget. *)
-let mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rem ~slack =
-  let rem =
-    if slack > 0.0 then I.add rem (I.make (-.slack) slack) else rem
-  in
+(* Smart constructor over the remainder [rlo, rhi]: folds accumulated
+   rounding slack into the remainder, demotes non-finite results to a
+   sound interval fallback, drops zero coefficients and condenses each
+   family to the budget.  The condensed parts enter the remainder as
+   rem + (e₁ + (e₂ + e₃)), each sum rounded outward even when nothing
+   condensed (then every eₖ is [0, 0]). *)
+let[@inline] mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
+    ~slack =
+  let rlo = if slack > 0.0 then down (rlo +. -.slack) else rlo
+  and rhi = if slack > 0.0 then up (rhi +. slack) else rhi in
   if
-    (not (Float.is_finite c))
-    || I.is_empty rem
-    || (not (I.is_bounded rem))
-    || (not (finite_arr lin))
-    || (not (finite_arr diag))
-    || not (finite_arr cross)
+    not
+      (finite c && finite rlo && finite rhi && finite_arr lin
+     && finite_arr diag && finite_arr cross)
   then Itv I.entire
   else begin
     let lin_idx, lin = compact lin_idx lin in
     let diag_idx, diag = compact diag_idx diag in
     let cross_idx, cross = compact cross_idx cross in
     let b = Affine.budget () in
-    let lin_idx, lin, e1 = condense_family b lin_idx lin sym_itv in
-    let diag_idx, diag, e2 = condense_family b diag_idx diag diag_itv in
-    let cross_idx, cross, e3 = condense_family b cross_idx cross sym_itv in
-    let rem = I.add rem (I.add e1 (I.add e2 e3)) in
-    if I.is_bounded rem then
-      Tm { c; lin_idx; lin; diag_idx; diag; cross_idx; cross; rem }
+    let e = { lo = 0.0; hi = 0.0 } in
+    let lin_idx, lin =
+      if Array.length lin > b then condense_family b ~diag:false lin_idx lin e
+      else (lin_idx, lin)
+    in
+    let e1l = e.lo and e1h = e.hi in
+    e.lo <- 0.0;
+    e.hi <- 0.0;
+    let diag_idx, diag =
+      if Array.length diag > b then condense_family b ~diag:true diag_idx diag e
+      else (diag_idx, diag)
+    in
+    let e2l = e.lo and e2h = e.hi in
+    e.lo <- 0.0;
+    e.hi <- 0.0;
+    let cross_idx, cross =
+      if Array.length cross > b then
+        condense_family b ~diag:false cross_idx cross e
+      else (cross_idx, cross)
+    in
+    let sl = down (e1l +. down (e2l +. e.lo))
+    and sh = up (e1h +. up (e2h +. e.hi)) in
+    let rl = down (rlo +. sl) and rh = up (rhi +. sh) in
+    if finite rl && finite rh then
+      Tm
+        {
+          c;
+          lin_idx;
+          lin;
+          diag_idx;
+          diag;
+          cross_idx;
+          cross;
+          rem = I.make_unordered rl rh;
+        }
     else Itv I.entire
   end
 
 let no_ints : int array = [||]
-let no_pairs : (int * int) array = [||]
 let no_coefs : float array = [||]
 
 let const c =
@@ -283,7 +409,7 @@ let const c =
         lin = no_coefs;
         diag_idx = no_ints;
         diag = no_coefs;
-        cross_idx = no_pairs;
+        cross_idx = no_ints;
         cross = no_coefs;
         rem = I.zero;
       }
@@ -304,7 +430,7 @@ let of_interval ~sym iv =
           lin = [| r |];
           diag_idx = no_ints;
           diag = no_coefs;
-          cross_idx = no_pairs;
+          cross_idx = no_ints;
           cross = no_coefs;
           rem = I.zero;
         }
@@ -314,91 +440,89 @@ let of_interval ~sym iv =
 (* Linear combination machinery                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Merged sum x + s·y over one sorted coefficient family.  Returns the
-   packed arrays plus the upward-rounded slack of the coefficient
-   additions (scaling by s = ±1 is exact). *)
-let merge_scaled (type k) (cmp : k -> k -> int) s (xi : k array) xc
-    (yi : k array) yc =
+(* Merged sum ax·x + ay·y over one sorted coefficient family.  Matching
+   keys add, and the ulp of each such sum accumulates upward in
+   [e.lo]; zero results are dropped. *)
+let merge ax xi xc ay yi yc e =
   let nx = Array.length xi and ny = Array.length yi in
-  if nx = 0 && ny = 0 then ([||], [||], 0.0)
-  else begin
-  let dummy = if nx > 0 then xi.(0) else yi.(0) in
-  let idx = Array.make (nx + ny) dummy in
-  let coef = Array.make (nx + ny) 0.0 in
-  let e = ref 0.0 and i = ref 0 and j = ref 0 and n = ref 0 in
-  let store ix v =
+  let idx = Array.make (nx + ny) 0 and coef = Array.make (nx + ny) 0.0 in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < nx || !j < ny do
+    let ki = if !i < nx then Array.unsafe_get xi !i else max_int
+    and kj = if !j < ny then Array.unsafe_get yi !j else max_int in
+    let v =
+      if ki < kj then ax *. Array.unsafe_get xc !i
+      else if kj < ki then ay *. Array.unsafe_get yc !j
+      else begin
+        let v = (ax *. Array.unsafe_get xc !i) +. (ay *. Array.unsafe_get yc !j) in
+        e.lo <- eplus e.lo (ulp v);
+        v
+      end
+    in
     if v <> 0.0 then begin
-      idx.(!n) <- ix;
+      idx.(!n) <- (if ki <= kj then ki else kj);
       coef.(!n) <- v;
       incr n
-    end
-  in
-  while !i < nx || !j < ny do
-    if !j >= ny || (!i < nx && cmp xi.(!i) yi.(!j) < 0) then begin
-      store xi.(!i) xc.(!i);
-      incr i
-    end
-    else if !i >= nx || cmp yi.(!j) xi.(!i) < 0 then begin
-      store yi.(!j) (s *. yc.(!j));
-      incr j
-    end
-    else begin
-      let v = xc.(!i) +. (s *. yc.(!j)) in
-      e := eplus !e (ulp v);
-      store xi.(!i) v;
-      incr i;
-      incr j
-    end
+    end;
+    if ki <= kj then incr i;
+    if kj <= ki then incr j
   done;
-  (Array.sub idx 0 !n, Array.sub coef 0 !n, !e)
-  end
+  if !n = nx + ny then (idx, coef)
+  else (Array.sub idx 0 !n, Array.sub coef 0 !n)
 
-let cmp_int (a : int) b = compare a b
-let cmp_pair (a : int * int) b = compare a b
-
+(* x ± y: coefficient sums carry their ulps (scaling by s = ±1 is
+   exact); each family's merge slack is folded in separately. *)
 let addsub_form s fx fy =
   let c = fx.c +. (s *. fy.c) in
-  let slack = ref (ulp c) in
-  let lin_idx, lin, e1 =
-    merge_scaled cmp_int s fx.lin_idx fx.lin fy.lin_idx fy.lin
+  let e = { lo = 0.0; hi = 0.0 } in
+  let lin_idx, lin = merge 1.0 fx.lin_idx fx.lin s fy.lin_idx fy.lin e in
+  let e1 = e.lo in
+  e.lo <- 0.0;
+  let diag_idx, diag = merge 1.0 fx.diag_idx fx.diag s fy.diag_idx fy.diag e in
+  let e2 = e.lo in
+  e.lo <- 0.0;
+  let cross_idx, cross =
+    merge 1.0 fx.cross_idx fx.cross s fy.cross_idx fy.cross e
   in
-  let diag_idx, diag, e2 =
-    merge_scaled cmp_int s fx.diag_idx fx.diag fy.diag_idx fy.diag
-  in
-  let cross_idx, cross, e3 =
-    merge_scaled cmp_pair s fx.cross_idx fx.cross fy.cross_idx fy.cross
-  in
-  slack := eplus (eplus (eplus !slack e1) e2) e3;
-  let rem = I.add fx.rem (if s > 0.0 then fy.rem else I.neg fy.rem) in
-  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rem ~slack:!slack
+  let slack = eplus (eplus (eplus (ulp c) e1) e2) e.lo in
+  let rx = fx.rem and ry = fy.rem in
+  let rlo = down (rx.I.lo +. if s > 0.0 then ry.I.lo else -.ry.I.hi)
+  and rhi = up (rx.I.hi +. if s > 0.0 then ry.I.hi else -.ry.I.lo) in
+  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi ~slack
+
+(* alpha·v for every coefficient, each product's ulp added to [e.lo]. *)
+let scale_family alpha coef e =
+  let out = Array.make (Array.length coef) 0.0 in
+  for k = 0 to Array.length coef - 1 do
+    let r = alpha *. Array.unsafe_get coef k in
+    e.lo <- eplus e.lo (ulp r);
+    Array.unsafe_set out k r
+  done;
+  out
 
 (* Sound enclosure of konst + alpha·x ± delta (alpha, delta floats;
    konst an interval): the workhorse behind scaling and every unary
    linearization.  Coefficients scale in float with per-term ulp slack;
    the centre is recentred through interval arithmetic. *)
 let lin_map ~alpha ~konst ~delta fx =
-  let ci = I.add konst (I.mul_float (I.of_float fx.c) alpha) in
-  if I.is_empty ci || not (I.is_bounded ci) then
+  let kl = konst.I.lo and kh = konst.I.hi in
+  let cl = down (kl +. mul_lo fx.c fx.c alpha alpha)
+  and ch = up (kh +. mul_hi fx.c fx.c alpha alpha) in
+  if kl <> kl || kh <> kh || not (finite cl && finite ch) then
     mk_itv (I.add konst (I.mul_float (concretize_form fx) alpha))
   else begin
-    let c = I.mid ci in
-    let slop = I.mag (I.sub_float ci c) in
-    let slack = ref (eplus slop delta) in
-    let scale_arr arr =
-      Array.map
-        (fun v ->
-          let r = alpha *. v in
-          slack := eplus !slack (ulp r);
-          r)
-        arr
-    in
-    let lin = scale_arr fx.lin in
-    let diag = scale_arr fx.diag in
-    let cross = scale_arr fx.cross in
-    let rem = I.mul_float fx.rem alpha in
-    mk ~c ~lin_idx:(Array.copy fx.lin_idx) ~lin
-      ~diag_idx:(Array.copy fx.diag_idx) ~diag
-      ~cross_idx:(Array.copy fx.cross_idx) ~cross ~rem ~slack:!slack
+    let c = mid_bounded cl ch in
+    let slop = fmax (Float.abs (down (cl -. c))) (Float.abs (up (ch -. c))) in
+    let e = { lo = eplus slop delta; hi = 0.0 } in
+    let lin = scale_family alpha fx.lin e in
+    let diag = scale_family alpha fx.diag e in
+    let cross = scale_family alpha fx.cross e in
+    let rx = fx.rem in
+    mk ~c ~lin_idx:fx.lin_idx ~lin ~diag_idx:fx.diag_idx ~diag
+      ~cross_idx:fx.cross_idx ~cross
+      ~rlo:(mul_lo rx.I.lo rx.I.hi alpha alpha)
+      ~rhi:(mul_hi rx.I.lo rx.I.hi alpha alpha)
+      ~slack:e.lo
   end
 
 let neg = function
@@ -445,162 +569,255 @@ let sub x y =
 (* Products                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Quadratic-coefficient accumulator: hashed on the (normalized)
-   variable pair, extracted in sorted order so products stay
-   deterministic. *)
-let quad_acc () = (Hashtbl.create 16 : (int * int, float ref) Hashtbl.t)
+(* Per-domain accumulator for the degree-2 part of a product: a dense
+   grid over symbol pairs, cell i·dim + j for i ≤ j.  A cell is live
+   only while its stamp equals the current generation, so starting a
+   product just bumps [gen]; [keys] lists the live cells' [pack i j]
+   keys in insertion order.  [dim] grows to the largest symbol seen
+   plus one — at most the number of inputs of the tapes evaluated on
+   the domain — and the grid keeps dim² cells.  [r] is the product's
+   scratch cell. *)
+type quad = {
+  mutable dim : int;
+  mutable vals : float array;
+  mutable stamps : int array;
+  mutable gen : int;
+  mutable keys : int array;
+  mutable nkeys : int;
+  r : cell;
+}
 
-let quad_add tbl slack i j v =
+let quad_key =
+  Domain.DLS.new_key (fun () ->
+      { dim = 0; vals = [||]; stamps = [||]; gen = 0; keys = [||]; nkeys = 0;
+        r = { lo = 0.0; hi = 0.0 } })
+
+(* Largest symbol of a model, -1 for a constant. *)
+let max_sym f =
+  let m = ref (-1) in
+  let nl = Array.length f.lin_idx and nd = Array.length f.diag_idx in
+  if nl > 0 then m := f.lin_idx.(nl - 1);
+  if nd > 0 then m := Int.max !m f.diag_idx.(nd - 1);
+  for k = 0 to Array.length f.cross_idx - 1 do
+    m := Int.max !m (key_j f.cross_idx.(k))
+  done;
+  !m
+
+(* The accumulator, emptied, for symbols below [n]. *)
+let quad_begin n =
+  let q = Domain.DLS.get quad_key in
+  if n > q.dim then begin
+    q.dim <- n;
+    q.vals <- Array.make (n * n) 0.0;
+    q.stamps <- Array.make (n * n) 0;
+    q.keys <- Array.make (n * n) 0
+  end;
+  q.gen <- q.gen + 1;
+  q.nkeys <- 0;
+  q
+
+(* Add v to the εᵢεⱼ coefficient and return the running slack, grown by
+   the ulp of the sum when the cell was already live.  A zero v adds
+   nothing, and creates no cell. *)
+let[@inline] quad_add q slack i j v =
   if v <> 0.0 then begin
-    let key = if i <= j then (i, j) else (j, i) in
-    match Hashtbl.find_opt tbl key with
-    | Some r ->
-        let s = !r +. v in
-        slack := eplus !slack (ulp s);
-        r := s
-    | None -> Hashtbl.add tbl key (ref v)
+    let a = if i <= j then i else j and b = if i <= j then j else i in
+    let cell = (a * q.dim) + b in
+    if Array.unsafe_get q.stamps cell = q.gen then begin
+      let s = Array.unsafe_get q.vals cell +. v in
+      Array.unsafe_set q.vals cell s;
+      eplus slack (ulp s)
+    end
+    else begin
+      Array.unsafe_set q.stamps cell q.gen;
+      Array.unsafe_set q.vals cell v;
+      Array.unsafe_set q.keys q.nkeys (pack a b);
+      q.nkeys <- q.nkeys + 1;
+      slack
+    end
   end
+  else slack
 
-let quad_extract tbl =
-  let all =
-    Hashtbl.fold
-      (fun k r acc -> if !r <> 0.0 then (k, !r) :: acc else acc)
-      tbl []
-  in
-  let all = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) all in
-  let diag, cross = List.partition (fun ((i, j), _) -> i = j) all in
-  ( Array.of_list (List.map (fun ((i, _), _) -> i) diag),
-    Array.of_list (List.map snd diag),
-    Array.of_list (List.map fst cross),
-    Array.of_list (List.map snd cross) )
+(* The live nonzero coefficients in key order, split into the diagonal
+   and cross families. *)
+let quad_families q =
+  let keys = Array.sub q.keys 0 q.nkeys in
+  Array.sort Int.compare keys;
+  let nd = ref 0 and nc = ref 0 in
+  for a = 0 to Array.length keys - 1 do
+    let i = key_i keys.(a) and j = key_j keys.(a) in
+    if q.vals.((i * q.dim) + j) <> 0.0 then if i = j then incr nd else incr nc
+  done;
+  let diag_idx = Array.make !nd 0 and diag = Array.make !nd 0.0 in
+  let cross_idx = Array.make !nc 0 and cross = Array.make !nc 0.0 in
+  nd := 0;
+  nc := 0;
+  for a = 0 to Array.length keys - 1 do
+    let k = keys.(a) in
+    let i = key_i k and j = key_j k in
+    let v = q.vals.((i * q.dim) + j) in
+    if v <> 0.0 then
+      if i = j then begin
+        diag_idx.(!nd) <- i;
+        diag.(!nd) <- v;
+        incr nd
+      end
+      else begin
+        cross_idx.(!nc) <- k;
+        cross.(!nc) <- v;
+        incr nc
+      end
+  done;
+  (diag_idx, diag, cross_idx, cross)
 
 (* x·y with x = cₓ + Lₓ + Qₓ + remₓ (L linear, Q quadratic monomials):
    keep cₓc_y, cₓL_y + c_yLₓ, cₓQ_y + c_yQₓ + Lₓ⊗L_y exactly (degree
    ≤ 2); truncate LQ and QQ products — degree 3 and 4 — into the
    remainder via their ranges; remainders couple through the full
-   polynomial ranges. *)
+   polynomial ranges.  The ulps of the scaled linear parts accumulate
+   c_x·L_y first, then c_y·Lₓ, then their merge. *)
 let mul_form fx fy =
+  let q = quad_begin (1 + Int.max (max_sym fx) (max_sym fy)) in
   let slack = ref 0.0 in
   let c = fx.c *. fy.c in
   slack := eplus !slack (ulp c);
-  let scaled k arr =
-    Array.map
-      (fun v ->
-        let r = k *. v in
-        slack := eplus !slack (ulp r);
-        r)
-      arr
-  in
-  let lin_idx, lin, e1 =
-    merge_scaled cmp_int 1.0 fx.lin_idx (scaled fy.c fx.lin) fy.lin_idx
-      (scaled fx.c fy.lin)
-  in
-  slack := eplus !slack e1;
-  let tbl = quad_acc () in
-  let addq = quad_add tbl slack in
-  Array.iteri
-    (fun k i ->
-      let v = fy.c *. fx.diag.(k) in
+  for k = 0 to Array.length fy.lin - 1 do
+    slack := eplus !slack (ulp (fx.c *. fy.lin.(k)))
+  done;
+  for k = 0 to Array.length fx.lin - 1 do
+    slack := eplus !slack (ulp (fy.c *. fx.lin.(k)))
+  done;
+  let r = q.r in
+  r.lo <- 0.0;
+  let lin_idx, lin = merge fy.c fx.lin_idx fx.lin fx.c fy.lin_idx fy.lin r in
+  slack := eplus !slack r.lo;
+  for k = 0 to Array.length fx.diag - 1 do
+    let v = fy.c *. fx.diag.(k) in
+    slack := eplus !slack (ulp v);
+    slack := quad_add q !slack fx.diag_idx.(k) fx.diag_idx.(k) v
+  done;
+  for k = 0 to Array.length fx.cross - 1 do
+    let v = fy.c *. fx.cross.(k) in
+    slack := eplus !slack (ulp v);
+    let key = fx.cross_idx.(k) in
+    slack := quad_add q !slack (key_i key) (key_j key) v
+  done;
+  for k = 0 to Array.length fy.diag - 1 do
+    let v = fx.c *. fy.diag.(k) in
+    slack := eplus !slack (ulp v);
+    slack := quad_add q !slack fy.diag_idx.(k) fy.diag_idx.(k) v
+  done;
+  for k = 0 to Array.length fy.cross - 1 do
+    let v = fx.c *. fy.cross.(k) in
+    slack := eplus !slack (ulp v);
+    let key = fy.cross_idx.(k) in
+    slack := quad_add q !slack (key_i key) (key_j key) v
+  done;
+  for a = 0 to Array.length fx.lin - 1 do
+    for b = 0 to Array.length fy.lin - 1 do
+      let v = fx.lin.(a) *. fy.lin.(b) in
       slack := eplus !slack (ulp v);
-      addq i i v)
-    fx.diag_idx;
-  Array.iteri
-    (fun k (i, j) ->
-      let v = fy.c *. fx.cross.(k) in
-      slack := eplus !slack (ulp v);
-      addq i j v)
-    fx.cross_idx;
-  Array.iteri
-    (fun k i ->
-      let v = fx.c *. fy.diag.(k) in
-      slack := eplus !slack (ulp v);
-      addq i i v)
-    fy.diag_idx;
-  Array.iteri
-    (fun k (i, j) ->
-      let v = fx.c *. fy.cross.(k) in
-      slack := eplus !slack (ulp v);
-      addq i j v)
-    fy.cross_idx;
-  Array.iteri
-    (fun a i ->
-      Array.iteri
-        (fun b j ->
-          let v = fx.lin.(a) *. fy.lin.(b) in
-          slack := eplus !slack (ulp v);
-          addq i j v)
-        fy.lin_idx)
-    fx.lin_idx;
-  let diag_idx, diag, cross_idx, cross = quad_extract tbl in
-  let rlx = lin_range fx and rly = lin_range fy in
-  let rqx = quad_range fx and rqy = quad_range fy in
-  let fold =
-    I.add (I.add (I.mul rlx rqy) (I.mul rly rqx)) (I.mul rqx rqy)
+      slack := quad_add q !slack fx.lin_idx.(a) fy.lin_idx.(b) v
+    done
+  done;
+  let diag_idx, diag, cross_idx, cross = quad_families q in
+  (* Truncated part: [−sₓ, sₓ]·Q_y + [−s_y, s_y]·Qₓ + Qₓ·Q_y. *)
+  let sx = lin_radius fx and sy = lin_radius fy in
+  quad_range r fx;
+  let qxl = r.lo and qxh = r.hi in
+  quad_range r fy;
+  let qyl = r.lo and qyh = r.hi in
+  let fl =
+    down
+      (down (mul_lo (-.sx) sx qyl qyh +. mul_lo (-.sy) sy qxl qxh)
+      +. mul_lo qxl qxh qyl qyh)
+  and fh =
+    up
+      (up (mul_hi (-.sx) sx qyl qyh +. mul_hi (-.sy) sy qxl qxh)
+      +. mul_hi qxl qxh qyl qyh)
   in
-  if not (I.lo fold = 0.0 && I.hi fold = 0.0) then note_truncation ();
-  let rax = poly_range fx and ray = poly_range fy in
-  let rem =
-    I.add
-      (I.add
-         (I.add (I.mul rax fy.rem) (I.mul ray fx.rem))
-         (I.mul fx.rem fy.rem))
-      fold
+  if not (fl = 0.0 && fh = 0.0) then note_truncation ();
+  (* Remainder: Aₓ·rem_y + A_y·remₓ + remₓ·rem_y + truncated part. *)
+  poly_range r fx;
+  let axl = r.lo and axh = r.hi in
+  poly_range r fy;
+  let ayl = r.lo and ayh = r.hi in
+  let xl = fx.rem.I.lo and xh = fx.rem.I.hi in
+  let yl = fy.rem.I.lo and yh = fy.rem.I.hi in
+  let rlo =
+    down
+      (down
+         (down (mul_lo axl axh yl yh +. mul_lo ayl ayh xl xh)
+         +. mul_lo xl xh yl yh)
+      +. fl)
+  and rhi =
+    up
+      (up
+         (up (mul_hi axl axh yl yh +. mul_hi ayl ayh xl xh)
+         +. mul_hi xl xh yl yh)
+      +. fh)
   in
-  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rem ~slack:!slack
+  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
+    ~slack:!slack
 
 (* x² = c² + 2cL + (2cQ + L⊗L) + [2LQ + Q²] + remainder coupling, with
    the degree-3/4 bracket truncated by range.  The remainder coupling
-   2·A·rem + rem² and the Q² range use one-sided forms (I.sqr) rather
+   2·A·rem + rem² and the Q² range use one-sided forms (Ia.sqr) rather
    than the generic product, which is what makes sqr worth keeping
    separate from mul. *)
 let sqr_form f =
+  let q = quad_begin (1 + max_sym f) in
   let slack = ref 0.0 in
   let c = f.c *. f.c in
   slack := eplus !slack (ulp c);
   let two_c = 2.0 *. f.c in
   slack := eplus !slack (ulp two_c);
-  let lin =
-    Array.map
-      (fun v ->
-        let r = two_c *. v in
-        slack := eplus !slack (ulp r);
-        r)
-      f.lin
-  in
-  let tbl = quad_acc () in
-  let addq = quad_add tbl slack in
-  Array.iteri
-    (fun k i ->
-      let v = two_c *. f.diag.(k) in
-      slack := eplus !slack (ulp v);
-      addq i i v)
-    f.diag_idx;
-  Array.iteri
-    (fun k (i, j) ->
-      let v = two_c *. f.cross.(k) in
-      slack := eplus !slack (ulp v);
-      addq i j v)
-    f.cross_idx;
-  let nl = Array.length f.lin_idx in
+  let nl = Array.length f.lin in
+  let lin = Array.make nl 0.0 in
+  for k = 0 to nl - 1 do
+    let v = two_c *. f.lin.(k) in
+    slack := eplus !slack (ulp v);
+    lin.(k) <- v
+  done;
+  for k = 0 to Array.length f.diag - 1 do
+    let v = two_c *. f.diag.(k) in
+    slack := eplus !slack (ulp v);
+    slack := quad_add q !slack f.diag_idx.(k) f.diag_idx.(k) v
+  done;
+  for k = 0 to Array.length f.cross - 1 do
+    let v = two_c *. f.cross.(k) in
+    slack := eplus !slack (ulp v);
+    let key = f.cross_idx.(k) in
+    slack := quad_add q !slack (key_i key) (key_j key) v
+  done;
   for a = 0 to nl - 1 do
     for b = a to nl - 1 do
       let v = f.lin.(a) *. f.lin.(b) in
       slack := eplus !slack (ulp v);
       let v = if a = b then v else 2.0 *. v in
       slack := eplus !slack (ulp v);
-      addq f.lin_idx.(a) f.lin_idx.(b) v
+      slack := quad_add q !slack f.lin_idx.(a) f.lin_idx.(b) v
     done
   done;
-  let diag_idx, diag, cross_idx, cross = quad_extract tbl in
-  let rl = lin_range f and rq = quad_range f in
-  let fold = I.add (I.mul_float (I.mul rl rq) 2.0) (I.sqr rq) in
-  if not (I.lo fold = 0.0 && I.hi fold = 0.0) then note_truncation ();
-  let ra = poly_range f in
-  let rem =
-    I.add (I.add (I.mul_float (I.mul ra f.rem) 2.0) (I.sqr f.rem)) fold
-  in
-  mk ~c ~lin_idx:(Array.copy f.lin_idx) ~lin ~diag_idx ~diag ~cross_idx
-    ~cross ~rem ~slack:!slack
+  let diag_idx, diag, cross_idx, cross = quad_families q in
+  (* Truncated part: 2·([−s, s]·Q) + Q². *)
+  let s = lin_radius f in
+  let r = q.r in
+  quad_range r f;
+  let ql = r.lo and qh = r.hi in
+  let ml = mul_lo (-.s) s ql qh and mh = mul_hi (-.s) s ql qh in
+  let fl = down (mul_lo ml mh 2.0 2.0 +. sqr_lo ql qh)
+  and fh = up (mul_hi ml mh 2.0 2.0 +. sqr_hi ql qh) in
+  if not (fl = 0.0 && fh = 0.0) then note_truncation ();
+  (* Remainder: 2·(A·rem) + rem² + truncated part. *)
+  poly_range r f;
+  let al = r.lo and ah = r.hi in
+  let xl = f.rem.I.lo and xh = f.rem.I.hi in
+  let pl = mul_lo al ah xl xh and ph = mul_hi al ah xl xh in
+  let rlo = down (down (mul_lo pl ph 2.0 2.0 +. sqr_lo xl xh) +. fl)
+  and rhi = up (up (mul_hi pl ph 2.0 2.0 +. sqr_hi xl xh) +. fh) in
+  mk ~c ~lin_idx:f.lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
+    ~slack:!slack
 
 let mul x y =
   match (x, y) with

@@ -163,16 +163,219 @@ let test_rounding_direction () =
   let module R = Interval.Round in
   List.iter
     (fun x ->
-      Alcotest.(check bool) "lo1 below" true (R.lo1 x < x);
-      Alcotest.(check bool) "hi1 above" true (R.hi1 x > x);
-      Alcotest.(check bool) "lo2 below lo1" true (R.lo2 x < R.lo1 x);
-      Alcotest.(check bool) "hi2 above hi1" true (R.hi2 x > R.hi1 x))
+      Alcotest.(check bool) "one step below" true (R.next_down x < x);
+      Alcotest.(check bool) "one step above" true (R.next_up x > x);
+      Alcotest.(check bool) "two steps below one" true
+        (R.next_down (R.next_down x) < R.next_down x);
+      Alcotest.(check bool) "two steps above one" true
+        (R.next_up (R.next_up x) > R.next_up x))
     [ 1.0; -1.0; 0.5; 1e-300; 1e300; -3.14159 ];
   Alcotest.(check bool) "infinities fixed" true
     (R.next_up infinity = infinity && R.next_down neg_infinity = neg_infinity);
   Alcotest.(check bool) "pi enclosed" true (R.pi_lo < Float.pi && Float.pi < R.pi_hi);
   Alcotest.(check bool) "2pi enclosed" true
     (R.two_pi_lo < 2.0 *. Float.pi && 2.0 *. Float.pi < R.two_pi_hi)
+
+(* ---- Exact successor and predecessor vs libm ----
+
+   [Round.next_up]/[next_down] compute the round-to-nearest successor
+   and predecessor with float arithmetic alone, and each kernel module
+   carries an inline copy.  libm's [nextafter] is the reference,
+   compared bit for bit (any NaN matches any NaN). *)
+
+let libm_up x = Interval.Round.next_after x infinity
+let libm_down x = Interval.Round.next_after x neg_infinity
+
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* NaN; ±0, ±2^-1022, ±2^-1021, ±2^-969 (the formula's branch points),
+   ±max_float and ±inf, each with both neighbours; every power of two
+   from 2^-1074 to 2^1023 with both neighbours; then [random] seeded
+   bit patterns. *)
+let iter_succ_inputs ~random f =
+  f nan;
+  let with_neighbours x =
+    List.iter (fun y -> f y; f (-.y)) [ libm_down x; x; libm_up x ]
+  in
+  List.iter with_neighbours
+    [ 0.0; 0x1p-1022; 0x1p-1021; 0x1p-969; Float.max_float; infinity ];
+  for k = -1074 to 1023 do
+    with_neighbours (Float.ldexp 1.0 k)
+  done;
+  let st = Random.State.make [| 75 |] in
+  for _ = 1 to random do
+    f (Int64.float_of_bits (Random.State.bits64 st))
+  done
+
+let check_same what x got want =
+  if not (same_bits got want) then
+    Alcotest.failf "%s %h (bits %Lx): got %h, libm gives %h" what x
+      (Int64.bits_of_float x) got want
+
+let test_succ_pred_vs_libm () =
+  let module R = Interval.Round in
+  let n = ref 0 in
+  iter_succ_inputs ~random:1_000_000 (fun x ->
+      incr n;
+      check_same "next_up" x (R.next_up x) (libm_up x);
+      check_same "next_down" x (R.next_down x) (libm_down x));
+  if !n < 1_000_000 then Alcotest.failf "only %d inputs checked" !n;
+  (* The case x + 2^-1074 alone gets wrong: it rounds to +0, libm's
+     successor of -2^-1074 is -0. *)
+  Alcotest.(check int64) "next_up (-2^-1074) is -0"
+    (Int64.bits_of_float (-0.0))
+    (Int64.bits_of_float (R.next_up (-0x1p-1074)))
+
+(* Each kernel module's inline copy, reached through its public API on
+   a point: the bounds must be libm's neighbours of x + 0 (x - 0 for
+   the affine lower bound; the two differ only at x = -0). *)
+let test_kernel_copies_vs_libm () =
+  let module A = Interval.Affine in
+  let module TM = Interval.Tm in
+  let module T = Expr.Term in
+  let module Tape = Expr.Tape in
+  (* Raw constructors: the smart [Term.add] would drop the + 0. *)
+  let tp = Tape.compile ~vars:[ "x" ] [ T.Add (T.Var "x", T.Const 0.0) ] in
+  let sc = Tape.scratch tp in
+  let check what x r lo_arg =
+    if Float.is_nan x then begin
+      if not (I.is_empty r) then
+        Alcotest.failf "%s: nan input gave %s" what (I.to_string r)
+    end
+    else begin
+      check_same (what ^ " lower bound") x (I.lo r) (libm_down lo_arg);
+      check_same (what ^ " upper bound") x (I.hi r) (libm_up (x +. 0.0))
+    end
+  in
+  iter_succ_inputs ~random:1_000_000 (fun x ->
+      check "Ia.add" x (I.add (I.of_float x) I.zero) (x +. 0.0);
+      check "Tape OAdd" x (Tape.eval_interval tp sc [| I.of_float x |]) (x +. 0.0);
+      (* Non-finite constants are interval fallbacks: nothing rounds. *)
+      if Float.is_finite x then begin
+        check "Affine.concretize" x (A.concretize (A.const x)) (x -. 0.0);
+        check "Tm.concretize" x (TM.concretize (TM.const x)) (x +. 0.0)
+      end)
+
+(* ---- Rounding audit against exact arithmetic ----
+
+   The ring operations must enclose the exact real result.  The oracle
+   is error-free transformations, sharing no code with [Round]: for a
+   sum, TwoSum gives the rounded value s and the exact error e with
+   x + y = s + e; for a product, TwoProduct through [Float.fma].  Since
+   s is the exact value rounded to nearest, a float b is below the
+   exact value iff b < s, or b = s and e >= 0 (and dually above).  A
+   product too small for TwoProduct to be exact is first scaled by
+   powers of two, bounds included; an overflowed s is checked against
+   the open range beyond max_float. *)
+
+let two_sum a b =
+  let s = a +. b in
+  let bb = s -. a in
+  (s, (a -. (s -. bb)) +. (b -. bb))
+
+(* [lo, hi] contains the exact s + e. *)
+let encloses_exact lo hi s e =
+  if s = infinity then hi = infinity && lo < infinity
+  else if s = neg_infinity then lo = neg_infinity && hi > neg_infinity
+  else if not (Float.is_finite e) then false
+  else (lo < s || (lo = s && e >= 0.0)) && (hi > s || (hi = s && e <= 0.0))
+
+let encloses_sum lo hi a b =
+  let s, e = two_sum a b in
+  encloses_exact lo hi s e
+
+(* Scale the smaller factor up by 2^600 (the bounds with it) until the
+   product is at least 2^-900, where TwoProduct is exact.  Scaling a
+   bound up is exact or overflows to the infinity on its own side, which
+   keeps every comparison with the (finite) scaled product. *)
+let rec encloses_product lo hi a b =
+  let p = a *. b in
+  if Float.abs p < 0x1p-900 && a <> 0.0 && b <> 0.0 then
+    if Float.abs a <= Float.abs b then
+      encloses_product (lo *. 0x1p600) (hi *. 0x1p600) (a *. 0x1p600) b
+    else encloses_product (lo *. 0x1p600) (hi *. 0x1p600) a (b *. 0x1p600)
+  else encloses_exact lo hi p (Float.fma a b (-.p))
+
+(* Finite operands from every magnitude class, signed zeros included. *)
+let audit_float st =
+  let sign x = if Random.State.bool st then x else -.x in
+  let mantissa () = Random.State.bits64 st |> Int64.logand 0xF_FFFF_FFFF_FFFFL in
+  let with_exponent e =
+    Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int e) 52) (mantissa ()))
+  in
+  match Random.State.int st 8 with
+  | 0 -> sign 0.0
+  | 1 -> sign (with_exponent 0) (* subnormal *)
+  | 2 -> sign (with_exponent (1 + Random.State.int st 60)) (* near the normal threshold *)
+  | 3 -> sign (with_exponent (2046 - Random.State.int st 60)) (* near overflow *)
+  | 4 -> sign (float_of_int (Random.State.int st 9))
+  | 5 -> sign (with_exponent (1023 + Random.State.int st 4)) (* around 1 *)
+  | _ ->
+      let x = Int64.float_of_bits (Random.State.bits64 st) in
+      if Float.is_finite x then x else sign 1.5
+
+let audit_itv st =
+  let a = audit_float st in
+  if Random.State.int st 3 = 0 then I.of_float a
+  else
+    let b = if Random.State.bool st then audit_float st else -.a in
+    I.make_unordered a b
+
+let test_rounding_audit () =
+  let module T = Expr.Term in
+  let module Tape = Expr.Tape in
+  let vars = [ "x"; "y" ] in
+  let tape t =
+    let tp = Tape.compile ~vars [ t ] in
+    let sc = Tape.scratch tp in
+    fun a b -> Tape.eval_interval tp sc [| a; b |]
+  in
+  let x = T.Var "x" and y = T.Var "y" in
+  let t_add = tape (T.Add (x, y)) and t_sub = tape (T.Sub (x, y))
+  and t_mul = tape (T.Mul (x, y)) and t_sqr = tape (T.Pow (x, 2)) in
+  let st = Random.State.make [| 76 |] in
+  let fail what a b r =
+    Alcotest.failf "%s [%h, %h] [%h, %h] = [%h, %h] misses an exact endpoint result"
+      what (I.lo a) (I.hi a) (I.lo b) (I.hi b) (I.lo r) (I.hi r)
+  in
+  for _ = 1 to 100_000 do
+    let a = audit_itv st and b = audit_itv st in
+    let al = I.lo a and ah = I.hi a and bl = I.lo b and bh = I.hi b in
+    List.iter
+      (fun (what, r) ->
+        if not (encloses_sum (I.lo r) (I.hi r) al bl && encloses_sum (I.lo r) (I.hi r) ah bh)
+        then fail what a b r)
+      [ ("Ia.add", I.add a b); ("Tape OAdd", t_add a b) ];
+    List.iter
+      (fun (what, r) ->
+        if
+          not
+            (encloses_sum (I.lo r) (I.hi r) al (-.bh)
+            && encloses_sum (I.lo r) (I.hi r) ah (-.bl))
+        then fail what a b r)
+      [ ("Ia.sub", I.sub a b); ("Tape OSub", t_sub a b) ];
+    List.iter
+      (fun (what, r) ->
+        let lo = I.lo r and hi = I.hi r in
+        if
+          not
+            (encloses_product lo hi al bl && encloses_product lo hi al bh
+            && encloses_product lo hi ah bl && encloses_product lo hi ah bh)
+        then fail what a b r)
+      [ ("Ia.mul", I.mul a b); ("Tape OMul", t_mul a b) ];
+    List.iter
+      (fun (what, r) ->
+        let lo = I.lo r and hi = I.hi r in
+        let zero_in = al <= 0.0 && 0.0 <= ah in
+        if
+          not
+            (encloses_product lo hi al al && encloses_product lo hi ah ah
+            && ((not zero_in) || (lo <= 0.0 && 0.0 <= hi)))
+        then fail what a a r)
+      [ ("Ia.sqr", I.sqr a); ("Tape OPow 2", t_sqr a b) ]
+  done
 
 (* ---- Property tests ---- *)
 
@@ -287,6 +490,12 @@ let () =
           Alcotest.test_case "root and atanh" `Quick test_root_atanh;
           Alcotest.test_case "sign queries" `Quick test_sign_queries;
           Alcotest.test_case "rounding direction" `Quick test_rounding_direction;
+          Alcotest.test_case "successor and predecessor match libm" `Quick
+            test_succ_pred_vs_libm;
+          Alcotest.test_case "kernel rounding copies match libm" `Quick
+            test_kernel_copies_vs_libm;
+          Alcotest.test_case "ring operations enclose exact results" `Quick
+            test_rounding_audit;
           Alcotest.test_case "box basics" `Quick test_box_basics;
           Alcotest.test_case "box set ops" `Quick test_box_set_ops;
         ] );

@@ -317,6 +317,101 @@ let test_hc4_tm_refutes_quadratic () =
   Alcotest.(check bool) "refutation counted" true
     (Telemetry.Counter.value refs > before)
 
+(* ---- bit-identity digest of the three forward walkers ----
+
+   The root ranges of the TM, affine and interval walkers over seeded
+   random terms, printed with %h and hashed.  The terms use only
+   correctly rounded operations (+, −, ×, ÷, x², constants), so every
+   bound is fixed by IEEE 754 alone and the digest does not depend on
+   the platform's libm.  Raw constructors keep the smart constructors'
+   simplifications out of the tapes.  The budget-2 leg makes every
+   monomial family condense.  The committed digest pins the root
+   ranges bit for bit, signed zeros included. *)
+
+(* SplitMix64, so the terms do not depend on the [Random] algorithm of
+   a given OCaml release. *)
+let splitmix st =
+  st := Int64.add !st 0x9E3779B97F4A7C15L;
+  let z = !st in
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+let digest_int st n = Int64.(to_int (unsigned_rem (splitmix st) (of_int n)))
+
+(* Uniform on [0, x). *)
+let digest_float st x =
+  Int64.(to_float (shift_right_logical (splitmix st) 11)) *. 0x1p-53 *. x
+
+let rec rand_exact st depth =
+  if depth = 0 || digest_int st 6 = 0 then
+    match digest_int st 8 with
+    | 0 -> T.Const 0.0
+    | 1 -> T.Const (float_of_int (digest_int st 5 - 2))
+    | 2 | 3 -> T.Const (digest_float st 4.0 -. 2.0)
+    | _ -> T.Var (List.nth vars (digest_int st nvars))
+  else
+    let op = digest_int st 5 in
+    let a = rand_exact st (depth - 1) in
+    if op = 4 then T.Pow (a, 2)
+    else
+      let b = rand_exact st (depth - 1) in
+      match op with
+      | 0 -> T.Add (a, b)
+      | 1 -> T.Sub (a, b)
+      | 2 -> T.Mul (a, b)
+      | _ -> T.Div (a, b)
+
+(* Mostly moderate boxes, with singletons, zero-straddling, tiny and
+   huge magnitudes mixed in so the demotion and overflow paths run. *)
+let rand_digest_inputs st =
+  Array.init nvars (fun _ ->
+      let a = if digest_int st 16 = 0 then 0.0 else digest_float st 8.0 -. 4.0 in
+      let w =
+        match digest_int st 4 with
+        | 0 -> 0.0
+        | 1 -> digest_float st 0.01
+        | _ -> digest_float st 4.0
+      in
+      let scale =
+        match digest_int st 16 with 0 -> 0x1p-1000 | 1 -> 0x1p500 | _ -> 1.0
+      in
+      I.make (a *. scale) ((a +. w) *. scale))
+
+let walker_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add_range r =
+    if I.is_empty r then Buffer.add_string buf "empty;"
+    else Printf.bprintf buf "%h %h;" (I.lo r) (I.hi r)
+  in
+  let st = ref 73L in
+  List.iter
+    (fun budget ->
+      Interval.Affine.set_budget budget;
+      for _ = 1 to 3_000 do
+        let t = rand_exact st (1 + digest_int st 6) in
+        let tp = Tape.compile ~vars [ t ] in
+        let sc = Tape.scratch tp in
+        let inputs = rand_digest_inputs st in
+        let out = Array.make 1 I.empty in
+        Tape.eval_tm_into tp sc ~inputs ~out;
+        add_range out.(0);
+        Tape.eval_affine_into tp sc ~inputs ~out;
+        add_range out.(0);
+        Tape.eval_interval_into tp sc ~inputs ~out;
+        add_range out.(0)
+      done)
+    [ 64; 2 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_walker_digest () =
+  Fun.protect ~finally:(fun () ->
+      Interval.Affine.set_budget Interval.Affine.default_budget)
+  @@ fun () ->
+  Alcotest.(check string) "walker root ranges bit-identical"
+    "01e4ef3171420a1321038f06b972f307"
+    (walker_digest ())
+
 (* ---- TM on vs off: decide and pave agreement ---- *)
 
 let with_tm flag f =
@@ -492,7 +587,9 @@ let () =
         [ Alcotest.test_case "TM range contains sampled values" `Quick
             test_tm_soundness_sampled;
           Alcotest.test_case "second-order tightness pinned" `Quick
-            test_tm_tightness_quadratic ] );
+            test_tm_tightness_quadratic;
+          Alcotest.test_case "walker outputs match committed digest" `Quick
+            test_walker_digest ] );
       ( "bernstein",
         [ Alcotest.test_case "bound sound and within control hull" `Quick
             test_bernstein_bound;
