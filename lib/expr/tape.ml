@@ -41,6 +41,11 @@ type t = {
                                let the forward pass reset OConst slots
                                without allocating *)
   const_his : float array;
+  aff_recips : Interval.Affine.t option array;
+  tm_recips : Interval.Tm.t option array;
+      (* per-slot reciprocal models of the constant divisors, for the
+         affine and TM walkers; empty when no division has a constant
+         divisor *)
   interior_shared : int;  (* CSE hits on non-leaf slots *)
   scratch_key : scratch Domain.DLS.key;
 }
@@ -157,6 +162,31 @@ let compile ~vars terms =
     Array.map (function OConst c -> f (I.of_float c) | _ -> nan) ops
   in
   let const_los = const_of I.lo and const_his = const_of I.hi in
+  (* [A.div x y] and, for a finite constant y, [T.div x y] compute
+     [mul x (inv y)], and [inv] of a constant divisor's model is the
+     same on every evaluation: compute it once here.  An infinite
+     constant takes [T.div]'s interval fallback, so it gets no TM
+     reciprocal. *)
+  let recips inv =
+    let r = Array.make n None and any = ref false in
+    Array.iter
+      (function
+        | ODiv (_, b) -> (
+            match ops.(b) with
+            | OConst c ->
+                r.(b) <- inv c;
+                any := true
+            | _ -> ())
+        | _ -> ())
+      ops;
+    if !any then r else [||]
+  in
+  let aff_recips =
+    recips (fun c -> Some Interval.Affine.(inv (const c)))
+  and tm_recips =
+    recips (fun c ->
+        if Float.is_finite c then Some Interval.Tm.(inv (const c)) else None)
+  in
   let scratch_key =
     Domain.DLS.new_key (fun () ->
         { fvals = Array.make n 0.0;
@@ -166,13 +196,15 @@ let compile ~vars terms =
           aff = Array.make n (Interval.Affine.const 0.0);
           tms = Array.make n (Interval.Tm.const 0.0) })
   in
-  { inputs; ops; roots; var_slots; const_los; const_his;
-    interior_shared = !interior; scratch_key }
+  { inputs; ops; roots; var_slots; const_los; const_his; aff_recips;
+    tm_recips; interior_shared = !interior; scratch_key }
 
 let num_inputs tp = Array.length tp.inputs
 let num_slots tp = Array.length tp.ops
 let num_roots tp = Array.length tp.roots
 let interior_sharing tp = tp.interior_shared
+
+let reads_input tp i = Array.exists (fun (_, j) -> j = i) tp.var_slots
 
 let scratch tp =
   let n = Array.length tp.ops in
@@ -482,6 +514,10 @@ let eval_interval tp sc inputs =
 
 module A = Interval.Affine
 
+(* The precomputed reciprocal of divisor slot [b], if it has one. *)
+let[@inline] recip recips b =
+  if Array.length recips = 0 then None else Array.unsafe_get recips b
+
 let forward_affine tp sc (inputs : I.t array) =
   let af = sc.aff in
   let ops = tp.ops in
@@ -493,7 +529,10 @@ let forward_affine tp sc (inputs : I.t array) =
       | OAdd (a, b) -> A.add af.(a) af.(b)
       | OSub (a, b) -> A.sub af.(a) af.(b)
       | OMul (a, b) -> A.mul af.(a) af.(b)
-      | ODiv (a, b) -> A.div af.(a) af.(b)
+      | ODiv (a, b) -> (
+          match recip tp.aff_recips b with
+          | Some r -> A.mul af.(a) r
+          | None -> A.div af.(a) af.(b))
       | ONeg a -> A.neg af.(a)
       | OPow (a, k) -> A.pow_int af.(a) k
       | OExp a -> A.exp af.(a)
@@ -580,7 +619,10 @@ let forward_tm tp sc (inputs : I.t array) =
       | OAdd (a, b) -> T.add tm.(a) tm.(b)
       | OSub (a, b) -> T.sub tm.(a) tm.(b)
       | OMul (a, b) -> T.mul tm.(a) tm.(b)
-      | ODiv (a, b) -> T.div tm.(a) tm.(b)
+      | ODiv (a, b) -> (
+          match recip tp.tm_recips b with
+          | Some r -> T.mul tm.(a) r
+          | None -> T.div tm.(a) tm.(b))
       | ONeg a -> T.neg tm.(a)
       | OPow (a, k) -> T.pow_int tm.(a) k
       | OExp a -> T.exp tm.(a)

@@ -43,6 +43,10 @@ val num_inputs : t -> int
 val num_slots : t -> int
 val num_roots : t -> int
 
+val reads_input : t -> int -> bool
+(** [reads_input tp i]: whether some term compiled into [tp] mentions
+    input [i].  When it does not, every evaluation ignores [inputs.(i)]. *)
+
 val interior_sharing : t -> int
 (** Number of CSE hits on non-leaf slots.  When [0], the tape's HC4
     backward pass is exactly the tree-walking HC4 on the same term; with
@@ -92,7 +96,12 @@ val eval_interval : t -> scratch -> I.t array -> I.t
     affine operation matches the domain semantics of the corresponding
     {!Interval.Ia} operation, so the concretized result is a sound
     enclosure of the same value set as {!eval_interval_into} — never
-    assumed tighter; callers intersect the two. *)
+    assumed tighter; callers intersect the two.
+
+    Division by a constant multiplies by the reciprocal model that
+    {!compile} computed once, which is exactly what the division
+    computes on every call; this applies to the Taylor-model walker as
+    well. *)
 
 val eval_affine_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 (** Evaluate every root affinely over the input box and store the

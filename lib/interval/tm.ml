@@ -670,12 +670,88 @@ let quad_families q =
   done;
   (diag_idx, diag, cross_idx, cross)
 
+let is_linear_form f =
+  Array.length f.diag_idx = 0 && Array.length f.cross_idx = 0
+
+(* Whether a model has no monomials: its constant and remainder only. *)
+let monomial_free f = Array.length f.lin_idx = 0 && is_linear_form f
+
+(* Remainder of x·y: Aₓ·rem_y + A_y·remₓ + remₓ·rem_y + the truncated
+   part [fl, fh], with A the polynomial range. *)
+let product_rem r fx fy fl fh =
+  poly_range r fx;
+  let axl = r.lo and axh = r.hi in
+  poly_range r fy;
+  let ayl = r.lo and ayh = r.hi in
+  let xl = fx.rem.I.lo and xh = fx.rem.I.hi in
+  let yl = fy.rem.I.lo and yh = fy.rem.I.hi in
+  r.lo <-
+    down
+      (down
+         (down (mul_lo axl axh yl yh +. mul_lo ayl ayh xl xh)
+         +. mul_lo xl xh yl yh)
+      +. fl);
+  r.hi <-
+    up
+      (up
+         (up (mul_hi axl axh yl yh +. mul_hi ayl ayh xl xh)
+         +. mul_hi xl xh yl yh)
+      +. fh)
+
+(* The truncated part of a product with a monomial-free operand.  That
+   operand's linear radius and quadratic range are +0, so each of the
+   three products in the general formula has a zero factor, and
+   [prod] makes every one of them +0 whatever the other operand. *)
+let free_trunc_lo =
+  let z = mul_lo 0.0 0.0 0.0 0.0 in
+  down (down (z +. z) +. z)
+
+let free_trunc_hi =
+  let z = mul_hi 0.0 0.0 0.0 0.0 in
+  up (up (z +. z) +. z)
+
+(* alpha·coef over one family, zero products dropped, each product's
+   ulp added to [e.lo] in order. *)
+let scale_kept alpha idx coef e =
+  let n = Array.length coef in
+  let out = Array.make n 0.0 in
+  let zeros = ref false in
+  for k = 0 to n - 1 do
+    let v = alpha *. Array.unsafe_get coef k in
+    e.lo <- eplus e.lo (ulp v);
+    if v = 0.0 then zeros := true;
+    Array.unsafe_set out k v
+  done;
+  if !zeros then compact idx out else (idx, out)
+
+(* x·y where one operand is monomial-free, with constant a, and [fm] is
+   the other: [mul_form] with its empty loops left out, bit for bit.
+   Only a·Lₘ and a·Qₘ survive, every key lands in a fresh accumulator
+   cell (so no sum adds an ulp), and the products' ulps join the slack
+   in [mul_form]'s order — c, the linear products, the empty merge's
+   zero slack (still one upward step), then the diagonal and cross
+   products.  The remainder formula is [mul_form]'s. *)
+let scale_form fx fy =
+  let fm, a = if monomial_free fy then (fx, fy.c) else (fy, fx.c) in
+  let r = (Domain.DLS.get quad_key).r in
+  let c = fx.c *. fy.c in
+  r.lo <- eplus 0.0 (ulp c);
+  let lin_idx, lin = scale_kept a fm.lin_idx fm.lin r in
+  r.lo <- eplus r.lo 0.0;
+  let diag_idx, diag = scale_kept a fm.diag_idx fm.diag r in
+  let cross_idx, cross = scale_kept a fm.cross_idx fm.cross r in
+  let slack = r.lo in
+  product_rem r fx fy free_trunc_lo free_trunc_hi;
+  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo:r.lo ~rhi:r.hi
+    ~slack
+
 (* x·y with x = cₓ + Lₓ + Qₓ + remₓ (L linear, Q quadratic monomials):
    keep cₓc_y, cₓL_y + c_yLₓ, cₓQ_y + c_yQₓ + Lₓ⊗L_y exactly (degree
    ≤ 2); truncate LQ and QQ products — degree 3 and 4 — into the
    remainder via their ranges; remainders couple through the full
    polynomial ranges.  The ulps of the scaled linear parts accumulate
-   c_x·L_y first, then c_y·Lₓ, then their merge. *)
+   c_x·L_y first, then c_y·Lₓ, then their merge.  [mul] sends a
+   product with a monomial-free operand to [scale_form] instead. *)
 let mul_form fx fy =
   let q = quad_begin (1 + Int.max (max_sym fx) (max_sym fy)) in
   let slack = ref 0.0 in
@@ -721,7 +797,10 @@ let mul_form fx fy =
     done
   done;
   let diag_idx, diag, cross_idx, cross = quad_families q in
-  (* Truncated part: [−sₓ, sₓ]·Q_y + [−s_y, s_y]·Qₓ + Qₓ·Q_y. *)
+  (* Truncated part: [−sₓ, sₓ]·Q_y + [−s_y, s_y]·Qₓ + Qₓ·Q_y.  When
+     neither operand is monomial-free, it has degree-3/4 monomials
+     exactly when one of them has a quadratic part. *)
+  if not (is_linear_form fx && is_linear_form fy) then note_truncation ();
   let sx = lin_radius fx and sy = lin_radius fy in
   quad_range r fx;
   let qxl = r.lo and qxh = r.hi in
@@ -736,28 +815,8 @@ let mul_form fx fy =
       (up (mul_hi (-.sx) sx qyl qyh +. mul_hi (-.sy) sy qxl qxh)
       +. mul_hi qxl qxh qyl qyh)
   in
-  if not (fl = 0.0 && fh = 0.0) then note_truncation ();
-  (* Remainder: Aₓ·rem_y + A_y·remₓ + remₓ·rem_y + truncated part. *)
-  poly_range r fx;
-  let axl = r.lo and axh = r.hi in
-  poly_range r fy;
-  let ayl = r.lo and ayh = r.hi in
-  let xl = fx.rem.I.lo and xh = fx.rem.I.hi in
-  let yl = fy.rem.I.lo and yh = fy.rem.I.hi in
-  let rlo =
-    down
-      (down
-         (down (mul_lo axl axh yl yh +. mul_lo ayl ayh xl xh)
-         +. mul_lo xl xh yl yh)
-      +. fl)
-  and rhi =
-    up
-      (up
-         (up (mul_hi axl axh yl yh +. mul_hi ayl ayh xl xh)
-         +. mul_hi xl xh yl yh)
-      +. fh)
-  in
-  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
+  product_rem r fx fy fl fh;
+  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo:r.lo ~rhi:r.hi
     ~slack:!slack
 
 (* x² = c² + 2cL + (2cQ + L⊗L) + [2LQ + Q²] + remainder coupling, with
@@ -808,7 +867,8 @@ let sqr_form f =
   let ml = mul_lo (-.s) s ql qh and mh = mul_hi (-.s) s ql qh in
   let fl = down (mul_lo ml mh 2.0 2.0 +. sqr_lo ql qh)
   and fh = up (mul_hi ml mh 2.0 2.0 +. sqr_hi ql qh) in
-  if not (fl = 0.0 && fh = 0.0) then note_truncation ();
+  (* Q² has degree 3 or 4 exactly when Q is not empty. *)
+  if not (is_linear_form f) then note_truncation ();
   (* Remainder: 2·(A·rem) + rem² + truncated part. *)
   poly_range r f;
   let al = r.lo and ah = r.hi in
@@ -822,7 +882,9 @@ let sqr_form f =
 let mul x y =
   match (x, y) with
   | Bot, _ | _, Bot -> Bot
-  | Tm fx, Tm fy -> mul_form fx fy
+  | Tm fx, Tm fy ->
+      if monomial_free fx || monomial_free fy then scale_form fx fy
+      else mul_form fx fy
   | Tm f, Itv v when I.is_singleton v && I.is_bounded v ->
       lin_map ~alpha:(I.lo v) ~konst:I.zero ~delta:0.0 f
   | Itv v, Tm f when I.is_singleton v && I.is_bounded v ->
@@ -889,9 +951,6 @@ let min_range ~f ~alpha fx0 xr fx =
       else lin_map ~alpha ~konst ~delta fx0
     end
   end
-
-let is_linear_form f =
-  Array.length f.diag_idx = 0 && Array.length f.cross_idx = 0
 
 (* Second-order Taylor form around the midpoint, for linear operands
    only (there (x − m)² is exactly degree 2, so nothing truncates):

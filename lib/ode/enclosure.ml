@@ -193,6 +193,12 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
      the TM range can tighten f(B) further.  Also sampled once per
      flow and keyed into the flow cache group. *)
   let tm = Interval.Tm.enabled () in
+  (* A field that reads no time input has the same f(X₀) at the cold
+     seed's time [t0, t0 + h] as at the Taylor-2 endpoint's t0, so the
+     endpoint reuses the seed's evaluation. *)
+  let reuse_f_x0 =
+    cfg.order = Taylor_2 && not (Expr.Tape.reads_input prep.rhs_tape (n + np))
+  in
   let abuf = Array.make n I.empty in
   let tbuf = Array.make n I.empty in
   let intersect_into (enc : I.t array) (out : I.t array) =
@@ -256,15 +262,17 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
           picard widened (k + 1)
       end
     in
-    let seed =
+    (* [f_x0]: the cold seed's f(X₀), kept when the endpoint can reuse it. *)
+    let seed, f_x0 =
       match seed with
-      | Some b -> b
+      | Some b -> (b, None)
       | None ->
           eval_field prep.rhs_tape sc_rhs time_whole x0 fbuf;
-          Array.init n (fun i ->
-              let next = I.add x0.(i) (I.mul h_itv fbuf.(i)) in
-              I.hull x0.(i)
-                (I.inflate (cfg.inflation *. (I.width next +. 1e-9)) next))
+          ( Array.init n (fun i ->
+                let next = I.add x0.(i) (I.mul h_itv fbuf.(i)) in
+                I.hull x0.(i)
+                  (I.inflate (cfg.inflation *. (I.width next +. 1e-9)) next)),
+            if reuse_f_x0 then Some (Array.copy fbuf) else None )
     in
     match picard seed 0 with
     | None -> None
@@ -275,8 +283,14 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
               eval_field prep.rhs_tape sc_rhs time_whole b fbuf;
               Array.init n (fun i -> I.add x0.(i) (I.mul (I.of_float h) fbuf.(i)))
           | Taylor_2 ->
-              let f_x0 = Array.make n I.empty in
-              eval_field prep.rhs_tape sc_rhs (I.of_float t0) x0 f_x0;
+              let f_x0 =
+                match f_x0 with
+                | Some f -> f
+                | None ->
+                    let f = Array.make n I.empty in
+                    eval_field prep.rhs_tape sc_rhs (I.of_float t0) x0 f;
+                    f
+              in
               eval_field prep.second_tape sc_snd time_whole b fbuf;
               let hh = I.make 0.0 (0.5 *. h *. h) in
               Array.init n (fun i ->

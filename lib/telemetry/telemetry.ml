@@ -229,13 +229,15 @@ let buf_key =
       Mutex.unlock bufs_lock;
       b)
 
-let record probe_id phase t a =
-  let b = Domain.DLS.get buf_key in
+let record_into b probe_id phase t a =
   let i = b.n mod b.cap in
   b.code.(i) <- (probe_id lsl 2) lor phase;
   b.ts.(i) <- t;
   b.argv.(i) <- a;
   b.n <- b.n + 1
+
+let record probe_id phase t a =
+  record_into (Domain.DLS.get buf_key) probe_id phase t a
 
 let all_bufs () =
   Mutex.lock bufs_lock;
@@ -270,14 +272,18 @@ module Span = struct
 
   let disabled_token = min_int
 
+  (* When tracing, the domain's ring is fetched before the begin
+     timestamp: its first fetch allocates it (48 MB at 2^21 events), and
+     that must not land inside the span. *)
   let enter ?arg p =
     if not (enabled ()) then disabled_token
-    else begin
+    else if trace_on () then begin
+      let b = Domain.DLS.get buf_key in
       let t = now_ns () in
-      if trace_on () then
-        record p.id ph_begin t (match arg with Some a -> a | None -> nan);
+      record_into b p.id ph_begin t (match arg with Some a -> a | None -> nan);
       t
     end
+    else now_ns ()
 
   let exit p tok =
     if tok <> disabled_token then begin

@@ -280,6 +280,78 @@ let test_enclosure_oscillator () =
   Alcotest.(check bool) "contains cos(1.5)" true
     (I.mem (Float.cos 1.5) (Box.find "x" tube.Enc.final))
 
+(* ---- Bit-identity digest of the validated flow ----
+
+   Every step's enclosure and endpoint from [Enc.flow], printed with %h
+   and hashed, for two small systems over boxes drawn with SplitMix64.
+   The fields use only +, −, ×, ÷ and constants whose squares are exact
+   (the Taylor-2 terms fold c² with [Float.pow]), so every bound is
+   fixed by IEEE 754 and the digest does not depend on the platform's
+   libm.  One system is autonomous, with constant divisors and a
+   parameter box; the other reads t.  The tape, affine and TM layers
+   are pinned on and the flow cache off, so the digest covers the
+   default path whatever the environment. *)
+
+let digest_autonomous =
+  Sys.of_strings ~vars:[ "x"; "y" ] ~params:[ "k" ]
+    ~rhs:
+      [ ("x", "x*(1 - x/3.25) - k*x*y/(1.5 + x)");
+        ("y", "(x - y)/12.5 + k/2.5") ]
+
+let digest_timed =
+  Sys.of_strings ~vars:[ "x"; "y" ] ~params:[]
+    ~rhs:[ ("x", "t*y - x/3.25"); ("y", "(t - x*y)/2.5") ]
+
+let flow_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add_box b =
+    List.iter
+      (fun (_, i) -> Printf.bprintf buf "%h %h;" (I.lo i) (I.hi i))
+      (Box.to_list b)
+  in
+  let st = ref 29L in
+  let draw lo width =
+    let a = lo +. Splitmix.float st 1.0 in
+    I.make a (a +. Splitmix.float st width)
+  in
+  List.iter
+    (fun sys ->
+      for _ = 1 to 3 do
+        let init = Box.of_list [ ("x", draw 0.5 0.05); ("y", draw 0.5 0.05) ] in
+        let params =
+          Box.of_list
+            (List.map (fun p -> (p, draw 0.2 0.1)) (Sys.params sys))
+        in
+        let tube = Enc.flow ~params ~init ~t_end:2.0 sys in
+        List.iter
+          (fun (st : Enc.step) ->
+            Printf.bprintf buf "%h %h|" st.Enc.t_lo st.Enc.t_hi;
+            add_box st.Enc.enclosure;
+            add_box st.Enc.at_end)
+          tube.Enc.steps;
+        Printf.bprintf buf "%h %b|" tube.Enc.t_end tube.Enc.complete
+      done)
+    [ digest_autonomous; digest_timed ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_flow_digest () =
+  let budget0 = Interval.Affine.budget () in
+  Expr.Tape.set_enabled true;
+  Interval.Affine.set_enabled true;
+  Interval.Tm.set_enabled true;
+  Interval.Affine.set_budget Interval.Affine.default_budget;
+  Cache.set_policy Cache.Off;
+  Fun.protect
+    ~finally:(fun () ->
+      Expr.Tape.clear_enabled_override ();
+      Interval.Affine.clear_enabled_override ();
+      Interval.Tm.clear_enabled_override ();
+      Interval.Affine.set_budget budget0;
+      Cache.clear_policy_override ())
+  @@ fun () ->
+  Alcotest.(check string) "flow tubes bit-identical"
+    "f160da8d3d70a662c246e0e66a9e3794" (flow_digest ())
+
 (* ---- Properties ---- *)
 
 let prop_enclosure_contains_exact =
@@ -351,6 +423,8 @@ let () =
           Alcotest.test_case "initial box" `Quick test_enclosure_initial_box;
           Alcotest.test_case "formula along tube" `Quick test_formula_along;
           Alcotest.test_case "oscillator" `Quick test_enclosure_oscillator;
+          Alcotest.test_case "flow tubes match committed digest" `Quick
+            test_flow_digest;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -174,6 +174,24 @@ let test_span_exception_balance () =
   | Ok c ->
       Alcotest.(check int) "exit on exception" c.T.Trace.begins c.T.Trace.ends
 
+(* A domain's first traced event allocates its trace ring: three arrays
+   of 2^21 words at the capacity perfbench traces with.  The span that
+   records that event must not include the allocation, or it and every
+   span around it charge tens of milliseconds to whatever they time. *)
+let tm_first = T.Span.probe "test.first-span"
+
+let test_ring_outside_first_span () =
+  T.set_metrics true;
+  T.set_trace true;
+  T.Trace.set_capacity (1 lsl 21);
+  Fun.protect ~finally:(fun () -> T.Trace.set_capacity 4096) @@ fun () ->
+  Domain.join (Domain.spawn (fun () -> T.Span.with_ tm_first ignore));
+  let s = H.snapshot (H.make "test.first-span") in
+  Alcotest.(check int) "one span" 1 s.H.count;
+  if s.H.total >= 5_000_000 then
+    Alcotest.failf "first span around a no-op took %.1f ms"
+      (float_of_int s.H.total /. 1e6)
+
 (* ---- trace JSON round-trip on a real solve ---- *)
 
 let test_trace_roundtrip () =
@@ -303,7 +321,9 @@ let () =
         [ Alcotest.test_case "balance at jobs=1 and jobs=2" `Quick
             (clean test_span_balance);
           Alcotest.test_case "balanced under exceptions" `Quick
-            (clean test_span_exception_balance) ] );
+            (clean test_span_exception_balance);
+          Alcotest.test_case "ring allocated outside the first span" `Quick
+            (clean test_ring_outside_first_span) ] );
       ( "trace",
         [ Alcotest.test_case "round-trip on a real solve" `Quick
             (clean test_trace_roundtrip);

@@ -239,6 +239,110 @@ let test_truncation_counted () =
           (I.to_string r))
     [ 0.5; 1.0; 1.5 ]
 
+(* A truncation is a product with a degree-3 or degree-4 part: linear
+   × linear, a linear square and any product with a constant keep
+   every monomial exactly and count nothing. *)
+let test_truncation_only_high_degree () =
+  let x = TM.of_interval ~sym:0 (I.make 0.5 1.5)
+  and y = TM.of_interval ~sym:1 (I.make (-1.0) 2.0) in
+  let q = TM.mul x y in
+  List.iter
+    (fun (name, want, f) ->
+      let before = TM.truncations () in
+      ignore (Sys.opaque_identity (f ()));
+      Alcotest.(check int) name want (TM.truncations () - before))
+    [ ("linear × linear", 0, fun () -> TM.mul x y);
+      ("linear²", 0, fun () -> TM.sqr x);
+      ("constant × linear", 0, fun () -> TM.mul (TM.const 3.33) x);
+      ("quadratic × constant", 0, fun () -> TM.mul q (TM.const (-0.5)));
+      ("quadratic / constant", 0, fun () -> TM.div q (TM.const 3.33));
+      ("quadratic × linear", 1, fun () -> TM.mul q x);
+      ("quadratic²", 1, fun () -> TM.sqr q) ]
+
+(* ---- constant divisors ----
+
+   The tape walkers divide by a constant by multiplying with a
+   reciprocal model computed at compile time.  Their root ranges must
+   equal those of [Tm.div] and [Affine.div] applied directly to the
+   same operand models, bit for bit, at every edge of the constant and
+   with the constant as dividend as well.  The budget-2 leg condenses
+   the three-symbol quadratic numerator. *)
+let test_const_divisor_edges () =
+  let module A = Interval.Affine in
+  let x = T.Var "x" and y = T.Var "y" and z = T.Var "z" in
+  let numerators =
+    [ x;
+      T.Mul (x, y);
+      T.Add (T.Sub (T.Mul (x, y), T.Mul (y, z)), T.Add (T.Mul (x, x), z)) ]
+  in
+  let constants =
+    [ 0.0; -0.0; 0x1p-1074; 1e308; infinity; neg_infinity; nan; 3.33 ]
+  in
+  let boxes =
+    List.map
+      (List.map (fun (l, h) -> I.make l h))
+      [ [ (0.5, 1.5); (-1.0, 2.0); (2.0, 3.0) ];
+        [ (2.0, 2.0); (-3.0, -3.0); (0.25, 0.25) ];
+        [ (-0x1p-1000, 0x1p-1000); (0.0, 1.0); (-2.0, 0.0) ];
+        [ (1e300, 1e301); (-1e300, 1e300); (1.0, 1.0000001) ] ]
+    |> List.map Array.of_list
+  in
+  let sym v = Option.get (List.find_index (String.equal v) vars) in
+  let rec tm_of inputs = function
+    | T.Var v -> TM.of_interval ~sym:(sym v) inputs.(sym v)
+    | T.Const c -> TM.const c
+    | T.Add (a, b) -> TM.add (tm_of inputs a) (tm_of inputs b)
+    | T.Sub (a, b) -> TM.sub (tm_of inputs a) (tm_of inputs b)
+    | T.Mul (a, b) -> TM.mul (tm_of inputs a) (tm_of inputs b)
+    | T.Div (a, b) -> TM.div (tm_of inputs a) (tm_of inputs b)
+    | _ -> assert false
+  in
+  let rec aff_of inputs = function
+    | T.Var v -> A.of_interval ~sym:(sym v) inputs.(sym v)
+    | T.Const c -> A.const c
+    | T.Add (a, b) -> A.add (aff_of inputs a) (aff_of inputs b)
+    | T.Sub (a, b) -> A.sub (aff_of inputs a) (aff_of inputs b)
+    | T.Mul (a, b) -> A.mul (aff_of inputs a) (aff_of inputs b)
+    | T.Div (a, b) -> A.div (aff_of inputs a) (aff_of inputs b)
+    | _ -> assert false
+  in
+  let show r =
+    if I.is_empty r then "empty" else Printf.sprintf "%h %h" (I.lo r) (I.hi r)
+  in
+  let budget0 = A.budget () in
+  Fun.protect ~finally:(fun () -> A.set_budget budget0) @@ fun () ->
+  List.iter
+    (fun budget ->
+      A.set_budget budget;
+      List.iter
+        (fun num ->
+          List.iter
+            (fun c ->
+              List.iter
+                (fun term ->
+                  let tp = Tape.compile ~vars [ term ] in
+                  let sc = Tape.scratch tp in
+                  let out = [| I.empty |] in
+                  List.iteri
+                    (fun k inputs ->
+                      let label walker =
+                        Printf.sprintf "%s, budget %d, box %d: %s" walker
+                          budget k (T.to_string term)
+                      in
+                      Tape.eval_tm_into tp sc ~inputs ~out;
+                      Alcotest.(check string) (label "TM")
+                        (show (TM.concretize (tm_of inputs term)))
+                        (show out.(0));
+                      Tape.eval_affine_into tp sc ~inputs ~out;
+                      Alcotest.(check string) (label "affine")
+                        (show (A.concretize (aff_of inputs term)))
+                        (show out.(0)))
+                    boxes)
+                [ T.Div (num, T.Const c); T.Div (T.Const c, num) ])
+            constants)
+        numerators)
+    [ 64; 2 ]
+
 (* ---- TM-tightened HC4 revise ---- *)
 
 let robustly_in value target =
@@ -328,20 +432,10 @@ let test_hc4_tm_refutes_quadratic () =
    monomial family condense.  The committed digest pins the root
    ranges bit for bit, signed zeros included. *)
 
-(* SplitMix64, so the terms do not depend on the [Random] algorithm of
-   a given OCaml release. *)
-let splitmix st =
-  st := Int64.add !st 0x9E3779B97F4A7C15L;
-  let z = !st in
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  Int64.(logxor z (shift_right_logical z 31))
-
-let digest_int st n = Int64.(to_int (unsigned_rem (splitmix st) (of_int n)))
-
-(* Uniform on [0, x). *)
-let digest_float st x =
-  Int64.(to_float (shift_right_logical (splitmix st) 11)) *. 0x1p-53 *. x
+(* The terms and boxes come from SplitMix64 ({!Splitmix}), so they do
+   not depend on the [Random] algorithm of a given OCaml release. *)
+let digest_int = Splitmix.int
+let digest_float = Splitmix.float
 
 let rec rand_exact st depth =
   if depth = 0 || digest_int st 6 = 0 then
@@ -589,14 +683,18 @@ let () =
           Alcotest.test_case "second-order tightness pinned" `Quick
             test_tm_tightness_quadratic;
           Alcotest.test_case "walker outputs match committed digest" `Quick
-            test_walker_digest ] );
+            test_walker_digest;
+          Alcotest.test_case "constant divisors match Tm.div and Affine.div"
+            `Quick test_const_divisor_edges ] );
       ( "bernstein",
         [ Alcotest.test_case "bound sound and within control hull" `Quick
             test_bernstein_bound;
           Alcotest.test_case "sqr range pinned to [0,1]" `Quick
             test_bernstein_sqr_pinned;
           Alcotest.test_case "degree-3 truncation counted" `Quick
-            test_truncation_counted ] );
+            test_truncation_counted;
+          Alcotest.test_case "degree-2 products count no truncation" `Quick
+            test_truncation_only_high_degree ] );
       ( "hc4",
         [ Alcotest.test_case "never loses a witness" `Quick
             test_hc4_tm_witnesses;
