@@ -219,50 +219,105 @@ let dls_scratch tp = Domain.DLS.get tp.scratch_key
 
 (* ---- Float evaluation (Term.compile semantics, incl. pow fast paths) ---- *)
 
+let[@inline] float_op v (inputs : float array) = function
+  | OVar i -> Array.unsafe_get inputs i
+  | OConst c -> c
+  | OAdd (a, b) -> Array.unsafe_get v a +. Array.unsafe_get v b
+  | OSub (a, b) -> Array.unsafe_get v a -. Array.unsafe_get v b
+  | OMul (a, b) -> Array.unsafe_get v a *. Array.unsafe_get v b
+  | ODiv (a, b) -> Array.unsafe_get v a /. Array.unsafe_get v b
+  | ONeg a -> -.Array.unsafe_get v a
+  | OPow (a, 2) ->
+      let x = Array.unsafe_get v a in
+      x *. x
+  | OPow (a, 3) ->
+      let x = Array.unsafe_get v a in
+      x *. x *. x
+  | OPow (a, k) -> Float.pow (Array.unsafe_get v a) (float_of_int k)
+  | OExp a -> Float.exp (Array.unsafe_get v a)
+  | OLog a -> Float.log (Array.unsafe_get v a)
+  | OSqrt a -> Float.sqrt (Array.unsafe_get v a)
+  | OSin a -> Float.sin (Array.unsafe_get v a)
+  | OCos a -> Float.cos (Array.unsafe_get v a)
+  | OTan a -> Float.tan (Array.unsafe_get v a)
+  | OAtan a -> Float.atan (Array.unsafe_get v a)
+  | OTanh a -> Float.tanh (Array.unsafe_get v a)
+  | OAbs a -> Float.abs (Array.unsafe_get v a)
+  | OMin (a, b) -> Float.min (Array.unsafe_get v a) (Array.unsafe_get v b)
+  | OMax (a, b) -> Float.max (Array.unsafe_get v a) (Array.unsafe_get v b)
+
 let forward_floats tp sc (inputs : float array) =
   let v = sc.fvals in
   let ops = tp.ops in
   for s = 0 to Array.length ops - 1 do
-    let r =
-      match Array.unsafe_get ops s with
-      | OVar i -> Array.unsafe_get inputs i
-      | OConst c -> c
-      | OAdd (a, b) -> Array.unsafe_get v a +. Array.unsafe_get v b
-      | OSub (a, b) -> Array.unsafe_get v a -. Array.unsafe_get v b
-      | OMul (a, b) -> Array.unsafe_get v a *. Array.unsafe_get v b
-      | ODiv (a, b) -> Array.unsafe_get v a /. Array.unsafe_get v b
-      | ONeg a -> -.Array.unsafe_get v a
-      | OPow (a, 2) ->
-          let x = Array.unsafe_get v a in
-          x *. x
-      | OPow (a, 3) ->
-          let x = Array.unsafe_get v a in
-          x *. x *. x
-      | OPow (a, k) -> Float.pow (Array.unsafe_get v a) (float_of_int k)
-      | OExp a -> Float.exp (Array.unsafe_get v a)
-      | OLog a -> Float.log (Array.unsafe_get v a)
-      | OSqrt a -> Float.sqrt (Array.unsafe_get v a)
-      | OSin a -> Float.sin (Array.unsafe_get v a)
-      | OCos a -> Float.cos (Array.unsafe_get v a)
-      | OTan a -> Float.tan (Array.unsafe_get v a)
-      | OAtan a -> Float.atan (Array.unsafe_get v a)
-      | OTanh a -> Float.tanh (Array.unsafe_get v a)
-      | OAbs a -> Float.abs (Array.unsafe_get v a)
-      | OMin (a, b) -> Float.min (Array.unsafe_get v a) (Array.unsafe_get v b)
-      | OMax (a, b) -> Float.max (Array.unsafe_get v a) (Array.unsafe_get v b)
-    in
-    Array.unsafe_set v s r
+    Array.unsafe_set v s (float_op v inputs (Array.unsafe_get ops s))
   done
 
-let eval_floats_into tp sc ~inputs ~out =
-  forward_floats tp sc inputs;
+let read_roots tp sc out =
   for k = 0 to Array.length tp.roots - 1 do
     out.(k) <- sc.fvals.(tp.roots.(k))
   done
 
+let eval_floats_into tp sc ~inputs ~out =
+  forward_floats tp sc inputs;
+  read_roots tp sc out
+
 let eval_float tp sc inputs =
   forward_floats tp sc inputs;
   sc.fvals.(tp.roots.(0))
+
+(* ---- Staged float evaluation ----
+
+   A slot is dynamic when it reads a dynamic input or a dynamic slot;
+   every other slot has the same value on every call that keeps the
+   static inputs fixed.  [stage] partitions the slots once; the static
+   ones are then computed once per binding of the static inputs and
+   only the dynamic ones per call.  Each slot runs the same operation
+   on the same operand values as in [forward_floats], so the roots are
+   bit-identical to a full pass. *)
+
+type staged = {
+  st_tape : t;
+  static_slots : int array;
+  dyn_slots : int array;
+  dyn_ops : op array;  (* ops.(dyn_slots.(k)), contiguous for the hot loop *)
+}
+
+let operands = function
+  | OVar _ | OConst _ -> []
+  | OAdd (a, b) | OSub (a, b) | OMul (a, b) | ODiv (a, b) | OMin (a, b) | OMax (a, b) ->
+      [ a; b ]
+  | ONeg a | OPow (a, _) | OExp a | OLog a | OSqrt a | OSin a | OCos a | OTan a
+  | OAtan a | OTanh a | OAbs a ->
+      [ a ]
+
+let stage tp ~dynamic =
+  let dyn = Array.make (Array.length tp.ops) false in
+  Array.iteri
+    (fun s op ->
+      dyn.(s) <-
+        (match op with
+        | OVar i -> dynamic i
+        | op -> List.exists (fun a -> dyn.(a)) (operands op)))
+    tp.ops;
+  let slots keep =
+    Array.of_list (List.filter (fun s -> dyn.(s) = keep) (List.init (Array.length dyn) Fun.id))
+  in
+  let dyn_slots = slots true in
+  { st_tape = tp; static_slots = slots false; dyn_slots;
+    dyn_ops = Array.map (fun s -> tp.ops.(s)) dyn_slots }
+
+let eval_static st sc ~inputs =
+  let v = sc.fvals and ops = st.st_tape.ops in
+  Array.iter (fun s -> v.(s) <- float_op v inputs ops.(s)) st.static_slots
+
+let eval_dynamic_into st sc ~inputs ~out =
+  let v = sc.fvals and slots = st.dyn_slots and ops = st.dyn_ops in
+  for k = 0 to Array.length slots - 1 do
+    Array.unsafe_set v (Array.unsafe_get slots k)
+      (float_op v inputs (Array.unsafe_get ops k))
+  done;
+  read_roots st.st_tape sc out
 
 (* ---- Interval forward pass (Term.eval_interval semantics) ----
 

@@ -77,6 +77,34 @@ val eval_floats_into : t -> scratch -> inputs:float array -> out:float array -> 
 val eval_float : t -> scratch -> float array -> float
 (** Root 0 of a single-root tape. *)
 
+(** {2 Staged float evaluation}
+
+    For repeated evaluation in which some inputs stay fixed (an ODE
+    field's parameters across a trajectory), the slots that read no
+    changing input are computed once and the rest per call.  Every slot
+    runs the same operation on the same operand values as
+    {!eval_floats_into}, so the roots are bit-identical to a full pass
+    over the same inputs. *)
+
+type staged
+(** A tape with its slots split into static and dynamic ones.
+    Immutable: share it across domains like the tape. *)
+
+val stage : t -> dynamic:(int -> bool) -> staged
+(** [stage tp ~dynamic]: a slot is dynamic when it is an input [i] with
+    [dynamic i], or reads a dynamic slot. *)
+
+val eval_static : staged -> scratch -> inputs:float array -> unit
+(** Compute the static slots into the scratch.  Call it again whenever a
+    static input changes; dynamic inputs are not read. *)
+
+val eval_dynamic_into :
+  staged -> scratch -> inputs:float array -> out:float array -> unit
+(** Compute the dynamic slots and store root [k] in [out.(k)].  The
+    scratch must hold the static slots from {!eval_static} over the
+    same static inputs, and no other evaluation may have run on it in
+    between.  Allocation-free. *)
+
 (** {1 Interval evaluation}
 
     Sound enclosures identical to {!Term.eval_interval}: the forward pass

@@ -317,7 +317,11 @@ let contains_multiple ~offset ~period:_ lo hi =
     x_hi >= lo && x_lo <= hi
   in
   let rec scan k = k <= k_max && (check k || scan (k +. 1.0)) in
-  k_min <= k_max && scan k_min
+  (* From 2^53 on, [k +. 1.0] no longer moves k, so the scan would never
+     end; and from 2^52 on, k *. 2pi is too coarse to place a multiple.
+     Answer yes there: sound, since cos then widens to [-1, 1] and tan
+     to the entire line. *)
+  k_min <= k_max && (Float.abs k_min >= 0x1p52 || scan k_min)
 
 let unit = { lo = -1.0; hi = 1.0 }
 

@@ -240,197 +240,254 @@ let init_state sys init =
          | None -> invalid_arg (Printf.sprintf "Integrate: missing initial value for %S" v))
        (System.vars sys))
 
-(* Integrate [sys] from [init] over [t0, t_end].  [stop] may terminate
-   integration early (it sees time and state after each accepted step).
+(* ---- Resumable stepper ----
 
-   The explicit steppers run in-place on preallocated stage buffers
-   (k1..k6 and a stage-argument scratch) over the write-into vector field
-   of [System.compile_into]: the only per-step allocation left is the
-   state array the trace stores for each *accepted* step.  Every linear
-   combination below replicates the expression shape (and fold order) of
-   the allocating steppers above, so traces are bit-identical to them. *)
-let simulate_gen ?(t0 = 0.0) ?(method_ = default_rkf45) ?stop ~params ~init ~t_end sys =
+   [advance] runs the integration loop until it accepts one point, and
+   [simulate], [simulate_until] and the SMC trace views are consumers of
+   it.  The explicit methods run in place on preallocated stage buffers
+   (k1..k6 and a stage-argument scratch) over the write-into vector
+   field of [System.compile_into], and the state is updated in place:
+   a step allocates only the boxed times it passes to the field
+   closure.  Every linear combination below replicates the expression
+   shape (and fold order) of the allocating steppers above, so the
+   accepted points are bit-identical to them. *)
+
+(* The integration clock: an all-float record, so its fields are stored
+   flat and updating them allocates nothing. *)
+type clock = { mutable t : float; mutable h : float; t_end : float }
+
+type kernel =
+  | Fixed of { h0 : float; rk4 : bool; k1 : float array; k2 : float array;
+               k3 : float array; k4 : float array; stage : float array }
+  | Adaptive of { rtol : float; atol : float; h_max : float; k1 : float array;
+                  k2 : float array; k3 : float array; k4 : float array;
+                  k5 : float array; k6 : float array; stage : float array;
+                  y4 : float array; y5 : float array }
+  | Implicit of { h0 : float; newton_iters : int; newton_tol : float;
+                  f : float -> float array -> float array }
+      (* Newton solves allocate per iteration regardless (residuals,
+         Jacobians); an allocating adapter keeps this path simple. *)
+
+type stepper = {
+  vars : string list;
+  f_into : float -> float array -> float array -> unit;
+  clock : clock;
+  y : float array;  (* the current point's state *)
+  kernel : kernel;
+  mutable steps : int;  (* points accepted so far *)
+  mutable live : bool;  (* false once the loop has ended *)
+}
+
+let start ?(t0 = 0.0) ?(method_ = default_rkf45) ~params ~init ~t_end sys =
   let f_into = System.compile_into ~param_env:params sys in
-  let y0 = init_state sys init in
-  let n = Array.length y0 in
-  let times = ref [ t0 ] and states = ref [ y0 ] in
-  let push t y =
-    times := t :: !times;
-    states := y :: !states
+  let y = init_state sys init in
+  let n = Array.length y in
+  let buf () = Array.make n 0.0 in
+  let kernel, h =
+    match method_ with
+    | Euler h0 | Rk4 h0 ->
+        let rk4 = match method_ with Rk4 _ -> true | _ -> false in
+        ( Fixed { h0; rk4; k1 = buf (); k2 = buf (); k3 = buf (); k4 = buf ();
+                  stage = buf () },
+          h0 )
+    | Rkf45 { rtol; atol; h0; h_max } ->
+        ( Adaptive { rtol; atol; h_max; k1 = buf (); k2 = buf (); k3 = buf ();
+                     k4 = buf (); k5 = buf (); k6 = buf (); stage = buf ();
+                     y4 = buf (); y5 = buf () },
+          h0 )
+    | Implicit_euler { h = h0; newton_iters; newton_tol } ->
+        let f t y =
+          let out = Array.make n 0.0 in
+          f_into t y out;
+          out
+        in
+        (Implicit { h0; newton_iters; newton_tol; f }, h0)
   in
-  let should_stop t y = match stop with Some g -> g t y | None -> false in
-  let check_h h0 =
-    if h0 <= 0.0 then invalid_arg "Integrate: step must be positive" else h0
-  in
-  (if not (should_stop t0 y0) then
-     match method_ with
-     | Implicit_euler { h = h0; newton_iters; newton_tol } ->
-         (* Newton solves allocate per iteration regardless (residuals,
-            Jacobians); an allocating adapter keeps this path simple. *)
-         let f t y =
-           let out = Array.make n 0.0 in
-           f_into t y out;
-           out
-         in
-         let h0 = check_h h0 in
-         let t = ref t0 and y = ref y0 in
-         let continue_ = ref true in
-         while !continue_ && !t < t_end -. 1e-15 do
-           let h = Float.min h0 (t_end -. !t) in
-           y := implicit_euler_step ~newton_iters ~newton_tol f !t !y h;
-           t := !t +. h;
-           push !t !y;
-           if should_stop !t !y then continue_ := false
-         done
-     | Euler h0 | Rk4 h0 ->
-         let h0 = check_h h0 in
-         let rk4 = match method_ with Rk4 _ -> true | _ -> false in
-         let k1 = Array.make n 0.0 and k2 = Array.make n 0.0
-         and k3 = Array.make n 0.0 and k4 = Array.make n 0.0
-         and stage = Array.make n 0.0 in
-         let t = ref t0 and y = ref y0 in
-         let continue_ = ref true in
-         while !continue_ && !t < t_end -. 1e-15 do
-           let h = Float.min h0 (t_end -. !t) in
-           let yc = !y in
-           let ynew = Array.make n 0.0 in
-           f_into !t yc k1;
-           (if not rk4 then
-              for i = 0 to n - 1 do
-                ynew.(i) <- yc.(i) +. (h *. k1.(i))
-              done
-            else begin
-              for i = 0 to n - 1 do
-                stage.(i) <- yc.(i) +. ((h /. 2.0) *. k1.(i))
-              done;
-              f_into (!t +. (h /. 2.0)) stage k2;
-              for i = 0 to n - 1 do
-                stage.(i) <- yc.(i) +. ((h /. 2.0) *. k2.(i))
-              done;
-              f_into (!t +. (h /. 2.0)) stage k3;
-              for i = 0 to n - 1 do
-                stage.(i) <- yc.(i) +. (h *. k3.(i))
-              done;
-              f_into (!t +. h) stage k4;
-              for i = 0 to n - 1 do
-                ynew.(i) <-
-                  yc.(i)
-                  +. (h /. 6.0
-                     *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i)))
-              done
-            end);
-           t := !t +. h;
-           y := ynew;
-           push !t ynew;
-           if should_stop !t ynew then continue_ := false
-         done
-     | Rkf45 { rtol; atol; h0; h_max } ->
-         let k1 = Array.make n 0.0 and k2 = Array.make n 0.0
-         and k3 = Array.make n 0.0 and k4 = Array.make n 0.0
-         and k5 = Array.make n 0.0 and k6 = Array.make n 0.0
-         and stage = Array.make n 0.0
-         and y4 = Array.make n 0.0 and y5 = Array.make n 0.0 in
-         let t = ref t0 and y = ref y0 and h = ref h0 in
-         let continue_ = ref true in
-         let safety = 0.9 and h_min = 1e-12 in
-         let accept tacc ybuf =
-           let ynew = Array.copy ybuf in
-           t := tacc;
-           y := ynew;
-           push tacc ynew;
-           if should_stop tacc ynew then continue_ := false
-         in
-         while !continue_ && !t < t_end -. 1e-15 do
-           let hstep = Float.min !h (t_end -. !t) in
-           let yc = !y in
-           (* The six stages, with the same fold-order linear
-              combinations as [rkf45_step]. *)
-           f_into !t yc k1;
-           for i = 0 to n - 1 do
-             stage.(i) <- yc.(i) +. (hstep *. (0.0 +. (0.25 *. k1.(i))))
-           done;
-           f_into (!t +. (0.25 *. hstep)) stage k2;
-           for i = 0 to n - 1 do
-             stage.(i) <-
-               yc.(i)
-               +. (hstep
-                  *. ((0.0 +. (3.0 /. 32.0 *. k1.(i))) +. (9.0 /. 32.0 *. k2.(i))))
-           done;
-           f_into (!t +. (0.375 *. hstep)) stage k3;
-           for i = 0 to n - 1 do
-             stage.(i) <-
-               yc.(i)
-               +. (hstep
-                  *. (((0.0 +. (1932.0 /. 2197.0 *. k1.(i)))
-                       +. (-7200.0 /. 2197.0 *. k2.(i)))
-                     +. (7296.0 /. 2197.0 *. k3.(i))))
-           done;
-           f_into (!t +. (12.0 /. 13.0 *. hstep)) stage k4;
-           for i = 0 to n - 1 do
-             stage.(i) <-
-               yc.(i)
-               +. (hstep
-                  *. ((((0.0 +. (439.0 /. 216.0 *. k1.(i))) +. (-8.0 *. k2.(i)))
-                       +. (3680.0 /. 513.0 *. k3.(i)))
-                     +. (-845.0 /. 4104.0 *. k4.(i))))
-           done;
-           f_into (!t +. (1.0 *. hstep)) stage k5;
-           for i = 0 to n - 1 do
-             stage.(i) <-
-               yc.(i)
-               +. (hstep
-                  *. (((((0.0 +. (-8.0 /. 27.0 *. k1.(i))) +. (2.0 *. k2.(i)))
-                        +. (-3544.0 /. 2565.0 *. k3.(i)))
-                       +. (1859.0 /. 4104.0 *. k4.(i)))
-                     +. (-11.0 /. 40.0 *. k5.(i))))
-           done;
-           f_into (!t +. (0.5 *. hstep)) stage k6;
-           for i = 0 to n - 1 do
-             y4.(i) <-
-               yc.(i)
-               +. hstep
-                  *. ((25.0 /. 216.0 *. k1.(i))
-                     +. (1408.0 /. 2565.0 *. k3.(i))
-                     +. (2197.0 /. 4104.0 *. k4.(i))
-                     -. (0.2 *. k5.(i)))
-           done;
-           for i = 0 to n - 1 do
-             y5.(i) <-
-               yc.(i)
-               +. hstep
-                  *. ((16.0 /. 135.0 *. k1.(i))
-                     +. (6656.0 /. 12825.0 *. k3.(i))
-                     +. (28561.0 /. 56430.0 *. k4.(i))
-                     -. (9.0 /. 50.0 *. k5.(i))
-                     +. (2.0 /. 55.0 *. k6.(i)))
-           done;
-           (* Error estimate relative to tolerance. *)
-           let err = ref 0.0 in
-           for i = 0 to n - 1 do
-             let sc = atol +. (rtol *. Float.max (Float.abs yc.(i)) (Float.abs y4.(i))) in
-             let e = Float.abs (y5.(i) -. y4.(i)) /. sc in
-             if e > !err then err := e
-           done;
-           if Float.is_nan !err then begin
-             (* Blow-up: shrink aggressively or give up at h_min. *)
-             if hstep <= h_min *. 2.0 then continue_ := false
-             else h := hstep /. 10.0
-           end
-           else if !err <= 1.0 then begin
-             accept (!t +. hstep) y5;
-             let grow = safety *. Float.pow (1.0 /. Float.max !err 1e-10) 0.2 in
-             h := Float.min h_max (hstep *. Float.min 4.0 grow)
-           end
+  { vars = System.vars sys; f_into; clock = { t = t0; h; t_end }; y; kernel;
+    steps = 0; live = true }
+
+let time st = st.clock.t
+let state st = st.y
+let steps st = st.steps
+let stepper_vars st = st.vars
+
+let check_h h0 = if h0 <= 0.0 then invalid_arg "Integrate: step must be positive" else h0
+
+let advance st =
+  st.live
+  && begin
+    let c = st.clock and y = st.y and f_into = st.f_into in
+    let n = Array.length y in
+    (* 0: trying, 1: accepted a point, 2: the loop has ended *)
+    let outcome = ref 0 in
+    (match st.kernel with
+    | Implicit { h0; newton_iters; newton_tol; f } ->
+        let h0 = check_h h0 in
+        if c.t < c.t_end -. 1e-15 then begin
+          let h = Float.min h0 (c.t_end -. c.t) in
+          let z = implicit_euler_step ~newton_iters ~newton_tol f c.t y h in
+          Array.blit z 0 y 0 n;
+          c.t <- c.t +. h;
+          outcome := 1
+        end
+        else outcome := 2
+    | Fixed { h0; rk4; k1; k2; k3; k4; stage } ->
+        let h0 = check_h h0 in
+        if c.t < c.t_end -. 1e-15 then begin
+          let h = Float.min h0 (c.t_end -. c.t) in
+          f_into c.t y k1;
+          (if not rk4 then
+             for i = 0 to n - 1 do
+               y.(i) <- y.(i) +. (h *. k1.(i))
+             done
            else begin
-             let shrink = safety *. Float.pow (1.0 /. !err) 0.25 in
-             h := Float.max (h_min *. 2.0) (hstep *. Float.max 0.1 shrink);
-             if !h <= h_min *. 4.0 then
-               (* Accept a tiny forced step to guarantee progress. *)
-               accept (!t +. hstep) y4
-           end
-         done);
+             for i = 0 to n - 1 do
+               stage.(i) <- y.(i) +. ((h /. 2.0) *. k1.(i))
+             done;
+             f_into (c.t +. (h /. 2.0)) stage k2;
+             for i = 0 to n - 1 do
+               stage.(i) <- y.(i) +. ((h /. 2.0) *. k2.(i))
+             done;
+             f_into (c.t +. (h /. 2.0)) stage k3;
+             for i = 0 to n - 1 do
+               stage.(i) <- y.(i) +. (h *. k3.(i))
+             done;
+             f_into (c.t +. h) stage k4;
+             for i = 0 to n - 1 do
+               y.(i) <-
+                 y.(i)
+                 +. (h /. 6.0 *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i)))
+             done
+           end);
+          c.t <- c.t +. h;
+          outcome := 1
+        end
+        else outcome := 2
+    | Adaptive { rtol; atol; h_max; k1; k2; k3; k4; k5; k6; stage; y4; y5 } ->
+        let safety = 0.9 and h_min = 1e-12 in
+        while !outcome = 0 do
+          if not (c.t < c.t_end -. 1e-15) then outcome := 2
+          else begin
+            let hstep = Float.min c.h (c.t_end -. c.t) in
+            (* The six stages, with the same fold-order linear
+               combinations as [rkf45_step]. *)
+            f_into c.t y k1;
+            for i = 0 to n - 1 do
+              stage.(i) <- y.(i) +. (hstep *. (0.0 +. (0.25 *. k1.(i))))
+            done;
+            f_into (c.t +. (0.25 *. hstep)) stage k2;
+            for i = 0 to n - 1 do
+              stage.(i) <-
+                y.(i)
+                +. (hstep
+                   *. ((0.0 +. (3.0 /. 32.0 *. k1.(i))) +. (9.0 /. 32.0 *. k2.(i))))
+            done;
+            f_into (c.t +. (0.375 *. hstep)) stage k3;
+            for i = 0 to n - 1 do
+              stage.(i) <-
+                y.(i)
+                +. (hstep
+                   *. (((0.0 +. (1932.0 /. 2197.0 *. k1.(i)))
+                        +. (-7200.0 /. 2197.0 *. k2.(i)))
+                      +. (7296.0 /. 2197.0 *. k3.(i))))
+            done;
+            f_into (c.t +. (12.0 /. 13.0 *. hstep)) stage k4;
+            for i = 0 to n - 1 do
+              stage.(i) <-
+                y.(i)
+                +. (hstep
+                   *. ((((0.0 +. (439.0 /. 216.0 *. k1.(i))) +. (-8.0 *. k2.(i)))
+                        +. (3680.0 /. 513.0 *. k3.(i)))
+                      +. (-845.0 /. 4104.0 *. k4.(i))))
+            done;
+            f_into (c.t +. (1.0 *. hstep)) stage k5;
+            for i = 0 to n - 1 do
+              stage.(i) <-
+                y.(i)
+                +. (hstep
+                   *. (((((0.0 +. (-8.0 /. 27.0 *. k1.(i))) +. (2.0 *. k2.(i)))
+                         +. (-3544.0 /. 2565.0 *. k3.(i)))
+                        +. (1859.0 /. 4104.0 *. k4.(i)))
+                      +. (-11.0 /. 40.0 *. k5.(i))))
+            done;
+            f_into (c.t +. (0.5 *. hstep)) stage k6;
+            for i = 0 to n - 1 do
+              y4.(i) <-
+                y.(i)
+                +. hstep
+                   *. ((25.0 /. 216.0 *. k1.(i))
+                      +. (1408.0 /. 2565.0 *. k3.(i))
+                      +. (2197.0 /. 4104.0 *. k4.(i))
+                      -. (0.2 *. k5.(i)))
+            done;
+            for i = 0 to n - 1 do
+              y5.(i) <-
+                y.(i)
+                +. hstep
+                   *. ((16.0 /. 135.0 *. k1.(i))
+                      +. (6656.0 /. 12825.0 *. k3.(i))
+                      +. (28561.0 /. 56430.0 *. k4.(i))
+                      -. (9.0 /. 50.0 *. k5.(i))
+                      +. (2.0 /. 55.0 *. k6.(i)))
+            done;
+            (* Error estimate relative to tolerance. *)
+            let err = ref 0.0 in
+            for i = 0 to n - 1 do
+              let sc = atol +. (rtol *. Float.max (Float.abs y.(i)) (Float.abs y4.(i))) in
+              let e = Float.abs (y5.(i) -. y4.(i)) /. sc in
+              if e > !err then err := e
+            done;
+            if Float.is_nan !err then begin
+              (* Blow-up: shrink aggressively or give up at h_min. *)
+              if hstep <= h_min *. 2.0 then outcome := 2
+              else c.h <- hstep /. 10.0
+            end
+            else if !err <= 1.0 then begin
+              for i = 0 to n - 1 do
+                y.(i) <- y5.(i)
+              done;
+              c.t <- c.t +. hstep;
+              outcome := 1;
+              let grow = safety *. Float.pow (1.0 /. Float.max !err 1e-10) 0.2 in
+              c.h <- Float.min h_max (hstep *. Float.min 4.0 grow)
+            end
+            else begin
+              let shrink = safety *. Float.pow (1.0 /. !err) 0.25 in
+              c.h <- Float.max (h_min *. 2.0) (hstep *. Float.max 0.1 shrink);
+              if c.h <= h_min *. 4.0 then begin
+                (* Accept a tiny forced step to guarantee progress. *)
+                for i = 0 to n - 1 do
+                  y.(i) <- y4.(i)
+                done;
+                c.t <- c.t +. hstep;
+                outcome := 1
+              end
+            end
+          end
+        done);
+    if !outcome = 1 then st.steps <- st.steps + 1 else st.live <- false;
+    !outcome = 1
+  end
+
+(* Integrate [sys] from [init] over [t0, t_end] into a trace.  [stop]
+   may terminate integration early (it sees time and state after each
+   accepted step). *)
+let simulate_gen ?(t0 = 0.0) ?method_ ?stop ~params ~init ~t_end sys =
+  let st = start ~t0 ?method_ ~params ~init ~t_end sys in
+  let y0 = Array.copy st.y in
+  let times = ref [ t0 ] and states = ref [ y0 ] in
+  let should_stop t y = match stop with Some g -> g t y | None -> false in
+  if not (should_stop t0 y0) then begin
+    let continue_ = ref true in
+    while !continue_ && advance st do
+      let t = st.clock.t and y = Array.copy st.y in
+      times := t :: !times;
+      states := y :: !states;
+      if should_stop t y then continue_ := false
+    done
+  end;
   {
-    vars = System.vars sys;
+    vars = st.vars;
     times = Array.of_list (List.rev !times);
     states = Array.of_list (List.rev !states);
   }

@@ -72,6 +72,45 @@ val simulate_until :
     the crossing is localized by bisection to within [tol] and the trace
     is truncated at the event.  [None] when the guard never fires. *)
 
+(** {1 Resumable stepper}
+
+    The integration loop as a value: {!advance} runs it until it accepts
+    one more point, with the arithmetic of {!simulate}.  {!simulate} and
+    {!simulate_until} copy every point into a trace; the SMC trace views
+    read points on demand and stop when a verdict is fixed. *)
+
+type stepper
+(** Owns its field closure and buffers: use it from one domain. *)
+
+val start :
+  ?t0:float ->
+  ?method_:method_ ->
+  params:(string * float) list ->
+  init:(string * float) list ->
+  t_end:float ->
+  System.t ->
+  stepper
+(** A stepper at the initial point [(t0, init)].
+    @raise Invalid_argument on missing initial values or parameters. *)
+
+val advance : stepper -> bool
+(** Integrate until one more point is accepted and return [true]; return
+    [false] once the integration loop has ended (at [t_end]), and on
+    every call after that.
+    @raise Invalid_argument on a non-positive fixed step. *)
+
+val time : stepper -> float
+(** Time of the current point. *)
+
+val state : stepper -> float array
+(** State of the current point, in {!System.vars} order.  The stepper
+    overwrites this buffer on the next {!advance}: copy it to keep it. *)
+
+val steps : stepper -> int
+(** Points accepted so far. *)
+
+val stepper_vars : stepper -> string list
+
 (** {1 Raw steppers} (exposed for reuse and testing) *)
 
 val euler_step : (float -> float array -> float array) -> float -> float array -> float -> float array

@@ -18,6 +18,10 @@ type t = {
          first compile and reused by every later one (e.g. one compile
          per SMC sample).  Writing the cache twice from racing domains is
          benign: both tapes are equivalent and immutable. *)
+  mutable rhs_staged : Expr.Tape.staged option;
+      (* the tape's split into slots that read a state variable or t and
+         slots that read only constants and parameters; built with the
+         tape's first compile, racing writes benign as above *)
   mutable digest : string option;
       (* structural digest of (vars, params, rhs), built on first use;
          racing writes are benign for the same reason as [rhs_tape] *)
@@ -66,7 +70,7 @@ let create ~vars ~params ~rhs =
     rhs;
   (* Order equations by variable order. *)
   let rhs = List.map (fun v -> (v, List.assoc v rhs)) vars in
-  { vars; params; rhs; rhs_tape = None; digest = None }
+  { vars; params; rhs; rhs_tape = None; rhs_staged = None; digest = None }
 
 (* Parse a system from (var, rhs-string) pairs. *)
 let of_strings ~vars ~params ~rhs =
@@ -81,6 +85,7 @@ let bind_params env s =
     params = remaining;
     rhs = List.map (fun (v, t) -> (v, Expr.Term.subst bindings t)) s.rhs;
     rhs_tape = None;
+    rhs_staged = None;
     digest = None;
   }
 
@@ -96,6 +101,17 @@ let rhs_tape s =
       in
       s.rhs_tape <- Some tp;
       tp
+
+(* The tape split for one trajectory: state variables and t change per
+   call, parameters are fixed when the field is compiled. *)
+let rhs_staged s =
+  match s.rhs_staged with
+  | Some st -> st
+  | None ->
+      let n = List.length s.vars and np = List.length s.params in
+      let st = Expr.Tape.stage (rhs_tape s) ~dynamic:(fun i -> i < n || i = n + np) in
+      s.rhs_staged <- Some st;
+      st
 
 (* Structural digest of the system (state order, parameter order, and
    every right-hand side with exact float rendering): equal digests imply
@@ -121,72 +137,39 @@ let digest s =
       s.digest <- Some d;
       d
 
-(* Compile the vector field into a fast closure.  The returned function
-   computes the derivative array for a given time and state; parameters
-   are fixed at compile time.
+(* The vector field as a write-into closure [t -> state -> out -> unit]
+   with the parameters fixed.  This is the allocation-free form the
+   numerical steppers use: per-evaluation arrays (4-6 field evaluations
+   per RKF45 step) were most of what kept the tape speedup flat on the
+   SMC trajectory path.
 
    Tape path: the system's cached tape makes repeated compiles (one per
    SMC sample) a parameter-array fill instead of a substitution plus a
-   closure-tree build.  The returned closure owns its scratch and input
-   buffers, so it must not be called from two domains at once — callers
-   compile per worker, as before. *)
-let compile ?(param_env = []) s =
+   closure-tree build, and the slots that read only constants and
+   parameters are evaluated here, once, leaving each call the slots
+   that read a state variable or t.  The closure owns its scratch and
+   input buffers, so it must not be called from two domains at once —
+   callers compile per worker. *)
+let field_into ~caller param_env s =
   List.iter
     (fun p ->
       if not (List.mem_assoc p param_env) then
-        invalid_arg (Printf.sprintf "System.compile: parameter %S not bound" p))
-    s.params;
-  if Expr.Tape.enabled () then begin
-    let tp = rhs_tape s in
-    let n = List.length s.vars and np = List.length s.params in
-    let inp = Array.make (n + np + 1) 0.0 in
-    List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
-    let sc = Expr.Tape.scratch tp in
-    fun t state ->
-      Array.blit state 0 inp 0 n;
-      inp.(n + np) <- t;
-      let out = Array.make n 0.0 in
-      Expr.Tape.eval_floats_into tp sc ~inputs:inp ~out;
-      out
-  end
-  else begin
-    let bound = bind_params param_env s in
-    let order = bound.vars @ [ time_var ] in
-    let compiled =
-      Array.of_list
-        (List.map (fun (_, t) -> Expr.Term.compile ~vars:order t) bound.rhs)
-    in
-    let n = Array.length compiled in
-    fun t state ->
-      let arr = Array.make (n + 1) 0.0 in
-      Array.blit state 0 arr 0 n;
-      arr.(n) <- t;
-      Array.map (fun f -> f arr) compiled
-  end
-
-(* Like [compile], but the returned closure writes the derivative into a
-   caller-provided buffer instead of allocating a fresh array per call.
-   This is the allocation-free form the numerical steppers use: profiling
-   the SMC trajectory path showed the per-evaluation [Array.make] in
-   [compile] (4-6 field evaluations per RKF45 step, one array each) was
-   most of what kept the tape speedup flat there. *)
-let compile_into ?(param_env = []) s =
-  List.iter
-    (fun p ->
-      if not (List.mem_assoc p param_env) then
-        invalid_arg (Printf.sprintf "System.compile_into: parameter %S not bound" p))
+        invalid_arg (Printf.sprintf "System.%s: parameter %S not bound" caller p))
     s.params;
   let n = List.length s.vars in
   if Expr.Tape.enabled () then begin
-    let tp = rhs_tape s in
+    let st = rhs_staged s in
     let np = List.length s.params in
     let inp = Array.make (n + np + 1) 0.0 in
     List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
-    let sc = Expr.Tape.scratch tp in
+    let sc = Expr.Tape.scratch (rhs_tape s) in
+    Expr.Tape.eval_static st sc ~inputs:inp;
     fun t state out ->
-      Array.blit state 0 inp 0 n;
+      for i = 0 to n - 1 do
+        inp.(i) <- state.(i)
+      done;
       inp.(n + np) <- t;
-      Expr.Tape.eval_floats_into tp sc ~inputs:inp ~out
+      Expr.Tape.eval_dynamic_into st sc ~inputs:inp ~out
   end
   else begin
     let bound = bind_params param_env s in
@@ -203,6 +186,17 @@ let compile_into ?(param_env = []) s =
         out.(i) <- compiled.(i) arr
       done
   end
+
+let compile_into ?(param_env = []) s = field_into ~caller:"compile_into" param_env s
+
+(* [compile_into] returning a fresh derivative array per call. *)
+let compile ?(param_env = []) s =
+  let f = field_into ~caller:"compile" param_env s in
+  let n = List.length s.vars in
+  fun t state ->
+    let out = Array.make n 0.0 in
+    f t state out;
+    out
 
 (* Interval evaluation of the vector field over a box binding state
    variables, parameters, and (optionally) time. *)

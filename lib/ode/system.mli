@@ -54,7 +54,11 @@ val compile_into :
   unit
 (** [compile_into ~param_env sys] is the field as a write-into closure
     [t -> state -> out -> unit]: like {!compile} but allocation-free per
-    evaluation (the numerical steppers' hot path).  Same sharing rules as
+    evaluation (the numerical steppers' hot path).  On the tape path the
+    field's constant and parameter-only slots are evaluated once, when
+    the closure is built, and each call runs only the slots that read a
+    state variable or [t]; outputs are bit-identical to a full
+    {!Expr.Tape.eval_floats_into} pass.  Same sharing rules as
     {!compile}: the closure owns scratch, compile one per domain.
     @raise Invalid_argument on an unbound parameter. *)
 

@@ -42,62 +42,150 @@ let rec horizon = function
   | Until (b, f, g) -> b +. Float.max (horizon f) (horizon g)
   | Finally (b, f) | Globally (b, f) -> b +. horizon f
 
-(* ---- Semantics over a sampled trace ---- *)
+(* ---- Trace views ----
+
+   A view holds the sampled points in flat buffers: [times.(i)] and the
+   state row [states.(i*dim) .. states.(i*dim + dim - 1)] in [vars]
+   order.  A view of a stored trace or trajectory is complete from the
+   start.  A streamed view is filled on demand from a stepper: [has view
+   j] pulls accepted points until point [j] exists or the integration
+   has ended, so the recursion below integrates exactly as far as it
+   reads.  The stepper produces the points [Ode.Integrate.simulate]
+   stores, so either view hands [sat] and [rob] the same points. *)
 
 type trace_view = {
-  times : float array;
-  env_at : int -> (string * float) list;  (* full environment at index i *)
-  n : int;
+  mutable times : float array;
+  mutable states : float array;
+  mutable n : int;  (* points filled so far *)
+  mutable dim : int;
+  mutable vars : string array;
+  mutable params : (string * float) list;  (* shadow t and the state *)
+  mutable source : Ode.Integrate.stepper option;  (* [None] once complete *)
+  mutable at : int;  (* the point [read] reads *)
+  mutable read : string -> float;  (* atoms' lookup at point [at] *)
 }
 
+let reserve view npts =
+  if Array.length view.times < npts then begin
+    let cap = Stdlib.max npts (2 * Array.length view.times) in
+    let times = Array.make cap 0.0 and states = Array.make (cap * view.dim) 0.0 in
+    Array.blit view.times 0 times 0 view.n;
+    Array.blit view.states 0 states 0 (view.n * view.dim);
+    view.times <- times;
+    view.states <- states
+  end
+
+let push view t y =
+  reserve view (view.n + 1);
+  view.times.(view.n) <- t;
+  let row = view.n * view.dim in
+  for j = 0 to view.dim - 1 do
+    view.states.(row + j) <- y.(j)
+  done;
+  view.n <- view.n + 1
+
+(* The value of [x] at point [at], with the precedence of the
+   environment [params @ [t; vars...]]: parameters first, then time,
+   then the state. *)
+let lookup view x =
+  match List.assoc_opt x view.params with
+  | Some v -> v
+  | None ->
+      if String.equal x Ode.System.time_var then view.times.(view.at)
+      else begin
+        let rec find j =
+          if j >= view.dim then invalid_arg (Printf.sprintf "Bltl: unbound variable %S" x)
+          else if String.equal view.vars.(j) x then view.states.((view.at * view.dim) + j)
+          else find (j + 1)
+        in
+        find 0
+      end
+
+(* One [read] closure per view, so evaluating an atom allocates none. *)
+let make ~params ~vars =
+  let view =
+    { times = [||]; states = [||]; n = 0; dim = List.length vars;
+      vars = Array.of_list vars; params; source = None; at = 0; read = Fun.const nan }
+  in
+  view.read <- lookup view;
+  view
+
 let of_trace ?(params = []) (tr : Ode.Integrate.trace) =
-  {
-    times = tr.Ode.Integrate.times;
-    env_at = (fun i -> params @ Ode.Integrate.env_at tr i);
-    n = Ode.Integrate.length tr;
-  }
+  let view = make ~params ~vars:tr.Ode.Integrate.vars in
+  Array.iteri (fun i t -> push view t tr.Ode.Integrate.states.(i)) tr.Ode.Integrate.times;
+  view
 
 (* A hybrid trajectory as a single concatenated view (global time). *)
 let of_trajectory ?(params = []) (traj : Hybrid.Simulate.trajectory) =
-  let pieces =
-    List.concat_map
-      (fun (seg : Hybrid.Simulate.segment) ->
-        let tr = seg.Hybrid.Simulate.trace in
-        List.init (Ode.Integrate.length tr) (fun i ->
-            let env = Ode.Integrate.env_at tr i in
-            let t_local = List.assoc Ode.System.time_var env in
-            let t_global = seg.Hybrid.Simulate.t_global +. t_local in
-            ( t_global,
-              (Ode.System.time_var, t_global)
-              :: List.remove_assoc Ode.System.time_var env )))
-      traj.Hybrid.Simulate.segments
+  let segments = traj.Hybrid.Simulate.segments in
+  let vars =
+    match segments with
+    | seg :: _ -> seg.Hybrid.Simulate.trace.Ode.Integrate.vars
+    | [] -> []
   in
-  let arr = Array.of_list pieces in
-  {
-    times = Array.map fst arr;
-    env_at = (fun i -> params @ snd arr.(i));
-    n = Array.length arr;
-  }
+  let view = make ~params ~vars in
+  List.iter
+    (fun (seg : Hybrid.Simulate.segment) ->
+      let tr = seg.Hybrid.Simulate.trace in
+      Array.iteri
+        (fun i t -> push view (seg.Hybrid.Simulate.t_global +. t) tr.Ode.Integrate.states.(i))
+        tr.Ode.Integrate.times)
+    segments;
+  view
 
-let lookup env x =
-  match List.assoc_opt x env with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Bltl: unbound variable %S" x)
+let streaming () = make ~params:[] ~vars:[]
+
+let stream ?(params = []) view stepper =
+  let vars = Ode.Integrate.stepper_vars stepper in
+  let dim = List.length vars in
+  if dim <> view.dim then begin
+    (* rows change length: [reserve] starts over *)
+    view.dim <- dim;
+    view.times <- [||];
+    view.states <- [||]
+  end;
+  view.n <- 0;
+  view.vars <- Array.of_list vars;
+  view.params <- params;
+  view.source <- Some stepper;
+  push view (Ode.Integrate.time stepper) (Ode.Integrate.state stepper)
+
+let points view = view.n
+
+(* Whether point [j] exists, pulling accepted points as needed. *)
+let rec has view j =
+  j < view.n
+  ||
+  match view.source with
+  | None -> false
+  | Some st ->
+      if Ode.Integrate.advance st then begin
+        push view (Ode.Integrate.time st) (Ode.Integrate.state st);
+        has view j
+      end
+      else begin
+        view.source <- None;
+        false
+      end
+
+(* ---- Semantics over a sampled trace ---- *)
 
 (* Qualitative satisfaction at sample index [i]. *)
 let rec sat view i = function
-  | Prop f -> Expr.Formula.holds (lookup (view.env_at i)) f
+  | Prop f ->
+      view.at <- i;
+      Expr.Formula.holds view.read f
   | Not f -> not (sat view i f)
   | And (a, b) -> sat view i a && sat view i b
   | Or (a, b) -> sat view i a || sat view i b
   | Implies (a, b) -> (not (sat view i a)) || sat view i b
-  | Next f -> if i + 1 < view.n then sat view (i + 1) f else sat view i f
+  | Next f -> if has view (i + 1) then sat view (i + 1) f else sat view i f
   | Finally (b, f) -> exists_within view i b (fun j -> sat view j f)
   | Globally (b, f) -> not (exists_within view i b (fun j -> not (sat view j f)))
   | Until (b, f, g) ->
       let t0 = view.times.(i) in
       let rec go j =
-        if j >= view.n || view.times.(j) -. t0 > b then false
+        if (not (has view j)) || view.times.(j) -. t0 > b then false
         else if sat view j g then true
         else if sat view j f then go (j + 1)
         else false
@@ -107,23 +195,29 @@ let rec sat view i = function
 and exists_within view i bound p =
   let t0 = view.times.(i) in
   let rec go j =
-    if j >= view.n || view.times.(j) -. t0 > bound then false
+    if (not (has view j)) || view.times.(j) -. t0 > bound then false
     else p j || go (j + 1)
   in
   go i
 
+let start_at name view at =
+  if not (has view 0) then invalid_arg (Printf.sprintf "Bltl.%s: empty trace" name);
+  if not (has view at) then invalid_arg (Printf.sprintf "Bltl.%s: index out of bounds" name)
+
 let holds ?(at = 0) view f =
-  if view.n = 0 then invalid_arg "Bltl.holds: empty trace";
+  start_at "holds" view at;
   sat view at f
 
 (* Quantitative robustness degree (Fainekos-Pappas style). *)
 let rec rob view i = function
-  | Prop f -> Expr.Formula.robustness (lookup (view.env_at i)) f
+  | Prop f ->
+      view.at <- i;
+      Expr.Formula.robustness view.read f
   | Not f -> -.rob view i f
   | And (a, b) -> Float.min (rob view i a) (rob view i b)
   | Or (a, b) -> Float.max (rob view i a) (rob view i b)
   | Implies (a, b) -> Float.max (-.rob view i a) (rob view i b)
-  | Next f -> if i + 1 < view.n then rob view (i + 1) f else rob view i f
+  | Next f -> if has view (i + 1) then rob view (i + 1) f else rob view i f
   | Finally (b, f) ->
       fold_within view i b neg_infinity Float.max (fun j -> rob view j f)
   | Globally (b, f) ->
@@ -131,7 +225,7 @@ let rec rob view i = function
   | Until (b, f, g) ->
       let t0 = view.times.(i) in
       let rec go j best prefix =
-        if j >= view.n || view.times.(j) -. t0 > b then best
+        if (not (has view j)) || view.times.(j) -. t0 > b then best
         else
           let here = Float.min prefix (rob view j g) in
           let best = Float.max best here in
@@ -142,11 +236,11 @@ let rec rob view i = function
 and fold_within view i bound init combine f =
   let t0 = view.times.(i) in
   let rec go j acc =
-    if j >= view.n || view.times.(j) -. t0 > bound then acc
+    if (not (has view j)) || view.times.(j) -. t0 > bound then acc
     else go (j + 1) (combine acc (f j))
   in
   go i init
 
 let robustness ?(at = 0) view f =
-  if view.n = 0 then invalid_arg "Bltl.robustness: empty trace";
+  start_at "robustness" view at;
   rob view at f

@@ -17,6 +17,7 @@ let m_samples = Telemetry.Counter.make "smc.samples"
 let m_successes = Telemetry.Counter.make "smc.successes"
 let m_batches = Telemetry.Counter.make "smc.sprt_batches"
 let m_discarded = Telemetry.Counter.make "smc.discarded"
+let m_steps = Telemetry.Counter.make "smc.steps"
 
 type problem = {
   model : model;
@@ -31,51 +32,50 @@ let problem ?(max_jumps = 100) ~model ~init_dist ~param_dist ~property ~t_end ()
   if t_end <= 0.0 then invalid_arg "Smc.problem: t_end must be positive";
   { model; init_dist; param_dist; property; t_end; max_jumps }
 
-(* One Bernoulli sample of the property. *)
-let sample_once_inner rng prob =
+(* Each domain's streamed trace view.  A sample's verdict is read to
+   the end before the next sample starts on the same domain, so one
+   view per domain is never shared by two live samples, and its point
+   buffers are allocated once per domain instead of once per sample. *)
+let view_key = Domain.DLS.new_key Bltl.streaming
+
+(* Draw one sample and [read] its view.  An ODE sample streams its
+   points from the stepper, so integration stops where [read] has what
+   it needs, and [smc.steps] adds the steps it took; a hybrid sample
+   simulates the whole trajectory first. *)
+let read_sample rng prob read =
   let init = Sampler.sample rng prob.init_dist in
   let params = Sampler.sample rng prob.param_dist in
   match prob.model with
   | Ode_model sys ->
-      let init =
-        List.map
-          (fun v ->
-            match List.assoc_opt v init with
-            | Some x -> (v, x)
-            | None -> invalid_arg (Printf.sprintf "Smc: no initial distribution for %S" v))
-          (Ode.System.vars sys)
-      in
-      let tr = Ode.Integrate.simulate ~params ~init ~t_end:prob.t_end sys in
-      Bltl.holds (Bltl.of_trace ~params tr) prob.property
+      List.iter
+        (fun v ->
+          if not (List.mem_assoc v init) then
+            invalid_arg (Printf.sprintf "Smc: no initial distribution for %S" v))
+        (Ode.System.vars sys);
+      let stepper = Ode.Integrate.start ~params ~init ~t_end:prob.t_end sys in
+      let view = Domain.DLS.get view_key in
+      Bltl.stream ~params view stepper;
+      let r = read view in
+      Telemetry.Counter.add m_steps (Ode.Integrate.steps stepper);
+      r
   | Hybrid_model h ->
       let traj =
         Hybrid.Simulate.simulate ~params ~init ~t_end:prob.t_end
           ~max_jumps:prob.max_jumps h
       in
-      Bltl.holds (Bltl.of_trajectory ~params traj) prob.property
+      read (Bltl.of_trajectory ~params traj)
 
-(* Counting wrapper: sampling only observes the outcome, so telemetry
-   never perturbs the Bernoulli stream. *)
+(* One Bernoulli sample of the property.  Sampling only observes the
+   outcome, so telemetry never perturbs the Bernoulli stream. *)
 let sample_once rng prob =
-  let outcome = sample_once_inner rng prob in
+  let outcome = read_sample rng prob (fun view -> Bltl.holds view prob.property) in
   Telemetry.Counter.incr m_samples;
   if outcome then Telemetry.Counter.incr m_successes;
   outcome
 
 (* Robustness of one random trajectory (quantitative sample). *)
 let sample_robustness rng prob =
-  let init = Sampler.sample rng prob.init_dist in
-  let params = Sampler.sample rng prob.param_dist in
-  match prob.model with
-  | Ode_model sys ->
-      let tr = Ode.Integrate.simulate ~params ~init ~t_end:prob.t_end sys in
-      Bltl.robustness (Bltl.of_trace ~params tr) prob.property
-  | Hybrid_model h ->
-      let traj =
-        Hybrid.Simulate.simulate ~params ~init ~t_end:prob.t_end
-          ~max_jumps:prob.max_jumps h
-      in
-      Bltl.robustness (Bltl.of_trajectory ~params traj) prob.property
+  read_sample rng prob (fun view -> Bltl.robustness view prob.property)
 
 (* ---- Parallel sampling ----
 

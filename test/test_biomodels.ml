@@ -290,6 +290,63 @@ let test_stability_subjects_relax () =
       ("damped rotation", Cl.damped_rotation, [ ("x", 1.0); ("y", -1.0) ], 20.0, 0.05);
       ("damped nonlinear", Cl.damped_nonlinear, [ ("x", 0.8); ("y", 0.8) ], 300.0, 0.1) ]
 
+(* ---- Hoisted field evaluation ----
+
+   [Ode.System.compile_into] evaluates a field's constant and
+   parameter-only tape slots once per closure; every output must still
+   equal a full [Expr.Tape.eval_floats_into] pass bit for bit, on every
+   field of this library, over SplitMix64 states, parameters and times.
+   Each closure is called many times, so a stale or clobbered static
+   slot would show. *)
+
+let all_fields () =
+  let modes h =
+    List.map
+      (fun m -> Hybrid.Automaton.mode_system h m)
+      (Hybrid.Automaton.mode_names h)
+  in
+  [ Cl.lotka_volterra; Cl.lotka_volterra_full; Cl.erk_cascade; Cl.proofreading;
+    Cl.damped_nonlinear; Cl.damped_rotation; Cl.p53_mdm2; Cl.sir;
+    Biomodels.Genetic.toggle_switch; Biomodels.Genetic.repressilator ]
+  @ modes (FK.automaton ())
+  @ modes (FK.automaton ~free_params:[ "tau_si"; "tau_d" ] ())
+  @ modes (BCF.automaton ~free_params:[ "tau_so1" ] ())
+  @ modes (Pro.automaton ())
+  @ modes (Tbi.automaton ())
+  @ modes (Biomodels.Genetic.toggle_automaton ())
+
+let test_hoisted_fields () =
+  Expr.Tape.set_enabled true;
+  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
+  let st = ref 53L in
+  let draw () = Splitmix.float st 4.0 -. 1.0 in
+  List.iteri
+    (fun k sys ->
+      let n = Ode.System.dim sys and ps = Ode.System.params sys in
+      let np = List.length ps in
+      let tp = Ode.System.rhs_tape sys in
+      let sc = Expr.Tape.scratch tp in
+      for _ = 1 to 4 do
+        let param_env = List.map (fun p -> (p, draw ())) ps in
+        let f = Ode.System.compile_into ~param_env sys in
+        for _ = 1 to 25 do
+          let state = Array.init n (fun _ -> draw ()) and t = draw () in
+          let out = Array.make n 0.0 and full = Array.make n 0.0 in
+          f t state out;
+          let inputs =
+            Array.concat [ state; Array.of_list (List.map snd param_env); [| t |] ]
+          in
+          Expr.Tape.eval_floats_into tp sc ~inputs ~out:full;
+          Array.iteri
+            (fun i v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float full.(i) then
+                Alcotest.failf "field %d (%d params), component %d: %h vs full pass %h" k
+                  np i v full.(i))
+            out
+        done
+      done)
+    (all_fields ())
+
 let () =
   Alcotest.run "biomodels"
     [
@@ -337,4 +394,7 @@ let () =
           Alcotest.test_case "p53 pulse" `Quick test_p53_pulse;
           Alcotest.test_case "stability subjects" `Quick test_stability_subjects_relax;
         ] );
+      ( "fields",
+        [ Alcotest.test_case "hoisted compile_into = full tape pass" `Quick
+            test_hoisted_fields ] );
     ]

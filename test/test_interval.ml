@@ -107,6 +107,53 @@ let test_trig () =
   let big = I.cos (I.make 0.0 100.0) in
   Alcotest.(check bool) "cos wide = [-1,1]" true (I.equal big (I.make (-1.0) 1.0))
 
+(* Trigonometry far from the origin must terminate.  [contains_multiple]
+   used to scan candidate multiples k of 2pi by [k +. 1.0], which stops
+   moving k from 2^53 on: cos and tan of the point below never
+   returned.  Each interval runs in its own domain with a 1 s deadline,
+   so a regression fails here instead of hanging the suite.  Besides
+   that point, a SplitMix64 sweep of points and one-ulp intervals with
+   magnitudes in [2^52, 2^64]; every result must contain libm's value
+   at the interval's lower end. *)
+
+let with_deadline ~seconds what f =
+  let result = Atomic.make None in
+  let _worker : unit Domain.t =
+    Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let deadline = Telemetry.now_ns () + int_of_float (seconds *. 1e9) in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None ->
+        (* A hung worker is left running: a domain cannot be stopped,
+           and the process exits when the suite ends. *)
+        if Telemetry.now_ns () > deadline then Alcotest.failf "%s: no result within %g s" what seconds;
+        Domain.cpu_relax ();
+        wait ()
+  in
+  wait ()
+
+let test_trig_far () =
+  let check_far i =
+    let x = I.lo i in
+    let what = Printf.sprintf "[%h, %h]" x (I.hi i) in
+    let c, t = with_deadline ~seconds:1.0 what (fun () -> (I.cos i, I.tan i)) in
+    check_mem ("cos " ^ what) (Float.cos x) c;
+    let tx = Float.tan x in
+    Alcotest.(check bool) ("tan " ^ what) true (I.mem tx t || (Float.is_nan tx && I.is_entire t))
+  in
+  check_far (I.of_float 0x1.eddad6397735cp+61);
+  let st = ref 97L in
+  for _ = 1 to 200 do
+    let e = 52 + Splitmix.int st 12 in
+    let x = Float.ldexp (1.0 +. Splitmix.float st 1.0) e in
+    let x = if Splitmix.int st 2 = 0 then x else -.x in
+    check_far (I.of_float x);
+    check_far (I.make x (Float.succ x))
+  done
+
 let test_root_atanh () =
   let r = I.root (I.make 4.0 9.0) 2 in
   check_mem "sqrt-root 2" 2.0 r;
@@ -487,6 +534,7 @@ let () =
           Alcotest.test_case "sqr and pow" `Quick test_sqr_pow;
           Alcotest.test_case "transcendental domains" `Quick test_transcendental_domains;
           Alcotest.test_case "trigonometry" `Quick test_trig;
+          Alcotest.test_case "trigonometry far from the origin" `Quick test_trig_far;
           Alcotest.test_case "root and atanh" `Quick test_root_atanh;
           Alcotest.test_case "sign queries" `Quick test_sign_queries;
           Alcotest.test_case "rounding direction" `Quick test_rounding_direction;

@@ -352,6 +352,71 @@ let test_flow_digest () =
   Alcotest.(check string) "flow tubes bit-identical"
     "f160da8d3d70a662c246e0e66a9e3794" (flow_digest ())
 
+(* ---- Bit-identity digest of the numeric integrators ----
+
+   Every point of [Int.simulate] traces under all four methods, and the
+   trace and event of [Int.simulate_until], printed with %h and hashed.
+   The expected value was computed before the integration loop became
+   a resumable stepper: splitting the loop must not move a point.  The
+   systems are the two of the flow digest, a blow-up (x' = x², where
+   RKF45 forces tiny y4 steps through the singularity) and a square
+   root that turns NaN when the state crosses zero (the max-norm error
+   estimate skips NaN components, so the NaN points are accepted up to
+   [t_end]).  RKF45's step control calls [Float.pow]. *)
+
+let blow_up = Sys.of_strings ~vars:[ "x" ] ~params:[] ~rhs:[ ("x", "x^2") ]
+let sqrt_drain = Sys.of_strings ~vars:[ "x" ] ~params:[] ~rhs:[ ("x", "-sqrt(x)") ]
+
+let integrator_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add_trace tr =
+    Array.iteri
+      (fun i t ->
+        Printf.bprintf buf "%h:" t;
+        Array.iter (fun v -> Printf.bprintf buf "%h," v) tr.Int.states.(i);
+        Buffer.add_char buf ';')
+      tr.Int.times;
+    Buffer.add_char buf '|'
+  in
+  let methods =
+    [ Int.Euler 0.05; Int.Rk4 0.05; Int.default_rkf45; Int.default_implicit 0.05;
+      Int.Rkf45 { rtol = 1e-3; atol = 1e-6; h0 = 0.5; h_max = 1.0 } ]
+  in
+  let st = ref 31L in
+  let init sys = List.map (fun v -> (v, 0.4 +. Splitmix.float st 0.4)) (Sys.vars sys) in
+  let params sys = List.map (fun p -> (p, 0.2 +. Splitmix.float st 0.1)) (Sys.params sys) in
+  List.iter
+    (fun method_ ->
+      List.iter
+        (fun (sys, t_end) ->
+          add_trace (Int.simulate ~method_ ~params:(params sys) ~init:(init sys) ~t_end sys))
+        [ (digest_autonomous, 2.0); (digest_timed, 2.0); (blow_up, 3.0); (sqrt_drain, 3.0) ];
+      add_trace
+        (Int.simulate ~t0:0.5 ~method_ ~params:[] ~init:[ ("x", 1.0) ] ~t_end:2.0 blow_up);
+      List.iter
+        (fun (sys, guard) ->
+          let tr, ev =
+            Int.simulate_until ~method_ ~params:(params sys) ~init:(init sys) ~t_end:3.0
+              ~guard:(P.formula guard) sys
+          in
+          add_trace tr;
+          match ev with
+          | None -> Buffer.add_string buf "none|"
+          | Some e ->
+              Printf.bprintf buf "%h:" e.Int.time;
+              Array.iter (fun v -> Printf.bprintf buf "%h," v) e.Int.state;
+              Buffer.add_char buf '|')
+        [ (digest_timed, "x*y >= 0.5"); (digest_autonomous, "y >= 2");
+          (sqrt_drain, "x <= 0.25"); (blow_up, "x >= 0") ])
+    methods;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_integrator_digest () =
+  Expr.Tape.set_enabled true;
+  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
+  Alcotest.(check string) "integrator traces bit-identical"
+    "c1d35c1eb1508e40e11a2486f9da502f" (integrator_digest ())
+
 (* ---- Properties ---- *)
 
 let prop_enclosure_contains_exact =
@@ -413,6 +478,7 @@ let () =
           Alcotest.test_case "event localization" `Quick test_simulate_until;
           Alcotest.test_case "no event" `Quick test_simulate_until_no_event;
           Alcotest.test_case "immediate event" `Quick test_simulate_until_immediate;
+          Alcotest.test_case "traces match committed digest" `Quick test_integrator_digest;
         ] );
       ( "enclosure",
         [

@@ -100,6 +100,198 @@ let test_bltl_trajectory_view () =
   Alcotest.(check bool) "never above 1.1" false
     (L.holds view (L.Finally (2.0, L.prop "x >= 1.1")))
 
+(* ---- Streamed views agree with stored traces ----
+
+   A streamed view reads its points from an [Ode.Integrate] stepper on
+   demand; a stored view holds the whole [Ode.Integrate.simulate] trace.  On random systems
+   (1-3 state variables, two parameters, one field reading t, SplitMix64
+   initial states, all four methods) and random formulas over all nine
+   constructors up to depth 3, both must give the same verdict and a
+   bit-identical robustness degree, and the streamed view must never
+   hold more points than the trace.  Atom thresholds are state values
+   and times taken from the trace, and bounds include exact offsets
+   between point times, horizons past t_end and 0, so the ties of
+   [t_j - t_i > b] and of [>=] against [>] are exercised; evaluating at
+   the last point makes [Next] stutter. *)
+
+module T = Expr.Term
+module F = Expr.Formula
+
+let streamed ?(params = []) ?method_ ~init ~t_end sys =
+  let view = L.streaming () in
+  L.stream ~params view (Ode.Integrate.start ?method_ ~params ~init ~t_end sys);
+  view
+
+let rand_system st =
+  let k = 1 + Splitmix.int st 3 in
+  let vars = List.init k (fun i -> Printf.sprintf "x%d" i) in
+  let coef () = T.const (Splitmix.float st 1.0 -. 0.5) in
+  let rhs =
+    List.mapi
+      (fun i v ->
+        let next = T.var (List.nth vars ((i + 1) mod k)) in
+        let base =
+          T.add
+            (T.mul (T.neg (T.var "a")) (T.var v))
+            (T.add (T.mul (T.var "b") next) (T.mul (coef ()) (T.pow (T.var v) 3)))
+        in
+        (v, if i = 0 then T.add base (T.mul (coef ()) (T.sin (T.var "t"))) else base))
+      vars
+  in
+  Ode.System.create ~vars ~params:[ "a"; "b" ] ~rhs
+
+let rand_method st =
+  match Splitmix.int st 5 with
+  | 0 -> Ode.Integrate.Euler (0.05 +. Splitmix.float st 0.2)
+  | 1 -> Ode.Integrate.Rk4 (0.05 +. Splitmix.float st 0.3)
+  | 2 -> Ode.Integrate.default_implicit (0.05 +. Splitmix.float st 0.2)
+  | 3 -> Ode.Integrate.Rkf45 { rtol = 1e-4; atol = 1e-7; h0 = 0.01; h_max = 0.5 }
+  | _ -> Ode.Integrate.default_rkf45
+
+let rand_formula st (tr : Ode.Integrate.trace) ~t_end =
+  let n = Ode.Integrate.length tr in
+  let vars = Array.of_list tr.Ode.Integrate.vars in
+  let point () = Splitmix.int st n in
+  let state_var () =
+    let j = Splitmix.int st (Array.length vars) in
+    (T.var vars.(j), fun i -> tr.Ode.Integrate.states.(i).(j))
+  in
+  let atom () =
+    let rel = if Splitmix.int st 2 = 0 then F.ge else F.gt in
+    let flip a b = if Splitmix.int st 2 = 0 then rel a b else rel b a in
+    match Splitmix.int st 4 with
+    | 0 ->
+        let x, value = state_var () in
+        flip x (T.const (value (point ())))
+    | 1 ->
+        let x, vx = state_var () and y, vy = state_var () in
+        let i = point () in
+        flip (T.sub x y) (T.const (vx i -. vy i))
+    | 2 -> flip (T.var "t") (T.const tr.Ode.Integrate.times.(point ()))
+    | _ ->
+        let x, value = state_var () in
+        flip (T.mul (T.var "a") x) (T.const (value (point ()) *. 0.5))
+  in
+  let bound () =
+    match Splitmix.int st 5 with
+    | 0 ->
+        let i = point () and j = point () in
+        let i, j = (Stdlib.min i j, Stdlib.max i j) in
+        tr.Ode.Integrate.times.(j) -. tr.Ode.Integrate.times.(i)
+    | 1 -> t_end +. 1.0 +. Splitmix.float st t_end
+    | 2 -> 0.0
+    | _ -> Splitmix.float st t_end
+  in
+  let rec go d =
+    if d = 0 || Splitmix.int st 5 = 0 then L.Prop (atom ())
+    else
+      match Splitmix.int st 8 with
+      | 0 -> L.Not (go (d - 1))
+      | 1 -> L.And (go (d - 1), go (d - 1))
+      | 2 -> L.Or (go (d - 1), go (d - 1))
+      | 3 -> L.Implies (go (d - 1), go (d - 1))
+      | 4 -> L.Next (go (d - 1))
+      | 5 ->
+          let b = bound () in
+          L.Until (b, go (d - 1), go (d - 1))
+      | 6 ->
+          let b = bound () in
+          L.Finally (b, go (d - 1))
+      | _ ->
+          let b = bound () in
+          L.Globally (b, go (d - 1))
+  in
+  go 3
+
+let test_streamed_differential () =
+  let st = ref 0x5eedL in
+  let verdicts = ref 0 and early = ref 0 in
+  for case = 1 to 150 do
+    let sys = rand_system st in
+    let method_ = rand_method st in
+    let params = [ ("a", 0.2 +. Splitmix.float st 1.0); ("b", Splitmix.float st 1.0 -. 0.5) ] in
+    let init = List.map (fun v -> (v, Splitmix.float st 2.0 -. 1.0)) (Ode.System.vars sys) in
+    let t_end = 0.5 +. Splitmix.float st 2.5 in
+    let tr = Ode.Integrate.simulate ~method_ ~params ~init ~t_end sys in
+    let eager = L.of_trace ~params tr in
+    let n = Ode.Integrate.length tr in
+    for _ = 1 to 6 do
+      let f = rand_formula st tr ~t_end in
+      let at = match Splitmix.int st 3 with 0 -> 0 | 1 -> n - 1 | _ -> Splitmix.int st n in
+      let what = Fmt.str "case %d at %d: %a" case at L.pp f in
+      let sv = streamed ~params ~method_ ~init ~t_end sys in
+      let h = L.holds ~at sv f in
+      Alcotest.(check bool) what (L.holds ~at eager f) h;
+      if h then incr verdicts;
+      if L.points sv > n then Alcotest.failf "%s: streamed %d points, trace %d" what (L.points sv) n;
+      if L.points sv < n then incr early;
+      let rv = streamed ~params ~method_ ~init ~t_end sys in
+      let r_eager = L.robustness ~at eager f and r_streamed = L.robustness ~at rv f in
+      if Int64.bits_of_float r_eager <> Int64.bits_of_float r_streamed then
+        Alcotest.failf "%s: robustness %h streamed, %h stored" what r_streamed r_eager
+    done
+  done;
+  (* the draw must exercise both verdicts and early stops *)
+  Alcotest.(check bool) "some verdicts true" true (!verdicts > 100);
+  Alcotest.(check bool) "some false" true (!verdicts < 800);
+  Alcotest.(check bool) "some streams stop early" true (!early > 100)
+
+(* Atoms keep [Term.eval] semantics: [x^3] is [Float.pow x 3.], which
+   differs from the tapes' [x*x*x] in the last bit for about a quarter
+   of x in [0, 2).  At an x0 where [x0*x0*x0 < Float.pow x0 3.], the
+   atom [x^3 >= Float.pow x0 3.] holds at the initial point; a float
+   tape would say it does not. *)
+let test_streamed_pow_atom () =
+  let st = ref 3L in
+  let rec pick () =
+    let x = Splitmix.float st 2.0 in
+    if x *. x *. x < Float.pow x 3.0 then x else pick ()
+  in
+  let x0 = pick () in
+  let f = L.Prop (F.ge (T.pow (T.var "x") 3) (T.const (Float.pow x0 3.0))) in
+  let init = [ ("x", x0) ] in
+  Alcotest.(check bool) "stored" true (L.holds (L.of_trace (decay_trace ~x0 ())) f);
+  Alcotest.(check bool) "streamed" true (L.holds (streamed ~init ~t_end:2.0 decay) f)
+
+(* The near-end property of the DBN abstraction example: F[30] over
+   points with t >= 29.9 reads up to the last point. *)
+let test_streamed_near_end () =
+  let f = L.Finally (30.0, L.And (L.prop "p53 >= 0.3", L.prop "t >= 29.9")) in
+  let seen = ref [] in
+  List.iter
+    (fun damage ->
+      let params = [ ("damage", damage) ] and init = [ ("p53", 0.05); ("mdm2", 0.05) ] in
+      let sys = Biomodels.Classics.p53_mdm2 in
+      let tr = Ode.Integrate.simulate ~params ~init ~t_end:30.0 sys in
+      let h = L.holds (L.of_trace ~params tr) f in
+      seen := h :: !seen;
+      Alcotest.(check bool) (Printf.sprintf "damage %g" damage) h
+        (L.holds (streamed ~params ~init ~t_end:30.0 sys) f))
+    [ 0.05; 0.2; 0.3; 0.45; 1.0; 1.4 ];
+  Alcotest.(check bool) "both verdicts" true (List.mem true !seen && List.mem false !seen)
+
+(* Parameters come first in the atoms' environment: a parameter named
+   like a state variable or like t shadows it, in both views. *)
+let test_streamed_param_shadowing () =
+  let params = [ ("x", 5.0); ("t", -1.0) ] and init = [ ("x", 1.0) ] in
+  let stored = L.of_trace ~params (decay_trace ()) in
+  let sv = streamed ~params ~method_:(Ode.Integrate.Rk4 0.01) ~init ~t_end:2.0 decay in
+  List.iter
+    (fun (f, want) ->
+      let what = Fmt.str "%a" L.pp f in
+      Alcotest.(check bool) (what ^ " stored") want (L.holds stored f);
+      Alcotest.(check bool) (what ^ " streamed") want (L.holds sv f))
+    [ (L.Globally (2.0, L.prop "x >= 4"), true); (L.Finally (2.0, L.prop "t >= 0"), false) ]
+
+let test_streamed_unbound () =
+  let f = L.Finally (1.0, L.prop "zzz > 0") in
+  let raises what view =
+    Alcotest.check_raises what (Invalid_argument "Bltl: unbound variable \"zzz\"") (fun () ->
+        ignore (L.holds view f))
+  in
+  raises "stored" (L.of_trace (decay_trace ()));
+  raises "streamed" (streamed ~init:[ ("x", 1.0) ] ~t_end:2.0 decay)
+
 (* ---- Sampler ---- *)
 
 let test_sampler_deterministic () =
@@ -262,6 +454,74 @@ let test_runner_hybrid_model () =
   let e = R.estimate ~eps:0.1 ~alpha:0.1 prob in
   Alcotest.(check (float 1e-9)) "hybrid probability 1" 1.0 e.Es.p_hat
 
+(* ---- Exact outcomes on the p53 regimes ----
+
+   Chernoff success counts, SPRT verdicts with their sample counts, and
+   Bayesian success counts on the three damage regimes of the E8 p53
+   workload, at seeds 0-2 and jobs 1 and 2.  The expected lines were
+   computed when every sample still integrated to [t_end] into a stored
+   trace: reading the stepper on demand and stopping at the verdict must
+   not move one Bernoulli outcome.  Work stealing is pinned on because
+   it sizes the jobs = 2 SPRT batches. *)
+
+let p53_regimes = [ ("0.0-0.1", 0.0, 0.1); ("0.1-0.5", 0.1, 0.5); ("0.5-1.5", 0.5, 1.5) ]
+
+let p53_problem lo hi =
+  R.problem ~model:(R.Ode_model Biomodels.Classics.p53_mdm2)
+    ~init_dist:[ ("p53", Sa.Uniform (0.02, 0.08)); ("mdm2", Sa.Uniform (0.02, 0.08)) ]
+    ~param_dist:[ ("damage", Sa.Uniform (lo, hi)) ]
+    ~property:(L.Finally (30.0, L.prop "p53 >= 0.3"))
+    ~t_end:30.0 ()
+
+let p53_outcomes () =
+  let sprt = { Sp.default_config with theta = 0.8; max_samples = 2000 } in
+  List.concat_map
+    (fun jobs ->
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun (label, lo, hi) ->
+              let pb = p53_problem lo hi in
+              let e = R.estimate ~seed ~jobs ~eps:0.1 ~alpha:0.05 pb in
+              let t = R.test ~seed ~jobs ~config:sprt pb in
+              let b = R.estimate_bayesian ~seed ~jobs ~n:100 pb in
+              let verdict =
+                match t.Sp.verdict with
+                | Sp.Accept -> "accept"
+                | Sp.Reject -> "reject"
+                | Sp.Inconclusive -> "inconclusive"
+              in
+              Printf.sprintf "j%d s%d %s: %d/%d %s@%d %d/%d" jobs seed label e.Es.successes
+                e.Es.n verdict t.Sp.samples_used b.Es.successes b.Es.n)
+            p53_regimes)
+        [ 0; 1; 2 ])
+    [ 1; 2 ]
+
+let p53_expected =
+  [ "j1 s0 0.0-0.1: 0/185 reject@9 0/100";
+    "j1 s0 0.1-0.5: 149/185 accept@261 84/100";
+    "j1 s0 0.5-1.5: 185/185 accept@37 100/100";
+    "j1 s1 0.0-0.1: 0/185 reject@9 0/100";
+    "j1 s1 0.1-0.5: 162/185 accept@78 89/100";
+    "j1 s1 0.5-1.5: 185/185 accept@37 100/100";
+    "j1 s2 0.0-0.1: 0/185 reject@9 0/100";
+    "j1 s2 0.1-0.5: 167/185 accept@63 91/100";
+    "j1 s2 0.5-1.5: 185/185 accept@37 100/100";
+    "j2 s0 0.0-0.1: 0/185 reject@9 0/100";
+    "j2 s0 0.1-0.5: 167/185 accept@68 92/100";
+    "j2 s0 0.5-1.5: 185/185 accept@37 100/100";
+    "j2 s1 0.0-0.1: 0/185 reject@9 0/100";
+    "j2 s1 0.1-0.5: 163/185 accept@113 85/100";
+    "j2 s1 0.5-1.5: 185/185 accept@37 100/100";
+    "j2 s2 0.0-0.1: 0/185 reject@9 0/100";
+    "j2 s2 0.1-0.5: 158/185 accept@154 83/100";
+    "j2 s2 0.5-1.5: 185/185 accept@37 100/100" ]
+
+let test_p53_outcomes () =
+  Parallel.Pool.set_workstealing true;
+  Fun.protect ~finally:Parallel.Pool.clear_workstealing_override @@ fun () ->
+  Alcotest.(check (list string)) "p53 outcomes" p53_expected (p53_outcomes ())
+
 let () =
   Alcotest.run "smc"
     [
@@ -276,6 +536,11 @@ let () =
           Alcotest.test_case "horizon" `Quick test_bltl_horizon;
           Alcotest.test_case "robustness" `Quick test_bltl_robustness;
           Alcotest.test_case "trajectory view" `Quick test_bltl_trajectory_view;
+          Alcotest.test_case "streamed = stored (random)" `Quick test_streamed_differential;
+          Alcotest.test_case "streamed pow atom" `Quick test_streamed_pow_atom;
+          Alcotest.test_case "streamed near-end property" `Quick test_streamed_near_end;
+          Alcotest.test_case "streamed parameter shadowing" `Quick test_streamed_param_shadowing;
+          Alcotest.test_case "streamed unbound variable" `Quick test_streamed_unbound;
         ] );
       ( "sampler",
         [
@@ -306,5 +571,6 @@ let () =
           Alcotest.test_case "reproducible" `Quick test_runner_reproducible;
           Alcotest.test_case "mean robustness" `Quick test_runner_robustness;
           Alcotest.test_case "hybrid model" `Quick test_runner_hybrid_model;
+          Alcotest.test_case "p53 outcomes match committed" `Quick test_p53_outcomes;
         ] );
     ]
