@@ -2093,244 +2093,6 @@ let tm1 ?(quick = false) () =
   Report.print [ Report.text "wrote BENCH_tm.json" ]
 
 (* ------------------------------------------------------------------ *)
-(* PF1: strategy portfolio vs single strategies                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The configuration portfolio (Icp.Portfolio, BIOMC_PORTFOLIO=1) races
-   the curated strategy lineup per query against each strategy forced
-   alone, on the N1/AF1 decide and pave workloads plus a bounded-reach
-   case study.  Verdict identity between the portfolio and every single
-   strategy is asserted in-process.  Honesty note for this 1-core
-   container: [Pool.first_conclusive] on one effective domain runs the
-   racers to completion in rank order, so the portfolio's wall-clock is
-   rank 0's plus cancellation overhead whenever rank 0 concludes — the
-   cross-racer refutation sharing only changes wall-clock when an early
-   racer retires Unknown (its refutations then prune the next racer's
-   search) or when real parallelism interleaves racers.  The ratios
-   below therefore measure the scheduling discipline (portfolio ≈ best
-   single, never worst single), not a multicore speedup.  Every timed
-   run starts from cleared caches and a forced major GC, so no run
-   rides an earlier run's stores. *)
-
-let pf1 ?(quick = false) () =
-  section
-    (if quick then "PF1  Strategy portfolio vs single strategies (quick)"
-     else "PF1  Strategy portfolio: race configurations, first conclusive wins");
-  Cache.set_policy Cache.Exact;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Icp.Portfolio.clear_mode_override ())
-  @@ fun () ->
-  let strategies =
-    Icp.Portfolio.set_mode Icp.Portfolio.Curated;
-    let l = Icp.Portfolio.lineup () in
-    Icp.Portfolio.set_mode Icp.Portfolio.Off;
-    l
-  in
-  let rounds = if quick then 2 else 9 in
-  (* min-of-rounds wall; caches cleared and a major GC forced before
-     every timed run so each measurement is a cold start.  The decide
-     and reach kernels run in well under a millisecond, where scheduler
-     jitter is comparable to the kernel itself — min over several
-     rounds is what makes the portfolio-vs-single ratios meaningful. *)
-  let min_wall f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to rounds do
-      Cache.clear ();
-      Gc.full_major ();
-      let r, dt = timed f in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 1e-3 else 1e-4);
-      epsilon = (if quick then 1e-4 else 1e-5) }
-  in
-  let pcfg =
-    { Icp.Solver.default_config with
-      epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let cubic =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
-       (x - y)^2 >= 0.3"
-  in
-  let cubic_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let mm =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) = 1.35 and s1 + s2 = 1"
-  in
-  let mm_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let fit =
-    Expr.Parse.formula
-      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
-       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3"
-  in
-  let fit_box =
-    Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ]
-  in
-  let reach_pb =
-    let a =
-      Hybrid.Automaton.of_system
-        ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
-        (Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ]
-           ~rhs:[ ("x", "-k*x") ])
-    in
-    E.create
-      ~param_box:(Box.of_list [ ("k", I.make 0.1 3.0) ])
-      ~goal:{ E.goal_modes = []; predicate = Expr.Parse.formula "x <= 0.3" }
-      ~k:0 ~time_bound:1.0 a
-  in
-  (* Each kernel yields (verdict_string, wall) for one strategy (Some s)
-     or the portfolio race (None). *)
-  let decide_kernel formula box strategy () =
-    match strategy with
-    | Some s ->
-        Icp.Solver.decide ~config:dcfg ~strategy:s formula box
-    | None -> Icp.Solver.decide ~config:dcfg formula box
-  in
-  let decide_verdict = function
-    | Icp.Solver.Unsat -> "unsat"
-    | Icp.Solver.Delta_sat _ -> "delta-sat"
-    | Icp.Solver.Unknown _ -> "unknown"
-  in
-  let pave_kernel formula box strategy () =
-    let p =
-      match strategy with
-      | Some s -> Icp.Solver.pave ~config:pcfg ~strategy:s formula box
-      | None -> Icp.Solver.pave ~config:pcfg formula box
-    in
-    if p.Icp.Solver.sat <> [] then "feasible" else "infeasible"
-  in
-  let reach_kernel strategy () =
-    let r =
-      match strategy with
-      | Some s -> C.check ?strategy:(Some s) reach_pb
-      | None -> C.check reach_pb
-    in
-    match r with
-    | C.Unsat _ -> "unsat"
-    | C.Delta_sat _ -> "delta-sat"
-    | C.Unknown _ -> "unknown"
-  in
-  let kernels =
-    [ ("decide-cubic-separation",
-       fun strategy -> decide_verdict (decide_kernel cubic cubic_box strategy ()));
-      ("decide-mm-kinetics",
-       fun strategy -> decide_verdict (decide_kernel mm mm_box strategy ()));
-      ("pave-impulse-fit", fun strategy -> pave_kernel fit fit_box strategy ());
-      ("reach-decay", fun strategy -> reach_kernel strategy ()) ]
-  in
-  let results =
-    List.map
-      (fun (name, run) ->
-        let singles =
-          List.map
-            (fun (s : Icp.Portfolio.strategy) ->
-              let v, t = min_wall (fun () -> run (Some s)) in
-              (s.Icp.Portfolio.name, v, t))
-            strategies
-        in
-        let pv, pt =
-          min_wall (fun () ->
-              Icp.Portfolio.set_mode Icp.Portfolio.Curated;
-              Fun.protect ~finally:(fun () ->
-                  Icp.Portfolio.set_mode Icp.Portfolio.Off)
-              @@ fun () -> run None)
-        in
-        let winner =
-          Option.value ~default:"?" (Icp.Portfolio.last_winner ())
-        in
-        (* verdict identity: the portfolio and every single strategy *)
-        List.iter
-          (fun (sname, v, _) ->
-            if v <> pv then
-              failwith
-                (Printf.sprintf "PF1 %s: verdicts differ (%s=%s, portfolio=%s)"
-                   name sname v pv))
-          singles;
-        let best_name, best_t =
-          List.fold_left
-            (fun (bn, bt) (n, _, t) -> if t < bt then (n, t) else (bn, bt))
-            ("", infinity) singles
-        in
-        let worst_name, worst_t =
-          List.fold_left
-            (fun (wn, wt) (n, _, t) -> if t > wt then (n, t) else (wn, wt))
-            ("", 0.0) singles
-        in
-        (name, pv, singles, pt, winner, (best_name, best_t),
-         (worst_name, worst_t)))
-      kernels
-  in
-  let rows =
-    List.map
-      (fun (name, v, _, pt, winner, (bn, bt), (wn, wt)) ->
-        [ name; v; Fmt.str "%.4fs" pt; winner;
-          Fmt.str "%s %.4fs" bn bt; Fmt.str "%.2fx" (pt /. bt);
-          Fmt.str "%s %.4fs" wn wt; Fmt.str "%.2fx" (wt /. pt) ])
-      results
-  in
-  Report.print
-    [ Report.table
-        ~header:
-          [ "kernel"; "verdict"; "portfolio"; "winner"; "best single";
-            "vs best"; "worst single"; "worst/pf" ]
-        rows;
-      Report.text
-        "1-core honesty: racers serialize in rank order, so portfolio ~ rank-0 \
-         wall; ratios measure the scheduling discipline, not multicore speedup." ];
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n\
-       \  \"quick\": %b,\n\
-       \  \"rounds\": %d,\n\
-       \  \"lineup\": [%s],\n\
-       \  \"note\": \"1-core container: first_conclusive serializes racers in \
-        rank order, so the portfolio's wall tracks rank 0 (plus cancellation \
-        overhead); shared refutation stores only change wall-clock when an \
-        early racer retires Unknown or real parallelism interleaves racers\",\n\
-       \  \"kernels\": [\n"
-       quick rounds
-       (String.concat ", "
-          (List.map
-             (fun (s : Icp.Portfolio.strategy) ->
-               Printf.sprintf "%S" s.Icp.Portfolio.name)
-             strategies)));
-  List.iteri
-    (fun i (name, v, singles, pt, winner, (bn, bt), (wn, wt)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"verdict\": %S, \"identical\": true, \
-            \"winner\": %S,\n\
-           \     \"portfolio_wall_s\": %.6f,\n\
-           \     \"singles\": {%s},\n\
-           \     \"best_single\": %S, \"ratio_vs_best\": %.3f,\n\
-           \     \"worst_single\": %S, \"ratio_worst_vs_portfolio\": %.3f}%s\n"
-           name v winner pt
-           (String.concat ", "
-              (List.map
-                 (fun (n, _, t) -> Printf.sprintf "%S: %.6f" n t)
-                 singles))
-           bn (pt /. bt) wn (wt /. pt)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_portfolio.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_portfolio.json" ]
-
-(* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel kernel timing                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -2486,7 +2248,7 @@ let run_bechamel () =
   Report.print [ Report.table ~header:[ "kernel"; "time/run" ] rows ]
 
 (* CLI: `--quick` runs the quick-aware sections (c1/o1/j1/n1/af1/tm1/
-   pf1/p1) in their reduced configurations (the CI smoke job: fast,
+   p1) in their reduced configurations (the CI smoke job: fast,
    still writes the BENCH_*.json dumps); `--only` takes a
    comma-separated list of section names (e.g. `--only e7,c1,tm1`) and
    runs exactly those, quick-aware sections included — an unknown name
@@ -2514,7 +2276,6 @@ let () =
       ("n1", fun () -> n1 ~quick ());
       ("af1", fun () -> af1 ~quick ());
       ("tm1", fun () -> tm1 ~quick ());
-      ("pf1", fun () -> pf1 ~quick ());
       ("bechamel", run_bechamel) ]
   in
   let chosen =
@@ -2540,7 +2301,7 @@ let () =
         if quick then
           List.filter
             (fun (n, _) ->
-              List.mem n [ "c1"; "o1"; "j1"; "n1"; "af1"; "tm1"; "pf1"; "p1" ])
+              List.mem n [ "c1"; "o1"; "j1"; "n1"; "af1"; "tm1"; "p1" ])
             sections
         else sections
   in

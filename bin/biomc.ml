@@ -190,19 +190,6 @@ let no_tm_arg =
   in
   Arg.(value & flag & info [ "no-tm" ] ~doc)
 
-let portfolio_arg =
-  let doc =
-    "Race solver strategy configurations per query (first conclusive \
-     verdict wins, racers share refutation stores).  $(docv) is \
-     'curated' (the default 4-strategy lineup, also spelled 'on') or \
-     'all' (the full strategy product); equivalent to BIOMC_PORTFOLIO.  \
-     BIOMC_NO_PORTFOLIO=1 kill-switches the portfolio regardless."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some "curated") (some string) None
-    & info [ "portfolio" ] ~docv:"MODE" ~doc)
-
 let apply_cache_policy no_cache =
   if no_cache then Cache.set_policy Cache.Off
 
@@ -218,7 +205,6 @@ type common = {
   no_newton : bool;
   no_affine : bool;
   no_tm : bool;
-  portfolio : string option;  (** strategy-portfolio mode (curated/all) *)
   trace : string option;  (** Chrome trace_event JSON output file *)
   metrics : bool;  (** print the telemetry metrics section *)
   metrics_json : string option;  (** also write the metrics as JSON *)
@@ -263,20 +249,20 @@ let journal_arg =
 let progress_arg =
   let doc =
     "Print a rate-limited progress heartbeat to stderr while the \
-     analysis runs (boxes/sec, prunings, cache hit rate, portfolio \
-     leader).  Purely observational."
+     analysis runs (boxes/sec, prunings, cache hit rate, budget left).  \
+     Purely observational."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
 let common_term =
-  let mk jobs no_cache no_newton no_affine no_tm portfolio trace metrics
-      metrics_json metrics_prom journal progress =
-    { jobs; no_cache; no_newton; no_affine; no_tm; portfolio; trace; metrics;
+  let mk jobs no_cache no_newton no_affine no_tm trace metrics metrics_json
+      metrics_prom journal progress =
+    { jobs; no_cache; no_newton; no_affine; no_tm; trace; metrics;
       metrics_json; metrics_prom; journal; progress }
   in
   Term.(
     const mk $ jobs_arg $ no_cache_arg $ no_newton_arg $ no_affine_arg
-    $ no_tm_arg $ portfolio_arg $ trace_arg $ metrics_arg $ metrics_json_arg
+    $ no_tm_arg $ trace_arg $ metrics_arg $ metrics_json_arg
     $ metrics_prom_arg $ journal_arg $ progress_arg)
 
 (* Telemetry section appended to a report when metrics are on: non-zero
@@ -316,10 +302,6 @@ let with_common c body =
   if c.no_newton then Icp.Deriv.set_enabled false;
   if c.no_affine then Interval.Affine.set_enabled false;
   if c.no_tm then Interval.Tm.set_enabled false;
-  (match c.portfolio with
-  | None -> ()
-  | Some "all" -> Icp.Portfolio.set_mode Icp.Portfolio.All
-  | Some _ -> Icp.Portfolio.set_mode Icp.Portfolio.Curated);
   if c.metrics || c.metrics_json <> None || c.metrics_prom <> None then
     Telemetry.set_metrics true;
   if c.trace <> None then begin
@@ -347,12 +329,7 @@ let with_common c body =
       e
   | Ok items ->
       finish_observers ();
-      let winner_items =
-        match Icp.Portfolio.last_winner () with
-        | Some name -> [ Report.winner name ]
-        | None -> []
-      in
-      Report.print (items @ winner_items @ telemetry_items ());
+      Report.print (items @ telemetry_items ());
       (match c.metrics_json with
       | Some path ->
           let oc = open_out path in
@@ -406,20 +383,30 @@ let box_arg =
   in
   Arg.(value & opt_all box_conv [] & info [ "box" ] ~docv:"KEY=LO:HI" ~doc)
 
+(* The problem `reach' and `export' work on.  A goal that does not
+   parse, and every problem [Reach.Encoding.create] rejects (a free
+   parameter without a --box, an unknown --goal-mode, a negative -k, a
+   non-positive time bound), is a command-line error. *)
+let reach_problem ~boxes ~goal ~goal_modes ~k ~time_bound h =
+  match Expr.Parse.formula_opt goal with
+  | None -> Error (`Msg (Printf.sprintf "cannot parse goal %S" goal))
+  | Some predicate -> (
+      match
+        Reach.Encoding.create ~param_box:(Box.of_list boxes)
+          ~goal:{ Reach.Encoding.goal_modes; predicate }
+          ~k ~time_bound h
+      with
+      | pb -> Ok pb
+      | exception Invalid_argument msg -> Error (`Msg msg))
+
 let reach () (name, entry) t_end params goal goal_modes k boxes common =
   with_common common @@ fun () ->
   let time_bound = Option.value ~default:entry.default_t_end t_end in
   let h = entry.automaton () in
   let h = if params = [] then h else Hybrid.Automaton.bind_params params h in
-  let param_box = Box.of_list boxes in
-  match Expr.Parse.formula_opt goal with
-  | None -> Error (`Msg (Printf.sprintf "cannot parse goal %S" goal))
-  | Some predicate ->
-      let pb =
-        Reach.Encoding.create ~param_box
-          ~goal:{ Reach.Encoding.goal_modes; predicate }
-          ~k ~time_bound h
-      in
+  match reach_problem ~boxes ~goal ~goal_modes ~k ~time_bound h with
+  | Error e -> Error e
+  | Ok pb ->
       let config = { Reach.Checker.default_config with jobs = common.jobs } in
       let result = Reach.Checker.check ~config pb in
       Ok
@@ -758,14 +745,9 @@ let export () (name, entry) t_end params goal goal_modes k boxes output =
   let time_bound = Option.value ~default:entry.default_t_end t_end in
   let h = entry.automaton () in
   let h = if params = [] then h else Hybrid.Automaton.bind_params params h in
-  match Expr.Parse.formula_opt goal with
-  | None -> Error (`Msg (Printf.sprintf "cannot parse goal %S" goal))
-  | Some predicate ->
-      let pb =
-        Reach.Encoding.create ~param_box:(Box.of_list boxes)
-          ~goal:{ Reach.Encoding.goal_modes; predicate }
-          ~k ~time_bound h
-      in
+  match reach_problem ~boxes ~goal ~goal_modes ~k ~time_bound h with
+  | Error e -> Error e
+  | Ok pb ->
       (match output with
       | Some path ->
           Reach.Drh.to_file path pb;

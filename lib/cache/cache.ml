@@ -314,16 +314,10 @@ let note_group_hit g =
   g.ghits <- g.ghits + 1;
   g.miss_streak <- 0
 
-let find ?policy:requested t ~group box =
+let find t ~group box =
   match policy () with
   | Off -> Miss
   | pol ->
-      (* A per-find request may widen Exact to Warm (the portfolio's
-         shared refutation groups want subsumption even under the
-         default policy — refutations are monotone, so it is sound),
-         but the global Off kill-switch always wins: BIOMC_NO_CACHE=1
-         must disable every lookup. *)
-      let pol = match requested with Some p when p = Warm -> Warm | _ -> pol in
       let outcome =
         with_shard t group (fun sh ->
             match Hashtbl.find_opt sh.tbl group with

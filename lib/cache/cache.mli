@@ -136,13 +136,9 @@ type 'v outcome =
           [Warm] *)
   | Miss
 
-val find : ?policy:policy -> 'v t -> group:string -> Interval.Box.t -> 'v outcome
-(** [?policy] widens the lookup policy for this find only: passing
-    [Warm] enables subsumption hits in a group whose values the caller
-    knows to be monotone (the portfolio's shared refutation groups),
-    even when the process default is [Exact].  It can never re-enable a
-    disabled cache: under the global [Off] policy every find still
-    misses.  Requests other than [Warm] are ignored. *)
+val find : 'v t -> group:string -> Interval.Box.t -> 'v outcome
+(** Look [box] up in [group] under the current {!policy}; always
+    [Miss] when the policy is [Off]. *)
 
 val add : 'v t -> group:string -> Interval.Box.t -> 'v -> unit
 (** Insert (replacing an existing entry with an equal box).  No-op when

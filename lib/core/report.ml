@@ -9,7 +9,6 @@ type item =
   | Text of string
   | Kv of (string * string) list
   | Table of { header : cell list; rows : cell list list }
-  | Winner of string
   | Rule
 
 type t = item list
@@ -18,7 +17,6 @@ let heading s = Heading s
 let text fmt = Printf.ksprintf (fun s -> Text s) fmt
 let kv pairs = Kv pairs
 let table ~header rows = Table { header; rows }
-let winner s = Winner s
 let rule = Rule
 
 let cellf fmt = Printf.ksprintf Fun.id fmt
@@ -58,7 +56,6 @@ let pp_item ppf = function
         (String.concat "  "
            (List.map (fun w -> String.make w '-') (Array.to_list ws)));
       List.iter (fun row -> Fmt.pf ppf "  %s@," (render_row row)) rows
-  | Winner s -> Fmt.pf ppf "  winning strategy : %s@," s
   | Rule -> Fmt.pf ppf "%s@," (String.make 64 '-')
 
 let pp ppf (t : t) = Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.nop pp_item) t
@@ -131,10 +128,6 @@ let to_json (t : t) =
               strs row)
             rows;
           Buffer.add_string buf "]}"
-      | Winner s ->
-          Buffer.add_string buf "{\"type\":\"winner\",\"winner\":";
-          str s;
-          Buffer.add_char buf '}'
       | Rule -> Buffer.add_string buf "{\"type\":\"rule\"}"))
     t;
   Buffer.add_char buf ']';

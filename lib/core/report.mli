@@ -8,8 +8,6 @@ type item =
   | Text of string
   | Kv of (string * string) list
   | Table of { header : cell list; rows : cell list list }
-  | Winner of string
-      (** the solver-strategy portfolio's winning racer for this run *)
   | Rule
 
 type t = item list
@@ -18,10 +16,6 @@ val heading : string -> item
 val text : ('a, unit, string, item) format4 -> 'a
 val kv : (string * string) list -> item
 val table : header:cell list -> cell list list -> item
-
-val winner : string -> item
-(** Winning portfolio strategy, rendered as a [winning strategy : <name>]
-    line and as [{"type":"winner","winner":…}] in {!to_json}. *)
 
 val rule : item
 

@@ -406,29 +406,14 @@ let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
    tree-walking otherwise.  The closure is safe to share across worker
    domains (tapes are immutable; scratch is per-domain via Domain.DLS;
    the cache shards are mutex-guarded). *)
-let contractor ?tol ?max_rounds ?newton:newton_req ?affine:affine_req
-    ?tm:tm_req constraints =
+let contractor ?tol ?max_rounds constraints =
   let tape = Expr.Tape.enabled () in
   (* Affine- and TM-tightened forward passes only exist on the tape
      path (the tree walker has no slot arrays to intersect into);
      sampled at build time like [tape] so the closure and its cache
-     group stay consistent.  [?affine] / [?tm] / [?newton] override the
-     global switches for this closure only — portfolio racers need
-     per-strategy layer choices without flipping process-wide atomics
-     under each other — and key the cache group exactly like the
-     sampled globals would, so per-strategy closures share groups with
-     same-flag global runs. *)
-  let affine =
-    tape
-    &&
-    match affine_req with
-    | Some b -> b
-    | None -> Interval.Affine.enabled ()
-  in
-  let tm =
-    tape
-    && match tm_req with Some b -> b | None -> Interval.Tm.enabled ()
-  in
+     group stay consistent. *)
+  let affine = tape && Interval.Affine.enabled () in
+  let tm = tape && Interval.Tm.enabled () in
   let base =
     if tape then begin
       let cs = compile constraints in
@@ -442,10 +427,7 @@ let contractor ?tol ?max_rounds ?newton:newton_req ?affine:affine_req
      flag is sampled at build time — like [tape] — so the closure and
      its cache group stay consistent for their whole lifetime. *)
   let newton =
-    let wanted =
-      match newton_req with Some b -> b | None -> Deriv.enabled ()
-    in
-    if wanted then
+    if Deriv.enabled () then
       Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
     else None
   in

@@ -67,9 +67,6 @@ val fixpoint_compiled :
 val contractor :
   ?tol:float ->
   ?max_rounds:int ->
-  ?newton:bool ->
-  ?affine:bool ->
-  ?tm:bool ->
   constr list ->
   Interval.Box.t ->
   Interval.Box.t option
@@ -86,11 +83,7 @@ val contractor :
     closure may be shared across worker domains: tapes are immutable
     and scratch buffers are per-domain.
 
-    [?newton] / [?affine] / [?tm] pin the respective layer on or off
-    for this closure, overriding the global switches — portfolio racers
-    build per-strategy contractors this way, without flipping
-    process-wide state under concurrent racers.  The affine and
-    Taylor-model passes still require the tape path: [~affine:true] /
-    [~tm:true] are ignored under [BIOMC_NO_TAPE=1].  The HC4 cache
-    group keys on the effective flags, exactly as for
-    globally-switched closures. *)
+    The Newton, affine and Taylor-model layers follow their global
+    switches, sampled when the closure is built; the affine and
+    Taylor-model passes also require the tape path.  The HC4 cache
+    group keys on the sampled flags. *)

@@ -58,6 +58,10 @@ let jbounds b =
   Array.of_list
     (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
+(* The layer-flag snapshot in every journaled run header — decide and
+   pave here, reach and synth runs in [Reach.Checker] and
+   [Synth.Biopsy].  The audit checks each prune reason against it and
+   reads a missing flag as on, so every run kind must carry every key. *)
 let journal_flags jobs =
   [ ("newton", string_of_bool (Deriv.enabled ()));
     ("affine", string_of_bool (Interval.Affine.enabled ()));
@@ -65,7 +69,6 @@ let journal_flags jobs =
     ("tm", string_of_bool (Interval.Tm.enabled ()));
     ("cache", string_of_bool (Cache.enabled ()));
     ("tape", string_of_bool (Expr.Tape.enabled ()));
-    ("portfolio", string_of_bool (Portfolio.active ()));
     ("jobs", string_of_int jobs) ]
 
 type config = {
@@ -333,7 +336,7 @@ let conjunction_contractor cfg atoms =
 (* Decide one DNF branch (a conjunction of atoms) on [box], sequentially.
    [spend] consumes one unit of the (possibly shared) box budget and
    reports whether any budget remains; [cancelled] is polled once per box
-   so a portfolio winner on another domain stops this search promptly. *)
+   so a δ-sat DNF branch on another domain stops this search promptly. *)
 let decide_conjunction ?(cancelled = fun () -> false) ?root_label ~spend cfg
     stats formula atoms box =
   let contract = conjunction_contractor cfg atoms in
@@ -504,380 +507,51 @@ let decide_branches_portfolio ~jobs ~spend cfg worker_stats branches box =
       | Some why -> Unknown why
       | None -> Unsat)
 
-(* ---- Strategy portfolio: race solver configurations ----
+(* ---- Public entry points ---- *)
 
-   In portfolio mode ([BIOMC_PORTFOLIO=1] / [--portfolio]) a query
-   races the [Portfolio.lineup ()] strategies on
-   [Parallel.Pool.first_conclusive]: each racer runs the sequential
-   branch-and-prune with its own branching heuristic, branch order and
-   contraction layers (per-strategy [Contractor.contractor ?newton
-   ?affine] closures — no global switch flipping), and its own box
-   budget lease.  The first conclusive verdict (Unsat or Delta_sat)
-   cancels the rest; a racer that exhausts its budget retires Unknown
-   and never beats a conclusive one.
-
-   Racers share one refutation group per race: a pruning is a semantic
-   proof that no point of the box satisfies the conjunction at this δ —
-   valid whichever strategy derived it — so the group key carries only
-   the query identity (constraints, strictness, δ, rounds, contraction
-   flag) plus the race epoch.  The epoch keeps portfolio-era entries
-   out of the flag-keyed single-strategy groups (the
-   BIOMC_NO_PORTFOLIO path must replay the pre-portfolio populations
-   bit for bit) and out of other races' groups.  Lookups force the
-   Warm policy on this group — refutations are monotone, so a racer
-   prunes any sub-box of a region another racer refuted, which is the
-   whole point of sharing.
-
-   Verdict merge is deterministic: among the conclusive verdicts
-   recorded before the race stopped, conclusive-kind priority first
-   (Unsat outranks Delta_sat: in the δ-gray zone both are correct, and
-   the refutation is the un-weakened claim), then lowest strategy rank
-   — the Reach path-order-merge discipline.  At jobs = 1 the racers
-   run in rank order, so exactly one concludes and the verdict is a
-   deterministic function of (query, lineup). *)
-
-let portfolio_refuted_group cfg ~epoch atoms =
-  if not (Cache.enabled ()) then None
-  else
-    let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
-    Some
-      (Printf.sprintf "pf%d|prune|%s|%s|%h|%d|%b" epoch
-         (Contractor.fingerprint constraints)
-         (rels_key atoms) cfg.delta cfg.contractor_rounds cfg.use_contraction)
-
-let portfolio_pave_group cfg ~epoch formula =
-  if not (Cache.enabled ()) then None
-  else
-    Some
-      (Printf.sprintf "pf%d|pave|%s|%b" epoch
-         (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
-         cfg.use_contraction)
-
-let strategy_contractor cfg (s : Portfolio.strategy) ~delta ~max_rounds atoms =
-  if not cfg.use_contraction then fun b -> Some b
-  else
-    let constraints = List.map (Contractor.of_atom ~delta) atoms in
-    Contractor.contractor ~max_rounds ~newton:s.Portfolio.newton
-      ~affine:s.Portfolio.affine ~tm:s.Portfolio.tm constraints
-
-(* Gradient system for smear branching, compiled iff the strategy asks
-   for it (the lineup already filtered smear strategies out under
-   BIOMC_NO_NEWTON, so no [Deriv.enabled] gate here — a [?strategy]
-   caller forcing smear explicitly gets smear). *)
-let strategy_deriv (s : Portfolio.strategy) ~delta atoms =
-  if s.Portfolio.branching <> Portfolio.Smear then None
-  else
-    Deriv.compile
-      (List.map
-         (fun a ->
-           let c = Contractor.of_atom ~delta a in
-           (c.Contractor.term, c.Contractor.target))
-         atoms)
-
-let strategy_split (s : Portfolio.strategy) ?dsys ~min_width ~depth b =
-  match s.Portfolio.order with
-  | Portfolio.Round_robin -> Portfolio.round_robin_split ~min_width ~depth b
-  | Portfolio.Widest -> split_box ?dsys ~min_width b
-
-(* The racer's per-box step: [process_box_inner] with the strategy's
-   split and Warm-forced lookups on the shared race group.  Kept as a
-   separate function so the default path's step stays byte-identical. *)
-let racer_process_box cfg stats strategy ?refuted ?dsys contract ~depth
-    formula b =
-  let known_refuted =
-    match refuted with
-    | None -> false
-    | Some group -> (
-        match Cache.find ~policy:Cache.Warm refuted_cache ~group b with
-        | Cache.Hit () | Cache.Subsumed (_, ()) -> true
-        | Cache.Miss -> false)
-  in
-  let record_refuted () =
-    match refuted with
-    | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ()
-  in
-  if known_refuted then begin
-    stats.prunings <- stats.prunings + 1;
-    (if Journal.on () then
-       match refuted with
-       | Some group -> Journal.set_reason ~group "cache-replay"
-       | None -> ());
-    Pruned
-  end
-  else
-    match contract b with
-    | None ->
-        record_refuted ();
-        stats.prunings <- stats.prunings + 1;
-        Pruned
-    | Some b' ->
-        if Box.is_empty b' then begin
-          record_refuted ();
-          stats.prunings <- stats.prunings + 1;
-          Pruned
-        end
-        else if not (Expr.Formula.sat_possible ~delta:cfg.delta b' formula)
-        then begin
-          record_refuted ();
-          stats.prunings <- stats.prunings + 1;
-          if Journal.on () then Journal.set_reason "sat-impossible";
-          Pruned
-        end
-        else begin
-          match certify ~delta:cfg.delta stats formula b' with
-          | Some pt ->
-              Found (Delta_sat { point = pt; box = b'; certified = true })
-          | None -> (
-              match
-                strategy_split strategy ?dsys ~min_width:cfg.epsilon ~depth b'
-              with
-              | Some (left, right) -> Split_into (left, right)
-              | None ->
-                  Found
-                    (Delta_sat
-                       { point = Box.mid_env b'; box = b'; certified = false }))
-        end
-
-(* One racer's full decide: the sequential DNF scan with this strategy's
-   knobs.  [cancelled] is polled per box; [spend] draws on the racer's
-   own budget lease.  Once the budget is out the remaining branches
-   could only come back Unknown too, so the racer retires at once. *)
-let racer_decide cfg stats ~cancelled ~spend strategy ~epoch formula box =
-  let jon = Journal.on () in
-  let rec branch_loop = function
-    | [] -> Unsat
-    | atoms :: rest -> (
-        let contract =
-          strategy_contractor cfg strategy ~delta:cfg.delta
-            ~max_rounds:cfg.contractor_rounds atoms
-        in
-        let dsys = strategy_deriv strategy ~delta:cfg.delta atoms in
-        let refuted = portfolio_refuted_group cfg ~epoch atoms in
-        let heur =
-          match strategy.Portfolio.order with
-          | Portfolio.Round_robin -> "rr"
-          | Portfolio.Widest -> if Option.is_some dsys then "smear" else "bisect"
-        in
+(* One code path for every [jobs] value: the frontier's sequential drive
+   executes [jobs = 1] (and any [jobs] on a one-domain budget) as a plain
+   loop with the same DFS order, budget semantics and leaf/stats
+   accounting as the historical sequential search — so
+   "sequential-identical at jobs = 1" holds by construction, and a jobs
+   sweep on one core compares identical instruction streams instead of
+   two code paths whose constant factors drift apart.  The box budget is
+   shared across all domains and all DNF branches through one leased
+   counter — each worker claims a chunk at a time and spends it locally,
+   mirroring the cumulative budget of the sequential search without
+   per-box atomic traffic. *)
+let decide_default config stats formula box =
+  let jobs = Stdlib.max 1 config.jobs in
+  let lease = Parallel.Pool.Lease.create ~total:config.max_boxes () in
+  let locals = Array.init jobs (fun _ -> Parallel.Pool.Lease.local lease) in
+  let spend w = Parallel.Pool.Lease.spend locals.(w) in
+  let worker_stats = Array.init jobs (fun _ -> fresh_stats ()) in
+  let branches = Expr.Formula.dnf formula in
+  Log.debug (fun m ->
+      m "decide: %d DNF branch(es), %d domain(s)" (List.length branches) jobs);
+  let r =
+    match branches with
+    | [ atoms ] ->
         let conj =
           Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
         in
-        let rec loop = function
-          | [] -> branch_loop rest
-          | (b, depth, jid) :: tail ->
-              if cancelled () then Unknown "cancelled"
-              else begin
-                stats.boxes_processed <- stats.boxes_processed + 1;
-                if depth > stats.max_depth then stats.max_depth <- depth;
-                if jon then begin
-                  Journal.enter ~id:jid ~depth;
-                  Journal.clear_reason ()
-                end;
-                if not (spend ()) then begin
-                  if jon then
-                    Journal.leaf ~id:jid ~cls:"undecided"
-                      ~reason:"budget-exhaust" ();
-                  Unknown "box budget exhausted"
-                end
-                else
-                  match
-                    racer_process_box cfg stats strategy ?refuted ?dsys
-                      contract ~depth conj b
-                  with
-                  | Pruned ->
-                      if jon then begin
-                        let reason, group = Journal.take_reason () in
-                        Journal.prune ~id:jid ~reason ?group ()
-                      end;
-                      loop tail
-                  | Found r ->
-                      (if jon then
-                         match r with
-                         | Delta_sat w ->
-                             Journal.sat ~id:jid ~point:w.point
-                               ~certified:w.certified (jbounds w.box)
-                         | _ -> ());
-                      r
-                  | Split_into (l, r) ->
-                      stats.splits <- stats.splits + 1;
-                      let lid, rid =
-                        if jon then begin
-                          let lid = Journal.fresh_id () in
-                          let rid = Journal.fresh_id () in
-                          Journal.split ~id:jid ~heur ~left:lid ~right:rid
-                            ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                          (lid, rid)
-                        end
-                        else (0, 0)
-                      in
-                      loop ((l, depth + 1, lid) :: (r, depth + 1, rid) :: tail)
-              end
-        in
-        let root_id = if jon then Journal.fresh_id () else 0 in
-        if jon then
-          Journal.root ~id:root_id ~label:strategy.Portfolio.name (jbounds box);
-        (* [loop []] tail-calls [branch_loop rest], so the only way out
-           with [Unsat] is every branch of every disjunct refuted. *)
-        loop [ (box, 0, root_id) ])
+        decide_conjunction_parallel ~jobs ~spend config worker_stats conj atoms
+          box
+    | _ ->
+        decide_branches_portfolio ~jobs ~spend config worker_stats branches box
   in
-  branch_loop (Expr.Formula.dnf formula)
-
-let conclusive = function Unsat | Delta_sat _ -> true | Unknown _ -> false
-
-(* Deterministic merge over the per-racer results array: conclusive-kind
-   priority (Unsat = 0 outranks Delta_sat = 1), then lowest rank. *)
-let merge_race_results results =
-  let best = ref None in
-  Array.iteri
-    (fun rank entry ->
-      match entry with
-      | Some (name, v) when conclusive v ->
-          let kind = match v with Unsat -> 0 | _ -> 1 in
-          let better =
-            match !best with
-            | None -> true
-            | Some (bkind, brank, _, _) -> (kind, rank) < (bkind, brank)
-          in
-          if better then best := Some (kind, rank, name, v)
-      | _ -> ())
-    results;
-  !best
-
-let decide_strategy_inner cfg stats strategy formula box =
-  let epoch = Portfolio.next_epoch () in
-  let lease = Parallel.Pool.Lease.create ~total:cfg.max_boxes () in
-  let local = Parallel.Pool.Lease.local lease in
-  let r =
-    racer_decide cfg stats
-      ~cancelled:(fun () -> false)
-      ~spend:(fun () -> Parallel.Pool.Lease.spend local)
-      strategy ~epoch formula box
-  in
-  Parallel.Pool.Lease.return_unspent local;
+  Array.iter Parallel.Pool.Lease.return_unspent locals;
+  Array.iter (merge_stats stats) worker_stats;
   r
 
-(* The race.  [None] when the lineup degenerates to a single strategy —
-   the caller falls through to the default search (racing one strategy
-   would only add scheduling overhead). *)
-let decide_portfolio cfg stats formula box =
-  match Portfolio.lineup () with
-  | [] | [ _ ] -> None
-  | strategies ->
-      let epoch = Portfolio.next_epoch () in
-      let jobs = Stdlib.max 1 cfg.jobs in
-      let n = List.length strategies in
-      let leases =
-        Array.init n (fun _ ->
-            Parallel.Pool.Lease.create ~total:cfg.max_boxes ())
-      in
-      let locals = Array.map Parallel.Pool.Lease.local leases in
-      let racer_stats = Array.init n (fun _ -> fresh_stats ()) in
-      let results = Array.make n None in
-      let jon = Journal.on () in
-      let tasks =
-        List.mapi
-          (fun i s ~cancelled ~conclude ->
-            (* Construction is inside the task: racers cancelled before
-               they run never compile their tapes. *)
-            if not (cancelled ()) then begin
-              if jon then
-                Journal.racer ~event:"start" ~strategy:s.Portfolio.name;
-              let spend () = Parallel.Pool.Lease.spend locals.(i) in
-              let r =
-                racer_decide cfg racer_stats.(i) ~cancelled ~spend s ~epoch
-                  formula box
-              in
-              results.(i) <- Some (s.Portfolio.name, r);
-              (if jon then
-                 match r with
-                 | Unknown "cancelled" ->
-                     Journal.racer ~event:"cancel" ~strategy:s.Portfolio.name
-                 | Unknown _ ->
-                     Journal.racer ~event:"retire" ~strategy:s.Portfolio.name
-                 | _ -> ());
-              if conclusive r then conclude i
-            end)
-          strategies
-      in
-      ignore (Parallel.Pool.first_conclusive ~jobs ~leases:locals tasks);
-      Array.iter (merge_stats stats) racer_stats;
-      (match merge_race_results results with
-      | Some (_, _, name, v) ->
-          Portfolio.record_win name;
-          Some v
-      | None ->
-          (* No conclusive racer: surface the first real Unknown. *)
-          let why =
-            Array.fold_left
-              (fun acc entry ->
-                match (acc, entry) with
-                | None, Some (_, Unknown w) when w <> "cancelled" -> Some w
-                | _ -> acc)
-              None results
-          in
-          Some (Unknown (Option.value why ~default:"portfolio: no verdict")))
-
-(* ---- Public entry points ---- *)
-
-(* The pre-portfolio search, byte-identical to what it always was: the
-   portfolio layer only runs in front of it, never through it. *)
-let decide_default config stats formula box =
-  let jobs = Stdlib.max 1 config.jobs in
-  begin
-        (* One code path for every [jobs] value: the frontier's
-           sequential drive executes [jobs = 1] (and any [jobs] on a
-           one-domain budget) as a plain loop with the same DFS order,
-           budget semantics and leaf/stats accounting as the historical
-           sequential search — so "sequential-identical at jobs = 1"
-           holds by construction, and a jobs sweep on one core compares
-           identical instruction streams instead of two code paths
-           whose constant factors drift apart.  The box budget is
-           shared across all domains and all DNF branches through one
-           leased counter — each worker claims a chunk at a time and
-           spends it locally, mirroring the cumulative budget of the
-           sequential search without per-box atomic traffic. *)
-        let lease = Parallel.Pool.Lease.create ~total:config.max_boxes () in
-        let locals =
-          Array.init jobs (fun _ -> Parallel.Pool.Lease.local lease)
-        in
-        let spend w = Parallel.Pool.Lease.spend locals.(w) in
-        let worker_stats = Array.init jobs (fun _ -> fresh_stats ()) in
-        let branches = Expr.Formula.dnf formula in
-        Log.debug (fun m ->
-            m "decide: %d DNF branch(es), %d domain(s)" (List.length branches) jobs);
-        let r =
-          match branches with
-          | [ atoms ] ->
-              let conj =
-                Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
-              in
-              decide_conjunction_parallel ~jobs ~spend config worker_stats
-                conj atoms box
-          | _ ->
-              decide_branches_portfolio ~jobs ~spend config worker_stats branches
-                box
-        in
-        Array.iter Parallel.Pool.Lease.return_unspent locals;
-        Array.iter (merge_stats stats) worker_stats;
-        r
-  end
-
-let decide_with_stats_inner ?(config = default_config) ?strategy formula box =
+let decide_with_stats_inner ?(config = default_config) formula box =
   let stats = fresh_stats () in
   let result =
     match formula with
     | Expr.Formula.True ->
         Delta_sat { point = Box.mid_env box; box; certified = true }
     | Expr.Formula.False -> Unsat
-    | _ -> (
-        match strategy with
-        | Some s -> decide_strategy_inner config stats s formula box
-        | None ->
-            if Portfolio.active () then
-              match decide_portfolio config stats formula box with
-              | Some r -> r
-              | None -> decide_default config stats formula box
-            else decide_default config stats formula box)
+    | _ -> decide_default config stats formula box
   in
   (result, stats)
 
@@ -886,7 +560,7 @@ let verdict_string = function
   | Delta_sat _ -> "delta-sat"
   | Unknown _ -> "unknown"
 
-let decide_with_stats ?config ?strategy formula box =
+let decide_with_stats ?config formula box =
   Telemetry.Span.with_ tm_decide (fun () ->
       let jrun =
         if Journal.on () then begin
@@ -897,7 +571,7 @@ let decide_with_stats ?config ?strategy formula box =
         end
         else 0
       in
-      match decide_with_stats_inner ?config ?strategy formula box with
+      match decide_with_stats_inner ?config formula box with
       | ((result, stats) as r) ->
           Telemetry.Counter.add m_decide_boxes stats.boxes_processed;
           Telemetry.Counter.add m_decide_splits stats.splits;
@@ -913,8 +587,7 @@ let decide_with_stats ?config ?strategy formula box =
             Journal.end_run ~truncated:true ~verdict:"error" jrun;
           raise e)
 
-let decide ?config ?strategy formula box =
-  fst (decide_with_stats ?config ?strategy formula box)
+let decide ?config formula box = fst (decide_with_stats ?config formula box)
 
 (* ---- Paving: partition the box by formula status ----
 
@@ -983,10 +656,10 @@ let pave_group cfg formula =
 
    One single-root tape per distinct atom term, shared by fingerprint;
    scratch is per-domain (Domain.DLS), so the returned certifier may be
-   called from racing worker domains. *)
-let enclosure_atom_cert ~affine ~tm formula =
-  let use_tm = tm && Expr.Tape.enabled () && Interval.Tm.enabled () in
-  let use_aff = use_tm && affine && Interval.Affine.enabled () in
+   called from concurrent worker domains. *)
+let enclosure_atom_cert formula =
+  let use_tm = Expr.Tape.enabled () && Interval.Tm.enabled () in
+  let use_aff = use_tm && Interval.Affine.enabled () in
   if not use_tm then None
   else begin
     let key (t : Expr.Term.t) =
@@ -1060,8 +733,8 @@ let enclosure_atom_cert ~affine ~tm formula =
 
 (* The box classifier used by the paving loops: [eval_cert] with the
    enclosure-assisted atom certifier when one is live. *)
-let pave_cert ~affine ~tm formula =
-  match enclosure_atom_cert ~affine ~tm formula with
+let pave_cert formula =
+  match enclosure_atom_cert formula with
   | None -> Expr.Formula.eval_cert
   | Some atom -> Expr.Formula.eval_cert_with ~atom
 
@@ -1109,227 +782,6 @@ let pave_step cfg ~cert ?refuted ?dsys contract formula b =
         | Some (l, r) -> Pave_split (l, r)
         | None -> Pave_undecided)
 
-(* One racer's paving: the sequential classification loop with this
-   strategy's contraction layers and split, spending its own lease and
-   sharing the race's pave-refutation group (Warm-forced: pave-unsat is
-   monotone).  Returns the paving plus a [truncated] flag — a racer is
-   conclusive only when it classified everything within budget.  On
-   cancellation the un-visited stack is flushed into [undecided] so the
-   result stays a partition of the input box. *)
-let racer_pave cfg stats ~cancelled ~spend strategy ~epoch formula box =
-  let atoms = Expr.Formula.atoms formula in
-  let contract =
-    strategy_contractor cfg strategy ~delta:0.0 ~max_rounds:2 atoms
-  in
-  let cert =
-    pave_cert ~affine:strategy.Portfolio.affine ~tm:strategy.Portfolio.tm
-      formula
-  in
-  let dsys = strategy_deriv strategy ~delta:0.0 atoms in
-  let refuted = portfolio_pave_group cfg ~epoch formula in
-  let known_unsat b =
-    match refuted with
-    | None -> false
-    | Some group -> (
-        match Cache.find ~policy:Cache.Warm refuted_cache ~group b with
-        | Cache.Hit () | Cache.Subsumed (_, ()) -> true
-        | Cache.Miss -> false)
-  in
-  let record_unsat b =
-    match refuted with
-    | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ()
-  in
-  let jon = Journal.on () in
-  let heur =
-    match strategy.Portfolio.order with
-    | Portfolio.Round_robin -> "rr"
-    | Portfolio.Widest -> if Option.is_some dsys then "smear" else "bisect"
-  in
-  let sat = ref [] and unsat = ref [] and undecided = ref [] in
-  let truncated = ref false in
-  let rec loop = function
-    | [] -> ()
-    | rest when cancelled () ->
-        truncated := true;
-        List.iter
-          (fun (b, _, jid) ->
-            if jon then
-              Journal.leaf ~id:jid ~cls:"undecided" ~reason:"cancelled" ();
-            undecided := b :: !undecided)
-          rest
-    | (b, depth, jid) :: tail ->
-        if Box.is_empty b then begin
-          if jon then Journal.leaf ~id:jid ~cls:"empty" ();
-          loop tail
-        end
-        else if not (spend ()) then begin
-          truncated := true;
-          if jon then
-            Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-          undecided := b :: !undecided;
-          loop tail
-        end
-        else begin
-          stats.boxes_processed <- stats.boxes_processed + 1;
-          if depth > stats.max_depth then stats.max_depth <- depth;
-          if jon then begin
-            Journal.enter ~id:jid ~depth;
-            Journal.clear_reason ()
-          end;
-          if known_unsat b then begin
-            stats.prunings <- stats.prunings + 1;
-            if jon then begin
-              (match refuted with
-              | Some group -> Journal.set_reason ~group "cache-replay"
-              | None -> ());
-              let reason, group = Journal.take_reason () in
-              Journal.prune ~id:jid ~reason ?group ()
-            end;
-            unsat := b :: !unsat;
-            loop tail
-          end
-          else
-            match cert b formula with
-            | Expr.Formula.Certain ->
-                if jon then Journal.leaf ~id:jid ~cls:"sat" ();
-                sat := b :: !sat;
-                loop tail
-            | Expr.Formula.Impossible ->
-                record_unsat b;
-                stats.prunings <- stats.prunings + 1;
-                if jon then Journal.prune ~id:jid ~reason:"eval-impossible" ();
-                unsat := b :: !unsat;
-                loop tail
-            | Expr.Formula.Unknown ->
-                let infeasible =
-                  cfg.use_contraction && Option.is_none (contract b)
-                in
-                if infeasible then begin
-                  record_unsat b;
-                  stats.prunings <- stats.prunings + 1;
-                  if jon then begin
-                    let reason, group = Journal.take_reason () in
-                    Journal.prune ~id:jid ~reason ?group ()
-                  end;
-                  unsat := b :: !unsat;
-                  loop tail
-                end
-                else (
-                  match
-                    strategy_split strategy ?dsys ~min_width:cfg.epsilon
-                      ~depth b
-                  with
-                  | Some (l, r) ->
-                      stats.splits <- stats.splits + 1;
-                      let lid, rid =
-                        if jon then begin
-                          let lid = Journal.fresh_id () in
-                          let rid = Journal.fresh_id () in
-                          Journal.split ~id:jid ~heur ~left:lid ~right:rid
-                            ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                          (lid, rid)
-                        end
-                        else (0, 0)
-                      in
-                      loop ((l, depth + 1, lid) :: (r, depth + 1, rid) :: tail)
-                  | None ->
-                      if jon then
-                        Journal.leaf ~id:jid ~cls:"undecided"
-                          ~reason:"sub-epsilon" ();
-                      undecided := b :: !undecided;
-                      loop tail)
-        end
-  in
-  let root_id = if jon then Journal.fresh_id () else 0 in
-  if jon then
-    Journal.root ~id:root_id ~label:strategy.Portfolio.name (jbounds box);
-  loop [ (box, 0, root_id) ];
-  ( { sat = !sat; unsat = !unsat; undecided = !undecided }, !truncated )
-
-let pave_strategy_inner cfg strategy formula box =
-  let epoch = Portfolio.next_epoch () in
-  let stats = fresh_stats () in
-  let lease = Parallel.Pool.Lease.create ~total:cfg.max_boxes () in
-  let local = Parallel.Pool.Lease.local lease in
-  let paving, _truncated =
-    racer_pave cfg stats
-      ~cancelled:(fun () -> false)
-      ~spend:(fun () -> Parallel.Pool.Lease.spend local)
-      strategy ~epoch formula box
-  in
-  Parallel.Pool.Lease.return_unspent local;
-  (paving, stats)
-
-(* The pave race: first racer to finish a complete (un-truncated)
-   paving wins; conclusive-kind priority is trivial here (there is one
-   kind of conclusive), so the merge is just lowest complete rank.
-   When every racer was truncated the rank-lowest partial paving is
-   returned — same information as the default path's budget-exhausted
-   result. *)
-let pave_portfolio cfg formula box =
-  match Portfolio.lineup () with
-  | [] | [ _ ] -> None
-  | strategies ->
-      let epoch = Portfolio.next_epoch () in
-      let jobs = Stdlib.max 1 cfg.jobs in
-      let n = List.length strategies in
-      let leases =
-        Array.init n (fun _ ->
-            Parallel.Pool.Lease.create ~total:cfg.max_boxes ())
-      in
-      let locals = Array.map Parallel.Pool.Lease.local leases in
-      let racer_stats = Array.init n (fun _ -> fresh_stats ()) in
-      let results = Array.make n None in
-      let jon = Journal.on () in
-      let tasks =
-        List.mapi
-          (fun i s ~cancelled ~conclude ->
-            if not (cancelled ()) then begin
-              if jon then
-                Journal.racer ~event:"start" ~strategy:s.Portfolio.name;
-              let spend () = Parallel.Pool.Lease.spend locals.(i) in
-              let p, truncated =
-                racer_pave cfg racer_stats.(i) ~cancelled ~spend s ~epoch
-                  formula box
-              in
-              results.(i) <- Some (s.Portfolio.name, p, truncated);
-              (if jon && truncated then
-                 Journal.racer
-                   ~event:(if cancelled () then "cancel" else "retire")
-                   ~strategy:s.Portfolio.name);
-              if not truncated then conclude i
-            end)
-          strategies
-      in
-      ignore (Parallel.Pool.first_conclusive ~jobs ~leases:locals tasks);
-      let stats = fresh_stats () in
-      Array.iter (merge_stats stats) racer_stats;
-      let rec pick_complete i =
-        if i >= n then None
-        else
-          match results.(i) with
-          | Some (name, p, false) -> Some (name, p)
-          | _ -> pick_complete (i + 1)
-      in
-      let rec pick_any i =
-        if i >= n then None
-        else
-          match results.(i) with
-          | Some (name, p, _) -> Some (name, p)
-          | None -> pick_any (i + 1)
-      in
-      (match pick_complete 0 with
-      | Some (name, p) ->
-          Portfolio.record_win name;
-          Some (p, stats)
-      | None -> (
-          match pick_any 0 with
-          | Some (name, p) ->
-              Portfolio.record_win name;
-              Some (p, stats)
-          | None -> None))
-
 let pave_default ?(config = default_config) formula box =
   let atoms = Expr.Formula.atoms formula in
   let constraints = List.map (Contractor.of_atom ~delta:0.0) atoms in
@@ -1340,10 +792,7 @@ let pave_default ?(config = default_config) formula box =
     else fun b -> Some b
   in
   let refuted = pave_group config formula in
-  let cert =
-    pave_cert ~affine:(Interval.Affine.enabled ())
-      ~tm:(Interval.Tm.enabled ()) formula
-  in
+  let cert = pave_cert formula in
   let dsys = conjunction_deriv ~delta:0.0 atoms in
   let jobs = Stdlib.max 1 config.jobs in
   let stats = fresh_stats () in
@@ -1423,17 +872,7 @@ let pave_default ?(config = default_config) formula box =
       stats )
   end
 
-let pave_with_stats_inner ?(config = default_config) ?strategy formula box =
-  match strategy with
-  | Some s -> pave_strategy_inner config s formula box
-  | None ->
-      if Portfolio.active () then
-        match pave_portfolio config formula box with
-        | Some r -> r
-        | None -> pave_default ~config formula box
-      else pave_default ~config formula box
-
-let pave_with_stats ?config ?strategy formula box =
+let pave_with_stats ?config formula box =
   Telemetry.Span.with_ tm_pave (fun () ->
       let jrun =
         if Journal.on () then begin
@@ -1444,7 +883,7 @@ let pave_with_stats ?config ?strategy formula box =
         end
         else 0
       in
-      match pave_with_stats_inner ?config ?strategy formula box with
+      match pave_default ?config formula box with
       | ((paving, stats) as r) ->
           Telemetry.Counter.add m_pave_boxes stats.boxes_processed;
           Telemetry.Counter.add m_pave_splits stats.splits;
@@ -1462,5 +901,4 @@ let pave_with_stats ?config ?strategy formula box =
             Journal.end_run ~truncated:true ~verdict:"error" jrun;
           raise e)
 
-let pave ?config ?strategy formula box =
-  fst (pave_with_stats ?config ?strategy formula box)
+let pave ?config formula box = fst (pave_with_stats ?config formula box)

@@ -66,36 +66,19 @@ type result =
 
 val pp_result : result Fmt.t
 
-val decide :
-  ?config:config ->
-  ?strategy:Portfolio.strategy ->
-  Expr.Formula.t ->
-  Interval.Box.t ->
-  result
+val decide : ?config:config -> Expr.Formula.t -> Interval.Box.t -> result
 
 val decide_with_stats :
-  ?config:config ->
-  ?strategy:Portfolio.strategy ->
-  Expr.Formula.t ->
-  Interval.Box.t ->
-  result * stats
-(** In portfolio mode ({!Portfolio.active}, enabled by
-    [BIOMC_PORTFOLIO=1] / [--portfolio]) and with no [?strategy] forced,
-    the query races every {!Portfolio.lineup} strategy on
-    [Parallel.Pool.first_conclusive]: per-racer box-budget leases,
-    shared epoch-scoped refutation store (each racer prunes boxes any
-    other already refuted), first conclusive verdict cancels the rest.
-    A racer that exhausts its budget retires [Unknown] and never beats
-    a conclusive one.  The merge is deterministic: conclusive-kind
-    priority ([Unsat] outranks [Delta_sat]), then lowest strategy rank
-    — so at fixed (lineup, jobs) the verdict is reproducible.  The
-    winning strategy is recorded ({!Portfolio.record_win}) under
-    [portfolio.wins.<name>].
+  ?config:config -> Expr.Formula.t -> Interval.Box.t -> result * stats
+(** Like {!decide}, also reporting boxes processed, prunings, splits,
+    depth and certification probes. *)
 
-    [?strategy] forces one strategy's search (no race, fresh epoch) —
-    the per-strategy baseline the portfolio is measured against.  With
-    the portfolio off and no [?strategy], the historical
-    single-strategy search runs bit for bit. *)
+val journal_flags : int -> (string * string) list
+(** [journal_flags jobs] is the layer-flag snapshot (newton, affine,
+    affine_budget, tm, cache, tape, jobs) recorded in the header of
+    every journaled run: decide and pave here, reach and synth runs in
+    [Reach.Checker] and [Synth.Biopsy].  The journal audit checks each
+    prune reason against it. *)
 
 (** {1 Paving}
 
@@ -108,29 +91,14 @@ type paving = {
   undecided : Interval.Box.t list;
 }
 
-val pave :
-  ?config:config ->
-  ?strategy:Portfolio.strategy ->
-  Expr.Formula.t ->
-  Interval.Box.t ->
-  paving
+val pave : ?config:config -> Expr.Formula.t -> Interval.Box.t -> paving
 
 val pave_with_stats :
-  ?config:config ->
-  ?strategy:Portfolio.strategy ->
-  Expr.Formula.t ->
-  Interval.Box.t ->
-  paving * stats
+  ?config:config -> Expr.Formula.t -> Interval.Box.t -> paving * stats
 (** Like {!pave}, also reporting boxes processed, prunings, splits and
     depth.  With [config.jobs > 1] the paving frontier is drained in
     parallel; the leaf boxes are the same as the sequential paving
-    whenever the budget is not exhausted (only list order differs).
-
-    Portfolio mode races the lineup like {!decide_with_stats}; a pave
-    racer is conclusive when it classified the whole box within its
-    budget, and the winner is the lowest-rank complete paving (falling
-    back to the lowest-rank partial one when every racer was
-    truncated).  [?strategy] forces a single strategy, no race. *)
+    whenever the budget is not exhausted (only list order differs). *)
 
 val paving_volumes : over:string list -> paving -> float * float * float
 (** Total (sat, unsat, undecided) volumes over the named dimensions. *)

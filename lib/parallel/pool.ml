@@ -621,72 +621,3 @@ let parallel_for_chunks ~jobs n f =
   run ~jobs (fun w ->
       let lo, hi = chunk ~jobs ~n w in
       f w lo hi)
-
-(* ---- Portfolio: first conclusive answer wins ---- *)
-
-(* Loser-cancellation latency: summed nanoseconds between a winner's
-   [conclude] and each losing racer settling (its thunk returning after
-   observing the cancellation, or — for racers the stop flag cut out of
-   the queue before they ever ran — the post-drain sweep).  Always-on
-   like the pool counters: the number is a scheduling-health signal the
-   portfolio benches read even in untraced runs. *)
-let m_cancel_latency =
-  Telemetry.Counter.make ~always:true "portfolio.cancel_latency_ns"
-
-(* [first_conclusive ~jobs tasks] runs the thunks concurrently; each
-   receives a [cancelled] probe it should poll and a [conclude] callback.
-   The first task calling [conclude v] stops the frontier {e immediately}
-   — losing racers observe [cancelled ()] while the winner is still
-   unwinding, not only after its thunk returns (the PR-1 version stopped
-   the frontier from the drain loop, so losers kept burning boxes for
-   the whole tail of the winner's run).  The return value is that [v],
-   or [None] when every task finished without concluding.
-
-   [?leases] gives racer [i] the budget lease-local [leases.(i)]; each
-   local's unspent chunk is returned to the shared budget atomic the
-   moment its racer settles — on normal completion or {e at
-   cancellation} (previously only a caller-side sweep after the whole
-   drain returned them, so a cancelled racer sat on up to a chunk of
-   budget for the winner's entire unwind).  Each local is touched by
-   exactly one racer and each racer settles on exactly one worker, so
-   the early return needs no extra synchronization; the post-drain
-   sweep settles only racers the stop flag discarded unrun. *)
-let first_conclusive ~jobs ?leases tasks =
-  validate_jobs jobs;
-  let cell = Atomic.make None in
-  let conclude_ns = Atomic.make 0 in
-  let winner = Atomic.make (-1) in
-  let n = List.length tasks in
-  let settled = Array.make (Stdlib.max 1 n) false in
-  let settle i ~was_cancelled =
-    if not settled.(i) then begin
-      settled.(i) <- true;
-      (match leases with
-      | Some locals -> Lease.return_unspent locals.(i)
-      | None -> ());
-      if was_cancelled then begin
-        let t0 = Atomic.get conclude_ns in
-        if t0 > 0 then
-          Telemetry.Counter.add m_cancel_latency
-            (Stdlib.max 0 (Telemetry.now_ns () - t0))
-      end
-    end
-  in
-  let t = Frontier.create (List.mapi (fun i task -> (i, task)) tasks) in
-  let cancelled () = Option.is_some (Atomic.get cell) in
-  Frontier.drain ~jobs t (fun _w _slot (i, task) ->
-      let conclude v =
-        if Atomic.compare_and_set cell None (Some v) then begin
-          Atomic.set winner i;
-          Atomic.set conclude_ns (Telemetry.now_ns ());
-          Frontier.stop t
-        end
-      in
-      task ~cancelled ~conclude;
-      settle i ~was_cancelled:(cancelled () && Atomic.get winner <> i));
-  (* Racers the stop flag cut out of the queue never ran their thunk:
-     settle them here (single-threaded — every worker has joined). *)
-  for i = 0 to n - 1 do
-    settle i ~was_cancelled:(cancelled () && Atomic.get winner <> i)
-  done;
-  Atomic.get cell

@@ -3,8 +3,7 @@
     Stdlib-only parallel building blocks for the branch-and-prune
     analyses: fork/join over logical workers ({!run}), a cancellable
     work-stealing frontier ({!Frontier}), per-worker budget leases
-    ({!Lease}), static chunked fan-out ({!parallel_for_chunks}), and
-    portfolio races ({!first_conclusive}).
+    ({!Lease}) and static chunked fan-out ({!parallel_for_chunks}).
 
     {2 Determinism contracts}
 
@@ -151,36 +150,4 @@ val parallel_for_chunks : jobs:int -> int -> (int -> int -> int -> 'a) -> 'a arr
 (** [parallel_for_chunks ~jobs n f] runs [f w lo hi] per worker on its
     {!chunk}; [jobs] is clamped to [n] so no worker gets an empty slice
     unless [n = 0].
-    @raise Invalid_argument when [jobs < 1]. *)
-
-val first_conclusive :
-  jobs:int ->
-  ?leases:Lease.local array ->
-  (cancelled:(unit -> bool) -> conclude:('a -> unit) -> unit) list ->
-  'a option
-(** Portfolio execution: run the tasks concurrently; the first task that
-    calls [conclude v] wins and stops the frontier {e immediately} —
-    losing racers observe [cancelled () = true] while the winner's thunk
-    is still unwinding.  Returns the winning value, or [None] when no
-    task concluded.  Later [conclude]s lose the race and are ignored.
-
-    [?leases] attaches a per-racer budget lease-local to each task
-    (index-aligned with the task list).  Each local is
-    {!Lease.return_unspent}-ed the moment its racer settles — normal
-    completion {e or} cancellation — so {!Lease.consumed} on each
-    racer's shared budget is exact as soon as [first_conclusive]
-    returns, including for racers the winner cancelled mid-run or cut
-    out of the queue before they ever ran.
-
-    The always-on [portfolio.cancel_latency_ns] telemetry counter
-    accumulates, per losing racer, the nanoseconds between the winner's
-    [conclude] and that racer settling.
-
-    On a single effective domain the tasks run to completion in list
-    order (the frontier's sequential drive), so the winner is the first
-    task in list order that concludes — deterministic.  At true
-    concurrency the winner is timing-dependent; callers wanting a
-    deterministic verdict merge over near-simultaneous concludes should
-    record per-racer results and merge by rank after the race (see
-    [Icp.Portfolio]).
     @raise Invalid_argument when [jobs < 1]. *)

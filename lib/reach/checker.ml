@@ -56,14 +56,6 @@ let jbounds b =
   Array.of_list
     (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
-let journal_flags jobs =
-  [ ("newton", string_of_bool (Icp.Deriv.enabled ()));
-    ("affine", string_of_bool (Interval.Affine.enabled ()));
-    ("cache", string_of_bool (Cache.enabled ()));
-    ("tape", string_of_bool (Expr.Tape.enabled ()));
-    ("portfolio", string_of_bool (Icp.Portfolio.active ()));
-    ("jobs", string_of_int jobs) ]
-
 type config = {
   delta : float;
   epsilon : float;  (** minimum search-box width before giving up splitting *)
@@ -354,21 +346,13 @@ let apply_reset_box automaton params_box (j : Hybrid.Automaton.jump) state_box =
    (tape-backed by default) and returns a closure applied per box; the
    closures are immutable after construction and safe to call from
    concurrent worker domains. *)
-let prepare_contract ?strategy formula =
+let prepare_contract formula =
   if formula = F.True then fun ~params_box:_ state_box -> Some state_box
   else
-    (* A portfolio racer pins its contraction layers per closure instead
-       of relying on the global switches (racers run concurrently). *)
-    let newton, affine =
-      match strategy with
-      | None -> (None, None)
-      | Some (s : Icp.Portfolio.strategy) ->
-          (Some s.Icp.Portfolio.newton, Some s.Icp.Portfolio.affine)
-    in
     let branch_contractors =
       List.map
         (fun atoms ->
-          Icp.Contractor.contractor ~max_rounds:5 ?newton ?affine
+          Icp.Contractor.contractor ~max_rounds:5
             (List.map (Icp.Contractor.of_atom ~delta:0.0) atoms))
         (F.dnf formula)
     in
@@ -404,7 +388,7 @@ type prep = {
       (* mode name ↦ contractor for the mode invariant *)
 }
 
-let prepare_pb ?strategy (pb : Encoding.t) =
+let prepare_pb (pb : Encoding.t) =
   let automaton = pb.Encoding.automaton in
   let flow_prep = Hashtbl.create 8 in
   let guard_contract = Hashtbl.create 8 in
@@ -414,7 +398,7 @@ let prepare_pb ?strategy (pb : Encoding.t) =
       Hashtbl.replace flow_prep m.mode_name
         (Ode.Enclosure.prepare (Hybrid.Automaton.mode_system automaton m.mode_name));
       Hashtbl.replace inv_contract m.mode_name
-        (prepare_contract ?strategy m.invariant))
+        (prepare_contract m.invariant))
     (Hybrid.Automaton.modes automaton);
   List.iter
     (fun (j : Hybrid.Automaton.jump) ->
@@ -426,7 +410,7 @@ let prepare_pb ?strategy (pb : Encoding.t) =
           (Hybrid.Automaton.find_mode automaton j.source).invariant
         in
         Hashtbl.replace guard_contract key
-          (prepare_contract ?strategy (F.and_ [ j.guard; source_inv ])))
+          (prepare_contract (F.and_ [ j.guard; source_inv ])))
     (Hybrid.Automaton.jumps automaton);
   { flow_prep; guard_contract; inv_contract }
 
@@ -632,36 +616,17 @@ let certify cfg pb path sbox =
 
 (* ---- Per-path branch and prune over the search box ---- *)
 
-let decide_path ?(cancelled = fun () -> false) ?(jindex = 0) ?strategy cfg pb
-    prep path =
+let decide_path ?(jindex = 0) cfg pb prep path =
   Telemetry.Counter.incr m_paths;
   Telemetry.Span.with_ ~arg:(float_of_int (List.length path)) tm_path
   @@ fun () ->
   let budget = ref cfg.max_param_boxes in
   let rigorous_all = ref true in
   let jon = Journal.on () && Journal.in_run () in
-  let heur =
-    match strategy with
-    | Some { Icp.Portfolio.order = Icp.Portfolio.Round_robin; _ } -> "rr"
-    | _ -> "bisect"
-  in
   if jon then
     Journal.path_event ~index:jindex ~info:(String.concat "->" path);
-  (* Strategy only changes the branch order here: the path search has no
-     derivative system, so smear branching degrades to widest-first and
-     the round-robin order is the one real alternative. *)
-  let split ~depth sbox =
-    match strategy with
-    | Some { Icp.Portfolio.order = Icp.Portfolio.Round_robin; _ } ->
-        Icp.Portfolio.round_robin_split ~min_width:cfg.epsilon ~depth sbox
-    | _ -> Box.split ~min_width:cfg.epsilon sbox
-  in
   let rec search depth sbox jid =
-    if cancelled () then begin
-      if jon then Journal.leaf ~id:jid ~cls:"undecided" ~reason:"cancelled" ();
-      Unknown "cancelled"
-    end
-    else if !budget <= 0 then begin
+    if !budget <= 0 then begin
       if jon then
         Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
       Unknown "search box budget exhausted"
@@ -692,13 +657,13 @@ let decide_path ?(cancelled = fun () -> false) ?(jindex = 0) ?strategy cfg pb
                  | _ -> ());
               r
           | None -> (
-              match split ~depth sbox with
+              match Box.split ~min_width:cfg.epsilon sbox with
               | Some (l, r) -> (
                   let lid, rid =
                     if jon then begin
                       let lid = Journal.fresh_id () in
                       let rid = Journal.fresh_id () in
-                      Journal.split ~id:jid ~heur ~left:lid ~right:rid
+                      Journal.split ~id:jid ~heur:"bisect" ~left:lid ~right:rid
                         ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
                       (lid, rid)
                     end
@@ -737,95 +702,18 @@ let decide_path ?(cancelled = fun () -> false) ?(jindex = 0) ?strategy cfg pb
    changes which paths are decided concurrently.  A δ-sat at index i
    cancels work on paths with larger indices — exactly the paths the
    sequential scan would never have reached. *)
-(* One full scan of the candidate paths with one strategy: the
-   sequential [check] loop, pollable for cancellation.  Used both for a
-   forced [?strategy] baseline and as one racer of the portfolio. *)
-let scan_paths ?(cancelled = fun () -> false) ?strategy config pb prep paths =
+let scan_paths config pb prep paths =
   let rec go i unknown rigorous = function
     | [] -> (
         match unknown with Some why -> Unknown why | None -> Unsat { rigorous })
     | path :: rest -> (
         Log.debug (fun m -> m "path %a" Fmt.(list ~sep:(any "->") string) path);
-        match
-          decide_path ~cancelled ~jindex:i ?strategy config pb prep path
-        with
+        match decide_path ~jindex:i config pb prep path with
         | Unsat { rigorous = r } -> go (i + 1) unknown (rigorous && r) rest
         | Delta_sat w -> Delta_sat w
-        | Unknown "cancelled" -> Unknown "cancelled"
         | Unknown why -> go (i + 1) (Some why) rigorous rest)
   in
   go 0 None true paths
-
-(* Race the portfolio lineup over full path scans.  Racers share the
-   flow-tube segment store ([seg_cache] keys carry no strategy flags —
-   a tube enclosure is strategy-independent), so a racer skips every
-   segment any other racer already integrated: that store is the
-   cross-racer pruning channel here.  Per-strategy guard/invariant
-   contractors are compiled lazily inside each racer (cancelled racers
-   never pay compilation).  Merge discipline is the solver's:
-   conclusive-kind priority ([Unsat] before [Delta_sat]), then lowest
-   strategy rank. *)
-let check_portfolio config pb paths =
-  match Icp.Portfolio.lineup () with
-  | [] | [ _ ] -> None
-  | strategies ->
-      let jobs = Stdlib.max 1 config.jobs in
-      let n = List.length strategies in
-      let results = Array.make n None in
-      let jon = Journal.on () in
-      let tasks =
-        List.mapi
-          (fun i (s : Icp.Portfolio.strategy) ~cancelled ~conclude ->
-            if not (cancelled ()) then begin
-              if jon then
-                Journal.racer ~event:"start" ~strategy:s.Icp.Portfolio.name;
-              let prep = prepare_pb ~strategy:s pb in
-              let r = scan_paths ~cancelled ~strategy:s config pb prep paths in
-              results.(i) <- Some (s.Icp.Portfolio.name, r);
-              match r with
-              | Unknown why ->
-                  if jon then
-                    Journal.racer
-                      ~event:(if why = "cancelled" then "cancel" else "retire")
-                      ~strategy:s.Icp.Portfolio.name
-              | Unsat _ | Delta_sat _ -> conclude i
-            end)
-          strategies
-      in
-      ignore (Parallel.Pool.first_conclusive ~jobs tasks);
-      let best = ref None in
-      Array.iteri
-        (fun rank entry ->
-          match entry with
-          | Some (name, (Unsat _ | Delta_sat _)) ->
-              let kind =
-                match entry with Some (_, Unsat _) -> 0 | _ -> 1
-              in
-              let better =
-                match !best with
-                | None -> true
-                | Some (bkind, brank, _, _) -> (kind, rank) < (bkind, brank)
-              in
-              if better then
-                best :=
-                  Some
-                    (kind, rank, name, match entry with Some (_, r) -> r | None -> assert false)
-          | _ -> ())
-        results;
-      (match !best with
-      | Some (_, _, name, r) ->
-          Icp.Portfolio.record_win name;
-          Some r
-      | None ->
-          let why =
-            Array.fold_left
-              (fun acc entry ->
-                match (acc, entry) with
-                | None, Some (_, Unknown w) when w <> "cancelled" -> Some w
-                | _ -> acc)
-              None results
-          in
-          Some (Unknown (Option.value why ~default:"portfolio: no verdict")))
 
 let check_default config (pb : Encoding.t) paths =
   let prep = prepare_pb pb in
@@ -866,12 +754,12 @@ let check_default config (pb : Encoding.t) paths =
     merge 0 None true
   end
 
-let check ?(config = default_config) ?strategy (pb : Encoding.t) =
+let check ?(config = default_config) (pb : Encoding.t) =
   Telemetry.Span.with_ tm_check @@ fun () ->
   let jrun =
     if Journal.on () then
       Journal.begin_run ~kind:"reach"
-        ~flags:(journal_flags (Stdlib.max 1 config.jobs))
+        ~flags:(Icp.Solver.journal_flags (Stdlib.max 1 config.jobs))
         ()
     else 0
   in
@@ -894,16 +782,7 @@ let check ?(config = default_config) ?strategy (pb : Encoding.t) =
         (Encoding.candidate_paths pb)
     in
     Log.info (fun m -> m "checking %d candidate path(s)" (List.length paths));
-    match strategy with
-    | Some s ->
-        let prep = prepare_pb ~strategy:s pb in
-        scan_paths ~strategy:s config pb prep paths
-    | None ->
-        if Icp.Portfolio.active () then
-          match check_portfolio config pb paths with
-          | Some r -> r
-          | None -> check_default config pb paths
-        else check_default config pb paths
+    check_default config pb paths
   in
   match body () with
   | r -> finish r
@@ -961,7 +840,7 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
   let jrun =
     if Journal.on () then
       Journal.begin_run ~kind:"synth"
-        ~flags:(journal_flags (Stdlib.max 1 config.jobs))
+        ~flags:(Icp.Solver.journal_flags (Stdlib.max 1 config.jobs))
         ()
     else 0
   in

@@ -51,20 +51,8 @@ type result =
 
 val pp_result : result Fmt.t
 
-val check :
-  ?config:config -> ?strategy:Icp.Portfolio.strategy -> Encoding.t -> result
-(** In portfolio mode ({!Icp.Portfolio.active}) the candidate-path scan
-    is raced across the {!Icp.Portfolio.lineup}: each racer runs the
-    full sequential path scan with its strategy's contraction layers and
-    branch order, all racers share the flow-tube segment store (tube
-    enclosures are strategy-independent, so each racer skips segments
-    any other already integrated), and the first conclusive verdict
-    cancels the rest.  The merge is deterministic: conclusive-kind
-    priority ([Unsat] before [Delta_sat]), then lowest strategy rank.
-    [?strategy] forces one strategy without racing; smear branching
-    degrades to widest-first here (the path search has no derivative
-    system).  Portfolio off: the historical scan, bit for bit —
-    candidate paths explored shortest-first (therapy identification
+val check : ?config:config -> Encoding.t -> result
+(** Candidate paths are explored shortest-first (therapy identification
     wants minimal drug counts); with [config.jobs > 1] the paths are
     decided by a pool of worker domains and the verdict merged in path
     order, so it is identical to the sequential one. *)
@@ -108,16 +96,13 @@ val flow_enclosure :
     with whether the enclosure was replayed from the segment store. *)
 
 val prepare_contract :
-  ?strategy:Icp.Portfolio.strategy ->
   Expr.Formula.t ->
   params_box:Box.t ->
   Interval.Box.t ->
   Interval.Box.t option
 (** Compile a formula's per-DNF-branch HC4 contractors once; the returned
     closure contracts a state box (hulled over branches, [None] when every
-    branch is infeasible) and is safe to share across worker domains.
-    [?strategy] pins the Newton/affine layers for this closure (portfolio
-    racers) instead of following the global switches. *)
+    branch is infeasible) and is safe to share across worker domains. *)
 
 val states_satisfying :
   Ode.Enclosure.step list -> params_box:Box.t -> Expr.Formula.t -> Interval.Box.t option
@@ -127,7 +112,7 @@ type prep
     jump's guard/invariant contractors.  Built once by {!prepare_pb}
     (single-domain), then only read — including from worker domains. *)
 
-val prepare_pb : ?strategy:Icp.Portfolio.strategy -> Encoding.t -> prep
+val prepare_pb : Encoding.t -> prep
 
 val path_feasible :
   ?jpath:int ->

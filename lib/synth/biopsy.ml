@@ -178,167 +178,12 @@ let pp_result ppf r =
     (List.length r.consistent) (List.length r.inconsistent)
     (List.length r.undecided) r.boxes_explored
 
-(* One portfolio racer's paving: the sequential loop with a pinned split
-   order, pollable for cancellation.  [truncated] records whether any
-   box was left undecided for budget/cancellation reasons rather than
-   sub-ε — only an un-truncated paving is conclusive in a race.  The
-   verdict store group is strategy-independent (a tube classification
-   does not depend on how the paving splits), so racers share every
-   All_fit/None_fit verdict: that store is the cross-racer pruning
-   channel here. *)
-let pave_order cfg prob prepared ?group ?jlabel ~cancelled ~order () =
-  let consistent = ref [] and inconsistent = ref [] and undecided = ref [] in
-  let explored = ref 0 in
-  let budget = ref cfg.max_boxes in
-  let truncated = ref false in
-  let jon = Journal.on () && Journal.in_run () in
-  let heur =
-    match order with
-    | Icp.Portfolio.Round_robin -> "rr"
-    | Icp.Portfolio.Widest -> "bisect"
-  in
-  let split ~depth pbox =
-    match order with
-    | Icp.Portfolio.Round_robin ->
-        Icp.Portfolio.round_robin_split ~min_width:cfg.epsilon ~depth pbox
-    | Icp.Portfolio.Widest -> Box.split ~min_width:cfg.epsilon pbox
-  in
-  let rec go depth pbox jid =
-    if cancelled () || !budget <= 0 then begin
-      (* Flushing the box into [undecided] keeps the result a partition
-         even when the race cancels this racer mid-paving. *)
-      truncated := true;
-      if jon then
-        Journal.leaf ~id:jid ~cls:"undecided"
-          ~reason:(if cancelled () then "cancelled" else "budget-exhaust")
-          ();
-      undecided := pbox :: !undecided
-    end
-    else begin
-      decr budget;
-      incr explored;
-      if jon then begin
-        Journal.enter ~id:jid ~depth;
-        Journal.clear_reason ()
-      end;
-      match classify cfg prob prepared ?group pbox with
-      | All_fit ->
-          if jon then Journal.leaf ~id:jid ~cls:"consistent" ();
-          consistent := pbox :: !consistent
-      | None_fit ->
-          if jon then begin
-            let reason, group = Journal.take_reason () in
-            Journal.prune ~id:jid ~reason ?group ()
-          end;
-          inconsistent := pbox :: !inconsistent
-      | Split_ -> (
-          match split ~depth pbox with
-          | Some (l, r) ->
-              let lid, rid =
-                if jon then begin
-                  let lid = Journal.fresh_id () in
-                  let rid = Journal.fresh_id () in
-                  Journal.split ~id:jid ~heur ~left:lid ~right:rid
-                    ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                  (lid, rid)
-                end
-                else (0, 0)
-              in
-              go (depth + 1) l lid;
-              go (depth + 1) r rid
-          | None ->
-              if jon then
-                Journal.leaf ~id:jid ~cls:"undecided" ~reason:"sub-epsilon" ();
-              undecided := pbox :: !undecided)
-    end
-  in
-  let root_id = if jon then Journal.fresh_id () else 0 in
-  if jon then Journal.root ~id:root_id ?label:jlabel (jbounds prob.param_box);
-  go 0 prob.param_box root_id;
-  ( {
-      consistent = !consistent;
-      inconsistent = !inconsistent;
-      undecided = !undecided;
-      boxes_explored = !explored;
-    },
-    !truncated )
-
-(* Race the paving split orders of the portfolio lineup (the only knob
-   of a strategy that biopsy classification responds to — there are no
-   contractors here, so Newton/affine/smear are moot and the lineup
-   collapses to its distinct orders, rank-ordered).  First racer to
-   finish an un-truncated paving wins; all truncated → the rank-lowest
-   partial paving, same information as the default budget-exhausted
-   result. *)
-let synthesize_portfolio cfg prob prepared ?group () =
-  let orders =
-    List.fold_left
-      (fun acc (s : Icp.Portfolio.strategy) ->
-        if List.exists (fun (_, o) -> o = s.Icp.Portfolio.order) acc then acc
-        else (s.Icp.Portfolio.name, s.Icp.Portfolio.order) :: acc)
-      [] (Icp.Portfolio.lineup ())
-    |> List.rev
-  in
-  match orders with
-  | [] | [ _ ] -> None
-  | orders ->
-      let jobs = Stdlib.max 1 cfg.jobs in
-      let n = List.length orders in
-      let results = Array.make n None in
-      let jon = Journal.on () in
-      let tasks =
-        List.mapi
-          (fun i (name, order) ~cancelled ~conclude ->
-            if not (cancelled ()) then begin
-              if jon then Journal.racer ~event:"start" ~strategy:name;
-              let r, truncated =
-                pave_order cfg prob prepared ?group ~jlabel:name ~cancelled
-                  ~order ()
-              in
-              results.(i) <- Some (name, r, truncated);
-              (if jon && truncated then
-                 Journal.racer
-                   ~event:(if cancelled () then "cancel" else "retire")
-                   ~strategy:name);
-              if not truncated then conclude i
-            end)
-          orders
-      in
-      ignore (Parallel.Pool.first_conclusive ~jobs tasks);
-      let rec pick want_complete i =
-        if i >= n then None
-        else
-          match results.(i) with
-          | Some (name, r, truncated) when (not want_complete) || not truncated
-            ->
-              Some (name, r)
-          | _ -> pick want_complete (i + 1)
-      in
-      (match pick true 0 with
-      | Some (name, r) ->
-          Icp.Portfolio.record_win name;
-          Some r
-      | None -> (
-          match pick false 0 with
-          | Some (name, r) ->
-              Icp.Portfolio.record_win name;
-              Some r
-          | None -> None))
-
-let synthesize ?(config = default_config) ?strategy prob =
+let synthesize ?(config = default_config) prob =
   Telemetry.Span.with_ tm_synth @@ fun () ->
   let jobs = Stdlib.max 1 config.jobs in
   let jrun =
     if Journal.on () then
-      Journal.begin_run ~kind:"synth"
-        ~flags:
-          [ ("newton", string_of_bool (Icp.Deriv.enabled ()));
-            ("affine", string_of_bool (Interval.Affine.enabled ()));
-            ("cache", string_of_bool (Cache.enabled ()));
-            ("tape", string_of_bool (Expr.Tape.enabled ()));
-            ("portfolio", string_of_bool (Icp.Portfolio.active ()));
-            ("jobs", string_of_int jobs) ]
-        ()
+      Journal.begin_run ~kind:"synth" ~flags:(Icp.Solver.journal_flags jobs) ()
     else 0
   in
   let jon = jrun <> 0 in
@@ -358,24 +203,7 @@ let synthesize ?(config = default_config) ?strategy prob =
   let group =
     if Cache.enabled () then Some (problem_group config prob) else None
   in
-  let portfolio_result =
-    match strategy with
-    | Some (s : Icp.Portfolio.strategy) ->
-        Some
-          (fst
-             (pave_order config prob prepared ?group
-                ~jlabel:s.Icp.Portfolio.name
-                ~cancelled:(fun () -> false)
-                ~order:s.Icp.Portfolio.order ()))
-    | None ->
-        if Icp.Portfolio.active () then
-          synthesize_portfolio config prob prepared ?group ()
-        else None
-  in
   let result =
-    match portfolio_result with
-    | Some r -> r
-    | None ->
     if jobs = 1 then begin
       let consistent = ref [] and inconsistent = ref [] and undecided = ref [] in
       let explored = ref 0 in

@@ -36,21 +36,12 @@ type result = {
   boxes_explored : int;
 }
 
-val synthesize :
-  ?config:config -> ?strategy:Icp.Portfolio.strategy -> problem -> result
-(** In portfolio mode ({!Icp.Portfolio.active}) the paving races the
-    lineup's distinct split orders (the only strategy knob biopsy
-    classification responds to — there are no contractors here) on
-    [Parallel.Pool.first_conclusive], all racers sharing the
-    strategy-independent verdict store so each skips boxes another
-    already classified.  The first un-truncated paving wins (lowest
-    rank); all truncated → the rank-lowest partial paving.  [?strategy]
-    forces one split order, no race.  Portfolio off: the historical
-    paving, bit for bit — with [config.jobs > 1], worker domains share
-    the paving frontier and an atomic global box budget; the
-    classification of each box is a pure function of the box, so the
-    leaf set matches the sequential paving when the budget is not
-    exhausted (only list order may differ). *)
+val synthesize : ?config:config -> problem -> result
+(** With [config.jobs > 1], worker domains share the paving frontier
+    and an atomic global box budget; the classification of each box is
+    a pure function of the box, so the leaf set matches the sequential
+    paving when the budget is not exhausted (only list order may
+    differ). *)
 
 val falsified : result -> bool
 (** No parameter box survived: the model cannot explain the data. *)

@@ -352,15 +352,6 @@ let tube ~sys ~t0 ~t1 ~steps ~complete ~cached =
           (Printf.sprintf ",\"t0\":\"%h\",\"t1\":\"%h\",\"n\":%d,\"cm\":%b,\"ch\":%b"
              t0 t1 steps complete cached))
 
-let racer ~event ~strategy =
-  if on () then
-    emit (fun buf ->
-        run_field buf "racer";
-        Buffer.add_string buf ",\"e\":";
-        Telemetry.Json.escape buf event;
-        Buffer.add_string buf ",\"s\":";
-        Telemetry.Json.escape buf strategy)
-
 let path_event ~index ~info =
   if on () then
     emit (fun buf ->
@@ -454,7 +445,6 @@ type ev =
       complete : bool;
       cached : bool;
     }
-  | Racer of { run : int; event : string; strategy : string }
   | Path of { run : int; index : int; info : string }
   | Seg of { run : int; path : int; index : int; mode : string; cached : bool }
 
@@ -558,8 +548,6 @@ let parse_line line =
                   t0 = hexf (field f "t0"); t1 = hexf (field f "t1");
                   steps = int_ (field f "n"); complete = bool_ (field f "cm");
                   cached = bool_ (field f "ch") }
-          | "racer" ->
-              Racer { run = run (); event = str (field f "e"); strategy = str (field f "s") }
           | "path" -> Path { run = run (); index = int_ (field f "p"); info = str (field f "info") }
           | "seg" ->
               Seg
@@ -716,7 +704,7 @@ let reconstruct records =
           set_outcome f (get_node f run id) (O_leaf (cls, reason))
       | Sat { run; id; certified; _ } ->
           set_outcome f (get_node f run id) (O_sat certified)
-      | Tube _ | Racer _ | Path _ | Seg _ -> ())
+      | Tube _ | Path _ | Seg _ -> ())
     records;
   Hashtbl.iter (fun _ r -> r.roots <- List.rev r.roots) f.f_runs;
   f.f_run_order <- List.rev f.f_run_order;
@@ -759,8 +747,8 @@ let flag_true flags k =
 
 (* The run kinds whose searches terminate only by exhausting the tree:
    complete runs of these kinds must account for every node. *)
-let completeness_enforced (r : run_info) ~has_racers =
-  (not r.truncated) && (not has_racers)
+let completeness_enforced (r : run_info) =
+  (not r.truncated)
   && (match r.kind with
      | "pave" | "synth" -> true
      | "decide" -> r.verdict = Some "unsat"
@@ -779,7 +767,6 @@ let audit f =
       add "records reference unknown run %d" run
     end
   in
-  let racer_runs = Hashtbl.create 4 in
   List.iter
     (fun { ev; _ } ->
       match ev with
@@ -788,10 +775,7 @@ let audit f =
       | Root { run; _ } | Enter { run; _ } | Split { run; _ }
       | Prune { run; _ } | Leaf { run; _ } | Sat { run; _ }
       | Tube { run; _ } | Path { run; _ } | Seg { run; _ } ->
-          check_run run
-      | Racer { run; _ } ->
-          check_run run;
-          Hashtbl.replace racer_runs run ())
+          check_run run)
     f.f_records;
   (* structural checks per node *)
   let sorted_bounds (b : bounds) =
@@ -872,8 +856,7 @@ let audit f =
      is split or terminal *)
   List.iter
     (fun (r : run_info) ->
-      if completeness_enforced r ~has_racers:(Hashtbl.mem racer_runs r.rid)
-      then begin
+      if completeness_enforced r then begin
         let rec walk id =
           match Hashtbl.find_opt f.f_nodes id with
           | None -> add "run %d: missing node %d" r.rid id
@@ -948,7 +931,6 @@ type run_summary = {
       (** delta-sat chain: (id, depth, split var or terminal marker) *)
   s_tubes : int;
   s_tubes_cached : int;
-  s_racers : (string * string) list;  (** (event, strategy) *)
   s_paths : int;
   s_segs : int;
 }
@@ -963,7 +945,7 @@ let summarize f (r : run_info) =
   let leaves_ = ref [] and reasons = ref [] in
   let by_depth : (int, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
   let tubes = ref 0 and tubes_cached = ref 0 in
-  let racers = ref [] and paths = ref 0 and segs = ref 0 in
+  let paths = ref 0 and segs = ref 0 in
   let depth_of id =
     match Hashtbl.find_opt f.f_nodes id with Some n -> n.depth | None -> 0
   in
@@ -990,8 +972,6 @@ let summarize f (r : run_info) =
       | Tube { run; cached; _ } when run = r.rid ->
           incr tubes;
           if cached then incr tubes_cached
-      | Racer { run; event; strategy } when run = r.rid ->
-          racers := (event, strategy) :: !racers
       | Path { run; _ } when run = r.rid -> incr paths
       | Seg { run; _ } when run = r.rid -> incr segs
       | _ -> ())
@@ -1042,7 +1022,6 @@ let summarize f (r : run_info) =
     s_witness = witness;
     s_tubes = !tubes;
     s_tubes_cached = !tubes_cached;
-    s_racers = List.rev !racers;
     s_paths = !paths;
     s_segs = !segs;
   }
@@ -1116,17 +1095,7 @@ let provenance_json f =
         (Printf.sprintf
            "], \"tubes\": %d, \"tubes_cached\": %d, \"paths\": %d, \"segments\": %d"
            s.s_tubes s.s_tubes_cached s.s_paths s.s_segs);
-      Buffer.add_string buf ", \"racers\": [";
-      List.iteri
-        (fun j (e, st) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf "{\"event\": ";
-          J.escape buf e;
-          Buffer.add_string buf ", \"strategy\": ";
-          J.escape buf st;
-          Buffer.add_char buf '}')
-        s.s_racers;
-      Buffer.add_string buf "]}")
+      Buffer.add_string buf "}")
     (runs f);
   Buffer.add_string buf "\n  ],\n  \"audit\": {";
   Buffer.add_string buf
@@ -1180,11 +1149,7 @@ let report f =
           s.s_prunes;
       if s.s_tubes > 0 then
         pr "  ODE tubes: %d (%d cache replays)\n" s.s_tubes s.s_tubes_cached;
-      if s.s_paths > 0 then pr "  reach paths: %d, segments: %d\n" s.s_paths s.s_segs;
-      if s.s_racers <> [] then
-        pr "  racers: %s\n"
-          (String.concat ", "
-             (List.map (fun (e, st) -> st ^ ":" ^ e) s.s_racers)))
+      if s.s_paths > 0 then pr "  reach paths: %d, segments: %d\n" s.s_paths s.s_segs)
     (runs f);
   let violations = audit f in
   if violations = [] then pr "audit: clean\n"
@@ -1268,21 +1233,6 @@ module Progress = struct
         else acc)
       0 counters
 
-  let leader counters =
-    let prefix = "portfolio.wins." in
-    List.fold_left
-      (fun acc (name, v) ->
-        if String.length name > String.length prefix
-           && String.sub name 0 (String.length prefix) = prefix
-        then
-          let who = String.sub name (String.length prefix)
-                      (String.length name - String.length prefix) in
-          match acc with
-          | Some (_, best) when best >= v -> acc
-          | _ -> Some (who, v)
-        else acc)
-      None counters
-
   let render ~budget ~boxes ~rate counters =
     let prunes =
       counter counters "icp.decide.prunings" + counter counters "icp.pave.prunings"
@@ -1300,14 +1250,9 @@ module Progress = struct
       | None -> "-"
       | Some total -> string_of_int (Stdlib.max 0 (total - boxes))
     in
-    let leader_s =
-      match leader counters with
-      | Some (who, n) when n > 0 -> Printf.sprintf "%s(%d)" who n
-      | _ -> "-"
-    in
     Printf.sprintf
-      "progress: boxes=%d (%.0f/s) prunings=%d cache-hit=%s budget-left=%s leader=%s"
-      boxes rate prunes cache budget_s leader_s
+      "progress: boxes=%d (%.0f/s) prunings=%d cache-hit=%s budget-left=%s"
+      boxes rate prunes cache budget_s
 
   let start ?(interval = 0.5) ?budget () =
     let stop_flag = Atomic.make false in

@@ -5,9 +5,8 @@
     counters and Chrome spans, the journal answers "why is this verdict
     true": every box entered, every split (with the variable and the
     branching heuristic that chose it), every pruning (tagged with the
-    contractor that refuted the box), every ODE tube, every portfolio
-    racer and every reach path/segment step is one line-delimited JSON
-    record.  [biomc explain] reloads a journal, reconstructs the search
+    contractor that refuted the box), every ODE tube and every reach
+    path/segment step is one line-delimited JSON record.  [biomc explain] reloads a journal, reconstructs the search
     forest and emits a verdict-provenance report, a DOT export and a
     soundness audit; the differential tests check the reconstructed
     leaf partition against the solver's own paving, fingerprint for
@@ -102,8 +101,9 @@ val in_run : unit -> bool
     a journal never contains records with no run header to hang off. *)
 
 val root : id:int -> ?label:string -> bounds -> unit
-(** A search root: the query box of a decide/pave, one racer's copy of
-    it, a reach path's search box, a synth parameter box. *)
+(** A search root: the query box of a decide/pave (one per DNF branch
+    when a decide races its branches), a reach path's search box, a
+    synth parameter box. *)
 
 val enter : id:int -> depth:int -> unit
 
@@ -138,9 +138,6 @@ val tube :
   complete:bool ->
   cached:bool ->
   unit
-
-val racer : event:string -> strategy:string -> unit
-(** [event] is ["start"], ["cancel"], ["retire"] or ["win"]. *)
 
 val path_event : index:int -> info:string -> unit
 val seg : path:int -> index:int -> mode:string -> cached:bool -> unit
@@ -194,7 +191,6 @@ type ev =
       complete : bool;
       cached : bool;
     }
-  | Racer of { run : int; event : string; strategy : string }
   | Path of { run : int; index : int; info : string }
   | Seg of { run : int; path : int; index : int; mode : string; cached : bool }
 
@@ -263,9 +259,10 @@ val audit : forest -> string list
     references a known run; split children exist, are distinct and
     partition the split box (adjacent on the split variable, identical
     elsewhere), which is itself contained in the parent's entered
-    bounds; every node has at most one outcome; in a complete
-    (un-truncated, no-cancel) run every reachable node is accounted for
-    (split or terminal); prune reasons are consistent with the run
+    bounds; every node has at most one outcome; in every un-truncated
+    pave or synth run, and every un-truncated decide run whose verdict
+    is unsat, every reachable node is accounted for (split or
+    terminal); prune reasons are consistent with the run
     header's flag snapshot (["newton"]/["mean-value"] need the newton
     flag, ["affine-refute"] the affine flag, ["tm-refute"] the tm flag,
     ["cache-replay"] the cache flag); a recorded ["affine_budget"] flag
@@ -274,7 +271,7 @@ val audit : forest -> string list
 val provenance_json : forest -> string
 (** The explain payload: per-run verdict, prune-reason breakdown per
     depth, the witness chain (root-to-sat splits) for delta-sat, the
-    refutation cover for unsat, tube/racer/path summaries. *)
+    refutation cover for unsat, tube and path summaries. *)
 
 val report : forest -> string
 (** Human-readable rendering of {!provenance_json}'s content. *)
@@ -293,8 +290,7 @@ module Progress : sig
       0.5) it reads the always-on telemetry registry and, when the
       numbers moved, writes one line to stderr — boxes/sec, total
       boxes, prunings, cache hit rate, budget remaining (against
-      [budget] total when given), current portfolio leader.  Purely
-      observational. *)
+      [budget] total when given).  Purely observational. *)
 
   val stop : t -> unit
   (** Stop and join the heartbeat; prints a final line. *)

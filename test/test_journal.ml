@@ -197,6 +197,53 @@ let test_explain_reach () =
     "report names reach" true
     (contains (J.report forest) "reach")
 
+(* ---- one flag header for every run kind ---- *)
+
+(* decide, pave, reach and synth runs record the same layer flags, so
+   the audit's prune-reason rules (e.g. "tm-refute requires tm") apply
+   to every kind; a switched-off layer reads "false" in each. *)
+let test_run_headers_share_flags () =
+  J.set_sink J.Memory;
+  Interval.Tm.set_enabled false;
+  Fun.protect ~finally:Interval.Tm.clear_enabled_override @@ fun () ->
+  let box = Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ] in
+  ignore (S.decide (formula "x^2 + y^2 = 1 and y = x^2") box);
+  ignore
+    (S.pave ~config:{ S.default_config with epsilon = 0.5 }
+       (formula "x^2 + y^2 <= 1") box);
+  ignore
+    (C.check
+       (E.create
+          ~goal:{ E.goal_modes = []; predicate = P.formula "x <= 1/2" }
+          ~k:0 ~time_bound:1.0 decay_automaton));
+  let decay_k =
+    Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ]
+  in
+  ignore
+    (Synth.Biopsy.synthesize
+       ~config:{ Synth.Biopsy.default_config with epsilon = 0.5 }
+       (Synth.Biopsy.problem ~sys:decay_k
+          ~param_box:(Box.of_list [ ("k", I.make 0.5 2.0) ])
+          ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+          ~data:
+            [ Synth.Data.point ~time:1.0 ~var:"x" ~value:(Float.exp (-1.0))
+                ~tolerance:0.1 ]));
+  let _, forest = load_forest () in
+  check_audit forest;
+  let runs = J.runs forest in
+  Alcotest.(check (list string))
+    "run kinds" [ "decide"; "pave"; "reach"; "synth" ]
+    (List.map (fun (r : J.run_info) -> r.J.kind) runs);
+  let keys (r : J.run_info) = List.sort compare (List.map fst r.J.flags) in
+  let expected = keys (List.hd runs) in
+  List.iter
+    (fun (r : J.run_info) ->
+      Alcotest.(check (list string)) (r.J.kind ^ " flag keys") expected (keys r);
+      Alcotest.(check (option string))
+        (r.J.kind ^ " tm flag") (Some "false")
+        (List.assoc_opt "tm" r.J.flags))
+    runs
+
 (* ---- audit rejections ---- *)
 
 (* Emit a synthetic journal through the public emitters, then audit. *)
@@ -312,7 +359,9 @@ let () =
        [ Alcotest.test_case "decide round-trip" `Quick
            (clean test_explain_decide);
          Alcotest.test_case "reach round-trip" `Quick
-           (clean test_explain_reach) ]);
+           (clean test_explain_reach);
+         Alcotest.test_case "run headers share one flag set" `Quick
+           (clean test_run_headers_share_flags) ]);
       ("audit",
        [ Alcotest.test_case "clean synthetic journal" `Quick
            (clean test_audit_clean_synthetic);

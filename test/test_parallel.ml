@@ -86,60 +86,6 @@ let test_frontier_stop_discards () =
     true
     (Atomic.get processed < 100)
 
-let test_first_conclusive () =
-  let r =
-    Parallel.Pool.first_conclusive ~jobs:2
-      [ (fun ~cancelled:_ ~conclude:_ -> ());
-        (fun ~cancelled:_ ~conclude -> conclude 42) ]
-  in
-  Alcotest.(check (option int)) "the concluding task wins" (Some 42) r;
-  let none =
-    Parallel.Pool.first_conclusive ~jobs:2
-      [ (fun ~cancelled:_ ~conclude:_ -> ()); (fun ~cancelled:_ ~conclude:_ -> ()) ]
-  in
-  Alcotest.(check (option int)) "no conclusion -> None" None none
-
-let test_first_conclusive_stops_immediately () =
-  (* A winner's [conclude] must stop the frontier while the winner is
-     still running, so queued tasks stop being dequeued at once: task 0
-     concludes (after at least one recorder ran, so the other domain is
-     live) and then stays busy; meanwhile the other worker chews through
-     recorder tasks.  If stop only fired when the winner's thunk
-     returned — the old behaviour — all recorders would run during the
-     winner's busy tail. *)
-  with_domain_cap 2 @@ fun () ->
-  let n = 2_000 in
-  let ran = Atomic.make 0 in
-  let sink = ref 0.0 in
-  let recorder ~cancelled:_ ~conclude:_ =
-    Atomic.incr ran;
-    (* a few microseconds of work per task, so the busy tail below is
-       orders of magnitude longer than the stop latency *)
-    for i = 1 to 1_000 do
-      sink := !sink +. Float.sin (float_of_int i)
-    done
-  in
-  let winner ~cancelled:_ ~conclude =
-    while Atomic.get ran = 0 do
-      Domain.cpu_relax ()
-    done;
-    conclude 1;
-    (* busy tail: long enough for the other worker to drain every
-       remaining recorder if the frontier were still live *)
-    for i = 1 to 20_000_000 do
-      sink := !sink +. float_of_int (i land 7)
-    done
-  in
-  let r =
-    Parallel.Pool.first_conclusive ~jobs:2
-      (winner :: List.init (n - 1) (fun _ -> recorder))
-  in
-  Alcotest.(check (option int)) "winner's value" (Some 1) r;
-  Alcotest.(check bool)
-    (Printf.sprintf "recorders cut short (%d of %d ran)" (Atomic.get ran) (n - 1))
-    true
-    (Atomic.get ran < n - 1)
-
 (* ---- Deque primitives ---- *)
 
 let test_deque_order () =
@@ -242,37 +188,6 @@ let frontier_stress ~jobs ~n () =
   Array.iter (fun bag -> List.iter (fun x -> seen.(x) <- seen.(x) + 1) !bag) bags;
   Alcotest.(check bool) "seeds and children each processed exactly once" true
     (Array.for_all (fun c -> c = 1) seen)
-
-let test_first_conclusive_lease_exact () =
-  (* Racer budget leases must be settled exactly at the race's end:
-     winner and losers alike return their unspent chunks — including
-     racers the stop flag cut from the queue unrun — so [consumed]
-     reports actual spends, not chunk takes.  (Before the portfolio
-     work, cancelled racers leaked their last chunk until a caller-side
-     sweep.)  jobs=1 makes the schedule deterministic: task 0 runs and
-     retires, task 1 concludes, task 2 is never dequeued. *)
-  let n = 3 in
-  let leases =
-    Array.init n (fun _ -> Parallel.Pool.Lease.create ~total:1_000 ())
-  in
-  let locals = Array.map Parallel.Pool.Lease.local leases in
-  let spends = [| 5; 7; 0 |] in
-  let tasks =
-    List.init n (fun i ~cancelled:_ ~conclude ->
-        for _ = 1 to spends.(i) do
-          ignore (Parallel.Pool.Lease.spend locals.(i))
-        done;
-        if i = 1 then conclude i)
-  in
-  let r = Parallel.Pool.first_conclusive ~jobs:1 ~leases:locals tasks in
-  Alcotest.(check (option int)) "rank-1 racer wins" (Some 1) r;
-  Array.iteri
-    (fun i lease ->
-      Alcotest.(check int)
-        (Printf.sprintf "lease %d consumption exact" i)
-        spends.(i)
-        (Parallel.Pool.Lease.consumed lease))
-    leases
 
 (* ---- Budget leases ---- *)
 
@@ -743,12 +658,7 @@ let () =
           Alcotest.test_case "run exception" `Quick test_run_propagates_exception;
           Alcotest.test_case "chunks partition" `Quick test_chunks_partition;
           Alcotest.test_case "frontier drains" `Quick test_frontier_drains_all;
-          Alcotest.test_case "frontier stop" `Quick test_frontier_stop_discards;
-          Alcotest.test_case "first conclusive" `Quick test_first_conclusive;
-          Alcotest.test_case "first conclusive stops immediately" `Quick
-            test_first_conclusive_stops_immediately;
-          Alcotest.test_case "first conclusive settles leases" `Quick
-            test_first_conclusive_lease_exact ] );
+          Alcotest.test_case "frontier stop" `Quick test_frontier_stop_discards ] );
       ( "deque",
         [ Alcotest.test_case "lifo and batch order" `Quick test_deque_order;
           Alcotest.test_case "steal-half order" `Quick test_deque_steal_half;

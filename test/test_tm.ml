@@ -564,12 +564,12 @@ let test_decide_on_vs_off () =
    share volume with an unsat leaf of the other; feasibility must
    agree; and the TM paving must be identical between jobs=1 and
    jobs=2. *)
-(* Pinned on the default pave path: under BIOMC_PORTFOLIO=1 a non-TM
-   racer can win the race and certify nothing, which is legitimate but
-   not what this test measures. *)
+(* Pinned on the tape path: the TM certifier exists only there, so
+   under BIOMC_NO_TAPE=1 the on run would certify nothing, which is
+   legitimate but not what this test measures. *)
 let test_pave_on_vs_off () =
-  Icp.Portfolio.set_mode Icp.Portfolio.Off;
-  Fun.protect ~finally:Icp.Portfolio.clear_mode_override @@ fun () ->
+  Expr.Tape.set_enabled true;
+  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   let f =
     P.formula
       "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
