@@ -223,6 +223,180 @@ let test_pave_all_sat () =
   Alcotest.(check int) "one sat box" 1 (List.length p.S.sat);
   Alcotest.(check int) "no unsat" 0 (List.length p.S.unsat)
 
+(* ---- Agreement across the layer switches ----
+
+   The Newton, affine and Taylor-model switches select the search
+   strategy: which contraction layers run per box and, with Newton on,
+   smear branching instead of widest-first.  Every setting is a sound
+   δ-decision procedure, so verdict kinds on robust instances and the
+   certain volumes of a paving must agree across all eight. *)
+
+let verdict_kind = function
+  | S.Unsat -> "unsat"
+  | S.Delta_sat _ -> "delta-sat"
+  | S.Unknown _ -> "unknown"
+
+(* Instances with robust margins, so the δ-gray zone is never hit. *)
+let agreement_instances =
+  [ ("sqrt2", "x^2 = 2", [ ("x", 0.0, 2.0) ]);
+    ("sum-unsat", "x + y >= 3.5", [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ]);
+    ("prod-unsat", "x*y >= 2", [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ]);
+    ("sin", "sin(x) = 0.5", [ ("x", 0.0, 2.0) ]);
+    ( "cubic-pair",
+      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and (x - \
+       y)^2 >= 0.3",
+      [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] );
+    ("or-sat", "x + y >= 3.5 or x^2 + y^2 = 0.25",
+      [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ]);
+    ("or-unsat", "x + y >= 3.5 or x*y >= 2",
+      [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ]) ]
+
+(* Seeded robust instances on top of the pinned ones: circles of radius
+   c < 1 (δ-sat) and thresholds above the attainable maximum (unsat
+   with margin ≥ 0.1). *)
+let agreement_random =
+  let st = Random.State.make [| 0x5eed |] in
+  List.concat_map
+    (fun i ->
+      let c = 0.1 +. Random.State.float st 0.8 in
+      [ ( Printf.sprintf "rand-sat-%d" i,
+          Printf.sprintf "x^2 + y^2 = %.3f" (c *. c),
+          [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ] );
+        ( Printf.sprintf "rand-unsat-%d" i,
+          Printf.sprintf "x^2 + y^2 >= %.3f" (2.1 +. Random.State.float st 0.5),
+          [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ] ) ])
+    [ 0; 1; 2 ]
+
+(* A disjunction is decided by the DNF branch portfolio; its verdict
+   must be what deciding each branch on its own implies: δ-sat when
+   some branch is, unsat when every branch is. *)
+let branchwise_kind config f b =
+  let kinds =
+    List.map
+      (fun atoms ->
+        verdict_kind
+          (S.decide ~config (F.and_ (List.map (fun a -> F.Atom a) atoms)) b))
+      (F.dnf f)
+  in
+  if List.mem "delta-sat" kinds then "delta-sat"
+  else if List.for_all (String.equal "unsat") kinds then "unsat"
+  else "unknown"
+
+let test_decide_agreement () =
+  List.iter
+    (fun (name, fml, dom) ->
+      let f = P.formula fml in
+      let b = box dom in
+      List.iter
+        (fun jobs ->
+          let config = { S.default_config with jobs } in
+          let kinds =
+            List.map
+              (fun l ->
+                Layers.with_layers l (fun () -> verdict_kind (S.decide ~config f b)))
+              Layers.settings
+          in
+          let reference = List.hd kinds in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: conclusive (jobs=%d)" name jobs)
+            true (reference <> "unknown");
+          List.iter2
+            (fun l k ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s agrees (jobs=%d)" name (Layers.name l)
+                   jobs)
+                reference k)
+            Layers.settings kinds;
+          if List.length (F.dnf f) > 1 then
+            List.iter
+              (fun l ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: portfolio = branchwise, %s (jobs=%d)" name
+                     (Layers.name l) jobs)
+                  reference
+                  (Layers.with_layers l (fun () -> branchwise_kind config f b)))
+              Layers.settings)
+        [ 1; 2 ])
+    (agreement_instances @ agreement_random)
+
+let test_pave_agreement () =
+  let f = P.formula "x^2 + y^2 <= 1" in
+  let b = box [ ("x", 0.0, 1.0); ("y", 0.0, 1.0) ] in
+  let quarter_disc = Float.pi /. 4.0 in
+  List.iter
+    (fun jobs ->
+      let config = { S.default_config with epsilon = 0.05; jobs } in
+      let sat_volumes =
+        List.map
+          (fun l ->
+            let p = Layers.with_layers l (fun () -> S.pave ~config f b) in
+            let sv, uv, dv = S.paving_volumes ~over:[ "x"; "y" ] p in
+            let label what =
+              Printf.sprintf "%s %s (jobs=%d)" (Layers.name l) what jobs
+            in
+            Alcotest.(check bool)
+              (label "paving partitions the box") true
+              (Float.abs (sv +. uv +. dv -. 1.0) < 1e-9);
+            (* the sat leaves are a proof: inside the quarter disc; the
+               unsat leaves too: outside it *)
+            Alcotest.(check bool)
+              (label "sat inside the disc") true (sv <= quarter_disc +. 1e-9);
+            Alcotest.(check bool)
+              (label "sat + undecided covers the disc") true
+              (sv +. dv >= quarter_disc -. 1e-9);
+            sv)
+          Layers.settings
+      in
+      let lo = List.fold_left Float.min infinity sat_volumes in
+      let hi = List.fold_left Float.max neg_infinity sat_volumes in
+      Alcotest.(check bool)
+        (Printf.sprintf "sat volumes within shell tolerance (jobs=%d)" jobs)
+        true (hi -. lo < 0.2))
+    [ 1; 2 ]
+
+(* [Contractor.contractor] samples the layer switches when it builds the
+   closure: flipping them afterwards changes nothing, and a closure
+   built with every layer off is the plain HC4 fixpoint.  x(1 - x) ≥ 0.3
+   has no solution on [0, 1] (the maximum is 1/4), which the HC4 pass
+   alone cannot see but the Newton and Taylor-model layers refute. *)
+let test_contractor_samples_switches () =
+  Expr.Tape.set_enabled true;
+  let prev_policy = Cache.policy () in
+  Cache.set_policy Cache.Off;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.set_policy prev_policy;
+      Expr.Tape.clear_enabled_override ())
+  @@ fun () ->
+  let cs = [ C.of_atom ~delta:0.0 (List.hd (F.atoms (P.formula "x*(1 - x) >= 0.3"))) ] in
+  let off = (false, false, false) and on = (true, true, true) in
+  let c_off = Layers.with_layers off (fun () -> C.contractor cs) in
+  let c_on = Layers.with_layers on (fun () -> C.contractor cs) in
+  let compiled = C.compile cs in
+  let show = function None -> "refuted" | Some b -> Box.to_string b in
+  List.iter
+    (fun (lo, hi) ->
+      let b = box [ ("x", lo, hi) ] in
+      let hc4 = show (C.fixpoint_compiled compiled b) in
+      let layered = Layers.with_layers on (fun () -> show (c_on b)) in
+      List.iter
+        (fun l ->
+          Layers.with_layers l (fun () ->
+              Alcotest.(check string)
+                (Printf.sprintf "off closure = HC4 on [%g, %g] under %s" lo hi
+                   (Layers.name l))
+                hc4 (show (c_off b));
+              Alcotest.(check string)
+                (Printf.sprintf "on closure unchanged on [%g, %g] under %s" lo
+                   hi (Layers.name l))
+                layered (show (c_on b))))
+        [ off; on ])
+    [ (0.0, 1.0); (0.1, 0.9); (0.25, 0.75) ];
+  let unit_box = box [ ("x", 0.0, 1.0) ] in
+  Alcotest.(check bool) "HC4 alone cannot refute" false
+    (Option.is_none (c_off unit_box));
+  Alcotest.(check bool) "the layers refute" true (Option.is_none (c_on unit_box))
+
 (* ---- ∃∀ CEGIS ---- *)
 
 let test_eforall_scaling () =
@@ -358,6 +532,8 @@ let () =
           Alcotest.test_case "multiple occurrences" `Quick test_revise_multiple_occurrences;
           Alcotest.test_case "fixpoint" `Quick test_fixpoint;
           Alcotest.test_case "fixpoint infeasible" `Quick test_fixpoint_infeasible;
+          Alcotest.test_case "layer switches sampled at build" `Quick
+            test_contractor_samples_switches;
         ] );
       ( "solver",
         [
@@ -377,6 +553,13 @@ let () =
         [
           Alcotest.test_case "circle" `Quick test_pave_circle;
           Alcotest.test_case "all sat" `Quick test_pave_all_sat;
+        ] );
+      ( "agreement",
+        [
+          Alcotest.test_case "decide: portfolio = each strategy" `Quick
+            test_decide_agreement;
+          Alcotest.test_case "pave: partitions and volumes agree" `Quick
+            test_pave_agreement;
         ] );
       ( "eforall",
         [

@@ -244,6 +244,48 @@ let test_run_headers_share_flags () =
         (List.assoc_opt "tm" r.J.flags))
     runs
 
+(* The header snapshot reads every switch at the time of the call. *)
+let test_flags_follow_switches () =
+  let prev_policy = Cache.policy () in
+  Fun.protect
+    ~finally:(fun () ->
+      Icp.Deriv.clear_enabled_override ();
+      Interval.Affine.clear_enabled_override ();
+      Interval.Affine.set_budget Interval.Affine.default_budget;
+      Interval.Tm.clear_enabled_override ();
+      Expr.Tape.clear_enabled_override ();
+      Cache.set_policy prev_policy)
+  @@ fun () ->
+  let set on =
+    Icp.Deriv.set_enabled on;
+    Interval.Affine.set_enabled on;
+    Interval.Tm.set_enabled on;
+    Expr.Tape.set_enabled on;
+    Cache.set_policy (if on then Cache.Exact else Cache.Off)
+  in
+  let switches = [ "newton"; "affine"; "tm"; "cache"; "tape" ] in
+  List.iter
+    (fun on ->
+      set on;
+      let flags = S.journal_flags 3 in
+      Alcotest.(check (list string))
+        "header keys"
+        [ "affine"; "affine_budget"; "cache"; "jobs"; "newton"; "tape"; "tm" ]
+        (List.sort compare (List.map fst flags));
+      List.iter
+        (fun k ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s with switches %b" k on)
+            (Some (string_of_bool on))
+            (List.assoc_opt k flags))
+        switches;
+      Alcotest.(check (option string)) "jobs" (Some "3")
+        (List.assoc_opt "jobs" flags))
+    [ false; true ];
+  Interval.Affine.set_budget 7;
+  Alcotest.(check (option string)) "affine budget" (Some "7")
+    (List.assoc_opt "affine_budget" (S.journal_flags 1))
+
 (* ---- audit rejections ---- *)
 
 (* Emit a synthetic journal through the public emitters, then audit. *)
@@ -326,6 +368,43 @@ let test_audit_rejects_impossible_reason () =
   Alcotest.(check bool) "impossible prune reason is flagged" true
     (problems <> [])
 
+(* Every run kind records the full flag header, so a prune credited to a
+   switched-off layer is flagged whatever the kind, and the same prune
+   under the live layer is clean. *)
+let test_audit_layer_reasons_every_kind () =
+  let layers =
+    [ ("newton", Icp.Deriv.set_enabled, Icp.Deriv.clear_enabled_override);
+      ( "affine-refute",
+        Interval.Affine.set_enabled,
+        Interval.Affine.clear_enabled_override );
+      ("tm-refute", Interval.Tm.set_enabled, Interval.Tm.clear_enabled_override) ]
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (reason, set_enabled, clear) ->
+          let audit_with on =
+            set_enabled on;
+            Fun.protect ~finally:clear @@ fun () ->
+            audit_of (fun () ->
+                let r = J.begin_run ~kind ~flags:(S.journal_flags 1) () in
+                let root = J.fresh_id () in
+                J.root ~id:root (b1 0.0 1.0);
+                J.enter ~id:root ~depth:0;
+                J.prune ~id:root ~reason ();
+                J.end_run ~verdict:"unsat" r)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s run: %s with the layer off is flagged" kind
+               reason)
+            true
+            (audit_with false <> []);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s run: %s with the layer on is clean" kind reason)
+            [] (audit_with true))
+        layers)
+    [ "decide"; "pave"; "reach"; "synth" ]
+
 (* ---- disabled mode is a no-op ---- *)
 
 let test_disabled_noop () =
@@ -361,7 +440,9 @@ let () =
          Alcotest.test_case "reach round-trip" `Quick
            (clean test_explain_reach);
          Alcotest.test_case "run headers share one flag set" `Quick
-           (clean test_run_headers_share_flags) ]);
+           (clean test_run_headers_share_flags);
+         Alcotest.test_case "flag header follows the switches" `Quick
+           (clean test_flags_follow_switches) ]);
       ("audit",
        [ Alcotest.test_case "clean synthetic journal" `Quick
            (clean test_audit_clean_synthetic);
@@ -370,7 +451,9 @@ let () =
          Alcotest.test_case "rejects non-partition split" `Quick
            (clean test_audit_rejects_non_partition);
          Alcotest.test_case "rejects impossible prune reason" `Quick
-           (clean test_audit_rejects_impossible_reason) ]);
+           (clean test_audit_rejects_impossible_reason);
+         Alcotest.test_case "layer prune reasons on every run kind" `Quick
+           (clean test_audit_layer_reasons_every_kind) ]);
       ("discipline",
        [ Alcotest.test_case "disabled journaling is a no-op" `Quick
            (clean test_disabled_noop) ]) ]

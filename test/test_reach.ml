@@ -171,6 +171,43 @@ let test_reach_two_modes_unsat () =
   in
   expect_unsat "down never re-reaches 1" (C.check pb)
 
+(* Every setting of the Newton, affine and Taylor-model switches is a
+   sound search, so each reaches the same verdict on these margins, and
+   every δ-sat witness is certified. *)
+let test_reach_layer_agreement () =
+  let problems =
+    [ ( "decay sat", true,
+        E.create ~goal:(goal "x <= 1/2") ~k:0 ~time_bound:1.0 decay_automaton );
+      ( "decay unsat", false,
+        E.create ~goal:(goal "x <= 1/2") ~k:0 ~time_bound:0.5 decay_automaton );
+      ( "parameterized sat", true,
+        E.create
+          ~param_box:(Box.of_list [ ("k", I.make 0.1 3.0) ])
+          ~goal:(goal "x <= 0.3") ~k:0 ~time_bound:1.0 decay_k_automaton );
+      ( "parameterized unsat", false,
+        E.create
+          ~param_box:(Box.of_list [ ("k", I.make 0.1 0.5) ])
+          ~goal:(goal "x <= 0.55") ~k:0 ~time_bound:1.0 decay_k_automaton );
+      ( "two modes sat", true,
+        E.create
+          ~param_box:(Box.of_list [ ("theta", I.make 0.5 1.5) ])
+          ~goal:(goal ~modes:[ "down" ] "x <= -1/2")
+          ~k:1 ~time_bound:3.0 switch_automaton ) ]
+  in
+  List.iter
+    (fun layers ->
+      Layers.with_layers layers @@ fun () ->
+      List.iter
+        (fun (name, sat, pb) ->
+          let name = Printf.sprintf "%s, %s" name (Layers.name layers) in
+          if sat then
+            Alcotest.(check bool)
+              (name ^ ": certified") true
+              (expect_delta_sat name (C.check pb)).C.certified
+          else expect_unsat name (C.check pb))
+        problems)
+    Layers.settings
+
 let test_synthesize_threshold () =
   (* Partition k ∈ [0.1, 3.0] for goal x <= 0.3 by t=1: the boundary is at
      k* = -ln 0.3 ≈ 1.204.  Feasible boxes must lie (mostly) right of it,
@@ -297,6 +334,7 @@ let () =
           Alcotest.test_case "parameterized unsat" `Quick test_reach_parameterized_unsat;
           Alcotest.test_case "two modes sat" `Quick test_reach_two_modes;
           Alcotest.test_case "two modes unsat" `Quick test_reach_two_modes_unsat;
+          Alcotest.test_case "layer switches agree" `Quick test_reach_layer_agreement;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
         ] );

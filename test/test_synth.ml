@@ -170,6 +170,44 @@ let test_two_parameter_synthesis () =
         (Box.contains_env [ ("a", 1.0); ("b", 2.0) ] b))
     r.B.inconsistent
 
+(* Every setting of the Newton, affine and Taylor-model switches gives
+   a sound paving of the parameter box: the truth k = 1 is never ruled
+   out, the volumes partition the box, and no setting's consistent box
+   shares volume with another setting's inconsistent box. *)
+let test_layer_agreement () =
+  let prob = problem () in
+  let config = { B.default_config with epsilon = 0.05 } in
+  let runs =
+    List.map
+      (fun layers ->
+        (Layers.name layers,
+          Layers.with_layers layers (fun () -> B.synthesize ~config prob)))
+      Layers.settings
+  in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check bool) (name ^ ": not falsified") false (B.falsified r);
+      Alcotest.(check bool)
+        (name ^ ": truth not excluded") false
+        (List.exists (fun b -> I.mem 1.0 (Box.find "k" b)) r.B.inconsistent);
+      let vc, vi, vu = B.volumes prob r in
+      Alcotest.(check bool)
+        (name ^ ": volumes sum") true
+        (Float.abs (vc +. vi +. vu -. 2.8) < 1e-9);
+      List.iter
+        (fun (other, r') ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s consistent vs %s inconsistent" name other)
+            false
+            (List.exists
+               (fun c ->
+                 List.exists
+                   (fun i -> Box.volume (Box.inter c i) > 0.0)
+                   r'.B.inconsistent)
+               r.B.consistent))
+        runs)
+    runs
+
 let test_undecided_shrinks_with_epsilon () =
   let prob = problem () in
   let run eps =
@@ -222,6 +260,7 @@ let () =
           Alcotest.test_case "brackets the truth" `Quick test_synthesize_brackets_truth;
           Alcotest.test_case "falsification" `Quick test_falsification;
           Alcotest.test_case "fit recovers truth" `Quick test_fit_recovers_truth;
+          Alcotest.test_case "layer switches agree" `Quick test_layer_agreement;
           Alcotest.test_case "two parameters" `Slow test_two_parameter_synthesis;
           Alcotest.test_case "epsilon refinement" `Slow test_undecided_shrinks_with_epsilon;
         ] );

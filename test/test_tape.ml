@@ -321,6 +321,51 @@ let test_pave_tape_parallel () =
           check "undecided" base.S.undecided p.S.undecided)
         [ 2; 4 ])
 
+(* ---- the kill switch: BIOMC_NO_TAPE reproduces the tree walkers ---- *)
+
+let stats_list (s : S.stats) =
+  [ s.S.boxes_processed; s.S.splits; s.S.prunings; s.S.max_depth;
+    s.S.certifications ]
+
+let leaf_strings boxes =
+  List.map
+    (fun b ->
+      String.concat ";"
+        (List.map
+           (fun (v, itv) -> Printf.sprintf "%s=%h,%h" v (I.lo itv) (I.hi itv))
+           (Box.to_list b)))
+    boxes
+
+(* Tapes off, on, off again, with the caches at their default policy:
+   the second off run must reproduce the first bit for bit (verdict,
+   stats, every pave leaf in order), so no tape-era cache entry (HC4
+   fixpoints, refuted boxes) leaks into the tree-walking search. *)
+let test_kill_switch_reproduces () =
+  let f = P.formula "x^3 - 2*x^2 + 1.25*x = 0.25 and (x - y)^2 >= 0.3" in
+  let bx = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in
+  let config = { S.default_config with jobs = 1 } in
+  let pconfig = { config with S.epsilon = 0.05 } in
+  let run flag =
+    with_tapes flag (fun () ->
+        let r, st = S.decide_with_stats ~config f bx in
+        let p, pst = S.pave_with_stats ~config:pconfig f bx in
+        (verdict_kind r, stats_list st, p, stats_list pst))
+  in
+  let k1, st1, p1, pst1 = run false in
+  let k2, _, _, _ = run true in
+  let k3, st3, p3, pst3 = run false in
+  Alcotest.(check string) "tapes agree with the tree walkers" k1 k2;
+  Alcotest.(check string) "verdict kind reproduced" k1 k3;
+  Alcotest.(check (list int)) "decide stats reproduced" st1 st3;
+  Alcotest.(check (list int)) "pave stats reproduced" pst1 pst3;
+  List.iter
+    (fun (label, l1, l3) ->
+      Alcotest.(check (list string))
+        (label ^ " leaves reproduced") (leaf_strings l1) (leaf_strings l3))
+    [ ("sat", p1.S.sat, p3.S.sat);
+      ("unsat", p1.S.unsat, p3.S.unsat);
+      ("undecided", p1.S.undecided, p3.S.undecided) ]
+
 (* ---- tape structure ---- *)
 
 let test_cse_shares_slots () =
@@ -367,6 +412,9 @@ let () =
             test_decide_tape_parallel;
           Alcotest.test_case "pave tape parallel" `Quick
             test_pave_tape_parallel ] );
+      ( "kill switch",
+        [ Alcotest.test_case "off-on-off bit-for-bit" `Quick
+            test_kill_switch_reproduces ] );
       ( "structure",
         [ Alcotest.test_case "cse shares slots" `Quick test_cse_shares_slots;
           Alcotest.test_case "unbound rejected" `Quick

@@ -615,6 +615,34 @@ let test_pave_on_vs_off () =
       ("unsat", p_on.S.unsat, p_on2.S.unsat);
       ("undecided", p_on.S.undecided, p_on2.S.undecided) ]
 
+(* The pave certifier reads the TM and tape switches when a paving
+   starts: it certifies the band's sat leaves only when both are on (at
+   this ε the interval classifier alone leaves the band undecided), and
+   a run under each setting sees that setting whatever ran before. *)
+let test_pave_certifier_follows_switches () =
+  let f =
+    P.formula
+      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
+       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3"
+  in
+  let bx = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in
+  let config = { S.default_config with S.epsilon = 0.05; jobs = 1 } in
+  let sat_leaves ~tape ~tm =
+    Expr.Tape.set_enabled tape;
+    Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
+    with_tm tm (fun () -> List.length (S.pave ~config f bx).S.sat)
+  in
+  let certified = sat_leaves ~tape:true ~tm:true in
+  Alcotest.(check bool) "tape + TM certify the band" true (certified > 0);
+  List.iter
+    (fun (tape, tm) ->
+      Alcotest.(check int)
+        (Printf.sprintf "no certified leaf with tape=%b tm=%b" tape tm)
+        0 (sat_leaves ~tape ~tm))
+    [ (true, false); (false, true); (false, false) ];
+  Alcotest.(check int) "tape + TM again" certified
+    (sat_leaves ~tape:true ~tm:true)
+
 (* ---- the kill-switch: BIOMC_NO_TM reproduces the old search ---- *)
 
 (* Off-run, on-run, off-run again — with the caches at their default
@@ -704,7 +732,9 @@ let () =
         [ Alcotest.test_case "decide on vs off (jobs 1, 2)" `Quick
             test_decide_on_vs_off;
           Alcotest.test_case "pave on vs off consistency" `Quick
-            test_pave_on_vs_off ] );
+            test_pave_on_vs_off;
+          Alcotest.test_case "pave certifier follows the switches" `Quick
+            test_pave_certifier_follows_switches ] );
       ( "kill-switch",
         [ Alcotest.test_case "decide off-run reproduced" `Quick
             test_killswitch_decide_bitforbit;
