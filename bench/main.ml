@@ -536,7 +536,7 @@ let p1 ?(quick = false) () =
      exhaust a deep search tree (≈16k boxes), which is the
      parallelizable regime; a δ-sat race would end at the first witness
      instead.  (The PR-1..6 tangency kernel decided in a handful of
-     boxes after the Newton/affine layers landed and measured only
+     boxes after the Newton and enclosure layers landed and measured only
      scheduler constants.) *)
   let sphere =
     Expr.Parse.formula "x^2 + y^2 + z^2 = 1 and x*y*z = 1925/10000"
@@ -1647,248 +1647,25 @@ let n1 ?(quick = false) () =
   Report.print [ Report.text "wrote BENCH_newton.json" ]
 
 (* ------------------------------------------------------------------ *)
-(* AF1: affine arithmetic off vs on                                    *)
+(* TM1: Taylor models off vs on                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The affine-form layer (Interval.Affine: noise-symbol evaluation
-   tightening the HC4 forward pass and the Picard/Taylor remainder
-   boxes) against the plain interval search, on the same
-   dependency-rich workloads as N1 — repeated variable occurrences are
-   exactly where shared noise symbols cancel and the natural extension
-   does not.  Verdict identity is asserted in-process for every decide
-   and pave pair (a sat/unsat leaf overlap between the two pavings
-   would be contradictory proofs); the box-count reduction is therefore
-   bought without changing any answer.  The ODE workload records tube
-   widths, not verdicts: the affine pass may only tighten the
-   enclosure, so final-width ratio >= 1 is the check.  Caches are off
-   (each run does its own full search); wall times are per-run minima
-   over a few rounds (noisy container clock, see T1). *)
-
-let af1 ?(quick = false) () =
-  section
-    (if quick then "AF1  Affine arithmetic off vs on (quick)"
-     else "AF1  Affine arithmetic: noise-symbol forward pass, off vs on");
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Interval.Affine.clear_enabled_override ())
-  @@ fun () ->
-  let rounds = if quick then 2 else 3 in
-  let verdict_of = function
-    | Icp.Solver.Delta_sat _ -> "delta-sat"
-    | Icp.Solver.Unsat -> "unsat"
-    | Icp.Solver.Unknown _ -> "unknown"
-  in
-  let counts (s : Icp.Solver.stats) =
-    (s.Icp.Solver.boxes_processed, s.Icp.Solver.splits, s.Icp.Solver.prunings)
-  in
-  (* min-of-rounds wall; counts/verdicts are deterministic per flag. *)
-  let best_of run =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to rounds do
-      let r, dt = timed run in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  (* The N1 workloads (see there for why each is dependency-rich), plus
-     a logistic-band paving where every atom mentions its variable
-     twice. *)
-  let cubic =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
-       (x - y)^2 >= 0.3"
-  in
-  let cubic_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  let mm =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) = 1.35 and s1 + s2 = 1"
-  in
-  let mm_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let fit =
-    Expr.Parse.formula
-      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and \
-       3*a*k*exp(-3*k) >= 0.1 and 3*a*k*exp(-3*k) <= 0.3"
-  in
-  let fit_box =
-    Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ]
-  in
-  let cubic_band =
-    Expr.Parse.formula
-      "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
-       y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3"
-  in
-  let cubic_band_box =
-    Box.of_list [ ("x", I.make 0.0 2.0); ("y", I.make 0.0 2.0) ]
-  in
-  (* Unsat-carving paving: the MM demand is infeasible over the whole
-     simplex (total rate peaks at 4/3 < 1.35), so the box count is pure
-     refutation work — the paving shape the affine pass accelerates.
-     (Band pavings above are split-to-epsilon along their boundary and
-     sat-certified by interval evaluation, where the affine pass does
-     not participate; their ~1x rows are kept as the honest contrast.) *)
-  let mm_infeasible =
-    Expr.Parse.formula
-      "1.2*s1/(0.4 + s1) + 1.2*s2/(0.4 + s2) >= 1.35 and s1 + s2 <= 1"
-  in
-  let mm_infeasible_box =
-    Box.of_list [ ("s1", I.make 0.0 1.0); ("s2", I.make 0.0 1.0) ]
-  in
-  let run_decide name formula box config =
-    let run on =
-      Interval.Affine.set_enabled on;
-      best_of (fun () -> Icp.Solver.decide_with_stats ~config formula box)
-    in
-    let (r_off, s_off), t_off = run false in
-    let (r_on, s_on), t_on = run true in
-    if verdict_of r_off <> verdict_of r_on then
-      failwith
-        (Printf.sprintf "AF1 %s: verdicts differ (off=%s, on=%s)" name
-           (verdict_of r_off) (verdict_of r_on));
-    (name, "decide", verdict_of r_off, counts s_off, t_off, counts s_on, t_on)
-  in
-  let run_pave name formula box config =
-    let run on =
-      Interval.Affine.set_enabled on;
-      best_of (fun () -> Icp.Solver.pave_with_stats ~config formula box)
-    in
-    let (p_off, s_off), t_off = run false in
-    let (p_on, s_on), t_on = run true in
-    let contradicts sats unsats =
-      List.exists
-        (fun s ->
-          List.exists (fun u -> Box.volume (Box.inter s u) > 0.0) unsats)
-        sats
-    in
-    if
-      contradicts p_on.Icp.Solver.sat p_off.Icp.Solver.unsat
-      || contradicts p_off.Icp.Solver.sat p_on.Icp.Solver.unsat
-    then failwith (Printf.sprintf "AF1 %s: pavings contradict" name);
-    let feasible (p : Icp.Solver.paving) = p.sat <> [] in
-    if feasible p_off <> feasible p_on then
-      failwith (Printf.sprintf "AF1 %s: feasibility verdicts differ" name);
-    let v = if feasible p_off then "feasible" else "infeasible" in
-    (name, "pave", v, counts s_off, t_off, counts s_on, t_on)
-  in
-  let dcfg =
-    { Icp.Solver.default_config with
-      delta = (if quick then 1e-3 else 1e-4);
-      epsilon = (if quick then 1e-4 else 1e-5) }
-  in
-  let pcfg =
-    { Icp.Solver.default_config with
-      epsilon = (if quick then 0.02 else 0.01) }
-  in
-  let results =
-    [ run_decide "decide-cubic-separation" cubic cubic_box dcfg;
-      run_decide "decide-mm-kinetics" mm mm_box dcfg;
-      run_pave "pave-impulse-fit" fit fit_box pcfg;
-      run_pave "pave-cubic-band" cubic_band cubic_band_box pcfg;
-      run_pave "pave-mm-infeasible" mm_infeasible mm_infeasible_box pcfg ]
-  in
-  (* ODE workload: validated flow of the logistic equation from an
-     interval initial set.  x'(t) = x(1-x) mentions x twice, so the
-     interval remainder boxes over-rotate where the affine pass cancels;
-     the tube must only tighten (width ratio >= 1), step for step. *)
-  let ode =
-    let sys =
-      Ode.System.of_strings ~vars:[ "x" ] ~params:[]
-        ~rhs:[ ("x", "x*(1 - x)") ]
-    in
-    let init = Box.of_list [ ("x", I.make 0.2 0.35) ] in
-    let t_end = if quick then 2.0 else 3.0 in
-    let run on =
-      Interval.Affine.set_enabled on;
-      best_of (fun () ->
-          Ode.Enclosure.flow ~params:Box.empty_map ~init ~t_end sys)
-    in
-    let tube_off, t_off = run false in
-    let tube_on, t_on = run true in
-    let w_off = Box.width tube_off.Ode.Enclosure.final
-    and w_on = Box.width tube_on.Ode.Enclosure.final in
-    let hull_off = Box.width (Ode.Enclosure.tube_hull tube_off)
-    and hull_on = Box.width (Ode.Enclosure.tube_hull tube_on) in
-    if tube_off.Ode.Enclosure.complete && not tube_on.Ode.Enclosure.complete
-    then failwith "AF1 ode-logistic-flow: affine run lost completeness";
-    ( "ode-logistic-flow", t_end,
-      List.length tube_off.Ode.Enclosure.steps, w_off, hull_off, t_off,
-      List.length tube_on.Ode.Enclosure.steps, w_on, hull_on, t_on )
-  in
-  let rows =
-    List.map
-      (fun (name, kind, v, (b0, _, _), t0, (b1, _, _), t1) ->
-        [ name; kind; v; string_of_int b0; string_of_int b1;
-          Fmt.str "%.2fx" (float_of_int b0 /. float_of_int b1);
-          Fmt.str "%.3fs" t0; Fmt.str "%.3fs" t1 ])
-      results
-  in
-  let ( ode_name, ode_tend, steps0, w0, h0, ot0, steps1, w1, h1, ot1 ) = ode in
-  Report.print
-    [ Report.table
-        ~header:
-          [ "workload"; "kind"; "verdict"; "boxes off"; "boxes on";
-            "reduction"; "wall off"; "wall on" ]
-        rows;
-      Report.text "%s (t_end = %g): final width %.3g -> %.3g (%s), %d -> %d steps"
-        ode_name ode_tend w0 w1
-        (if Float.is_finite (w0 /. w1) then Fmt.str "%.2fx" (w0 /. w1)
-         else "interval tube diverged, affine bounded")
-        steps0 steps1 ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"quick\": %b,\n  \"workloads\": [\n" quick);
-  List.iter
-    (fun (name, kind, v, (b0, s0, p0), t0, (b1, s1, p1), t1) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"kind\": %S, \"verdict\": %S, \"identical\": true,\n\
-           \     \"off\": {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"on\":  {\"boxes_processed\": %d, \"splits\": %d, \"prunings\": %d, \"wall_s\": %.6f},\n\
-           \     \"box_reduction\": %.3f},\n"
-           name kind v b0 s0 p0 t0 b1 s1 p1 t1
-           (float_of_int b0 /. float_of_int b1)))
-    results;
-  (* A diverged interval tube has infinite widths — valid result, not
-     valid JSON; null marks it (the ratio is then null too). *)
-  let jf v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"name\": %S, \"kind\": \"flow\", \"t_end\": %g,\n\
-       \     \"off\": {\"steps\": %d, \"final_width\": %s, \"hull_width\": %s, \"wall_s\": %.6f},\n\
-       \     \"on\":  {\"steps\": %d, \"final_width\": %s, \"hull_width\": %s, \"wall_s\": %.6f},\n\
-       \     \"final_width_ratio\": %s, \"hull_width_ratio\": %s}\n"
-       ode_name ode_tend steps0 (jf w0) (jf h0) ot0 steps1 (jf w1) (jf h1)
-       ot1
-       (jf (w0 /. w1)) (jf (h0 /. h1)));
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_affine.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_affine.json" ]
-
-(* ------------------------------------------------------------------ *)
-(* TM1: Taylor models off vs on (over the affine baseline)             *)
-(* ------------------------------------------------------------------ *)
-
-(* The degree-2 Taylor-model layer (Interval.Tm: quadratic monomials
-   kept exactly, Bernstein range bound, enclosure-assisted
-   sat-certification in pave) against the affine-era search: both arms
-   run with the affine layer at its default (on), so the ratios isolate
-   what the second-order terms buy on top of AF1.  The target is
-   precisely AF1's honest ~1.00x rows: band pavings are split-to-ε
-   along their boundary and sat-certified by interval evaluation, a
-   path the affine pass never touched — the TM certifier proves those
-   band leaves sat whole boxes earlier.  Verdict identity is asserted
-   in-process for every decide pair; pavings are checked for sat/unsat
-   leaf contradictions and TM-certified leaves for center feasibility
-   (sat sets may legitimately grow: certifying earlier is the point).
-   Box reductions are recorded honestly, regressions included.  Caches
-   off; wall times are per-run minima over a few rounds (see T1). *)
+(* The degree-2 Taylor-model layer (Interval.Tm: linear and quadratic
+   monomials kept exactly, Bernstein range bound, enclosure-assisted
+   sat-certification in pave) against the plain interval search, on the
+   same dependency-rich workloads as N1 — repeated variable occurrences
+   are exactly where shared symbols cancel and the natural extension
+   does not — plus band pavings, which are split-to-ε along their
+   boundary and sat-certified by interval evaluation when the layer is
+   off; the TM certifier proves those band leaves sat whole boxes
+   earlier.  Verdict identity is asserted in-process for every decide
+   pair; pavings are checked for sat/unsat leaf contradictions and
+   TM-certified leaves for center feasibility (sat sets may
+   legitimately grow: certifying earlier is the point).  Box reductions
+   are recorded honestly, regressions included.  The ODE workload
+   records tube widths, not verdicts: the TM pass may only tighten the
+   enclosure.  Caches off; wall times are per-run minima over a few
+   rounds (see T1). *)
 
 let tm1 ?(quick = false) () =
   section
@@ -1917,7 +1694,11 @@ let tm1 ?(quick = false) () =
     done;
     (Option.get !result, !best)
   in
-  (* The AF1 workloads, so the two JSON dumps line up row for row. *)
+  (* The N1 workloads (see there for why each is dependency-rich), a
+     logistic-band paving where every atom mentions its variable twice,
+     a cubic band, and an unsat-carving paving: the MM demand is
+     infeasible over the whole simplex (total rate peaks at
+     4/3 < 1.35), so its box count is pure refutation work. *)
   let cubic =
     Expr.Parse.formula
       "x^3 - 2*x^2 + 1.25*x = 0.25 and y^3 - 2*y^2 + 1.25*y = 0.25 and \
@@ -2016,8 +1797,10 @@ let tm1 ?(quick = false) () =
       run_pave "pave-cubic-band" cubic_band cubic_band_box pcfg;
       run_pave "pave-mm-infeasible" mm_infeasible mm_infeasible_box pcfg ]
   in
-  (* ODE workload as in AF1: the TM pass may only tighten the logistic
-     tube (width ratio >= 1), step for step. *)
+  (* ODE workload: validated flow of the logistic equation from an
+     interval initial set.  x'(t) = x(1-x) mentions x twice, so the
+     interval remainder boxes over-rotate where the TM pass cancels;
+     the tube must only tighten (width ratio >= 1), step for step. *)
   let ode =
     let sys =
       Ode.System.of_strings ~vars:[ "x" ] ~params:[]
@@ -2247,8 +2030,8 @@ let run_bechamel () =
   in
   Report.print [ Report.table ~header:[ "kernel"; "time/run" ] rows ]
 
-(* CLI: `--quick` runs the quick-aware sections (c1/o1/j1/n1/af1/tm1/
-   p1) in their reduced configurations (the CI smoke job: fast,
+(* CLI: `--quick` runs the quick-aware sections (c1/o1/j1/n1/tm1/p1)
+   in their reduced configurations (the CI smoke job: fast,
    still writes the BENCH_*.json dumps); `--only` takes a
    comma-separated list of section names (e.g. `--only e7,c1,tm1`) and
    runs exactly those, quick-aware sections included — an unknown name
@@ -2274,7 +2057,6 @@ let () =
       ("o1", fun () -> o1 ~quick ());
       ("j1", fun () -> j1 ~quick ());
       ("n1", fun () -> n1 ~quick ());
-      ("af1", fun () -> af1 ~quick ());
       ("tm1", fun () -> tm1 ~quick ());
       ("bechamel", run_bechamel) ]
   in
@@ -2301,7 +2083,7 @@ let () =
         if quick then
           List.filter
             (fun (n, _) ->
-              List.mem n [ "c1"; "o1"; "j1"; "n1"; "af1"; "tm1"; "p1" ])
+              List.mem n [ "c1"; "o1"; "j1"; "n1"; "tm1"; "p1" ])
             sections
         else sections
   in

@@ -174,19 +174,11 @@ let no_newton_arg =
   in
   Arg.(value & flag & info [ "no-newton" ] ~doc)
 
-let no_affine_arg =
-  let doc =
-    "Disable affine-form (noise-symbol) evaluation in the HC4 forward \
-     passes and ODE enclosures, restoring plain interval arithmetic; \
-     equivalent to BIOMC_NO_AFFINE=1."
-  in
-  Arg.(value & flag & info [ "no-affine" ] ~doc)
-
 let no_tm_arg =
   let doc =
     "Disable degree-2 Taylor-model evaluation in the HC4 forward \
      passes, pave certification and ODE enclosures, restoring the \
-     affine/interval-only search; equivalent to BIOMC_NO_TM=1."
+     interval-only search; equivalent to BIOMC_NO_TM=1."
   in
   Arg.(value & flag & info [ "no-tm" ] ~doc)
 
@@ -203,7 +195,6 @@ type common = {
   jobs : int;
   no_cache : bool;
   no_newton : bool;
-  no_affine : bool;
   no_tm : bool;
   trace : string option;  (** Chrome trace_event JSON output file *)
   metrics : bool;  (** print the telemetry metrics section *)
@@ -255,15 +246,15 @@ let progress_arg =
   Arg.(value & flag & info [ "progress" ] ~doc)
 
 let common_term =
-  let mk jobs no_cache no_newton no_affine no_tm trace metrics metrics_json
+  let mk jobs no_cache no_newton no_tm trace metrics metrics_json
       metrics_prom journal progress =
-    { jobs; no_cache; no_newton; no_affine; no_tm; trace; metrics;
-      metrics_json; metrics_prom; journal; progress }
+    { jobs; no_cache; no_newton; no_tm; trace; metrics; metrics_json;
+      metrics_prom; journal; progress }
   in
   Term.(
-    const mk $ jobs_arg $ no_cache_arg $ no_newton_arg $ no_affine_arg
-    $ no_tm_arg $ trace_arg $ metrics_arg $ metrics_json_arg
-    $ metrics_prom_arg $ journal_arg $ progress_arg)
+    const mk $ jobs_arg $ no_cache_arg $ no_newton_arg $ no_tm_arg
+    $ trace_arg $ metrics_arg $ metrics_json_arg $ metrics_prom_arg
+    $ journal_arg $ progress_arg)
 
 (* Telemetry section appended to a report when metrics are on: non-zero
    counters as a key/value block, span histograms as a table. *)
@@ -300,7 +291,6 @@ let telemetry_items () =
 let with_common c body =
   apply_cache_policy c.no_cache;
   if c.no_newton then Icp.Deriv.set_enabled false;
-  if c.no_affine then Interval.Affine.set_enabled false;
   if c.no_tm then Interval.Tm.set_enabled false;
   if c.metrics || c.metrics_json <> None || c.metrics_prom <> None then
     Telemetry.set_metrics true;

@@ -193,8 +193,8 @@ let eval_atom_interval box a =
 
 (* The certification recursion, parameterized on the atom evaluator so
    callers can substitute a stronger-but-still-sound one (the solver's
-   enclosure-assisted certifier tightens atom ranges with affine /
-   Taylor-model forward passes before comparing against zero). *)
+   enclosure-assisted certifier tightens atom ranges with a
+   Taylor-model forward pass before comparing against zero). *)
 let rec eval_cert_with ~atom box = function
   | True -> Certain
   | False -> Impossible

@@ -103,9 +103,9 @@ val eval_cert_with :
     as [atom] is: [Certain]/[Impossible] claims propagate through the
     And/Or recursion unchanged.  The solver's enclosure-assisted
     certification path injects an evaluator that tightens atom ranges
-    with affine / Taylor-model forward passes before the zero
-    comparison, certifying feasible band boxes earlier than plain
-    interval evaluation can. *)
+    with a Taylor-model forward pass before the zero comparison,
+    certifying feasible band boxes earlier than plain interval
+    evaluation can. *)
 
 val sat_possible : delta:float -> Interval.Box.t -> t -> bool
 (** [false] is definitive: the δ-weakened formula has no solution in the

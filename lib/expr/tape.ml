@@ -41,11 +41,9 @@ type t = {
                                let the forward pass reset OConst slots
                                without allocating *)
   const_his : float array;
-  aff_recips : Interval.Affine.t option array;
   tm_recips : Interval.Tm.t option array;
       (* per-slot reciprocal models of the constant divisors, for the
-         affine and TM walkers; empty when no division has a constant
-         divisor *)
+         TM walker; empty when no division has a constant divisor *)
   interior_shared : int;  (* CSE hits on non-leaf slots *)
   scratch_key : scratch Domain.DLS.key;
 }
@@ -62,8 +60,7 @@ and scratch = {
   ilos : float array;
   ihis : float array;
   req : reqcell;
-  aff : Interval.Affine.t array;  (* affine walker slot values *)
-  tms : Interval.Tm.t array;      (* Taylor-model walker slot values *)
+  tms : Interval.Tm.t array;  (* Taylor-model walker slot values *)
 }
 
 and reqcell = { mutable rlo : float; mutable rhi : float }
@@ -162,30 +159,23 @@ let compile ~vars terms =
     Array.map (function OConst c -> f (I.of_float c) | _ -> nan) ops
   in
   let const_los = const_of I.lo and const_his = const_of I.hi in
-  (* [A.div x y] and, for a finite constant y, [T.div x y] compute
-     [mul x (inv y)], and [inv] of a constant divisor's model is the
-     same on every evaluation: compute it once here.  An infinite
-     constant takes [T.div]'s interval fallback, so it gets no TM
-     reciprocal. *)
-  let recips inv =
+  (* For a finite constant y, [T.div x y] computes [mul x (inv y)], and
+     [inv] of a constant divisor's model is the same on every
+     evaluation: compute it once here.  An infinite constant takes
+     [T.div]'s interval fallback, so it gets no reciprocal. *)
+  let tm_recips =
     let r = Array.make n None and any = ref false in
     Array.iter
       (function
         | ODiv (_, b) -> (
             match ops.(b) with
-            | OConst c ->
-                r.(b) <- inv c;
+            | OConst c when Float.is_finite c ->
+                r.(b) <- Some Interval.Tm.(inv (const c));
                 any := true
             | _ -> ())
         | _ -> ())
       ops;
     if !any then r else [||]
-  in
-  let aff_recips =
-    recips (fun c -> Some Interval.Affine.(inv (const c)))
-  and tm_recips =
-    recips (fun c ->
-        if Float.is_finite c then Some Interval.Tm.(inv (const c)) else None)
   in
   let scratch_key =
     Domain.DLS.new_key (fun () ->
@@ -193,11 +183,10 @@ let compile ~vars terms =
           ilos = Array.make n neg_infinity;
           ihis = Array.make n infinity;
           req = { rlo = neg_infinity; rhi = infinity };
-          aff = Array.make n (Interval.Affine.const 0.0);
           tms = Array.make n (Interval.Tm.const 0.0) })
   in
-  { inputs; ops; roots; var_slots; const_los; const_his; aff_recips;
-    tm_recips; interior_shared = !interior; scratch_key }
+  { inputs; ops; roots; var_slots; const_los; const_his; tm_recips;
+    interior_shared = !interior; scratch_key }
 
 let num_inputs tp = Array.length tp.inputs
 let num_slots tp = Array.length tp.ops
@@ -212,7 +201,6 @@ let scratch tp =
     ilos = Array.make n neg_infinity;
     ihis = Array.make n infinity;
     req = { rlo = neg_infinity; rhi = infinity };
-    aff = Array.make n (Interval.Affine.const 0.0);
     tms = Array.make n (Interval.Tm.const 0.0) }
 
 let dls_scratch tp = Domain.DLS.get tp.scratch_key
@@ -556,112 +544,24 @@ let eval_interval tp sc inputs =
   forward_intervals tp sc inputs;
   slot_itv sc tp.roots.(0)
 
-(* ---- Affine forward pass ----
+(* ---- Taylor-model forward pass ----
 
    The second operand interpretation of the same instruction array: slot
-   values are {!Interval.Affine} forms, and input [i] is introduced with
-   noise symbol [i] — all occurrences of a variable are CSE'd into one
-   OVar slot, so correlations between subexpressions sharing a variable
-   are tracked exactly.  Every Affine operation matches the domain
-   semantics of the corresponding {!Ia} operation, so concretized slot
-   ranges are sound enclosures of the same value sets the interval pass
-   bounds — the two can be intersected slot by slot. *)
+   values are degree-2 {!Interval.Tm} models, and input [i] is
+   introduced with symbol [i] — all occurrences of a variable are CSE'd
+   into one OVar slot, so correlations between subexpressions sharing a
+   variable are tracked exactly, quadratic monomials included, and the
+   polynomial range is bounded by Bernstein coefficients.  Every Tm
+   operation matches the domain semantics of the corresponding {!Ia}
+   operation, so concretized slot ranges are sound enclosures of the
+   same value sets the interval pass bounds — the two can be
+   intersected slot by slot. *)
 
-module A = Interval.Affine
+module T = Interval.Tm
 
 (* The precomputed reciprocal of divisor slot [b], if it has one. *)
 let[@inline] recip recips b =
   if Array.length recips = 0 then None else Array.unsafe_get recips b
-
-let forward_affine tp sc (inputs : I.t array) =
-  let af = sc.aff in
-  let ops = tp.ops in
-  for s = 0 to Array.length ops - 1 do
-    let r =
-      match Array.unsafe_get ops s with
-      | OVar i -> A.of_interval ~sym:i (Array.unsafe_get inputs i)
-      | OConst c -> A.const c
-      | OAdd (a, b) -> A.add af.(a) af.(b)
-      | OSub (a, b) -> A.sub af.(a) af.(b)
-      | OMul (a, b) -> A.mul af.(a) af.(b)
-      | ODiv (a, b) -> (
-          match recip tp.aff_recips b with
-          | Some r -> A.mul af.(a) r
-          | None -> A.div af.(a) af.(b))
-      | ONeg a -> A.neg af.(a)
-      | OPow (a, k) -> A.pow_int af.(a) k
-      | OExp a -> A.exp af.(a)
-      | OLog a -> A.log af.(a)
-      | OSqrt a -> A.sqrt af.(a)
-      | OSin a -> A.sin af.(a)
-      | OCos a -> A.cos af.(a)
-      | OTan a -> A.tan af.(a)
-      | OAtan a -> A.atan af.(a)
-      | OTanh a -> A.tanh af.(a)
-      | OAbs a -> A.abs af.(a)
-      | OMin (a, b) -> A.min_ af.(a) af.(b)
-      | OMax (a, b) -> A.max_ af.(a) af.(b)
-    in
-    af.(s) <- r
-  done
-
-let eval_affine_into tp sc ~inputs ~out =
-  forward_affine tp sc inputs;
-  for k = 0 to Array.length tp.roots - 1 do
-    out.(k) <- A.concretize sc.aff.(tp.roots.(k))
-  done
-
-(* Intersect the interval slot enclosures (left by [forward_intervals])
-   with the concretized affine slot ranges.  Returns [true] iff some
-   slot strictly tightened.  An empty intersection certifies that the
-   slot's subterm has an empty value set on the box — recorded as the
-   (nan, nan) empty slot, which the backward pass treats as infeasible
-   on contact. *)
-let affine_tighten tp sc dom =
-  forward_affine tp sc dom;
-  let lo = sc.ilos and hi = sc.ihis in
-  let af = sc.aff in
-  let tightened = ref false in
-  for s = 0 to Array.length tp.ops - 1 do
-    let l = Array.unsafe_get lo s in
-    if l = l then begin
-      let r = A.concretize af.(s) in
-      let rl = r.I.lo and rh = r.I.hi in
-      if rl <> rl || rh <> rh then begin
-        Array.unsafe_set lo s nan;
-        Array.unsafe_set hi s nan;
-        tightened := true
-      end
-      else begin
-        let h = Array.unsafe_get hi s in
-        let l' = fmax l rl and h' = fmin h rh in
-        if l' > h' then begin
-          Array.unsafe_set lo s nan;
-          Array.unsafe_set hi s nan;
-          tightened := true
-        end
-        else if not (l' = l && h' = h) then begin
-          Array.unsafe_set lo s l';
-          Array.unsafe_set hi s h';
-          tightened := true
-        end
-      end
-    end
-  done;
-  !tightened
-
-(* ---- Taylor-model forward pass ----
-
-   The third operand interpretation: slot values are degree-2
-   {!Interval.Tm} models over the same input-indexed symbols as the
-   affine pass, so the two walkers agree on what each symbol means and
-   their concretizations can both be intersected into the interval
-   slots.  Where the affine walker folds every second-order product
-   into a scalar radius, this one keeps quadratic monomials exactly and
-   bounds the polynomial range by Bernstein coefficients — tighter on
-   the band-boundary boxes that dominate paving. *)
-
-module T = Interval.Tm
 
 let forward_tm tp sc (inputs : I.t array) =
   let tm = sc.tms in
@@ -701,10 +601,12 @@ let eval_tm_into tp sc ~inputs ~out =
     out.(k) <- T.concretize sc.tms.(tp.roots.(k))
   done
 
-(* Taylor-model analogue of [affine_tighten]: intersect interval slot
-   enclosures with concretized TM slot ranges, recording emptiness as
-   the (nan, nan) slot.  Returns [true] iff some slot strictly
-   tightened. *)
+(* Intersect the interval slot enclosures (left by [forward_intervals])
+   with the concretized TM slot ranges.  Returns [true] iff some slot
+   strictly tightened.  An empty intersection certifies that the slot's
+   subterm has an empty value set on the box — recorded as the
+   (nan, nan) empty slot, which the backward pass treats as infeasible
+   on contact. *)
 let tm_tighten tp sc dom =
   forward_tm tp sc dom;
   let lo = sc.ilos and hi = sc.ihis in
@@ -980,12 +882,11 @@ and push tp sc s =
         require tp sc b
       end
 
-let hc4_revise tp sc ?(affine = false) ?(tm = false) ?mask ~target dom =
+let hc4_revise tp sc ?(tm = false) ?mask ~target dom =
   forward_intervals tp sc dom;
-  (* Each enclosure pass intersects every slot with its concretized
-     range before the backward pass sees them, and refutes outright
-     when it empties root ∩ target.  Refutation short-circuits: the TM
-     pass only runs when the affine pass left the root feasible. *)
+  (* The TM pass intersects every slot with its concretized range
+     before the backward pass sees them, and refutes outright when it
+     empties root ∩ target. *)
   let r0 = tp.roots.(0) in
   let tlo = target.I.lo and thi = target.I.hi in
   let meets_target () =
@@ -994,20 +895,13 @@ let hc4_revise tp sc ?(affine = false) ?(tm = false) ?mask ~target dom =
     l = l && tlo = tlo && fmax l tlo <= fmin h thi
   in
   let refuted =
-    (affine
-    && A.with_span (fun () ->
+    tm
+    && T.with_span (fun () ->
            let pre = meets_target () in
-           if affine_tighten tp sc dom then A.note_tightening ();
+           if tm_tighten tp sc dom then T.note_tightening ();
            let post = meets_target () in
-           if pre && not post then A.note_refutation ();
-           not post))
-    || tm
-       && T.with_span (fun () ->
-              let pre = meets_target () in
-              if tm_tighten tp sc dom then T.note_tightening ();
-              let post = meets_target () in
-              if pre && not post then T.note_refutation ();
-              not post)
+           if pre && not post then T.note_refutation ();
+           not post)
   in
   if refuted then false
   else begin

@@ -115,36 +115,22 @@ val eval_dynamic_into :
 val eval_interval_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 val eval_interval : t -> scratch -> I.t array -> I.t
 
-(** {1 Affine evaluation}
+(** {1 Taylor-model evaluation}
 
     A second operand interpretation over the same instruction array:
-    slot values are {!Interval.Affine} forms, and input [i] enters with
-    noise symbol [i], so correlations between subexpressions sharing a
-    variable cancel instead of compounding (the wrapping effect).  Every
-    affine operation matches the domain semantics of the corresponding
-    {!Interval.Ia} operation, so the concretized result is a sound
-    enclosure of the same value set as {!eval_interval_into} — never
+    slot values are degree-2 {!Interval.Tm} models, and input [i] enters
+    with symbol [i], so correlations between subexpressions sharing a
+    variable cancel instead of compounding (the wrapping effect).
+    Quadratic monomials are kept exactly and the polynomial range is
+    bounded per variable by Bernstein coefficients over the unit box.
+    Every Tm operation matches the domain semantics of the corresponding
+    {!Interval.Ia} operation, so concretized results are sound
+    enclosures of the same value sets as {!eval_interval_into} — never
     assumed tighter; callers intersect the two.
 
     Division by a constant multiplies by the reciprocal model that
     {!compile} computed once, which is exactly what the division
-    computes on every call; this applies to the Taylor-model walker as
-    well. *)
-
-val eval_affine_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
-(** Evaluate every root affinely over the input box and store the
-    concretized range of root [k] in [out.(k)]. *)
-
-(** {1 Taylor-model evaluation}
-
-    A third operand interpretation: slot values are degree-2
-    {!Interval.Tm} models over the same input-indexed symbols as the
-    affine pass.  Quadratic monomials are kept exactly — where the
-    affine walker folds every product's second-order structure into a
-    scalar radius — and the polynomial range is bounded per variable by
-    Bernstein coefficients over the unit box.  Concretized results are
-    sound enclosures of the same value sets as {!eval_interval_into};
-    callers intersect the two. *)
+    computes on every call. *)
 
 val eval_tm_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 (** Evaluate every root as a Taylor model over the input box and store
@@ -169,7 +155,6 @@ val smooth_on : t -> scratch -> bool
 val hc4_revise :
   t ->
   scratch ->
-  ?affine:bool ->
   ?tm:bool ->
   ?mask:bool array ->
   target:I.t ->
@@ -183,21 +168,15 @@ val hc4_revise :
     [false] iff the constraint [root ∈ target] is infeasible on [dom] (in
     which case [dom] is meaningless and should be discarded).
 
-    With [~affine:true] (default [false]) the forward enclosures are
-    first intersected slot-by-slot with the affine walker's concretized
-    ranges — a sound tightening, since both passes enclose the same value
-    sets — and the revise refutes immediately (returns [false]) when the
-    tightened root no longer meets [target].  The affine pass runs inside
-    the [icp.affine] telemetry span and feeds the [affine.tightenings] /
-    [affine.refutations] counters.  With [~affine:false] the result is
-    bit-for-bit the pre-affine behaviour.
-
-    With [~tm:true] (default [false]) the Taylor-model walker is
-    intersected the same way after the affine pass (skipped entirely
-    when the affine pass already refuted), inside the [icp.tm] span
-    with the [tm.tightenings] / [tm.refutations] counters and the
-    [tm-refute] journal prune reason.  With [~tm:false] the TM walker
-    never runs, restoring the pre-TM search bit-for-bit.
+    With [~tm:true] (default [false]) the forward enclosures are first
+    intersected slot-by-slot with the Taylor-model walker's concretized
+    ranges — a sound tightening, since both passes enclose the same
+    value sets — and the revise refutes immediately (returns [false])
+    when the tightened root no longer meets [target].  The TM pass runs
+    inside the [icp.tm] telemetry span with the [tm.tightenings] /
+    [tm.refutations] counters and the [tm-refute] journal prune reason.
+    With [~tm:false] the TM walker never runs, restoring the
+    interval-only search bit-for-bit.
 
     Matches the tree-walking [Icp.Contractor.revise] exactly when
     {!interior_sharing} is [0]; shared interior slots accumulate

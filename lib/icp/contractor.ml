@@ -308,7 +308,7 @@ let compile constraints =
   { cvars = Array.of_list vars; ctapes; ws_key }
 
 let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
-    ?(affine = false) ?(tm = false) cs box =
+    ?(tm = false) cs box =
   let n = Array.length cs.cvars in
   let ws = Domain.DLS.get cs.ws_key in
   let dom = ws.dom and present = ws.present in
@@ -333,8 +333,7 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
     while !ok && !k < m do
       let tp, target = cs.ctapes.(!k) in
       ok :=
-        Expr.Tape.hc4_revise tp scratches.(!k) ~affine ~tm ~mask:present
-          ~target dom;
+        Expr.Tape.hc4_revise tp scratches.(!k) ~tm ~mask:present ~target dom;
       incr k
     done;
     !ok
@@ -408,16 +407,14 @@ let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
    the cache shards are mutex-guarded). *)
 let contractor ?tol ?max_rounds constraints =
   let tape = Expr.Tape.enabled () in
-  (* Affine- and TM-tightened forward passes only exist on the tape
-     path (the tree walker has no slot arrays to intersect into);
-     sampled at build time like [tape] so the closure and its cache
-     group stay consistent. *)
-  let affine = tape && Interval.Affine.enabled () in
+  (* TM-tightened forward passes only exist on the tape path (the tree
+     walker has no slot arrays to intersect into); sampled at build time
+     like [tape] so the closure and its cache group stay consistent. *)
   let tm = tape && Interval.Tm.enabled () in
   let base =
     if tape then begin
       let cs = compile constraints in
-      fun box -> fixpoint_compiled ?tol ?max_rounds ~affine ~tm cs box
+      fun box -> fixpoint_compiled ?tol ?max_rounds ~tm cs box
     end
     else fun box -> fixpoint ?tol ?max_rounds constraints box
   in
@@ -455,12 +452,12 @@ let contractor ?tol ?max_rounds constraints =
     (* The newton flag keys the group too: Newton-contracted results
        must never replay into a Newton-off run (and vice versa), or the
        kill-switch would no longer reproduce the HC4-only search. *)
-    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b|%b" (fingerprint constraints)
+    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b" (fingerprint constraints)
       (Option.value tol ~default:default_tol)
       (Option.value max_rounds ~default:default_max_rounds)
       tape
       (Option.is_some newton)
-      affine tm
+      tm
   in
   let cached box =
     if not (Cache.enabled ()) then base box

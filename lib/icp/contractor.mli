@@ -54,15 +54,13 @@ val compile : constr list -> compiled
 val fixpoint_compiled :
   ?tol:float ->
   ?max_rounds:int ->
-  ?affine:bool ->
   ?tm:bool ->
   compiled ->
   Interval.Box.t ->
   Interval.Box.t option
-(** [?affine] / [?tm] (default [false]) thread the affine- and
-    Taylor-model-tightened forward passes into every HC4 revise (see
-    {!Expr.Tape.hc4_revise}); sound either way, possibly tighter with
-    them on. *)
+(** [?tm] (default [false]) threads the Taylor-model-tightened forward
+    pass into every HC4 revise (see {!Expr.Tape.hc4_revise}); sound
+    either way, possibly tighter with it on. *)
 
 val contractor :
   ?tol:float ->
@@ -83,7 +81,7 @@ val contractor :
     closure may be shared across worker domains: tapes are immutable
     and scratch buffers are per-domain.
 
-    The Newton, affine and Taylor-model layers follow their global
-    switches, sampled when the closure is built; the affine and
-    Taylor-model passes also require the tape path.  The HC4 cache
-    group keys on the sampled flags. *)
+    The Newton and Taylor-model layers follow their global switches,
+    sampled when the closure is built; the Taylor-model pass also
+    requires the tape path.  The HC4 cache group keys on the sampled
+    flags. *)

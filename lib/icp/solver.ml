@@ -64,9 +64,8 @@ let jbounds b =
    reads a missing flag as on, so every run kind must carry every key. *)
 let journal_flags jobs =
   [ ("newton", string_of_bool (Deriv.enabled ()));
-    ("affine", string_of_bool (Interval.Affine.enabled ()));
-    ("affine_budget", string_of_int (Interval.Affine.budget ()));
     ("tm", string_of_bool (Interval.Tm.enabled ()));
+    ("tm_budget", string_of_int (Interval.Tm.budget ()));
     ("cache", string_of_bool (Cache.enabled ()));
     ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("jobs", string_of_int jobs) ]
@@ -215,7 +214,7 @@ let refuted_group cfg atoms =
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     let rels = rels_key atoms in
     Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b|%b"
+      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b"
          (Contractor.fingerprint constraints) rels
          cfg.delta cfg.contractor_rounds cfg.use_contraction
          (Expr.Tape.enabled ())
@@ -223,9 +222,8 @@ let refuted_group cfg atoms =
             into a BIOMC_NO_NEWTON=1 run would change that run's search
             trajectory — the kill-switch must reproduce the HC4-only
             search exactly, so the two populations stay separate.  Same
-            story for the affine and Taylor-model flags below. *)
+            story for the Taylor-model flag below. *)
          (Deriv.enabled ())
-         (Interval.Affine.enabled ())
          (Interval.Tm.enabled ()))
 
 (* Per-query gradient system for smear-guided branching (and, through
@@ -628,12 +626,11 @@ let pave_group cfg formula =
   if not (Cache.enabled ()) then None
   else
     Some
-      (Printf.sprintf "pave|%s|%b|%b|%b|%b|%b"
+      (Printf.sprintf "pave|%s|%b|%b|%b|%b"
          (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
          cfg.use_contraction
          (Expr.Tape.enabled ())
          (Deriv.enabled ())
-         (Interval.Affine.enabled ())
          (Interval.Tm.enabled ()))
 
 (* ---- Enclosure-assisted sat-certification ----
@@ -641,26 +638,23 @@ let pave_group cfg formula =
    [Formula.eval_cert] classifies boxes with plain interval evaluation
    of each atom, so a feasible band box only certifies once bisection
    has shrunk the interval overestimate below the band's slack — on
-   dependency-rich atoms that is exactly the overestimate the affine
-   and Taylor-model walkers remove.  Build a per-query atom certifier
-   that re-evaluates Unknown atoms through the tape's enclosure passes
-   and intersects the ranges before the zero test; sound because every
-   pass encloses the atom's true value set on the box.
+   dependency-rich atoms that is exactly the overestimate the
+   Taylor-model walker removes.  Build a per-query atom certifier that
+   re-evaluates Unknown atoms through the tape's TM pass and intersects
+   the ranges before the zero test; sound because both passes enclose
+   the atom's true value set on the box.
 
    The certifier belongs to the Taylor-model layer: it is built only
    when that layer is live (so [BIOMC_NO_TM=1]/[--no-tm] restores the
    plain {!Expr.Formula.eval_cert} classifier — and with it the
-   pre-Taylor-model pave — bit for bit), and the affine pass inside it
-   rides along only when the affine layer is also on.  Returns [None]
-   when disabled (kill-switches or [BIOMC_NO_TAPE]).
+   interval-only pave — bit for bit).  Returns [None] when disabled
+   (kill-switch or [BIOMC_NO_TAPE]).
 
    One single-root tape per distinct atom term, shared by fingerprint;
    scratch is per-domain (Domain.DLS), so the returned certifier may be
    called from concurrent worker domains. *)
 let enclosure_atom_cert formula =
-  let use_tm = Expr.Tape.enabled () && Interval.Tm.enabled () in
-  let use_aff = use_tm && Interval.Affine.enabled () in
-  if not use_tm then None
+  if not (Expr.Tape.enabled () && Interval.Tm.enabled ()) then None
   else begin
     let key (t : Expr.Term.t) =
       let b = Buffer.create 64 in
@@ -710,25 +704,20 @@ let enclosure_atom_cert formula =
                 in
                 let sc = Expr.Tape.dls_scratch tp in
                 let out = Array.make 1 I.empty in
-                let r = ref (Expr.Term.eval_interval box a.term) in
-                let intersect () =
-                  let w = I.inter !r out.(0) in
-                  if not (I.equal w !r) then begin
-                    r := w;
-                    true
-                  end
-                  else false
+                let r = Expr.Term.eval_interval box a.term in
+                let r =
+                  if I.is_empty r then r
+                  else
+                    Interval.Tm.with_span (fun () ->
+                        Expr.Tape.eval_tm_into tp sc ~inputs ~out;
+                        let w = I.inter r out.(0) in
+                        if I.equal w r then r
+                        else begin
+                          Interval.Tm.note_tightening ();
+                          w
+                        end)
                 in
-                if use_aff then
-                  Interval.Affine.with_span (fun () ->
-                      Expr.Tape.eval_affine_into tp sc ~inputs ~out;
-                      if intersect () then
-                        Interval.Affine.note_tightening ());
-                if use_tm && not (I.is_empty !r) then
-                  Interval.Tm.with_span (fun () ->
-                      Expr.Tape.eval_tm_into tp sc ~inputs ~out;
-                      if intersect () then Interval.Tm.note_tightening ());
-                verdict_of !r a.rel))
+                verdict_of r a.rel))
   end
 
 (* The box classifier used by the paving loops: [eval_cert] with the

@@ -74,8 +74,8 @@ val decide_with_stats :
     depth and certification probes. *)
 
 val journal_flags : int -> (string * string) list
-(** [journal_flags jobs] is the layer-flag snapshot (newton, affine,
-    affine_budget, tm, cache, tape, jobs) recorded in the header of
+(** [journal_flags jobs] is the layer-flag snapshot (newton, tm,
+    tm_budget, cache, tape, jobs) recorded in the header of
     every journaled run: decide and pave here, reach and synth runs in
     [Reach.Checker] and [Synth.Biopsy].  The journal audit checks each
     prune reason against it. *)

@@ -30,7 +30,7 @@ val next_up : float -> float
     (the formula would give NaN); [next_up infinity] is [infinity];
     NaN maps to NaN.
 
-    The hot kernels ({!Ia}, {!Affine}, {!Tm} and [Expr.Tape]) each keep
+    The hot kernels ({!Ia}, {!Tm} and [Expr.Tape]) each keep
     an [[@inline]] copy of this function and of {!next_down} rather
     than calling them.  Dune's default (dev) profile compiles every
     module with [-opaque], so no function of this module is ever

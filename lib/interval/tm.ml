@@ -1,8 +1,6 @@
 (* Degree-2 Taylor models: sparse quadratic polynomial + interval
-   remainder over the same normalized input symbols as Affine.  See
-   tm.mli for the soundness contract; the layout below mirrors
-   affine.ml so the two operand interpretations stay reviewable side by
-   side.
+   remainder over normalized input symbols.  See tm.mli for the
+   soundness contract.
 
    The range bounds, products, sums, linear maps and the smart
    constructor compute on plain floats.  Each interval step there is the
@@ -21,7 +19,7 @@ module I = Ia
 let tm_span = Telemetry.Span.probe "icp.tm"
 
 (* Created always-on so kill-switch ablations report explicit zeros
-   rather than missing metrics (same policy as the affine counters). *)
+   rather than missing metrics (same policy as the cache counters). *)
 let m_refutations = Telemetry.Counter.make ~always:true "tm.refutations"
 let m_tightenings = Telemetry.Counter.make ~always:true "tm.tightenings"
 let m_truncations = Telemetry.Counter.make ~always:true "tm.truncations"
@@ -54,6 +52,34 @@ let enabled () =
 
 let set_enabled b = Atomic.set override (Some b)
 let clear_enabled_override () = Atomic.set override None
+
+(* ------------------------------------------------------------------ *)
+(* Monomial budget                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let default_budget = 64
+
+(* BIOMC_TM_BUDGET tunes the default; a [set_budget] call wins over the
+   environment.  Malformed or non-positive values fall back to the
+   compiled default rather than failing — the budget only trades
+   precision for speed, never soundness. *)
+let env_budget =
+  lazy
+    (match Sys.getenv_opt "BIOMC_TM_BUDGET" with
+    | None -> default_budget
+    | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some b when b >= 1 -> b
+        | _ -> default_budget))
+
+let budget_cell : int option Atomic.t = Atomic.make None
+
+let budget () =
+  match Atomic.get budget_cell with
+  | Some b -> b
+  | None -> Lazy.force env_budget
+
+let set_budget b = Atomic.set budget_cell (Some (Stdlib.max 1 b))
 
 (* ------------------------------------------------------------------ *)
 (* Representation                                                     *)
@@ -246,16 +272,39 @@ let concretize = function
   | Tm f -> concretize_form f
 
 let is_bot = function Bot -> true | _ -> false
-let is_tm = function Tm _ -> true | _ -> false
 
 let nterms = function
   | Tm f ->
       Array.length f.lin + Array.length f.diag + Array.length f.cross
   | _ -> 0
 
-let is_quadratic = function
-  | Tm f -> Array.length f.diag > 0 || Array.length f.cross > 0
-  | _ -> false
+type poly = {
+  constant : float;
+  linear : (int * float) list;
+  square : (int * float) list;
+  cross : (int * int * float) list;
+  remainder : I.t;
+}
+
+let to_poly = function
+  | Bot -> None
+  | Itv v ->
+      Some { constant = 0.0; linear = []; square = []; cross = []; remainder = v }
+  | Tm f ->
+      let family idx coef =
+        List.combine (Array.to_list idx) (Array.to_list coef)
+      in
+      Some
+        {
+          constant = f.c;
+          linear = family f.lin_idx f.lin;
+          square = family f.diag_idx f.diag;
+          cross =
+            List.map
+              (fun (k, v) -> (key_i k, key_j k, v))
+              (family f.cross_idx f.cross);
+          remainder = f.rem;
+        }
 
 let pp ppf = function
   | Bot -> Fmt.string ppf "⊥"
@@ -283,8 +332,7 @@ let mk_itv v = if I.is_empty v then Bot else Itv v
 (* Deterministic condensation of one monomial family past the budget:
    rank by |coefficient| descending (position ascending on ties), keep
    the top [b], and add the rest — [−|v|, |v|] each, or v·[0,1] for
-   the [diag] family — into [e].  Shares the affine noise budget so
-   BIOMC_AFFINE_BUDGET tunes both layers. *)
+   the [diag] family — into [e]. *)
 let condense_family b ~diag idx coef e =
   let n = Array.length coef in
   let order = Array.init n Fun.id in
@@ -357,7 +405,7 @@ let[@inline] mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
     let lin_idx, lin = compact lin_idx lin in
     let diag_idx, diag = compact diag_idx diag in
     let cross_idx, cross = compact cross_idx cross in
-    let b = Affine.budget () in
+    let b = budget () in
     let e = { lo = 0.0; hi = 0.0 } in
     let lin_idx, lin =
       if Array.length lin > b then condense_family b ~diag:false lin_idx lin e
@@ -710,6 +758,18 @@ let free_trunc_hi =
   let z = mul_hi 0.0 0.0 0.0 0.0 in
   up (up (z +. z) +. z)
 
+(* The truncated part 2·([−s, s]·Q) + Q² of a square whose operand has
+   no quadratic monomials.  Q's range is then [+0, +0], so every product
+   in [−s, s]·Q has a zero factor and [prod] makes it +0 whatever s:
+   [sqr_form]'s general formula run once.  Its outward steps leave
+   subnormal bounds, and doubling them per call costs a microcode assist
+   per multiplication on common x86 parts. *)
+let linear_sqr_truncation =
+  let ml = mul_lo 0.0 0.0 0.0 0.0 and mh = mul_hi 0.0 0.0 0.0 0.0 in
+  I.make_unordered
+    (down (mul_lo ml mh 2.0 2.0 +. sqr_lo 0.0 0.0))
+    (up (mul_hi ml mh 2.0 2.0 +. sqr_hi 0.0 0.0))
+
 (* alpha·coef over one family, zero products dropped, each product's
    ulp added to [e.lo] in order. *)
 let scale_kept alpha idx coef e =
@@ -859,16 +919,23 @@ let sqr_form f =
     done
   done;
   let diag_idx, diag, cross_idx, cross = quad_families q in
-  (* Truncated part: 2·([−s, s]·Q) + Q². *)
-  let s = lin_radius f in
   let r = q.r in
-  quad_range r f;
-  let ql = r.lo and qh = r.hi in
-  let ml = mul_lo (-.s) s ql qh and mh = mul_hi (-.s) s ql qh in
-  let fl = down (mul_lo ml mh 2.0 2.0 +. sqr_lo ql qh)
-  and fh = up (mul_hi ml mh 2.0 2.0 +. sqr_hi ql qh) in
-  (* Q² has degree 3 or 4 exactly when Q is not empty. *)
-  if not (is_linear_form f) then note_truncation ();
+  (* Truncated part: 2·([−s, s]·Q) + Q², which has degree 3 or 4
+     exactly when Q is not empty. *)
+  if is_linear_form f then begin
+    r.lo <- linear_sqr_truncation.I.lo;
+    r.hi <- linear_sqr_truncation.I.hi
+  end
+  else begin
+    note_truncation ();
+    let s = lin_radius f in
+    quad_range r f;
+    let ql = r.lo and qh = r.hi in
+    let ml = mul_lo (-.s) s ql qh and mh = mul_hi (-.s) s ql qh in
+    r.lo <- down (mul_lo ml mh 2.0 2.0 +. sqr_lo ql qh);
+    r.hi <- up (mul_hi ml mh 2.0 2.0 +. sqr_hi ql qh)
+  end;
+  let fl = r.lo and fh = r.hi in
   (* Remainder: 2·(A·rem) + rem² + truncated part. *)
   poly_range r f;
   let al = r.lo and ah = r.hi in
@@ -914,9 +981,8 @@ let unary fi x k =
       else if not (I.is_bounded fx) then Itv fx
       else k f xr fx
 
-(* First-order Chebyshev (mean-value) linearization, identical in shape
-   to Affine.mean_value but applied to the whole degree-2 polynomial:
-   f(x) ∈ f(m) + f'(X)(x − m) over x ∈ X. *)
+(* First-order Chebyshev (mean-value) linearization, applied to the
+   whole degree-2 polynomial: f(x) ∈ f(m) + f'(X)(x − m) over x ∈ X. *)
 let mean_value ~f ~f' fx0 xr fx =
   let di = f' xr in
   if I.is_empty di || not (I.is_bounded di) then Itv fx

@@ -3,15 +3,16 @@
 
     A Taylor model [x̂ = c + Σᵢ lᵢ·εᵢ + Σᵢ qᵢᵢ·εᵢ² + Σᵢ<ⱼ qᵢⱼ·εᵢεⱼ + R]
     represents a quantity as a sparse polynomial of degree at most 2 over
-    normalized input variables [εᵢ ∈ [−1, 1]] (the same input-indexed
-    symbols as {!Affine}) plus an interval remainder [R] absorbing
-    truncation, linearization and rounding errors.  Where affine forms
-    fold all second-order structure into a scalar error radius — the
-    [mul]/[sqr] remainder is O(width²) — Taylor models keep the quadratic
-    monomials exactly, so the remainder of smooth compositions is
-    O(width³): exactly the gap that dominates on band-constraint
-    boundaries, where the value surface is locally quadratic and an
-    affine enclosure can neither refute nor certify.
+    normalized input variables [εᵢ ∈ [−1, 1]] plus an interval remainder
+    [R] absorbing truncation, linearization and rounding errors.  The
+    linear part alone is an affine form: it cancels shared symbols
+    exactly, where plain interval arithmetic loses every correlation
+    ([x − x] evaluates to a width-doubling interval).  Keeping the
+    quadratic monomials as well makes the remainder of smooth
+    compositions O(width³) instead of O(width²): exactly the gap that
+    dominates on band-constraint boundaries, where the value surface is
+    locally quadratic and a first-order enclosure can neither refute
+    nor certify.
 
     Soundness contract: for every assignment of the variables to
     [[−1, 1]] consistent with the operand models, the result model
@@ -28,15 +29,15 @@
     polygon encloses the curve), intersected with plain interval
     evaluation — each is sound, and each wins on different coefficient
     signs; cross monomials are bounded by magnitude.  This polynomial
-    range bound is what the affine layer structurally cannot provide.
+    range bound is what a first-order form structurally cannot provide.
 
     Nonlinear operations:
     - [mul]/[sqr] keep every monomial of degree ≤ 2 exactly and
       truncate degree-3/4 products into the remainder, bounded by the
       factor ranges (counted by the [tm.truncations] telemetry);
-    - unary operations lift the {!Affine} linearizations (min-range for
-      [exp], [log], [sqrt], [inv]; Chebyshev mean-value for the rest),
-      applied to the whole polynomial part, and upgrade to a
+    - unary operations linearize the whole polynomial part (min-range,
+      slope clamped to the extreme derivative, for [exp], [log],
+      [sqrt], [inv]; Chebyshev mean-value for the rest), and upgrade to a
       second-order Taylor form [f(m) + f'(m)(x−m) + ½f''(X)(x−m)²]
       when the operand is linear — there [(x−m)²] is exactly degree 2,
       so the upgrade is cheap and the remainder third-order;
@@ -46,8 +47,8 @@
     A model degrades to a plain interval when unbounded or through a
     non-polynomial fallback, and to bottom (empty) when the operand
     leaves the operation's domain entirely.  Forms stay small: each
-    monomial family is condensed deterministically past the shared
-    {!Affine.budget} (smallest-magnitude coefficients folded into the
+    monomial family is condensed deterministically past the
+    {!budget} (smallest-magnitude coefficients folded into the
     remainder, ties broken by variable index). *)
 
 type t
@@ -64,6 +65,22 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 val clear_enabled_override : unit -> unit
 
+(** {1 Monomial budget} *)
+
+val default_budget : int
+(** Default maximum number of monomials per family (64). *)
+
+val budget : unit -> int
+(** The effective budget: the last {!set_budget} value if any,
+    otherwise [BIOMC_TM_BUDGET] from the environment (positive integers
+    only; malformed values fall back to {!default_budget}), otherwise
+    {!default_budget}.  The solver snapshots this into the journal flag
+    header, so [biomc explain]'s flag-consistency audit covers it. *)
+
+val set_budget : int -> unit
+(** Set the process-wide budget (clamped to ≥ 1); overrides the
+    environment. *)
+
 (** {1 Constructors and queries} *)
 
 val const : float -> t
@@ -73,8 +90,8 @@ val of_interval : sym:int -> Ia.t -> t
 (** [of_interval ~sym iv]: the model [mid iv + rad iv·ε_sym], enclosing
     [iv].  Models built from the same [sym] are perfectly correlated —
     callers must use distinct symbols for independent quantities (the
-    tape walker uses input positions, matching {!Affine}).  Empty [iv]
-    yields bottom; unbounded [iv] an interval-fallback model. *)
+    tape walker uses input positions).  Empty [iv] yields bottom;
+    unbounded [iv] an interval-fallback model. *)
 
 val concretize : t -> Ia.t
 (** The interval enclosure of the model (empty for bottom): Bernstein ∩
@@ -82,16 +99,23 @@ val concretize : t -> Ia.t
 
 val is_bot : t -> bool
 
-val is_tm : t -> bool
-(** True when the value carries monomials (not bottom, not an interval
-    fallback). *)
-
 val nterms : t -> int
 (** Number of monomials (linear + quadratic); 0 for bottom, intervals
     and constants. *)
 
-val is_quadratic : t -> bool
-(** True when the model carries at least one degree-2 monomial. *)
+type poly = {
+  constant : float;
+  linear : (int * float) list;  (** (i, lᵢ): the monomial lᵢ·εᵢ *)
+  square : (int * float) list;  (** (i, qᵢᵢ): the monomial qᵢᵢ·εᵢ² *)
+  cross : (int * int * float) list;  (** (i, j, qᵢⱼ), i < j: qᵢⱼ·εᵢεⱼ *)
+  remainder : Ia.t;
+}
+
+val to_poly : t -> poly option
+(** The model's polynomial and remainder, for audits: the model denotes
+    [{ p(ε) + r : r ∈ remainder }] at each [ε ∈ [−1, 1]ⁿ].  An interval
+    fallback [v] reads as the zero polynomial with remainder [v];
+    [None] for bottom. *)
 
 val pp : t Fmt.t
 
@@ -122,6 +146,13 @@ val tanh : t -> t
 val abs : t -> t
 val min_ : t -> t -> t
 val max_ : t -> t -> t
+
+val linear_sqr_truncation : Ia.t
+(** The truncated part [2·([−s, s]·Q) + Q²] that {!sqr} adds to the
+    remainder of a model without quadratic monomials, where [Q = [0, 0]]
+    and [s] is the linear radius.  It does not depend on [s], so it is
+    computed once: [[−3·2⁻¹⁰⁷⁴, 2⁻¹⁰⁷²]], the outward steps around 0.
+    Exposed so tests can pin it to the general formula. *)
 
 (** {1 Telemetry}
 

@@ -180,18 +180,13 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
     (System.params sys);
   let sc_rhs = Expr.Tape.scratch prep.rhs_tape in
   let sc_snd = Expr.Tape.scratch prep.second_tape in
-  (* Affine evaluation of the field: the state variables are exactly
-     where Picard/Taylor enclosures correlate (x appears in several
-     rates with opposite signs in mass-action kinetics), so the affine
-     range intersected into the interval one shrinks f(B) and with it
-     the whole tube.  Sampled once per flow — the flow cache group is
-     keyed on the same flag. *)
-  let affine = Interval.Affine.enabled () in
-  (* Taylor-model evaluation stacks on the same pattern: quadratic
-     correlations between state variables (mass-action products) that
-     the affine pass folds into its error radius stay exact here, so
-     the TM range can tighten f(B) further.  Also sampled once per
-     flow and keyed into the flow cache group. *)
+  (* Taylor-model evaluation of the field: the state variables are
+     exactly where Picard/Taylor enclosures correlate (x appears in
+     several rates with opposite signs in mass-action kinetics, and
+     mass-action products couple state variables quadratically), so
+     the TM range intersected into the interval one shrinks f(B) and
+     with it the whole tube.  Sampled once per flow — the flow cache
+     group is keyed on the same flag. *)
   let tm = Interval.Tm.enabled () in
   (* A field that reads no time input has the same f(X₀) at the cold
      seed's time [t0, t0 + h] as at the Taylor-2 endpoint's t0, so the
@@ -199,7 +194,6 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
   let reuse_f_x0 =
     cfg.order = Taylor_2 && not (Expr.Tape.reads_input prep.rhs_tape (n + np))
   in
-  let abuf = Array.make n I.empty in
   let tbuf = Array.make n I.empty in
   let intersect_into (enc : I.t array) (out : I.t array) =
     let tightened = ref false in
@@ -217,10 +211,6 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
     Array.blit x 0 inp 0 n;
     inp.(n + np) <- time;
     Expr.Tape.eval_interval_into tape sc ~inputs:inp ~out;
-    if affine then
-      Interval.Affine.with_span (fun () ->
-          Expr.Tape.eval_affine_into tape sc ~inputs:inp ~out:abuf;
-          if intersect_into abuf out then Interval.Affine.note_tightening ());
     if tm then
       Interval.Tm.with_span (fun () ->
           Expr.Tape.eval_tm_into tape sc ~inputs:inp ~out:tbuf;
@@ -437,12 +427,11 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
   if not (Cache.enabled ()) then jemit ~cached:false (fst (run ()))
   else begin
     let group =
-      Printf.sprintf "flow|%s|%s|%b|%b|%b|%h|%h" (System.digest sys)
+      Printf.sprintf "flow|%s|%s|%b|%b|%h|%h" (System.digest sys)
         (config_fingerprint config)
         (Expr.Tape.enabled ())
-        (* Affine- or TM-tightened tubes must not replay into a
-           BIOMC_NO_AFFINE=1 / BIOMC_NO_TM=1 run (or vice versa). *)
-        (Interval.Affine.enabled ())
+        (* TM-tightened tubes must not replay into a BIOMC_NO_TM=1 run
+           (or vice versa). *)
         (Interval.Tm.enabled ())
         t0 t_end
     in

@@ -60,7 +60,7 @@ let validate_jobs jobs =
 (* ---- Kill-switch: BIOMC_NO_WORKSTEAL=1 restores the PR-1 monitor
    frontier, per-box budget spends and fixed SMC batches bit-for-bit
    (the same discipline as BIOMC_NO_TAPE / BIOMC_NO_NEWTON /
-   BIOMC_NO_AFFINE). ---- *)
+   BIOMC_NO_TM). ---- *)
 
 let ws_override : bool option Atomic.t = Atomic.make None
 

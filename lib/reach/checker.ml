@@ -233,14 +233,18 @@ let method_fingerprint = function
   | Ode.Integrate.Implicit_euler { h; newton_iters; newton_tol } ->
       Printf.sprintf "I%h,%d,%h" h newton_iters newton_tol
 
+(* Keyed by the tape and TM flags, like the [flow|] group of the tubes
+   the segments are cut from: a segment computed with Taylor models must
+   not replay into a BIOMC_NO_TM=1 check (or vice versa). *)
 let seg_group cfg pb_sys ~t_end =
-  Printf.sprintf "segenc|%s|%s|%s|%d|%d|%h|%h|%b|%h"
+  Printf.sprintf "segenc|%s|%s|%s|%d|%d|%h|%h|%b|%b|%h"
     (Ode.System.digest pb_sys)
     (Ode.Enclosure.config_fingerprint cfg.enclosure)
     (method_fingerprint cfg.sim_method)
     cfg.fallback_samples cfg.fallback_windows cfg.fallback_margin
     cfg.tube_quality_width
     (Expr.Tape.enabled ())
+    (Interval.Tm.enabled ())
     t_end
 
 (* Compute an enclosure of the flow of [sys] from [init_box] under

@@ -892,25 +892,30 @@ let audit f =
               in
               (match reason with
               | "newton" | "mean-value" -> requires "newton"
+              (* journals written while the affine layer existed *)
               | "affine-refute" -> requires "affine"
               | "tm-refute" -> requires "tm"
               | "cache-replay" -> requires "cache"
               | _ -> ()))
       | _ -> ())
     (nodes f);
-  (* flag snapshot well-formedness: a recorded affine budget must be a
-     positive integer (the solver writes [Affine.budget ()], which is
-     clamped — anything else means a corrupted or hand-edited header) *)
+  (* flag snapshot well-formedness: a recorded budget must be a positive
+     integer (the solver writes the clamped Taylor-model budget; older
+     journals the affine one) — anything else means a corrupted or
+     hand-edited header *)
   List.iter
     (fun (r : run_info) ->
-      match List.assoc_opt "affine_budget" r.flags with
-      | None -> ()
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some b when b >= 1 -> ()
-          | _ ->
-              add "run %d: affine_budget flag %S is not a positive integer"
-                r.rid s))
+      List.iter
+        (fun key ->
+          match List.assoc_opt key r.flags with
+          | None -> ()
+          | Some s -> (
+              match int_of_string_opt (String.trim s) with
+              | Some b when b >= 1 -> ()
+              | _ ->
+                  add "run %d: %s flag %S is not a positive integer" r.rid
+                    key s))
+        [ "tm_budget"; "affine_budget" ])
     (runs f);
   List.rev !violations
 

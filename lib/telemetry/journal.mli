@@ -145,7 +145,7 @@ val seg : path:int -> index:int -> mode:string -> cached:bool -> unit
 (** {2 Prune-reason attribution}
 
     The layer that actually refutes a box (HC4 tape, interval Newton,
-    mean-value form, affine pass, a cache replay) is several calls
+    mean-value form, TM pass, a cache replay) is several calls
     below the loop that emits the prune record, so attribution flows
     through a per-domain cell: the refuting site calls {!set_reason},
     the loop clears the cell before each box and {!take_reason}s it
@@ -264,9 +264,11 @@ val audit : forest -> string list
     is unsat, every reachable node is accounted for (split or
     terminal); prune reasons are consistent with the run
     header's flag snapshot (["newton"]/["mean-value"] need the newton
-    flag, ["affine-refute"] the affine flag, ["tm-refute"] the tm flag,
-    ["cache-replay"] the cache flag); a recorded ["affine_budget"] flag
-    parses as a positive integer. *)
+    flag, ["tm-refute"] the tm flag, ["cache-replay"] the cache flag,
+    and ["affine-refute"] — found in journals written while the affine
+    layer existed — the affine flag); a recorded ["tm_budget"] flag, or
+    an older journal's ["affine_budget"], parses as a positive
+    integer. *)
 
 val provenance_json : forest -> string
 (** The explain payload: per-run verdict, prune-reason breakdown per

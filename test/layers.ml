@@ -1,25 +1,19 @@
-(* The eight settings of the Newton, affine and Taylor-model switches.
-   Tests pin them through the overrides, so a test sees the same layers
-   under every BIOMC_NO_* leg. *)
+(* The four settings of the Newton and Taylor-model switches.  Tests pin
+   them through the overrides, so a test sees the same layers under
+   every BIOMC_NO_* leg. *)
 
-type t = bool * bool * bool  (** newton, affine, tm *)
+type t = bool * bool  (** newton, tm *)
 
 let settings : t list =
   List.concat_map
-    (fun newton ->
-      List.concat_map
-        (fun affine -> List.map (fun tm -> (newton, affine, tm)) [ true; false ])
-        [ true; false ])
+    (fun newton -> List.map (fun tm -> (newton, tm)) [ true; false ])
     [ true; false ]
 
-let with_layers ((newton, affine, tm) : t) f =
+let with_layers ((newton, tm) : t) f =
   Icp.Deriv.set_enabled newton;
-  Interval.Affine.set_enabled affine;
   Interval.Tm.set_enabled tm;
   Fun.protect f ~finally:(fun () ->
       Icp.Deriv.clear_enabled_override ();
-      Interval.Affine.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ())
 
-let name ((newton, affine, tm) : t) =
-  Printf.sprintf "newton=%b affine=%b tm=%b" newton affine tm
+let name ((newton, tm) : t) = Printf.sprintf "newton=%b tm=%b" newton tm

@@ -225,11 +225,11 @@ let test_pave_all_sat () =
 
 (* ---- Agreement across the layer switches ----
 
-   The Newton, affine and Taylor-model switches select the search
-   strategy: which contraction layers run per box and, with Newton on,
-   smear branching instead of widest-first.  Every setting is a sound
+   The Newton and Taylor-model switches select the search strategy:
+   which contraction layers run per box and, with Newton on, smear
+   branching instead of widest-first.  Every setting is a sound
    δ-decision procedure, so verdict kinds on robust instances and the
-   certain volumes of a paving must agree across all eight. *)
+   certain volumes of a paving must agree across all four. *)
 
 let verdict_kind = function
   | S.Unsat -> "unsat"
@@ -369,7 +369,7 @@ let test_contractor_samples_switches () =
       Expr.Tape.clear_enabled_override ())
   @@ fun () ->
   let cs = [ C.of_atom ~delta:0.0 (List.hd (F.atoms (P.formula "x*(1 - x) >= 0.3"))) ] in
-  let off = (false, false, false) and on = (true, true, true) in
+  let off = (false, false) and on = (true, true) in
   let c_off = Layers.with_layers off (fun () -> C.contractor cs) in
   let c_on = Layers.with_layers on (fun () -> C.contractor cs) in
   let compiled = C.compile cs in

@@ -276,10 +276,8 @@ let test_succ_pred_vs_libm () =
     (Int64.bits_of_float (R.next_up (-0x1p-1074)))
 
 (* Each kernel module's inline copy, reached through its public API on
-   a point: the bounds must be libm's neighbours of x + 0 (x - 0 for
-   the affine lower bound; the two differ only at x = -0). *)
+   a point: the bounds must be libm's neighbours of x + 0. *)
 let test_kernel_copies_vs_libm () =
-  let module A = Interval.Affine in
   let module TM = Interval.Tm in
   let module T = Expr.Term in
   let module Tape = Expr.Tape in
@@ -300,10 +298,8 @@ let test_kernel_copies_vs_libm () =
       check "Ia.add" x (I.add (I.of_float x) I.zero) (x +. 0.0);
       check "Tape OAdd" x (Tape.eval_interval tp sc [| I.of_float x |]) (x +. 0.0);
       (* Non-finite constants are interval fallbacks: nothing rounds. *)
-      if Float.is_finite x then begin
-        check "Affine.concretize" x (A.concretize (A.const x)) (x -. 0.0);
-        check "Tm.concretize" x (TM.concretize (TM.const x)) (x +. 0.0)
-      end)
+      if Float.is_finite x then
+        check "Tm.concretize" x (TM.concretize (TM.const x)) (x +. 0.0))
 
 (* ---- Rounding audit against exact arithmetic ----
 

@@ -250,27 +250,25 @@ let test_flags_follow_switches () =
   Fun.protect
     ~finally:(fun () ->
       Icp.Deriv.clear_enabled_override ();
-      Interval.Affine.clear_enabled_override ();
-      Interval.Affine.set_budget Interval.Affine.default_budget;
+      Interval.Tm.set_budget Interval.Tm.default_budget;
       Interval.Tm.clear_enabled_override ();
       Expr.Tape.clear_enabled_override ();
       Cache.set_policy prev_policy)
   @@ fun () ->
   let set on =
     Icp.Deriv.set_enabled on;
-    Interval.Affine.set_enabled on;
     Interval.Tm.set_enabled on;
     Expr.Tape.set_enabled on;
     Cache.set_policy (if on then Cache.Exact else Cache.Off)
   in
-  let switches = [ "newton"; "affine"; "tm"; "cache"; "tape" ] in
+  let switches = [ "newton"; "tm"; "cache"; "tape" ] in
   List.iter
     (fun on ->
       set on;
       let flags = S.journal_flags 3 in
       Alcotest.(check (list string))
         "header keys"
-        [ "affine"; "affine_budget"; "cache"; "jobs"; "newton"; "tape"; "tm" ]
+        [ "cache"; "jobs"; "newton"; "tape"; "tm"; "tm_budget" ]
         (List.sort compare (List.map fst flags));
       List.iter
         (fun k ->
@@ -282,9 +280,9 @@ let test_flags_follow_switches () =
       Alcotest.(check (option string)) "jobs" (Some "3")
         (List.assoc_opt "jobs" flags))
     [ false; true ];
-  Interval.Affine.set_budget 7;
-  Alcotest.(check (option string)) "affine budget" (Some "7")
-    (List.assoc_opt "affine_budget" (S.journal_flags 1))
+  Interval.Tm.set_budget 7;
+  Alcotest.(check (option string)) "TM budget" (Some "7")
+    (List.assoc_opt "tm_budget" (S.journal_flags 1))
 
 (* ---- audit rejections ---- *)
 
@@ -368,26 +366,58 @@ let test_audit_rejects_impossible_reason () =
   Alcotest.(check bool) "impossible prune reason is flagged" true
     (problems <> [])
 
+(* A budget flag must parse as a positive integer: the header's
+   [tm_budget], and the [affine_budget] of journals written while the
+   affine layer existed. *)
+let test_audit_budget_flags () =
+  let audit_flags flags =
+    audit_of (fun () ->
+        let r = J.begin_run ~kind:"decide" ~flags () in
+        let root = J.fresh_id () in
+        J.root ~id:root (b1 0.0 1.0);
+        J.enter ~id:root ~depth:0;
+        J.prune ~id:root ~reason:"hc4-empty" ();
+        J.end_run ~verdict:"unsat" r)
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check (list string))
+        (key ^ " = 7 is clean") []
+        (audit_flags [ (key, "7") ]);
+      List.iter
+        (fun bad ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = %S is flagged" key bad)
+            true
+            (audit_flags [ (key, bad) ] <> []))
+        [ "0"; "-3"; "many" ])
+    [ "tm_budget"; "affine_budget" ]
+
 (* Every run kind records the full flag header, so a prune credited to a
    switched-off layer is flagged whatever the kind, and the same prune
-   under the live layer is clean. *)
+   under the live layer is clean.  Journals written while the affine
+   layer existed record its flag and its "affine-refute" prunes; the
+   audit still checks the two against each other. *)
 let test_audit_layer_reasons_every_kind () =
+  let switch set_enabled clear on =
+    set_enabled on;
+    Fun.protect ~finally:clear (fun () -> S.journal_flags 1)
+  in
   let layers =
-    [ ("newton", Icp.Deriv.set_enabled, Icp.Deriv.clear_enabled_override);
+    [ ("newton", switch Icp.Deriv.set_enabled Icp.Deriv.clear_enabled_override);
+      ( "tm-refute",
+        switch Interval.Tm.set_enabled Interval.Tm.clear_enabled_override );
       ( "affine-refute",
-        Interval.Affine.set_enabled,
-        Interval.Affine.clear_enabled_override );
-      ("tm-refute", Interval.Tm.set_enabled, Interval.Tm.clear_enabled_override) ]
+        fun on -> ("affine", string_of_bool on) :: S.journal_flags 1 ) ]
   in
   List.iter
     (fun kind ->
       List.iter
-        (fun (reason, set_enabled, clear) ->
+        (fun (reason, flags) ->
           let audit_with on =
-            set_enabled on;
-            Fun.protect ~finally:clear @@ fun () ->
+            let flags = flags on in
             audit_of (fun () ->
-                let r = J.begin_run ~kind ~flags:(S.journal_flags 1) () in
+                let r = J.begin_run ~kind ~flags () in
                 let root = J.fresh_id () in
                 J.root ~id:root (b1 0.0 1.0);
                 J.enter ~id:root ~depth:0;
@@ -453,7 +483,9 @@ let () =
          Alcotest.test_case "rejects impossible prune reason" `Quick
            (clean test_audit_rejects_impossible_reason);
          Alcotest.test_case "layer prune reasons on every run kind" `Quick
-           (clean test_audit_layer_reasons_every_kind) ]);
+           (clean test_audit_layer_reasons_every_kind);
+         Alcotest.test_case "budget flags are positive integers" `Quick
+           (clean test_audit_budget_flags) ]);
       ("discipline",
        [ Alcotest.test_case "disabled journaling is a no-op" `Quick
            (clean test_disabled_noop) ]) ]

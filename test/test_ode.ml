@@ -288,9 +288,9 @@ let test_enclosure_oscillator () =
    (the Taylor-2 terms fold c² with [Float.pow]), so every bound is
    fixed by IEEE 754 and the digest does not depend on the platform's
    libm.  One system is autonomous, with constant divisors and a
-   parameter box; the other reads t.  The tape, affine and TM layers
-   are pinned on and the flow cache off, so the digest covers the
-   default path whatever the environment. *)
+   parameter box; the other reads t.  The tape and TM layers are pinned
+   on, at the default monomial budget, and the flow cache off, so the
+   digest covers the default path whatever the environment. *)
 
 let digest_autonomous =
   Sys.of_strings ~vars:[ "x"; "y" ] ~params:[ "k" ]
@@ -335,18 +335,16 @@ let flow_digest () =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_flow_digest () =
-  let budget0 = Interval.Affine.budget () in
+  let budget0 = Interval.Tm.budget () in
   Expr.Tape.set_enabled true;
-  Interval.Affine.set_enabled true;
   Interval.Tm.set_enabled true;
-  Interval.Affine.set_budget Interval.Affine.default_budget;
+  Interval.Tm.set_budget Interval.Tm.default_budget;
   Cache.set_policy Cache.Off;
   Fun.protect
     ~finally:(fun () ->
       Expr.Tape.clear_enabled_override ();
-      Interval.Affine.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ();
-      Interval.Affine.set_budget budget0;
+      Interval.Tm.set_budget budget0;
       Cache.clear_policy_override ())
   @@ fun () ->
   Alcotest.(check string) "flow tubes bit-identical"

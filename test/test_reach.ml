@@ -171,9 +171,9 @@ let test_reach_two_modes_unsat () =
   in
   expect_unsat "down never re-reaches 1" (C.check pb)
 
-(* Every setting of the Newton, affine and Taylor-model switches is a
-   sound search, so each reaches the same verdict on these margins, and
-   every δ-sat witness is certified. *)
+(* Every setting of the Newton and Taylor-model switches is a sound
+   search, so each reaches the same verdict on these margins, and every
+   δ-sat witness is certified. *)
 let test_reach_layer_agreement () =
   let problems =
     [ ( "decay sat", true,
@@ -207,6 +207,38 @@ let test_reach_layer_agreement () =
           else expect_unsat name (C.check pb))
         problems)
     Layers.settings
+
+(* The segment cache keys the Taylor-model switch, like the flow cache
+   beneath it: a check run with the layer off right after the same
+   check with it on must integrate its own flows, not replay the
+   TM-tightened segments. *)
+let test_seg_cache_keys_tm () =
+  let pb =
+    E.create
+      ~param_box:(Box.of_list [ ("k", I.make 0.1 0.5) ])
+      ~goal:(goal "x <= 0.55") ~k:0 ~time_bound:1.0 decay_k_automaton
+  in
+  let stats name =
+    Option.value ~default:Cache.zero_stats
+      (List.assoc_opt name (Cache.named_stats ()))
+  in
+  Cache.set_policy Cache.Exact;
+  Cache.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.clear_policy_override ();
+      Interval.Tm.clear_enabled_override ())
+  @@ fun () ->
+  Interval.Tm.set_enabled true;
+  expect_unsat "TM on" (C.check pb);
+  let seg0 = stats "reach-seg" and flow0 = stats "flow" in
+  Interval.Tm.set_enabled false;
+  expect_unsat "TM off" (C.check pb);
+  let seg1 = stats "reach-seg" and flow1 = stats "flow" in
+  Alcotest.(check int) "TM-off check replays no segment" seg0.Cache.hits
+    seg1.Cache.hits;
+  Alcotest.(check bool) "TM-off check integrates its own flows" true
+    (flow1.Cache.misses > flow0.Cache.misses)
 
 let test_synthesize_threshold () =
   (* Partition k ∈ [0.1, 3.0] for goal x <= 0.3 by t=1: the boundary is at
@@ -335,6 +367,8 @@ let () =
           Alcotest.test_case "two modes sat" `Quick test_reach_two_modes;
           Alcotest.test_case "two modes unsat" `Quick test_reach_two_modes_unsat;
           Alcotest.test_case "layer switches agree" `Quick test_reach_layer_agreement;
+          Alcotest.test_case "segment cache keys the TM switch" `Quick
+            test_seg_cache_keys_tm;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
         ] );

@@ -170,10 +170,10 @@ let test_two_parameter_synthesis () =
         (Box.contains_env [ ("a", 1.0); ("b", 2.0) ] b))
     r.B.inconsistent
 
-(* Every setting of the Newton, affine and Taylor-model switches gives
-   a sound paving of the parameter box: the truth k = 1 is never ruled
-   out, the volumes partition the box, and no setting's consistent box
-   shares volume with another setting's inconsistent box. *)
+(* Every setting of the Newton and Taylor-model switches gives a sound
+   paving of the parameter box: the truth k = 1 is never ruled out, the
+   volumes partition the box, and no setting's consistent box shares
+   volume with another setting's inconsistent box. *)
 let test_layer_agreement () =
   let prob = problem () in
   let config = { B.default_config with epsilon = 0.05 } in

@@ -1,10 +1,11 @@
 (* Differential tests for the degree-2 Taylor-model layer (Interval.Tm
    and its wiring): TM ranges vs true (sampled) values, the TM tape
-   walker vs the interval and affine walkers, the Bernstein range bound,
-   the TM-tightened HC4 revise, TM-on vs TM-off search agreement, and
-   the kill-switch guarantee that BIOMC_NO_TM reproduces the
-   affine-era search bit for bit (leaf sets pinned by fingerprint,
-   including cache interactions). *)
+   walker vs the interval walker, the ring operations vs exact
+   arithmetic, the Bernstein range bound, condensation past the
+   monomial budget, the TM-tightened HC4 revise, TM-on vs TM-off search
+   agreement, and the kill-switch guarantee that BIOMC_NO_TM reproduces
+   the interval-only search bit for bit (leaf sets pinned by
+   fingerprint, including cache interactions). *)
 
 module I = Interval.Ia
 module TM = Interval.Tm
@@ -87,13 +88,13 @@ let rand_target st =
 let inputs_of_box b =
   Array.of_list (List.map (fun v -> Box.find v b) vars)
 
-(* ---- TM walker vs true values and the other walkers ----
+(* ---- TM walker vs true values and the interval walker ----
 
-   For every sampled point where the float evaluation is finite, all
-   three walkers' root enclosures must contain it (up to
-   float-evaluation slack): the TM concretization is a sound range,
-   never *assumed* tighter than the interval or affine results — solver
-   layers intersect them, which is exactly the licence this checks. *)
+   For every sampled point where the float evaluation is finite, both
+   walkers' root enclosures must contain it (up to float-evaluation
+   slack): the TM concretization is a sound range, never *assumed*
+   tighter than the interval result — solver layers intersect the two,
+   which is exactly the licence this checks. *)
 let test_tm_soundness_sampled () =
   let st = Random.State.make [| 70 |] in
   let checked = ref 0 in
@@ -103,11 +104,8 @@ let test_tm_soundness_sampled () =
     let tp = Tape.compile ~vars [ t ] in
     let sc = Tape.scratch tp in
     let inp = inputs_of_box b in
-    let r_tm = Array.make 1 I.empty
-    and r_aff = Array.make 1 I.empty
-    and r_itv = Array.make 1 I.empty in
+    let r_tm = Array.make 1 I.empty and r_itv = Array.make 1 I.empty in
     Tape.eval_tm_into tp sc ~inputs:inp ~out:r_tm;
-    Tape.eval_affine_into tp sc ~inputs:inp ~out:r_aff;
     Tape.eval_interval_into tp sc ~inputs:inp ~out:r_itv;
     for _probe = 1 to 3 do
       let pt = rand_point st b in
@@ -118,9 +116,6 @@ let test_tm_soundness_sampled () =
         if not (I.mem v (I.inflate slack r_tm.(0))) then
           Alcotest.failf "case %d: %.17g outside TM range %s of %s" case v
             (I.to_string r_tm.(0)) (T.to_string t);
-        if not (I.mem v (I.inflate slack r_aff.(0))) then
-          Alcotest.failf "case %d: %.17g outside affine range %s of %s" case v
-            (I.to_string r_aff.(0)) (T.to_string t);
         if not (I.mem v (I.inflate slack r_itv.(0))) then
           Alcotest.failf "case %d: %.17g outside interval range %s of %s" case
             v (I.to_string r_itv.(0)) (T.to_string t)
@@ -130,46 +125,56 @@ let test_tm_soundness_sampled () =
   if !checked < 1_000 then
     Alcotest.failf "only %d points checked — generator drifted" !checked
 
-(* Second-order dependency problems where Taylor models provably beat
-   affine forms; the tightness claim of the whole PR, pinned on its
-   canonical examples (including the cubic band kernel that plateaued
-   at 1.00x under the affine layer). *)
+(* The TM and interval walkers' root ranges of a parsed term over a
+   box. *)
+let walker_ranges ts box_l =
+  let t = P.term ts in
+  let tvars = T.free_var_list t in
+  let tp = Tape.compile ~vars:tvars [ t ] in
+  let sc = Tape.scratch tp in
+  let b = Box.of_list box_l in
+  let inp = Array.of_list (List.map (fun v -> Box.find v b) tvars) in
+  let r_tm = Array.make 1 I.empty and r_itv = Array.make 1 I.empty in
+  Tape.eval_tm_into tp sc ~inputs:inp ~out:r_tm;
+  Tape.eval_interval_into tp sc ~inputs:inp ~out:r_itv;
+  (r_tm.(0), r_itv.(0))
+
+let check_tighter name ts box_l expect_width =
+  let tm, itv = walker_ranges ts box_l in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: TM (%s) tighter than interval (%s)" name
+       (I.to_string tm) (I.to_string itv))
+    true
+    (I.width tm < I.width itv);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: TM width %g below %g" name (I.width tm) expect_width)
+    true
+    (I.width tm <= expect_width)
+
+(* First-order dependency problems: shared symbols cancel in the linear
+   part, where interval evaluation widens every occurrence
+   independently. *)
+let test_tm_tightness_dependency () =
+  check_tighter "cancellation" "x - x" [ ("x", I.make 0.0 1.0) ] 1e-9;
+  check_tighter "shifted-diff" "(x + 1) - x" [ ("x", I.make (-2.0) 2.0) ] 1e-9;
+  (* x² − 2x = −1 + ε² with x = 1 + ε on [0, 2]: true range [−1, 0]. *)
+  check_tighter "quadratic" "x^2 - 2*x" [ ("x", I.make 0.0 2.0) ] 1.01
+
+(* Second-order dependency problems, where a first-order (affine) form
+   still widens by its product radius: the quadratic monomials are kept,
+   so the pinned widths sit at the true ranges — including the cubic
+   band kernel whose paving only the TM certifier cracks. *)
 let test_tm_tightness_quadratic () =
-  let widths ts box_l =
-    let t = P.term ts in
-    let tvars = T.free_var_list t in
-    let tp = Tape.compile ~vars:tvars [ t ] in
-    let sc = Tape.scratch tp in
-    let b = Box.of_list box_l in
-    let inp = Array.of_list (List.map (fun v -> Box.find v b) tvars) in
-    let r_tm = Array.make 1 I.empty and r_aff = Array.make 1 I.empty in
-    Tape.eval_tm_into tp sc ~inputs:inp ~out:r_tm;
-    Tape.eval_affine_into tp sc ~inputs:inp ~out:r_aff;
-    (r_tm.(0), r_aff.(0))
-  in
-  let check name ts box_l expect_width =
-    let tm, aff = widths ts box_l in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: TM (%s) tighter than affine (%s)" name
-         (I.to_string tm) (I.to_string aff))
-      true
-      (I.width tm < I.width aff);
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: TM width %g below %g" name (I.width tm)
-         expect_width)
-      true
-      (I.width tm <= expect_width)
-  in
-  (* x·(1−x) on [0,1]: true range [0, 1/4]; affine gives [0, 1/2]. *)
-  check "logistic" "x*(1 - x)" [ ("x", I.make 0.0 1.0) ] 0.26;
+  (* x·(1−x) on [0,1]: true range [0, 1/4]; an affine form gives
+     [0, 1/2]. *)
+  check_tighter "logistic" "x*(1 - x)" [ ("x", I.make 0.0 1.0) ] 0.26;
   (* (x+y)² − 2xy = x² + y² on [0,1]²: the kept εₓεᵧ cross monomial
      cancels exactly; an affine form widens by its two product balls. *)
-  check "cross-term" "(x + y)^2 - 2*x*y"
+  check_tighter "cross-term" "(x + y)^2 - 2*x*y"
     [ ("x", I.make 0.0 1.0); ("y", I.make 0.0 1.0) ]
     2.01;
-  (* The pave-cubic-band kernel's left edge, where the band test
-     saturated at 1.00x under AF1. *)
-  check "cubic-band" "x^3 - 2*x^2 + 1.25*x"
+  (* The pave-cubic-band kernel's left edge. *)
+  check_tighter "cubic-band" "x^3 - 2*x^2 + 1.25*x"
     [ ("x", I.make 0.0 0.5) ] 0.52
 
 (* ---- the Bernstein range bound ---- *)
@@ -177,7 +182,7 @@ let test_tm_tightness_quadratic () =
 (* Random univariate quadratics q·ε² + l·ε + c built through the public
    ops: every sampled evaluation lies in the concretization, and the
    concretization is within the Bernstein control-polygon hull (the
-   bound the affine layer structurally cannot provide). *)
+   bound a first-order form structurally cannot provide). *)
 let test_bernstein_bound () =
   let st = Random.State.make [| 71 |] in
   for case = 1 to 1_000 do
@@ -211,8 +216,8 @@ let test_bernstein_bound () =
         (I.to_string range) (I.to_string hull)
   done
 
-(* ε² on [−1,1] pinned: the Bernstein bound gives [0, 1]; an affine
-   form cannot see the sign. *)
+(* ε² on [−1,1] pinned: the Bernstein bound gives [0, 1]; a
+   first-order form cannot see the sign. *)
 let test_bernstein_sqr_pinned () =
   let x = TM.of_interval ~sym:0 (I.make (-1.0) 1.0) in
   let r = TM.concretize (TM.sqr x) in
@@ -259,16 +264,377 @@ let test_truncation_only_high_degree () =
       ("quadratic × linear", 1, fun () -> TM.mul q x);
       ("quadratic²", 1, fun () -> TM.sqr q) ]
 
+(* The truncated part of a linear model's square is a constant: the
+   general formula 2·([−s, s]·Q) + Q² with Q = [0, 0], composed from the
+   [Ia] operations the kernel transcribes bound by bound, gives the same
+   bits at every linear radius s. *)
+let test_linear_sqr_truncation_pinned () =
+  let bits r = (Int64.bits_of_float (I.lo r), Int64.bits_of_float (I.hi r)) in
+  let q = I.make 0.0 0.0 in
+  List.iter
+    (fun s ->
+      let general =
+        I.add (I.mul (I.mul (I.make (-.s) s) q) (I.of_float 2.0)) (I.sqr q)
+      in
+      Alcotest.(check (pair int64 int64))
+        (Printf.sprintf "s = %h" s)
+        (bits general) (bits TM.linear_sqr_truncation))
+    [ 0.0; 0x1p-1074; 1e-300; 0.5; 1.0; 3.25; 1e300; Float.max_float; infinity ]
+
+(* ---- ring operations vs exact arithmetic ----
+
+   [Tm.add], [sub], [scale], [mul], [sqr] and the [lin_map] behind [neg]
+   and [add_const] on random models, checked at sample points
+   ε ∈ [−1, 1]ⁿ, box corners included.  The operands' values there are
+   their polynomials at ε plus any point of their remainders; the
+   operation's exact value on them must lie in the result's polynomial
+   at ε plus its remainder.  Every operation is affine or bilinear in
+   the remainder points, so the remainders' endpoints are the extreme
+   cases (a square's value set also reaches 0 when the base can).
+
+   The oracle shares no code with the kernel: exact values are
+   nonoverlapping expansions built with TwoSum and TwoProduct (Shewchuk's
+   GROW-EXPANSION), so the comparisons are exact.  A product of two
+   doubles too small for TwoProduct to be exact (below 2^-900, as when a
+   subnormal remainder bound meets a value) is computed with its smaller
+   factor scaled by 2^1200 and kept in a second expansion at that scale.
+   A value that would need any other product is marked inexact, and a
+   check on it undecided; undecided checks must stay rare. *)
+
+let two_sum a b =
+  let s = a +. b in
+  let bb = s -. a in
+  (s, (a -. (s -. bb)) +. (b -. bb))
+
+(* e + b exactly, e nonoverlapping in increasing magnitude, zeros
+   eliminated; the result is nonoverlapping too. *)
+let grow e b =
+  let q, acc =
+    List.fold_left
+      (fun (q, acc) c ->
+        let s, h = two_sum q c in
+        (s, if h = 0.0 then acc else h :: acc))
+      (b, []) e
+  in
+  List.rev (if q = 0.0 then acc else q :: acc)
+
+let sum e f = List.fold_left grow e f
+let neg e = List.map Float.neg e
+
+(* The sign of a nonoverlapping expansion is its largest component's;
+   [mag] bounds its magnitude from above. *)
+let sign e = match List.rev e with [] -> 0 | c :: _ -> Float.compare c 0.0
+let mag e = List.fold_left (fun s c -> Float.succ (s +. Float.abs c)) 0.0 e
+
+(* The real e + 2^-1200·f, unless [inexact]. *)
+type exact = { e : float list; f : float list; inexact : bool }
+
+let exact_of x = { e = grow [] x; f = []; inexact = false }
+
+let exact_add x y =
+  { e = sum x.e y.e; f = sum x.f y.f; inexact = x.inexact || y.inexact }
+
+let exact_neg x = { x with e = neg x.e; f = neg x.f }
+
+(* Scaling by 2^1200, which no double can hold, in two exact steps. *)
+let up1200 x = x *. 0x1p600 *. 0x1p600
+
+(* a·b exactly, as (scaled, expansion): at scale 1, or at 2^1200. *)
+let two_prod a b =
+  let p = a *. b in
+  if not (Float.is_finite p) then Alcotest.failf "exact oracle overflow";
+  if a = 0.0 || b = 0.0 then (false, [])
+  else if Float.abs p >= 0x1p-900 then (false, grow (grow [] (Float.fma a b (-.p))) p)
+  else
+    let a, b = if Float.abs a <= Float.abs b then (up1200 a, b) else (a, up1200 b) in
+    let p = a *. b in
+    (true, grow (grow [] (Float.fma a b (-.p))) p)
+
+let exact_mul x y =
+  let e = ref [] and f = ref [] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          match two_prod a b with
+          | false, p -> e := sum !e p
+          | true, p -> f := sum !f p)
+        y.e)
+    x.e;
+  { e = !e; f = !f;
+    inexact = x.inexact || y.inexact || x.f <> [] || y.f <> [] }
+
+(* The sign of an exact value, [None] when inexact or undecided.  A
+   nonzero [e] is a sum of doubles, so at least 2^-1074 in magnitude. *)
+let exact_sign x =
+  let se = sign x.e and sf = sign x.f in
+  if x.inexact then None
+  else if sf = 0 || se = sf then Some se
+  else if se = 0 then Some sf
+  else if mag x.f < 0x1p126 then Some se
+  else if mag x.e <= 0x1p-800 then
+    Some (sign (sum (List.map up1200 x.e) x.f))
+  else
+    match List.rev_map Float.abs x.e with
+    | h :: rest
+      when h >= 0x1p-700
+           && (match rest with [] -> true | h2 :: _ -> h2 <= h /. 4.0) ->
+        Some se
+    | _ -> None
+
+(* Whether the real [x] lies in [lo, hi]; [None] when undecided. *)
+let exact_within x lo hi =
+  let lower =
+    if lo = neg_infinity then Some 1 else exact_sign (exact_add x (exact_of (-.lo)))
+  and upper =
+    if hi = infinity then Some 1 else exact_sign (exact_add (exact_neg x) (exact_of hi))
+  in
+  match (lower, upper) with
+  | Some l, Some u -> Some (l >= 0 && u >= 0)
+  | Some l, _ when l < 0 -> Some false
+  | _, Some u when u < 0 -> Some false
+  | _ -> None
+
+let poly_of m =
+  match TM.to_poly m with
+  | Some p -> p
+  | None -> Alcotest.failf "unexpected bottom model %a" TM.pp m
+
+(* The polynomial part of [p] at [eps], exactly. *)
+let exact_poly (p : TM.poly) eps =
+  let term coef factors =
+    List.fold_left (fun v f -> exact_mul v (exact_of f)) (exact_of coef) factors
+  in
+  List.fold_left exact_add (exact_of p.TM.constant)
+    (List.map (fun (i, l) -> term l [ eps.(i) ]) p.TM.linear
+    @ List.map (fun (i, q) -> term q [ eps.(i); eps.(i) ]) p.TM.square
+    @ List.map (fun (i, j, q) -> term q [ eps.(i); eps.(j) ]) p.TM.cross)
+
+(* The operand's extreme values at [eps]: its polynomial plus each
+   remainder endpoint.  [None] when the remainder is unbounded. *)
+let exact_values m eps =
+  let p = poly_of m in
+  let r = p.TM.remainder in
+  if not (I.is_bounded r) then None
+  else
+    let v = exact_poly p eps in
+    Some (v, [ exact_add v (exact_of (I.lo r)); exact_add v (exact_of (I.hi r)) ])
+
+(* Random models over [n] symbols built through the public operations:
+   products and squares make quadratic monomials and truncate higher
+   degrees into the remainder, tanh linearizes, x − (x + k) leaves a
+   monomial-free model, and abs of a sign-straddling model an interval
+   fallback. *)
+let rec rand_model st n depth =
+  if depth = 0 || Random.State.int st 4 = 0 then
+    if Random.State.int st 5 = 0 then TM.const (Random.State.float st 4.0 -. 2.0)
+    else
+      let a = Random.State.float st 8.0 -. 4.0 in
+      TM.of_interval ~sym:(Random.State.int st n)
+        (I.make a (a +. Random.State.float st 4.0))
+  else
+    let sub () = rand_model st n (depth - 1) in
+    match Random.State.int st 8 with
+    | 0 -> TM.add (sub ()) (sub ())
+    | 1 -> TM.sub (sub ()) (sub ())
+    | 2 -> TM.mul (sub ()) (sub ())
+    | 3 -> TM.sqr (sub ())
+    | 4 -> TM.scale (Random.State.float st 4.0 -. 2.0) (sub ())
+    | 5 ->
+        let x = sub () in
+        TM.sub x (TM.add_const (Random.State.float st 2.0 -. 1.0) x)
+    | 6 -> TM.tanh (sub ())
+    | _ -> TM.abs (sub ())
+
+(* The sample points: every corner of [−1, 1]ⁿ, the centre and random
+   interior points. *)
+let sample_points st n =
+  let corners =
+    List.init (1 lsl n) (fun c ->
+        Array.init n (fun i -> if c land (1 lsl i) = 0 then -1.0 else 1.0))
+  in
+  (Array.make n 0.0 :: corners)
+  @ List.init 4 (fun _ -> Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0))
+
+(* Audit one operation over random operands at budgets 64 and 2: [op]
+   returns the result and, for each sample point, the operation's
+   extreme exact values. *)
+let audit_op ~seed name op =
+  let st = Random.State.make [| seed |] in
+  let checked = ref 0 and undecided = ref 0 in
+  Fun.protect ~finally:(fun () -> TM.set_budget TM.default_budget) @@ fun () ->
+  List.iter
+    (fun budget ->
+      TM.set_budget budget;
+      for case = 1 to 1_500 do
+        let n = 1 + Random.State.int st 3 in
+        let x = rand_model st n 3 and y = rand_model st n 3 in
+        let z, values = op st x y in
+        let pz = poly_of z in
+        let rz = pz.TM.remainder in
+        List.iter
+          (fun eps ->
+            let vz = exact_poly pz eps in
+            List.iter
+              (fun v ->
+                incr checked;
+                let d = exact_add v (exact_neg vz) in
+                match exact_within d (I.lo rz) (I.hi rz) with
+                | Some true -> ()
+                | None -> incr undecided
+                | Some false ->
+                    Alcotest.failf
+                      "%s, budget %d, case %d: exact value escapes %a at ε = [%s]"
+                      name budget case TM.pp z
+                      (String.concat "; "
+                         (Array.to_list (Array.map (Printf.sprintf "%h") eps))))
+              (values eps))
+          (sample_points st n)
+      done)
+    [ 64; 2 ];
+  if !checked < 10_000 then
+    Alcotest.failf "%s: only %d values checked — generator drifted" name !checked;
+  if !undecided * 1000 > !checked then
+    Alcotest.failf "%s: %d of %d checks undecided" name !undecided !checked
+
+let values_or_none m eps =
+  match exact_values m eps with Some (_, vs) -> vs | None -> []
+
+let binary f g _ x y =
+  (f x y, fun eps ->
+    List.concat_map
+      (fun vx -> List.map (g vx) (values_or_none y eps))
+      (values_or_none x eps))
+
+let unary f g st x _ =
+  let k = Random.State.float st 6.0 -. 3.0 in
+  (f k x, fun eps -> List.map (g k) (values_or_none x eps))
+
+let test_exact_add () = audit_op ~seed:80 "add" (binary TM.add exact_add)
+
+let test_exact_sub () =
+  audit_op ~seed:81 "sub"
+    (binary TM.sub (fun vx vy -> exact_add vx (exact_neg vy)))
+
+let test_exact_scale () =
+  audit_op ~seed:82 "scale"
+    (unary TM.scale (fun k v -> exact_mul (exact_of k) v))
+
+let test_exact_lin_map () =
+  audit_op ~seed:83 "neg/add_const" (fun st x y ->
+      if Random.State.bool st then
+        (TM.neg x, fun eps -> List.map exact_neg (values_or_none x eps))
+      else unary TM.add_const (fun k v -> exact_add (exact_of k) v) st x y)
+
+let test_exact_mul () = audit_op ~seed:84 "mul" (binary TM.mul exact_mul)
+
+(* (p + r)² over the remainder points r: the endpoints, and 0 when
+   −p may lie among them. *)
+let test_exact_sqr () =
+  audit_op ~seed:85 "sqr" (fun _ x _ ->
+      ( TM.sqr x,
+        fun eps ->
+          match exact_values x eps with
+          | None -> []
+          | Some (p, vs) ->
+              let r = (poly_of x).TM.remainder in
+              let zero = exact_of 0.0 in
+              (* −p ∈ [lo, hi]: the square reaches 0 *)
+              let reaches_zero =
+                ( exact_sign (exact_add p (exact_of (I.hi r))),
+                  exact_sign (exact_add p (exact_of (I.lo r))) )
+              in
+              List.map (fun v -> exact_mul v v) vs
+              @
+              match reaches_zero with
+              | Some h, Some l -> if h >= 0 && l <= 0 then [ zero ] else []
+              | _ -> [ { zero with inexact = true } ] ))
+
+(* ---- condensation past the monomial budget ---- *)
+
+let rand_interval st =
+  let a = Random.State.float st 8.0 -. 4.0 in
+  I.make a (a +. Random.State.float st 2.0)
+
+(* Random models over many symbols, built at the default budget through
+   the public ops, then re-built at a small budget through an exact
+   scaling, whose smart constructor condenses every family: at most
+   [budget] monomials stay per family, and the concretization may only
+   widen. *)
+let test_condense_encloses () =
+  let st = Random.State.make [| 61 |] in
+  Fun.protect ~finally:(fun () -> TM.set_budget TM.default_budget) @@ fun () ->
+  for case = 1 to 1_000 do
+    TM.set_budget TM.default_budget;
+    let n = 2 + Random.State.int st 10 in
+    let f = ref (TM.of_interval ~sym:0 (rand_interval st)) in
+    for i = 1 to n - 1 do
+      let leaf = TM.of_interval ~sym:i (rand_interval st) in
+      f :=
+        (match Random.State.int st 4 with
+        | 0 -> TM.add !f leaf
+        | 1 -> TM.sub !f leaf
+        | 2 -> TM.mul !f leaf
+        | _ -> TM.add (TM.scale (Random.State.float st 2.0 -. 1.0) !f) leaf)
+    done;
+    let budget = 1 + Random.State.int st 4 in
+    TM.set_budget budget;
+    let c = TM.scale 1.0 !f in
+    if TM.nterms c > 3 * budget then
+      Alcotest.failf "case %d: %d monomials left after condensing to %d" case
+        (TM.nterms c) budget;
+    (* Both ranges are upward-rounded sums of the same exact quantities
+       in different association orders, so the condensed one may sit a
+       few ulps inside the original; containment holds up to that
+       rounding slack. *)
+    let slack = 1e-12 *. Float.max 1.0 (I.mag (TM.concretize !f)) in
+    if not (I.subset (TM.concretize !f) (I.inflate slack (TM.concretize c))) then
+      Alcotest.failf "case %d: condensation shrank %s to %s" case
+        (I.to_string (TM.concretize !f))
+        (I.to_string (TM.concretize c))
+  done
+
+(* A tiny process-wide budget must keep the walker sound (models
+   condense mid-evaluation), and must actually condense: some root
+   ranges differ from the default budget's. *)
+let test_budget_soundness () =
+  let st = Random.State.make [| 62 |] in
+  let condensed = ref 0 in
+  Fun.protect ~finally:(fun () -> TM.set_budget TM.default_budget) @@ fun () ->
+  for case = 1 to 300 do
+    let t = rand_smooth st (2 + Random.State.int st 3) in
+    let b = rand_box st in
+    let tp = Tape.compile ~vars [ t ] in
+    let sc = Tape.scratch tp in
+    let range budget =
+      TM.set_budget budget;
+      let r = Array.make 1 I.empty in
+      Tape.eval_tm_into tp sc ~inputs:(inputs_of_box b) ~out:r;
+      r.(0)
+    in
+    let wide = range TM.default_budget and r = range 2 in
+    if not (I.equal wide r) then incr condensed;
+    for _probe = 1 to 2 do
+      let pt = rand_point st b in
+      let v = try T.eval_env pt t with _ -> nan in
+      if Float.is_finite v then
+        let slack = 1e-7 *. Float.max 1.0 (Float.abs v) in
+        if not (I.mem v (I.inflate slack r)) then
+          Alcotest.failf "case %d: %.17g escapes budget-2 range %s of %s" case v
+            (I.to_string r) (T.to_string t)
+    done
+  done;
+  Alcotest.(check bool) "budget 2 condensed some root" true (!condensed > 0)
+
 (* ---- constant divisors ----
 
-   The tape walkers divide by a constant by multiplying with a
-   reciprocal model computed at compile time.  Their root ranges must
-   equal those of [Tm.div] and [Affine.div] applied directly to the
-   same operand models, bit for bit, at every edge of the constant and
-   with the constant as dividend as well.  The budget-2 leg condenses
-   the three-symbol quadratic numerator. *)
+   The TM tape walker divides by a constant by multiplying with a
+   reciprocal model computed at compile time.  Its root ranges must
+   equal those of [Tm.div] applied directly to the same operand models,
+   bit for bit, at every edge of the constant and with the constant as
+   dividend as well.  The budget-2 leg condenses the three-symbol
+   quadratic numerator. *)
 let test_const_divisor_edges () =
-  let module A = Interval.Affine in
   let x = T.Var "x" and y = T.Var "y" and z = T.Var "z" in
   let numerators =
     [ x;
@@ -297,23 +663,14 @@ let test_const_divisor_edges () =
     | T.Div (a, b) -> TM.div (tm_of inputs a) (tm_of inputs b)
     | _ -> assert false
   in
-  let rec aff_of inputs = function
-    | T.Var v -> A.of_interval ~sym:(sym v) inputs.(sym v)
-    | T.Const c -> A.const c
-    | T.Add (a, b) -> A.add (aff_of inputs a) (aff_of inputs b)
-    | T.Sub (a, b) -> A.sub (aff_of inputs a) (aff_of inputs b)
-    | T.Mul (a, b) -> A.mul (aff_of inputs a) (aff_of inputs b)
-    | T.Div (a, b) -> A.div (aff_of inputs a) (aff_of inputs b)
-    | _ -> assert false
-  in
   let show r =
     if I.is_empty r then "empty" else Printf.sprintf "%h %h" (I.lo r) (I.hi r)
   in
-  let budget0 = A.budget () in
-  Fun.protect ~finally:(fun () -> A.set_budget budget0) @@ fun () ->
+  let budget0 = TM.budget () in
+  Fun.protect ~finally:(fun () -> TM.set_budget budget0) @@ fun () ->
   List.iter
     (fun budget ->
-      A.set_budget budget;
+      TM.set_budget budget;
       List.iter
         (fun num ->
           List.iter
@@ -325,17 +682,11 @@ let test_const_divisor_edges () =
                   let out = [| I.empty |] in
                   List.iteri
                     (fun k inputs ->
-                      let label walker =
-                        Printf.sprintf "%s, budget %d, box %d: %s" walker
-                          budget k (T.to_string term)
-                      in
                       Tape.eval_tm_into tp sc ~inputs ~out;
-                      Alcotest.(check string) (label "TM")
+                      Alcotest.(check string)
+                        (Printf.sprintf "budget %d, box %d: %s" budget k
+                           (T.to_string term))
                         (show (TM.concretize (tm_of inputs term)))
-                        (show out.(0));
-                      Tape.eval_affine_into tp sc ~inputs ~out;
-                      Alcotest.(check string) (label "affine")
-                        (show (A.concretize (aff_of inputs term)))
                         (show out.(0)))
                     boxes)
                 [ T.Div (num, T.Const c); T.Div (T.Const c, num) ])
@@ -376,7 +727,7 @@ let test_hc4_tm_witnesses () =
     let dom_plain = inputs_of_box b in
     let ok_plain = Tape.hc4_revise tp sc ~target dom_plain in
     let dom_tm = inputs_of_box b in
-    let ok_tm = Tape.hc4_revise tp sc ~affine:true ~tm:true ~target dom_tm in
+    let ok_tm = Tape.hc4_revise tp sc ~tm:true ~target dom_tm in
     if (not ok_plain) && ok_tm then
       Alcotest.failf "case %d: TM pass un-refuted %s ∈ %s" case
         (T.to_string t) (I.to_string target);
@@ -399,32 +750,40 @@ let test_hc4_tm_witnesses () =
   if !witnessed < 300 then
     Alcotest.failf "only %d witnesses checked — generator drifted" !witnessed
 
-(* The canonical second-order refutation: x·(1−x) on [0,1] has true
-   range [0, 1/4], but one plain forward/backward sweep keeps the
-   target alive and the affine product's recentered quadratic still
-   reaches 1/2 — only the kept ε² monomial kills the box.  The
-   refutation counter must tick. *)
-let test_hc4_tm_refutes_quadratic () =
+(* [hc4_revise] on [ts] ∈ [target] over [dom]: the plain sweep keeps
+   the target alive, the TM pass refutes the box outright, and the
+   refutation counter ticks. *)
+let check_tm_refutes ts ~target dom =
   let refs = Telemetry.Counter.make ~always:true "tm.refutations" in
-  let t = P.term "x*(1 - x)" in
-  let tp = Tape.compile ~vars:[ "x" ] [ t ] in
+  let tp = Tape.compile ~vars:[ "x" ] [ P.term ts ] in
   let sc = Tape.scratch tp in
-  let target = I.make 0.5 1.0 in
-  let dom () = [| I.make 0.0 1.0 |] in
   Alcotest.(check bool) "plain HC4 cannot refute" true
     (Tape.hc4_revise tp sc ~target (dom ()));
-  Alcotest.(check bool) "affine pass cannot refute" true
-    (Tape.hc4_revise tp sc ~affine:true ~target (dom ()));
   let before = Telemetry.Counter.value refs in
   Alcotest.(check bool) "TM pass refutes" false
     (Tape.hc4_revise tp sc ~tm:true ~target (dom ()));
   Alcotest.(check bool) "refutation counted" true
     (Telemetry.Counter.value refs > before)
 
-(* ---- bit-identity digest of the three forward walkers ----
+(* The canonical first-order refutation interval arithmetic cannot
+   make: x − x is pinned to (near) zero by the shared symbol, so a
+   target away from zero dies in the TM forward pass. *)
+let test_hc4_tm_refutes_cancellation () =
+  check_tm_refutes "x - x" ~target:(I.make 0.5 1.0) (fun () ->
+      [| I.make 0.0 4.0 |])
 
-   The root ranges of the TM, affine and interval walkers over seeded
-   random terms, printed with %h and hashed.  The terms use only
+(* The canonical second-order refutation: x·(1−x) on [0,1] has true
+   range [0, 1/4], but one plain forward/backward sweep keeps the
+   target alive (and an affine form's recentered product still reaches
+   1/2) — only the kept ε² monomial kills the box. *)
+let test_hc4_tm_refutes_quadratic () =
+  check_tm_refutes "x*(1 - x)" ~target:(I.make 0.5 1.0) (fun () ->
+      [| I.make 0.0 1.0 |])
+
+(* ---- bit-identity digest of the two forward walkers ----
+
+   The root ranges of the TM and interval walkers over seeded random
+   terms, printed with %h and hashed.  The terms use only
    correctly rounded operations (+, −, ×, ÷, x², constants), so every
    bound is fixed by IEEE 754 alone and the digest does not depend on
    the platform's libm.  Raw constructors keep the smart constructors'
@@ -481,7 +840,7 @@ let walker_digest () =
   let st = ref 73L in
   List.iter
     (fun budget ->
-      Interval.Affine.set_budget budget;
+      TM.set_budget budget;
       for _ = 1 to 3_000 do
         let t = rand_exact st (1 + digest_int st 6) in
         let tp = Tape.compile ~vars [ t ] in
@@ -490,8 +849,6 @@ let walker_digest () =
         let out = Array.make 1 I.empty in
         Tape.eval_tm_into tp sc ~inputs ~out;
         add_range out.(0);
-        Tape.eval_affine_into tp sc ~inputs ~out;
-        add_range out.(0);
         Tape.eval_interval_into tp sc ~inputs ~out;
         add_range out.(0)
       done)
@@ -499,11 +856,10 @@ let walker_digest () =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_walker_digest () =
-  Fun.protect ~finally:(fun () ->
-      Interval.Affine.set_budget Interval.Affine.default_budget)
+  Fun.protect ~finally:(fun () -> TM.set_budget TM.default_budget)
   @@ fun () ->
   Alcotest.(check string) "walker root ranges bit-identical"
-    "01e4ef3171420a1321038f06b972f307"
+    "ccca9d8970b697cf1d3e27473b405cce"
     (walker_digest ())
 
 (* ---- TM on vs off: decide and pave agreement ---- *)
@@ -708,12 +1064,31 @@ let () =
     [ ( "soundness",
         [ Alcotest.test_case "TM range contains sampled values" `Quick
             test_tm_soundness_sampled;
+          Alcotest.test_case "dependency tightness pinned" `Quick
+            test_tm_tightness_dependency;
           Alcotest.test_case "second-order tightness pinned" `Quick
             test_tm_tightness_quadratic;
           Alcotest.test_case "walker outputs match committed digest" `Quick
             test_walker_digest;
-          Alcotest.test_case "constant divisors match Tm.div and Affine.div"
-            `Quick test_const_divisor_edges ] );
+          Alcotest.test_case "constant divisors match Tm.div" `Quick
+            test_const_divisor_edges;
+          Alcotest.test_case "linear sqr truncation pinned" `Quick
+            test_linear_sqr_truncation_pinned ] );
+      ( "exact",
+        [ Alcotest.test_case "add encloses exact values" `Quick test_exact_add;
+          Alcotest.test_case "sub encloses exact values" `Quick test_exact_sub;
+          Alcotest.test_case "scale encloses exact values" `Quick
+            test_exact_scale;
+          Alcotest.test_case "neg and add_const enclose exact values" `Quick
+            test_exact_lin_map;
+          Alcotest.test_case "mul encloses exact values" `Quick test_exact_mul;
+          Alcotest.test_case "sqr encloses exact values" `Quick test_exact_sqr ]
+      );
+      ( "condensation",
+        [ Alcotest.test_case "condense only widens" `Quick
+            test_condense_encloses;
+          Alcotest.test_case "tiny budget stays sound" `Quick
+            test_budget_soundness ] );
       ( "bernstein",
         [ Alcotest.test_case "bound sound and within control hull" `Quick
             test_bernstein_bound;
@@ -726,6 +1101,8 @@ let () =
       ( "hc4",
         [ Alcotest.test_case "never loses a witness" `Quick
             test_hc4_tm_witnesses;
+          Alcotest.test_case "refutes x-x dependency" `Quick
+            test_hc4_tm_refutes_cancellation;
           Alcotest.test_case "refutes x(1-x) quadratic" `Quick
             test_hc4_tm_refutes_quadratic ] );
       ( "search",
