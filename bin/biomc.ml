@@ -359,6 +359,14 @@ let k_arg =
   let doc = "Maximum number of discrete jumps (unrolling depth)." in
   Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc)
 
+let min_jumps_arg =
+  let doc =
+    "Minimum number of discrete jumps: shorter mode paths are not \
+     candidates (e.g. --min-jumps 2 asks for a re-excitation after an \
+     excursion, not the first upstroke)."
+  in
+  Arg.(value & opt int 0 & info [ "min-jumps" ] ~docv:"N" ~doc)
+
 let box_arg =
   let doc =
     "Search box for a free parameter, e.g. --box r0=2:6 (repeatable)."
@@ -376,25 +384,26 @@ let box_arg =
 (* The problem `reach' and `export' work on.  A goal that does not
    parse, and every problem [Reach.Encoding.create] rejects (a free
    parameter without a --box, an unknown --goal-mode, a negative -k, a
-   non-positive time bound), is a command-line error. *)
-let reach_problem ~boxes ~goal ~goal_modes ~k ~time_bound h =
+   --min-jumps outside [0, k], a non-positive time bound), is a
+   command-line error. *)
+let reach_problem ?min_jumps ~boxes ~goal ~goal_modes ~k ~time_bound h =
   match Expr.Parse.formula_opt goal with
   | None -> Error (`Msg (Printf.sprintf "cannot parse goal %S" goal))
   | Some predicate -> (
       match
-        Reach.Encoding.create ~param_box:(Box.of_list boxes)
+        Reach.Encoding.create ~param_box:(Box.of_list boxes) ?min_jumps
           ~goal:{ Reach.Encoding.goal_modes; predicate }
           ~k ~time_bound h
       with
       | pb -> Ok pb
       | exception Invalid_argument msg -> Error (`Msg msg))
 
-let reach () (name, entry) t_end params goal goal_modes k boxes common =
+let reach () (name, entry) t_end params goal goal_modes k min_jumps boxes common =
   with_common common @@ fun () ->
   let time_bound = Option.value ~default:entry.default_t_end t_end in
   let h = entry.automaton () in
   let h = if params = [] then h else Hybrid.Automaton.bind_params params h in
-  match reach_problem ~boxes ~goal ~goal_modes ~k ~time_bound h with
+  match reach_problem ~min_jumps ~boxes ~goal ~goal_modes ~k ~time_bound h with
   | Error e -> Error e
   | Ok pb ->
       let config = { Reach.Checker.default_config with jobs = common.jobs } in
@@ -403,6 +412,7 @@ let reach () (name, entry) t_end params goal goal_modes k boxes common =
         [ Report.heading (Printf.sprintf "Bounded reachability: %s" name);
           Report.kv
             [ ("goal", goal); ("k", string_of_int k);
+              ("min jumps", string_of_int min_jumps);
               ("time bound", Fmt.str "%g" time_bound);
               ("jobs", string_of_int common.jobs);
               ("candidate paths", string_of_int (List.length (Reach.Encoding.candidate_paths pb))) ];
@@ -418,7 +428,7 @@ let reach_cmd =
     Term.(
       term_result
         (const reach $ logs_term $ model_arg $ t_end_arg $ param_arg $ goal_arg
-       $ goal_modes_arg $ k_arg $ box_arg $ common_term))
+       $ goal_modes_arg $ k_arg $ min_jumps_arg $ box_arg $ common_term))
 
 (* ---- robustness ---- *)
 

@@ -23,6 +23,11 @@
      cardiac dynamics make single-shot interval Taylor methods explode,
      a known limitation), the checker hulls a deterministic ensemble of
      numerical trajectories over time windows and inflates the hull.
+     The ensemble is streamed: one [Ode.Integrate] stepper per sample
+     point, all advanced window by window, and it stops after the first
+     window that certainly leaves the mode invariant (a run must satisfy
+     its invariant while it flows), which is where path feasibility
+     stops reading the flow anyway.
      Verdicts that relied on a bracket carry [rigorous = false]: they
      are high-confidence numerical claims, not proofs.  EXPERIMENTS.md
      reports the flag for every experiment. *)
@@ -38,16 +43,20 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Reachability telemetry.  Path unrolling is traced per (mode, depth):
    each flow segment gets a span whose payload is its depth along the
    path, nested under the per-path span (payload: path length), nested
-   under the whole check.  Counters record how many candidate paths and
-   flow segments were evaluated and how often the validated tube was
-   replaced by the non-rigorous ensemble bracket. *)
+   under the whole check; an ensemble bracket gets its own span inside
+   its segment.  Counters record how many candidate paths and flow
+   segments were evaluated, how often the validated tube was replaced
+   by the non-rigorous ensemble bracket, and how many steps the
+   bracket's members integrated. *)
 let tm_check = Telemetry.Span.probe "reach.check"
 let tm_synth = Telemetry.Span.probe "reach.synthesize"
 let tm_path = Telemetry.Span.probe "reach.path"
 let tm_segment = Telemetry.Span.probe "reach.segment"
+let tm_bracket = Telemetry.Span.probe "reach.bracket"
 let m_paths = Telemetry.Counter.make "reach.paths"
 let m_segments = Telemetry.Counter.make "reach.segments"
 let m_brackets = Telemetry.Counter.make "reach.fallback_brackets"
+let m_bracket_steps = Telemetry.Counter.make "reach.bracket_steps"
 
 (* Provenance journal support (same conventions as Icp.Solver): boxes
    are pre-rendered, node ids ride alongside the search items and are 0
@@ -162,56 +171,149 @@ let sample_envs ~seed ~n box =
   in
   mid :: List.init n (fun _ -> draw ())
 
-let bracket_of_traces cfg t_end traces =
+(* The box a flow step's formulas are judged on: the step's enclosure,
+   the parameters and the step's time window. *)
+let step_box ~params_box (s : Ode.Enclosure.step) =
+  Box.set Ode.System.time_var (I.make s.t_lo s.t_hi)
+    (List.fold_left
+       (fun b (k, v) -> Box.set k v b)
+       s.enclosure (Box.to_list params_box))
+
+(* A run must satisfy its mode invariant while it flows: once a step's
+   enclosure makes the invariant [Impossible], every trajectory has left
+   the mode and later steps are spurious. *)
+let leaves_invariant inv ~params_box s =
+  inv <> F.True && F.eval_cert (step_box ~params_box s) inv = F.Impossible
+
+(* ---- Ensemble bracket ----
+
+   One stepper per sample point, advanced window by window in lockstep.
+   A member keeps only what [Ode.Integrate.state_at] reads of a stored
+   trace: the first point and the last two accepted points.  The window
+   samples t_lo <= mid <= t_hi come in time order, so each member
+   integrates only as far as the latest sample needs, and the ensemble
+   stops after the first window that leaves the mode invariant. *)
+
+type member = {
+  st : Ode.Integrate.stepper;  (* its current point is the last accepted one *)
+  t_first : float;
+  first : float array;
+  mutable t_prev : float;
+  prev : float array;  (* the point accepted before the current one *)
+  mutable live : bool;  (* false once the integration loop has ended *)
+}
+
+(* [None] when [start] or the first [advance] raises, as [simulate]
+   would have: the compiled field has no raising path after that. *)
+let start_member cfg pb_sys ~t_end (params, init) =
+  match
+    let st =
+      Ode.Integrate.start ~method_:cfg.sim_method ~params ~init ~t_end pb_sys
+    in
+    let t_first = Ode.Integrate.time st in
+    let first = Array.copy (Ode.Integrate.state st) in
+    let live = Ode.Integrate.advance st in
+    { st; t_first; first; t_prev = t_first; prev = Array.copy first; live }
+  with
+  | m -> Some m
+  | exception _ -> None
+
+(* Integrate until the current point lies past [t] or the loop ends. *)
+let advance_past m t =
+  while m.live && Ode.Integrate.time m.st <= t do
+    let y = Ode.Integrate.state m.st in
+    m.t_prev <- Ode.Integrate.time m.st;
+    Array.blit y 0 m.prev 0 (Array.length y);
+    m.live <- Ode.Integrate.advance m.st
+  done
+
+(* [Ode.Integrate.state_at] of the member's whole trace at [t], written
+   into [out].  [m] has advanced past [t]: either its previous and
+   current points bracket [t], or its loop ended at or before [t] and
+   [t] clamps to the final point. *)
+let sample_into m t out =
+  let tc = Ode.Integrate.time m.st and yc = Ode.Integrate.state m.st in
+  if t <= m.t_first then Array.blit m.first 0 out 0 (Array.length out)
+  else if (not m.live) && t >= tc then Array.blit yc 0 out 0 (Array.length out)
+  else begin
+    let t0 = m.t_prev and s0 = m.prev in
+    let w = if tc > t0 then (t -. t0) /. (tc -. t0) else 0.0 in
+    for j = 0 to Array.length out - 1 do
+      out.(j) <- s0.(j) +. (w *. (yc.(j) -. s0.(j)))
+    done
+  end
+
+(* The bracket of the members [(params, init)] over [0, t_end], cut after
+   the first window that makes [inv] [Impossible].  Per variable, a
+   member's window hull is the hull of its t_lo, midpoint and t_hi
+   samples, hulled across members in order; a member whose trace ended
+   before t_lo sits the window out, and a window no member reaches ends
+   the bracket. *)
+let ensemble_steps cfg pb_sys ~inv ~params_box ~members ~t_end =
+  let members = List.filter_map (start_member cfg pb_sys ~t_end) members in
+  let vars = Ode.System.vars pb_sys in
+  let n = List.length vars in
+  let s_lo = Array.make n 0.0 and s_mid = Array.make n 0.0 in
+  let s_hi = Array.make n 0.0 and hull = Array.make n I.empty in
   let windows = Stdlib.max 1 cfg.fallback_windows in
   let dt = t_end /. float_of_int windows in
-  let steps =
-    List.init windows (fun i ->
-        let t_lo = dt *. float_of_int i and t_hi = dt *. float_of_int (i + 1) in
-        let hulls =
-          List.filter_map
-            (fun (tr : Ode.Integrate.trace) ->
-              if Ode.Integrate.final_time tr < t_lo -. 1e-9 then None
-              else begin
-                (* hull of sampled states within (and bounding) the window *)
-                let samples =
-                  [ Ode.Integrate.state_at tr t_lo;
-                    Ode.Integrate.state_at tr (0.5 *. (t_lo +. t_hi));
-                    Ode.Integrate.state_at tr t_hi ]
-                in
-                let vars = tr.Ode.Integrate.vars in
-                Some
-                  (List.fold_left
-                     (fun acc st ->
-                       let b =
-                         Box.of_list
-                           (List.mapi (fun j v -> (v, I.of_float st.(j))) vars)
-                       in
-                       match acc with None -> Some b | Some a -> Some (Box.hull a b))
-                     None samples)
-              end)
-            traces
+  let rec window i acc =
+    if i >= windows then List.rev acc
+    else begin
+      let t_lo = dt *. float_of_int i and t_hi = dt *. float_of_int (i + 1) in
+      let t_mid = 0.5 *. (t_lo +. t_hi) in
+      let reached = ref false in
+      List.iter
+        (fun m ->
+          advance_past m t_lo;
+          if m.live || Ode.Integrate.time m.st >= t_lo -. 1e-9 then begin
+            sample_into m t_lo s_lo;
+            advance_past m t_mid;
+            sample_into m t_mid s_mid;
+            advance_past m t_hi;
+            sample_into m t_hi s_hi;
+            for j = 0 to n - 1 do
+              let h =
+                I.hull (I.hull (I.of_float s_lo.(j)) (I.of_float s_mid.(j)))
+                  (I.of_float s_hi.(j))
+              in
+              hull.(j) <- (if !reached then I.hull hull.(j) h else h)
+            done;
+            reached := true
+          end)
+        members;
+      if not !reached then List.rev acc
+      else begin
+        let enclosure =
+          Box.of_list
+            (List.mapi
+               (fun j v ->
+                 let itv = hull.(j) in
+                 (v, I.inflate ((cfg.fallback_margin *. I.width itv) +. 1e-6) itv))
+               vars)
         in
-        let hull =
-          List.fold_left
-            (fun acc h -> match (acc, h) with
-              | None, h -> h
-              | acc, None -> acc
-              | Some a, Some b -> Some (Box.hull a b))
-            None hulls
-        in
-        match hull with
-        | None -> None
-        | Some h ->
-            let inflated =
-              Box.map
-                (fun itv -> I.inflate (cfg.fallback_margin *. I.width itv +. 1e-6) itv)
-                h
-            in
-            Some
-              { Ode.Enclosure.t_lo; t_hi; enclosure = inflated; at_end = inflated })
+        let s = { Ode.Enclosure.t_lo; t_hi; enclosure; at_end = enclosure } in
+        if leaves_invariant inv ~params_box s then List.rev (s :: acc)
+        else window (i + 1) (s :: acc)
+      end
+    end
   in
-  List.filter_map Fun.id steps
+  let steps = window 0 [] in
+  Telemetry.Counter.add m_bracket_steps
+    (List.fold_left (fun k m -> k + Ode.Integrate.steps m.st) 0 members);
+  steps
+
+(* The ensemble's (params, init) members: the midpoint and
+   [fallback_samples] fixed-seed draws of the joint box. *)
+let ensemble_members cfg ~params_box ~init_box =
+  let joint =
+    List.fold_left (fun b (k, v) -> Box.set k v b) params_box (Box.to_list init_box)
+  in
+  List.map
+    (fun env ->
+      ( List.filter (fun (k, _) -> Box.mem_var k params_box) env,
+        List.filter (fun (k, _) -> Box.mem_var k init_box) env ))
+    (sample_envs ~seed:20200426 ~n:cfg.fallback_samples joint)
 
 (* Segment-enclosure cache: path enumeration revisits mode flows (every
    candidate path shares prefixes with its extensions, and synthesis
@@ -221,7 +323,11 @@ let bracket_of_traces cfg t_end traces =
    the Warm policy a parent box's enclosure is reused directly for
    sub-boxes — sound because it contains every trajectory of the
    sub-box too (and [None] means "no usable enclosure", a conservative
-   answer that stays conservative on sub-boxes). *)
+   answer that stays conservative on sub-boxes).  A replayed bracket was
+   cut at the parent box's invariant exit, and [path_feasible] truncates
+   it again with the sub-box's parameters: interval evaluation is
+   inclusion-isotone, so the sub-box exits no later, and the result is
+   the prefix the uncut parent bracket would give. *)
 let seg_cache : segment_enclosure option Cache.t =
   Cache.create ~group_capacity:2048 "reach-seg"
 
@@ -235,10 +341,12 @@ let method_fingerprint = function
 
 (* Keyed by the tape and TM flags, like the [flow|] group of the tubes
    the segments are cut from: a segment computed with Taylor models must
-   not replay into a BIOMC_NO_TM=1 check (or vice versa). *)
-let seg_group cfg pb_sys ~t_end =
-  Printf.sprintf "segenc|%s|%s|%s|%d|%d|%h|%h|%b|%b|%h"
-    (Ode.System.digest pb_sys)
+   not replay into a BIOMC_NO_TM=1 check (or vice versa).  Keyed by the
+   mode invariant too, which cuts the bracket: two modes may share a
+   vector field. *)
+let seg_group cfg pb_sys ~inv ~t_end =
+  Printf.sprintf "segenc|%s|%s|%s|%s|%d|%d|%h|%h|%b|%b|%h"
+    (Ode.System.digest pb_sys) (F.fingerprint inv)
     (Ode.Enclosure.config_fingerprint cfg.enclosure)
     (method_fingerprint cfg.sim_method)
     cfg.fallback_samples cfg.fallback_windows cfg.fallback_margin
@@ -249,8 +357,9 @@ let seg_group cfg pb_sys ~t_end =
 
 (* Compute an enclosure of the flow of [sys] from [init_box] under
    [params_box] over [0, t_end]; validated when possible, bracketed
-   otherwise.  [None] when even the ensemble produced nothing. *)
-let flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
+   otherwise — and the bracket stops at the invariant [inv].  [None] when
+   even the ensemble produced nothing. *)
+let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
   let tube =
     Ode.Enclosure.flow ~config:cfg.enclosure ~prepared ~params:params_box
       ~init:init_box ~t_end pb_sys
@@ -263,32 +372,17 @@ let flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
   in
   if tube_usable then Some { steps = tube.Ode.Enclosure.steps; rigorous = true }
   else begin
-    (* Ensemble fallback: simulate from sampled (params, init) pairs. *)
     Telemetry.Counter.incr m_brackets;
-    let joint =
-      List.fold_left (fun b (k, v) -> Box.set k v b) params_box (Box.to_list init_box)
-    in
-    let envs = sample_envs ~seed:20200426 ~n:cfg.fallback_samples joint in
-    let traces =
-      List.filter_map
-        (fun env ->
-          let params =
-            List.filter (fun (k, _) -> Box.mem_var k params_box) env
-          in
-          let init = List.filter (fun (k, _) -> Box.mem_var k init_box) env in
-          match
-            Ode.Integrate.simulate ~method_:cfg.sim_method ~params ~init ~t_end pb_sys
-          with
-          | tr -> Some tr
-          | exception _ -> None)
-        envs
-    in
-    match bracket_of_traces cfg t_end traces with
+    match
+      Telemetry.Span.with_ tm_bracket (fun () ->
+          ensemble_steps cfg pb_sys ~inv ~params_box
+            ~members:(ensemble_members cfg ~params_box ~init_box) ~t_end)
+    with
     | [] -> None
     | steps -> Some { steps; rigorous = false }
   end
 
-let flow_enclosure ?jseg cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
+let flow_enclosure ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
   (* [jseg = (path, depth, mode)]: journal one segment record per flow
      step of a path unrolling, tagged with whether the enclosure came
      out of the segment store or was integrated afresh. *)
@@ -300,10 +394,10 @@ let flow_enclosure ?jseg cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
   in
   if not (Cache.enabled ()) then begin
     jemit ~cached:false;
-    flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box ~t_end
+    flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end
   end
   else begin
-    let group = seg_group cfg pb_sys ~t_end in
+    let group = seg_group cfg pb_sys ~inv ~t_end in
     let key = Box.join params_box init_box in
     match Cache.find seg_cache ~group key with
     | Cache.Hit seg ->
@@ -317,8 +411,8 @@ let flow_enclosure ?jseg cfg pb_sys ~prepared ~params_box ~init_box ~t_end =
         seg
     | Cache.Miss ->
         let seg =
-          flow_enclosure_uncached cfg pb_sys ~prepared ~params_box ~init_box
-            ~t_end
+          flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box
+            ~init_box ~t_end
         in
         Cache.add seg_cache ~group key seg;
         jemit ~cached:false;
@@ -418,26 +512,17 @@ let prepare_pb (pb : Encoding.t) =
     (Hybrid.Automaton.jumps automaton);
   { flow_prep; guard_contract; inv_contract }
 
-(* Drop tube steps past the point where the mode invariant is *certainly*
-   violated: every trajectory has left the mode by then, so later windows
-   are spurious.  (Over-approximation keeps this sound for pruning.) *)
+(* Drop tube steps past the first one that leaves the mode invariant.
+   (Over-approximation keeps this sound for pruning.)  A bracket was
+   already cut there, so this is a no-op on one. *)
 let truncate_at_invariant inv ~params_box steps =
-  if inv = F.True then steps
-  else
-    let rec go acc = function
-      | [] -> List.rev acc
-      | (s : Ode.Enclosure.step) :: rest -> (
-          let box =
-            Box.set Ode.System.time_var (I.make s.t_lo s.t_hi)
-              (List.fold_left
-                 (fun b (k, v) -> Box.set k v b)
-                 s.enclosure (Box.to_list params_box))
-          in
-          match F.eval_cert box inv with
-          | F.Impossible -> List.rev (s :: acc)
-          | F.Certain | F.Unknown -> go (s :: acc) rest)
-    in
-    go [] steps
+  let rec go acc = function
+    | [] -> List.rev acc
+    | s :: rest ->
+        if leaves_invariant inv ~params_box s then List.rev (s :: acc)
+        else go (s :: acc) rest
+  in
+  go [] steps
 
 (* Hull of the enclosure over the time windows where [formula] might
    hold. *)
@@ -445,13 +530,7 @@ let states_satisfying steps ~params_box formula =
   let hits =
     List.filter_map
       (fun (s : Ode.Enclosure.step) ->
-        let box =
-          Box.set Ode.System.time_var (I.make s.t_lo s.t_hi)
-            (List.fold_left
-               (fun b (k, v) -> Box.set k v b)
-               s.enclosure (Box.to_list params_box))
-        in
-        match F.eval_cert box formula with
+        match F.eval_cert (step_box ~params_box s) formula with
         | F.Impossible -> None
         | F.Certain | F.Unknown -> Some s.enclosure)
       steps
@@ -474,25 +553,26 @@ let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
     | [] -> `Infeasible true
     | [ last ] -> (
         let sys = Hybrid.Automaton.mode_system automaton last in
+        let inv = (Hybrid.Automaton.find_mode automaton last).invariant in
         match
           traced_segment ~depth (fun () ->
-              flow_enclosure ~jseg:(jpath, depth, last) cfg sys
+              flow_enclosure ~jseg:(jpath, depth, last) cfg sys ~inv
                 ~prepared:(Hashtbl.find prep.flow_prep last)
                 ~params_box ~init_box:state_box ~t_end:pb.Encoding.time_bound)
         with
         | None -> `Maybe
         | Some enc -> (
             let rigorous = rigorous && enc.rigorous in
-            let inv = (Hybrid.Automaton.find_mode automaton last).invariant in
             let steps = truncate_at_invariant inv ~params_box enc.steps in
             match states_satisfying steps ~params_box pb.Encoding.goal.predicate with
             | None -> `Infeasible rigorous
             | Some _ -> `Maybe))
     | q :: (q' :: _ as rest) -> (
         let sys = Hybrid.Automaton.mode_system automaton q in
+        let source_inv = (Hybrid.Automaton.find_mode automaton q).invariant in
         match
           traced_segment ~depth (fun () ->
-              flow_enclosure ~jseg:(jpath, depth, q) cfg sys
+              flow_enclosure ~jseg:(jpath, depth, q) cfg sys ~inv:source_inv
                 ~prepared:(Hashtbl.find prep.flow_prep q)
                 ~params_box ~init_box:state_box ~t_end:pb.Encoding.time_bound)
         with
@@ -504,7 +584,6 @@ let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
                 (fun (j : Hybrid.Automaton.jump) -> String.equal j.target q')
                 (Hybrid.Automaton.jumps_from automaton q)
             in
-            let source_inv = (Hybrid.Automaton.find_mode automaton q).invariant in
             let steps = truncate_at_invariant source_inv ~params_box enc.steps in
             match states_satisfying steps ~params_box jump.guard with
             | None -> `Infeasible rigorous
@@ -794,28 +873,30 @@ let check ?(config = default_config) (pb : Encoding.t) =
       if jrun <> 0 then Journal.end_run ~truncated:true ~verdict:"error" jrun;
       raise e
 
-(* Universal feasibility on jump-free paths (see the synthesis notes). *)
+(* Universal feasibility on jump-free paths (see the synthesis notes):
+   some step of the validated tube certainly meets the goal, and the
+   invariant certainly holds on it and on every earlier step, so every
+   run reaches the goal while it is still inside the mode. *)
 let path_surely_reaches cfg (pb : Encoding.t) prep path ~params_box ~init_box =
   match path with
   | [ only ] ->
       let automaton = pb.Encoding.automaton in
       let sys = Hybrid.Automaton.mode_system automaton only in
+      let inv = (Hybrid.Automaton.find_mode automaton only).invariant in
       let tube =
         Ode.Enclosure.flow ~config:cfg.enclosure
           ~prepared:(Hashtbl.find prep.flow_prep only)
           ~params:params_box ~init:init_box ~t_end:pb.Encoding.time_bound sys
       in
-      tube.Ode.Enclosure.complete
-      && List.exists
-           (fun (s : Ode.Enclosure.step) ->
-             let box =
-               Box.set Ode.System.time_var (I.make s.t_lo s.t_hi)
-                 (List.fold_left
-                    (fun b (k, v) -> Box.set k v b)
-                    s.enclosure (Box.to_list params_box))
-             in
-             F.eval_cert box pb.Encoding.goal.predicate = F.Certain)
-           tube.Ode.Enclosure.steps
+      let rec reaches = function
+        | [] -> false
+        | s :: rest ->
+            let box = step_box ~params_box s in
+            F.eval_cert box inv = F.Certain
+            && (F.eval_cert box pb.Encoding.goal.predicate = F.Certain
+               || reaches rest)
+      in
+      tube.Ode.Enclosure.complete && reaches tube.Ode.Enclosure.steps
   | _ -> false
 
 (* Parameter synthesis for reachability (Definition 13), BioPSy-style

@@ -10,10 +10,12 @@
 
     Flow enclosures are validated tubes when tight, and deterministic
     *ensemble brackets* (sampled trajectories hulled over time windows)
-    when the tube degenerates on stiff dynamics.  Verdicts carry a
-    [rigorous] flag: [Unsat {rigorous = false}] is a high-confidence
-    numerical claim, not an interval proof.  δ-sat witnesses with
-    [certified = true] are sound regardless. *)
+    when the tube degenerates on stiff dynamics.  A bracket streams its
+    trajectories window by window and stops after the first window that
+    leaves the mode invariant.  Verdicts carry a [rigorous] flag:
+    [Unsat {rigorous = false}] is a high-confidence numerical claim, not
+    an interval proof.  δ-sat witnesses with [certified = true] are sound
+    regardless. *)
 
 module Box = Interval.Box
 
@@ -86,14 +88,46 @@ val flow_enclosure :
   ?jseg:int * int * string ->
   config ->
   Ode.System.t ->
+  inv:Expr.Formula.t ->
   prepared:Ode.Enclosure.prepared ->
   params_box:Box.t ->
   init_box:Box.t ->
   t_end:float ->
   segment_enclosure option
-(** [?jseg:(path, depth, mode)] attaches journal segment provenance:
-    inside a journaled run, one [Journal.seg] record per call, tagged
-    with whether the enclosure was replayed from the segment store. *)
+(** The validated tube when it is usable, else the ensemble bracket cut
+    at the mode invariant [inv].  [?jseg:(path, depth, mode)] attaches
+    journal segment provenance: inside a journaled run, one
+    [Journal.seg] record per call, tagged with whether the enclosure was
+    replayed from the segment store. *)
+
+val ensemble_members :
+  config ->
+  params_box:Box.t ->
+  init_box:Box.t ->
+  ((string * float) list * (string * float) list) list
+(** The flow fallback's [(params, init)] members: the joint box's
+    midpoint and [config.fallback_samples] draws from a fixed seed. *)
+
+val ensemble_steps :
+  config ->
+  Ode.System.t ->
+  inv:Expr.Formula.t ->
+  params_box:Box.t ->
+  members:((string * float) list * (string * float) list) list ->
+  t_end:float ->
+  Ode.Enclosure.step list
+(** The ensemble bracket of one [(params, init)] member per trajectory:
+    [config.fallback_windows] windows over [[0, t_end]], each the
+    inflated hull of every member's [Ode.Integrate.state_at] samples at
+    the window's ends and midpoint, ending after the first window whose
+    box (with [params_box] and the window's time) makes [inv]
+    [Impossible].  A member whose integration cannot start is dropped.
+    The flow fallback runs it on {!ensemble_members}. *)
+
+val truncate_at_invariant :
+  Expr.Formula.t -> params_box:Box.t -> Ode.Enclosure.step list -> Ode.Enclosure.step list
+(** The steps up to and including the first one whose box makes the
+    invariant [Impossible]. *)
 
 val prepare_contract :
   Expr.Formula.t ->

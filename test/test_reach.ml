@@ -240,6 +240,266 @@ let test_seg_cache_keys_tm () =
   Alcotest.(check bool) "TM-off check integrates its own flows" true
     (flow1.Cache.misses > flow0.Cache.misses)
 
+(* Two one-mode automata with one vector field and different
+   invariants: the strict one cuts its bracket before the goal, the loose
+   one reaches it.  Checked strict-first in one process, the loose check
+   must integrate its own segment: replaying the strict bracket would
+   make the goal look unreachable. *)
+let test_seg_cache_keys_inv () =
+  let automaton inv =
+    A.create ~vars:[ "x" ] ~params:[ "k" ]
+      ~modes:[ A.mode ~name:"m" ~flow:[ ("x", P.term "-k*x") ]
+                 ~invariant:(P.formula inv) () ]
+      ~jumps:[] ~init_mode:"m"
+      ~init:(Box.of_list [ ("x", pt 1.0) ])
+  in
+  let strict = automaton "x >= 0.5" and loose = automaton "x >= 0.2" in
+  Alcotest.(check string) "one vector field"
+    (Ode.System.digest (A.mode_system strict "m"))
+    (Ode.System.digest (A.mode_system loose "m"));
+  let problem a =
+    E.create
+      ~param_box:(Box.of_list [ ("k", I.make 1.0 1.01) ])
+      ~goal:(goal "x <= 0.3") ~k:0 ~time_bound:3.0 a
+  in
+  let config = { C.default_config with tube_quality_width = 0.0 } in
+  let render r = Fmt.str "%a" C.pp_result r in
+  let seg () =
+    Option.value ~default:Cache.zero_stats
+      (List.assoc_opt "reach-seg" (Cache.named_stats ()))
+  in
+  Cache.set_policy Cache.Exact;
+  Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
+  Cache.clear ();
+  let fresh = render (C.check ~config (problem loose)) in
+  Cache.clear ();
+  expect_unsat "strict invariant" (C.check ~config (problem strict));
+  let seg0 = seg () in
+  let loose_after = render (C.check ~config (problem loose)) in
+  let seg1 = seg () in
+  Alcotest.(check int) "loose check replays no segment" seg0.Cache.hits
+    seg1.Cache.hits;
+  Alcotest.(check bool) "loose check misses" true
+    (seg1.Cache.misses > seg0.Cache.misses);
+  Alcotest.(check string) "same answer as with a cleared cache" fresh loose_after
+
+(* Synthesis must not count goal steps taken after the invariant is
+   certainly violated: here every run leaves x >= 0.5 before it can
+   reach x <= 0.49, so no box is feasible. *)
+let test_synthesize_respects_invariant () =
+  let automaton =
+    A.create ~vars:[ "x" ] ~params:[ "k" ]
+      ~modes:[ A.mode ~name:"m" ~flow:[ ("x", P.term "-k*x") ]
+                 ~invariant:(P.formula "x >= 0.5") () ]
+      ~jumps:[] ~init_mode:"m"
+      ~init:(Box.of_list [ ("x", pt 1.0) ])
+  in
+  let pb =
+    E.create
+      ~param_box:(Box.of_list [ ("k", I.make 1.0 1.01) ])
+      ~goal:(goal "x <= 0.49") ~k:0 ~time_bound:3.0 automaton
+  in
+  let s = C.synthesize pb in
+  Alcotest.(check int) "no feasible box" 0 (List.length s.C.feasible);
+  (match C.check pb with
+  | C.Delta_sat _ -> Alcotest.fail "check: unexpected delta-sat"
+  | C.Unsat _ | C.Unknown _ -> ())
+
+(* ---- Ensemble bracket: streamed vs stored traces ---- *)
+
+(* The stored-trace bracket, the oracle for the streamed one: every
+   member integrated to [t_end] into a trace, each window hulled from
+   [Ode.Integrate.state_at] samples over Map boxes, and the invariant
+   applied afterwards by [truncate_at_invariant]. *)
+let bracket_of_traces (cfg : C.config) t_end traces =
+  let windows = Stdlib.max 1 cfg.C.fallback_windows in
+  let dt = t_end /. float_of_int windows in
+  let steps =
+    List.init windows (fun i ->
+        let t_lo = dt *. float_of_int i and t_hi = dt *. float_of_int (i + 1) in
+        let hulls =
+          List.filter_map
+            (fun (tr : Ode.Integrate.trace) ->
+              if Ode.Integrate.final_time tr < t_lo -. 1e-9 then None
+              else begin
+                let samples =
+                  [ Ode.Integrate.state_at tr t_lo;
+                    Ode.Integrate.state_at tr (0.5 *. (t_lo +. t_hi));
+                    Ode.Integrate.state_at tr t_hi ]
+                in
+                let vars = tr.Ode.Integrate.vars in
+                Some
+                  (List.fold_left
+                     (fun acc st ->
+                       let b =
+                         Box.of_list
+                           (List.mapi (fun j v -> (v, I.of_float st.(j))) vars)
+                       in
+                       match acc with None -> Some b | Some a -> Some (Box.hull a b))
+                     None samples)
+              end)
+            traces
+        in
+        let hull =
+          List.fold_left
+            (fun acc h -> match (acc, h) with
+              | None, h -> h
+              | acc, None -> acc
+              | Some a, Some b -> Some (Box.hull a b))
+            None hulls
+        in
+        match hull with
+        | None -> None
+        | Some h ->
+            let inflated =
+              Box.map
+                (fun itv -> I.inflate (cfg.C.fallback_margin *. I.width itv +. 1e-6) itv)
+                h
+            in
+            Some
+              { Ode.Enclosure.t_lo; t_hi; enclosure = inflated; at_end = inflated })
+  in
+  List.filter_map Fun.id steps
+
+let stored_bracket (cfg : C.config) sys ~inv ~params_box ~members ~t_end =
+  let traces =
+    List.filter_map
+      (fun (params, init) ->
+        match
+          Ode.Integrate.simulate ~method_:cfg.C.sim_method ~params ~init ~t_end sys
+        with
+        | tr -> Some tr
+        | exception _ -> None)
+      members
+  in
+  C.truncate_at_invariant inv ~params_box (bracket_of_traces cfg t_end traces)
+
+let hex_steps steps =
+  let box b =
+    String.concat " "
+      (List.map
+         (fun (v, i) -> Printf.sprintf "%s=[%h,%h]" v (I.lo i) (I.hi i))
+         (Box.to_list b))
+  in
+  List.map
+    (fun (s : Ode.Enclosure.step) ->
+      Printf.sprintf "[%h,%h] %s | %s" s.t_lo s.t_hi (box s.enclosure) (box s.at_end))
+    steps
+
+(* Streamed and stored brackets agree bit for bit; returns the window
+   count. *)
+let check_bracket name ?(cfg = C.default_config) ?members sys ~inv ~params_box
+    ~init_box ~t_end =
+  let members =
+    match members with
+    | Some m -> m
+    | None -> C.ensemble_members cfg ~params_box ~init_box
+  in
+  let streamed = C.ensemble_steps cfg sys ~inv ~params_box ~members ~t_end in
+  let stored = stored_bracket cfg sys ~inv ~params_box ~members ~t_end in
+  Alcotest.(check (list string)) name (hex_steps stored) (hex_steps streamed);
+  List.length streamed
+
+(* The boxes a path unrolling flows from, as [path_feasible] computes
+   them over brackets: the initial box, then each jump's guard states
+   contracted with the guard and source invariant and with the target
+   invariant.  (FK and TBI jumps reset nothing.)  Stops at the first
+   refuted jump. *)
+let path_boxes (pb : E.t) path =
+  let a = pb.E.automaton in
+  let params_box, init_box = C.interpret_box pb (C.searchable_box pb) in
+  let inv q = (A.find_mode a q).A.invariant in
+  let rec go box acc = function
+    | q :: (q' :: _ as rest) -> (
+        let acc = (q, box) :: acc in
+        let guard =
+          (List.find (fun (j : A.jump) -> String.equal j.A.target q') (A.jumps_from a q))
+            .A.guard
+        in
+        let steps =
+          C.ensemble_steps C.default_config (A.mode_system a q) ~inv:(inv q) ~params_box
+            ~members:(C.ensemble_members C.default_config ~params_box ~init_box:box)
+            ~t_end:pb.E.time_bound
+        in
+        let contract f b = C.prepare_contract f ~params_box b in
+        match
+          Option.bind (C.states_satisfying steps ~params_box guard) (fun gs ->
+              Option.bind (contract (Expr.Formula.and_ [ guard; inv q ]) gs)
+                (contract (inv q')))
+        with
+        | Some next -> go next acc rest
+        | None -> List.rev acc)
+    | [ q ] -> List.rev ((q, box) :: acc)
+    | [] -> List.rev acc
+  in
+  (params_box, go init_box [] path)
+
+let test_bracket_oracle () =
+  (* E1: Fenton-Karma, spike-and-dome, every mode along its paths. *)
+  let fk = Biomodels.Fenton_karma.automaton () in
+  let e1 =
+    E.create ~min_jumps:2 ~goal:(Biomodels.Fenton_karma.spike_and_dome_goal ()) ~k:4
+      ~time_bound:400.0 fk
+  in
+  let modes = Hashtbl.create 4 in
+  List.iter
+    (fun path ->
+      let params_box, boxes = path_boxes e1 path in
+      List.iteri
+        (fun i (q, box) ->
+          Hashtbl.replace modes q ();
+          ignore
+            (check_bracket
+               (Printf.sprintf "E1 %s, step %d (%s)" (String.concat "->" path) i q)
+               (A.mode_system fk q) ~inv:(A.find_mode fk q).A.invariant ~params_box
+               ~init_box:box ~t_end:400.0))
+        boxes)
+    (E.candidate_paths e1);
+  Alcotest.(check int) "E1 brackets every FK mode" 3 (Hashtbl.length modes);
+  (* E4: TBI m0 and mA on the therapy parameter box. *)
+  let tbi = Biomodels.Tbi.automaton () in
+  let e4 =
+    E.create
+      ~param_box:(Box.of_list [ ("theta1", I.make 0.6 2.0); ("theta2", I.make 0.4 2.0) ])
+      ~goal:(Biomodels.Tbi.recovery_goal ()) ~k:1 ~time_bound:40.0 tbi
+  in
+  let params_box, boxes = path_boxes e4 [ "m0"; "mA" ] in
+  Alcotest.(check (list string)) "TBI path reaches mA" [ "m0"; "mA" ] (List.map fst boxes);
+  List.iter
+    (fun (q, box) ->
+      ignore
+        (check_bracket ("E4 " ^ q) (A.mode_system tbi q)
+           ~inv:(A.find_mode tbi q).A.invariant ~params_box ~init_box:box ~t_end:40.0))
+    boxes;
+  (* x' = -k x from 1: the invariant x >= 0.5 is left at t ~ ln 2. *)
+  let decay = Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ] in
+  let params_box = Box.of_list [ ("k", I.make 1.0 1.01) ]
+  and init_box = Box.of_list [ ("x", pt 1.0) ] in
+  let half = P.formula "x >= 0.5" in
+  Alcotest.(check int) "True keeps every window" 120
+    (check_bracket "invariant True" decay ~inv:Expr.Formula.tt ~params_box ~init_box
+       ~t_end:3.0);
+  let cut = check_bracket "invariant x >= 0.5" decay ~inv:half ~params_box ~init_box ~t_end:3.0 in
+  Alcotest.(check bool) "the invariant cuts the bracket" true (cut > 1 && cut < 120);
+  Alcotest.(check int) "one window" 1
+    (check_bracket "fallback_windows = 1"
+       ~cfg:{ C.default_config with fallback_windows = 1 }
+       decay ~inv:half ~params_box ~init_box ~t_end:3.0);
+  ignore
+    (check_bracket "Rk4"
+       ~cfg:{ C.default_config with sim_method = Ode.Integrate.Rk4 0.07 }
+       decay ~inv:half ~params_box ~init_box ~t_end:3.0);
+  (* A member without its parameter cannot start and is dropped. *)
+  let members = C.ensemble_members C.default_config ~params_box ~init_box in
+  let members = List.hd members :: ([], [ ("x", 1.0) ]) :: List.tl members in
+  ignore
+    (check_bracket "a member that cannot start" ~members decay ~inv:half ~params_box
+       ~init_box ~t_end:3.0);
+  Alcotest.(check (list string)) "no member starts" []
+    (hex_steps
+       (C.ensemble_steps C.default_config decay ~inv:half ~params_box
+          ~members:[ ([], [ ("x", 1.0) ]) ] ~t_end:3.0))
+
 let test_synthesize_threshold () =
   (* Partition k ∈ [0.1, 3.0] for goal x <= 0.3 by t=1: the boundary is at
      k* = -ln 0.3 ≈ 1.204.  Feasible boxes must lie (mostly) right of it,
@@ -369,6 +629,12 @@ let () =
           Alcotest.test_case "layer switches agree" `Quick test_reach_layer_agreement;
           Alcotest.test_case "segment cache keys the TM switch" `Quick
             test_seg_cache_keys_tm;
+          Alcotest.test_case "segment cache keys the invariant" `Quick
+            test_seg_cache_keys_inv;
+          Alcotest.test_case "streamed bracket = stored-trace oracle" `Quick
+            test_bracket_oracle;
+          Alcotest.test_case "synthesize respects the invariant" `Quick
+            test_synthesize_respects_invariant;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
         ] );
