@@ -61,6 +61,8 @@ and scratch = {
   ihis : float array;
   req : reqcell;
   tms : Interval.Tm.t array;  (* Taylor-model walker slot values *)
+  mutable tm_consts : bool;  (* whether the constant slots of [tms] hold
+                                their models *)
 }
 
 and reqcell = { mutable rlo : float; mutable rhi : float }
@@ -81,6 +83,10 @@ let set_enabled b = Atomic.set override (Some b)
 let clear_enabled_override () = Atomic.set override None
 
 (* ---- Compilation ---- *)
+
+(* The initial value of every TM slot of a scratch, shared: each slot is
+   written before it is read. *)
+let tm_zero = Interval.Tm.const 0.0
 
 let compile ~vars terms =
   let inputs = Array.of_list vars in
@@ -183,7 +189,8 @@ let compile ~vars terms =
           ilos = Array.make n neg_infinity;
           ihis = Array.make n infinity;
           req = { rlo = neg_infinity; rhi = infinity };
-          tms = Array.make n (Interval.Tm.const 0.0) })
+          tms = Array.make n tm_zero;
+          tm_consts = false })
   in
   { inputs; ops; roots; var_slots; const_los; const_his; tm_recips;
     interior_shared = !interior; scratch_key }
@@ -201,7 +208,8 @@ let scratch tp =
     ilos = Array.make n neg_infinity;
     ihis = Array.make n infinity;
     req = { rlo = neg_infinity; rhi = infinity };
-    tms = Array.make n (Interval.Tm.const 0.0) }
+    tms = Array.make n tm_zero;
+    tm_consts = false }
 
 let dls_scratch tp = Domain.DLS.get tp.scratch_key
 
@@ -563,14 +571,26 @@ module T = Interval.Tm
 let[@inline] recip recips b =
   if Array.length recips = 0 then None else Array.unsafe_get recips b
 
+(* [T.const c] is the same model on every evaluation, so a scratch's
+   first TM pass stores each constant slot's model and later passes
+   reuse it.  (Filled lazily: most scratches, such as an SMC sample's,
+   never run a TM pass.) *)
 let forward_tm tp sc (inputs : I.t array) =
   let tm = sc.tms in
   let ops = tp.ops in
+  if not sc.tm_consts then begin
+    for s = 0 to Array.length ops - 1 do
+      match Array.unsafe_get ops s with
+      | OConst c -> tm.(s) <- T.const c
+      | _ -> ()
+    done;
+    sc.tm_consts <- true
+  end;
   for s = 0 to Array.length ops - 1 do
     let r =
       match Array.unsafe_get ops s with
       | OVar i -> T.of_interval ~sym:i (Array.unsafe_get inputs i)
-      | OConst c -> T.const c
+      | OConst _ -> Array.unsafe_get tm s
       | OAdd (a, b) -> T.add tm.(a) tm.(b)
       | OSub (a, b) -> T.sub tm.(a) tm.(b)
       | OMul (a, b) -> T.mul tm.(a) tm.(b)
@@ -606,15 +626,23 @@ let eval_tm_into tp sc ~inputs ~out =
    strictly tightened.  An empty intersection certifies that the slot's
    subterm has an empty value set on the box — recorded as the
    (nan, nan) empty slot, which the backward pass treats as infeasible
-   on contact. *)
+   on contact.  Leaf slots are skipped: the concretization of an input's
+   or a constant's model contains its interval slot (the outward steps
+   put its bounds strictly outside, and the model of an unbounded input
+   or an infinite constant is that interval itself), so the
+   intersection would leave the slot as it is. *)
 let tm_tighten tp sc dom =
   forward_tm tp sc dom;
   let lo = sc.ilos and hi = sc.ihis in
   let tm = sc.tms in
+  let ops = tp.ops in
   let tightened = ref false in
-  for s = 0 to Array.length tp.ops - 1 do
+  for s = 0 to Array.length ops - 1 do
     let l = Array.unsafe_get lo s in
-    if l = l then begin
+    if
+      l = l
+      && match Array.unsafe_get ops s with OVar _ | OConst _ -> false | _ -> true
+    then begin
       let r = T.concretize tm.(s) in
       let rl = r.I.lo and rh = r.I.hi in
       if rl <> rl || rh <> rh then begin

@@ -411,6 +411,11 @@ let contractor ?tol ?max_rounds constraints =
      walker has no slot arrays to intersect into); sampled at build time
      like [tape] so the closure and its cache group stay consistent. *)
   let tm = tape && Interval.Tm.enabled () in
+  (* The monomial budget changes what the TM pass computes, so it keys
+     the group next to [tm].  [Tm] reads it on every model it builds,
+     so it cannot be fixed in the closure: a [set_budget] after the
+     build makes the closure bypass the cache instead. *)
+  let budget = Interval.Tm.budget () in
   let base =
     if tape then begin
       let cs = compile constraints in
@@ -452,15 +457,15 @@ let contractor ?tol ?max_rounds constraints =
     (* The newton flag keys the group too: Newton-contracted results
        must never replay into a Newton-off run (and vice versa), or the
        kill-switch would no longer reproduce the HC4-only search. *)
-    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b" (fingerprint constraints)
+    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b|%d" (fingerprint constraints)
       (Option.value tol ~default:default_tol)
       (Option.value max_rounds ~default:default_max_rounds)
       tape
       (Option.is_some newton)
-      tm
+      tm budget
   in
   let cached box =
-    if not (Cache.enabled ()) then base box
+    if not (Cache.enabled ()) || Interval.Tm.budget () <> budget then base box
     else
       match Cache.find hc4_cache ~group box with
       | Cache.Hit r ->

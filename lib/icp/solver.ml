@@ -214,7 +214,7 @@ let refuted_group cfg atoms =
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     let rels = rels_key atoms in
     Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b"
+      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b|%d"
          (Contractor.fingerprint constraints) rels
          cfg.delta cfg.contractor_rounds cfg.use_contraction
          (Expr.Tape.enabled ())
@@ -222,9 +222,10 @@ let refuted_group cfg atoms =
             into a BIOMC_NO_NEWTON=1 run would change that run's search
             trajectory — the kill-switch must reproduce the HC4-only
             search exactly, so the two populations stay separate.  Same
-            story for the Taylor-model flag below. *)
+            story for the Taylor-model flag and monomial budget below. *)
          (Deriv.enabled ())
-         (Interval.Tm.enabled ()))
+         (Interval.Tm.enabled ())
+         (Interval.Tm.budget ()))
 
 (* Per-query gradient system for smear-guided branching (and, through
    [Contractor.contractor], the Newton contraction).  [None] when the
@@ -626,12 +627,13 @@ let pave_group cfg formula =
   if not (Cache.enabled ()) then None
   else
     Some
-      (Printf.sprintf "pave|%s|%b|%b|%b|%b"
+      (Printf.sprintf "pave|%s|%b|%b|%b|%b|%d"
          (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
          cfg.use_contraction
          (Expr.Tape.enabled ())
          (Deriv.enabled ())
-         (Interval.Tm.enabled ()))
+         (Interval.Tm.enabled ())
+         (Interval.Tm.budget ()))
 
 (* ---- Enclosure-assisted sat-certification ----
 

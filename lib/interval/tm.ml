@@ -85,26 +85,35 @@ let set_budget b = Atomic.set budget_cell (Some (Stdlib.max 1 b))
 (* Representation                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The scalars of a model, in one all-float record so they are stored
+   flat: the constant [c], the range [plo, phi] of the polynomial part
+   (constant included), computed once where the model is built, and the
+   remainder [rlo, rhi], a nonempty bounded interval. *)
+type scalars = { c : float; plo : float; phi : float; rlo : float; rhi : float }
+
 (* Monomial families are kept as parallel (key, coefficient) arrays,
    each sorted by key with finite nonzero coefficients.  A linear or
    diagonal monomial is keyed by its symbol, a cross monomial εᵢεⱼ
    (i < j) by [pack i j], whose integer order is the lexicographic
-   order on (i, j).  [rem] is a nonempty bounded interval.  The model
-   denotes { c + Σ lin·ε + Σ diag·ε² + Σ cross·εε' + r :
-   ε ∈ [−1,1]ⁿ, r ∈ rem }.  Key arrays are never mutated, so models
-   share them freely. *)
+   order on (i, j).  The model denotes { c + Σ lin·ε + Σ diag·ε² +
+   Σ cross·εε' + r : ε ∈ [−1,1]ⁿ, r ∈ [rlo, rhi] }.  Arrays are never
+   mutated, so models share them freely: empty families share
+   [no_ints]/[no_coefs], and a sum or scaling that leaves a family
+   unchanged keeps its operand's arrays. *)
 type form = {
-  c : float;
+  sc : scalars;
   lin_idx : int array;
   lin : float array;
   diag_idx : int array;
   diag : float array;
   cross_idx : int array;
   cross : float array;
-  rem : I.t;
 }
 
 type t = Bot | Itv of I.t | Tm of form
+
+let no_ints : int array = [||]
+let no_coefs : float array = [||]
 
 let[@inline] pack i j = (i lsl 31) lor j
 let[@inline] key_i k = k lsr 31
@@ -174,6 +183,64 @@ let[@inline] sqr_hi l h =
   let g = fmax (Float.abs l) (Float.abs h) in
   up (g *. g)
 
+(* [mul_lo] and [mul_hi] bit for bit, without multiplying a subnormal
+   bound where a product of two other bounds decides the fold.
+
+   The quadratic range of a model with a positive diagonal has the
+   subnormal lower bound −2⁻¹⁰⁷³ (or below), the outward step under an
+   exact 0, and a negative diagonal gives a subnormal upper bound; each
+   product with such a bound costs a microcode assist on common x86
+   parts.  A product of a subnormal v with any u is tiny: |v| < 2⁻¹⁰²²,
+   so |fl(u·v)| < |u|·2⁻¹⁰²²·(1 + 2⁻⁵²) + 2⁻¹⁰⁷⁴.  When the smallest
+   (largest) product of two non-subnormal bounds is negative (positive)
+   and beyond that bound for the largest |u| among the four bounds, it
+   is the fold's strict minimum (maximum), and [fmin]/[fmax] of non-NaN
+   values is the exact minimum (maximum), so the skipped products
+   cannot change the result.  The test scales the candidate p up
+   instead of the bound down, so it multiplies no subnormal either:
+   |p|·2¹⁰²² is exact for a normal p (or overflows to ∞, still above a
+   finite right side), and 2·|u| + 1 rounded to nearest is at least
+   |u|·(1 + 2⁻⁵²) + 2⁻⁵², the bound scaled up.  An infinite bound makes
+   the right side ∞, so the four-product formula runs. *)
+let[@inline] subnormal x = x <> 0.0 && Float.abs x < 0x1p-1022
+
+let[@inline] bound_mag al ah bl bh =
+  fmax (fmax (Float.abs al) (Float.abs ah)) (fmax (Float.abs bl) (Float.abs bh))
+
+let[@inline] beyond_tiny p al ah bl bh =
+  Float.abs p >= 0x1p-1022
+  && Float.abs p *. 0x1p1022 > (2.0 *. bound_mag al ah bl bh) +. 1.0
+
+let[@inline] normal_prod_lo x y =
+  if subnormal x || subnormal y then infinity else prod x y
+
+let[@inline] normal_prod_hi x y =
+  if subnormal x || subnormal y then neg_infinity else prod x y
+
+let[@inline] trunc_mul_lo al ah bl bh =
+  if not (subnormal al || subnormal ah || subnormal bl || subnormal bh) then
+    mul_lo al ah bl bh
+  else begin
+    let p =
+      fmin
+        (fmin (normal_prod_lo al bl) (normal_prod_lo al bh))
+        (fmin (normal_prod_lo ah bl) (normal_prod_lo ah bh))
+    in
+    if p < 0.0 && beyond_tiny p al ah bl bh then down p else mul_lo al ah bl bh
+  end
+
+let[@inline] trunc_mul_hi al ah bl bh =
+  if not (subnormal al || subnormal ah || subnormal bl || subnormal bh) then
+    mul_hi al ah bl bh
+  else begin
+    let p =
+      fmax
+        (fmax (normal_prod_hi al bl) (normal_prod_hi al bh))
+        (fmax (normal_prod_hi ah bl) (normal_prod_hi ah bh))
+    in
+    if p > 0.0 && beyond_tiny p al ah bl bh then up p else mul_hi al ah bl bh
+  end
+
 (* The bounds of [Ia.mul] of the point v (non-NaN) by [−1, 1] and by
    [0, 1], in either operand order: the ranges of the monomials
    v·εᵢεⱼ, v·εᵢ and v·εᵢ².  [Ia.prod] maps every product with v = ±0
@@ -223,27 +290,29 @@ let quad_range r f =
   r.lo <- !lo;
   r.hi <- !hi
 
-(* Range of the whole polynomial part (constant included), written to
-   [r].  Per variable the univariate slice g(t) = q·t² + l·t on [−1,1]
-   is bounded by its degree-2 Bernstein coefficients — over [−1,1]
-   these are b₀ = g(−1) = q − l, b₁ = −q, b₂ = g(1) = q + l, and the
-   control polygon [min bᵢ, max bᵢ] encloses the curve — intersected
-   with the interval evaluation l·[−1,1] + q·[0,1].  Each bound is
-   sound on its own (Bernstein wins when l, q interact, e.g. (t−1)²
-   near its root; the interval form wins when the parabola's vertex
-   lies outside [−1,1]), so the intersection is sound, and since both
-   enclose the slice's range it is never empty.  Coefficient arithmetic
-   is outward-rounded.  Cross monomials, which couple two variables,
-   are bounded by magnitude. *)
-let poly_range r f =
-  let lo = ref f.c and hi = ref f.c in
-  let nl = Array.length f.lin_idx and nd = Array.length f.diag_idx in
+(* Range of the polynomial part over the given families, accumulated
+   onto [r], which holds the constant on entry.  Per variable the
+   univariate slice g(t) = q·t² + l·t on [−1,1] is bounded by its
+   degree-2 Bernstein coefficients — over [−1,1] these are
+   b₀ = g(−1) = q − l, b₁ = −q, b₂ = g(1) = q + l, and the control
+   polygon [min bᵢ, max bᵢ] encloses the curve — intersected with the
+   interval evaluation l·[−1,1] + q·[0,1].  Each bound is sound on its
+   own (Bernstein wins when l, q interact, e.g. (t−1)² near its root;
+   the interval form wins when the parabola's vertex lies outside
+   [−1,1]), so the intersection is sound, and since both enclose the
+   slice's range it is never empty.  Coefficient arithmetic is
+   outward-rounded.  Cross monomials, which couple two variables, are
+   bounded by magnitude.  Only [build] calls this: a model stores its
+   range. *)
+let poly_range r lin_idx lin diag_idx diag cross =
+  let lo = ref r.lo and hi = ref r.hi in
+  let nl = Array.length lin_idx and nd = Array.length diag_idx in
   let i = ref 0 and j = ref 0 in
   while !i < nl || !j < nd do
-    let ki = if !i < nl then Array.unsafe_get f.lin_idx !i else max_int
-    and kj = if !j < nd then Array.unsafe_get f.diag_idx !j else max_int in
-    let l = if ki <= kj then Array.unsafe_get f.lin !i else 0.0
-    and q = if kj <= ki then Array.unsafe_get f.diag !j else 0.0 in
+    let ki = if !i < nl then Array.unsafe_get lin_idx !i else max_int
+    and kj = if !j < nd then Array.unsafe_get diag_idx !j else max_int in
+    let l = if ki <= kj then Array.unsafe_get lin !i else 0.0
+    and q = if kj <= ki then Array.unsafe_get diag !j else 0.0 in
     if ki <= kj then incr i;
     if kj <= ki then incr j;
     (* Hull of the control points q − l, −q and q + l. *)
@@ -253,8 +322,8 @@ let poly_range r f =
     lo := down (!lo +. fmax b_lo i_lo);
     hi := up (!hi +. fmin b_hi i_hi)
   done;
-  for k = 0 to Array.length f.cross - 1 do
-    let v = Array.unsafe_get f.cross k in
+  for k = 0 to Array.length cross - 1 do
+    let v = Array.unsafe_get cross k in
     lo := down (!lo +. sym_lo v);
     hi := up (!hi +. sym_hi v)
   done;
@@ -262,9 +331,8 @@ let poly_range r f =
   r.hi <- !hi
 
 let concretize_form f =
-  let r = { lo = 0.0; hi = 0.0 } in
-  poly_range r f;
-  I.make_unordered (down (r.lo +. f.rem.I.lo)) (up (r.hi +. f.rem.I.hi))
+  let s = f.sc in
+  I.make_unordered (down (s.plo +. s.rlo)) (up (s.phi +. s.rhi))
 
 let concretize = function
   | Bot -> I.empty
@@ -296,21 +364,21 @@ let to_poly = function
       in
       Some
         {
-          constant = f.c;
+          constant = f.sc.c;
           linear = family f.lin_idx f.lin;
           square = family f.diag_idx f.diag;
           cross =
             List.map
               (fun (k, v) -> (key_i k, key_j k, v))
               (family f.cross_idx f.cross);
-          remainder = f.rem;
+          remainder = I.make f.sc.rlo f.sc.rhi;
         }
 
 let pp ppf = function
   | Bot -> Fmt.string ppf "⊥"
   | Itv v -> I.pp ppf v
   | Tm f ->
-      Fmt.pf ppf "@[<h>%g" f.c;
+      Fmt.pf ppf "@[<h>%g" f.sc.c;
       Array.iteri
         (fun k i -> Fmt.pf ppf " %+g·e%d" f.lin.(k) i)
         f.lin_idx;
@@ -321,13 +389,38 @@ let pp ppf = function
         (fun k key ->
           Fmt.pf ppf " %+g·e%de%d" f.cross.(k) (key_i key) (key_j key))
         f.cross_idx;
-      Fmt.pf ppf " + %a@]" I.pp f.rem
+      Fmt.pf ppf " + %a@]" I.pp (I.make f.sc.rlo f.sc.rhi)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let mk_itv v = if I.is_empty v then Bot else Itv v
+
+(* The model over final families with the remainder ordered from
+   [rl, rh] (as [Ia.make_unordered] orders it): the polynomial range is
+   computed here, in the scratch cell [r], once per model. *)
+let[@inline] build r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh =
+  r.lo <- c;
+  r.hi <- c;
+  poly_range r lin_idx lin diag_idx diag cross;
+  Tm
+    {
+      sc =
+        {
+          c;
+          plo = r.lo;
+          phi = r.hi;
+          rlo = (if rl <= rh then rl else rh);
+          rhi = (if rl <= rh then rh else rl);
+        };
+      lin_idx;
+      lin;
+      diag_idx;
+      diag;
+      cross_idx;
+      cross;
+    }
 
 (* Deterministic condensation of one monomial family past the budget:
    rank by |coefficient| descending (position ascending on ties), keep
@@ -366,6 +459,7 @@ let compact idx coef =
     if coef.(k) <> 0.0 then incr m
   done;
   if !m = n then (idx, coef)
+  else if !m = 0 then (no_ints, no_coefs)
   else begin
     let idx' = Array.make !m idx.(0) and coef' = Array.make !m 0.0 in
     let j = ref 0 in
@@ -386,13 +480,49 @@ let finite_arr a =
   done;
   !ok
 
+(* The slack [mk] adds to the remainder when no family condensed:
+   e₁ + (e₂ + e₃) with every eₖ = [0, 0], each sum still rounded
+   outward. *)
+let uncondensed_lo = down (0.0 +. down (0.0 +. 0.0))
+let uncondensed_hi = up (0.0 +. up (0.0 +. 0.0))
+
+(* [mk]'s path when some family exceeds the budget [b]: each family past
+   it condenses, and the condensed parts enter the remainder as
+   rem + (e₁ + (e₂ + e₃)), accumulated in [r]. *)
+let condensed r b ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi =
+  r.lo <- 0.0;
+  r.hi <- 0.0;
+  let lin_idx, lin =
+    if Array.length lin > b then condense_family b ~diag:false lin_idx lin r
+    else (lin_idx, lin)
+  in
+  let e1l = r.lo and e1h = r.hi in
+  r.lo <- 0.0;
+  r.hi <- 0.0;
+  let diag_idx, diag =
+    if Array.length diag > b then condense_family b ~diag:true diag_idx diag r
+    else (diag_idx, diag)
+  in
+  let e2l = r.lo and e2h = r.hi in
+  r.lo <- 0.0;
+  r.hi <- 0.0;
+  let cross_idx, cross =
+    if Array.length cross > b then condense_family b ~diag:false cross_idx cross r
+    else (cross_idx, cross)
+  in
+  let sl = down (e1l +. down (e2l +. r.lo)) and sh = up (e1h +. up (e2h +. r.hi)) in
+  let rl = down (rlo +. sl) and rh = up (rhi +. sh) in
+  if finite rl && finite rh then
+    build r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh
+  else Itv I.entire
+
 (* Smart constructor over the remainder [rlo, rhi]: folds accumulated
    rounding slack into the remainder, demotes non-finite results to a
    sound interval fallback, drops zero coefficients and condenses each
-   family to the budget.  The condensed parts enter the remainder as
-   rem + (e₁ + (e₂ + e₃)), each sum rounded outward even when nothing
-   condensed (then every eₖ is [0, 0]). *)
-let[@inline] mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
+   family to the budget.  [r] is a scratch cell whose contents the
+   caller no longer needs ([~rlo:r.lo] and the like are read before
+   [mk] overwrites it). *)
+let[@inline] mk r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
     ~slack =
   let rlo = if slack > 0.0 then down (rlo +. -.slack) else rlo
   and rhi = if slack > 0.0 then up (rhi +. slack) else rhi in
@@ -406,60 +536,30 @@ let[@inline] mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
     let diag_idx, diag = compact diag_idx diag in
     let cross_idx, cross = compact cross_idx cross in
     let b = budget () in
-    let e = { lo = 0.0; hi = 0.0 } in
-    let lin_idx, lin =
-      if Array.length lin > b then condense_family b ~diag:false lin_idx lin e
-      else (lin_idx, lin)
-    in
-    let e1l = e.lo and e1h = e.hi in
-    e.lo <- 0.0;
-    e.hi <- 0.0;
-    let diag_idx, diag =
-      if Array.length diag > b then condense_family b ~diag:true diag_idx diag e
-      else (diag_idx, diag)
-    in
-    let e2l = e.lo and e2h = e.hi in
-    e.lo <- 0.0;
-    e.hi <- 0.0;
-    let cross_idx, cross =
-      if Array.length cross > b then
-        condense_family b ~diag:false cross_idx cross e
-      else (cross_idx, cross)
-    in
-    let sl = down (e1l +. down (e2l +. e.lo))
-    and sh = up (e1h +. up (e2h +. e.hi)) in
-    let rl = down (rlo +. sl) and rh = up (rhi +. sh) in
-    if finite rl && finite rh then
-      Tm
-        {
-          c;
-          lin_idx;
-          lin;
-          diag_idx;
-          diag;
-          cross_idx;
-          cross;
-          rem = I.make_unordered rl rh;
-        }
-    else Itv I.entire
+    if Array.length lin > b || Array.length diag > b || Array.length cross > b
+    then
+      condensed r b ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo
+        ~rhi
+    else begin
+      let rl = down (rlo +. uncondensed_lo) and rh = up (rhi +. uncondensed_hi) in
+      if finite rl && finite rh then
+        build r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh
+      else Itv I.entire
+    end
   end
-
-let no_ints : int array = [||]
-let no_coefs : float array = [||]
 
 let const c =
   if c <> c then Bot
   else if Float.is_finite c then
     Tm
       {
-        c;
+        sc = { c; plo = c; phi = c; rlo = 0.0; rhi = 0.0 };
         lin_idx = no_ints;
         lin = no_coefs;
         diag_idx = no_ints;
         diag = no_coefs;
         cross_idx = no_ints;
         cross = no_coefs;
-        rem = I.zero;
       }
   else Itv (I.of_float c)
 
@@ -468,20 +568,12 @@ let of_interval ~sym iv =
   else if not (I.is_bounded iv) then Itv iv
   else begin
     let c = I.mid iv in
-    let r = I.mag (I.sub_float iv c) in
-    if r = 0.0 then const c
+    let rad = I.mag (I.sub_float iv c) in
+    if rad = 0.0 then const c
     else
-      Tm
-        {
-          c;
-          lin_idx = [| sym |];
-          lin = [| r |];
-          diag_idx = no_ints;
-          diag = no_coefs;
-          cross_idx = no_ints;
-          cross = no_coefs;
-          rem = I.zero;
-        }
+      build { lo = 0.0; hi = 0.0 } ~c ~lin_idx:[| sym |] ~lin:[| rad |]
+        ~diag_idx:no_ints ~diag:no_coefs ~cross_idx:no_ints ~cross:no_coefs
+        ~rl:0.0 ~rh:0.0
   end
 
 (* ------------------------------------------------------------------ *)
@@ -490,63 +582,94 @@ let of_interval ~sym iv =
 
 (* Merged sum ax·x + ay·y over one sorted coefficient family.  Matching
    keys add, and the ulp of each such sum accumulates upward in
-   [e.lo]; zero results are dropped. *)
+   [e.lo]; zero results are dropped.  An empty side at unit scale on
+   the other leaves the family unchanged (1·v = v, and coefficients are
+   never zero), so its arrays are shared; otherwise a key-count pass
+   sizes the output, which needs trimming only when a sum cancels or a
+   product underflows to zero. *)
 let merge ax xi xc ay yi yc e =
   let nx = Array.length xi and ny = Array.length yi in
-  let idx = Array.make (nx + ny) 0 and coef = Array.make (nx + ny) 0.0 in
-  let i = ref 0 and j = ref 0 and n = ref 0 in
-  while !i < nx || !j < ny do
-    let ki = if !i < nx then Array.unsafe_get xi !i else max_int
-    and kj = if !j < ny then Array.unsafe_get yi !j else max_int in
-    let v =
-      if ki < kj then ax *. Array.unsafe_get xc !i
-      else if kj < ki then ay *. Array.unsafe_get yc !j
-      else begin
-        let v = (ax *. Array.unsafe_get xc !i) +. (ay *. Array.unsafe_get yc !j) in
-        e.lo <- eplus e.lo (ulp v);
-        v
-      end
-    in
-    if v <> 0.0 then begin
-      idx.(!n) <- (if ki <= kj then ki else kj);
-      coef.(!n) <- v;
-      incr n
-    end;
-    if ki <= kj then incr i;
-    if kj <= ki then incr j
-  done;
-  if !n = nx + ny then (idx, coef)
-  else (Array.sub idx 0 !n, Array.sub coef 0 !n)
+  if ny = 0 && ax = 1.0 then (xi, xc)
+  else if nx = 0 && ay = 1.0 then (yi, yc)
+  else if nx + ny = 0 then (no_ints, no_coefs)
+  else begin
+    let i = ref 0 and j = ref 0 and m = ref 0 in
+    while !i < nx && !j < ny do
+      let ki = Array.unsafe_get xi !i and kj = Array.unsafe_get yi !j in
+      if ki <= kj then incr i;
+      if kj <= ki then incr j;
+      incr m
+    done;
+    let m = !m + (nx - !i) + (ny - !j) in
+    let idx = Array.make m 0 and coef = Array.make m 0.0 in
+    i := 0;
+    j := 0;
+    let n = ref 0 in
+    while !i < nx || !j < ny do
+      let ki = if !i < nx then Array.unsafe_get xi !i else max_int
+      and kj = if !j < ny then Array.unsafe_get yi !j else max_int in
+      let v =
+        if ki < kj then ax *. Array.unsafe_get xc !i
+        else if kj < ki then ay *. Array.unsafe_get yc !j
+        else begin
+          let v = (ax *. Array.unsafe_get xc !i) +. (ay *. Array.unsafe_get yc !j) in
+          e.lo <- eplus e.lo (ulp v);
+          v
+        end
+      in
+      if v <> 0.0 then begin
+        Array.unsafe_set idx !n (if ki <= kj then ki else kj);
+        Array.unsafe_set coef !n v;
+        incr n
+      end;
+      if ki <= kj then incr i;
+      if kj <= ki then incr j
+    done;
+    if !n = m then (idx, coef)
+    else if !n = 0 then (no_ints, no_coefs)
+    else (Array.sub idx 0 !n, Array.sub coef 0 !n)
+  end
 
-(* x ± y: coefficient sums carry their ulps (scaling by s = ±1 is
+(* x ± y: coefficient sums carry their ulps (scaling by sign = ±1 is
    exact); each family's merge slack is folded in separately. *)
-let addsub_form s fx fy =
-  let c = fx.c +. (s *. fy.c) in
+let addsub_form sign fx fy =
+  let c = fx.sc.c +. (sign *. fy.sc.c) in
   let e = { lo = 0.0; hi = 0.0 } in
-  let lin_idx, lin = merge 1.0 fx.lin_idx fx.lin s fy.lin_idx fy.lin e in
+  let lin_idx, lin = merge 1.0 fx.lin_idx fx.lin sign fy.lin_idx fy.lin e in
   let e1 = e.lo in
   e.lo <- 0.0;
-  let diag_idx, diag = merge 1.0 fx.diag_idx fx.diag s fy.diag_idx fy.diag e in
+  let diag_idx, diag = merge 1.0 fx.diag_idx fx.diag sign fy.diag_idx fy.diag e in
   let e2 = e.lo in
   e.lo <- 0.0;
   let cross_idx, cross =
-    merge 1.0 fx.cross_idx fx.cross s fy.cross_idx fy.cross e
+    merge 1.0 fx.cross_idx fx.cross sign fy.cross_idx fy.cross e
   in
   let slack = eplus (eplus (eplus (ulp c) e1) e2) e.lo in
-  let rx = fx.rem and ry = fy.rem in
-  let rlo = down (rx.I.lo +. if s > 0.0 then ry.I.lo else -.ry.I.hi)
-  and rhi = up (rx.I.hi +. if s > 0.0 then ry.I.hi else -.ry.I.lo) in
-  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi ~slack
+  let rx = fx.sc and ry = fy.sc in
+  let rlo = down (rx.rlo +. if sign > 0.0 then ry.rlo else -.ry.rhi)
+  and rhi = up (rx.rhi +. if sign > 0.0 then ry.rhi else -.ry.rlo) in
+  mk e ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi ~slack
 
-(* alpha·v for every coefficient, each product's ulp added to [e.lo]. *)
+(* alpha·v for every coefficient, each product's ulp added to [e.lo].
+   At alpha = 1 every product is v itself, so the family is kept. *)
 let scale_family alpha coef e =
-  let out = Array.make (Array.length coef) 0.0 in
-  for k = 0 to Array.length coef - 1 do
-    let r = alpha *. Array.unsafe_get coef k in
-    e.lo <- eplus e.lo (ulp r);
-    Array.unsafe_set out k r
-  done;
-  out
+  let n = Array.length coef in
+  if n = 0 then no_coefs
+  else if alpha = 1.0 then begin
+    for k = 0 to n - 1 do
+      e.lo <- eplus e.lo (ulp (Array.unsafe_get coef k))
+    done;
+    coef
+  end
+  else begin
+    let out = Array.make n 0.0 in
+    for k = 0 to n - 1 do
+      let r = alpha *. Array.unsafe_get coef k in
+      e.lo <- eplus e.lo (ulp r);
+      Array.unsafe_set out k r
+    done;
+    out
+  end
 
 (* Sound enclosure of konst + alpha·x ± delta (alpha, delta floats;
    konst an interval): the workhorse behind scaling and every unary
@@ -554,8 +677,9 @@ let scale_family alpha coef e =
    the centre is recentred through interval arithmetic. *)
 let lin_map ~alpha ~konst ~delta fx =
   let kl = konst.I.lo and kh = konst.I.hi in
-  let cl = down (kl +. mul_lo fx.c fx.c alpha alpha)
-  and ch = up (kh +. mul_hi fx.c fx.c alpha alpha) in
+  let c0 = fx.sc.c in
+  let cl = down (kl +. mul_lo c0 c0 alpha alpha)
+  and ch = up (kh +. mul_hi c0 c0 alpha alpha) in
   if kl <> kl || kh <> kh || not (finite cl && finite ch) then
     mk_itv (I.add konst (I.mul_float (concretize_form fx) alpha))
   else begin
@@ -565,11 +689,11 @@ let lin_map ~alpha ~konst ~delta fx =
     let lin = scale_family alpha fx.lin e in
     let diag = scale_family alpha fx.diag e in
     let cross = scale_family alpha fx.cross e in
-    let rx = fx.rem in
-    mk ~c ~lin_idx:fx.lin_idx ~lin ~diag_idx:fx.diag_idx ~diag
+    let rx = fx.sc in
+    mk e ~c ~lin_idx:fx.lin_idx ~lin ~diag_idx:fx.diag_idx ~diag
       ~cross_idx:fx.cross_idx ~cross
-      ~rlo:(mul_lo rx.I.lo rx.I.hi alpha alpha)
-      ~rhi:(mul_hi rx.I.lo rx.I.hi alpha alpha)
+      ~rlo:(mul_lo rx.rlo rx.rhi alpha alpha)
+      ~rhi:(mul_hi rx.rlo rx.rhi alpha alpha)
       ~slack:e.lo
   end
 
@@ -687,21 +811,33 @@ let[@inline] quad_add q slack i j v =
   else slack
 
 (* The live nonzero coefficients in key order, split into the diagonal
-   and cross families. *)
+   and cross families.  The live keys are distinct and few, and arrive
+   in a few ascending runs, so they are insertion-sorted in place. *)
 let quad_families q =
-  let keys = Array.sub q.keys 0 q.nkeys in
-  Array.sort Int.compare keys;
+  let keys = q.keys and n = q.nkeys in
+  for a = 1 to n - 1 do
+    let k = Array.unsafe_get keys a in
+    let b = ref (a - 1) in
+    while !b >= 0 && Array.unsafe_get keys !b > k do
+      Array.unsafe_set keys (!b + 1) (Array.unsafe_get keys !b);
+      decr b
+    done;
+    Array.unsafe_set keys (!b + 1) k
+  done;
   let nd = ref 0 and nc = ref 0 in
-  for a = 0 to Array.length keys - 1 do
-    let i = key_i keys.(a) and j = key_j keys.(a) in
+  for a = 0 to n - 1 do
+    let k = Array.unsafe_get keys a in
+    let i = key_i k and j = key_j k in
     if q.vals.((i * q.dim) + j) <> 0.0 then if i = j then incr nd else incr nc
   done;
-  let diag_idx = Array.make !nd 0 and diag = Array.make !nd 0.0 in
-  let cross_idx = Array.make !nc 0 and cross = Array.make !nc 0.0 in
+  let diag_idx = if !nd = 0 then no_ints else Array.make !nd 0
+  and diag = if !nd = 0 then no_coefs else Array.make !nd 0.0
+  and cross_idx = if !nc = 0 then no_ints else Array.make !nc 0
+  and cross = if !nc = 0 then no_coefs else Array.make !nc 0.0 in
   nd := 0;
   nc := 0;
-  for a = 0 to Array.length keys - 1 do
-    let k = keys.(a) in
+  for a = 0 to n - 1 do
+    let k = Array.unsafe_get keys a in
     let i = key_i k and j = key_j k in
     let v = q.vals.((i * q.dim) + j) in
     if v <> 0.0 then
@@ -725,14 +861,11 @@ let is_linear_form f =
 let monomial_free f = Array.length f.lin_idx = 0 && is_linear_form f
 
 (* Remainder of x·y: Aₓ·rem_y + A_y·remₓ + remₓ·rem_y + the truncated
-   part [fl, fh], with A the polynomial range. *)
+   part [fl, fh], with A the stored polynomial range. *)
 let product_rem r fx fy fl fh =
-  poly_range r fx;
-  let axl = r.lo and axh = r.hi in
-  poly_range r fy;
-  let ayl = r.lo and ayh = r.hi in
-  let xl = fx.rem.I.lo and xh = fx.rem.I.hi in
-  let yl = fy.rem.I.lo and yh = fy.rem.I.hi in
+  let x = fx.sc and y = fy.sc in
+  let axl = x.plo and axh = x.phi and ayl = y.plo and ayh = y.phi in
+  let xl = x.rlo and xh = x.rhi and yl = y.rlo and yh = y.rhi in
   r.lo <-
     down
       (down
@@ -771,18 +904,27 @@ let linear_sqr_truncation =
     (up (mul_hi ml mh 2.0 2.0 +. sqr_hi 0.0 0.0))
 
 (* alpha·coef over one family, zero products dropped, each product's
-   ulp added to [e.lo] in order. *)
+   ulp added to [e.lo] in order.  At alpha = 1 the family is kept. *)
 let scale_kept alpha idx coef e =
   let n = Array.length coef in
-  let out = Array.make n 0.0 in
-  let zeros = ref false in
-  for k = 0 to n - 1 do
-    let v = alpha *. Array.unsafe_get coef k in
-    e.lo <- eplus e.lo (ulp v);
-    if v = 0.0 then zeros := true;
-    Array.unsafe_set out k v
-  done;
-  if !zeros then compact idx out else (idx, out)
+  if n = 0 then (idx, coef)
+  else if alpha = 1.0 then begin
+    for k = 0 to n - 1 do
+      e.lo <- eplus e.lo (ulp (Array.unsafe_get coef k))
+    done;
+    (idx, coef)
+  end
+  else begin
+    let out = Array.make n 0.0 in
+    let zeros = ref false in
+    for k = 0 to n - 1 do
+      let v = alpha *. Array.unsafe_get coef k in
+      e.lo <- eplus e.lo (ulp v);
+      if v = 0.0 then zeros := true;
+      Array.unsafe_set out k v
+    done;
+    if !zeros then compact idx out else (idx, out)
+  end
 
 (* x·y where one operand is monomial-free, with constant a, and [fm] is
    the other: [mul_form] with its empty loops left out, bit for bit.
@@ -792,9 +934,11 @@ let scale_kept alpha idx coef e =
    zero slack (still one upward step), then the diagonal and cross
    products.  The remainder formula is [mul_form]'s. *)
 let scale_form fx fy =
-  let fm, a = if monomial_free fy then (fx, fy.c) else (fy, fx.c) in
+  let free_y = monomial_free fy in
+  let fm = if free_y then fx else fy
+  and a = if free_y then fy.sc.c else fx.sc.c in
   let r = (Domain.DLS.get quad_key).r in
-  let c = fx.c *. fy.c in
+  let c = fx.sc.c *. fy.sc.c in
   r.lo <- eplus 0.0 (ulp c);
   let lin_idx, lin = scale_kept a fm.lin_idx fm.lin r in
   r.lo <- eplus r.lo 0.0;
@@ -802,7 +946,7 @@ let scale_form fx fy =
   let cross_idx, cross = scale_kept a fm.cross_idx fm.cross r in
   let slack = r.lo in
   product_rem r fx fy free_trunc_lo free_trunc_hi;
-  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo:r.lo ~rhi:r.hi
+  mk r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo:r.lo ~rhi:r.hi
     ~slack
 
 (* x·y with x = cₓ + Lₓ + Qₓ + remₓ (L linear, Q quadratic monomials):
@@ -814,37 +958,38 @@ let scale_form fx fy =
    product with a monomial-free operand to [scale_form] instead. *)
 let mul_form fx fy =
   let q = quad_begin (1 + Int.max (max_sym fx) (max_sym fy)) in
+  let cx = fx.sc.c and cy = fy.sc.c in
   let slack = ref 0.0 in
-  let c = fx.c *. fy.c in
+  let c = cx *. cy in
   slack := eplus !slack (ulp c);
   for k = 0 to Array.length fy.lin - 1 do
-    slack := eplus !slack (ulp (fx.c *. fy.lin.(k)))
+    slack := eplus !slack (ulp (cx *. fy.lin.(k)))
   done;
   for k = 0 to Array.length fx.lin - 1 do
-    slack := eplus !slack (ulp (fy.c *. fx.lin.(k)))
+    slack := eplus !slack (ulp (cy *. fx.lin.(k)))
   done;
   let r = q.r in
   r.lo <- 0.0;
-  let lin_idx, lin = merge fy.c fx.lin_idx fx.lin fx.c fy.lin_idx fy.lin r in
+  let lin_idx, lin = merge cy fx.lin_idx fx.lin cx fy.lin_idx fy.lin r in
   slack := eplus !slack r.lo;
   for k = 0 to Array.length fx.diag - 1 do
-    let v = fy.c *. fx.diag.(k) in
+    let v = cy *. fx.diag.(k) in
     slack := eplus !slack (ulp v);
     slack := quad_add q !slack fx.diag_idx.(k) fx.diag_idx.(k) v
   done;
   for k = 0 to Array.length fx.cross - 1 do
-    let v = fy.c *. fx.cross.(k) in
+    let v = cy *. fx.cross.(k) in
     slack := eplus !slack (ulp v);
     let key = fx.cross_idx.(k) in
     slack := quad_add q !slack (key_i key) (key_j key) v
   done;
   for k = 0 to Array.length fy.diag - 1 do
-    let v = fx.c *. fy.diag.(k) in
+    let v = cx *. fy.diag.(k) in
     slack := eplus !slack (ulp v);
     slack := quad_add q !slack fy.diag_idx.(k) fy.diag_idx.(k) v
   done;
   for k = 0 to Array.length fy.cross - 1 do
-    let v = fx.c *. fy.cross.(k) in
+    let v = cx *. fy.cross.(k) in
     slack := eplus !slack (ulp v);
     let key = fy.cross_idx.(k) in
     slack := quad_add q !slack (key_i key) (key_j key) v
@@ -868,15 +1013,16 @@ let mul_form fx fy =
   let qyl = r.lo and qyh = r.hi in
   let fl =
     down
-      (down (mul_lo (-.sx) sx qyl qyh +. mul_lo (-.sy) sy qxl qxh)
-      +. mul_lo qxl qxh qyl qyh)
+      (down
+         (trunc_mul_lo (-.sx) sx qyl qyh +. trunc_mul_lo (-.sy) sy qxl qxh)
+      +. trunc_mul_lo qxl qxh qyl qyh)
   and fh =
     up
-      (up (mul_hi (-.sx) sx qyl qyh +. mul_hi (-.sy) sy qxl qxh)
-      +. mul_hi qxl qxh qyl qyh)
+      (up (trunc_mul_hi (-.sx) sx qyl qyh +. trunc_mul_hi (-.sy) sy qxl qxh)
+      +. trunc_mul_hi qxl qxh qyl qyh)
   in
   product_rem r fx fy fl fh;
-  mk ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo:r.lo ~rhi:r.hi
+  mk r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo:r.lo ~rhi:r.hi
     ~slack:!slack
 
 (* x² = c² + 2cL + (2cQ + L⊗L) + [2LQ + Q²] + remainder coupling, with
@@ -887,12 +1033,12 @@ let mul_form fx fy =
 let sqr_form f =
   let q = quad_begin (1 + max_sym f) in
   let slack = ref 0.0 in
-  let c = f.c *. f.c in
+  let c = f.sc.c *. f.sc.c in
   slack := eplus !slack (ulp c);
-  let two_c = 2.0 *. f.c in
+  let two_c = 2.0 *. f.sc.c in
   slack := eplus !slack (ulp two_c);
   let nl = Array.length f.lin in
-  let lin = Array.make nl 0.0 in
+  let lin = if nl = 0 then no_coefs else Array.make nl 0.0 in
   for k = 0 to nl - 1 do
     let v = two_c *. f.lin.(k) in
     slack := eplus !slack (ulp v);
@@ -931,19 +1077,18 @@ let sqr_form f =
     let s = lin_radius f in
     quad_range r f;
     let ql = r.lo and qh = r.hi in
-    let ml = mul_lo (-.s) s ql qh and mh = mul_hi (-.s) s ql qh in
+    let ml = trunc_mul_lo (-.s) s ql qh and mh = trunc_mul_hi (-.s) s ql qh in
     r.lo <- down (mul_lo ml mh 2.0 2.0 +. sqr_lo ql qh);
     r.hi <- up (mul_hi ml mh 2.0 2.0 +. sqr_hi ql qh)
   end;
   let fl = r.lo and fh = r.hi in
   (* Remainder: 2·(A·rem) + rem² + truncated part. *)
-  poly_range r f;
-  let al = r.lo and ah = r.hi in
-  let xl = f.rem.I.lo and xh = f.rem.I.hi in
+  let al = f.sc.plo and ah = f.sc.phi in
+  let xl = f.sc.rlo and xh = f.sc.rhi in
   let pl = mul_lo al ah xl xh and ph = mul_hi al ah xl xh in
   let rlo = down (down (mul_lo pl ph 2.0 2.0 +. sqr_lo xl xh) +. fl)
   and rhi = up (up (mul_hi pl ph 2.0 2.0 +. sqr_hi xl xh) +. fh) in
-  mk ~c ~lin_idx:f.lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
+  mk r ~c ~lin_idx:f.lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
     ~slack:!slack
 
 let mul x y =

@@ -95,7 +95,8 @@ val of_interval : sym:int -> Ia.t -> t
 
 val concretize : t -> Ia.t
 (** The interval enclosure of the model (empty for bottom): Bernstein ∩
-    interval range of the polynomial part, plus the remainder. *)
+    interval range of the polynomial part, plus the remainder.  A model
+    stores its polynomial range, computed once when it is built. *)
 
 val is_bot : t -> bool
 
@@ -153,6 +154,22 @@ val linear_sqr_truncation : Ia.t
     and [s] is the linear radius.  It does not depend on [s], so it is
     computed once: [[−3·2⁻¹⁰⁷⁴, 2⁻¹⁰⁷²]], the outward steps around 0.
     Exposed so tests can pin it to the general formula. *)
+
+val trunc_mul_lo : float -> float -> float -> float -> float
+(** [trunc_mul_lo al ah bl bh] is [Ia.lo (Ia.mul [al, ah] [bl, bh])]
+    bit for bit on nonempty operands (NaN-free, [al ≤ ah], [bl ≤ bh]),
+    as the truncated parts of {!mul} and {!sqr} compute it: when a
+    subnormal bound is present and a product of two non-subnormal
+    bounds is negative and beyond |u|·2⁻¹⁰²²·(1 + 2⁻⁵²) + 2⁻¹⁰⁷⁴ for the
+    largest bound magnitude |u|, which bounds every product with a
+    subnormal factor, that product is the result and the products with
+    a subnormal factor are never computed (each costs a microcode
+    assist on common x86 parts).  Exposed so tests can check it against
+    [Ia.mul]. *)
+
+val trunc_mul_hi : float -> float -> float -> float -> float
+(** The upper bound, [Ia.hi (Ia.mul [al, ah] [bl, bh])], in the same
+    way (the deciding product is positive). *)
 
 (** {1 Telemetry}
 

@@ -427,12 +427,13 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
   if not (Cache.enabled ()) then jemit ~cached:false (fst (run ()))
   else begin
     let group =
-      Printf.sprintf "flow|%s|%s|%b|%b|%h|%h" (System.digest sys)
+      Printf.sprintf "flow|%s|%s|%b|%b|%d|%h|%h" (System.digest sys)
         (config_fingerprint config)
         (Expr.Tape.enabled ())
         (* TM-tightened tubes must not replay into a BIOMC_NO_TM=1 run
-           (or vice versa). *)
+           (or vice versa), nor into a run at another monomial budget. *)
         (Interval.Tm.enabled ())
+        (Interval.Tm.budget ())
         t0 t_end
     in
     let key = Box.join params init in

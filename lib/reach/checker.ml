@@ -339,13 +339,14 @@ let method_fingerprint = function
   | Ode.Integrate.Implicit_euler { h; newton_iters; newton_tol } ->
       Printf.sprintf "I%h,%d,%h" h newton_iters newton_tol
 
-(* Keyed by the tape and TM flags, like the [flow|] group of the tubes
-   the segments are cut from: a segment computed with Taylor models must
-   not replay into a BIOMC_NO_TM=1 check (or vice versa).  Keyed by the
-   mode invariant too, which cuts the bracket: two modes may share a
+(* Keyed by the tape and TM flags and the TM monomial budget, like the
+   [flow|] group of the tubes the segments are cut from: a segment
+   computed with Taylor models must not replay into a BIOMC_NO_TM=1
+   check (or vice versa), nor into a check at another budget.  Keyed by
+   the mode invariant too, which cuts the bracket: two modes may share a
    vector field. *)
 let seg_group cfg pb_sys ~inv ~t_end =
-  Printf.sprintf "segenc|%s|%s|%s|%s|%d|%d|%h|%h|%b|%b|%h"
+  Printf.sprintf "segenc|%s|%s|%s|%s|%d|%d|%h|%h|%b|%b|%d|%h"
     (Ode.System.digest pb_sys) (F.fingerprint inv)
     (Ode.Enclosure.config_fingerprint cfg.enclosure)
     (method_fingerprint cfg.sim_method)
@@ -353,6 +354,7 @@ let seg_group cfg pb_sys ~inv ~t_end =
     cfg.tube_quality_width
     (Expr.Tape.enabled ())
     (Interval.Tm.enabled ())
+    (Interval.Tm.budget ())
     t_end
 
 (* Compute an enclosure of the flow of [sys] from [init_box] under

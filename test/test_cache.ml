@@ -15,6 +15,7 @@ module T = Expr.Term
 module F = Expr.Formula
 module S = Icp.Solver
 module Enc = Ode.Enclosure
+module TM = Interval.Tm
 module B = Synth.Biopsy
 module D = Synth.Data
 
@@ -651,6 +652,58 @@ let test_concurrent_access () =
       let done_ = List.map Domain.join domains in
       Alcotest.(check (list int)) "all domains joined" [ 0; 1; 2; 3 ] done_)
 
+(* The Taylor-model monomial budget changes what the TM passes compute,
+   so it keys the hc4, refuted-box, paving, flow and segment groups next
+   to the TM switch.  In one process under the Exact policy, a pave of
+   the impulse-response calibration constraints and a Lotka–Volterra
+   flow run at budget 64 and then at budget 1 must give the answers a
+   budget-1 run gives on empty caches, not replay the budget-64 ones. *)
+let test_budget_keys_groups () =
+  let fit =
+    Expr.Parse.formula
+      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and 3*a*k*exp(-3*k) >= 0.1 and \
+       3*a*k*exp(-3*k) <= 0.3"
+  in
+  let fit_box = Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ] in
+  let config = { S.default_config with epsilon = 0.02 } in
+  let pave () =
+    let p = S.pave ~config fit fit_box in
+    Printf.sprintf "sat=%d unsat=%d undecided=%d" (List.length p.S.sat)
+      (List.length p.S.unsat) (List.length p.S.undecided)
+  in
+  let near_one = I.make 0.9 1.1 in
+  let flow () =
+    let tube =
+      Enc.flow
+        ~params:(Box.of_list [ ("a", near_one); ("b", near_one) ])
+        ~init:(Box.of_list [ ("x", near_one); ("y", near_one) ])
+        ~t_end:1.0 Biomodels.Classics.lotka_volterra
+    in
+    String.concat " "
+      (List.map
+         (fun (v, i) -> Printf.sprintf "%s=[%h, %h]" v (I.lo i) (I.hi i))
+         (Box.to_list tube.Enc.final))
+  in
+  (* TM passes run on tapes only; the layers are pinned so the budget
+     matters under every BIOMC_NO_* leg. *)
+  Expr.Tape.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      TM.set_budget TM.default_budget;
+      Expr.Tape.clear_enabled_override ())
+  @@ fun () ->
+  Layers.with_layers (true, true) @@ fun () ->
+  with_policy Cache.Exact @@ fun () ->
+  TM.set_budget 1;
+  let pave1 = pave () and flow1 = flow () in
+  Cache.clear ();
+  TM.set_budget 64;
+  let pave64 = pave () and flow64 = flow () in
+  TM.set_budget 1;
+  Alcotest.(check bool) "the budget moves the pave" true (pave1 <> pave64);
+  Alcotest.(check bool) "the budget moves the tube" true (flow1 <> flow64);
+  Alcotest.(check string) "budget-1 pave after a budget-64 one" pave1 (pave ());
+  Alcotest.(check string) "budget-1 flow after a budget-64 one" flow1 (flow ())
+
 let () =
   Alcotest.run "cache"
     [ ( "differential",
@@ -667,7 +720,9 @@ let () =
           Alcotest.test_case "Off reproduces uncached" `Quick
             test_off_is_identity;
           Alcotest.test_case "strictness not conflated in refuted store"
-            `Quick test_strictness_not_conflated ] );
+            `Quick test_strictness_not_conflated;
+          Alcotest.test_case "TM budget keys every TM group" `Quick
+            test_budget_keys_groups ] );
       ( "warm soundness",
         [ Alcotest.test_case "decide verdicts never flip" `Quick
             test_warm_decide_sound;

@@ -862,6 +862,191 @@ let test_walker_digest () =
     "ccca9d8970b697cf1d3e27473b405cce"
     (walker_digest ())
 
+(* ---- bit-identity digest of every operation's full output ----
+
+   The walker digest pins root ranges only, and an ulp moved inside a
+   remainder often never reaches a root.  This digest hashes the whole
+   [Tm.to_poly] output (constant, every key and coefficient, the
+   remainder) and the concretization, printed with %h, of every public
+   operation over seeded random models at budgets 64 and 2.  The
+   operands include constants and linear models (empty families), sums
+   where one side's family is empty (merges that keep the other side's
+   arrays), squares (positive diagonals), differences that cancel to
+   zero, models with the constant 1, and up to five symbols (families
+   that condense at budget 2).
+
+   [ring_ops] are the operations whose bits IEEE 754 fixes.  [libm_ops]
+   evaluate libm functions ([exp], [log], [sin], [cos], [tan], [atan],
+   [tanh], and [pow] behind [pow_int] past ±2), whose last bits may
+   differ between libm builds, so their digest is checked only where
+   [libm_probe] — those functions at seeded points — matches the
+   platform the committed digests were computed on. *)
+
+let digest_leaf st n =
+  let sym = digest_int st n in
+  match digest_int st 6 with
+  | 0 ->
+      TM.const
+        (match digest_int st 4 with
+        | 0 -> 0.0
+        | 1 -> 1.0
+        | 2 -> -1.0
+        | _ -> digest_float st 4.0 -. 2.0)
+  | 1 ->
+      let a = digest_float st 2.0 in
+      TM.of_interval ~sym (I.make (-.a) a)
+  | _ ->
+      let a = digest_float st 8.0 -. 4.0 in
+      let w =
+        match digest_int st 4 with
+        | 0 -> 0.0
+        | 1 -> digest_float st 0.01
+        | _ -> digest_float st 4.0
+      in
+      TM.of_interval ~sym (I.make a (a +. w))
+
+(* Every draw is its own [let], so the stream does not depend on the
+   unspecified evaluation order of an application's arguments. *)
+let rec digest_model st n depth =
+  if depth = 0 || digest_int st 4 = 0 then digest_leaf st n
+  else
+    let sub () = digest_model st n (depth - 1) in
+    let binary f =
+      let a = sub () in
+      let b = sub () in
+      f a b
+    in
+    match digest_int st 10 with
+    | 0 -> binary TM.add
+    | 1 -> binary TM.sub
+    | 2 -> binary TM.mul
+    | 3 -> TM.sqr (sub ())
+    | 4 ->
+        let k = digest_float st 4.0 -. 2.0 in
+        TM.scale k (sub ())
+    | 5 ->
+        let x = sub () in
+        TM.sub x x
+    | 6 -> binary (fun a b -> TM.add a (TM.sqr b))
+    | 7 -> TM.add_const 1.0 (TM.sqr (sub ()))
+    | 8 -> TM.inv (sub ())
+    | _ ->
+        let x = sub () in
+        TM.add x (TM.const (digest_float st 2.0 -. 1.0))
+
+let ring_ops st x y =
+  let k = digest_float st 4.0 -. 2.0 in
+  [ x; y; TM.neg x; TM.add x y; TM.add y x; TM.sub x y; TM.scale k x;
+    TM.add_const k x; TM.mul x y; TM.mul y x; TM.sqr x; TM.inv x; TM.div x y;
+    TM.pow_int x (-2); TM.pow_int x (-1); TM.pow_int x 0; TM.pow_int x 1;
+    TM.pow_int x 2; TM.sqrt x; TM.abs x; TM.min_ x y; TM.max_ x y ]
+
+let libm_ops _ x _ =
+  [ TM.exp x; TM.log x; TM.sin x; TM.cos x; TM.tan x; TM.atan x; TM.tanh x;
+    TM.pow_int x 3; TM.pow_int x (-3); TM.pow_int x 4 ]
+
+let add_model buf m =
+  (match TM.to_poly m with
+  | None -> Buffer.add_string buf "bot"
+  | Some p ->
+      Printf.bprintf buf "%h" p.TM.constant;
+      List.iter (fun (i, v) -> Printf.bprintf buf " l%d:%h" i v) p.TM.linear;
+      List.iter (fun (i, v) -> Printf.bprintf buf " q%d:%h" i v) p.TM.square;
+      List.iter (fun (i, j, v) -> Printf.bprintf buf " c%d,%d:%h" i j v) p.TM.cross;
+      Printf.bprintf buf " r%h,%h" (I.lo p.TM.remainder) (I.hi p.TM.remainder));
+  let r = TM.concretize m in
+  if I.is_empty r then Buffer.add_string buf " =empty;"
+  else Printf.bprintf buf " =%h,%h;" (I.lo r) (I.hi r)
+
+let ops_digest ops =
+  let buf = Buffer.create (1 lsl 20) in
+  let st = ref 74L in
+  Fun.protect ~finally:(fun () -> TM.set_budget TM.default_budget) @@ fun () ->
+  List.iter
+    (fun budget ->
+      TM.set_budget budget;
+      for _ = 1 to 2_000 do
+        let n = 1 + digest_int st 5 in
+        let x = digest_model st n 3 in
+        let y = digest_model st n 3 in
+        List.iter (add_model buf) (ops st x y)
+      done)
+    [ 64; 2 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let libm_probe () =
+  let buf = Buffer.create (1 lsl 16) in
+  let st = ref 75L in
+  for _ = 1 to 10_000 do
+    let m = digest_float st 2.0 -. 1.0 in
+    let x = m *. Float.of_int (1 lsl digest_int st 8) in
+    List.iter
+      (fun f -> Printf.bprintf buf "%h;" (f x))
+      [ Float.exp; (fun x -> Float.log (Float.abs x)); Float.sin; Float.cos;
+        Float.tan; Float.atan; Float.tanh; (fun x -> Float.pow x 3.0);
+        (fun x -> Float.pow x 4.0) ]
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_ops_digest () =
+  Alcotest.(check string) "ring operations bit-identical"
+    "8c15a5c869960ebe0f17a450a2f9bccf" (ops_digest ring_ops);
+  if libm_probe () = "236816354c3e511b8672c7523a432b37" then
+    Alcotest.(check string) "libm operations bit-identical"
+      "ac0cc7c67acd4e8ee59ca0b554a88f6d" (ops_digest libm_ops)
+  else print_endline "libm differs from the committed platform's: libm digest not checked"
+
+(* ---- the truncated parts' interval products vs Ia.mul ----
+
+   [Tm.trunc_mul_lo]/[trunc_mul_hi] skip the products with a subnormal
+   bound when a product of two other bounds decides the fold.  They must
+   give [Ia.mul]'s bounds bit for bit on every nonempty pair of
+   intervals over an edge set of zeros, subnormals, the normal range's
+   edges, 1, the largest float and infinities (both signs of each), and
+   on 10⁶ seeded random quadruples that mix subnormal and normal
+   bounds. *)
+let test_trunc_mul_oracle () =
+  let bits = Int64.bits_of_float in
+  let check al ah bl bh =
+    let r = I.mul (I.make al ah) (I.make bl bh) in
+    let lo = TM.trunc_mul_lo al ah bl bh and hi = TM.trunc_mul_hi al ah bl bh in
+    if bits lo <> bits (I.lo r) || bits hi <> bits (I.hi r) then
+      Alcotest.failf "[%h, %h]·[%h, %h]: [%h, %h], Ia.mul gives [%h, %h]" al ah bl bh
+        lo hi (I.lo r) (I.hi r)
+  in
+  let edges =
+    List.concat_map
+      (fun x -> [ x; -.x ])
+      [ 0.0; 0x1p-1074; 0x1p-1073; 0x0.fffffffffffffp-1022; 0x1p-1022; 0x1p-537;
+        1.0; Float.max_float; infinity ]
+  in
+  let pairs =
+    List.concat_map
+      (fun l -> List.filter_map (fun h -> if l <= h then Some (l, h) else None) edges)
+      edges
+  in
+  List.iter (fun (al, ah) -> List.iter (fun (bl, bh) -> check al ah bl bh) pairs) pairs;
+  let st = ref 76L in
+  let bound () =
+    let x =
+      match digest_int st 4 with
+      | 0 -> Int64.float_of_bits (Int64.of_int (1 + digest_int st 0xF_FFFF_FFFF_FFFF))
+      | 1 -> Float.of_int (1 + digest_int st 4) *. 0x1p-1074
+      | 2 ->
+          let m = 0.5 +. digest_float st 1.0 in
+          m *. Float.ldexp 1.0 (digest_int st 2046 - 1022)
+      | _ -> digest_float st 4.0
+    in
+    if digest_int st 2 = 0 then -.x else x
+  in
+  for _ = 1 to 1_000_000 do
+    let a = bound () in
+    let a' = bound () in
+    let b = bound () in
+    let b' = bound () in
+    check (Float.min a a') (Float.max a a') (Float.min b b') (Float.max b b')
+  done
+
 (* ---- TM on vs off: decide and pave agreement ---- *)
 
 let with_tm flag f =
@@ -1072,6 +1257,10 @@ let () =
             test_walker_digest;
           Alcotest.test_case "constant divisors match Tm.div" `Quick
             test_const_divisor_edges;
+          Alcotest.test_case "every operation's output matches committed digest"
+            `Quick test_ops_digest;
+          Alcotest.test_case "truncation products match Ia.mul" `Quick
+            test_trunc_mul_oracle;
           Alcotest.test_case "linear sqr truncation pinned" `Quick
             test_linear_sqr_truncation_pinned ] );
       ( "exact",
