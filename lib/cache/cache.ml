@@ -23,19 +23,13 @@ let pp_policy ppf = function
   | Exact -> Fmt.string ppf "exact"
   | Warm -> Fmt.string ppf "warm"
 
-let truthy v =
-  match String.lowercase_ascii v with
-  | "1" | "true" | "yes" | "on" -> true
-  | _ -> false
-
 let env_policy () =
-  match Sys.getenv_opt "BIOMC_NO_CACHE" with
-  | Some v when truthy v -> Off
-  | _ -> (
-      match Option.map String.lowercase_ascii (Sys.getenv_opt "BIOMC_CACHE") with
-      | Some "off" | Some "0" | Some "no" -> Off
-      | Some "warm" -> Warm
-      | _ -> Exact)
+  if Telemetry.env_switch "BIOMC_NO_CACHE" then Off
+  else
+    match Option.map String.lowercase_ascii (Sys.getenv_opt "BIOMC_CACHE") with
+    | Some "off" | Some "0" | Some "no" -> Off
+    | Some "warm" -> Warm
+    | _ -> Exact
 
 let override : policy option Atomic.t = Atomic.make None
 

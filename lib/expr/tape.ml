@@ -74,10 +74,7 @@ let override : bool option Atomic.t = Atomic.make None
 let enabled () =
   match Atomic.get override with
   | Some b -> b
-  | None -> (
-      match Sys.getenv_opt "BIOMC_NO_TAPE" with
-      | Some ("1" | "true" | "yes") -> false
-      | _ -> true)
+  | None -> not (Telemetry.env_switch "BIOMC_NO_TAPE")
 
 let set_enabled b = Atomic.set override (Some b)
 let clear_enabled_override () = Atomic.set override None

@@ -21,9 +21,10 @@ type t
 
 val enabled : unit -> bool
 (** Whether tape-backed kernels should be used.  True by default; the
-    environment variable [BIOMC_NO_TAPE=1] (or [true]/[yes]) switches the
-    hot paths back to the tree-walking implementations.  {!set_enabled}
-    overrides the environment. *)
+    environment variable [BIOMC_NO_TAPE=1] (any value
+    {!Telemetry.env_switch} accepts) switches the hot paths back to the
+    tree-walking implementations.  {!set_enabled} overrides the
+    environment. *)
 
 val set_enabled : bool -> unit
 (** Override {!enabled} (used by benchmarks and differential tests to pin

@@ -21,7 +21,7 @@ type t
 (** {1 Enable switch}
 
     Same pattern as {!Expr.Tape.enabled}: the environment variable
-    [BIOMC_NO_NEWTON=1] (or [true]/[yes]) disables the derivative
+    [BIOMC_NO_NEWTON=1] ({!Telemetry.env_switch}) disables the derivative
     layer, restoring the HC4-only search bit for bit; {!set_enabled}
     overrides the environment (used by the [--no-newton] CLI flag,
     benchmarks, and differential tests). *)

@@ -13,16 +13,16 @@
    sub-ε box fails, the one-sided-error answer licensed by δ-decidability
    is returned with the box as the witness region.
 
-   Multicore: boxes on the branch-and-prune frontier are independent, so
-   with [config.jobs > 1] worker domains pull boxes from a shared
-   work-sharing frontier (Parallel.Pool.Frontier).  The first δ-sat
-   witness cancels the remaining work via the frontier's stop flag;
-   an unsat verdict still requires full frontier exhaustion, so the
-   one-sided soundness guarantee is untouched.  DNF branches run as a
-   portfolio (first δ-sat wins).  Each worker keeps a private [stats]
-   record; they are merged when the search returns, so observability is
-   the same as in the sequential path.  [jobs = 1] takes the original
-   sequential code path exactly. *)
+   The box loop is {!Search.run}, the driver every box search shares;
+   this module supplies the decide and pave steps.  With
+   [config.jobs > 1] worker domains drain the driver's work-stealing
+   frontier.  The first δ-sat witness stops the search; an unsat
+   verdict still requires full frontier exhaustion, so the one-sided
+   soundness guarantee is untouched.  DNF branches race one another on
+   a frontier of their own (first δ-sat wins), each branch searched by
+   the driver at [jobs = 1].  At [jobs = 1] the frontier's sequential
+   drive makes every search a depth-first loop on the calling domain,
+   left half first. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -49,15 +49,6 @@ let m_pave_boxes = Telemetry.Counter.make ~always:true "icp.pave.boxes"
 let m_pave_splits = Telemetry.Counter.make ~always:true "icp.pave.splits"
 let m_pave_prunings = Telemetry.Counter.make ~always:true "icp.pave.prunings"
 
-(* Provenance journal rendering: boxes are pre-rendered to (var, lo, hi)
-   arrays so the journal library does not depend on [Interval].  Search
-   loops thread a journal node id alongside each (box, depth) work item;
-   the id is 0 (and never read) when journaling is off, so the disabled
-   search differs from the pre-journal code only by dead tuple slots. *)
-let jbounds b =
-  Array.of_list
-    (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
-
 (* The layer-flag snapshot in every journaled run header — decide and
    pave here, reach and synth runs in [Reach.Checker] and
    [Synth.Biopsy].  The audit checks each prune reason against it and
@@ -76,7 +67,7 @@ type config = {
   max_boxes : int;  (** branch-and-prune work budget *)
   contractor_rounds : int;  (** HC4 fixpoint rounds per box *)
   use_contraction : bool;  (** disable to get bisection-only search (ablation) *)
-  jobs : int;  (** worker domains for the search; 1 = sequential path *)
+  jobs : int;  (** worker domains for the search; 1 = sequential *)
 }
 
 let default_config =
@@ -180,12 +171,7 @@ let certify ~delta stats formula box =
   in
   List.find_map try_point (candidate_points box)
 
-(* ---- The per-box step shared by the sequential and parallel loops ---- *)
-
-type box_outcome =
-  | Pruned
-  | Found of result  (** a δ-sat verdict, certified or sub-ε one-sided *)
-  | Split_into of Box.t * Box.t
+(* ---- The decide step ---- *)
 
 (* Verdict store of refuted (pruned) boxes, shared across queries and
    worker domains.  A pruning is a proof that no point of the box
@@ -247,6 +233,11 @@ let split_box ?dsys ~min_width b =
   | Some sys -> Deriv.split sys ~min_width b
   | None -> Box.split ~min_width b
 
+(* A δ-sat verdict as the driver's stop outcome. *)
+let found w =
+  Search.Sat ({ Search.point = w.point; certified = w.certified; box = w.box },
+              Delta_sat w)
+
 let process_box_inner cfg stats ?refuted ?dsys contract formula b =
   let known_refuted =
     match refuted with
@@ -256,49 +247,38 @@ let process_box_inner cfg stats ?refuted ?dsys contract formula b =
         | Cache.Hit () | Cache.Subsumed (_, ()) -> true
         | Cache.Miss -> false)
   in
-  let record_refuted () =
-    match refuted with
+  let refute () =
+    (match refuted with
     | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ()
+    | Some group -> Cache.add refuted_cache ~group b ());
+    Search.Prune None
   in
   if known_refuted then begin
-    stats.prunings <- stats.prunings + 1;
     (if Journal.on () then
        match refuted with
        | Some group -> Journal.set_reason ~group "cache-replay"
        | None -> ());
-    Pruned
+    Search.Prune None
   end
   else
   match contract b with
-  | None ->
-      record_refuted ();
-      stats.prunings <- stats.prunings + 1;
-      Pruned
+  | None -> refute ()
   | Some b' ->
-      if Box.is_empty b' then begin
-        record_refuted ();
-        stats.prunings <- stats.prunings + 1;
-        Pruned
-      end
+      if Box.is_empty b' then refute ()
       else if not (Expr.Formula.sat_possible ~delta:cfg.delta b' formula) then begin
-        record_refuted ();
-        stats.prunings <- stats.prunings + 1;
         if Journal.on () then Journal.set_reason "sat-impossible";
-        Pruned
+        refute ()
       end
       else begin
         match certify ~delta:cfg.delta stats formula b' with
-        | Some pt -> Found (Delta_sat { point = pt; box = b'; certified = true })
+        | Some pt -> found { point = pt; box = b'; certified = true }
         | None -> (
             match split_box ?dsys ~min_width:cfg.epsilon b' with
-            | Some (left, right) -> Split_into (left, right)
+            | Some (left, right) -> Search.Split (left, right)
             | None ->
                 (* Sub-ε box on which φ^δ cannot be refuted: the
                    one-sided δ-sat answer. *)
-                Found
-                  (Delta_sat
-                     { point = Box.mid_env b'; box = b'; certified = false }))
+                found { point = Box.mid_env b'; box = b'; certified = false })
       end
 
 let total_width b = Box.fold (fun _ itv acc -> acc +. I.width itv) b 0.0
@@ -332,172 +312,53 @@ let conjunction_contractor cfg atoms =
     let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
     Contractor.contractor ~max_rounds:cfg.contractor_rounds constraints
 
-(* Decide one DNF branch (a conjunction of atoms) on [box], sequentially.
-   [spend] consumes one unit of the (possibly shared) box budget and
-   reports whether any budget remains; [cancelled] is polled once per box
-   so a δ-sat DNF branch on another domain stops this search promptly. *)
-let decide_conjunction ?(cancelled = fun () -> false) ?root_label ~spend cfg
-    stats formula atoms box =
+(* Decide one conjunction of atoms on [box] with [jobs] workers; every
+   DNF branch of a race is one such search at [jobs = 1], over the
+   [budget] all branches share.  Worker [w]'s certification probes
+   count in [worker_stats.(w)], and the search's box, split and prune
+   counts are added to [worker_stats.(0)]. *)
+let decide_conjunction ~jobs ~budget ?cancelled ?label cfg worker_stats atoms
+    box =
+  let formula =
+    Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
+  in
   let contract = conjunction_contractor cfg atoms in
   let refuted = refuted_group cfg atoms in
   let dsys = conjunction_deriv ~delta:cfg.delta atoms in
-  let jon = Journal.on () in
-  let heur = if Option.is_some dsys then "smear" else "bisect" in
-  let rec loop = function
-    | [] -> Unsat
-    | (b, depth, jid) :: rest ->
-        if cancelled () then Unknown "cancelled"
-        else begin
-          stats.boxes_processed <- stats.boxes_processed + 1;
-          if depth > stats.max_depth then stats.max_depth <- depth;
-          if jon then begin
-            Journal.enter ~id:jid ~depth;
-            Journal.clear_reason ()
-          end;
-          if not (spend ()) then begin
-            if jon then
-              Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-            Unknown "box budget exhausted"
-          end
-          else
-            match process_box cfg stats ?refuted ?dsys contract formula b with
-            | Pruned ->
-                if jon then begin
-                  let reason, group = Journal.take_reason () in
-                  Journal.prune ~id:jid ~reason ?group ()
-                end;
-                loop rest
-            | Found r ->
-                (if jon then
-                   match r with
-                   | Delta_sat w ->
-                       Journal.sat ~id:jid ~point:w.point
-                         ~certified:w.certified (jbounds w.box)
-                   | _ -> ());
-                r
-            | Split_into (l, r) ->
-                stats.splits <- stats.splits + 1;
-                let lid, rid =
-                  if jon then begin
-                    let lid = Journal.fresh_id () in
-                    let rid = Journal.fresh_id () in
-                    Journal.split ~id:jid ~heur ~left:lid ~right:rid
-                      ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                    (lid, rid)
-                  end
-                  else (0, 0)
-                in
-                loop ((l, depth + 1, lid) :: (r, depth + 1, rid) :: rest)
-        end
+  let r =
+    Search.run ~jobs ~budget ?cancelled ?label
+      ~heur:(if Option.is_some dsys then "smear" else "bisect")
+      ~exhausted:(fun _ ->
+        Search.Give_up ("budget-exhaust", Unknown "box budget exhausted"))
+      (fun w b ->
+        process_box cfg worker_stats.(w) ?refuted ?dsys contract formula b)
+      box
   in
-  let root_id = if jon then Journal.fresh_id () else 0 in
-  if jon then Journal.root ~id:root_id ?label:root_label (jbounds box);
-  loop [ (box, 0, root_id) ]
+  let s = worker_stats.(0) and c = r.Search.counts in
+  s.boxes_processed <- s.boxes_processed + c.Search.boxes;
+  s.splits <- s.splits + c.Search.splits;
+  s.prunings <- s.prunings + c.Search.prunes;
+  s.max_depth <- Stdlib.max s.max_depth c.Search.max_depth;
+  Option.value r.Search.verdict ~default:Unsat
 
-(* ---- Parallel search machinery ---- *)
-
-(* Verdict cell shared by the worker domains.  Only δ-sat and Unknown are
-   ever recorded (Unsat is the default on frontier exhaustion); a δ-sat
-   may overwrite a pending Unknown — it is the more informative, still
-   correct answer — but never the other way around. *)
-let make_verdict_cell () = Atomic.make None
-
-let rec record_verdict cell r =
-  let cur = Atomic.get cell in
-  let should =
-    match (cur, r) with
-    | None, _ -> true
-    | Some (Unknown _), Delta_sat _ -> true
-    | Some _, _ -> false
-  in
-  if should && not (Atomic.compare_and_set cell cur (Some r)) then
-    record_verdict cell r
-
-(* Parallel branch-and-prune over one conjunction: [jobs] worker domains
-   pull (box, depth) items from a work-stealing frontier.  Any domain
-   finding a δ-sat witness stops the frontier; unsat requires
-   exhaustion.  [spend w] consumes one unit of worker [w]'s budget
-   lease. *)
-let decide_conjunction_parallel ~jobs ~spend cfg worker_stats formula atoms box =
-  let contract = conjunction_contractor cfg atoms in
-  let refuted = refuted_group cfg atoms in
-  let dsys = conjunction_deriv ~delta:cfg.delta atoms in
-  let jon = Journal.on () in
-  let heur = if Option.is_some dsys then "smear" else "bisect" in
-  let cell = make_verdict_cell () in
-  let root_id = if jon then Journal.fresh_id () else 0 in
-  if jon then Journal.root ~id:root_id (jbounds box);
-  let fr = Parallel.Pool.Frontier.create [ (box, 0, root_id) ] in
-  Parallel.Pool.Frontier.drain ~jobs fr (fun w slot (b, depth, jid) ->
-      let stats = worker_stats.(w) in
-      stats.boxes_processed <- stats.boxes_processed + 1;
-      if depth > stats.max_depth then stats.max_depth <- depth;
-      if jon then begin
-        Journal.enter ~id:jid ~depth;
-        Journal.clear_reason ()
-      end;
-      if not (spend w) then begin
-        if jon then
-          Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-        record_verdict cell (Unknown "box budget exhausted");
-        Parallel.Pool.Frontier.stop fr
-      end
-      else
-        match process_box cfg stats ?refuted ?dsys contract formula b with
-        | Pruned ->
-            if jon then begin
-              let reason, group = Journal.take_reason () in
-              Journal.prune ~id:jid ~reason ?group ()
-            end
-        | Found r ->
-            (if jon then
-               match r with
-               | Delta_sat w ->
-                   Journal.sat ~id:jid ~point:w.point ~certified:w.certified
-                     (jbounds w.box)
-               | _ -> ());
-            record_verdict cell r;
-            Parallel.Pool.Frontier.stop fr
-        | Split_into (l, r) ->
-            stats.splits <- stats.splits + 1;
-            let lid, rid =
-              if jon then begin
-                let lid = Journal.fresh_id () in
-                let rid = Journal.fresh_id () in
-                Journal.split ~id:jid ~heur ~left:lid ~right:rid
-                  ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                (lid, rid)
-              end
-              else (0, 0)
-            in
-            (* one publish for both halves; the left is popped next *)
-            Parallel.Pool.Frontier.push_batch slot
-              [ (l, depth + 1, lid); (r, depth + 1, rid) ]);
-  match Atomic.get cell with Some v -> v | None -> Unsat
-
-(* Portfolio over DNF branches: each branch is searched (sequentially)
-   by whichever domain picks it up; the first δ-sat cancels the rest
-   (the ABC-style first-conclusive-result pattern).  Unsat still needs
-   every branch refuted. *)
-let decide_branches_portfolio ~jobs ~spend cfg worker_stats branches box =
-  let sat = make_verdict_cell () in
+(* The race over DNF branches: each branch is searched by whichever
+   worker picks it up; the first δ-sat stops the race and cancels the
+   branches in flight (the ABC-style first-conclusive-result pattern).
+   Unsat still needs every branch refuted. *)
+let decide_branches ~jobs ~budget cfg worker_stats branches box =
+  let sat = Atomic.make None in
   let pending_unknown = Atomic.make None in
   let fr = Parallel.Pool.Frontier.create branches in
   Parallel.Pool.Frontier.drain ~jobs fr (fun w _slot atoms ->
-      let stats = worker_stats.(w) in
       let cancelled () = Option.is_some (Atomic.get sat) in
-      let conj =
-        Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
-      in
       match
-        decide_conjunction ~cancelled ~root_label:"dnf-branch"
-          ~spend:(fun () -> spend w) cfg stats conj atoms box
+        decide_conjunction ~jobs:1 ~budget ~cancelled ~label:"dnf-branch" cfg
+          [| worker_stats.(w) |] atoms box
       with
       | Unsat -> ()
       | Delta_sat _ as r ->
-          record_verdict sat r;
+          ignore (Atomic.compare_and_set sat None (Some r));
           Parallel.Pool.Frontier.stop fr
-      | Unknown "cancelled" -> ()
       | Unknown why -> Atomic.set pending_unknown (Some why));
   match Atomic.get sat with
   | Some v -> v
@@ -508,38 +369,19 @@ let decide_branches_portfolio ~jobs ~spend cfg worker_stats branches box =
 
 (* ---- Public entry points ---- *)
 
-(* One code path for every [jobs] value: the frontier's sequential drive
-   executes [jobs = 1] (and any [jobs] on a one-domain budget) as a plain
-   loop with the same DFS order, budget semantics and leaf/stats
-   accounting as the historical sequential search — so
-   "sequential-identical at jobs = 1" holds by construction, and a jobs
-   sweep on one core compares identical instruction streams instead of
-   two code paths whose constant factors drift apart.  The box budget is
-   shared across all domains and all DNF branches through one leased
-   counter — each worker claims a chunk at a time and spends it locally,
-   mirroring the cumulative budget of the sequential search without
-   per-box atomic traffic. *)
+(* The box budget is shared by every worker and every DNF branch. *)
 let decide_default config stats formula box =
   let jobs = Stdlib.max 1 config.jobs in
-  let lease = Parallel.Pool.Lease.create ~total:config.max_boxes () in
-  let locals = Array.init jobs (fun _ -> Parallel.Pool.Lease.local lease) in
-  let spend w = Parallel.Pool.Lease.spend locals.(w) in
+  let budget = Search.budget config.max_boxes in
   let worker_stats = Array.init jobs (fun _ -> fresh_stats ()) in
   let branches = Expr.Formula.dnf formula in
   Log.debug (fun m ->
       m "decide: %d DNF branch(es), %d domain(s)" (List.length branches) jobs);
   let r =
     match branches with
-    | [ atoms ] ->
-        let conj =
-          Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
-        in
-        decide_conjunction_parallel ~jobs ~spend config worker_stats conj atoms
-          box
-    | _ ->
-        decide_branches_portfolio ~jobs ~spend config worker_stats branches box
+    | [ atoms ] -> decide_conjunction ~jobs ~budget config worker_stats atoms box
+    | _ -> decide_branches ~jobs ~budget config worker_stats branches box
   in
-  Array.iter Parallel.Pool.Lease.return_unspent locals;
   Array.iter (merge_stats stats) worker_stats;
   r
 
@@ -608,15 +450,6 @@ let paving_volumes ~over p =
 let pp_paving ppf p =
   Fmt.pf ppf "paving: %d sat, %d unsat, %d undecided boxes"
     (List.length p.sat) (List.length p.unsat) (List.length p.undecided)
-
-(* Classify one paving box.  Classification is deterministic, so the
-   sequential and parallel pavings contain the same leaf boxes (only the
-   list order differs) as long as the budget is not exhausted. *)
-type pave_outcome =
-  | Pave_sat
-  | Pave_unsat
-  | Pave_split of Box.t * Box.t
-  | Pave_undecided
 
 (* Unsat verdicts in a paving are monotone ("no point of the box
    satisfies the formula"), so they are shared through the same store as
@@ -729,7 +562,11 @@ let pave_cert formula =
   | None -> Expr.Formula.eval_cert
   | Some atom -> Expr.Formula.eval_cert_with ~atom
 
+(* The pave step.  Classification is deterministic, so pavings at any
+   [jobs] contain the same leaf boxes (only the list order differs) as
+   long as the budget is not exhausted. *)
 let pave_step cfg ~cert ?refuted ?dsys contract formula b =
+  let unsat () = Search.Prune (Some (`Unsat, b)) in
   let known_unsat =
     match refuted with
     | None -> false
@@ -743,20 +580,21 @@ let pave_step cfg ~cert ?refuted ?dsys contract formula b =
     | None -> ()
     | Some group -> Cache.add refuted_cache ~group b ()
   in
-  if known_unsat then begin
+  if Box.is_empty b then Search.Leaf ("empty", None, None)
+  else if known_unsat then begin
     (if Journal.on () then
        match refuted with
        | Some group -> Journal.set_reason ~group "cache-replay"
        | None -> ());
-    Pave_unsat
+    unsat ()
   end
   else
   match cert b formula with
-  | Expr.Formula.Certain -> Pave_sat
+  | Expr.Formula.Certain -> Search.Leaf ("sat", None, Some (`Sat, b))
   | Expr.Formula.Impossible ->
       record_unsat ();
       if Journal.on () then Journal.set_reason "eval-impossible";
-      Pave_unsat
+      unsat ()
   | Expr.Formula.Unknown ->
       (* Contraction accelerates carving of the unsat region, but the
          removed shell must be recorded as unsat, not dropped: split
@@ -766,12 +604,13 @@ let pave_step cfg ~cert ?refuted ?dsys contract formula b =
       let infeasible = cfg.use_contraction && Option.is_none (contract b) in
       if infeasible then begin
         record_unsat ();
-        Pave_unsat
+        unsat ()
       end
       else (
         match split_box ?dsys ~min_width:cfg.epsilon b with
-        | Some (l, r) -> Pave_split (l, r)
-        | None -> Pave_undecided)
+        | Some (l, r) -> Search.Split (l, r)
+        | None ->
+            Search.Leaf ("undecided", Some "sub-epsilon", Some (`Undecided, b)))
 
 let pave_default ?(config = default_config) formula box =
   let atoms = Expr.Formula.atoms formula in
@@ -785,83 +624,26 @@ let pave_default ?(config = default_config) formula box =
   let refuted = pave_group config formula in
   let cert = pave_cert formula in
   let dsys = conjunction_deriv ~delta:0.0 atoms in
-  let jobs = Stdlib.max 1 config.jobs in
-  let stats = fresh_stats () in
-  begin
-    (* Worker domains pull boxes from the work-stealing frontier and
-       collect classified leaves in per-domain lists, merged (with their
-       stats) at the end.  The box budget is leased per worker; a box
-       that finds the budget exhausted becomes an undecided leaf.  At
-       [jobs = 1] (or on a one-domain budget) the frontier's sequential
-       drive makes this the historical sequential paving — same DFS
-       order, so even the leaf list order is identical. *)
-    let jon = Journal.on () in
-    let heur = if Option.is_some dsys then "smear" else "bisect" in
-    let lease = Parallel.Pool.Lease.create ~total:config.max_boxes () in
-    let locals = Array.init jobs (fun _ -> Parallel.Pool.Lease.local lease) in
-    let worker_stats = Array.init jobs (fun _ -> fresh_stats ()) in
-    let acc = Array.init jobs (fun _ -> (ref [], ref [], ref [])) in
-    let root_id = if jon then Journal.fresh_id () else 0 in
-    if jon then Journal.root ~id:root_id (jbounds box);
-    let fr = Parallel.Pool.Frontier.create [ (box, 0, root_id) ] in
-    Parallel.Pool.Frontier.drain ~jobs fr (fun w slot (b, depth, jid) ->
-        let st = worker_stats.(w) in
-        let sat, unsat, undecided = acc.(w) in
-        if Box.is_empty b then begin
-          if jon then Journal.leaf ~id:jid ~cls:"empty" ()
-        end
-        else if not (Parallel.Pool.Lease.spend locals.(w)) then begin
-          if jon then
-            Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-          undecided := b :: !undecided
-        end
-        else begin
-          st.boxes_processed <- st.boxes_processed + 1;
-          if depth > st.max_depth then st.max_depth <- depth;
-          if jon then begin
-            Journal.enter ~id:jid ~depth;
-            Journal.clear_reason ()
-          end;
-          match pave_step config ~cert ?refuted ?dsys contract formula b with
-          | Pave_sat ->
-              if jon then Journal.leaf ~id:jid ~cls:"sat" ();
-              sat := b :: !sat
-          | Pave_unsat ->
-              st.prunings <- st.prunings + 1;
-              if jon then begin
-                let reason, group = Journal.take_reason () in
-                Journal.prune ~id:jid ~reason ?group ()
-              end;
-              unsat := b :: !unsat
-          | Pave_split (l, r) ->
-              st.splits <- st.splits + 1;
-              let lid, rid =
-                if jon then begin
-                  let lid = Journal.fresh_id () in
-                  let rid = Journal.fresh_id () in
-                  Journal.split ~id:jid ~heur ~left:lid ~right:rid
-                    ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                  (lid, rid)
-                end
-                else (0, 0)
-              in
-              Parallel.Pool.Frontier.push_batch slot
-                [ (l, depth + 1, lid); (r, depth + 1, rid) ]
-          | Pave_undecided ->
-              if jon then
-                Journal.leaf ~id:jid ~cls:"undecided" ~reason:"sub-epsilon" ();
-              undecided := b :: !undecided
-        end);
-    Array.iter Parallel.Pool.Lease.return_unspent locals;
-    Array.iter (merge_stats stats) worker_stats;
-    let collect pick =
-      Array.fold_left (fun l a -> !(pick a) @ l) [] acc
-    in
-    ( { sat = collect (fun (s, _, _) -> s);
-        unsat = collect (fun (_, u, _) -> u);
-        undecided = collect (fun (_, _, d) -> d) },
-      stats )
-  end
+  (* A box that finds the budget exhausted becomes an undecided leaf. *)
+  let r =
+    Search.run ~jobs:config.jobs
+      ~budget:(Search.budget config.max_boxes)
+      ~heur:(if Option.is_some dsys then "smear" else "bisect")
+      ~exhausted:(fun b ->
+        Search.Leaf ("undecided", Some "budget-exhaust", Some (`Undecided, b)))
+      (fun _ b -> pave_step config ~cert ?refuted ?dsys contract formula b)
+      box
+  in
+  let leaves cls =
+    List.filter_map
+      (fun (c, b) -> if c = cls then Some b else None)
+      r.Search.leaves
+  in
+  let c = r.Search.counts in
+  ( { sat = leaves `Sat; unsat = leaves `Unsat; undecided = leaves `Undecided },
+    { boxes_processed = c.Search.boxes; splits = c.Search.splits;
+      prunings = c.Search.prunes; max_depth = c.Search.max_depth;
+      certifications = 0 } )
 
 let pave_with_stats ?config formula box =
   Telemetry.Span.with_ tm_pave (fun () ->

@@ -11,12 +11,12 @@
       δ-decidability licenses on a sub-ε box;
     - [Unknown] — the work budget ran out first.
 
-    With [config.jobs > 1] the branch-and-prune frontier is drained by
-    that many worker domains (boxes are independent); the first δ-sat
-    witness cancels the rest, unsat requires frontier exhaustion, and
-    DNF branches run as a portfolio.  Verdict {e kinds} agree with the
-    sequential search ([jobs = 1], the original code path); the only
-    nondeterminism is {e which} δ-sat witness wins a portfolio race.
+    Every search is a run of {!Search.run}.  With [config.jobs > 1] its
+    frontier is drained by that many worker domains (boxes are
+    independent); the first δ-sat witness cancels the rest, unsat
+    requires frontier exhaustion, and DNF branches race one another.
+    Verdict {e kinds} agree with the depth-first search at [jobs = 1];
+    the only nondeterminism is {e which} δ-sat witness wins a race.
 
     Unless disabled ([BIOMC_NO_NEWTON=1] or {!Deriv.set_enabled}), the
     search uses the derivative layer: the per-box contraction gains a
@@ -35,7 +35,7 @@ type config = {
   max_boxes : int;  (** branch-and-prune work budget (shared across domains) *)
   contractor_rounds : int;  (** HC4 fixpoint rounds per box *)
   use_contraction : bool;  (** disable for bisection-only search (ablation) *)
-  jobs : int;  (** worker domains for the search; 1 = sequential path *)
+  jobs : int;  (** worker domains for the search; 1 = sequential *)
 }
 
 val default_config : config
@@ -97,8 +97,9 @@ val pave_with_stats :
   ?config:config -> Expr.Formula.t -> Interval.Box.t -> paving * stats
 (** Like {!pave}, also reporting boxes processed, prunings, splits and
     depth.  With [config.jobs > 1] the paving frontier is drained in
-    parallel; the leaf boxes are the same as the sequential paving
-    whenever the budget is not exhausted (only list order differs). *)
+    parallel; the leaf boxes are the same as at [jobs = 1] whenever the
+    budget is not exhausted (only list order differs).  A box that finds
+    the budget exhausted is an undecided leaf. *)
 
 val paving_volumes : over:string list -> paving -> float * float * float
 (** Total (sat, unsat, undecided) volumes over the named dimensions. *)

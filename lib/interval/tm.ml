@@ -39,16 +39,10 @@ let with_span f = Telemetry.Span.with_ tm_span f
 
 let override : bool option Atomic.t = Atomic.make None
 
-let env_enabled =
-  lazy
-    (match Sys.getenv_opt "BIOMC_NO_TM" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
 let enabled () =
   match Atomic.get override with
   | Some b -> b
-  | None -> Lazy.force env_enabled
+  | None -> not (Telemetry.env_switch "BIOMC_NO_TM")
 
 let set_enabled b = Atomic.set override (Some b)
 let clear_enabled_override () = Atomic.set override None

@@ -57,8 +57,8 @@ type t
 
     Gates the TM-powered solver paths (HC4 forward tightening, pave
     certification, ODE enclosure intersection), not this module's
-    arithmetic.  [BIOMC_NO_TM=1] (or [true]/[yes]) disables the layer;
-    {!set_enabled} overrides the environment (CLI [--no-tm],
+    arithmetic.  [BIOMC_NO_TM=1] ({!Telemetry.env_switch}) disables
+    the layer; {!set_enabled} overrides the environment (CLI [--no-tm],
     benchmarks, differential tests). *)
 
 val enabled : unit -> bool

@@ -67,10 +67,7 @@ let ws_override : bool option Atomic.t = Atomic.make None
 let workstealing_enabled () =
   match Atomic.get ws_override with
   | Some b -> b
-  | None -> (
-      match Sys.getenv_opt "BIOMC_NO_WORKSTEAL" with
-      | Some ("1" | "true" | "yes") -> false
-      | _ -> true)
+  | None -> not (Telemetry.env_switch "BIOMC_NO_WORKSTEAL")
 
 let set_workstealing b = Atomic.set ws_override (Some b)
 let clear_workstealing_override () = Atomic.set ws_override None

@@ -24,9 +24,9 @@ val default_jobs : unit -> int
 val workstealing_enabled : unit -> bool
 (** Whether the work-stealing scheduler (per-worker deques, budget
     leases with chunk > 1, adaptive SMC batches) is active.  Defaults to
-    [true] unless the environment sets [BIOMC_NO_WORKSTEAL=1] (or
-    [true]/[yes]), which restores the PR-1 monitor frontier and per-box
-    budget spends bit-for-bit. *)
+    [true] unless the environment sets [BIOMC_NO_WORKSTEAL=1] (any value
+    {!Telemetry.env_switch} accepts), which restores the PR-1 monitor
+    frontier and per-box budget spends bit-for-bit. *)
 
 val set_workstealing : bool -> unit
 (** Programmatic override (tests, benches); wins over the environment.

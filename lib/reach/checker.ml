@@ -16,6 +16,12 @@
    not claim one-sided δ-sat without a point witness here, because the
    flow enclosures are not always rigorous — see below).
 
+   The box loop of a path's search and of parameter synthesis is
+   {!Icp.Search.run}, the driver shared with decide and pave; this
+   module supplies their steps.  A path's search runs at [jobs = 1];
+   [config.jobs] workers drain the candidate paths from one frontier
+   (a scan in path order at [jobs = 1]) and drain synthesis's paving.
+
    Flow enclosures come in two strengths:
    - a *validated tube* (Ode.Enclosure) — rigorous, used whenever it
      stays tight;
@@ -57,13 +63,6 @@ let m_paths = Telemetry.Counter.make "reach.paths"
 let m_segments = Telemetry.Counter.make "reach.segments"
 let m_brackets = Telemetry.Counter.make "reach.fallback_brackets"
 let m_bracket_steps = Telemetry.Counter.make "reach.bracket_steps"
-
-(* Provenance journal support (same conventions as Icp.Solver): boxes
-   are pre-rendered, node ids ride alongside the search items and are 0
-   when journaling is off. *)
-let jbounds b =
-  Array.of_list
-    (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
 type config = {
   delta : float;
@@ -687,157 +686,110 @@ let certify cfg pb path sbox =
       match simulate_along_path cfg pb path ~param_env ~init_env with
       | Some t ->
           Some
-            (Delta_sat
-               {
-                 path;
-                 params = param_env;
-                 init = init_env;
-                 reach_time = t;
-                 certified = true;
-                 param_box = sbox;
-               })
+            { path; params = param_env; init = init_env; reach_time = t;
+              certified = true; param_box = sbox }
       | None -> None)
     envs
 
 (* ---- Per-path branch and prune over the search box ---- *)
 
-let decide_path ?(jindex = 0) cfg pb prep path =
+(* The prune reason of a path-infeasibility proof. *)
+let infeasible_reason rigorous =
+  if Journal.on () then
+    Journal.set_reason
+      (if rigorous then "path-infeasible" else "path-infeasible-bracket")
+
+(* The driver at [jobs = 1] over one path's search box, with the path's
+   own budget.  It stops at the first δ-sat or Unknown leaf; unsat is
+   rigorous when every pruning was. *)
+let decide_path ~jindex cfg pb prep path =
   Telemetry.Counter.incr m_paths;
   Telemetry.Span.with_ ~arg:(float_of_int (List.length path)) tm_path
   @@ fun () ->
-  let budget = ref cfg.max_param_boxes in
-  let rigorous_all = ref true in
-  let jon = Journal.on () && Journal.in_run () in
-  if jon then
-    Journal.path_event ~index:jindex ~info:(String.concat "->" path);
-  let rec search depth sbox jid =
-    if !budget <= 0 then begin
-      if jon then
-        Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-      Unknown "search box budget exhausted"
-    end
-    else begin
-      decr budget;
-      if jon then Journal.enter ~id:jid ~depth;
-      let params_box, init_box = interpret_box pb sbox in
-      match path_feasible ~jpath:jindex cfg pb prep path ~params_box ~init_box
-      with
-      | `Infeasible rigorous ->
-          if not rigorous then rigorous_all := false;
-          if jon then
-            Journal.prune ~id:jid
-              ~reason:
-                (if rigorous then "path-infeasible"
-                 else "path-infeasible-bracket")
-              ();
-          Unsat { rigorous }
-      | `Maybe -> (
-          match certify cfg pb path sbox with
-          | Some r ->
-              (if jon then
-                 match r with
-                 | Delta_sat w ->
-                     Journal.sat ~id:jid ~point:(w.params @ w.init)
-                       ~certified:w.certified (jbounds sbox)
-                 | _ -> ());
-              r
-          | None -> (
-              match Box.split ~min_width:cfg.epsilon sbox with
-              | Some (l, r) -> (
-                  let lid, rid =
-                    if jon then begin
-                      let lid = Journal.fresh_id () in
-                      let rid = Journal.fresh_id () in
-                      Journal.split ~id:jid ~heur:"bisect" ~left:lid ~right:rid
-                        ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                      (lid, rid)
-                    end
-                    else (0, 0)
-                  in
-                  match search (depth + 1) l lid with
-                  | Unsat { rigorous = rl } -> (
-                      match search (depth + 1) r rid with
-                      | Unsat { rigorous = rr } -> Unsat { rigorous = rl && rr }
-                      | other -> other)
-                  | other -> other)
-              | None ->
-                  if jon then
-                    Journal.leaf ~id:jid ~cls:"undecided" ~reason:"sub-epsilon"
-                      ();
-                  Unknown "sub-epsilon box survived pruning without a witness"))
-    end
+  let info = String.concat "->" path in
+  if Journal.on () then Journal.path_event ~index:jindex ~info;
+  let r =
+    Icp.Search.run ~jobs:1
+      ~budget:(Icp.Search.budget cfg.max_param_boxes)
+      ~label:(Printf.sprintf "path%d:%s" jindex info)
+      ~heur:"bisect"
+      ~exhausted:(fun _ ->
+        Icp.Search.Give_up
+          ("budget-exhaust", Unknown "search box budget exhausted"))
+      (fun _ sbox ->
+        let params_box, init_box = interpret_box pb sbox in
+        match
+          path_feasible ~jpath:jindex cfg pb prep path ~params_box ~init_box
+        with
+        | `Infeasible rigorous ->
+            infeasible_reason rigorous;
+            Icp.Search.Prune (Some rigorous)
+        | `Maybe -> (
+            match certify cfg pb path sbox with
+            | Some w ->
+                Icp.Search.Sat
+                  ( { Icp.Search.point = w.params @ w.init;
+                      certified = w.certified; box = sbox },
+                    Delta_sat w )
+            | None -> (
+                match Box.split ~min_width:cfg.epsilon sbox with
+                | Some (l, r) -> Icp.Search.Split (l, r)
+                | None ->
+                    Icp.Search.Give_up
+                      ( "sub-epsilon",
+                        Unknown
+                          "sub-epsilon box survived pruning without a witness" ))))
+      (searchable_box pb)
   in
-  let sbox = searchable_box pb in
-  let root_id = if jon then Journal.fresh_id () else 0 in
-  if jon then
-    Journal.root ~id:root_id
-      ~label:(Printf.sprintf "path%d:%s" jindex (String.concat "->" path))
-      (jbounds sbox);
-  search 0 sbox root_id
+  match r.Icp.Search.verdict with
+  | Some v -> v
+  | None -> Unsat { rigorous = List.for_all Fun.id r.Icp.Search.leaves }
 
 (* ---- Public API ---- *)
 
 (* Decide the bounded reachability problem: try every candidate mode path
    (shortest first — therapy identification wants minimal drug counts).
 
-   With [config.jobs > 1] the candidate paths are decided by a pool of
-   worker domains.  The verdict is merged in path order afterwards, so it
-   is *identical* to the sequential one (the lowest-indexed δ-sat path
-   wins, preserving the minimal-jump preference): parallelism here only
-   changes which paths are decided concurrently.  A δ-sat at index i
-   cancels work on paths with larger indices — exactly the paths the
-   sequential scan would never have reached. *)
-let scan_paths config pb prep paths =
-  let rec go i unknown rigorous = function
-    | [] -> (
-        match unknown with Some why -> Unknown why | None -> Unsat { rigorous })
-    | path :: rest -> (
-        Log.debug (fun m -> m "path %a" Fmt.(list ~sep:(any "->") string) path);
-        match decide_path ~jindex:i config pb prep path with
-        | Unsat { rigorous = r } -> go (i + 1) unknown (rigorous && r) rest
-        | Delta_sat w -> Delta_sat w
-        | Unknown why -> go (i + 1) (Some why) rigorous rest)
+   The candidate paths are drained from one frontier by [config.jobs]
+   workers; at [jobs = 1] that is a scan in path order.  The verdict is
+   merged in path order afterwards, so it does not depend on [jobs] (the
+   lowest-indexed δ-sat path wins, preserving the minimal-jump
+   preference).  A δ-sat at index i skips the paths with larger indices
+   not yet started — exactly the paths a scan in order never reaches. *)
+let check_paths config pb prep paths =
+  let paths = Array.of_list paths in
+  let n = Array.length paths in
+  let results = Array.make n None in
+  let winner = Atomic.make Stdlib.max_int in
+  let fr = Parallel.Pool.Frontier.create (List.init n Fun.id) in
+  Parallel.Pool.Frontier.drain ~jobs:(Stdlib.max 1 config.jobs) fr
+    (fun _w _slot i ->
+      if i <= Atomic.get winner then begin
+        Log.debug (fun m ->
+            m "path %a" Fmt.(list ~sep:(any "->") string) paths.(i));
+        let r = decide_path ~jindex:i config pb prep paths.(i) in
+        results.(i) <- Some r;
+        match r with
+        | Delta_sat _ ->
+            let rec lower () =
+              let cur = Atomic.get winner in
+              if i < cur && not (Atomic.compare_and_set winner cur i) then
+                lower ()
+            in
+            lower ()
+        | _ -> ()
+      end);
+  let rec merge i unknown rigorous =
+    if i >= n then
+      match unknown with Some why -> Unknown why | None -> Unsat { rigorous }
+    else
+      match results.(i) with
+      | Some (Delta_sat w) -> Delta_sat w
+      | Some (Unsat { rigorous = r }) -> merge (i + 1) unknown (rigorous && r)
+      | Some (Unknown why) -> merge (i + 1) (Some why) rigorous
+      | None -> merge (i + 1) unknown rigorous (* skipped past the winner *)
   in
-  go 0 None true paths
-
-let check_default config (pb : Encoding.t) paths =
-  let prep = prepare_pb pb in
-  let jobs = Stdlib.max 1 config.jobs in
-  if jobs = 1 || List.length paths <= 1 then
-    scan_paths config pb prep paths
-  else begin
-    let paths = Array.of_list paths in
-    let n = Array.length paths in
-    let results = Array.make n None in
-    let winner = Atomic.make Stdlib.max_int in
-    let fr = Parallel.Pool.Frontier.create (List.init n Fun.id) in
-    Parallel.Pool.Frontier.drain ~jobs fr (fun _w _slot i ->
-        (* skip paths the sequential scan would never reach *)
-        if i <= Atomic.get winner then begin
-          let r = decide_path ~jindex:i config pb prep paths.(i) in
-          results.(i) <- Some r;
-          match r with
-          | Delta_sat _ ->
-              let rec lower () =
-                let cur = Atomic.get winner in
-                if i < cur && not (Atomic.compare_and_set winner cur i) then
-                  lower ()
-              in
-              lower ()
-          | _ -> ()
-        end);
-    let rec merge i unknown rigorous =
-      if i >= n then
-        match unknown with Some why -> Unknown why | None -> Unsat { rigorous }
-      else
-        match results.(i) with
-        | Some (Delta_sat w) -> Delta_sat w
-        | Some (Unsat { rigorous = r }) -> merge (i + 1) unknown (rigorous && r)
-        | Some (Unknown why) -> merge (i + 1) (Some why) rigorous
-        | None -> merge (i + 1) unknown rigorous (* cancelled past the winner *)
-    in
-    merge 0 None true
-  end
+  merge 0 None true
 
 let check ?(config = default_config) (pb : Encoding.t) =
   Telemetry.Span.with_ tm_check @@ fun () ->
@@ -867,7 +819,7 @@ let check ?(config = default_config) (pb : Encoding.t) =
         (Encoding.candidate_paths pb)
     in
     Log.info (fun m -> m "checking %d candidate path(s)" (List.length paths));
-    check_default config pb paths
+    check_paths config pb (prepare_pb pb) paths
   in
   match body () with
   | r -> finish r
@@ -914,14 +866,6 @@ type synthesis = {
   undecided : (Box.t * witness option) list;
 }
 
-(* Classification of one search box, shared by the sequential recursion
-   and the parallel frontier (it is a pure function of the box). *)
-type synth_outcome =
-  | Synth_feasible of witness
-  | Synth_infeasible of bool  (* rigorous *)
-  | Synth_split of Box.t * Box.t
-  | Synth_undecided of witness option
-
 let synthesize ?(config = default_config) (pb : Encoding.t) =
   Telemetry.Span.with_ tm_synth @@ fun () ->
   let jrun =
@@ -931,32 +875,16 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
         ()
     else 0
   in
-  let jon = jrun <> 0 in
-  let finish s =
-    if jon then
-      Journal.end_run
-        ~verdict:
-          (Printf.sprintf "synthesis feasible=%d infeasible=%d undecided=%d"
-             (List.length s.feasible) (List.length s.infeasible)
-             (List.length s.undecided))
-        jrun;
-    s
-  in
   let paths =
     List.sort
       (fun a b -> compare (List.length a) (List.length b))
       (Encoding.candidate_paths pb)
   in
   let certify_box sbox =
-    List.find_map
-      (fun path ->
-        match certify config pb path sbox with
-        | Some (Delta_sat w) -> Some w
-        | _ -> None)
-      paths
+    List.find_map (fun path -> certify config pb path sbox) paths
   in
   let prep = prepare_pb pb in
-  let classify sbox =
+  let classify _ sbox =
     let params_box, init_box = interpret_box pb sbox in
     let verdicts =
       List.map
@@ -964,9 +892,13 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
         paths
     in
     if List.for_all (function `Infeasible _ -> true | `Maybe -> false) verdicts
-    then
-      Synth_infeasible
-        (List.for_all (function `Infeasible r -> r | `Maybe -> false) verdicts)
+    then begin
+      let rigorous =
+        List.for_all (function `Infeasible r -> r | `Maybe -> false) verdicts
+      in
+      infeasible_reason rigorous;
+      Icp.Search.Prune (Some (`Infeasible (sbox, rigorous)))
+    end
     else if
       List.exists
         (fun path -> path_surely_reaches config pb prep path ~params_box ~init_box)
@@ -980,130 +912,48 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
               init = Box.mid_env init_box; reach_time = nan; certified = false;
               param_box = sbox }
       in
-      Synth_feasible w
+      Icp.Search.Leaf ("feasible", None, Some (`Feasible (sbox, w)))
     else
       match Box.split ~min_width:config.epsilon sbox with
-      | Some (l, r) -> Synth_split (l, r)
-      | None -> Synth_undecided (certify_box sbox)
+      | Some (l, r) -> Icp.Search.Split (l, r)
+      | None ->
+          Icp.Search.Leaf
+            ("undecided", Some "sub-epsilon",
+             Some (`Undecided (sbox, certify_box sbox)))
   in
-  let jobs = Stdlib.max 1 config.jobs in
-  if jobs = 1 then begin
-    let feasible = ref [] and infeasible = ref [] and undecided = ref [] in
-    let budget = ref config.max_param_boxes in
-    let rec go depth sbox jid =
-      if !budget <= 0 then begin
-        if jon then
-          Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-        undecided := (sbox, None) :: !undecided
-      end
-      else begin
-        decr budget;
-        if jon then Journal.enter ~id:jid ~depth;
-        match classify sbox with
-        | Synth_feasible w ->
-            if jon then Journal.leaf ~id:jid ~cls:"feasible" ();
-            feasible := (sbox, w) :: !feasible
-        | Synth_infeasible rigorous ->
-            if jon then
-              Journal.prune ~id:jid
-                ~reason:
-                  (if rigorous then "path-infeasible"
-                   else "path-infeasible-bracket")
-                ();
-            infeasible := (sbox, rigorous) :: !infeasible
-        | Synth_split (l, r) ->
-            let lid, rid =
-              if jon then begin
-                let lid = Journal.fresh_id () in
-                let rid = Journal.fresh_id () in
-                Journal.split ~id:jid ~heur:"bisect" ~left:lid ~right:rid
-                  ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                (lid, rid)
-              end
-              else (0, 0)
-            in
-            go (depth + 1) l lid;
-            go (depth + 1) r rid
-        | Synth_undecided w ->
-            if jon then
-              Journal.leaf ~id:jid ~cls:"undecided" ~reason:"sub-epsilon" ();
-            undecided := (sbox, w) :: !undecided
-      end
-    in
-    let sbox = searchable_box pb in
-    let root_id = if jon then Journal.fresh_id () else 0 in
-    if jon then Journal.root ~id:root_id (jbounds sbox);
-    go 0 sbox root_id;
-    finish
-      { feasible = !feasible; infeasible = !infeasible;
-        undecided = !undecided }
-  end
-  else begin
-    (* Worker domains share the paving frontier and a leased box budget;
-       each keeps private result lists, concatenated at the end.  The
-       leaf *set* matches the sequential paving (classification is a pure
-       function of the box) whenever the budget is not hit; only the list
-       order may differ. *)
-    let lease =
-      Parallel.Pool.Lease.create ~total:config.max_param_boxes ()
-    in
-    let locals = Array.init jobs (fun _ -> Parallel.Pool.Lease.local lease) in
-    let accs = Array.init jobs (fun _ -> (ref [], ref [], ref [])) in
-    let sbox0 = searchable_box pb in
-    let root_id = if jon then Journal.fresh_id () else 0 in
-    if jon then Journal.root ~id:root_id (jbounds sbox0);
-    let fr = Parallel.Pool.Frontier.create [ (sbox0, 0, root_id) ] in
-    Parallel.Pool.Frontier.drain ~jobs fr (fun w slot (sbox, depth, jid) ->
-        let feasible, infeasible, undecided = accs.(w) in
-        if not (Parallel.Pool.Lease.spend locals.(w)) then begin
-          if jon then
-            Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-          undecided := (sbox, None) :: !undecided
-        end
-        else begin
-          if jon then Journal.enter ~id:jid ~depth;
-          match classify sbox with
-          | Synth_feasible wit ->
-              if jon then Journal.leaf ~id:jid ~cls:"feasible" ();
-              feasible := (sbox, wit) :: !feasible
-          | Synth_infeasible rigorous ->
-              if jon then
-                Journal.prune ~id:jid
-                  ~reason:
-                    (if rigorous then "path-infeasible"
-                     else "path-infeasible-bracket")
-                  ();
-              infeasible := (sbox, rigorous) :: !infeasible
-          | Synth_split (l, r) ->
-              let lid, rid =
-                if jon then begin
-                  let lid = Journal.fresh_id () in
-                  let rid = Journal.fresh_id () in
-                  Journal.split ~id:jid ~heur:"bisect" ~left:lid ~right:rid
-                    ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                  (lid, rid)
-                end
-                else (0, 0)
-              in
-              Parallel.Pool.Frontier.push_batch slot
-                [ (r, depth + 1, rid); (l, depth + 1, lid) ]
-          | Synth_undecided wit ->
-              if jon then
-                Journal.leaf ~id:jid ~cls:"undecided" ~reason:"sub-epsilon" ();
-              undecided := (sbox, wit) :: !undecided
-        end);
-    Array.iter Parallel.Pool.Lease.return_unspent locals;
-    finish
-      (Array.fold_left
-         (fun acc (f, i, u) ->
-           {
-             feasible = !f @ acc.feasible;
-             infeasible = !i @ acc.infeasible;
-             undecided = !u @ acc.undecided;
-           })
-         { feasible = []; infeasible = []; undecided = [] }
-         accs)
-  end
+  match
+    (* Classification is a pure function of the box, so the leaf set
+       does not depend on [jobs] while the budget lasts; only the list
+       order does. *)
+    Icp.Search.run ~jobs:config.jobs
+      ~budget:(Icp.Search.budget config.max_param_boxes)
+      ~heur:"bisect"
+      ~exhausted:(fun sbox ->
+        Icp.Search.Leaf
+          ("undecided", Some "budget-exhaust", Some (`Undecided (sbox, None))))
+      classify (searchable_box pb)
+  with
+  | r ->
+      let leaves = r.Icp.Search.leaves in
+      let s =
+        { feasible =
+            List.filter_map (function `Feasible l -> Some l | _ -> None) leaves;
+          infeasible =
+            List.filter_map (function `Infeasible l -> Some l | _ -> None) leaves;
+          undecided =
+            List.filter_map (function `Undecided l -> Some l | _ -> None) leaves }
+      in
+      if jrun <> 0 then
+        Journal.end_run
+          ~verdict:
+            (Printf.sprintf "synthesis feasible=%d infeasible=%d undecided=%d"
+               (List.length s.feasible) (List.length s.infeasible)
+               (List.length s.undecided))
+          jrun;
+      s
+  | exception e ->
+      if jrun <> 0 then Journal.end_run ~truncated:true ~verdict:"error" jrun;
+      raise e
 
 let pp_synthesis ppf s =
   Fmt.pf ppf "synthesis: %d feasible, %d infeasible, %d undecided boxes"

@@ -55,9 +55,11 @@ val pp_result : result Fmt.t
 
 val check : ?config:config -> Encoding.t -> result
 (** Candidate paths are explored shortest-first (therapy identification
-    wants minimal drug counts); with [config.jobs > 1] the paths are
-    decided by a pool of worker domains and the verdict merged in path
-    order, so it is identical to the sequential one. *)
+    wants minimal drug counts).  [config.jobs] workers drain the paths
+    from one frontier and the verdict is merged in path order, so it is
+    the same at every [jobs].  Each path's search box is searched by
+    {!Icp.Search.run} at [jobs = 1], stopping at its first δ-sat or
+    Unknown leaf. *)
 
 (** {1 Parameter synthesis for reachability (Definition 13)} *)
 
@@ -71,9 +73,10 @@ type synthesis = {
 }
 
 val synthesize : ?config:config -> Encoding.t -> synthesis
-(** With [config.jobs > 1], worker domains share the paving frontier and
-    an atomic global box budget; the leaf set matches the sequential
-    paving when the budget is not exhausted (only list order differs). *)
+(** A paving by {!Icp.Search.run}: with [config.jobs > 1], worker
+    domains share its frontier and leased box budget; the leaf set is
+    the same at every [jobs] when the budget is not exhausted (only list
+    order differs). *)
 
 val pp_synthesis : synthesis Fmt.t
 

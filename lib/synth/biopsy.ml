@@ -12,7 +12,11 @@
 
    An `unsat` over the whole box — [inconsistent] covering everything — is
    model *falsification*: no parameter value lets the model explain the
-   data (the paper's model-rejection arrow in Fig. 2). *)
+   data (the paper's model-rejection arrow in Fig. 2).
+
+   The paving loop is {!Icp.Search.run}, the driver shared with decide,
+   pave and reach; this module supplies the classification step.  At
+   [jobs = 1] it is a depth-first search, left half first. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -23,11 +27,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let tm_synth = Telemetry.Span.probe "biopsy.synthesize"
 let tm_classify = Telemetry.Span.probe "biopsy.classify"
 let m_boxes = Telemetry.Counter.make "biopsy.boxes"
-
-(* Provenance journal support (same conventions as Icp.Solver). *)
-let jbounds b =
-  Array.of_list
-    (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b))
 
 type config = {
   epsilon : float;  (** minimum parameter-box width *)
@@ -82,7 +81,13 @@ let problem_group cfg prob =
   Buffer.add_string buf (Ode.System.digest prob.sys);
   Buffer.add_char buf '|';
   Buffer.add_string buf (Ode.Enclosure.config_fingerprint cfg.enclosure);
-  Buffer.add_string buf (Printf.sprintf "|%b|" (Expr.Tape.enabled ()));
+  (* Keyed by the tape and TM flags and the TM monomial budget, like the
+     [flow|] group of the tubes it classifies with: a TM-tightened
+     verdict must not replay into a BIOMC_NO_TM=1 run or one at another
+     budget. *)
+  Buffer.add_string buf
+    (Printf.sprintf "|%b|%b|%d|" (Expr.Tape.enabled ()) (Interval.Tm.enabled ())
+       (Interval.Tm.budget ()));
   List.iter
     (fun (v, itv) ->
       Buffer.add_string buf
@@ -203,140 +208,36 @@ let synthesize ?(config = default_config) prob =
   let group =
     if Cache.enabled () then Some (problem_group config prob) else None
   in
+  (* [classify] is a pure function of the box, so the leaf set does not
+     depend on [jobs] while the budget lasts; only the list order does. *)
+  let r =
+    Icp.Search.run ~jobs
+      ~budget:(Icp.Search.budget config.max_boxes)
+      ~heur:"bisect"
+      ~exhausted:(fun pbox ->
+        Icp.Search.Leaf
+          ("undecided", Some "budget-exhaust", Some (`Undecided, pbox)))
+      (fun _ pbox ->
+        match classify config prob prepared ?group pbox with
+        | All_fit -> Icp.Search.Leaf ("consistent", None, Some (`Consistent, pbox))
+        | None_fit -> Icp.Search.Prune (Some (`Inconsistent, pbox))
+        | Split_ -> (
+            match Box.split ~min_width:config.epsilon pbox with
+            | Some (l, r) -> Icp.Search.Split (l, r)
+            | None ->
+                Icp.Search.Leaf
+                  ("undecided", Some "sub-epsilon", Some (`Undecided, pbox))))
+      prob.param_box
+  in
+  let leaves cls =
+    List.filter_map
+      (fun (c, b) -> if c = cls then Some b else None)
+      r.Icp.Search.leaves
+  in
   let result =
-    if jobs = 1 then begin
-      let consistent = ref [] and inconsistent = ref [] and undecided = ref [] in
-      let explored = ref 0 in
-      let budget = ref config.max_boxes in
-      let rec go depth pbox jid =
-        if !budget <= 0 then begin
-          if jon then
-            Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust" ();
-          undecided := pbox :: !undecided
-        end
-        else begin
-          decr budget;
-          incr explored;
-          if jon then begin
-            Journal.enter ~id:jid ~depth;
-            Journal.clear_reason ()
-          end;
-          match classify config prob prepared ?group pbox with
-          | All_fit ->
-              if jon then Journal.leaf ~id:jid ~cls:"consistent" ();
-              consistent := pbox :: !consistent
-          | None_fit ->
-              if jon then begin
-                let reason, group = Journal.take_reason () in
-                Journal.prune ~id:jid ~reason ?group ()
-              end;
-              inconsistent := pbox :: !inconsistent
-          | Split_ -> (
-              match Box.split ~min_width:config.epsilon pbox with
-              | Some (l, r) ->
-                  let lid, rid =
-                    if jon then begin
-                      let lid = Journal.fresh_id () in
-                      let rid = Journal.fresh_id () in
-                      Journal.split ~id:jid ~heur:"bisect" ~left:lid ~right:rid
-                        ~left_bounds:(jbounds l) ~right_bounds:(jbounds r);
-                      (lid, rid)
-                    end
-                    else (0, 0)
-                  in
-                  go (depth + 1) l lid;
-                  go (depth + 1) r rid
-              | None ->
-                  if jon then
-                    Journal.leaf ~id:jid ~cls:"undecided" ~reason:"sub-epsilon"
-                      ();
-                  undecided := pbox :: !undecided)
-        end
-      in
-      let root_id = if jon then Journal.fresh_id () else 0 in
-      if jon then Journal.root ~id:root_id (jbounds prob.param_box);
-      go 0 prob.param_box root_id;
-      {
-        consistent = !consistent;
-        inconsistent = !inconsistent;
-        undecided = !undecided;
-        boxes_explored = !explored;
-      }
-    end
-    else begin
-      (* Worker domains share the paving frontier and a leased global
-         budget; [classify] is a pure function of the box, so the leaf
-         set matches the sequential paving when the budget is not hit
-         (only list order may differ).  [boxes_explored] counts actual
-         spends — [Lease.consumed] is exact once every worker returned
-         its lease, so it agrees with the sequential count. *)
-      let lease = Parallel.Pool.Lease.create ~total:config.max_boxes () in
-      let locals =
-        Array.init jobs (fun _ -> Parallel.Pool.Lease.local lease)
-      in
-      let accs = Array.init jobs (fun _ -> (ref [], ref [], ref [])) in
-      let root_id = if jon then Journal.fresh_id () else 0 in
-      if jon then Journal.root ~id:root_id (jbounds prob.param_box);
-      let fr = Parallel.Pool.Frontier.create [ (prob.param_box, 0, root_id) ] in
-      Parallel.Pool.Frontier.drain ~jobs fr (fun w slot (pbox, depth, jid) ->
-          let consistent, inconsistent, undecided = accs.(w) in
-          if not (Parallel.Pool.Lease.spend locals.(w)) then begin
-            if jon then
-              Journal.leaf ~id:jid ~cls:"undecided" ~reason:"budget-exhaust"
-                ();
-            undecided := pbox :: !undecided
-          end
-          else begin
-            if jon then begin
-              Journal.enter ~id:jid ~depth;
-              Journal.clear_reason ()
-            end;
-            match classify config prob prepared ?group pbox with
-            | All_fit ->
-                if jon then Journal.leaf ~id:jid ~cls:"consistent" ();
-                consistent := pbox :: !consistent
-            | None_fit ->
-                if jon then begin
-                  let reason, group = Journal.take_reason () in
-                  Journal.prune ~id:jid ~reason ?group ()
-                end;
-                inconsistent := pbox :: !inconsistent
-            | Split_ -> (
-                match Box.split ~min_width:config.epsilon pbox with
-                | Some (l, r) ->
-                    let lid, rid =
-                      if jon then begin
-                        let lid = Journal.fresh_id () in
-                        let rid = Journal.fresh_id () in
-                        Journal.split ~id:jid ~heur:"bisect" ~left:lid
-                          ~right:rid ~left_bounds:(jbounds l)
-                          ~right_bounds:(jbounds r);
-                        (lid, rid)
-                      end
-                      else (0, 0)
-                    in
-                    Parallel.Pool.Frontier.push_batch slot
-                      [ (r, depth + 1, rid); (l, depth + 1, lid) ]
-                | None ->
-                    if jon then
-                      Journal.leaf ~id:jid ~cls:"undecided"
-                        ~reason:"sub-epsilon" ();
-                    undecided := pbox :: !undecided)
-          end);
-      Array.iter Parallel.Pool.Lease.return_unspent locals;
-      let explored = Parallel.Pool.Lease.consumed lease in
-      Array.fold_left
-        (fun acc (c, i, u) ->
-          {
-            acc with
-            consistent = !c @ acc.consistent;
-            inconsistent = !i @ acc.inconsistent;
-            undecided = !u @ acc.undecided;
-          })
-        { consistent = []; inconsistent = []; undecided = [];
-          boxes_explored = explored }
-        accs
-    end
+    { consistent = leaves `Consistent; inconsistent = leaves `Inconsistent;
+      undecided = leaves `Undecided;
+      boxes_explored = r.Icp.Search.counts.Icp.Search.boxes }
   in
   Log.info (fun m ->
       m "synthesis finished after %d boxes (%d/%d/%d)" result.boxes_explored

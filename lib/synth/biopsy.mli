@@ -37,11 +37,11 @@ type result = {
 }
 
 val synthesize : ?config:config -> problem -> result
-(** With [config.jobs > 1], worker domains share the paving frontier
-    and an atomic global box budget; the classification of each box is
-    a pure function of the box, so the leaf set matches the sequential
-    paving when the budget is not exhausted (only list order may
-    differ). *)
+(** A paving by {!Icp.Search.run}: with [config.jobs > 1], worker
+    domains share its frontier and leased box budget; the classification
+    of each box is a pure function of the box, so the leaf set is the
+    same at every [jobs] when the budget is not exhausted (only list
+    order may differ). *)
 
 val falsified : result -> bool
 (** No parameter box survived: the model cannot explain the data. *)

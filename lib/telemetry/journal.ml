@@ -12,20 +12,13 @@
 
 type sink = Off | Memory | To_file of string
 
-let truthy v =
-  match String.lowercase_ascii (String.trim v) with
-  | "1" | "true" | "yes" -> true
-  | _ -> false
-
 let env_sink () =
-  match Sys.getenv_opt "BIOMC_NO_JOURNAL" with
-  | Some v when truthy v -> Off
-  | _ -> (
-      match Sys.getenv_opt "BIOMC_JOURNAL" with
-      | None -> Off
-      | Some v when truthy v -> Memory
-      | Some "" -> Off
-      | Some path -> To_file path)
+  if Telemetry.env_switch "BIOMC_NO_JOURNAL" then Off
+  else if Telemetry.env_switch "BIOMC_JOURNAL" then Memory
+  else
+    match Sys.getenv_opt "BIOMC_JOURNAL" with
+    | None | Some "" -> Off
+    | Some path -> To_file path
 
 let override : sink option Atomic.t = Atomic.make None
 
@@ -742,8 +735,10 @@ let leaf_bounds_fingerprint bs =
 (* Audit                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Run headers write flags with [string_of_bool]; a missing flag reads
+   as on. *)
 let flag_true flags k =
-  match List.assoc_opt k flags with Some v -> truthy v | None -> true
+  match List.assoc_opt k flags with Some v -> v = "true" | None -> true
 
 (* The run kinds whose searches terminate only by exhausting the tree:
    complete runs of these kinds must account for every node. *)

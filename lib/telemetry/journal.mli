@@ -148,8 +148,9 @@ val seg : path:int -> index:int -> mode:string -> cached:bool -> unit
     mean-value form, TM pass, a cache replay) is several calls
     below the loop that emits the prune record, so attribution flows
     through a per-domain cell: the refuting site calls {!set_reason},
-    the loop clears the cell before each box and {!take_reason}s it
-    when the outcome is a prune.  An unset cell reads as ["hc4-empty"]
+    the search driver ([Icp.Search.run], which writes every search
+    record) clears the cell as it enters each box and {!take_reason}s
+    it when the outcome is a prune.  An unset cell reads as ["hc4-empty"]
     (the base contractor refutes without announcing itself). *)
 
 val set_reason : ?group:string -> string -> unit

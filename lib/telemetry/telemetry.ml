@@ -20,6 +20,14 @@ let env_metrics =
   | Some v -> truthy v
   | None -> false
 
+let env_switch name =
+  match Sys.getenv_opt name with
+  | Some v -> (
+      match String.lowercase_ascii (String.trim v) with
+      | "1" | "true" | "yes" | "on" -> true
+      | _ -> false)
+  | None -> false
+
 let metrics_flag = Atomic.make env_metrics
 let trace_flag = Atomic.make false
 let metrics_on () = Atomic.get metrics_flag

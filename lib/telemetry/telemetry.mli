@@ -38,6 +38,13 @@ val trace_on : unit -> bool
 val enabled : unit -> bool
 (** [metrics_on () || trace_on ()]. *)
 
+val env_switch : string -> bool
+(** [env_switch name]: the environment sets [name] to [1], [true],
+    [yes] or [on], surrounding blanks and case ignored.  The one value
+    rule of every [BIOMC_NO_*] kill-switch (tape, Newton, TM, cache,
+    work stealing, journal), read here so the layers cannot drift apart;
+    [BIOMC_JOURNAL] reads its memory-sink value through it too. *)
+
 val set_metrics : bool -> unit
 (** Process-wide (all domains) metric recording override. *)
 

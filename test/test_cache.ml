@@ -652,12 +652,13 @@ let test_concurrent_access () =
       let done_ = List.map Domain.join domains in
       Alcotest.(check (list int)) "all domains joined" [ 0; 1; 2; 3 ] done_)
 
-(* The Taylor-model monomial budget changes what the TM passes compute,
-   so it keys the hc4, refuted-box, paving, flow and segment groups next
-   to the TM switch.  In one process under the Exact policy, a pave of
-   the impulse-response calibration constraints and a Lotka–Volterra
-   flow run at budget 64 and then at budget 1 must give the answers a
-   budget-1 run gives on empty caches, not replay the budget-64 ones. *)
+(* The Taylor-model switch and monomial budget change what the TM passes
+   compute, so both key the hc4, refuted-box, paving, flow, segment and
+   biopsy groups.  In one process under the Exact policy, a pave of the
+   impulse-response calibration constraints, a Lotka–Volterra flow and a
+   Lotka–Volterra calibration run with the TM layer on at budget 64, then
+   off, then on at budget 1, must give the answers those settings give on
+   empty caches, not replay the budget-64 ones. *)
 let test_budget_keys_groups () =
   let fit =
     Expr.Parse.formula
@@ -684,6 +685,22 @@ let test_budget_keys_groups () =
          (fun (v, i) -> Printf.sprintf "%s=[%h, %h]" v (I.lo i) (I.hi i))
          (Box.to_list tube.Enc.final))
   in
+  let lv =
+    B.problem
+      ~sys:
+        (Ode.System.of_strings ~vars:[ "x"; "y" ] ~params:[ "a"; "b" ]
+           ~rhs:[ ("x", "a*x - x*y"); ("y", "x*y - b*y") ])
+      ~param_box:(Box.of_list [ ("a", I.make 0.8 1.4); ("b", I.make 0.8 1.4) ])
+      ~init:(Box.of_list [ ("x", I.make 0.95 1.05); ("y", I.make 0.95 1.05) ])
+      ~data:
+        [ D.point ~time:0.5 ~var:"x" ~value:1.05 ~tolerance:0.05;
+          D.point ~time:1.0 ~var:"x" ~value:1.08 ~tolerance:0.05 ]
+  in
+  let biopsy () =
+    Fmt.str "%a" B.pp_result
+      (B.synthesize ~config:{ B.default_config with epsilon = 0.05 } lv)
+  in
+  let all () = (pave (), flow (), biopsy ()) in
   (* TM passes run on tapes only; the layers are pinned so the budget
      matters under every BIOMC_NO_* leg. *)
   Expr.Tape.set_enabled true;
@@ -694,15 +711,27 @@ let test_budget_keys_groups () =
   Layers.with_layers (true, true) @@ fun () ->
   with_policy Cache.Exact @@ fun () ->
   TM.set_budget 1;
-  let pave1 = pave () and flow1 = flow () in
+  let pave1, flow1, bio1 = all () in
   Cache.clear ();
+  TM.set_enabled false;
+  let pave_off, flow_off, bio_off = all () in
+  Cache.clear ();
+  TM.set_enabled true;
   TM.set_budget 64;
-  let pave64 = pave () and flow64 = flow () in
-  TM.set_budget 1;
+  let pave64, flow64, bio64 = all () in
   Alcotest.(check bool) "the budget moves the pave" true (pave1 <> pave64);
   Alcotest.(check bool) "the budget moves the tube" true (flow1 <> flow64);
+  Alcotest.(check bool) "the budget moves the biopsy" true (bio1 <> bio64);
+  Alcotest.(check bool) "the switch moves the biopsy" true (bio_off <> bio64);
+  TM.set_enabled false;
+  Alcotest.(check string) "TM-off pave after a TM-on one" pave_off (pave ());
+  Alcotest.(check string) "TM-off flow after a TM-on one" flow_off (flow ());
+  Alcotest.(check string) "TM-off biopsy after a TM-on one" bio_off (biopsy ());
+  TM.set_enabled true;
+  TM.set_budget 1;
   Alcotest.(check string) "budget-1 pave after a budget-64 one" pave1 (pave ());
-  Alcotest.(check string) "budget-1 flow after a budget-64 one" flow1 (flow ())
+  Alcotest.(check string) "budget-1 flow after a budget-64 one" flow1 (flow ());
+  Alcotest.(check string) "budget-1 biopsy after a budget-64 one" bio1 (biopsy ())
 
 let () =
   Alcotest.run "cache"

@@ -121,6 +121,93 @@ let test_decide_unsat_cover () =
   let fp2 = run_one 2 in
   Alcotest.(check string) "jobs-invariant refutation cover" fp1 fp2
 
+(* Every search kind writes a journal that audits clean, at one worker
+   and at two: decide (one conjunction, and a DNF race), pave, a reach
+   check over two paths, reach synthesis and BioPSy synthesis. *)
+let test_every_kind_audits_clean () =
+  let sq = Box.of_list [ ("x", I.make (-2.0) 2.0); ("y", I.make (-2.0) 2.0) ] in
+  let switch =
+    A.create ~vars:[ "x" ] ~params:[ "theta" ]
+      ~modes:
+        [ A.mode ~name:"up" ~flow:[ ("x", P.term "1") ] ();
+          A.mode ~name:"down" ~flow:[ ("x", P.term "-1") ] () ]
+      ~jumps:
+        [ A.jump ~source:"up" ~target:"down" ~guard:(formula "x >= theta")
+            ~reset:[ ("x", P.term "0") ] () ]
+      ~init_mode:"up"
+      ~init:(Box.of_list [ ("x", I.of_float 0.0) ])
+  in
+  let decay_k =
+    Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ]
+  in
+  let threshold =
+    E.create
+      ~param_box:(Box.of_list [ ("k", I.make 0.1 3.0) ])
+      ~goal:{ E.goal_modes = []; predicate = formula "x <= 0.3" }
+      ~k:0 ~time_bound:1.0
+      (A.of_system ~init:(Box.of_list [ ("x", I.of_float 1.0) ]) decay_k)
+  in
+  let runs jobs =
+    let sc = { S.default_config with jobs } in
+    [ ( "decide",
+        fun () ->
+          ignore (S.decide ~config:sc (formula "x^2 + y^2 = 1 and x*y = 1") sq) );
+      ( "decide",
+        fun () ->
+          ignore
+            (S.decide ~config:sc
+               (formula "(x^2 + y^2 = 1 and x*y = 1) or (x^2 + y^2 = 1 and y = x^2)")
+               sq) );
+      ( "pave",
+        fun () ->
+          ignore
+            (S.pave ~config:{ sc with epsilon = 0.25 } (formula "x^2 + y^2 <= 1") sq) );
+      ( "reach",
+        fun () ->
+          ignore
+            (C.check ~config:{ C.default_config with jobs }
+               (E.create
+                  ~param_box:(Box.of_list [ ("theta", I.make 0.5 1.5) ])
+                  ~goal:{ E.goal_modes = []; predicate = formula "x <= -1/2" }
+                  ~k:1 ~time_bound:3.0 switch)) );
+      ( "synth",
+        fun () ->
+          ignore
+            (C.synthesize
+               ~config:{ C.default_config with epsilon = 0.1; jobs }
+               threshold) );
+      ( "synth",
+        fun () ->
+          ignore
+            (Synth.Biopsy.synthesize
+               ~config:{ Synth.Biopsy.default_config with epsilon = 0.1; jobs }
+               (Synth.Biopsy.problem ~sys:decay_k
+                  ~param_box:(Box.of_list [ ("k", I.make 0.2 3.0) ])
+                  ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+                  ~data:
+                    [ Synth.Data.point ~time:1.0 ~var:"x" ~value:(Float.exp (-1.0))
+                        ~tolerance:0.08 ])) ) ]
+  in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (kind, run) ->
+          J.set_sink J.Memory;
+          J.reset ();
+          run ();
+          let _, forest = load_forest () in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s audit at jobs=%d" kind jobs)
+            [] (J.audit forest);
+          let run = the_run forest in
+          Alcotest.(check string) "kind" kind run.J.kind;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s search recorded at jobs=%d" kind jobs)
+            true
+            (J.leaves forest ~run:run.J.rid <> []))
+        (runs jobs))
+    [ 1; 2 ]
+
 (* ---- explain round-trips on pinned runs ---- *)
 
 let test_explain_decide () =
@@ -462,6 +549,8 @@ let () =
            (clean (test_pave_fingerprint 1));
          Alcotest.test_case "pave fingerprint, jobs=2" `Quick
            (clean (test_pave_fingerprint 2));
+         Alcotest.test_case "every search kind audits clean at jobs 1 and 2"
+           `Quick (clean test_every_kind_audits_clean);
          Alcotest.test_case "decide unsat cover" `Quick
            (clean test_decide_unsat_cover) ]);
       ("explain",

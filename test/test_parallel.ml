@@ -416,6 +416,32 @@ let test_reach_unsat_agrees () =
   check_reach_agrees "slow decay cannot reach 0.55"
     (decay_problem ~lo:0.1 ~hi:0.5 ~goal:"x <= 0.55")
 
+(* ---- reach synthesis: identical leaf sets ---- *)
+
+let test_reach_synthesis_deterministic () =
+  let pb = decay_problem ~lo:0.1 ~hi:3.0 ~goal:"x <= 0.3" in
+  let fingerprint boxes =
+    Journal.leaf_bounds_fingerprint
+      (List.map
+         (fun b ->
+           Array.of_list
+             (List.map (fun (x, i) -> (x, I.lo i, I.hi i)) (Box.to_list b)))
+         boxes)
+  in
+  let leaves jobs =
+    let s = C.synthesize ~config:{ C.default_config with epsilon = 0.05; jobs } pb in
+    List.map fingerprint
+      [ List.map fst s.C.feasible; List.map fst s.C.infeasible;
+        List.map fst s.C.undecided ]
+  in
+  let base = leaves 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "feasible, infeasible, undecided leaves at jobs=%d" jobs)
+        base (leaves jobs))
+    jobs_sweep
+
 (* ---- biopsy: identical leaf sets ---- *)
 
 let test_biopsy_deterministic () =
@@ -699,7 +725,9 @@ let () =
           Alcotest.test_case "stats reported" `Quick test_pave_stats_reported ] );
       ( "reach",
         [ Alcotest.test_case "delta-sat agrees" `Quick test_reach_sat_agrees;
-          Alcotest.test_case "unsat agrees" `Quick test_reach_unsat_agrees ] );
+          Alcotest.test_case "unsat agrees" `Quick test_reach_unsat_agrees;
+          Alcotest.test_case "synthesis leaf sets agree" `Quick
+            test_reach_synthesis_deterministic ] );
       ( "biopsy",
         [ Alcotest.test_case "deterministic paving" `Quick
             test_biopsy_deterministic ] );

@@ -1,0 +1,292 @@
+(* Equivalence gate for the branch-and-prune searches: decide, pave,
+   reach check, reach synthesis and BioPSy synthesis at jobs = 1, each
+   pinned to a committed digest of everything the search reports —
+   verdict, witness, leaves in list order (hex-float bounds), stats and
+   the journal records it emits (memory sink, domain stamps stripped).
+   A run that exhausts its budget is pinned by its verdict and its leaf
+   set only.
+
+   The digests were computed on the code before the searches shared one
+   driver; recompute them only for a change that is meant to move a
+   search's output, on a clean archive of the parent commit, never from
+   the changed code.  Caches are off and the tape, Newton and
+   Taylor-model layers pinned on, so every CI leg must reproduce them. *)
+
+module I = Interval.Ia
+module Box = Interval.Box
+module P = Expr.Parse
+module S = Icp.Solver
+module A = Hybrid.Automaton
+module E = Reach.Encoding
+module C = Reach.Checker
+module B = Synth.Biopsy
+module J = Journal
+
+let box l = Box.of_list (List.map (fun (x, lo, hi) -> (x, I.make lo hi)) l)
+
+let hex_box b =
+  String.concat ";"
+    (List.map
+       (fun (x, i) -> Printf.sprintf "%s=[%h,%h]" x (I.lo i) (I.hi i))
+       (Box.to_list b))
+
+let hex_point pt =
+  String.concat ";" (List.map (fun (x, v) -> Printf.sprintf "%s=%h" x v) pt)
+
+let lines name l = String.concat "\n" (name :: l)
+
+(* A journal record without its trailing (domain, sequence) stamp. *)
+let unstamp line =
+  let key = ",\"d\":" in
+  let k = String.length key in
+  let rec find i =
+    if i < 0 then line
+    else if String.sub line i k = key then String.sub line 0 i ^ "}"
+    else find (i - 1)
+  in
+  find (String.length line - k)
+
+(* Run [f] with the journal in the memory sink; its result and records. *)
+let journaled f =
+  J.set_sink J.Memory;
+  J.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      J.reset ();
+      J.clear_sink_override ())
+  @@ fun () ->
+  let r = f () in
+  let records =
+    List.map unstamp
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' (J.contents ())))
+  in
+  (r, records)
+
+let pinned f () =
+  Cache.set_policy Cache.Off;
+  Expr.Tape.set_enabled true;
+  Icp.Deriv.set_enabled true;
+  Interval.Tm.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.clear_policy_override ();
+      Expr.Tape.clear_enabled_override ();
+      Icp.Deriv.clear_enabled_override ();
+      Interval.Tm.clear_enabled_override ())
+    f
+
+(* ---- renderings ---- *)
+
+let stats (s : S.stats) =
+  Printf.sprintf "boxes=%d splits=%d prunings=%d depth=%d certifications=%d"
+    s.S.boxes_processed s.S.splits s.S.prunings s.S.max_depth
+    s.S.certifications
+
+let decide_verdict = function
+  | S.Unsat -> "unsat"
+  | S.Delta_sat w ->
+      Printf.sprintf "delta-sat certified=%b point=%s box=%s" w.S.certified
+        (hex_point w.S.point) (hex_box w.S.box)
+  | S.Unknown why -> "unknown " ^ why
+
+let reach_witness (w : C.witness) =
+  Printf.sprintf "path=%s params=%s init=%s t=%h certified=%b box=%s"
+    (String.concat "->" w.C.path) (hex_point w.C.params) (hex_point w.C.init)
+    w.C.reach_time w.C.certified (hex_box w.C.param_box)
+
+let reach_verdict = function
+  | C.Unsat { rigorous } -> Printf.sprintf "unsat rigorous=%b" rigorous
+  | C.Delta_sat w -> "delta-sat " ^ reach_witness w
+  | C.Unknown why -> "unknown " ^ why
+
+let classes l =
+  List.concat_map (fun (cls, boxes) -> List.map (fun b -> cls ^ " " ^ b) boxes) l
+
+let paving_leaves (p : S.paving) =
+  classes
+    [ ("sat", List.map hex_box p.S.sat);
+      ("unsat", List.map hex_box p.S.unsat);
+      ("undecided", List.map hex_box p.S.undecided) ]
+
+let synthesis_leaves (s : C.synthesis) =
+  classes
+    [ ( "feasible",
+        List.map (fun (b, w) -> hex_box b ^ " " ^ reach_witness w) s.C.feasible );
+      ( "infeasible",
+        List.map (fun (b, r) -> Printf.sprintf "%s rigorous=%b" (hex_box b) r)
+          s.C.infeasible );
+      ( "undecided",
+        List.map
+          (fun (b, w) ->
+            hex_box b ^ match w with Some w -> " " ^ reach_witness w | None -> "")
+          s.C.undecided ) ]
+
+let biopsy_leaves (r : B.result) =
+  classes
+    [ ("consistent", List.map hex_box r.B.consistent);
+      ("inconsistent", List.map hex_box r.B.inconsistent);
+      ("undecided", List.map hex_box r.B.undecided) ]
+
+(* ---- the queries ---- *)
+
+let decide ?(config = S.default_config) f b () =
+  let (r, s), records =
+    journaled (fun () -> S.decide_with_stats ~config (P.formula f) (box b))
+  in
+  lines (decide_verdict r) (stats s :: records)
+
+let pave ?(config = S.default_config) f b () =
+  let (p, s), records =
+    journaled (fun () -> S.pave_with_stats ~config (P.formula f) (box b))
+  in
+  lines "paving" ((stats s :: paving_leaves p) @ records)
+
+let check ?(config = C.default_config) pb () =
+  let r, records = journaled (fun () -> C.check ~config pb) in
+  lines (reach_verdict r) records
+
+let synthesize ?(config = C.default_config) pb () =
+  let s, records = journaled (fun () -> C.synthesize ~config pb) in
+  lines "synthesis" (synthesis_leaves s @ records)
+
+let biopsy ?(config = B.default_config) prob () =
+  let r, records = journaled (fun () -> B.synthesize ~config prob) in
+  lines
+    (Printf.sprintf "biopsy explored=%d" r.B.boxes_explored)
+    (biopsy_leaves r @ records)
+
+(* Budget-exhausting runs: verdict and sorted leaf set. *)
+let exhausted_decide config f b () =
+  decide_verdict (S.decide ~config (P.formula f) (box b))
+
+let exhausted_pave config f b () =
+  lines "paving"
+    (List.sort compare (paving_leaves (S.pave ~config (P.formula f) (box b))))
+
+let exhausted_check config pb () = reach_verdict (C.check ~config pb)
+
+let exhausted_synthesize config pb () =
+  lines "synthesis" (List.sort compare (synthesis_leaves (C.synthesize ~config pb)))
+
+let exhausted_biopsy config prob () =
+  lines "biopsy" (List.sort compare (biopsy_leaves (B.synthesize ~config prob)))
+
+(* ---- fixtures ---- *)
+
+let goal ?(modes = []) pred = { E.goal_modes = modes; predicate = P.formula pred }
+
+let decay_k =
+  A.of_system
+    ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+    (Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ])
+
+(* Two modes: x grows in "up", jumps to "down" at x >= theta with a reset
+   to 0, and decays there. *)
+let switch =
+  A.create ~vars:[ "x" ] ~params:[ "theta" ]
+    ~modes:
+      [ A.mode ~name:"up" ~flow:[ ("x", P.term "1") ] ();
+        A.mode ~name:"down" ~flow:[ ("x", P.term "-1") ] () ]
+    ~jumps:
+      [ A.jump ~source:"up" ~target:"down" ~guard:(P.formula "x >= theta")
+          ~reset:[ ("x", P.term "0") ] () ]
+    ~init_mode:"up"
+    ~init:(Box.of_list [ ("x", I.of_float 0.0) ])
+
+let theta = Box.of_list [ ("theta", I.make 0.5 1.5) ]
+
+(* Paths [up] (unsat: x only grows there) then [up; down] (δ-sat). *)
+let switch_sat =
+  E.create ~param_box:theta ~goal:(goal "x <= -1/2") ~k:1 ~time_bound:3.0 switch
+
+let switch_unsat =
+  E.create ~param_box:theta ~goal:(goal ~modes:[ "down" ] "x >= 1") ~k:1
+    ~time_bound:2.0 switch
+
+let decay_threshold =
+  E.create
+    ~param_box:(Box.of_list [ ("k", I.make 0.1 3.0) ])
+    ~goal:(goal "x <= 0.3") ~k:0 ~time_bound:1.0 decay_k
+
+let decay_slow =
+  E.create
+    ~param_box:(Box.of_list [ ("k", I.make 0.1 0.5) ])
+    ~goal:(goal "x <= 0.55") ~k:0 ~time_bound:1.0 decay_k
+
+let decay_fit =
+  B.problem
+    ~sys:(Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ])
+    ~param_box:(Box.of_list [ ("k", I.make 0.2 3.0) ])
+    ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+    ~data:
+      [ Synth.Data.point ~time:0.5 ~var:"x" ~value:(Float.exp (-0.5)) ~tolerance:0.08;
+        Synth.Data.point ~time:1.0 ~var:"x" ~value:(Float.exp (-1.0)) ~tolerance:0.08 ]
+
+let square = [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ]
+let wide = [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ]
+let wider = [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ]
+
+(* Unsat after five splits: x*y <= 1/2 on the circle. *)
+let circle_hyperbola = "x^2 + y^2 = 1 and x*y = 1"
+
+(* (name, query, digest of its rendering computed on the parent). *)
+let queries =
+  [ ( "decide delta-sat",
+      decide "x^2 + y^2 = 1 and y = x^2" square,
+      "96dcfc3f0fa73abaed4fe7883d9f32a4" );
+    ( "decide delta-sat, one variable",
+      decide "x^3 - x = 1/4" [ ("x", -2.0, 2.0) ],
+      "b2ef90a9f16b6e9063ecc6514f60ea6d" );
+    ("decide unsat", decide circle_hyperbola wider, "263e5f0809cdc5cf27bbcc2c30854155");
+    ( "decide dnf",
+      decide ("(" ^ circle_hyperbola ^ ") or (x^2 + y^2 = 1 and y = x^2)") wider,
+      "f234b3ba1ca781a9ff7bcb7c7d836348" );
+    ( "pave",
+      pave ~config:{ S.default_config with epsilon = 0.1 } "x^2 + y^2 <= 1" wide,
+      "c875121e3aab20cb1d749c72b0b0f686" );
+    ("check delta-sat", check switch_sat, "5182bd92021eefb72af7797c55a946f3");
+    ("check unsat", check switch_unsat, "59db4d2fcadb1263f5f75207286bb3f9");
+    ( "check parameterized delta-sat",
+      check decay_threshold,
+      "84a650f50d1fbbbe1274dd60247e5401" );
+    ( "check parameterized unsat",
+      check decay_slow,
+      "150c6b730468cd917e7be78104ccdd28" );
+    ( "synthesize",
+      synthesize ~config:{ C.default_config with epsilon = 0.1 } decay_threshold,
+      "39d135df9e815167b71367195d4b6068" );
+    ( "biopsy",
+      biopsy ~config:{ B.default_config with epsilon = 0.05 } decay_fit,
+      "58fe145032951dcf2db25b34bcbdc0ee" );
+    ( "decide exhausted",
+      exhausted_decide { S.default_config with max_boxes = 5 } circle_hyperbola wider,
+      "0327fe6c16fe4343364edf9ad4e3868c" );
+    ( "pave exhausted",
+      exhausted_pave
+        { S.default_config with epsilon = 0.1; max_boxes = 40 }
+        "x^2 + y^2 <= 1" wide,
+      "00698d87863b6d67c55d970a2271d05e" );
+    ( "check exhausted",
+      exhausted_check { C.default_config with max_param_boxes = 2 } decay_slow,
+      "2a59bebfd050bada0997cbe7193b74b8" );
+    ( "synthesize exhausted",
+      exhausted_synthesize
+        { C.default_config with epsilon = 0.1; max_param_boxes = 6 }
+        decay_threshold,
+      "dd3d816f619e5c7c9b08b18d68677a11" );
+    ( "biopsy exhausted",
+      exhausted_biopsy
+        { B.default_config with epsilon = 0.05; max_boxes = 6 }
+        decay_fit,
+      "ef2e8e16d9c021603b3743df0c70a843" ) ]
+
+let () =
+  Alcotest.run "search"
+    [ ( "digest at jobs=1",
+        List.map
+          (fun (name, render, expected) ->
+            Alcotest.test_case name `Quick
+              (pinned (fun () ->
+                   Alcotest.(check string) name expected
+                     (Digest.to_hex (Digest.string (render ()))))))
+          queries ) ]

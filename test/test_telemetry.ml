@@ -301,13 +301,73 @@ let test_reset () =
   Alcotest.(check int) "counter zeroed" 0 (T.Counter.value c);
   Alcotest.(check int) "trace emptied" 0 (T.Trace.events_recorded ())
 
+(* Every BIOMC_NO_* kill-switch reads its value through
+   [Telemetry.env_switch]: 1, true, yes and on in any case, blanks
+   trimmed, turn the layer off; anything else leaves it on. *)
+let test_env_switch_values () =
+  let journal_on () =
+    Journal.clear_sink_override ();
+    Journal.sink () <> Journal.Off
+  in
+  let switches =
+    [ ( "BIOMC_NO_TAPE",
+        fun () ->
+          Expr.Tape.clear_enabled_override ();
+          Expr.Tape.enabled () );
+      ( "BIOMC_NO_NEWTON",
+        fun () ->
+          Icp.Deriv.clear_enabled_override ();
+          Icp.Deriv.enabled () );
+      ( "BIOMC_NO_TM",
+        fun () ->
+          Interval.Tm.clear_enabled_override ();
+          Interval.Tm.enabled () );
+      ( "BIOMC_NO_WORKSTEAL",
+        fun () ->
+          Parallel.Pool.clear_workstealing_override ();
+          Parallel.Pool.workstealing_enabled () );
+      ( "BIOMC_NO_CACHE",
+        fun () ->
+          Cache.clear_policy_override ();
+          Cache.enabled () );
+      ("BIOMC_NO_JOURNAL", journal_on) ]
+  in
+  let saved =
+    List.map
+      (fun v -> (v, Option.value ~default:"" (Sys.getenv_opt v)))
+      ("BIOMC_JOURNAL" :: List.map fst switches)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (v, x) -> Unix.putenv v x) saved;
+      ignore (journal_on ()))
+  @@ fun () ->
+  (* the journal switch outranks an enabled sink, so enable one *)
+  Unix.putenv "BIOMC_JOURNAL" "1";
+  List.iter
+    (fun (var, layer_on) ->
+      List.iter
+        (fun (value, set) ->
+          Unix.putenv var value;
+          Alcotest.(check bool) (Printf.sprintf "%s=%S" var value) set
+            (T.env_switch var);
+          Alcotest.(check bool)
+            (Printf.sprintf "layer under %s=%S" var value)
+            (not set) (layer_on ()))
+        [ ("TRUE", true); ("on", true); (" 1", true); ("Yes ", true);
+          ("0", false); ("off", false); ("", false) ];
+      Unix.putenv var "")
+    switches
+
 let () =
   Alcotest.run "telemetry"
     [ ( "switches",
         [ Alcotest.test_case "on/off semantics" `Quick (clean test_switches);
           Alcotest.test_case "always vs gated counters" `Quick
             (clean test_always_vs_gated);
-          Alcotest.test_case "reset" `Quick (clean test_reset) ] );
+          Alcotest.test_case "reset" `Quick (clean test_reset);
+          Alcotest.test_case "BIOMC_NO_* switches share one value rule" `Quick
+            test_env_switch_values ] );
       ( "counters",
         [ Alcotest.test_case "merge across 4 domains" `Quick
             (clean test_counter_merge) ] );
