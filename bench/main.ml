@@ -942,32 +942,32 @@ let t1 () =
   Report.print [ Report.text "wrote BENCH_tape.json" ]
 
 (* ------------------------------------------------------------------ *)
-(* C1: subsumption caches off vs on (jobs = 1)                         *)
+(* C1: exact-replay caches off vs on (jobs = 1)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Each kernel runs the same workload twice: once with every cache
-   disabled ([Cache.Off] — exactly the BIOMC_NO_CACHE=1 code path) and
-   once with the default exact-hit policy, clearing all caches before
-   each timed run so both start cold.  The results are checked to be
-   byte-identical (exact replays are identity-preserving), so the
-   speedup column is pure memoization gain.  Results land in
-   BENCH_cache.json, together with the SMC allocation before/after row
-   (satellite: the in-place RKF45 loop vs the old allocating steppers).
+(* Each kernel runs the same workload twice: once with the caches
+   disabled (exactly the BIOMC_NO_CACHE=1 code path) and once with them
+   on, clearing all caches before each timed run so both start cold.
+   The results are checked to be byte-identical (exact replays are
+   identity-preserving), so the speedup column is pure memoization
+   gain.  Results land in BENCH_cache.json, together with the SMC
+   allocation before/after row (satellite: the in-place RKF45 loop vs
+   the old allocating steppers).
 
    Passed [~quick:true] (the CI smoke job), the workloads shrink. *)
 
 let c1 ?(quick = false) () =
   section
-    (if quick then "C1  Subsumption caches off vs on (jobs = 1, quick)"
-     else "C1  Subsumption caches off vs on (jobs = 1)");
-  (* Each policy is timed over a few rounds, caches cleared before each
+    (if quick then "C1  Exact-replay caches off vs on (jobs = 1, quick)"
+     else "C1  Exact-replay caches off vs on (jobs = 1)");
+  (* Each setting is timed over a few rounds, caches cleared before each
      so every round starts cold, keeping the per-round minimum (the
      container clock is noisy; see T1). *)
   let measure name ~canon ~note run =
     let rounds = if quick then 2 else 3 in
-    let time_policy p =
-      Cache.set_policy p;
-      Fun.protect ~finally:Cache.clear_policy_override (fun () ->
+    let time_with on =
+      Cache.set_enabled on;
+      Fun.protect ~finally:Cache.clear_enabled_override (fun () ->
           let best = ref infinity and result = ref None in
           for _ = 1 to rounds do
             Cache.clear ();
@@ -977,8 +977,8 @@ let c1 ?(quick = false) () =
           done;
           (Option.get !result, !best))
     in
-    let r_off, t_off = time_policy Cache.Off in
-    let r_on, t_on = time_policy Cache.Exact in
+    let r_off, t_off = time_with false in
+    let r_on, t_on = time_with true in
     if canon r_off <> canon r_on then
       failwith
         (Printf.sprintf "C1 %s: cached result differs from the uncached run"
@@ -1071,67 +1071,7 @@ let c1 ?(quick = false) () =
     measure "reach-shared-segments" ~canon:Fun.id
       ~note:"goal1, goal1 again, goal2; identical verdicts" run
   in
-  (* Solver verdict stores: repeated delta-decision and repeated paving
-     of the same instance — refuted boxes and unsat paving leaves are
-     replayed from the store on the second pass. *)
-  let solver_kernel () =
-    (* Enzyme-kinetics equilibrium (the hc4-fixpoint shape of T1): four
-       coupled constraints make each HC4 fixpoint iterate, so a replayed
-       refutation saves real contraction work. *)
-    let enzyme =
-      Expr.Parse.formula
-        "e + cx = 1 and s + cx + p = 2 and 2*s*e = cx and cx / (s + 1/2) = p"
-    in
-    let tbox =
-      Box.of_list
-        [ ("s", I.make 0.0 2.0); ("p", I.make 0.0 2.0);
-          ("e", I.make 0.0 1.0); ("cx", I.make 0.0 1.0) ]
-    in
-    let ring = Expr.Parse.formula "x^2 + y^2 <= 1 and x^2 + y^2 >= 1/2" in
-    let rbox =
-      Box.of_list [ ("x", I.make (-1.5) 1.5); ("y", I.make (-1.5) 1.5) ]
-    in
-    let dcfg =
-      { Icp.Solver.default_config with
-        delta = (if quick then 1e-3 else 1e-4);
-        epsilon = (if quick then 1e-4 else 1e-5) }
-    in
-    let pcfg =
-      { Icp.Solver.default_config with epsilon = (if quick then 0.1 else 0.05) }
-    in
-    let verdict = function
-      | Icp.Solver.Delta_sat w -> "delta-sat " ^ Box.to_string w.Icp.Solver.box
-      | Icp.Solver.Unsat -> "unsat"
-      | Icp.Solver.Unknown _ -> "unknown"
-    in
-    let pav (p : Icp.Solver.paving) =
-      Printf.sprintf "%s|%s|%s"
-        (canon_boxes p.Icp.Solver.sat)
-        (canon_boxes p.Icp.Solver.unsat)
-        (canon_boxes p.Icp.Solver.undecided)
-    in
-    let decide_row =
-      measure "decide-repeat" ~canon:Fun.id
-        ~note:"enzyme equilibrium x2; identical verdicts"
-        (fun () ->
-          let d1 = Icp.Solver.decide ~config:dcfg enzyme tbox in
-          let d2 = Icp.Solver.decide ~config:dcfg enzyme tbox in
-          verdict d1 ^ "\n" ^ verdict d2)
-    in
-    (* The pave row is the store's worst case on purpose: ring
-       contraction is sub-microsecond per box, so the replay saves about
-       what the cold inserts cost — near break-even, reported as-is. *)
-    let pave_row =
-      measure "pave-repeat" ~canon:Fun.id
-        ~note:"ring x2; identical pavings"
-        (fun () ->
-          let p1 = Icp.Solver.pave ~config:pcfg ring rbox in
-          let p2 = Icp.Solver.pave ~config:pcfg ring rbox in
-          pav p1 ^ "\n" ^ pav p2)
-    in
-    [ decide_row; pave_row ]
-  in
-  let kernels = [ biopsy_kernel (); reach_kernel () ] @ solver_kernel () in
+  let kernels = [ biopsy_kernel (); reach_kernel () ] in
   Report.print
     [ Report.table
         ~header:[ "kernel"; "cache off"; "cache on"; "speedup"; "check" ]
@@ -1140,8 +1080,7 @@ let c1 ?(quick = false) () =
              [ name; Fmt.str "%.3fs" t_off; Fmt.str "%.3fs" t_on;
                Fmt.str "%.2fx" (t_off /. t_on); note ])
            kernels);
-      Report.text "cache-on rounds under the default exact policy: %s"
-        (Cache.summary ()) ];
+      Report.text "cache-on rounds: %s" (Cache.summary ()) ];
   (* SMC allocation satellite: the pre-optimization RKF45 driver (the
      public allocating [rkf45_step] per step, fresh arrays throughout)
      against the in-place [simulate] loop, on the same p53 trajectory
@@ -1233,7 +1172,7 @@ let c1 ?(quick = false) () =
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\n  \"jobs\": 1,\n  \"policy_on\": \"exact\",\n  \"quick\": %b,\n  \"kernels\": [\n"
+    (Printf.sprintf "{\n  \"jobs\": 1,\n  \"quick\": %b,\n  \"kernels\": [\n"
        quick);
   List.iteri
     (fun i (name, t_off, t_on, _) ->
@@ -1293,10 +1232,8 @@ let o1 ?(quick = false) () =
     (d, p)
   in
   let rounds = if quick then 4 else 6 in
-  (* Caches off so every round repeats the full search; per-mode minimum
-     over the rounds filters the container's clock spikes (see T1). *)
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
+  (* The per-mode minimum over the rounds filters the container's clock
+     spikes (see T1). *)
   let measure setup =
     Telemetry.reset ();
     setup ();
@@ -1412,8 +1349,6 @@ let j1 ?(quick = false) () =
     (d, p)
   in
   let rounds = if quick then 4 else 6 in
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
   let measure sink =
     Journal.set_sink sink;
     Fun.protect ~finally:(fun () -> Journal.set_sink Journal.Off)
@@ -1492,18 +1427,14 @@ let j1 ?(quick = false) () =
    agree (decide: same verdict kind, checked here; pave: a sat leaf of
    one run overlapping an unsat leaf of the other would be two
    contradictory proofs — also checked here), so the reported reduction
-   in boxes processed is bought without changing any answer.  Caches
-   are off: each run does its own full search. *)
+   in boxes processed is bought without changing any answer.  Decide
+   and pave cache nothing, so each run does its own full search. *)
 
 let n1 ?(quick = false) () =
   section
     (if quick then "N1  Derivative pruning off vs on (quick)"
      else "N1  Derivative pruning: mean-value/Newton + smear, off vs on");
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Icp.Deriv.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:Icp.Deriv.clear_enabled_override @@ fun () ->
   let verdict_of = function
     | Icp.Solver.Delta_sat _ -> "delta-sat"
     | Icp.Solver.Unsat -> "unsat"
@@ -1664,18 +1595,14 @@ let n1 ?(quick = false) () =
    legitimately grow: certifying earlier is the point).  Box reductions
    are recorded honestly, regressions included.  The ODE workload
    records tube widths, not verdicts: the TM pass may only tighten the
-   enclosure.  Caches off; wall times are per-run minima over a few
-   rounds (see T1). *)
+   enclosure.  Wall times are per-run minima over a few rounds (see
+   T1). *)
 
 let tm1 ?(quick = false) () =
   section
     (if quick then "TM1  Taylor models off vs on (quick)"
      else "TM1  Taylor models: quadratic enclosures and band certification, off vs on");
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Interval.Tm.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:Interval.Tm.clear_enabled_override @@ fun () ->
   let rounds = if quick then 2 else 3 in
   let verdict_of = function
     | Icp.Solver.Delta_sat _ -> "delta-sat"

@@ -160,8 +160,8 @@ let jobs_arg =
 
 let no_cache_arg =
   let doc =
-    "Disable the subsumption caches (flowpipes, HC4 fixpoints, refuted \
-     boxes); equivalent to BIOMC_NO_CACHE=1."
+    "Disable the exact-replay caches (reach flow segments, BioPSy box \
+     verdicts); equivalent to BIOMC_NO_CACHE=1."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
@@ -182,10 +182,7 @@ let no_tm_arg =
   in
   Arg.(value & flag & info [ "no-tm" ] ~doc)
 
-let apply_cache_policy no_cache =
-  if no_cache then Cache.set_policy Cache.Off
-
-(* One-line hits/misses/warm-starts summary, appended to reports of the
+(* One-line on/off, hits and misses summary, appended to reports of the
    cache-assisted analyses. *)
 let cache_line () = Report.text "%s" (Cache.summary ())
 
@@ -284,12 +281,12 @@ let telemetry_items () =
           hist_rows ]
   end
 
-(* Run an analysis body under the common flags: cache policy and
-   telemetry switches are applied before, the telemetry report section
+(* Run an analysis body under the common flags: the layer and telemetry
+   switches are applied before, the telemetry report section
    and the trace / metrics files are emitted after.  The body returns
    the report items for a successful run. *)
 let with_common c body =
-  apply_cache_policy c.no_cache;
+  if c.no_cache then Cache.set_enabled false;
   if c.no_newton then Icp.Deriv.set_enabled false;
   if c.no_tm then Interval.Tm.set_enabled false;
   if c.metrics || c.metrics_json <> None || c.metrics_prom <> None then

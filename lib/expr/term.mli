@@ -94,7 +94,8 @@ val equal : t -> t -> bool
 val fingerprint : t -> string
 (** Canonical injective serialization (floats rendered exactly with %h):
     two terms share a fingerprint iff they are structurally equal.  Used
-    as a collision-safe memoization key by the subsumption caches. *)
+    as a collision-safe memoization key (cache groups, per-query tape
+    tables). *)
 
 val fingerprint_acc : Buffer.t -> t -> unit
 (** {!fingerprint} into an existing buffer (for composite keys). *)

@@ -10,9 +10,8 @@
 module I = Interval.Ia
 module Box = Interval.Box
 
-(* Contraction telemetry: one span per contractor call (cache lookups
-   included, so warm replays show up as near-zero-width spans on the
-   timeline) and round counters for the fixpoint loops. *)
+(* Contraction telemetry: one span per contractor call and round
+   counters for the fixpoint loops. *)
 let tm_hc4 = Telemetry.Span.probe "icp.hc4"
 let m_fixpoints = Telemetry.Counter.make "hc4.fixpoints"
 let m_rounds = Telemetry.Counter.make "hc4.rounds"
@@ -379,43 +378,15 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
   Telemetry.Counter.incr m_fixpoints;
   loop 0
 
-(* Collision-safe fingerprint of a constraint system (terms with exact
-   float rendering, targets with %h bounds): structurally identical
-   systems — e.g. the same formula decided twice, or the same atoms
-   compiled by a sibling query — share one cache group. *)
-let fingerprint constraints =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun c ->
-      Expr.Term.fingerprint_acc buf c.term;
-      Buffer.add_string buf (Printf.sprintf "@%h,%h;" (I.lo c.target) (I.hi c.target)))
-    constraints;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* HC4 fixpoint cache: group = (constraint fingerprint, tol, max_rounds,
-   evaluation path); value = the contraction result (None = refuted).
-   Exact hits replay the deterministic fixpoint bit-for-bit.  Under the
-   Warm policy a contained query may reuse a cached refutation (a box
-   with no solution has no solution in any sub-box) or seed the fixpoint
-   with query ∩ cached-result (sound: all solutions of the query lie in
-   both). *)
-let hc4_cache : Box.t option Cache.t = Cache.create ~group_capacity:1024 "hc4"
-
 (* Compile-once fixpoint closure: tape-backed when tapes are enabled,
    tree-walking otherwise.  The closure is safe to share across worker
-   domains (tapes are immutable; scratch is per-domain via Domain.DLS;
-   the cache shards are mutex-guarded). *)
+   domains (tapes are immutable; scratch is per-domain via Domain.DLS). *)
 let contractor ?tol ?max_rounds constraints =
   let tape = Expr.Tape.enabled () in
   (* TM-tightened forward passes only exist on the tape path (the tree
      walker has no slot arrays to intersect into); sampled at build time
-     like [tape] so the closure and its cache group stay consistent. *)
+     like [tape]. *)
   let tm = tape && Interval.Tm.enabled () in
-  (* The monomial budget changes what the TM pass computes, so it keys
-     the group next to [tm].  [Tm] reads it on every model it builds,
-     so it cannot be fixed in the closure: a [set_budget] after the
-     build makes the closure bypass the cache instead. *)
-  let budget = Interval.Tm.budget () in
   let base =
     if tape then begin
       let cs = compile constraints in
@@ -426,8 +397,7 @@ let contractor ?tol ?max_rounds constraints =
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
      fixpoint round lets HC4 exploit the tightened components.  The
-     flag is sampled at build time — like [tape] — so the closure and
-     its cache group stay consistent for their whole lifetime. *)
+     flag is sampled at build time, like [tape]. *)
   let newton =
     if Deriv.enabled () then
       Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
@@ -445,54 +415,11 @@ let contractor ?tol ?max_rounds constraints =
               | None -> None
               | Some b' -> if b' == b then Some b else base b'))
   in
-  (* The group string is built unconditionally (one digest — negligible
-     next to [compile]) with [tol]/[max_rounds] normalized to their
-     defaults, so callers passing the defaults explicitly share a group
-     with callers omitting them.  The policy is re-read on every call,
-     not baked into the closure: a [set_policy] flip after a contractor
-     was built takes effect on its next use.  ([lazy] is deliberately
-     avoided here — these closures are shared across worker domains, and
-     concurrently forcing one thunk is unsafe.) *)
-  let group =
-    (* The newton flag keys the group too: Newton-contracted results
-       must never replay into a Newton-off run (and vice versa), or the
-       kill-switch would no longer reproduce the HC4-only search. *)
-    Printf.sprintf "hc4|%s|%h|%d|%b|%b|%b|%d" (fingerprint constraints)
-      (Option.value tol ~default:default_tol)
-      (Option.value max_rounds ~default:default_max_rounds)
-      tape
-      (Option.is_some newton)
-      tm budget
-  in
-  let cached box =
-    if not (Cache.enabled ()) || Interval.Tm.budget () <> budget then base box
-    else
-      match Cache.find hc4_cache ~group box with
-      | Cache.Hit r ->
-          (* journal provenance: a replayed refutation is a
-             "cache-replay" prune, not a fresh hc4-empty *)
-          if Option.is_none r && Journal.on () then
-            Journal.set_reason ~group "cache-replay";
-          r
-      | Cache.Subsumed (_, None) ->
-          if Journal.on () then Journal.set_reason ~group "cache-replay";
-          None
-      | Cache.Subsumed (_, Some parent) ->
-          let seeded = Box.inter box parent in
-          let r = if Box.is_empty seeded then None else base seeded in
-          Cache.note_warm_start hc4_cache ~saved_iterations:0;
-          Cache.add hc4_cache ~group box r;
-          r
-      | Cache.Miss ->
-          let r = base box in
-          Cache.add hc4_cache ~group box r;
-          r
-  in
   fun box ->
-    if not (Telemetry.enabled ()) then cached box
+    if not (Telemetry.enabled ()) then base box
     else begin
       let tok = Telemetry.Span.enter tm_hc4 in
-      match cached box with
+      match base box with
       | r ->
           Telemetry.Span.exit tm_hc4 tok;
           r

@@ -19,11 +19,6 @@ val of_atom : ?delta:float -> Expr.Formula.atom -> constr
 
 val pp_constr : constr Fmt.t
 
-val fingerprint : constr list -> string
-(** Collision-safe digest of a constraint system (exact float rendering):
-    equal fingerprints imply structurally identical constraints.  Keys
-    the HC4 fixpoint cache and the solver's refuted-box store. *)
-
 val revise :
   term:Expr.Term.t -> target:Interval.Ia.t -> Interval.Box.t -> Interval.Box.t option
 (** One HC4-revise step.  [None] means the constraint is infeasible on the
@@ -77,11 +72,9 @@ val contractor :
     round when Newton tightened the box.  Both layers only remove
     points violating a constraint, so the contraction contract is
     unchanged; with Newton disabled the closure reproduces the HC4-only
-    result bit for bit (cache groups are keyed on the flag).  The
-    closure may be shared across worker domains: tapes are immutable
-    and scratch buffers are per-domain.
+    result bit for bit.  The closure may be shared across worker
+    domains: tapes are immutable and scratch buffers are per-domain.
 
     The Newton and Taylor-model layers follow their global switches,
     sampled when the closure is built; the Taylor-model pass also
-    requires the tape path.  The HC4 cache group keys on the sampled
-    flags. *)
+    requires the tape path. *)

@@ -35,6 +35,18 @@ type budget = Lease.t
 
 let budget total = Lease.create ~total ()
 
+(* The layer-flag snapshot in every journaled run header: decide and
+   pave in [Solver], reach and synth runs in [Reach.Checker] and
+   [Synth.Biopsy].  The audit checks each prune reason against it and
+   reads a missing flag as on, so every run kind must carry every key. *)
+let journal_flags jobs =
+  [ ("newton", string_of_bool (Deriv.enabled ()));
+    ("tm", string_of_bool (Interval.Tm.enabled ()));
+    ("tm_budget", string_of_int (Interval.Tm.budget ()));
+    ("cache", string_of_bool (Cache.enabled ()));
+    ("tape", string_of_bool (Expr.Tape.enabled ()));
+    ("jobs", string_of_int jobs) ]
+
 (* A worker's private accumulators. *)
 type 'leaf worker = {
   lease : Lease.local;

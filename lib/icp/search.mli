@@ -54,6 +54,13 @@ val budget : int -> budget
 (** [budget n]: [n] boxes, leased to workers in chunks
     ({!Parallel.Pool.Lease}). *)
 
+val journal_flags : int -> (string * string) list
+(** [journal_flags jobs] is the layer-flag snapshot (newton, tm,
+    tm_budget, cache, tape, jobs) recorded in the header of every
+    journaled run: decide and pave in {!Solver}, reach and synth runs in
+    [Reach.Checker] and [Synth.Biopsy].  The journal audit checks each
+    prune reason against it. *)
+
 val run :
   jobs:int ->
   budget:budget ->

@@ -35,8 +35,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
    timeline shows the measure shrinking down the search tree); the
    counters mirror the per-query [stats] records into the process-wide
    metrics registry, which is the one reporting path `--metrics` and the
-   bench breakdown read.  Always-on, like the cache counters they sit
-   beside. *)
+   bench breakdown read.  Always-on, so the counts do not depend on
+   telemetry being enabled. *)
 let tm_decide = Telemetry.Span.probe "icp.decide"
 let tm_pave = Telemetry.Span.probe "icp.pave"
 let tm_box = Telemetry.Span.probe "icp.box"
@@ -48,18 +48,6 @@ let m_decide_certifications =
 let m_pave_boxes = Telemetry.Counter.make ~always:true "icp.pave.boxes"
 let m_pave_splits = Telemetry.Counter.make ~always:true "icp.pave.splits"
 let m_pave_prunings = Telemetry.Counter.make ~always:true "icp.pave.prunings"
-
-(* The layer-flag snapshot in every journaled run header — decide and
-   pave here, reach and synth runs in [Reach.Checker] and
-   [Synth.Biopsy].  The audit checks each prune reason against it and
-   reads a missing flag as on, so every run kind must carry every key. *)
-let journal_flags jobs =
-  [ ("newton", string_of_bool (Deriv.enabled ()));
-    ("tm", string_of_bool (Interval.Tm.enabled ()));
-    ("tm_budget", string_of_int (Interval.Tm.budget ()));
-    ("cache", string_of_bool (Cache.enabled ()));
-    ("tape", string_of_bool (Expr.Tape.enabled ()));
-    ("jobs", string_of_int jobs) ]
 
 type config = {
   delta : float;  (** perturbation bound δ of the δ-decision problem *)
@@ -173,46 +161,6 @@ let certify ~delta stats formula box =
 
 (* ---- The decide step ---- *)
 
-(* Verdict store of refuted (pruned) boxes, shared across queries and
-   worker domains.  A pruning is a proof that no point of the box
-   satisfies the conjunction, so an exact hit replays it for free and —
-   under the Warm policy — a hit on a containing box refutes every
-   sub-box (interval monotonicity).  δ-sat verdicts are never stored:
-   only refutations are monotone. *)
-let refuted_cache : unit Cache.t = Cache.create "icp-refuted"
-
-(* [Contractor.of_atom] erases strictness (Gt and Ge both contract
-   against the closed target [-δ, ∞)), but the [sat_possible] pruning in
-   [process_box] distinguishes them, so each atom's relation must be
-   part of every refutation-store key: a boundary box refuted for a
-   strict conjunction is not necessarily refuted for its non-strict
-   twin. *)
-let rels_key atoms =
-  String.concat ""
-    (List.map
-       (fun (a : Expr.Formula.atom) ->
-         match a.rel with Expr.Formula.Gt -> ">" | Expr.Formula.Ge -> "G")
-       atoms)
-
-let refuted_group cfg atoms =
-  if not (Cache.enabled ()) then None
-  else
-    let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
-    let rels = rels_key atoms in
-    Some
-      (Printf.sprintf "prune|%s|%s|%h|%d|%b|%b|%b|%b|%d"
-         (Contractor.fingerprint constraints) rels
-         cfg.delta cfg.contractor_rounds cfg.use_contraction
-         (Expr.Tape.enabled ())
-         (* Newton-era refutations are still proofs, but replaying them
-            into a BIOMC_NO_NEWTON=1 run would change that run's search
-            trajectory — the kill-switch must reproduce the HC4-only
-            search exactly, so the two populations stay separate.  Same
-            story for the Taylor-model flag and monomial budget below. *)
-         (Deriv.enabled ())
-         (Interval.Tm.enabled ())
-         (Interval.Tm.budget ()))
-
 (* Per-query gradient system for smear-guided branching (and, through
    [Contractor.contractor], the Newton contraction).  [None] when the
    derivative layer is disabled or no atom is differentiable; the split
@@ -238,36 +186,14 @@ let found w =
   Search.Sat ({ Search.point = w.point; certified = w.certified; box = w.box },
               Delta_sat w)
 
-let process_box_inner cfg stats ?refuted ?dsys contract formula b =
-  let known_refuted =
-    match refuted with
-    | None -> false
-    | Some group -> (
-        match Cache.find refuted_cache ~group b with
-        | Cache.Hit () | Cache.Subsumed (_, ()) -> true
-        | Cache.Miss -> false)
-  in
-  let refute () =
-    (match refuted with
-    | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ());
-    Search.Prune None
-  in
-  if known_refuted then begin
-    (if Journal.on () then
-       match refuted with
-       | Some group -> Journal.set_reason ~group "cache-replay"
-       | None -> ());
-    Search.Prune None
-  end
-  else
+let process_box_inner cfg stats ?dsys contract formula b =
   match contract b with
-  | None -> refute ()
+  | None -> Search.Prune None
   | Some b' ->
-      if Box.is_empty b' then refute ()
+      if Box.is_empty b' then Search.Prune None
       else if not (Expr.Formula.sat_possible ~delta:cfg.delta b' formula) then begin
         if Journal.on () then Journal.set_reason "sat-impossible";
-        refute ()
+        Search.Prune None
       end
       else begin
         match certify ~delta:cfg.delta stats formula b' with
@@ -286,16 +212,16 @@ let total_width b = Box.fold (fun _ itv acc -> acc +. I.width itv) b 0.0
 (* The telemetry wrapper around the per-box step: pure observation (a
    span and, when tracing, the box measure), so verdicts are identical
    with telemetry on or off. *)
-let process_box cfg stats ?refuted ?dsys contract formula b =
+let process_box cfg stats ?dsys contract formula b =
   if not (Telemetry.enabled ()) then
-    process_box_inner cfg stats ?refuted ?dsys contract formula b
+    process_box_inner cfg stats ?dsys contract formula b
   else begin
     let tok =
       if Telemetry.trace_on () then
         Telemetry.Span.enter ~arg:(total_width b) tm_box
       else Telemetry.Span.enter tm_box
     in
-    match process_box_inner cfg stats ?refuted ?dsys contract formula b with
+    match process_box_inner cfg stats ?dsys contract formula b with
     | r ->
         Telemetry.Span.exit tm_box tok;
         r
@@ -323,7 +249,6 @@ let decide_conjunction ~jobs ~budget ?cancelled ?label cfg worker_stats atoms
     Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
   in
   let contract = conjunction_contractor cfg atoms in
-  let refuted = refuted_group cfg atoms in
   let dsys = conjunction_deriv ~delta:cfg.delta atoms in
   let r =
     Search.run ~jobs ~budget ?cancelled ?label
@@ -331,7 +256,7 @@ let decide_conjunction ~jobs ~budget ?cancelled ?label cfg worker_stats atoms
       ~exhausted:(fun _ ->
         Search.Give_up ("budget-exhaust", Unknown "box budget exhausted"))
       (fun w b ->
-        process_box cfg worker_stats.(w) ?refuted ?dsys contract formula b)
+        process_box cfg worker_stats.(w) ?dsys contract formula b)
       box
   in
   let s = worker_stats.(0) and c = r.Search.counts in
@@ -407,7 +332,7 @@ let decide_with_stats ?config formula box =
         if Journal.on () then begin
           let cfg = Option.value config ~default:default_config in
           Journal.begin_run ~kind:"decide"
-            ~flags:(journal_flags (Stdlib.max 1 cfg.jobs))
+            ~flags:(Search.journal_flags (Stdlib.max 1 cfg.jobs))
             ()
         end
         else 0
@@ -450,23 +375,6 @@ let paving_volumes ~over p =
 let pp_paving ppf p =
   Fmt.pf ppf "paving: %d sat, %d unsat, %d undecided boxes"
     (List.length p.sat) (List.length p.unsat) (List.length p.undecided)
-
-(* Unsat verdicts in a paving are monotone ("no point of the box
-   satisfies the formula"), so they are shared through the same store as
-   decide-side prunings, under a formula-keyed group.  Certain/sat
-   verdicts are NOT monotone in the useful direction for reuse across
-   different boxes and are never stored. *)
-let pave_group cfg formula =
-  if not (Cache.enabled ()) then None
-  else
-    Some
-      (Printf.sprintf "pave|%s|%b|%b|%b|%b|%d"
-         (Digest.to_hex (Digest.string (Expr.Formula.fingerprint formula)))
-         cfg.use_contraction
-         (Expr.Tape.enabled ())
-         (Deriv.enabled ())
-         (Interval.Tm.enabled ())
-         (Interval.Tm.budget ()))
 
 (* ---- Enclosure-assisted sat-certification ----
 
@@ -565,34 +473,13 @@ let pave_cert formula =
 (* The pave step.  Classification is deterministic, so pavings at any
    [jobs] contain the same leaf boxes (only the list order differs) as
    long as the budget is not exhausted. *)
-let pave_step cfg ~cert ?refuted ?dsys contract formula b =
+let pave_step cfg ~cert ?dsys contract formula b =
   let unsat () = Search.Prune (Some (`Unsat, b)) in
-  let known_unsat =
-    match refuted with
-    | None -> false
-    | Some group -> (
-        match Cache.find refuted_cache ~group b with
-        | Cache.Hit () | Cache.Subsumed (_, ()) -> true
-        | Cache.Miss -> false)
-  in
-  let record_unsat () =
-    match refuted with
-    | None -> ()
-    | Some group -> Cache.add refuted_cache ~group b ()
-  in
   if Box.is_empty b then Search.Leaf ("empty", None, None)
-  else if known_unsat then begin
-    (if Journal.on () then
-       match refuted with
-       | Some group -> Journal.set_reason ~group "cache-replay"
-       | None -> ());
-    unsat ()
-  end
   else
   match cert b formula with
   | Expr.Formula.Certain -> Search.Leaf ("sat", None, Some (`Sat, b))
   | Expr.Formula.Impossible ->
-      record_unsat ();
       if Journal.on () then Journal.set_reason "eval-impossible";
       unsat ()
   | Expr.Formula.Unknown ->
@@ -601,11 +488,7 @@ let pave_step cfg ~cert ?refuted ?dsys contract formula b =
          the difference approximately by checking each component.  To
          stay simple and exact we only use contraction as an
          infeasibility test here. *)
-      let infeasible = cfg.use_contraction && Option.is_none (contract b) in
-      if infeasible then begin
-        record_unsat ();
-        unsat ()
-      end
+      if cfg.use_contraction && Option.is_none (contract b) then unsat ()
       else (
         match split_box ?dsys ~min_width:cfg.epsilon b with
         | Some (l, r) -> Search.Split (l, r)
@@ -621,7 +504,6 @@ let pave_default ?(config = default_config) formula box =
     if config.use_contraction then Contractor.contractor ~max_rounds:2 constraints
     else fun b -> Some b
   in
-  let refuted = pave_group config formula in
   let cert = pave_cert formula in
   let dsys = conjunction_deriv ~delta:0.0 atoms in
   (* A box that finds the budget exhausted becomes an undecided leaf. *)
@@ -631,7 +513,7 @@ let pave_default ?(config = default_config) formula box =
       ~heur:(if Option.is_some dsys then "smear" else "bisect")
       ~exhausted:(fun b ->
         Search.Leaf ("undecided", Some "budget-exhaust", Some (`Undecided, b)))
-      (fun _ b -> pave_step config ~cert ?refuted ?dsys contract formula b)
+      (fun _ b -> pave_step config ~cert ?dsys contract formula b)
       box
   in
   let leaves cls =
@@ -651,7 +533,7 @@ let pave_with_stats ?config formula box =
         if Journal.on () then begin
           let cfg = Option.value config ~default:default_config in
           Journal.begin_run ~kind:"pave"
-            ~flags:(journal_flags (Stdlib.max 1 cfg.jobs))
+            ~flags:(Search.journal_flags (Stdlib.max 1 cfg.jobs))
             ()
         end
         else 0

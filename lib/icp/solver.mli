@@ -73,13 +73,6 @@ val decide_with_stats :
 (** Like {!decide}, also reporting boxes processed, prunings, splits,
     depth and certification probes. *)
 
-val journal_flags : int -> (string * string) list
-(** [journal_flags jobs] is the layer-flag snapshot (newton, tm,
-    tm_budget, cache, tape, jobs) recorded in the header of
-    every journaled run: decide and pave here, reach and synth runs in
-    [Reach.Checker] and [Synth.Biopsy].  The journal audit checks each
-    prune reason against it. *)
-
 (** {1 Paving}
 
     Partition of a box by formula status, used for guaranteed parameter

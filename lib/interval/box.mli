@@ -37,7 +37,7 @@ val hull : t -> t -> t
 val join : t -> t -> t
 (** Disjoint union over different variable sets (left-biased when a
     variable is bound in both): [join params init] is the combined box
-    used as a flowpipe-cache key. *)
+    used as a segment-cache key. *)
 
 (** {1 Geometry} *)
 

@@ -19,17 +19,14 @@ module Box = Interval.Box
 let src = Logs.Src.create "ode.enclosure" ~doc:"validated integration"
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Integration telemetry: one span per [flow] call (cache hits show as
-   near-zero spans), counters for accepted steps, Picard iterations,
-   step-size rejections (a failed a-priori enclosure forcing h/2) and
-   warm-seed fallbacks (cached parent enclosure that failed its
-   containment check). *)
+(* Integration telemetry: one span per [flow] call, counters for
+   accepted steps, Picard iterations and step-size rejections (a failed
+   a-priori enclosure forcing h/2). *)
 let tm_flow = Telemetry.Span.probe "ode.flow"
 let m_flows = Telemetry.Counter.make "ode.flows"
 let m_steps = Telemetry.Counter.make "ode.steps"
 let m_picard_iters = Telemetry.Counter.make "ode.picard_iters"
 let m_step_rejections = Telemetry.Counter.make "ode.step_rejections"
-let m_warm_fallbacks = Telemetry.Counter.make "ode.warm_fallbacks"
 
 type order = Euler_1 | Taylor_2
 
@@ -46,13 +43,16 @@ let default_config =
   { order = Taylor_2; h = 0.05; h_min = 1e-5; inflation = 0.05; max_picard = 30;
     max_width = 1e4 }
 
-(* Exact fingerprint of a config (%h floats), part of every flowpipe
-   cache key: entries computed under different step/inflation settings
-   must never be confused. *)
-let config_fingerprint cfg =
-  Printf.sprintf "%s|%h|%h|%h|%d|%h"
+(* Everything besides the system, the boxes and the horizon that decides
+   what [flow] returns: the config (floats rendered with %h), the
+   evaluation path, the Taylor-model switch and its monomial budget.
+   Caches of values derived from a flow key this one string, so no
+   layer switch can replay a value computed under another setting. *)
+let flow_fingerprint cfg =
+  Printf.sprintf "%s|%h|%h|%h|%d|%h|%b|%b|%d"
     (match cfg.order with Euler_1 -> "e1" | Taylor_2 -> "t2")
     cfg.h cfg.h_min cfg.inflation cfg.max_picard cfg.max_width
+    (Expr.Tape.enabled ()) (Interval.Tm.enabled ()) (Interval.Tm.budget ())
 
 type step = {
   t_lo : float;
@@ -93,8 +93,7 @@ let box_add_scaled state scale deriv =
     state deriv
 
 (* One validated step; [None] when no a-priori enclosure was found.
-   [iters] accumulates Picard iterations (for cache warm-start
-   accounting). *)
+   [iters] accumulates Picard iterations. *)
 let flow_step cfg sys second params t0 h x0 iters =
   let time_whole = I.make t0 (t0 +. h) in
   let h_itv = I.make 0.0 h in
@@ -169,7 +168,7 @@ let prepare sys =
       Expr.Tape.compile ~vars:inputs (List.map snd (second_derivative sys));
   }
 
-let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
+let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
   let sys = prep.p_sys in
   let vars = Array.of_list (System.vars sys) in
   let n = Array.length vars in
@@ -185,10 +184,9 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
      several rates with opposite signs in mass-action kinetics, and
      mass-action products couple state variables quadratically), so
      the TM range intersected into the interval one shrinks f(B) and
-     with it the whole tube.  Sampled once per flow — the flow cache
-     group is keyed on the same flag. *)
+     with it the whole tube.  Sampled once per flow. *)
   let tm = Interval.Tm.enabled () in
-  (* A field that reads no time input has the same f(X₀) at the cold
+  (* A field that reads no time input has the same f(X₀) at the Picard
      seed's time [t0, t0 + h] as at the Taylor-2 endpoint's t0, so the
      endpoint reuses the seed's evaluation. *)
   let reuse_f_x0 =
@@ -224,12 +222,8 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
   let width_of (x : I.t array) =
     Array.fold_left (fun acc i -> Float.max acc (I.width i)) 0.0 x
   in
-  (* One validated step on interval arrays; mirrors [flow_step].  [seed]
-     overrides the Euler-based a-priori candidate — used to warm-start
-     Picard from a cached parent enclosure.  Rigor is untouched: whatever
-     the candidate, the step succeeds only once the Picard containment
-     x0 + [0,h]·f(B) ⊆ B is verified. *)
-  let step_tape ?seed t0 h (x0 : I.t array) =
+  (* One validated step on interval arrays; mirrors [flow_step]. *)
+  let step_tape t0 h (x0 : I.t array) =
     let time_whole = I.make t0 (t0 +. h) in
     let h_itv = I.make 0.0 h in
     let rec picard b k =
@@ -252,18 +246,14 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
           picard widened (k + 1)
       end
     in
-    (* [f_x0]: the cold seed's f(X₀), kept when the endpoint can reuse it. *)
-    let seed, f_x0 =
-      match seed with
-      | Some b -> (b, None)
-      | None ->
-          eval_field prep.rhs_tape sc_rhs time_whole x0 fbuf;
-          ( Array.init n (fun i ->
-                let next = I.add x0.(i) (I.mul h_itv fbuf.(i)) in
-                I.hull x0.(i)
-                  (I.inflate (cfg.inflation *. (I.width next +. 1e-9)) next)),
-            if reuse_f_x0 then Some (Array.copy fbuf) else None )
+    eval_field prep.rhs_tape sc_rhs time_whole x0 fbuf;
+    let seed =
+      Array.init n (fun i ->
+          let next = I.add x0.(i) (I.mul h_itv fbuf.(i)) in
+          I.hull x0.(i) (I.inflate (cfg.inflation *. (I.width next +. 1e-9)) next))
     in
+    (* The seed's f(X₀), kept when the endpoint can reuse it. *)
+    let f_x0 = if reuse_f_x0 then Some (Array.copy fbuf) else None in
     match picard seed 0 with
     | None -> None
     | Some b ->
@@ -291,18 +281,7 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
         in
         if Array.exists I.is_empty at_end then None else Some (b, at_end)
   in
-  (* [warm]: remaining steps of a cached parent tube (query boxes ⊆ the
-     cached ones).  When the cached grid lines up with the current time,
-     the parent's step enclosure seeds Picard; by inclusion isotonicity
-     the very first containment check then succeeds, so a warm step costs
-     one iteration instead of a cold inflation loop.  A failed
-     containment (or a grid mismatch after step-halving) just drops back
-     to the cold path — soundness never depends on the cache. *)
-  let rec drop_passed t = function
-    | (w : step) :: rest when w.t_hi <= t +. 1e-12 -> drop_passed t rest
-    | warm -> warm
-  in
-  let rec go t x h steps warm =
+  let rec go t x h steps =
     if t >= t_end -. 1e-12 then
       { vars = System.vars sys; steps = List.rev steps; final = box_of x;
         t_end = t; complete = true }
@@ -312,39 +291,23 @@ let flow_tape ?(warm = []) cfg prep ~params ~init ~t_end ~iters t0 =
         t_end = t; complete = false }
     end
     else
-      match drop_passed t warm with
-      | (w : step) :: wrest
-        when Float.abs (w.t_lo -. t) <= 1e-12 && w.t_hi <= t_end +. 1e-12 -> (
-          let hw = w.t_hi -. t in
-          match step_tape ~seed:(arr_of w.enclosure) t hw x with
-          | Some (b, x') ->
-              let step =
-                { t_lo = t; t_hi = t +. hw; enclosure = box_of b;
-                  at_end = box_of x' }
-              in
-              go step.t_hi x' cfg.h (step :: steps) wrest
-          | None ->
-              Telemetry.Counter.incr m_warm_fallbacks;
-              go t x h steps [])
-      | warm -> (
-          let h = Float.min h (t_end -. t) in
-          match step_tape t h x with
-          | Some (b, x') ->
-              let step =
-                { t_lo = t; t_hi = t +. h; enclosure = box_of b;
-                  at_end = box_of x' }
-              in
-              go step.t_hi x' cfg.h (step :: steps) warm
-          | None ->
-              if h <= cfg.h_min then
-                { vars = System.vars sys; steps = List.rev steps;
-                  final = box_of x; t_end = t; complete = false }
-              else begin
-                Telemetry.Counter.incr m_step_rejections;
-                go t x (h /. 2.0) steps warm
-              end)
+      let h = Float.min h (t_end -. t) in
+      match step_tape t h x with
+      | Some (b, x') ->
+          let step =
+            { t_lo = t; t_hi = t +. h; enclosure = box_of b; at_end = box_of x' }
+          in
+          go step.t_hi x' cfg.h (step :: steps)
+      | None ->
+          if h <= cfg.h_min then
+            { vars = System.vars sys; steps = List.rev steps; final = box_of x;
+              t_end = t; complete = false }
+          else begin
+            Telemetry.Counter.incr m_step_rejections;
+            go t x (h /. 2.0) steps
+          end
   in
-  go t0 (arr_of init) cfg.h [] warm
+  go t0 (arr_of init) cfg.h []
 
 let flow_tree config sys ~params ~init ~t_end ~iters t0 =
   let second = if config.order = Taylor_2 then second_derivative sys else [] in
@@ -370,86 +333,37 @@ let flow_tree config sys ~params ~init ~t_end ~iters t0 =
   in
   go t0 init config.h []
 
-(* Flowpipe cache.  Group key = (system digest, config fingerprint,
-   evaluation path, t0, t_end); entry key = params ⊎ init as one box;
-   value = (tube, Picard iterations spent).  The tape and tree paths
-   produce bit-identical tubes, but they stay in separate groups so the
-   tree path remains a genuinely independent oracle for differential
-   tests even with caching on. *)
-let tube_cache : (tube * int) Cache.t =
-  Cache.create ~group_capacity:4096 "flow"
-
 (* Integrate from [init] (a box over state variables) for [t_end] time
    units with parameters in [params] (a box over parameter names).
    [prepared] skips the per-call tape compilation; build it once per
-   problem when calling [flow] many times on the same system.
-
-   Caching: an exact (Box.equal) hit returns the cached tube — identical
-   to recomputation, since integration is deterministic.  Under the Warm
-   policy, a query contained in a cached box warm-starts Picard from the
-   cached step enclosures (sound: the containment check still runs per
-   step; wider: the a-priori enclosures are the parent's). *)
+   problem when calling [flow] many times on the same system. *)
 let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
     sys =
   Telemetry.Span.with_ tm_flow @@ fun () ->
-  let run ?warm () =
-    let iters = ref 0 in
-    let tube =
-      if Expr.Tape.enabled () then
-        let prep =
-          match prepared with
-          | Some p -> p
-          | None ->
-              (* One-time symbolic + tape compilation: negligible against
-                 the thousands of Picard evaluations of a typical flow. *)
-              prepare sys
-        in
-        flow_tape ?warm config prep ~params ~init ~t_end ~iters t0
-      else flow_tree config sys ~params ~init ~t_end ~iters t0
-    in
-    Telemetry.Counter.incr m_flows;
-    Telemetry.Counter.add m_picard_iters !iters;
-    Telemetry.Counter.add m_steps (List.length tube.steps);
-    (tube, !iters)
+  let iters = ref 0 in
+  let tube =
+    if Expr.Tape.enabled () then
+      let prep =
+        match prepared with
+        | Some p -> p
+        | None ->
+            (* One-time symbolic + tape compilation: negligible against
+               the thousands of Picard evaluations of a typical flow. *)
+            prepare sys
+      in
+      flow_tape config prep ~params ~init ~t_end ~iters t0
+    else flow_tree config sys ~params ~init ~t_end ~iters t0
   in
-  (* Journal provenance of the tube this flow returned: inside a
-     journaled reach/synth run every integration (fresh, warm-started
-     or replayed) leaves one record, so explain can report how much of
-     the verdict rested on cached dynamics. *)
-  let jemit ~cached tube =
-    if Journal.on () && Journal.in_run () then
-      Journal.tube
-        ~sys:(String.sub (Digest.to_hex (Digest.string (System.digest sys))) 0 12)
-        ~t0 ~t1:tube.t_end ~steps:(List.length tube.steps)
-        ~complete:tube.complete ~cached;
-    tube
-  in
-  if not (Cache.enabled ()) then jemit ~cached:false (fst (run ()))
-  else begin
-    let group =
-      Printf.sprintf "flow|%s|%s|%b|%b|%d|%h|%h" (System.digest sys)
-        (config_fingerprint config)
-        (Expr.Tape.enabled ())
-        (* TM-tightened tubes must not replay into a BIOMC_NO_TM=1 run
-           (or vice versa), nor into a run at another monomial budget. *)
-        (Interval.Tm.enabled ())
-        (Interval.Tm.budget ())
-        t0 t_end
-    in
-    let key = Box.join params init in
-    match Cache.find tube_cache ~group key with
-    | Cache.Hit (tube, _) -> jemit ~cached:true tube
-    | Cache.Subsumed (_, (ctube, citers))
-      when Expr.Tape.enabled () && ctube.complete ->
-        let tube, iters = run ~warm:ctube.steps () in
-        Cache.note_warm_start tube_cache ~saved_iterations:(citers - iters);
-        Cache.add tube_cache ~group key (tube, iters);
-        jemit ~cached:true tube
-    | Cache.Subsumed _ | Cache.Miss ->
-        let tube, iters = run () in
-        Cache.add tube_cache ~group key (tube, iters);
-        jemit ~cached:false tube
-  end
+  Telemetry.Counter.incr m_flows;
+  Telemetry.Counter.add m_picard_iters !iters;
+  Telemetry.Counter.add m_steps (List.length tube.steps);
+  (* Journal provenance: inside a journaled reach/synth run every
+     integration leaves one record. *)
+  if Journal.on () && Journal.in_run () then
+    Journal.tube
+      ~sys:(String.sub (Digest.to_hex (Digest.string (System.digest sys))) 0 12)
+      ~t0 ~t1:tube.t_end ~steps:(List.length tube.steps) ~complete:tube.complete;
+  tube
 
 (* Hull of the tube over its whole time span. *)
 let tube_hull tube =

@@ -24,10 +24,13 @@ type config = {
 
 val default_config : config
 
-val config_fingerprint : config -> string
-(** Exact textual fingerprint (floats rendered with %h), used as part of
-    flowpipe/verdict cache keys by this module and by callers keying
-    their own caches on an enclosure configuration. *)
+val flow_fingerprint : config -> string
+(** Everything besides the system, the boxes and the horizon that
+    decides what {!flow} returns: the config (floats rendered with %h),
+    the evaluation path ({!Expr.Tape.enabled}), the Taylor-model switch
+    and its monomial budget ({!Interval.Tm.enabled},
+    {!Interval.Tm.budget}), read at the call.  Callers that cache values
+    derived from a flow key their groups with it. *)
 
 type step = {
   t_lo : float;

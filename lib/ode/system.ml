@@ -115,8 +115,8 @@ let rhs_staged s =
 
 (* Structural digest of the system (state order, parameter order, and
    every right-hand side with exact float rendering): equal digests imply
-   identical dynamics, so they key the flowpipe caches soundly across
-   independently constructed copies of one model. *)
+   identical dynamics, so they key the segment and verdict caches
+   soundly across independently constructed copies of one model. *)
 let digest s =
   match s.digest with
   | Some d -> d

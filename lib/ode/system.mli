@@ -64,8 +64,9 @@ val compile_into :
 
 val digest : t -> string
 (** Structural digest of (vars, params, right-hand sides), cached on the
-    system: equal digests imply identical dynamics.  Keys the flowpipe
-    caches across independently constructed copies of a model. *)
+    system: equal digests imply identical dynamics.  Keys the segment
+    and verdict caches across independently constructed copies of a
+    model. *)
 
 val eval_interval :
   ?time:Interval.Ia.t -> t -> Interval.Box.t -> (string * Interval.Ia.t) list

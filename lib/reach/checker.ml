@@ -316,17 +316,10 @@ let ensemble_members cfg ~params_box ~init_box =
 
 (* Segment-enclosure cache: path enumeration revisits mode flows (every
    candidate path shares prefixes with its extensions, and synthesis
-   re-checks shrinking sub-boxes), so memoize the whole
-   validated-or-bracketed answer.  The fallback bracket is deterministic
-   (fixed sampling seed), so exact replay is identity-preserving; under
-   the Warm policy a parent box's enclosure is reused directly for
-   sub-boxes — sound because it contains every trajectory of the
-   sub-box too (and [None] means "no usable enclosure", a conservative
-   answer that stays conservative on sub-boxes).  A replayed bracket was
-   cut at the parent box's invariant exit, and [path_feasible] truncates
-   it again with the sub-box's parameters: interval evaluation is
-   inclusion-isotone, so the sub-box exits no later, and the result is
-   the prefix the uncut parent bracket would give. *)
+   re-checks the boxes of a path it has already scanned), so memoize
+   the whole validated-or-bracketed answer.  The fallback bracket is
+   deterministic (fixed sampling seed), so exact replay is
+   identity-preserving. *)
 let seg_cache : segment_enclosure option Cache.t =
   Cache.create ~group_capacity:2048 "reach-seg"
 
@@ -338,23 +331,17 @@ let method_fingerprint = function
   | Ode.Integrate.Implicit_euler { h; newton_iters; newton_tol } ->
       Printf.sprintf "I%h,%d,%h" h newton_iters newton_tol
 
-(* Keyed by the tape and TM flags and the TM monomial budget, like the
-   [flow|] group of the tubes the segments are cut from: a segment
-   computed with Taylor models must not replay into a BIOMC_NO_TM=1
-   check (or vice versa), nor into a check at another budget.  Keyed by
-   the mode invariant too, which cuts the bracket: two modes may share a
-   vector field. *)
+(* Keyed by the flow fingerprint, which names every layer switch the
+   tube depends on, and by the bracket's settings.  Keyed by the mode
+   invariant too, which cuts the bracket: two modes may share a vector
+   field. *)
 let seg_group cfg pb_sys ~inv ~t_end =
-  Printf.sprintf "segenc|%s|%s|%s|%s|%d|%d|%h|%h|%b|%b|%d|%h"
+  Printf.sprintf "segenc|%s|%s|%s|%s|%d|%d|%h|%h|%h"
     (Ode.System.digest pb_sys) (F.fingerprint inv)
-    (Ode.Enclosure.config_fingerprint cfg.enclosure)
+    (Ode.Enclosure.flow_fingerprint cfg.enclosure)
     (method_fingerprint cfg.sim_method)
     cfg.fallback_samples cfg.fallback_windows cfg.fallback_margin
-    cfg.tube_quality_width
-    (Expr.Tape.enabled ())
-    (Interval.Tm.enabled ())
-    (Interval.Tm.budget ())
-    t_end
+    cfg.tube_quality_width t_end
 
 (* Compute an enclosure of the flow of [sys] from [init_box] under
    [params_box] over [0, t_end]; validated when possible, bracketed
@@ -384,41 +371,25 @@ let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_e
   end
 
 let flow_enclosure ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
+  let group = seg_group cfg pb_sys ~inv ~t_end in
+  let key = Box.join params_box init_box in
+  let cached = Cache.find seg_cache ~group key in
   (* [jseg = (path, depth, mode)]: journal one segment record per flow
      step of a path unrolling, tagged with whether the enclosure came
-     out of the segment store or was integrated afresh. *)
-  let jemit ~cached =
-    match jseg with
-    | Some (p, i, m) when Journal.on () && Journal.in_run () ->
-        Journal.seg ~path:p ~index:i ~mode:m ~cached
-    | _ -> ()
-  in
-  if not (Cache.enabled ()) then begin
-    jemit ~cached:false;
-    flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end
-  end
-  else begin
-    let group = seg_group cfg pb_sys ~inv ~t_end in
-    let key = Box.join params_box init_box in
-    match Cache.find seg_cache ~group key with
-    | Cache.Hit seg ->
-        jemit ~cached:true;
-        seg
-    | Cache.Subsumed (_, seg) ->
-        (* Warm policy only: a containing box's enclosure (or its
-           conservative [None]) is valid for this sub-box as-is. *)
-        Cache.note_warm_start seg_cache ~saved_iterations:0;
-        jemit ~cached:true;
-        seg
-    | Cache.Miss ->
-        let seg =
-          flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box
-            ~init_box ~t_end
-        in
-        Cache.add seg_cache ~group key seg;
-        jemit ~cached:false;
-        seg
-  end
+     out of the segment store; a fresh one's tube records follow it. *)
+  (match jseg with
+  | Some (p, i, m) when Journal.on () && Journal.in_run () ->
+      Journal.seg ~path:p ~index:i ~mode:m ~cached:(Option.is_some cached)
+  | _ -> ());
+  match cached with
+  | Some seg -> seg
+  | None ->
+      let seg =
+        flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box
+          ~t_end
+      in
+      Cache.add seg_cache ~group key seg;
+      seg
 
 (* ---- Validated path feasibility ---- *)
 
@@ -796,7 +767,7 @@ let check ?(config = default_config) (pb : Encoding.t) =
   let jrun =
     if Journal.on () then
       Journal.begin_run ~kind:"reach"
-        ~flags:(Icp.Solver.journal_flags (Stdlib.max 1 config.jobs))
+        ~flags:(Icp.Search.journal_flags (Stdlib.max 1 config.jobs))
         ()
     else 0
   in
@@ -871,7 +842,7 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
   let jrun =
     if Journal.on () then
       Journal.begin_run ~kind:"synth"
-        ~flags:(Icp.Solver.journal_flags (Stdlib.max 1 config.jobs))
+        ~flags:(Icp.Search.journal_flags (Stdlib.max 1 config.jobs))
         ()
     else 0
   in

@@ -68,11 +68,8 @@ type verdict = All_fit | None_fit | Split_
 
 (* Verdict store for parameter-box classification.  [classify] is a pure,
    deterministic function of (problem, config, box), so exact replays are
-   identity-preserving.  Under the Warm policy, a containing box's
-   conclusive verdict transfers to sub-boxes: All_fit and None_fit are
-   both statements about the *true* trajectories of every parameter in
-   the box (proved through the parent's validated tube, which encloses
-   the sub-box's trajectories too); only Split_ must be recomputed. *)
+   identity-preserving: a finer paving of the same problem replays every
+   box a coarser one already classified. *)
 let verdict_cache : verdict Cache.t = Cache.create ~group_capacity:4096 "biopsy"
 
 let problem_group cfg prob =
@@ -80,14 +77,10 @@ let problem_group cfg prob =
   Buffer.add_string buf "biopsy|";
   Buffer.add_string buf (Ode.System.digest prob.sys);
   Buffer.add_char buf '|';
-  Buffer.add_string buf (Ode.Enclosure.config_fingerprint cfg.enclosure);
-  (* Keyed by the tape and TM flags and the TM monomial budget, like the
-     [flow|] group of the tubes it classifies with: a TM-tightened
-     verdict must not replay into a BIOMC_NO_TM=1 run or one at another
-     budget. *)
-  Buffer.add_string buf
-    (Printf.sprintf "|%b|%b|%d|" (Expr.Tape.enabled ()) (Interval.Tm.enabled ())
-       (Interval.Tm.budget ()));
+  (* The flow fingerprint names every layer switch the classifying tube
+     depends on. *)
+  Buffer.add_string buf (Ode.Enclosure.flow_fingerprint cfg.enclosure);
+  Buffer.add_char buf '|';
   List.iter
     (fun (v, itv) ->
       Buffer.add_string buf
@@ -128,36 +121,26 @@ let classify_uncached cfg prob prepared pbox =
     go true prob.data
   end
 
-(* [group] is [problem_group cfg prob] when caching is on, [None] when
-   off (computed once per synthesis, not per box). *)
-let classify_inner cfg prob prepared ?group pbox =
-  match group with
-  | None -> classify_uncached cfg prob prepared pbox
-  | Some group -> (
-      match Cache.find verdict_cache ~group pbox with
-      | Cache.Hit v ->
-          if v = None_fit && Journal.on () then
-            Journal.set_reason ~group "cache-replay";
-          v
-      | Cache.Subsumed (_, (All_fit | None_fit as v)) ->
-          Cache.note_warm_start verdict_cache ~saved_iterations:0;
-          if v = None_fit && Journal.on () then
-            Journal.set_reason ~group "cache-replay";
-          v
-      | Cache.Subsumed (_, Split_) | Cache.Miss ->
-          let v = classify_uncached cfg prob prepared pbox in
-          Cache.add verdict_cache ~group pbox v;
-          v)
+(* [group] is [problem_group cfg prob], built once per synthesis. *)
+let classify_inner cfg prob prepared ~group pbox =
+  match Cache.find verdict_cache ~group pbox with
+  | Some v ->
+      if v = None_fit && Journal.on () then Journal.set_reason ~group "cache-replay";
+      v
+  | None ->
+      let v = classify_uncached cfg prob prepared pbox in
+      Cache.add verdict_cache ~group pbox v;
+      v
 
 (* Per-box classification, the hot path of the paving loop: count every
    box and span it when tracing, without allocating a closure when
    telemetry is off. *)
-let classify cfg prob prepared ?group pbox =
+let classify cfg prob prepared ~group pbox =
   Telemetry.Counter.incr m_boxes;
-  if not (Telemetry.enabled ()) then classify_inner cfg prob prepared ?group pbox
+  if not (Telemetry.enabled ()) then classify_inner cfg prob prepared ~group pbox
   else begin
     let tok = Telemetry.Span.enter tm_classify in
-    match classify_inner cfg prob prepared ?group pbox with
+    match classify_inner cfg prob prepared ~group pbox with
     | v ->
         Telemetry.Span.exit tm_classify tok;
         v
@@ -188,7 +171,7 @@ let synthesize ?(config = default_config) prob =
   let jobs = Stdlib.max 1 config.jobs in
   let jrun =
     if Journal.on () then
-      Journal.begin_run ~kind:"synth" ~flags:(Icp.Solver.journal_flags jobs) ()
+      Journal.begin_run ~kind:"synth" ~flags:(Icp.Search.journal_flags jobs) ()
     else 0
   in
   let jon = jrun <> 0 in
@@ -205,9 +188,7 @@ let synthesize ?(config = default_config) prob =
   in
   let body () =
   let prepared = Ode.Enclosure.prepare prob.sys in
-  let group =
-    if Cache.enabled () then Some (problem_group config prob) else None
-  in
+  let group = problem_group config prob in
   (* [classify] is a pure function of the box, so the leaf set does not
      depend on [jobs] while the budget lasts; only the list order does. *)
   let r =
@@ -218,7 +199,7 @@ let synthesize ?(config = default_config) prob =
         Icp.Search.Leaf
           ("undecided", Some "budget-exhaust", Some (`Undecided, pbox)))
       (fun _ pbox ->
-        match classify config prob prepared ?group pbox with
+        match classify config prob prepared ~group pbox with
         | All_fit -> Icp.Search.Leaf ("consistent", None, Some (`Consistent, pbox))
         | None_fit -> Icp.Search.Prune (Some (`Inconsistent, pbox))
         | Split_ -> (

@@ -12,13 +12,19 @@
 
 type sink = Off | Memory | To_file of string
 
+(* BIOMC_JOURNAL: a value [Telemetry.env_switch] reads as on selects the
+   memory sink, one it reads as off (0, false, no, off or empty, in any
+   case, blanks trimmed) selects none, and any other value is a path. *)
 let env_sink () =
   if Telemetry.env_switch "BIOMC_NO_JOURNAL" then Off
   else if Telemetry.env_switch "BIOMC_JOURNAL" then Memory
   else
     match Sys.getenv_opt "BIOMC_JOURNAL" with
-    | None | Some "" -> Off
-    | Some path -> To_file path
+    | None -> Off
+    | Some v -> (
+        match String.lowercase_ascii (String.trim v) with
+        | "" | "0" | "false" | "no" | "off" -> Off
+        | _ -> To_file v)
 
 let override : sink option Atomic.t = Atomic.make None
 
@@ -335,15 +341,18 @@ let sat ~id ?(point = []) ~certified (b : bounds) =
         Buffer.add_string buf "],\"b\":";
         add_bounds buf b)
 
-let tube ~sys ~t0 ~t1 ~steps ~complete ~cached =
+(* Tubes are no longer cached, but the record keeps its ["ch":false]
+   field: older readers require it, and the byte format stays that of
+   the journals already written. *)
+let tube ~sys ~t0 ~t1 ~steps ~complete =
   if on () then
     emit (fun buf ->
         run_field buf "tube";
         Buffer.add_string buf ",\"sys\":";
         Telemetry.Json.escape buf sys;
         Buffer.add_string buf
-          (Printf.sprintf ",\"t0\":\"%h\",\"t1\":\"%h\",\"n\":%d,\"cm\":%b,\"ch\":%b"
-             t0 t1 steps complete cached))
+          (Printf.sprintf ",\"t0\":\"%h\",\"t1\":\"%h\",\"n\":%d,\"cm\":%b,\"ch\":false"
+             t0 t1 steps complete))
 
 let path_event ~index ~info =
   if on () then
@@ -436,7 +445,6 @@ type ev =
       t1 : float;
       steps : int;
       complete : bool;
-      cached : bool;
     }
   | Path of { run : int; index : int; info : string }
   | Seg of { run : int; path : int; index : int; mode : string; cached : bool }
@@ -539,8 +547,7 @@ let parse_line line =
               Tube
                 { run = run (); sys = str (field f "sys");
                   t0 = hexf (field f "t0"); t1 = hexf (field f "t1");
-                  steps = int_ (field f "n"); complete = bool_ (field f "cm");
-                  cached = bool_ (field f "ch") }
+                  steps = int_ (field f "n"); complete = bool_ (field f "cm") }
           | "path" -> Path { run = run (); index = int_ (field f "p"); info = str (field f "info") }
           | "seg" ->
               Seg
@@ -930,7 +937,6 @@ type run_summary = {
   s_witness : (int * int * string) list;
       (** delta-sat chain: (id, depth, split var or terminal marker) *)
   s_tubes : int;
-  s_tubes_cached : int;
   s_paths : int;
   s_segs : int;
 }
@@ -944,7 +950,7 @@ let summarize f (r : run_info) =
   let enters = ref 0 and splits = ref 0 and prunes = ref 0 and sats = ref 0 in
   let leaves_ = ref [] and reasons = ref [] in
   let by_depth : (int, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let tubes = ref 0 and tubes_cached = ref 0 in
+  let tubes = ref 0 in
   let paths = ref 0 and segs = ref 0 in
   let depth_of id =
     match Hashtbl.find_opt f.f_nodes id with Some n -> n.depth | None -> 0
@@ -969,9 +975,7 @@ let summarize f (r : run_info) =
           bump cell reason
       | Sat { run; _ } when run = r.rid -> incr sats
       | Leaf { run; cls; _ } when run = r.rid -> bump leaves_ cls
-      | Tube { run; cached; _ } when run = r.rid ->
-          incr tubes;
-          if cached then incr tubes_cached
+      | Tube { run; _ } when run = r.rid -> incr tubes
       | Path { run; _ } when run = r.rid -> incr paths
       | Seg { run; _ } when run = r.rid -> incr segs
       | _ -> ())
@@ -1021,7 +1025,6 @@ let summarize f (r : run_info) =
       |> List.sort compare;
     s_witness = witness;
     s_tubes = !tubes;
-    s_tubes_cached = !tubes_cached;
     s_paths = !paths;
     s_segs = !segs;
   }
@@ -1093,8 +1096,8 @@ let provenance_json f =
         s.s_witness;
       Buffer.add_string buf
         (Printf.sprintf
-           "], \"tubes\": %d, \"tubes_cached\": %d, \"paths\": %d, \"segments\": %d"
-           s.s_tubes s.s_tubes_cached s.s_paths s.s_segs);
+           "], \"tubes\": %d, \"paths\": %d, \"segments\": %d"
+           s.s_tubes s.s_paths s.s_segs);
       Buffer.add_string buf "}")
     (runs f);
   Buffer.add_string buf "\n  ],\n  \"audit\": {";
@@ -1147,8 +1150,7 @@ let report f =
       else if r.verdict = Some "unsat" then
         pr "  refutation cover: %d pruned leaves account for the whole box\n"
           s.s_prunes;
-      if s.s_tubes > 0 then
-        pr "  ODE tubes: %d (%d cache replays)\n" s.s_tubes s.s_tubes_cached;
+      if s.s_tubes > 0 then pr "  ODE tubes: %d\n" s.s_tubes;
       if s.s_paths > 0 then pr "  reach paths: %d, segments: %d\n" s.s_paths s.s_segs)
     (runs f);
   let violations = audit f in
@@ -1237,9 +1239,7 @@ module Progress = struct
     let prunes =
       counter counters "icp.decide.prunings" + counter counters "icp.pave.prunings"
     in
-    let hits =
-      sum_suffix counters ".hits" + sum_suffix counters ".subsumption_hits"
-    in
+    let hits = sum_suffix counters ".hits" in
     let misses = sum_suffix counters ".misses" in
     let cache =
       if hits + misses = 0 then "-"

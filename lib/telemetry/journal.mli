@@ -42,8 +42,11 @@ val on : unit -> bool
 
 val sink : unit -> sink
 (** The {!set_sink} override if any, else the environment default
-    ([Off] under [BIOMC_NO_JOURNAL=1]; [Memory] under [BIOMC_JOURNAL=1];
-    [To_file p] under [BIOMC_JOURNAL=p]; [Off] otherwise). *)
+    ([Off] under [BIOMC_NO_JOURNAL=1]; [Memory] under [BIOMC_JOURNAL=1]
+    or any other value {!Telemetry.env_switch} reads as on; [Off] under
+    [BIOMC_JOURNAL] set to [0], [false], [no], [off] or empty, in any
+    case, blanks trimmed; [To_file p] under any other [BIOMC_JOURNAL=p];
+    [Off] when unset). *)
 
 val set_sink : sink -> unit
 (** Process-wide programmatic override (CLI [--journal], tests,
@@ -136,7 +139,6 @@ val tube :
   t1:float ->
   steps:int ->
   complete:bool ->
-  cached:bool ->
   unit
 
 val path_event : index:int -> info:string -> unit
@@ -145,7 +147,7 @@ val seg : path:int -> index:int -> mode:string -> cached:bool -> unit
 (** {2 Prune-reason attribution}
 
     The layer that actually refutes a box (HC4 tape, interval Newton,
-    mean-value form, TM pass, a cache replay) is several calls
+    mean-value form, TM pass, a verdict-store replay) is several calls
     below the loop that emits the prune record, so attribution flows
     through a per-domain cell: the refuting site calls {!set_reason},
     the search driver ([Icp.Search.run], which writes every search
@@ -190,7 +192,6 @@ type ev =
       t1 : float;
       steps : int;
       complete : bool;
-      cached : bool;
     }
   | Path of { run : int; index : int; info : string }
   | Seg of { run : int; path : int; index : int; mode : string; cached : bool }

@@ -2,7 +2,7 @@
 
     Every analysis layer (ICP search, HC4 contraction, validated
     integration, reachability unrolling, BioPSy paving, SMC sampling,
-    the domain pool, the subsumption caches) reports through this
+    the domain pool, the exact-replay caches) reports through this
     module, so one registry answers "where did the time, boxes and
     Picard iterations go".  Three kinds of instruments:
 
@@ -61,7 +61,7 @@ val now_ns : unit -> int
 val reset : unit -> unit
 (** Zero every counter and histogram and drop all recorded trace
     events.  Counters created [~always:true] are reset too (the cache
-    layer re-exposes this as [Cache.reset_stats]). *)
+    statistics among them). *)
 
 (** {1 Counters} *)
 

@@ -1,13 +1,10 @@
 (* Differential tests: cached vs uncached analyses.
 
-   The Exact policy (the default) only replays results for boxes equal
-   to a previously queried one, and every cached computation is a
-   deterministic function of its key — so decide, pave, flow and
-   synthesize must produce *identical* answers with the caches on, off,
-   and pre-populated.  The Warm policy relaxes identity to soundness
-   (subsumption reuse, warm-started enclosures), which we check against
-   ground truth instead: refutations stay refutations, enclosures still
-   contain sampled trajectories, and All_fit boxes really fit the data. *)
+   The caches only replay results for boxes equal to a previously
+   queried one, and every cached computation is a deterministic
+   function of its key — so decide, pave, flow, reach and synthesize
+   must produce *identical* answers with the caches on, off, and
+   pre-populated, whatever layer switch flipped in between. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -21,12 +18,12 @@ module D = Synth.Data
 
 (* Every run below clears the caches before and after, so tests are
    independent of execution order and of each other's populations. *)
-let with_policy p f =
+let with_cache on f =
   Cache.clear ();
-  Cache.set_policy p;
+  Cache.set_enabled on;
   Fun.protect
     ~finally:(fun () ->
-      Cache.clear_policy_override ();
+      Cache.clear_enabled_override ();
       Cache.clear ())
     f
 
@@ -107,10 +104,10 @@ let test_decide_differential () =
   for case = 1 to 400 do
     let f = rand_formula st and b = rand_box st in
     let config = decide_config 1 in
-    let off = with_policy Cache.Off (fun () -> S.decide ~config f b) in
-    let cold, warm =
-      with_policy Cache.Exact (fun () ->
-          (* second call answers from the populated cache *)
+    let off = with_cache false (fun () -> S.decide ~config f b) in
+    let cold, again =
+      with_cache true (fun () ->
+          (* a second call in the same process, caches populated *)
           let r1 = S.decide ~config f b in
           let r2 = S.decide ~config f b in
           (r1, r2))
@@ -118,9 +115,9 @@ let test_decide_differential () =
     if not (result_eq off cold) then
       Alcotest.failf "case %d: off=%s cached=%s on %s | %s" case (pp_res off)
         (pp_res cold) (Fmt.str "%a" F.pp f) (Box.to_string b);
-    if not (result_eq off warm) then
+    if not (result_eq off again) then
       Alcotest.failf "case %d: off=%s replay=%s on %s" case (pp_res off)
-        (pp_res warm)
+        (pp_res again)
         (Fmt.str "%a" F.pp f)
   done
 
@@ -128,8 +125,8 @@ let test_decide_differential_parallel () =
   let st = Random.State.make [| 2027 |] in
   for case = 1 to 60 do
     let f = rand_formula st and b = rand_box st in
-    let off = with_policy Cache.Off (fun () -> S.decide ~config:(decide_config 2) f b) in
-    let on = with_policy Cache.Exact (fun () -> S.decide ~config:(decide_config 2) f b) in
+    let off = with_cache false (fun () -> S.decide ~config:(decide_config 2) f b) in
+    let on = with_cache true (fun () -> S.decide ~config:(decide_config 2) f b) in
     (* Parallel searches stop at the first δ-sat found, so only the
        verdict kind is deterministic across runs. *)
     let kind = function
@@ -140,18 +137,17 @@ let test_decide_differential_parallel () =
         (pp_res on)
   done
 
-(* Regression: the refuted-box store must key on each atom's relation.
-   Contraction erases strictness (x > 0 and x >= 0 share a constraint
-   fingerprint), but the sat_possible pruning does not: on [-1, 0] at
+(* Regression: contraction erases strictness (x > 0 and x >= 0 share a
+   constraint), but the sat_possible pruning does not: on [-1, 0] at
    δ = 0 the strict atom is refuted while the non-strict one is δ-sat at
-   the boundary.  A conflated key replays the strict refutation and
-   returns a wrong Unsat for x >= 0. *)
+   the boundary.  Decided one after the other with the caches on, the
+   strict refutation must not carry over to x >= 0. *)
 let test_strictness_not_conflated () =
   let config = { S.default_config with delta = 0.0 } in
   let b = Box.of_list [ ("x", I.make (-1.0) 0.0) ] in
   let gt = F.gt (T.var "x") (T.const 0.0) in
   let ge = F.ge (T.var "x") (T.const 0.0) in
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       (match S.decide ~config gt b with
       | S.Unsat -> ()
       | r -> Alcotest.failf "x>0 on [-1,0] must be unsat, got %s" (pp_res r));
@@ -170,9 +166,9 @@ let test_pave_differential () =
   let config = { S.default_config with epsilon = 0.25; max_boxes = 2_000 } in
   for case = 1 to 300 do
     let f = rand_formula st and b = rand_box st in
-    let off = with_policy Cache.Off (fun () -> S.pave ~config f b) in
+    let off = with_cache false (fun () -> S.pave ~config f b) in
     let cold, replay =
-      with_policy Cache.Exact (fun () ->
+      with_cache true (fun () ->
           (S.pave ~config f b, S.pave ~config f b))
     in
     if not (paving_eq off cold) then
@@ -186,7 +182,7 @@ let test_pave_differential () =
       Alcotest.failf "case %d: paving volumes differ" case
   done
 
-(* ---- flow: identical tubes, and exact hits return the same tube ---- *)
+(* ---- flow: identical tubes with the caches on, off and on again ---- *)
 
 let decay2 =
   Ode.System.of_strings ~vars:[ "u"; "v" ] ~params:[ "k" ]
@@ -221,18 +217,18 @@ let test_flow_differential () =
   for case = 1 to 200 do
     let params, init, t_end = rand_flow_query st in
     let off =
-      with_policy Cache.Off (fun () ->
+      with_cache false (fun () ->
           Enc.flow ~params ~init ~t_end decay2)
     in
-    let cold, hit =
-      with_policy Cache.Exact (fun () ->
+    let cold, again =
+      with_cache true (fun () ->
           let t1 = Enc.flow ~params ~init ~t_end decay2 in
           let t2 = Enc.flow ~params ~init ~t_end decay2 in
           (t1, t2))
     in
     if not (tube_eq off cold) then Alcotest.failf "case %d: tubes differ" case;
-    if not (hit == cold) then
-      Alcotest.failf "case %d: exact hit did not return the cached tube" case
+    if not (tube_eq cold again) then
+      Alcotest.failf "case %d: a second flow differs from the first" case
   done
 
 (* ---- biopsy: identical pavings, sequential and parallel ---- *)
@@ -264,9 +260,9 @@ let test_biopsy_differential () =
   let config = { B.default_config with epsilon = 0.05; max_boxes = 800 } in
   for case = 1 to 40 do
     let prob = rand_biopsy_problem st in
-    let off = with_policy Cache.Off (fun () -> B.synthesize ~config prob) in
+    let off = with_cache false (fun () -> B.synthesize ~config prob) in
     let cold, replay =
-      with_policy Cache.Exact (fun () ->
+      with_cache true (fun () ->
           (B.synthesize ~config prob, B.synthesize ~config prob))
     in
     if not (biopsy_result_eq off cold) then
@@ -278,114 +274,11 @@ let test_biopsy_differential () =
         off.B.boxes_explored cold.B.boxes_explored;
     (* Parallel paving with a shared cache: same leaves. *)
     let par =
-      with_policy Cache.Exact (fun () ->
+      with_cache true (fun () ->
           B.synthesize ~config:{ config with jobs = 2 } prob)
     in
     if not (biopsy_result_eq off par) then
       Alcotest.failf "case %d: pavings differ (off vs cached jobs=2)" case
-  done
-
-(* ---- Warm policy: sound, checked against ground truth ---- *)
-
-(* An Unsat verdict is a proof; caching must never flip one.  Decide the
-   full box first (populating the refuted-box store), then sub-boxes:
-   under Warm those may be answered by subsumption, and any Unsat must
-   agree with the uncached answer. *)
-let test_warm_decide_sound () =
-  let st = Random.State.make [| 2031 |] in
-  let config = decide_config 1 in
-  for case = 1 to 150 do
-    let f = rand_formula st and b = rand_box st in
-    let shrink b =
-      Box.of_list
-        (List.map
-           (fun (v, itv) ->
-             let w = I.width itv in
-             (v, I.make (I.lo itv +. (0.25 *. w)) (I.hi itv -. (0.25 *. w))))
-           (Box.to_list b))
-    in
-    let sub = shrink b in
-    let off_sub = with_policy Cache.Off (fun () -> S.decide ~config f sub) in
-    let warm_sub =
-      with_policy Cache.Warm (fun () ->
-          ignore (S.decide ~config f b);
-          S.decide ~config f sub)
-    in
-    match (off_sub, warm_sub) with
-    | S.Delta_sat _, S.Unsat ->
-        Alcotest.failf "case %d: warm cache flipped sat to unsat on %s" case
-          (Fmt.str "%a" F.pp f)
-    | S.Unsat, S.Delta_sat _ ->
-        Alcotest.failf "case %d: warm cache flipped unsat to sat on %s" case
-          (Fmt.str "%a" F.pp f)
-    | _ -> ()
-  done
-
-(* A warm-started tube must still contain a numerically sampled
-   trajectory from the midpoint of the (sub-)query. *)
-let trajectory_inside tube ~params ~init =
-  let env = Box.mid_env params and ienv = Box.mid_env init in
-  let tr =
-    Ode.Integrate.simulate ~params:env ~init:ienv
-      ~t_end:tube.Enc.t_end decay2
-  in
-  List.for_all
-    (fun (s : Enc.step) ->
-      let t = 0.5 *. (s.Enc.t_lo +. s.Enc.t_hi) in
-      let state = Ode.Integrate.state_at tr t in
-      List.for_all2
-        (fun v x ->
-          (* generous slack: the sampled trajectory is itself approximate *)
-          let itv = Box.find v s.Enc.enclosure in
-          x >= I.lo itv -. 1e-6 && x <= I.hi itv +. 1e-6)
-        tube.Enc.vars (Array.to_list state))
-    tube.Enc.steps
-
-let test_warm_flow_sound () =
-  let st = Random.State.make [| 2032 |] in
-  for case = 1 to 50 do
-    let params, init, t_end = rand_flow_query st in
-    let shrink b =
-      Box.map
-        (fun itv ->
-          let w = I.width itv in
-          I.make (I.lo itv +. (0.3 *. w)) (I.hi itv -. (0.3 *. w)))
-        b
-    in
-    let sub_params = shrink params and sub_init = shrink init in
-    let tube =
-      with_policy Cache.Warm (fun () ->
-          ignore (Enc.flow ~params ~init ~t_end decay2);
-          Enc.flow ~params:sub_params ~init:sub_init ~t_end decay2)
-    in
-    if tube.Enc.complete && not (trajectory_inside tube ~params:sub_params ~init:sub_init)
-    then Alcotest.failf "case %d: warm tube does not enclose trajectory" case
-  done
-
-(* Under Warm, every box synthesize proves consistent must really fit:
-   its midpoint trajectory passes through all bands. *)
-let test_warm_biopsy_sound () =
-  let st = Random.State.make [| 2033 |] in
-  let config = { B.default_config with epsilon = 0.05; max_boxes = 800 } in
-  for case = 1 to 20 do
-    let prob = rand_biopsy_problem st in
-    let r =
-      with_policy Cache.Warm (fun () ->
-          ignore (B.synthesize ~config prob);
-          (* refine: the sub-box reuses parental verdicts *)
-          B.synthesize ~config { prob with B.param_box = prob.B.param_box })
-    in
-    List.iter
-      (fun cbox ->
-        let params = Box.mid_env cbox in
-        let tr =
-          Ode.Integrate.simulate ~params ~init:(Box.mid_env prob.B.init)
-            ~t_end:(D.horizon prob.B.data) decay_k
-        in
-        if not (D.consistent_with_trace prob.B.data tr) then
-          Alcotest.failf "case %d: consistent box %s rejects its midpoint" case
-            (Box.to_string cbox))
-      r.B.consistent
   done
 
 (* ---- BIOMC_NO_CACHE / Off reproduces the uncached path ---- *)
@@ -394,68 +287,110 @@ let test_off_is_identity () =
   let st = Random.State.make [| 2034 |] in
   for case = 1 to 50 do
     let f = rand_formula st and b = rand_box st in
-    let r1 = with_policy Cache.Off (fun () -> S.decide f b) in
-    let r2 = with_policy Cache.Off (fun () -> S.decide f b) in
+    let r1 = with_cache false (fun () -> S.decide f b) in
+    let r2 = with_cache false (fun () -> S.decide f b) in
     if not (result_eq r1 r2) then Alcotest.failf "case %d: Off not deterministic" case
   done;
   (* Off: no lookups, no inserts. *)
-  with_policy Cache.Off (fun () ->
+  with_cache false (fun () ->
       let c : int Cache.t = Cache.create "test-off" in
       let b = Box.of_list [ ("x", I.make 0.0 1.0) ] in
       Cache.add c ~group:"g" b 1;
       Alcotest.(check int) "no insert under Off" 0 (Cache.length c);
       match Cache.find c ~group:"g" b with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "Off must always miss")
+      | None -> ()
+      | Some _ -> Alcotest.fail "Off must always miss")
+
+(* ---- store coverage: only the reach scan and BioPSy consult a cache ---- *)
+
+(* The cache names whose lookups or insertions [f] moved, sorted. *)
+let names_touched f =
+  let before = Cache.named_stats () in
+  f ();
+  List.filter_map
+    (fun (name, s) ->
+      let b =
+        Option.value ~default:Cache.zero_stats (List.assoc_opt name before)
+      in
+      let d = Cache.sub_stats s b in
+      if d.Cache.hits + d.Cache.misses + d.Cache.insertions > 0 then Some name
+      else None)
+    (Cache.named_stats ())
+
+let test_uncached_layers () =
+  let st = Random.State.make [| 2035 |] in
+  let pave_config =
+    { S.default_config with epsilon = 0.25; max_boxes = 2_000 }
+  in
+  with_cache true (fun () ->
+      let touched =
+        names_touched (fun () ->
+            for _ = 1 to 20 do
+              let f = rand_formula st and b = rand_box st in
+              ignore (S.decide ~config:(decide_config 1) f b);
+              ignore (S.pave ~config:pave_config f b)
+            done;
+            let params, init, t_end = rand_flow_query st in
+            ignore (Enc.flow ~params ~init ~t_end decay2))
+      in
+      Alcotest.(check (list string)) "no cache consulted" [] touched)
+
+let test_two_stores () =
+  let pb =
+    Reach.Encoding.create
+      ~param_box:(Box.of_list [ ("k", I.make 0.1 0.5) ])
+      ~goal:
+        { Reach.Encoding.goal_modes = [];
+          predicate = Expr.Parse.formula "x <= 0.55" }
+      ~k:0 ~time_bound:1.0
+      (Hybrid.Automaton.of_system
+         ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+         decay_k)
+  in
+  let config = { B.default_config with epsilon = 0.05; max_boxes = 800 } in
+  let prob = rand_biopsy_problem (Random.State.make [| 2036 |]) in
+  with_cache true (fun () ->
+      let touched =
+        names_touched (fun () ->
+            ignore (Reach.Checker.check pb);
+            ignore (B.synthesize ~config prob))
+      in
+      Alcotest.(check (list string)) "the two stores" [ "biopsy"; "reach-seg" ]
+        touched)
 
 (* ---- cache mechanics units ---- *)
 
 let mkbox lo hi = Box.of_list [ ("x", I.make lo hi) ]
 
 let test_exact_hit_identity () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : string list Cache.t = Cache.create "test-unit" in
       let v = [ "a"; "b" ] in
       Cache.add c ~group:"g" (mkbox 0.0 1.0) v;
       match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Hit v' -> Alcotest.(check bool) "physically equal" true (v == v')
-      | _ -> Alcotest.fail "expected exact hit")
+      | Some v' -> Alcotest.(check bool) "physically equal" true (v == v')
+      | None -> Alcotest.fail "expected exact hit")
 
-let test_subsumption_tightest () =
-  with_policy Cache.Warm (fun () ->
-      let c : int Cache.t = Cache.create "test-unit" in
-      Cache.add c ~group:"g" (mkbox (-4.0) 4.0) 1;
-      Cache.add c ~group:"g" (mkbox (-1.0) 1.0) 2;
-      Cache.add c ~group:"g" (mkbox 5.0 9.0) 3;
-      (match Cache.find c ~group:"g" (mkbox (-0.5) 0.5) with
-      | Cache.Subsumed (eb, v) ->
-          Alcotest.(check int) "tightest container wins" 2 v;
-          Alcotest.(check bool) "its box" true (Box.equal eb (mkbox (-1.0) 1.0))
-      | Cache.Hit _ -> Alcotest.fail "no exact entry exists"
-      | Cache.Miss -> Alcotest.fail "expected subsumption hit");
-      (* no containment → miss, even under Warm *)
-      match Cache.find c ~group:"g" (mkbox 3.0 6.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "expected miss")
-
+(* A containing box's entry does not answer for a sub-box: replay is
+   exact only. *)
 let test_exact_policy_no_subsumption () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create "test-unit" in
       Cache.add c ~group:"g" (mkbox (-4.0) 4.0) 1;
       match Cache.find c ~group:"g" (mkbox (-0.5) 0.5) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "Exact policy must not subsume")
+      | None -> ()
+      | Some _ -> Alcotest.fail "a cache must not subsume")
 
 let test_group_isolation () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create "test-unit" in
       Cache.add c ~group:"g1" (mkbox 0.0 1.0) 1;
       match Cache.find c ~group:"g2" (mkbox 0.0 1.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "groups must be isolated")
+      | None -> ()
+      | Some _ -> Alcotest.fail "groups must be isolated")
 
 let test_capacity_eviction () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create ~group_capacity:4 "test-unit" in
       for i = 0 to 9 do
         Cache.add c ~group:"g" (mkbox 0.0 (float_of_int i +. 1.0)) i
@@ -463,27 +398,27 @@ let test_capacity_eviction () =
       Alcotest.(check int) "capacity bound" 4 (Cache.length c);
       (* newest entries survive FIFO truncation *)
       (match Cache.find c ~group:"g" (mkbox 0.0 10.0) with
-      | Cache.Hit 9 -> ()
+      | Some 9 -> ()
       | _ -> Alcotest.fail "newest entry must survive");
       match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "oldest entry must be evicted")
+      | None -> ()
+      | Some _ -> Alcotest.fail "oldest entry must be evicted")
 
 let test_replace_equal_box () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create "test-unit" in
       Cache.add c ~group:"g" (mkbox 0.0 1.0) 1;
       Cache.add c ~group:"g" (mkbox 0.0 1.0) 2;
       Alcotest.(check int) "replaced, not duplicated" 1 (Cache.length c);
       match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Hit 2 -> ()
+      | Some 2 -> ()
       | _ -> Alcotest.fail "replacement must win")
 
 (* Replacing a key keeps its first-insertion slot in the eviction order
    (and adds no queue growth): after a replace, the key is still the
    oldest and evicts first once capacity is exceeded. *)
 let test_replace_keeps_fifo_slot () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create ~group_capacity:2 "test-unit" in
       Cache.add c ~group:"g" (mkbox 0.0 1.0) 1;
       Cache.add c ~group:"g" (mkbox 0.0 1.0) 10;
@@ -491,68 +426,28 @@ let test_replace_keeps_fifo_slot () =
       Cache.add c ~group:"g" (mkbox 0.0 3.0) 3;
       Alcotest.(check int) "capacity bound" 2 (Cache.length c);
       (match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "replaced key must still evict first");
+      | None -> ()
+      | Some _ -> Alcotest.fail "replaced key must still evict first");
       match Cache.find c ~group:"g" (mkbox 0.0 3.0) with
-      | Cache.Hit 3 -> ()
+      | Some 3 -> ()
       | _ -> Alcotest.fail "newest entry must survive")
 
-(* A contractor closure built while the policy is Off must start caching
-   after set_policy enables it (the policy is read per call, not baked in
-   at closure creation). *)
-let test_contractor_policy_flip () =
-  Cache.clear ();
-  Cache.set_policy Cache.Off;
-  let a = { F.term = T.sub (T.var "x") (T.const 0.5); rel = F.Ge } in
-  let contract =
-    Icp.Contractor.contractor [ Icp.Contractor.of_atom ~delta:0.0 a ]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.clear_policy_override ();
-      Cache.clear ())
-    (fun () ->
-      Cache.set_policy Cache.Exact;
-      let b = Box.of_list [ ("x", I.make 0.0 1.0) ] in
-      let before = Cache.global_stats () in
-      let r1 = contract b in
-      let r2 = contract b in
-      (match (r1, r2) with
-      | Some b1, Some b2 ->
-          Alcotest.(check bool) "same contraction" true (Box.equal b1 b2)
-      | None, None -> ()
-      | _ -> Alcotest.fail "cached and fresh contraction disagree");
-      let d = Cache.sub_stats (Cache.global_stats ()) before in
-      Alcotest.(check bool) "second call hits" true (d.Cache.hits >= 1))
-
-(* Warm-start iteration accounting is signed: a costlier-than-parent warm
-   run subtracts, so the aggregate is the net savings. *)
-let test_warm_saved_signed () =
-  with_policy Cache.Exact (fun () ->
-      let c : int Cache.t = Cache.create "test-warm-net" in
-      let before = Cache.global_stats () in
-      Cache.note_warm_start c ~saved_iterations:5;
-      Cache.note_warm_start c ~saved_iterations:(-2);
-      let d = Cache.sub_stats (Cache.global_stats ()) before in
-      Alcotest.(check int) "two warm starts" 2 d.Cache.warm_starts;
-      Alcotest.(check int) "net savings" 3 d.Cache.warm_saved_iterations)
-
 let test_clear_invalidates () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create "test-unit" in
       Cache.add c ~group:"g" (mkbox 0.0 1.0) 1;
       Cache.clear ();
       (match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "clear must invalidate");
+      | None -> ()
+      | Some _ -> Alcotest.fail "clear must invalidate");
       (* the cache is usable again after a clear *)
       Cache.add c ~group:"g" (mkbox 0.0 1.0) 2;
       match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Hit 2 -> ()
+      | Some 2 -> ()
       | _ -> Alcotest.fail "cache must accept inserts after clear")
 
 let test_stats_counting () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create "test-stats" in
       let before = Cache.global_stats () in
       ignore (Cache.find c ~group:"g" (mkbox 0.0 1.0));
@@ -565,77 +460,8 @@ let test_stats_counting () =
       Alcotest.(check bool) "named stats include test-stats" true
         (List.mem_assoc "test-stats" (Cache.named_stats ())))
 
-(* ---- auto-demote of hitless groups ---- *)
-
-(* A group accumulating [demote_after] consecutive misses with zero
-   lifetime hits switches itself off: entries dropped, later adds and
-   finds are no-ops, one demotion recorded. *)
-let test_demote_hitless_group () =
-  with_policy Cache.Exact (fun () ->
-      let c : int Cache.t = Cache.create ~demote_after:3 "test-demote" in
-      let before = Cache.demotions c in
-      (* The group record only exists after the first add; misses on a
-         nonexistent group don't count toward any streak. *)
-      ignore (Cache.find c ~group:"g" (mkbox 0.0 1.0));
-      Cache.add c ~group:"g" (mkbox 0.0 1.0) 0;
-      for i = 1 to 3 do
-        match Cache.find c ~group:"g" (mkbox 0.0 (1.0 +. float_of_int i)) with
-        | Cache.Miss -> ()
-        | _ -> Alcotest.fail "distinct boxes must miss"
-      done;
-      Alcotest.(check int) "one demotion" (before + 1) (Cache.demotions c);
-      Alcotest.(check int) "entries dropped" 0 (Cache.length c);
-      (* Demoted: adds are dropped, so the exact box that was just added
-         still misses. *)
-      Cache.add c ~group:"g" (mkbox 5.0 6.0) 42;
-      (match Cache.find c ~group:"g" (mkbox 5.0 6.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "demoted group must not serve hits");
-      (* Other groups of the same cache are unaffected. *)
-      Cache.add c ~group:"h" (mkbox 0.0 1.0) 7;
-      match Cache.find c ~group:"h" (mkbox 0.0 1.0) with
-      | Cache.Hit 7 -> ()
-      | _ -> Alcotest.fail "sibling group must still work")
-
-(* Any hit grants permanent immunity: a group that hit once never
-   demotes, no matter how long its later miss streak runs. *)
-let test_demote_immunity_after_hit () =
-  with_policy Cache.Exact (fun () ->
-      let c : int Cache.t = Cache.create ~demote_after:3 "test-demote" in
-      let before = Cache.demotions c in
-      Cache.add c ~group:"g" (mkbox 0.0 1.0) 1;
-      (match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Hit 1 -> ()
-      | _ -> Alcotest.fail "expected hit");
-      for i = 1 to 20 do
-        ignore (Cache.find c ~group:"g" (mkbox 0.0 (1.0 +. float_of_int i)))
-      done;
-      Alcotest.(check int) "no demotion" before (Cache.demotions c);
-      match Cache.find c ~group:"g" (mkbox 0.0 1.0) with
-      | Cache.Hit 1 -> ()
-      | _ -> Alcotest.fail "immune group must keep serving hits")
-
-(* An epoch bump re-arms demoted groups: the group record is discarded
-   with the rest of the shard, so the fresh group caches again. *)
-let test_demote_rearmed_by_clear () =
-  with_policy Cache.Exact (fun () ->
-      let c : int Cache.t = Cache.create ~demote_after:2 "test-demote" in
-      Cache.add c ~group:"g" (mkbox 0.0 1.0) 0;
-      for i = 1 to 2 do
-        ignore (Cache.find c ~group:"g" (mkbox 0.0 (1.0 +. float_of_int i)))
-      done;
-      Cache.add c ~group:"g" (mkbox 5.0 6.0) 42;
-      (match Cache.find c ~group:"g" (mkbox 5.0 6.0) with
-      | Cache.Miss -> ()
-      | _ -> Alcotest.fail "expected demoted group");
-      Cache.clear ();
-      Cache.add c ~group:"g" (mkbox 5.0 6.0) 42;
-      match Cache.find c ~group:"g" (mkbox 5.0 6.0) with
-      | Cache.Hit 42 -> ()
-      | _ -> Alcotest.fail "clear must re-arm demoted groups")
-
 let test_concurrent_access () =
-  with_policy Cache.Exact (fun () ->
+  with_cache true (fun () ->
       let c : int Cache.t = Cache.create "test-unit" in
       let domains =
         List.init 4 (fun d ->
@@ -644,47 +470,36 @@ let test_concurrent_access () =
                   let b = mkbox 0.0 (float_of_int ((i mod 25) + 1)) in
                   let g = Printf.sprintf "g%d" (i mod 3) in
                   (match Cache.find c ~group:g b with
-                  | Cache.Hit v -> assert (v = i mod 25)
-                  | _ -> Cache.add c ~group:g b (i mod 25))
+                  | Some v -> assert (v = i mod 25)
+                  | None -> Cache.add c ~group:g b (i mod 25))
                 done;
                 d))
       in
       let done_ = List.map Domain.join domains in
       Alcotest.(check (list int)) "all domains joined" [ 0; 1; 2; 3 ] done_)
 
-(* The Taylor-model switch and monomial budget change what the TM passes
-   compute, so both key the hc4, refuted-box, paving, flow, segment and
-   biopsy groups.  In one process under the Exact policy, a pave of the
-   impulse-response calibration constraints, a Lotka–Volterra flow and a
-   Lotka–Volterra calibration run with the TM layer on at budget 64, then
-   off, then on at budget 1, must give the answers those settings give on
-   empty caches, not replay the budget-64 ones. *)
+(* Both stores cache values derived from a validated flow, and both key
+   them by [Enclosure.flow_fingerprint]: the tape switch, the
+   Taylor-model switch and its monomial budget.  A Lotka–Volterra reach
+   check (the segment store) and a Lotka–Volterra calibration (the
+   verdict store) run under four settings — TM at budget 64, TM at
+   budget 1, TM off, tapes off — each on a cleared cache, and every flip
+   away from budget 64 moves both answers.  Then, in one process with
+   the caches on and never cleared, each setting runs right after the
+   budget-64 one and must give its cleared-cache answers, not replay
+   the budget-64 ones. *)
 let test_budget_keys_groups () =
-  let fit =
-    Expr.Parse.formula
-      "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and 3*a*k*exp(-3*k) >= 0.1 and \
-       3*a*k*exp(-3*k) <= 0.3"
-  in
-  let fit_box = Box.of_list [ ("k", I.make 0.05 2.5); ("a", I.make 0.2 3.0) ] in
-  let config = { S.default_config with epsilon = 0.02 } in
-  let pave () =
-    let p = S.pave ~config fit fit_box in
-    Printf.sprintf "sat=%d unsat=%d undecided=%d" (List.length p.S.sat)
-      (List.length p.S.unsat) (List.length p.S.undecided)
-  in
   let near_one = I.make 0.9 1.1 in
-  let flow () =
-    let tube =
-      Enc.flow
-        ~params:(Box.of_list [ ("a", near_one); ("b", near_one) ])
-        ~init:(Box.of_list [ ("x", near_one); ("y", near_one) ])
-        ~t_end:1.0 Biomodels.Classics.lotka_volterra
-    in
-    String.concat " "
-      (List.map
-         (fun (v, i) -> Printf.sprintf "%s=[%h, %h]" v (I.lo i) (I.hi i))
-         (Box.to_list tube.Enc.final))
+  let reach_pb =
+    Reach.Encoding.create
+      ~param_box:(Box.of_list [ ("a", near_one); ("b", near_one) ])
+      ~goal:{ Reach.Encoding.goal_modes = []; predicate = Expr.Parse.formula "x >= 3" }
+      ~k:0 ~time_bound:1.0
+      (Hybrid.Automaton.of_system
+         ~init:(Box.of_list [ ("x", I.of_float 1.0); ("y", I.of_float 1.0) ])
+         Biomodels.Classics.lotka_volterra)
   in
+  let reach () = Fmt.str "%a" Reach.Checker.pp_result (Reach.Checker.check reach_pb) in
   let lv =
     B.problem
       ~sys:
@@ -700,38 +515,46 @@ let test_budget_keys_groups () =
     Fmt.str "%a" B.pp_result
       (B.synthesize ~config:{ B.default_config with epsilon = 0.05 } lv)
   in
-  let all () = (pave (), flow (), biopsy ()) in
-  (* TM passes run on tapes only; the layers are pinned so the budget
-     matters under every BIOMC_NO_* leg. *)
-  Expr.Tape.set_enabled true;
+  (* (name, tapes, TM, budget); the first is the reference setting. *)
+  let settings =
+    [ ("budget 64", true, true, 64); ("budget 1", true, true, 1);
+      ("TM off", true, false, 64); ("tapes off", false, true, 64) ]
+  in
+  let run (_, tape, tm, budget) =
+    Expr.Tape.set_enabled tape;
+    TM.set_enabled tm;
+    TM.set_budget budget;
+    (reach (), biopsy ())
+  in
+  (* Newton and TM pinned, so the settings mean the same under every
+     BIOMC_NO_* leg. *)
   Fun.protect ~finally:(fun () ->
       TM.set_budget TM.default_budget;
       Expr.Tape.clear_enabled_override ())
   @@ fun () ->
   Layers.with_layers (true, true) @@ fun () ->
-  with_policy Cache.Exact @@ fun () ->
-  TM.set_budget 1;
-  let pave1, flow1, bio1 = all () in
+  with_cache true @@ fun () ->
+  let fresh =
+    List.map
+      (fun s ->
+        Cache.clear ();
+        run s)
+      settings
+  in
+  let reach64, bio64 = List.hd fresh in
+  List.iter2
+    (fun (name, _, _, _) (r, b) ->
+      Alcotest.(check bool) (name ^ " moves the reach check") true (r <> reach64);
+      Alcotest.(check bool) (name ^ " moves the biopsy") true (b <> bio64))
+    (List.tl settings) (List.tl fresh);
   Cache.clear ();
-  TM.set_enabled false;
-  let pave_off, flow_off, bio_off = all () in
-  Cache.clear ();
-  TM.set_enabled true;
-  TM.set_budget 64;
-  let pave64, flow64, bio64 = all () in
-  Alcotest.(check bool) "the budget moves the pave" true (pave1 <> pave64);
-  Alcotest.(check bool) "the budget moves the tube" true (flow1 <> flow64);
-  Alcotest.(check bool) "the budget moves the biopsy" true (bio1 <> bio64);
-  Alcotest.(check bool) "the switch moves the biopsy" true (bio_off <> bio64);
-  TM.set_enabled false;
-  Alcotest.(check string) "TM-off pave after a TM-on one" pave_off (pave ());
-  Alcotest.(check string) "TM-off flow after a TM-on one" flow_off (flow ());
-  Alcotest.(check string) "TM-off biopsy after a TM-on one" bio_off (biopsy ());
-  TM.set_enabled true;
-  TM.set_budget 1;
-  Alcotest.(check string) "budget-1 pave after a budget-64 one" pave1 (pave ());
-  Alcotest.(check string) "budget-1 flow after a budget-64 one" flow1 (flow ());
-  Alcotest.(check string) "budget-1 biopsy after a budget-64 one" bio1 (biopsy ())
+  List.iter2
+    (fun ((name, _, _, _) as s) (r, b) ->
+      ignore (run (List.hd settings));
+      let r', b' = run s in
+      Alcotest.(check string) (name ^ " reach check after a budget-64 one") r r';
+      Alcotest.(check string) (name ^ " biopsy after a budget-64 one") b b')
+    settings fresh
 
 let () =
   Alcotest.run "cache"
@@ -752,17 +575,13 @@ let () =
             `Quick test_strictness_not_conflated;
           Alcotest.test_case "TM budget keys every TM group" `Quick
             test_budget_keys_groups ] );
-      ( "warm soundness",
-        [ Alcotest.test_case "decide verdicts never flip" `Quick
-            test_warm_decide_sound;
-          Alcotest.test_case "warm tube encloses trajectory" `Quick
-            test_warm_flow_sound;
-          Alcotest.test_case "consistent boxes really fit" `Quick
-            test_warm_biopsy_sound ] );
+      ( "store coverage",
+        [ Alcotest.test_case "decide, pave and flow uncached" `Quick
+            test_uncached_layers;
+          Alcotest.test_case "only reach-seg and biopsy" `Quick
+            test_two_stores ] );
       ( "mechanics",
         [ Alcotest.test_case "exact hit identity" `Quick test_exact_hit_identity;
-          Alcotest.test_case "subsumption tightest" `Quick
-            test_subsumption_tightest;
           Alcotest.test_case "exact never subsumes" `Quick
             test_exact_policy_no_subsumption;
           Alcotest.test_case "group isolation" `Quick test_group_isolation;
@@ -770,16 +589,6 @@ let () =
           Alcotest.test_case "replace equal box" `Quick test_replace_equal_box;
           Alcotest.test_case "replace keeps FIFO slot" `Quick
             test_replace_keeps_fifo_slot;
-          Alcotest.test_case "contractor follows policy flips" `Quick
-            test_contractor_policy_flip;
-          Alcotest.test_case "warm savings are signed" `Quick
-            test_warm_saved_signed;
           Alcotest.test_case "clear invalidates" `Quick test_clear_invalidates;
           Alcotest.test_case "stats counting" `Quick test_stats_counting;
-          Alcotest.test_case "demote hitless group" `Quick
-            test_demote_hitless_group;
-          Alcotest.test_case "hit grants demote immunity" `Quick
-            test_demote_immunity_after_hit;
-          Alcotest.test_case "clear re-arms demoted groups" `Quick
-            test_demote_rearmed_by_clear;
           Alcotest.test_case "concurrent access" `Quick test_concurrent_access ] ) ]

@@ -361,13 +361,7 @@ let test_pave_agreement () =
    alone cannot see but the Newton and Taylor-model layers refute. *)
 let test_contractor_samples_switches () =
   Expr.Tape.set_enabled true;
-  let prev_policy = Cache.policy () in
-  Cache.set_policy Cache.Off;
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.set_policy prev_policy;
-      Expr.Tape.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   let cs = [ C.of_atom ~delta:0.0 (List.hd (F.atoms (P.formula "x*(1 - x) >= 0.3"))) ] in
   let off = (false, false) and on = (true, true) in
   let c_off = Layers.with_layers off (fun () -> C.contractor cs) in

@@ -284,6 +284,59 @@ let test_explain_reach () =
     "report names reach" true
     (contains (J.report forest) "reach")
 
+(* Journals written while ODE tubes were cached marked replayed tube
+   records ["ch":true].  Such a journal, and one whose tube records carry
+   no flag at all, must still parse, audit clean and report its tubes. *)
+let test_older_tube_records () =
+  (* an empty segment store, so the check integrates its tubes *)
+  Cache.clear ();
+  J.set_sink J.Memory;
+  let pb =
+    E.create
+      ~goal:{ E.goal_modes = []; predicate = P.formula "x <= 1/2" }
+      ~k:0 ~time_bound:1.0 decay_automaton
+  in
+  ignore (C.check pb);
+  let lines = String.split_on_char '\n' (J.contents ()) in
+  let is_tube l = contains l "\"k\":\"tube\"" in
+  let tubes = List.length (List.filter is_tube lines) in
+  Alcotest.(check bool) "the run integrated tubes" true (tubes > 0);
+  let replace ~sub ~by l =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length l then l
+      else if String.sub l i n = sub then
+        String.sub l 0 i ^ by ^ String.sub l (i + n) (String.length l - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (name, by) ->
+      let older =
+        String.concat "\n"
+          (List.map
+             (fun l -> if is_tube l then replace ~sub:",\"ch\":false" ~by l else l)
+             lines)
+      in
+      match J.of_string older with
+      | Error e -> Alcotest.failf "%s: journal parse: %s" name e
+      | Ok records ->
+          let forest = J.reconstruct records in
+          Alcotest.(check (list string)) (name ^ ": audit") [] (J.audit forest);
+          Alcotest.(check int)
+            (name ^ ": tube records")
+            tubes
+            (List.length
+               (List.filter
+                  (fun r -> match r.J.ev with J.Tube _ -> true | _ -> false)
+                  (J.records forest)));
+          Alcotest.(check bool)
+            (name ^ ": report counts the tubes")
+            true
+            (contains (J.report forest) (Printf.sprintf "ODE tubes: %d" tubes)))
+    [ ("replayed tubes", ",\"ch\":true"); ("no flag", "") ]
+
 (* ---- one flag header for every run kind ---- *)
 
 (* decide, pave, reach and synth runs record the same layer flags, so
@@ -333,26 +386,25 @@ let test_run_headers_share_flags () =
 
 (* The header snapshot reads every switch at the time of the call. *)
 let test_flags_follow_switches () =
-  let prev_policy = Cache.policy () in
   Fun.protect
     ~finally:(fun () ->
       Icp.Deriv.clear_enabled_override ();
       Interval.Tm.set_budget Interval.Tm.default_budget;
       Interval.Tm.clear_enabled_override ();
       Expr.Tape.clear_enabled_override ();
-      Cache.set_policy prev_policy)
+      Cache.clear_enabled_override ())
   @@ fun () ->
   let set on =
     Icp.Deriv.set_enabled on;
     Interval.Tm.set_enabled on;
     Expr.Tape.set_enabled on;
-    Cache.set_policy (if on then Cache.Exact else Cache.Off)
+    Cache.set_enabled on
   in
   let switches = [ "newton"; "tm"; "cache"; "tape" ] in
   List.iter
     (fun on ->
       set on;
-      let flags = S.journal_flags 3 in
+      let flags = Icp.Search.journal_flags 3 in
       Alcotest.(check (list string))
         "header keys"
         [ "cache"; "jobs"; "newton"; "tape"; "tm"; "tm_budget" ]
@@ -369,7 +421,7 @@ let test_flags_follow_switches () =
     [ false; true ];
   Interval.Tm.set_budget 7;
   Alcotest.(check (option string)) "TM budget" (Some "7")
-    (List.assoc_opt "tm_budget" (S.journal_flags 1))
+    (List.assoc_opt "tm_budget" (Icp.Search.journal_flags 1))
 
 (* ---- audit rejections ---- *)
 
@@ -488,14 +540,14 @@ let test_audit_budget_flags () =
 let test_audit_layer_reasons_every_kind () =
   let switch set_enabled clear on =
     set_enabled on;
-    Fun.protect ~finally:clear (fun () -> S.journal_flags 1)
+    Fun.protect ~finally:clear (fun () -> Icp.Search.journal_flags 1)
   in
   let layers =
     [ ("newton", switch Icp.Deriv.set_enabled Icp.Deriv.clear_enabled_override);
       ( "tm-refute",
         switch Interval.Tm.set_enabled Interval.Tm.clear_enabled_override );
       ( "affine-refute",
-        fun on -> ("affine", string_of_bool on) :: S.journal_flags 1 ) ]
+        fun on -> ("affine", string_of_bool on) :: Icp.Search.journal_flags 1 ) ]
   in
   List.iter
     (fun kind ->
@@ -527,9 +579,6 @@ let test_audit_layer_reasons_every_kind () =
 let test_disabled_noop () =
   let f = formula "x^3 - x = 1/4" in
   let box = Box.of_list [ ("x", I.make (-2.0) 2.0) ] in
-  let prev_policy = Cache.policy () in
-  Cache.set_policy Cache.Off;
-  Fun.protect ~finally:(fun () -> Cache.set_policy prev_policy) @@ fun () ->
   J.set_sink J.Off;
   Alcotest.(check bool) "off" false (J.on ());
   let r_off = S.decide f box in
@@ -558,6 +607,8 @@ let () =
            (clean test_explain_decide);
          Alcotest.test_case "reach round-trip" `Quick
            (clean test_explain_reach);
+         Alcotest.test_case "older tube records still parse" `Quick
+           (clean test_older_tube_records);
          Alcotest.test_case "run headers share one flag set" `Quick
            (clean test_run_headers_share_flags);
          Alcotest.test_case "flag header follows the switches" `Quick

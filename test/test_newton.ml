@@ -3,7 +3,7 @@
    interval Newton contraction soundness, smear splitting vs plain
    bisection, Newton-on vs Newton-off search agreement, and the
    kill-switch guarantee that BIOMC_NO_NEWTON reproduces the HC4-only
-   search bit for bit (including its cache interactions). *)
+   search bit for bit (also after a Newton-on run in the same process). *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -359,11 +359,11 @@ let test_pave_on_vs_off () =
 (* ---- the kill-switch: BIOMC_NO_NEWTON reproduces the old search ---- *)
 
 (* Off-run, on-run, off-run again — with the caches at their default
-   policy.  The second off-run must match the first in verdict kind AND
-   in every stats field: any divergence would mean Newton-era cache
-   entries (HC4 fixpoints, refuted boxes, paving verdicts) leaked into
-   the disabled search, i.e. the kill-switch no longer reproduces the
-   pre-derivative behaviour. *)
+   setting.  The second off-run must match the first in verdict kind AND
+   in every stats field: any divergence would mean Newton-era state (a
+   cache entry, a compiled closure) leaked into the disabled search,
+   i.e. the kill-switch no longer reproduces the pre-derivative
+   behaviour. *)
 let stats_tuple (s : S.stats) =
   (s.S.boxes_processed, s.S.splits, s.S.prunings, s.S.max_depth,
    s.S.certifications)

@@ -289,8 +289,8 @@ let test_enclosure_oscillator () =
    fixed by IEEE 754 and the digest does not depend on the platform's
    libm.  One system is autonomous, with constant divisors and a
    parameter box; the other reads t.  The tape and TM layers are pinned
-   on, at the default monomial budget, and the flow cache off, so the
-   digest covers the default path whatever the environment. *)
+   on, at the default monomial budget, so the digest covers the default
+   path whatever the environment. *)
 
 let digest_autonomous =
   Sys.of_strings ~vars:[ "x"; "y" ] ~params:[ "k" ]
@@ -339,13 +339,11 @@ let test_flow_digest () =
   Expr.Tape.set_enabled true;
   Interval.Tm.set_enabled true;
   Interval.Tm.set_budget Interval.Tm.default_budget;
-  Cache.set_policy Cache.Off;
   Fun.protect
     ~finally:(fun () ->
       Expr.Tape.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ();
-      Interval.Tm.set_budget budget0;
-      Cache.clear_policy_override ())
+      Interval.Tm.set_budget budget0)
   @@ fun () ->
   Alcotest.(check string) "flow tubes bit-identical"
     "f160da8d3d70a662c246e0e66a9e3794" (flow_digest ())

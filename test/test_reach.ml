@@ -208,37 +208,37 @@ let test_reach_layer_agreement () =
         problems)
     Layers.settings
 
-(* The segment cache keys the Taylor-model switch, like the flow cache
-   beneath it: a check run with the layer off right after the same
-   check with it on must integrate its own flows, not replay the
-   TM-tightened segments. *)
+(* The segment cache keys the Taylor-model switch through the flow
+   fingerprint: a check run with the layer off right after the same
+   check with it on must compute its own segments, not replay the
+   TM-tightened ones. *)
 let test_seg_cache_keys_tm () =
   let pb =
     E.create
       ~param_box:(Box.of_list [ ("k", I.make 0.1 0.5) ])
       ~goal:(goal "x <= 0.55") ~k:0 ~time_bound:1.0 decay_k_automaton
   in
-  let stats name =
+  let seg () =
     Option.value ~default:Cache.zero_stats
-      (List.assoc_opt name (Cache.named_stats ()))
+      (List.assoc_opt "reach-seg" (Cache.named_stats ()))
   in
-  Cache.set_policy Cache.Exact;
+  Cache.set_enabled true;
   Cache.clear ();
   Fun.protect
     ~finally:(fun () ->
-      Cache.clear_policy_override ();
+      Cache.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ())
   @@ fun () ->
   Interval.Tm.set_enabled true;
   expect_unsat "TM on" (C.check pb);
-  let seg0 = stats "reach-seg" and flow0 = stats "flow" in
+  let seg0 = seg () in
   Interval.Tm.set_enabled false;
   expect_unsat "TM off" (C.check pb);
-  let seg1 = stats "reach-seg" and flow1 = stats "flow" in
+  let seg1 = seg () in
   Alcotest.(check int) "TM-off check replays no segment" seg0.Cache.hits
     seg1.Cache.hits;
-  Alcotest.(check bool) "TM-off check integrates its own flows" true
-    (flow1.Cache.misses > flow0.Cache.misses)
+  Alcotest.(check bool) "TM-off check computes its own segments" true
+    (seg1.Cache.misses > seg0.Cache.misses)
 
 (* Two one-mode automata with one vector field and different
    invariants: the strict one cuts its bracket before the goal, the loose
@@ -268,8 +268,8 @@ let test_seg_cache_keys_inv () =
     Option.value ~default:Cache.zero_stats
       (List.assoc_opt "reach-seg" (Cache.named_stats ()))
   in
-  Cache.set_policy Cache.Exact;
-  Fun.protect ~finally:Cache.clear_policy_override @@ fun () ->
+  Cache.set_enabled true;
+  Fun.protect ~finally:Cache.clear_enabled_override @@ fun () ->
   Cache.clear ();
   let fresh = render (C.check ~config (problem loose)) in
   Cache.clear ();

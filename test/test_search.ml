@@ -63,13 +63,13 @@ let journaled f =
   (r, records)
 
 let pinned f () =
-  Cache.set_policy Cache.Off;
+  Cache.set_enabled false;
   Expr.Tape.set_enabled true;
   Icp.Deriv.set_enabled true;
   Interval.Tm.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Cache.clear_policy_override ();
+      Cache.clear_enabled_override ();
       Expr.Tape.clear_enabled_override ();
       Icp.Deriv.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ())

@@ -336,10 +336,10 @@ let leaf_strings boxes =
            (Box.to_list b)))
     boxes
 
-(* Tapes off, on, off again, with the caches at their default policy:
+(* Tapes off, on, off again, with the caches at their default setting:
    the second off run must reproduce the first bit for bit (verdict,
-   stats, every pave leaf in order), so no tape-era cache entry (HC4
-   fixpoints, refuted boxes) leaks into the tree-walking search. *)
+   stats, every pave leaf in order), so no tape-era state (a cache
+   entry, a compiled closure) leaks into the tree-walking search. *)
 let test_kill_switch_reproduces () =
   let f = P.formula "x^3 - 2*x^2 + 1.25*x = 0.25 and (x - y)^2 >= 0.3" in
   let bx = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in

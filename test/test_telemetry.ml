@@ -328,7 +328,7 @@ let test_env_switch_values () =
           Parallel.Pool.workstealing_enabled () );
       ( "BIOMC_NO_CACHE",
         fun () ->
-          Cache.clear_policy_override ();
+          Cache.clear_enabled_override ();
           Cache.enabled () );
       ("BIOMC_NO_JOURNAL", journal_on) ]
   in
@@ -357,7 +357,32 @@ let test_env_switch_values () =
         [ ("TRUE", true); ("on", true); (" 1", true); ("Yes ", true);
           ("0", false); ("off", false); ("", false) ];
       Unix.putenv var "")
-    switches
+    switches;
+  (* BIOMC_JOURNAL also takes a path, but a value the rule reads as off
+     selects no sink: a query run under it writes no file named after
+     the value. *)
+  let dir = Filename.temp_dir "biomc-journal-switch" "" in
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () ->
+      Sys.chdir cwd;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  List.iter
+    (fun value ->
+      Unix.putenv "BIOMC_JOURNAL" value;
+      Alcotest.(check bool)
+        (Printf.sprintf "no journal under BIOMC_JOURNAL=%S" value)
+        false (journal_on ());
+      ignore
+        (Icp.Solver.decide (Expr.Parse.formula "x^2 = 2")
+           (Interval.Box.of_list [ ("x", Interval.Ia.make 0.0 2.0) ]));
+      Journal.close ();
+      Alcotest.(check (array string))
+        (Printf.sprintf "no file under BIOMC_JOURNAL=%S" value)
+        [||] (Sys.readdir "."))
+    [ "0"; "false"; "no"; "off"; ""; "OFF"; " No "; "False " ]
 
 let () =
   Alcotest.run "telemetry"

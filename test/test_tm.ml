@@ -5,7 +5,7 @@
    monomial budget, the TM-tightened HC4 revise, TM-on vs TM-off search
    agreement, and the kill-switch guarantee that BIOMC_NO_TM reproduces
    the interval-only search bit for bit (leaf sets pinned by
-   fingerprint, including cache interactions). *)
+   fingerprint, also after a TM-on run in the same process). *)
 
 module I = Interval.Ia
 module TM = Interval.Tm
@@ -1187,10 +1187,9 @@ let test_pave_certifier_follows_switches () =
 (* ---- the kill-switch: BIOMC_NO_TM reproduces the old search ---- *)
 
 (* Off-run, on-run, off-run again — with the caches at their default
-   policy.  The second off-run must match the first in verdict kind AND
-   in every stats field: any divergence would mean TM-era cache entries
-   (HC4 fixpoints, refuted boxes, paving verdicts, flow tubes) leaked
-   into the disabled search. *)
+   setting.  The second off-run must match the first in verdict kind AND
+   in every stats field: any divergence would mean TM-era state (a
+   cache entry, a compiled closure) leaked into the disabled search. *)
 let stats_tuple (s : S.stats) =
   (s.S.boxes_processed, s.S.splits, s.S.prunings, s.S.max_depth,
    s.S.certifications)
