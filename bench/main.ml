@@ -25,6 +25,12 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
 (* ------------------------------------------------------------------ *)
 (* E1: Fenton–Karma spike-and-dome falsification                       *)
 (* ------------------------------------------------------------------ *)
@@ -658,12 +664,6 @@ let p1 ?(quick = false) () =
      the garbage of the previous one.  The wall column is the per-cell
      minimum over every sample taken (the usual noise-floor
      estimate). *)
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-  in
   let measure_kernel name kernel =
     let slots = List.length sweep in
     let sweep_arr = Array.of_list sweep in
@@ -960,30 +960,46 @@ let c1 ?(quick = false) () =
   section
     (if quick then "C1  Exact-replay caches off vs on (jobs = 1, quick)"
      else "C1  Exact-replay caches off vs on (jobs = 1)");
-  (* Each setting is timed over a few rounds, caches cleared before each
-     so every round starts cold, keeping the per-round minimum (the
-     container clock is noisy; see T1). *)
+  (* Each setting is timed in 7 rounds, alternating which one goes
+     first, and reports its median round.  A round times a batch of
+     runs lasting at least 50 ms, caches cleared before each run so
+     every run starts cold, and keeps the time per run: a kernel whose
+     run takes a few milliseconds is then timed over many, not over
+     one clock-noise-sized interval. *)
   let measure name ~canon ~note run =
-    let rounds = if quick then 2 else 3 in
-    let time_with on =
+    let rounds = 7 and batch_s = 0.05 in
+    let sample on =
       Cache.set_enabled on;
       Fun.protect ~finally:Cache.clear_enabled_override (fun () ->
-          let best = ref infinity and result = ref None in
-          for _ = 1 to rounds do
+          let total = ref 0.0 and runs = ref 0 and result = ref None in
+          while !total < batch_s do
             Cache.clear ();
             let r, dt = timed run in
-            if dt < !best then best := dt;
+            total := !total +. dt;
+            incr runs;
             result := Some r
           done;
-          (Option.get !result, !best))
+          (Option.get !result, !total /. float_of_int !runs))
     in
-    let r_off, t_off = time_with false in
-    let r_on, t_on = time_with true in
-    if canon r_off <> canon r_on then
+    let t_off = Array.make rounds 0.0 and t_on = Array.make rounds 0.0 in
+    let r_off = ref None and r_on = ref None in
+    for i = 0 to rounds - 1 do
+      let off () =
+        let r, t = sample false in
+        r_off := Some r;
+        t_off.(i) <- t
+      and on () =
+        let r, t = sample true in
+        r_on := Some r;
+        t_on.(i) <- t
+      in
+      if i land 1 = 0 then (off (); on ()) else (on (); off ())
+    done;
+    if canon (Option.get !r_off) <> canon (Option.get !r_on) then
       failwith
         (Printf.sprintf "C1 %s: cached result differs from the uncached run"
            name);
-    (name, t_off, t_on, note)
+    (name, median t_off, median t_on, note)
   in
   let canon_boxes boxes =
     String.concat ";" (List.sort compare (List.map Box.to_string boxes))
@@ -1172,8 +1188,11 @@ let c1 ?(quick = false) () =
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\n  \"jobs\": 1,\n  \"quick\": %b,\n  \"kernels\": [\n"
-       quick);
+    (Printf.sprintf
+       "{\n  \"jobs\": 1,\n  \"quick\": %b,\n  \"timing\": \"%s\",\n  \"kernels\": [\n"
+       quick
+       "median of 7 rounds alternating off/on, each round a batch of cold \
+        runs lasting >= 50 ms, per-run time");
   List.iteri
     (fun i (name, t_off, t_on, _) ->
       Buffer.add_string buf

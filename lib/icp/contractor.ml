@@ -216,11 +216,59 @@ type constr = { term : Expr.Term.t; target : I.t }
 
 let pp_constr ppf c = Fmt.pf ppf "%a ∈ %a" Expr.Term.pp c.term I.pp c.target
 
-let of_atom ?(delta = 0.0) (a : Expr.Formula.atom) =
-  (* Both strict and non-strict atoms contract against the closed target
-     [-δ, ∞): contraction works with closures, strictness is enforced at
-     verdict time. *)
-  { term = a.term; target = I.make (-.delta) infinity }
+(* Range constraints (see the interface).  Merging a lower and an upper
+   bound on one term makes HC4, the Taylor-model pass and Newton walk
+   it once per round instead of twice.  HC4's result depends on
+   constraint order, so a merged constraint takes its first atom's
+   position and an unpaired atom keeps the constraint it had alone. *)
+type bound = { e : Expr.Term.t; lower : bool; c : float }
+
+let bound_of : Expr.Term.t -> bound = function
+  | Sub (e, Const c) -> { e; lower = true; c }
+  | Sub (Const c, e) -> { e; lower = false; c }
+  | Neg e -> { e; lower = false; c = 0.0 }
+  | e -> { e; lower = true; c = 0.0 }
+
+let of_atoms ?(delta = 0.0) (atoms : Expr.Formula.atom list) =
+  (* [c − δ] rounded down and [c′ + δ] rounded up; exact at δ = 0. *)
+  let range e lo hi =
+    let lo = if delta = 0.0 then lo else Interval.Round.next_down (lo -. delta)
+    and hi = if delta = 0.0 then hi else Interval.Round.next_up (hi +. delta) in
+    { term = e; target = (if lo > hi then I.empty else I.make lo hi) }
+  in
+  let atoms = Array.of_list atoms in
+  let bounds = Array.map (fun (a : Expr.Formula.atom) -> bound_of a.term) atoms in
+  let unpaired = Array.make (Array.length atoms) true in
+  let slots =
+    Array.map
+      (fun (a : Expr.Formula.atom) ->
+        Some { term = a.term; target = I.make (-.delta) infinity })
+      atoms
+  in
+  Array.iteri
+    (fun j b ->
+      (* the first earlier unpaired bound of the other side *)
+      let rec partner i =
+        if i = j then None
+        else if
+          unpaired.(i) && bounds.(i).lower <> b.lower
+          && Expr.Term.equal bounds.(i).e b.e
+        then Some i
+        else partner (i + 1)
+      in
+      match partner 0 with
+      | None -> ()
+      | Some i ->
+          let first = bounds.(i) in
+          unpaired.(i) <- false;
+          unpaired.(j) <- false;
+          slots.(i) <-
+            Some
+              (if b.lower then range first.e b.c first.c
+               else range first.e first.c b.c);
+          slots.(j) <- None)
+    bounds;
+  List.filter_map Fun.id (Array.to_list slots)
 
 (* Fixpoint contraction with all constraints.  Stops when no component
    shrinks by more than [tol] (relative to its width) or after
@@ -378,10 +426,18 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
   Telemetry.Counter.incr m_fixpoints;
   loop 0
 
+(* The derivative system the contractor layers on its fixpoint: [None]
+   when the layer is off or no constraint is differentiable.  The flag
+   is sampled here, at build time, like [tape]. *)
+let deriv_system constraints =
+  if Deriv.enabled () then
+    Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
+  else None
+
 (* Compile-once fixpoint closure: tape-backed when tapes are enabled,
    tree-walking otherwise.  The closure is safe to share across worker
    domains (tapes are immutable; scratch is per-domain via Domain.DLS). *)
-let contractor ?tol ?max_rounds constraints =
+let contractor ?tol ?max_rounds ?newton constraints =
   let tape = Expr.Tape.enabled () in
   (* TM-tightened forward passes only exist on the tape path (the tree
      walker has no slot arrays to intersect into); sampled at build time
@@ -396,12 +452,9 @@ let contractor ?tol ?max_rounds constraints =
   in
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
-     fixpoint round lets HC4 exploit the tightened components.  The
-     flag is sampled at build time, like [tape]. *)
+     fixpoint round lets HC4 exploit the tightened components. *)
   let newton =
-    if Deriv.enabled () then
-      Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
-    else None
+    match newton with Some sys -> sys | None -> deriv_system constraints
   in
   let base =
     match newton with

@@ -13,9 +13,28 @@ exception Empty
 type constr = { term : Expr.Term.t; target : Interval.Ia.t }
 (** The constraint [term ∈ target]. *)
 
-val of_atom : ?delta:float -> Expr.Formula.atom -> constr
-(** Constraint form of an atom [t ⋈ 0]: the closed target [[-δ, +∞)].
-    Strictness is enforced at verdict time, not during contraction. *)
+val of_atoms : ?delta:float -> Expr.Formula.atom list -> constr list
+(** The range constraints of a conjunction of atoms, one per bounded
+    term.  Each atom [t ⋈ 0] bounds one term on one side:
+    - [e − c] (from [e ≥ c]) is the lower bound [c] on [e];
+    - [c′ − e] (from [e ≤ c′]) and [−e] (from [e ≤ 0]) are the upper
+      bounds [c′] and [0] on [e];
+    - any other term [t] is the lower bound [0] on [t].
+
+    A lower and an upper bound on structurally equal terms
+    ({!Expr.Term.equal}) merge into one constraint
+    [e ∈ [c − δ, c′ + δ]], with [c − δ] rounded down and [c′ + δ]
+    rounded up (both exact at [δ = 0]); when [c − δ > c′ + δ] the
+    target is empty, which refutes every box.  Each bound pairs with
+    the first unpaired bound of the other side, and the merged
+    constraint takes the position of its first atom.  An atom with no
+    partner keeps its own constraint [t ∈ [−δ, +∞)].  Order matters:
+    HC4's fixpoint result depends on it.  Pairs of non-constant sides
+    ([a − b] with [b − a], from [a = b]) are two different terms and
+    stay apart.
+
+    Strict and non-strict atoms alike contract against closed targets;
+    strictness is enforced at verdict time, on the atoms. *)
 
 val pp_constr : constr Fmt.t
 
@@ -57,24 +76,33 @@ val fixpoint_compiled :
     pass into every HC4 revise (see {!Expr.Tape.hc4_revise}); sound
     either way, possibly tighter with it on. *)
 
+val deriv_system : constr list -> Deriv.t option
+(** The derivative system {!contractor} layers on its fixpoint:
+    {!Deriv.compile} of the constraints, or [None] when the derivative
+    layer is disabled ([BIOMC_NO_NEWTON=1]) or no constraint is
+    differentiable.  The switch is sampled when this is called. *)
+
 val contractor :
   ?tol:float ->
   ?max_rounds:int ->
+  ?newton:Deriv.t option ->
   constr list ->
   Interval.Box.t ->
   Interval.Box.t option
 (** [contractor constraints] compiles once and returns the fixpoint as a
     closure — tape-backed unless tapes are disabled ([BIOMC_NO_TAPE=1]).
-    Unless the derivative layer is disabled ([BIOMC_NO_NEWTON=1], see
-    {!Deriv}), the HC4 fixpoint is followed by a mean-value-form
+    The HC4 fixpoint is followed, when [newton] (default
+    [deriv_system constraints]) is a system, by a mean-value-form
     refutation test and an interval Newton (Gauss–Seidel) contraction
-    sweep over the differentiable constraints, with one extra fixpoint
-    round when Newton tightened the box.  Both layers only remove
+    sweep over its constraints, with one extra fixpoint round when
+    Newton tightened the box.  Pass [~newton] to share one compiled
+    system with the smear split ({!Deriv.split}); it must be compiled
+    from the same constraints.  Both layers only remove
     points violating a constraint, so the contraction contract is
     unchanged; with Newton disabled the closure reproduces the HC4-only
     result bit for bit.  The closure may be shared across worker
     domains: tapes are immutable and scratch buffers are per-domain.
 
-    The Newton and Taylor-model layers follow their global switches,
-    sampled when the closure is built; the Taylor-model pass also
-    requires the tape path. *)
+    The tape, Newton and Taylor-model layers follow their global
+    switches, sampled when the closure (or the [newton] system) is
+    built; the Taylor-model pass also requires the tape path. *)

@@ -161,21 +161,6 @@ let certify ~delta stats formula box =
 
 (* ---- The decide step ---- *)
 
-(* Per-query gradient system for smear-guided branching (and, through
-   [Contractor.contractor], the Newton contraction).  [None] when the
-   derivative layer is disabled or no atom is differentiable; the split
-   sites then fall back to widest-dimension bisection — the pre-Newton
-   behaviour. *)
-let conjunction_deriv ~delta atoms =
-  if not (Deriv.enabled ()) then None
-  else
-    Deriv.compile
-      (List.map
-         (fun a ->
-           let c = Contractor.of_atom ~delta a in
-           (c.Contractor.term, c.Contractor.target))
-         atoms)
-
 let split_box ?dsys ~min_width b =
   match dsys with
   | Some sys -> Deriv.split sys ~min_width b
@@ -230,13 +215,24 @@ let process_box cfg stats ?dsys contract formula b =
         raise e
   end
 
-let conjunction_contractor cfg atoms =
-  if not cfg.use_contraction then fun b -> Some b
-  else
-    (* Compile once per query (tape-backed unless BIOMC_NO_TAPE=1); the
-       closure is shared by all boxes of the search, across domains. *)
-    let constraints = List.map (Contractor.of_atom ~delta:cfg.delta) atoms in
-    Contractor.contractor ~max_rounds:cfg.contractor_rounds constraints
+(* One conjunction's range constraints, the contractor over them and
+   the derivative system behind both its Newton contraction and the
+   smear split.  [dsys] is [None] when the derivative layer is disabled
+   or no constraint is differentiable; the split sites then fall back
+   to widest-dimension bisection, the pre-Newton behaviour.  Compiled
+   once per query (tape-backed unless BIOMC_NO_TAPE=1); the closure and
+   the system are shared by all boxes of the search, across domains:
+   [Deriv.contract] and [Deriv.split] each reload the per-domain
+   workspace. *)
+let conjunction_contractor ~max_rounds ~delta ~use_contraction atoms =
+  let constraints = Contractor.of_atoms ~delta atoms in
+  let dsys = Contractor.deriv_system constraints in
+  let contract =
+    if use_contraction then
+      Contractor.contractor ~max_rounds ~newton:dsys constraints
+    else fun b -> Some b
+  in
+  (contract, dsys)
 
 (* Decide one conjunction of atoms on [box] with [jobs] workers; every
    DNF branch of a race is one such search at [jobs = 1], over the
@@ -248,8 +244,10 @@ let decide_conjunction ~jobs ~budget ?cancelled ?label cfg worker_stats atoms
   let formula =
     Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
   in
-  let contract = conjunction_contractor cfg atoms in
-  let dsys = conjunction_deriv ~delta:cfg.delta atoms in
+  let contract, dsys =
+    conjunction_contractor ~max_rounds:cfg.contractor_rounds ~delta:cfg.delta
+      ~use_contraction:cfg.use_contraction atoms
+  in
   let r =
     Search.run ~jobs ~budget ?cancelled ?label
       ~heur:(if Option.is_some dsys then "smear" else "bisect")
@@ -393,29 +391,44 @@ let pp_paving ppf p =
    interval-only pave — bit for bit).  Returns [None] when disabled
    (kill-switch or [BIOMC_NO_TAPE]).
 
-   One single-root tape per distinct atom term, shared by fingerprint;
-   scratch is per-domain (Domain.DLS), so the returned certifier may be
+   One single-root tape per distinct atom term, shared by fingerprint
+   and resolved for each of the formula's atoms when the certifier is
+   built; the certifier looks an atom up by physical identity, so it
+   serves the atoms of [formula] itself.  Scratch, input and output
+   arrays are per-domain (Domain.DLS), so the returned certifier may be
    called from concurrent worker domains. *)
+type cert_tape = {
+  tape : Expr.Tape.t;
+  vars : string array;
+  io : (I.t array * I.t array) Domain.DLS.key;  (* inputs, root range *)
+}
+
 let enclosure_atom_cert formula =
   if not (Expr.Tape.enabled () && Interval.Tm.enabled ()) then None
   else begin
-    let key (t : Expr.Term.t) =
-      let b = Buffer.create 64 in
-      Expr.Term.fingerprint_acc b t;
-      Buffer.contents b
+    let by_key = Hashtbl.create 8 in
+    let tape_of (t : Expr.Term.t) =
+      let k = Expr.Term.fingerprint t in
+      match Hashtbl.find_opt by_key k with
+      | Some ct -> ct
+      | None ->
+          let vars = Expr.Term.free_var_list t in
+          let n = List.length vars in
+          let ct =
+            { tape = Expr.Tape.compile ~vars [ t ];
+              vars = Array.of_list vars;
+              io =
+                Domain.DLS.new_key (fun () ->
+                    (Array.make n I.entire, Array.make 1 I.empty)) }
+          in
+          Hashtbl.add by_key k ct;
+          ct
     in
-    let tapes : (string, Expr.Tape.t * string array) Hashtbl.t =
-      Hashtbl.create 8
+    let tapes =
+      List.map
+        (fun (a : Expr.Formula.atom) -> (a.term, tape_of a.term))
+        (Expr.Formula.atoms formula)
     in
-    List.iter
-      (fun (a : Expr.Formula.atom) ->
-        let k = key a.term in
-        if not (Hashtbl.mem tapes k) then begin
-          let vars = Expr.Term.free_var_list a.term in
-          Hashtbl.add tapes k
-            (Expr.Tape.compile ~vars [ a.term ], Array.of_list vars)
-        end)
-      (Expr.Formula.atoms formula);
     let verdict_of (i : I.t) (rel : Expr.Formula.rel) =
       if I.is_empty i then Expr.Formula.Impossible
       else
@@ -431,34 +444,33 @@ let enclosure_atom_cert formula =
     in
     Some
       (fun box (a : Expr.Formula.atom) ->
-        match Expr.Formula.eval_atom_interval box a with
+        (* [verdict_of] on the tree walk is [Formula.eval_atom_interval];
+           an Unknown range is nonempty. *)
+        let r = Expr.Term.eval_interval box a.term in
+        match verdict_of r a.rel with
         | (Expr.Formula.Certain | Expr.Formula.Impossible) as v -> v
         | Expr.Formula.Unknown -> (
-            match Hashtbl.find_opt tapes (key a.term) with
+            match List.assq_opt a.term tapes with
             | None -> Expr.Formula.Unknown
-            | Some (tp, vars) ->
-                let inputs =
-                  Array.map
-                    (fun x ->
-                      match Box.find_opt x box with
-                      | Some itv -> itv
-                      | None -> I.entire)
-                    vars
-                in
-                let sc = Expr.Tape.dls_scratch tp in
-                let out = Array.make 1 I.empty in
-                let r = Expr.Term.eval_interval box a.term in
+            | Some ct ->
+                let inputs, out = Domain.DLS.get ct.io in
+                Array.iteri
+                  (fun i x ->
+                    inputs.(i) <-
+                      (match Box.find_opt x box with
+                       | Some itv -> itv
+                       | None -> I.entire))
+                  ct.vars;
+                let sc = Expr.Tape.dls_scratch ct.tape in
                 let r =
-                  if I.is_empty r then r
-                  else
-                    Interval.Tm.with_span (fun () ->
-                        Expr.Tape.eval_tm_into tp sc ~inputs ~out;
-                        let w = I.inter r out.(0) in
-                        if I.equal w r then r
-                        else begin
-                          Interval.Tm.note_tightening ();
-                          w
-                        end)
+                  Interval.Tm.with_span (fun () ->
+                      Expr.Tape.eval_tm_into ct.tape sc ~inputs ~out;
+                      let w = I.inter r out.(0) in
+                      if I.equal w r then r
+                      else begin
+                        Interval.Tm.note_tightening ();
+                        w
+                      end)
                 in
                 verdict_of r a.rel))
   end
@@ -473,7 +485,7 @@ let pave_cert formula =
 (* The pave step.  Classification is deterministic, so pavings at any
    [jobs] contain the same leaf boxes (only the list order differs) as
    long as the budget is not exhausted. *)
-let pave_step cfg ~cert ?dsys contract formula b =
+let pave_step cfg ~cert ?dsys refutes formula b =
   let unsat () = Search.Prune (Some (`Unsat, b)) in
   if Box.is_empty b then Search.Leaf ("empty", None, None)
   else
@@ -488,7 +500,7 @@ let pave_step cfg ~cert ?dsys contract formula b =
          the difference approximately by checking each component.  To
          stay simple and exact we only use contraction as an
          infeasibility test here. *)
-      if cfg.use_contraction && Option.is_none (contract b) then unsat ()
+      if refutes b then unsat ()
       else (
         match split_box ?dsys ~min_width:cfg.epsilon b with
         | Some (l, r) -> Search.Split (l, r)
@@ -496,16 +508,30 @@ let pave_step cfg ~cert ?dsys contract formula b =
             Search.Leaf ("undecided", Some "sub-epsilon", Some (`Undecided, b)))
 
 let pave_default ?(config = default_config) formula box =
-  let atoms = Expr.Formula.atoms formula in
-  let constraints = List.map (Contractor.of_atom ~delta:0.0) atoms in
-  (* Compiled once for the whole paving; used only as an infeasibility
-     test, so the atom conjunction over-approximation is sound here. *)
-  let contract =
-    if config.use_contraction then Contractor.contractor ~max_rounds:2 constraints
-    else fun b -> Some b
+  (* Contraction is only an infeasibility test here, and a box is
+     refuted only when every DNF branch refutes it: a conjunction of
+     all the formula's atoms would refute boxes that satisfy one
+     disjunct.  One conjunction keeps one contractor, which shares its
+     derivative system with the smear split; otherwise the split reads
+     a system over every atom. *)
+  let contract_branch =
+    conjunction_contractor ~max_rounds:2 ~delta:0.0
+      ~use_contraction:config.use_contraction
+  in
+  let refutes, dsys =
+    match Expr.Formula.dnf formula with
+    | [ atoms ] ->
+        let contract, dsys = contract_branch atoms in
+        ((fun b -> Option.is_none (contract b)), dsys)
+    | branches ->
+        let contracts =
+          List.map (fun atoms -> fst (contract_branch atoms)) branches
+        in
+        ( (fun b -> List.for_all (fun c -> Option.is_none (c b)) contracts),
+          Contractor.deriv_system
+            (Contractor.of_atoms (Expr.Formula.atoms formula)) )
   in
   let cert = pave_cert formula in
-  let dsys = conjunction_deriv ~delta:0.0 atoms in
   (* A box that finds the budget exhausted becomes an undecided leaf. *)
   let r =
     Search.run ~jobs:config.jobs
@@ -513,7 +539,7 @@ let pave_default ?(config = default_config) formula box =
       ~heur:(if Option.is_some dsys then "smear" else "bisect")
       ~exhausted:(fun b ->
         Search.Leaf ("undecided", Some "budget-exhaust", Some (`Undecided, b)))
-      (fun _ b -> pave_step config ~cert ?dsys contract formula b)
+      (fun _ b -> pave_step config ~cert ?dsys refutes formula b)
       box
   in
   let leaves cls =

@@ -423,7 +423,7 @@ let prepare_contract formula =
       List.map
         (fun atoms ->
           Icp.Contractor.contractor ~max_rounds:5
-            (List.map (Icp.Contractor.of_atom ~delta:0.0) atoms))
+            (Icp.Contractor.of_atoms atoms))
         (F.dnf formula)
     in
     fun ~params_box state_box ->

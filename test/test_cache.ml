@@ -27,49 +27,6 @@ let with_cache on f =
       Cache.clear ())
     f
 
-(* ---- random generators (deterministic seeds) ---- *)
-
-let vars = [ "x"; "y" ]
-let nvars = List.length vars
-
-let rand_leaf st =
-  if Random.State.bool st then T.var (List.nth vars (Random.State.int st nvars))
-  else T.const (Random.State.float st 4.0 -. 2.0)
-
-let rec rand_term st depth =
-  if depth = 0 then rand_leaf st
-  else
-    let sub () = rand_term st (depth - 1) in
-    match Random.State.int st 8 with
-    | 0 -> T.add (sub ()) (sub ())
-    | 1 -> T.sub (sub ()) (sub ())
-    | 2 -> T.mul (sub ()) (sub ())
-    | 3 -> T.neg (sub ())
-    | 4 -> T.pow (sub ()) (1 + Random.State.int st 3)
-    | 5 -> T.sin (sub ())
-    | 6 -> T.min_ (sub ()) (sub ())
-    | _ -> rand_leaf st
-
-let rand_formula st =
-  let atom () =
-    F.atom (if Random.State.bool st then F.Gt else F.Ge)
-      (rand_term st (1 + Random.State.int st 3))
-  in
-  match Random.State.int st 4 with
-  | 0 -> atom ()
-  | 1 -> F.and_ [ atom (); atom () ]
-  | 2 -> F.or_ [ atom (); atom () ]
-  | _ -> F.and_ [ F.or_ [ atom (); atom () ]; atom () ]
-
-let rand_box st =
-  Box.of_list
-    (List.map
-       (fun v ->
-         let a = Random.State.float st 4.0 -. 2.0 in
-         let w = Random.State.float st 2.0 in
-         (v, I.make a (a +. w)))
-       vars)
-
 (* ---- result / paving equality ---- *)
 
 let result_eq a b =
@@ -102,7 +59,7 @@ let decide_config jobs =
 let test_decide_differential () =
   let st = Random.State.make [| 2026 |] in
   for case = 1 to 400 do
-    let f = rand_formula st and b = rand_box st in
+    let f = Gen.formula st and b = Gen.box st in
     let config = decide_config 1 in
     let off = with_cache false (fun () -> S.decide ~config f b) in
     let cold, again =
@@ -124,7 +81,7 @@ let test_decide_differential () =
 let test_decide_differential_parallel () =
   let st = Random.State.make [| 2027 |] in
   for case = 1 to 60 do
-    let f = rand_formula st and b = rand_box st in
+    let f = Gen.formula st and b = Gen.box st in
     let off = with_cache false (fun () -> S.decide ~config:(decide_config 2) f b) in
     let on = with_cache true (fun () -> S.decide ~config:(decide_config 2) f b) in
     (* Parallel searches stop at the first δ-sat found, so only the
@@ -165,7 +122,7 @@ let test_pave_differential () =
   let st = Random.State.make [| 2028 |] in
   let config = { S.default_config with epsilon = 0.25; max_boxes = 2_000 } in
   for case = 1 to 300 do
-    let f = rand_formula st and b = rand_box st in
+    let f = Gen.formula st and b = Gen.box st in
     let off = with_cache false (fun () -> S.pave ~config f b) in
     let cold, replay =
       with_cache true (fun () ->
@@ -177,7 +134,7 @@ let test_pave_differential () =
     if not (paving_eq off replay) then
       Alcotest.failf "case %d: pavings differ (off vs replay) on %s" case
         (Fmt.str "%a" F.pp f);
-    let vols p = S.paving_volumes ~over:vars p in
+    let vols p = S.paving_volumes ~over:Gen.vars p in
     if vols off <> vols cold then
       Alcotest.failf "case %d: paving volumes differ" case
   done
@@ -286,7 +243,7 @@ let test_biopsy_differential () =
 let test_off_is_identity () =
   let st = Random.State.make [| 2034 |] in
   for case = 1 to 50 do
-    let f = rand_formula st and b = rand_box st in
+    let f = Gen.formula st and b = Gen.box st in
     let r1 = with_cache false (fun () -> S.decide f b) in
     let r2 = with_cache false (fun () -> S.decide f b) in
     if not (result_eq r1 r2) then Alcotest.failf "case %d: Off not deterministic" case
@@ -326,7 +283,7 @@ let test_uncached_layers () =
       let touched =
         names_touched (fun () ->
             for _ = 1 to 20 do
-              let f = rand_formula st and b = rand_box st in
+              let f = Gen.formula st and b = Gen.box st in
               ignore (S.decide ~config:(decide_config 1) f b);
               ignore (S.pave ~config:pave_config f b)
             done;

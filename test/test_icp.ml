@@ -223,6 +223,81 @@ let test_pave_all_sat () =
   Alcotest.(check int) "one sat box" 1 (List.length p.S.sat);
   Alcotest.(check int) "no unsat" 0 (List.length p.S.unsat)
 
+(* A disjunction is refuted on a box only when every DNF branch is: a
+   contractor over the conjunction of all its atoms would call the whole
+   of [-1, 2] unsat for x <= 0 or x >= 1. *)
+let test_pave_disjunction () =
+  let f = P.formula "x <= 0 or x >= 1" in
+  let b = box [ ("x", -1.0, 2.0) ] in
+  List.iter
+    (fun l ->
+      Layers.with_layers l (fun () ->
+          let p = S.pave ~config:{ cfg with epsilon = 0.01 } f b in
+          let label what = Printf.sprintf "%s (%s)" what (Layers.name l) in
+          List.iter
+            (fun leaf ->
+              let x = Box.find "x" leaf in
+              Alcotest.(check bool) (label "unsat leaf inside (0, 1)") true
+                (I.lo x > 0.0 && I.hi x < 1.0))
+            p.S.unsat;
+          List.iter
+            (fun leaf ->
+              let x = Box.find "x" leaf in
+              Alcotest.(check bool) (label "sat leaf outside (0, 1)") true
+                (I.hi x <= 0.0 || I.lo x >= 1.0))
+            p.S.sat;
+          let sv, uv, dv = S.paving_volumes ~over:[ "x" ] p in
+          Alcotest.(check bool) (label "sat volume near 2") true (sv > 1.9);
+          Alcotest.(check bool) (label "unsat volume near 1") true
+            (uv > 0.9 && uv < 1.0);
+          Alcotest.(check bool) (label "partition") true
+            (Float.abs (sv +. uv +. dv -. 3.0) < 1e-9)))
+    Layers.settings;
+  match S.decide ~config:cfg f b with
+  | S.Delta_sat _ -> ()
+  | r -> Alcotest.failf "decide must agree: %s" (Fmt.str "%a" S.pp_result r)
+
+(* Sampled points of random pavings: a point of an unsat leaf must not
+   satisfy the formula, a point of a sat leaf must not falsify it.
+   Judged by interval evaluation on the point, which encloses the exact
+   value, so rounding cannot flip a verdict.  The formulas include
+   disjunctions. *)
+let test_pave_leaves_sound () =
+  let st = Random.State.make [| 0x9a7e |] in
+  let config = { S.default_config with epsilon = 0.25; max_boxes = 2_000 } in
+  let cases = List.init 150 (fun _ -> let f = Gen.formula st in (f, Gen.box st)) in
+  let sample leaf =
+    let pick i u = Float.min (I.hi i) (I.lo i +. (u *. (I.hi i -. I.lo i))) in
+    List.map
+      (fun u ->
+        Box.map (fun i -> I.of_float (pick i (u ()))) leaf)
+      [ (fun () -> 0.0); (fun () -> 0.5); (fun () -> 1.0);
+        (fun () -> Random.State.float st 1.0);
+        (fun () -> Random.State.float st 1.0) ]
+  in
+  List.iter
+    (fun l ->
+      Layers.with_layers l (fun () ->
+          List.iteri
+            (fun case (f, b) ->
+              let p = S.pave ~config f b in
+              let check cls wrong leaves =
+                List.iter
+                  (fun leaf ->
+                    List.iter
+                      (fun pt ->
+                        if F.eval_cert pt f = wrong then
+                          Alcotest.failf "%s case %d: %s leaf %s has point %s; %s"
+                            (Layers.name l) case cls (Box.to_string leaf)
+                            (Box.to_string pt) (F.to_string f))
+                      (sample leaf))
+                  leaves
+              in
+              check "unsat" F.Certain p.S.unsat;
+              check "sat" F.Impossible p.S.sat)
+            cases))
+    Layers.settings
+
 (* ---- Agreement across the layer switches ----
 
    The Newton and Taylor-model switches select the search strategy:
@@ -362,7 +437,7 @@ let test_pave_agreement () =
 let test_contractor_samples_switches () =
   Expr.Tape.set_enabled true;
   Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
-  let cs = [ C.of_atom ~delta:0.0 (List.hd (F.atoms (P.formula "x*(1 - x) >= 0.3"))) ] in
+  let cs = C.of_atoms (F.atoms (P.formula "x*(1 - x) >= 0.3")) in
   let off = (false, false) and on = (true, true) in
   let c_off = Layers.with_layers off (fun () -> C.contractor cs) in
   let c_on = Layers.with_layers on (fun () -> C.contractor cs) in
@@ -390,6 +465,239 @@ let test_contractor_samples_switches () =
   Alcotest.(check bool) "HC4 alone cannot refute" false
     (Option.is_none (c_off unit_box));
   Alcotest.(check bool) "the layers refute" true (Option.is_none (c_on unit_box))
+
+(* ---- Range constraints (Contractor.of_atoms) ---- *)
+
+let show_constr (c : C.constr) =
+  Printf.sprintf "%s in [%h, %h]" (T.to_string c.C.term) (I.lo c.C.target)
+    (I.hi c.C.target)
+
+let range term lo hi = show_constr { C.term = P.term term; target = I.make lo hi }
+let ranges ?delta fml =
+  List.map show_constr (C.of_atoms ?delta (F.atoms (P.formula fml)))
+
+(* Lower bounds [e - c], [t]; upper bounds [c' - e], [-e]; a pair on
+   the same term becomes one range at its first atom's position, and
+   every other atom keeps its own constraint (its target [-δ, ∞)
+   starts at -0 at δ = 0). *)
+let test_of_atoms_pairing () =
+  let check fml want = Alcotest.(check (list string)) fml want (ranges fml) in
+  check "x >= 1 and x <= 2" [ range "x" 1.0 2.0 ];
+  check "x <= 2 and x >= 1" [ range "x" 1.0 2.0 ];
+  check "x <= 0 and x >= -1" [ range "x" (-1.0) 0.0 ];
+  check "x > 0 and x < 1" [ range "x" 0.0 1.0 ];
+  check "x^2 >= 0.5 and y >= 0 and x^2 <= 3"
+    [ range "x^2" 0.5 3.0; range "y" (-0.0) infinity ];
+  (* each bound pairs with the first unpaired bound of the other side *)
+  check "x >= 1 and x >= 2 and x <= 3"
+    [ range "x" 1.0 3.0; range "x - 2" (-0.0) infinity ];
+  check "x <= 3 and x >= 1 and x >= 2"
+    [ range "x" 1.0 3.0; range "x - 2" (-0.0) infinity ];
+  check "x >= 0 and x <= 1 and x >= 2 and x <= 3"
+    [ range "x" 0.0 1.0; range "x" 2.0 3.0 ];
+  (* the equality case c = c' *)
+  check "x = 1" [ range "x" 1.0 1.0 ];
+  check "x = 0" [ range "x" 0.0 0.0 ];
+  check "x^2 + y^2 = 1" [ range "x^2 + y^2" 1.0 1.0 ];
+  (* two non-constant sides are two terms: a - b and b - a stay apart *)
+  check "x = y" [ range "x - y" (-0.0) infinity; range "y - x" (-0.0) infinity ];
+  check "x*y >= 1 and y*x <= 2"
+    [ range "x*y - 1" (-0.0) infinity; range "2 - y*x" (-0.0) infinity ]
+
+(* An atom that finds no partner gets exactly the constraint it would
+   have alone: its own term, against [-δ, +∞). *)
+let test_of_atoms_unpaired () =
+  List.iter
+    (fun delta ->
+      let atoms =
+        F.atoms (P.formula "x*y >= 1 and y - x > 0.5 and sin(x) <= 0.2 and x = y")
+      in
+      let cs = C.of_atoms ~delta atoms in
+      Alcotest.(check int) "one constraint per atom" (List.length atoms)
+        (List.length cs);
+      List.iter2
+        (fun (a : F.atom) (c : C.constr) ->
+          Alcotest.(check bool) "own term" true (c.C.term == a.F.term);
+          Alcotest.(check bool)
+            (Printf.sprintf "target [-%g, inf)" delta)
+            true
+            (I.equal c.C.target (I.make (-.delta) infinity)))
+        atoms cs)
+    [ 0.0; 1e-3 ]
+
+(* Merged ranges sit where their first atom was: HC4 is order-sensitive. *)
+let test_of_atoms_position () =
+  let check fml want = Alcotest.(check (list string)) fml want (ranges fml) in
+  check "y >= 0 and x <= 2 and y^2 >= 1 and x >= 1"
+    [ range "y" (-0.0) infinity; range "x" 1.0 2.0;
+      range "y^2 - 1" (-0.0) infinity ];
+  check "x >= 0 and y <= 1 and x <= 2 and y >= -1"
+    [ range "x" 0.0 2.0; range "y" (-1.0) 1.0 ];
+  check "z >= 0 and y <= 1 and x <= 2 and y >= -1 and x >= 1"
+    [ range "z" (-0.0) infinity; range "y" (-1.0) 1.0; range "x" 1.0 2.0 ]
+
+(* A contradictory pair gets the empty target, which refutes every box
+   on the tree, tape and Newton paths and raises nowhere. *)
+let test_of_atoms_empty_target () =
+  let f = P.formula "x > 1 and x < 0" in
+  let cs = C.of_atoms (F.atoms f) in
+  (match cs with
+   | [ c ] -> Alcotest.(check bool) "empty target" true (I.is_empty c.C.target)
+   | _ -> Alcotest.fail "one merged constraint expected");
+  let boxes =
+    [ box [ ("x", -10.0, 10.0) ];
+      box [ ("x", 0.5, 0.5) ];
+      box [ ("x", 0.0, 1.0); ("y", -1.0, 1.0) ];
+      Box.of_list [ ("x", I.entire) ];
+      box [ ("y", -1.0, 1.0) ] ]
+  in
+  let refutes what c =
+    List.iter
+      (fun b ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s refutes %s" what (Box.to_string b))
+          true (c b = None))
+      boxes
+  in
+  refutes "tree fixpoint" (C.fixpoint cs);
+  let compiled = C.compile cs in
+  refutes "tape fixpoint" (C.fixpoint_compiled compiled);
+  refutes "tape fixpoint with TM" (C.fixpoint_compiled ~tm:true compiled);
+  (match Icp.Deriv.compile [ (P.term "x", I.empty) ] with
+   | None -> Alcotest.fail "x is differentiable"
+   | Some sys ->
+       List.iter
+         (fun b ->
+           Alcotest.(check bool)
+             (Printf.sprintf "Newton refutes %s" (Box.to_string b))
+             true (Icp.Deriv.contract sys b = None))
+         [ box [ ("x", -10.0, 10.0) ]; box [ ("x", 0.5, 0.5) ] ]);
+  List.iter
+    (fun tape ->
+      Expr.Tape.set_enabled tape;
+      Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
+      List.iter
+        (fun l ->
+          Layers.with_layers l (fun () ->
+              let what = Printf.sprintf "tape=%b %s" tape (Layers.name l) in
+              refutes ("contractor " ^ what) (C.contractor cs);
+              expect_unsat what
+                (S.decide ~config:cfg f (box [ ("x", -10.0, 10.0) ]));
+              let p = S.pave ~config:cfg f (box [ ("x", -10.0, 10.0) ]) in
+              Alcotest.(check int) ("pave: no sat leaf " ^ what) 0
+                (List.length p.S.sat + List.length p.S.undecided)))
+        Layers.settings)
+    [ true; false ]
+
+(* The δ-widened bounds enclose the reals c - δ and c' + δ, checked in
+   exact arithmetic: TwoSum gives s + e = a + b exactly, and the
+   distance from a bound to s is a float difference of neighbours,
+   itself exact (checked).  At δ = 0 the bounds are c and c' exactly. *)
+let two_sum a b =
+  let s = a +. b in
+  let bb = s -. a in
+  (s, (a -. (s -. bb)) +. (b -. bb))
+
+let exact_diff a b =
+  let d, err = two_sum a (-.b) in
+  if err <> 0.0 then Alcotest.failf "%h - %h is not exact" a b;
+  d
+
+let test_of_atoms_rounding () =
+  let st = Random.State.make [| 0x2b0d |] in
+  let rnd () =
+    Float.ldexp (Random.State.float st 2.0 -. 1.0) (Random.State.int st 60 - 30)
+  in
+  for _ = 1 to 20_000 do
+    let c = rnd () and c' = rnd () in
+    let delta = if Random.State.int st 8 = 0 then 0.0 else Float.abs (rnd ()) in
+    let atoms =
+      [ { F.term = T.sub (T.var "x") (T.const c); rel = F.Ge };
+        { F.term = T.sub (T.const c') (T.var "x"); rel = F.Ge } ]
+    in
+    match C.of_atoms ~delta atoms with
+    | [ r ] ->
+        let t = r.C.target in
+        let what = Printf.sprintf "c=%h c'=%h delta=%h" c c' delta in
+        if I.is_empty t then
+          Alcotest.(check bool) ("empty only if c > c': " ^ what) true (c > c')
+        else if delta = 0.0 then
+          Alcotest.(check bool) ("exact at delta 0: " ^ what) true
+            (I.lo t = c && I.hi t = c')
+        else begin
+          (* lo <= s + e  <=>  s - lo >= -e *)
+          let s, e = two_sum c (-.delta) in
+          Alcotest.(check bool) ("lo <= c - delta: " ^ what) true
+            (exact_diff s (I.lo t) >= -.e);
+          Alcotest.(check bool) ("lo within 2 ulp: " ^ what) true
+            (I.lo t >= Float.pred (Float.pred s));
+          (* hi >= s + e  <=>  hi - s >= e *)
+          let s, e = two_sum c' delta in
+          Alcotest.(check bool) ("hi >= c' + delta: " ^ what) true
+            (exact_diff (I.hi t) s >= e);
+          Alcotest.(check bool) ("hi within 2 ulp: " ^ what) true
+            (I.hi t <= Float.succ (Float.succ s))
+        end
+    | _ -> Alcotest.fail "one merged constraint expected"
+  done
+
+(* Points where every atom holds survive the contractor built from the
+   merged constraints, under every Newton x TM setting.  The bounds are
+   set around each term's interval value at the point, so the point
+   satisfies them in exact arithmetic. *)
+let test_of_atoms_witness_survival () =
+  let st = Random.State.make [| 0x5a7e |] in
+  let cases = ref [] in
+  for _ = 1 to 150 do
+    let px = Random.State.float st 4.0 -. 2.0
+    and py = Random.State.float st 4.0 -. 2.0 in
+    let pt = Box.of_list [ ("x", I.of_float px); ("y", I.of_float py) ] in
+    let margin () =
+      if Random.State.bool st then 0.0 else Random.State.float st 0.5
+    in
+    let atoms =
+      List.concat
+        (List.init (1 + Random.State.int st 3) (fun _ ->
+             let e = Gen.term st (1 + Random.State.int st 3) in
+             let v = T.eval_interval pt e in
+             if not (I.is_bounded v) then []
+             else
+               let lower = F.ge e (T.const (I.lo v -. margin ()))
+               and upper = F.le e (T.const (I.hi v +. margin ())) in
+               match Random.State.int st 4 with
+               | 0 -> [ lower ]
+               | 1 -> [ upper ]
+               | 2 -> [ upper; lower ]
+               | _ -> [ lower; upper ]))
+    in
+    let atoms = List.concat_map F.atoms atoms in
+    let w () = Random.State.float st 1.5 in
+    let b =
+      box [ ("x", px -. w (), px +. w ()); ("y", py -. w (), py +. w ()) ]
+    in
+    cases := (atoms, b, [ ("x", px); ("y", py) ]) :: !cases
+  done;
+  List.iter
+    (fun l ->
+      Layers.with_layers l (fun () ->
+          List.iter
+            (fun delta ->
+              List.iter
+                (fun (atoms, b, pt) ->
+                  let c = C.contractor (C.of_atoms ~delta atoms) in
+                  match c b with
+                  | Some b' when Box.contains_env pt b' -> ()
+                  | r ->
+                      Alcotest.failf "%s delta=%g: point lost on %s -> %s (%s)"
+                        (Layers.name l) delta (Box.to_string b)
+                        (match r with
+                         | None -> "refuted"
+                         | Some b' -> Box.to_string b')
+                        (String.concat " and "
+                           (List.map (Fmt.str "%a" F.pp_atom) atoms)))
+                !cases)
+            [ 0.0; 1e-3 ]))
+    Layers.settings
 
 (* ---- ∃∀ CEGIS ---- *)
 
@@ -528,6 +836,14 @@ let () =
           Alcotest.test_case "fixpoint infeasible" `Quick test_fixpoint_infeasible;
           Alcotest.test_case "layer switches sampled at build" `Quick
             test_contractor_samples_switches;
+          Alcotest.test_case "ranges: pairing" `Quick test_of_atoms_pairing;
+          Alcotest.test_case "ranges: unpaired atoms" `Quick test_of_atoms_unpaired;
+          Alcotest.test_case "ranges: position" `Quick test_of_atoms_position;
+          Alcotest.test_case "ranges: empty target" `Quick
+            test_of_atoms_empty_target;
+          Alcotest.test_case "ranges: rounding" `Quick test_of_atoms_rounding;
+          Alcotest.test_case "ranges: witnesses survive" `Quick
+            test_of_atoms_witness_survival;
         ] );
       ( "solver",
         [
@@ -547,6 +863,8 @@ let () =
         [
           Alcotest.test_case "circle" `Quick test_pave_circle;
           Alcotest.test_case "all sat" `Quick test_pave_all_sat;
+          Alcotest.test_case "disjunction" `Quick test_pave_disjunction;
+          Alcotest.test_case "random leaves sound" `Quick test_pave_leaves_sound;
         ] );
       ( "agreement",
         [

@@ -229,6 +229,12 @@ let wider = [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ]
 (* Unsat after five splits: x*y <= 1/2 on the circle. *)
 let circle_hyperbola = "x^2 + y^2 = 1 and x*y = 1"
 
+(* perfbench's calib-pave formula: two terms, each bounded on both
+   sides. *)
+let impulse_fit =
+  "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and 3*a*k*exp(-3*k) >= 0.1 and \
+   3*a*k*exp(-3*k) <= 0.3"
+
 (* (name, query, digest of its rendering computed on the parent). *)
 let queries =
   [ ( "decide delta-sat",
@@ -274,6 +280,13 @@ let queries =
         { C.default_config with epsilon = 0.1; max_param_boxes = 6 }
         decay_threshold,
       "dd3d816f619e5c7c9b08b18d68677a11" );
+    ( "pave impulse fit",
+      pave ~config:{ S.default_config with epsilon = 0.05 } impulse_fit
+        [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ],
+      "a60340adb8d1a71aad5a59cc58b968b0" );
+    ( "decide two-sided band",
+      decide "x^3 - x >= 0.2 and x^3 - x <= 0.25" [ ("x", -2.0, 2.0) ],
+      "84b180b2088faf9c81e4fee7c51ed8ff" );
     ( "biopsy exhausted",
       exhausted_biopsy
         { B.default_config with epsilon = 0.05; max_boxes = 6 }
