@@ -31,6 +31,41 @@ let median a =
   let n = Array.length a in
   if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
+(* Time two settings in 7 rounds, alternating which one goes first, and
+   report each one's last result and median round.  A round times a
+   batch of runs lasting at least 50 ms ([prepare] runs untimed before
+   each one) and keeps the time per run: a kernel whose run takes a few
+   milliseconds is then timed over many, not over one
+   clock-noise-sized interval. *)
+let alternating_batches ?(prepare = ignore) a b =
+  let rounds = 7 and batch_s = 0.05 in
+  let batch run =
+    let total = ref 0.0 and runs = ref 0 and result = ref None in
+    while !total < batch_s do
+      prepare ();
+      let r, dt = timed run in
+      total := !total +. dt;
+      incr runs;
+      result := Some r
+    done;
+    (Option.get !result, !total /. float_of_int !runs)
+  in
+  let t_a = Array.make rounds 0.0 and t_b = Array.make rounds 0.0 in
+  let r_a = ref None and r_b = ref None in
+  for i = 0 to rounds - 1 do
+    let run_a () =
+      let r, t = batch a in
+      r_a := Some r;
+      t_a.(i) <- t
+    and run_b () =
+      let r, t = batch b in
+      r_b := Some r;
+      t_b.(i) <- t
+    in
+    if i land 1 = 0 then (run_a (); run_b ()) else (run_b (); run_a ())
+  done;
+  ((Option.get !r_a, median t_a), (Option.get !r_b, median t_b))
+
 (* ------------------------------------------------------------------ *)
 (* E1: Fenton–Karma spike-and-dome falsification                       *)
 (* ------------------------------------------------------------------ *)
@@ -960,46 +995,20 @@ let c1 ?(quick = false) () =
   section
     (if quick then "C1  Exact-replay caches off vs on (jobs = 1, quick)"
      else "C1  Exact-replay caches off vs on (jobs = 1)");
-  (* Each setting is timed in 7 rounds, alternating which one goes
-     first, and reports its median round.  A round times a batch of
-     runs lasting at least 50 ms, caches cleared before each run so
-     every run starts cold, and keeps the time per run: a kernel whose
-     run takes a few milliseconds is then timed over many, not over
-     one clock-noise-sized interval. *)
   let measure name ~canon ~note run =
-    let rounds = 7 and batch_s = 0.05 in
-    let sample on =
+    let with_cache on () =
       Cache.set_enabled on;
-      Fun.protect ~finally:Cache.clear_enabled_override (fun () ->
-          let total = ref 0.0 and runs = ref 0 and result = ref None in
-          while !total < batch_s do
-            Cache.clear ();
-            let r, dt = timed run in
-            total := !total +. dt;
-            incr runs;
-            result := Some r
-          done;
-          (Option.get !result, !total /. float_of_int !runs))
+      Fun.protect ~finally:Cache.clear_enabled_override run
     in
-    let t_off = Array.make rounds 0.0 and t_on = Array.make rounds 0.0 in
-    let r_off = ref None and r_on = ref None in
-    for i = 0 to rounds - 1 do
-      let off () =
-        let r, t = sample false in
-        r_off := Some r;
-        t_off.(i) <- t
-      and on () =
-        let r, t = sample true in
-        r_on := Some r;
-        t_on.(i) <- t
-      in
-      if i land 1 = 0 then (off (); on ()) else (on (); off ())
-    done;
-    if canon (Option.get !r_off) <> canon (Option.get !r_on) then
+    let (r_off, t_off), (r_on, t_on) =
+      alternating_batches ~prepare:Cache.clear (with_cache false)
+        (with_cache true)
+    in
+    if canon r_off <> canon r_on then
       failwith
         (Printf.sprintf "C1 %s: cached result differs from the uncached run"
            name);
-    (name, median t_off, median t_on, note)
+    (name, t_off, t_on, note)
   in
   let canon_boxes boxes =
     String.concat ";" (List.sort compare (List.map Box.to_string boxes))
@@ -1165,18 +1174,8 @@ let c1 ?(quick = false) () =
     let tb, sb = before () and ta, sa = after () in
     if not (tb = ta && sb = sa) then
       failwith "C1 smc-alloc: in-place trace differs from the allocating one";
-    let reps = if quick then 3 else 8 in
-    let rounds = if quick then 2 else 4 in
-    let best f =
-      let best = ref infinity in
-      for _ = 1 to rounds do
-        let _, dt = timed (fun () -> for _ = 1 to reps do ignore (f ()) done) in
-        let ns = dt /. float_of_int reps *. 1e9 in
-        if ns < !best then best := ns
-      done;
-      !best
-    in
-    let ns_before = best before and ns_after = best after in
+    let (_, s_before), (_, s_after) = alternating_batches before after in
+    let ns_before = s_before *. 1e9 and ns_after = s_after *. 1e9 in
     Report.print
       [ Report.table
           ~header:[ "smc float path"; "ns/trajectory"; "speedup"; "check" ]
@@ -1191,8 +1190,9 @@ let c1 ?(quick = false) () =
     (Printf.sprintf
        "{\n  \"jobs\": 1,\n  \"quick\": %b,\n  \"timing\": \"%s\",\n  \"kernels\": [\n"
        quick
-       "median of 7 rounds alternating off/on, each round a batch of cold \
-        runs lasting >= 50 ms, per-run time");
+       "median of 7 rounds alternating off/on (before/after for smc_alloc), \
+        each round a batch of runs lasting >= 50 ms (cache rows: cold runs), \
+        per-run time");
   List.iteri
     (fun i (name, t_off, t_on, _) ->
       Buffer.add_string buf

@@ -919,6 +919,20 @@ let hc4_revise tp sc ?(tm = false) ?mask ~target dom =
     and h = Array.unsafe_get sc.ihis r0 in
     l = l && tlo = tlo && fmax l tlo <= fmin h thi
   in
+  (* A root already inside the target is entailed on the box: [require]
+     stops at a root it does not tighten, so nothing propagates down,
+     and the TM pass writes no variable slot.  The pass could then change
+     the outcome only by emptying the root, which it cannot do on a box
+     where every subterm is defined at every point ([smooth_on]): the
+     true values lie in both enclosures.  So skip it; [dom] stays as it
+     is. *)
+  let entailed =
+    let l = Array.unsafe_get sc.ilos r0
+    and h = Array.unsafe_get sc.ihis r0 in
+    tlo <= l && h <= thi
+  in
+  if tm && entailed && smooth_on tp sc then true
+  else
   let refuted =
     tm
     && T.with_span (fun () ->

@@ -176,6 +176,11 @@ val hc4_revise :
     when the tightened root no longer meets [target].  The TM pass runs
     inside the [icp.tm] telemetry span with the [tm.tightenings] /
     [tm.refutations] counters and the [tm-refute] journal prune reason.
+    The TM pass is skipped when the interval root already lies inside
+    [target] and {!smooth_on} holds on [dom]: every point of the box
+    then satisfies the constraint, the pass could not move a bound of
+    [dom], and the function returns [true] with [dom] untouched, as the
+    pass would have.
     With [~tm:false] the TM walker never runs, restoring the
     interval-only search bit-for-bit.
 

@@ -148,10 +148,13 @@ let flow_step cfg sys second params t0 h x0 iters =
    every right-hand side with string-keyed lookups.  The compiled path
    flattens both the field and the Taylor-2 remainder terms into tapes
    over [vars @ params @ [t]] once, and runs every evaluation as a loop
-   over interval arrays.  The arithmetic per component is identical
-   operation for operation, so the resulting tube is exactly the tree
-   path's tube (interval operations are deterministic); the tree path
-   remains as the differential-testing oracle and BIOMC_NO_TAPE path. *)
+   over interval arrays.  The interval arithmetic per component is
+   identical operation for operation (interval operations are
+   deterministic), so with the Taylor-model pass off the tube is exactly
+   the tree path's tube.  With it on, this path also intersects every
+   field evaluation with its TM range, which the tree path has no pass
+   for, so its tube can be tighter.  The tree path remains as the
+   differential-testing oracle and BIOMC_NO_TAPE path. *)
 
 type prepared = {
   p_sys : System.t;

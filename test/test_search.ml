@@ -229,11 +229,13 @@ let wider = [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ]
 (* Unsat after five splits: x*y <= 1/2 on the circle. *)
 let circle_hyperbola = "x^2 + y^2 = 1 and x*y = 1"
 
-(* perfbench's calib-pave formula: two terms, each bounded on both
-   sides. *)
+(* perfbench's calib-pave formula and box: two terms, each bounded on
+   both sides.  The workload paves at epsilon 0.002. *)
 let impulse_fit =
   "a*k*exp(-k) >= 0.3 and a*k*exp(-k) <= 0.5 and 3*a*k*exp(-3*k) >= 0.1 and \
    3*a*k*exp(-3*k) <= 0.3"
+
+let impulse_box = [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ]
 
 (* (name, query, digest of its rendering computed on the parent). *)
 let queries =
@@ -282,8 +284,12 @@ let queries =
       "dd3d816f619e5c7c9b08b18d68677a11" );
     ( "pave impulse fit",
       pave ~config:{ S.default_config with epsilon = 0.05 } impulse_fit
-        [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ],
+        impulse_box,
       "a60340adb8d1a71aad5a59cc58b968b0" );
+    ( "pave impulse fit, workload epsilon",
+      pave ~config:{ S.default_config with epsilon = 0.002 } impulse_fit
+        impulse_box,
+      "d6dd1cc40aa640fcc31137902c88f52e" );
     ( "decide two-sided band",
       decide "x^3 - x >= 0.2 and x^3 - x <= 0.25" [ ("x", -2.0, 2.0) ],
       "84b180b2088faf9c81e4fee7c51ed8ff" );

@@ -153,6 +153,85 @@ let test_revise_differential () =
             (I.to_string target)
   done
 
+(* ---- HC4 revise on an entailed constraint ----
+
+   Random terms and boxes on which [smooth_on] holds after the forward
+   pass, against targets that contain the forward root interval
+   (sometimes with an infinite side): every point of the box satisfies
+   the constraint, so the revise must leave the box as it is on the
+   tree path and on the tape path with TM, and the TM pass must not run
+   at all. *)
+
+let entailed_target st r =
+  let slack () =
+    match Random.State.int st 3 with
+    | 0 -> 0.0
+    | 1 -> Random.State.float st 1e-9
+    | _ -> Random.State.float st 2.0
+  in
+  let lo =
+    if Random.State.int st 4 = 0 then Float.neg_infinity
+    else I.lo r -. slack ()
+  and hi =
+    if Random.State.int st 4 = 0 then Float.infinity else I.hi r +. slack ()
+  in
+  I.make lo hi
+
+let test_revise_entailed () =
+  let st = Random.State.make [| 46 |] in
+  let truncations = Telemetry.Counter.make ~always:true "tm.truncations"
+  and tightenings = Telemetry.Counter.make ~always:true "tm.tightenings" in
+  let counts () =
+    (Telemetry.Counter.value truncations, Telemetry.Counter.value tightenings)
+  in
+  let before = counts () in
+  let cases = ref [] in
+  for case = 1 to 6_000 do
+    let t = rand_term st (1 + Random.State.int st 3) in
+    let b = rand_box st in
+    let tp = Tape.compile ~vars [ t ] in
+    let sc = Tape.scratch tp in
+    let root = Tape.eval_interval tp sc (inputs_of_box b) in
+    if Tape.smooth_on tp sc then begin
+      let target = entailed_target st root in
+      (match C.revise ~term:t ~target b with
+      | Some b' when Box.equal b b' -> ()
+      | Some b' ->
+          Alcotest.failf "case %d: tree narrowed %s to %s on %s ∈ %s" case
+            (Box.to_string b) (Box.to_string b') (T.to_string t)
+            (I.to_string target)
+      | None ->
+          Alcotest.failf "case %d: tree refuted %s on %s ∈ %s" case
+            (Box.to_string b) (T.to_string t) (I.to_string target));
+      let dom = inputs_of_box b in
+      let orig = Array.copy dom in
+      if not (Tape.hc4_revise tp sc ~tm:true ~target dom) then
+        Alcotest.failf "case %d: tape refuted %s on %s ∈ %s" case
+          (Box.to_string b) (T.to_string t) (I.to_string target);
+      Array.iteri
+        (fun i x ->
+          if not (x == orig.(i)) then
+            Alcotest.failf "case %d: tape wrote %s = %s on %s ∈ %s" case
+              (List.nth vars i) (I.to_string x) (T.to_string t)
+              (I.to_string target))
+        dom;
+      cases := (tp, b) :: !cases
+    end
+  done;
+  let n = List.length !cases in
+  if n < 1_000 then
+    Alcotest.failf "only %d entailed cases drawn — generator drifted" n;
+  Alcotest.(check (pair int int)) "no TM pass ran" before (counts ());
+  (* The counters can see a TM pass over these cases: evaluating their
+     models truncates products. *)
+  List.iter
+    (fun (tp, b) ->
+      Tape.eval_tm_into tp (Tape.scratch tp) ~inputs:(inputs_of_box b)
+        ~out:(Array.make 1 I.entire))
+    !cases;
+  if fst (counts ()) = fst before then
+    Alcotest.fail "no TM truncation on the entailed cases: the check is blind"
+
 let test_fixpoint_differential () =
   let st = Random.State.make [| 45 |] in
   for case = 1 to 400 do
@@ -393,6 +472,7 @@ let () =
       ( "hc4",
         [ Alcotest.test_case "revise differential" `Quick
             test_revise_differential;
+          Alcotest.test_case "revise entailed" `Quick test_revise_entailed;
           Alcotest.test_case "fixpoint differential" `Quick
             test_fixpoint_differential ] );
       ( "fixes",
