@@ -937,8 +937,11 @@ let hc4_revise tp sc ?(tm = false) ?mask ~target dom =
     tm
     && T.with_span (fun () ->
            let pre = meets_target () in
-           if tm_tighten tp sc dom then T.note_tightening ();
+           let tightened = tm_tighten tp sc dom in
            let post = meets_target () in
+           (* One counter per pass: a pass that empties the root counts
+              as a refutation only. *)
+           if tightened && post then T.note_tightening ();
            if pre && not post then T.note_refutation ();
            not post)
   in

@@ -176,7 +176,9 @@ val trunc_mul_hi : float -> float -> float -> float -> float
     Counters live in the process-wide registry (created always-on, like
     the cache statistics): [tm.refutations] — boxes refuted because a
     TM range missed a constraint target; [tm.tightenings] — evaluations
-    where a TM range strictly tightened an interval enclosure;
+    where a TM range strictly tightened an interval enclosure (in an HC4
+    revise, only a pass that leaves the box alive: a pass that tightens
+    and then refutes counts once, as a refutation);
     [tm.truncations] — products whose degree-3/4 monomials were folded
     into the remainder.  The first two are incremented by the solver
     layers through {!note_refutation}/{!note_tightening} (the former

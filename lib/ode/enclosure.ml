@@ -11,7 +11,14 @@
       - order 1 (interval Euler):   X1 = X0 + h·f(B)
       - order 2 (interval Taylor):  X1 = X0 + h·f(X0) + (h²/2)·(Jf·f)(B)
       Both are sound by the integral/Taylor mean value forms since the
-      trajectory stays in B over the step. *)
+      trajectory stays in B over the step.
+
+   Neither form ends a step narrower than X0, component by component:
+   X1 contains [X0.lo + h·c, X0.hi + h·c] for any c in both f(X0) and
+   the accepted f(B), and the derivative at any point of X0 is such a c
+   (DESIGN §5a).  So once a state is wider than some bound, every later
+   one is too: a caller that rejects such tubes can pass the bound as
+   [max_width] and lose nothing. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -151,10 +158,11 @@ let flow_step cfg sys second params t0 h x0 iters =
    over interval arrays.  The interval arithmetic per component is
    identical operation for operation (interval operations are
    deterministic), so with the Taylor-model pass off the tube is exactly
-   the tree path's tube.  With it on, this path also intersects every
-   field evaluation with its TM range, which the tree path has no pass
-   for, so its tube can be tighter.  The tree path remains as the
-   differential-testing oracle and BIOMC_NO_TAPE path. *)
+   the tree path's tube.  With it on, this path also intersects field
+   evaluations with their TM range, which the tree path has no pass for,
+   so its tube can be tighter; a Picard iteration runs that pass only
+   when its interval containment test fails.  The tree path remains as
+   the differential-testing oracle and BIOMC_NO_TAPE path. *)
 
 type prepared = {
   p_sys : System.t;
@@ -208,14 +216,24 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
     done;
     !tightened
   in
-  let eval_field tape sc time (x : I.t array) (out : I.t array) =
+  let eval_interval tape sc time (x : I.t array) (out : I.t array) =
     Array.blit x 0 inp 0 n;
     inp.(n + np) <- time;
-    Expr.Tape.eval_interval_into tape sc ~inputs:inp ~out;
-    if tm then
-      Interval.Tm.with_span (fun () ->
-          Expr.Tape.eval_tm_into tape sc ~inputs:inp ~out:tbuf;
-          if intersect_into tbuf out then Interval.Tm.note_tightening ())
+    Expr.Tape.eval_interval_into tape sc ~inputs:inp ~out
+  in
+  (* Intersect [out], the last [eval_interval] of [tape], with its TM
+     range over the same inputs; [true] when that tightened it. *)
+  let tm_tighten tape sc (out : I.t array) =
+    tm
+    && Interval.Tm.with_span (fun () ->
+           Expr.Tape.eval_tm_into tape sc ~inputs:inp ~out:tbuf;
+           let tightened = intersect_into tbuf out in
+           if tightened then Interval.Tm.note_tightening ();
+           tightened)
+  in
+  let eval_field tape sc time x out =
+    eval_interval tape sc time x out;
+    ignore (tm_tighten tape sc out)
   in
   let fbuf = Array.make n I.empty in
   let box_of (x : I.t array) =
@@ -225,28 +243,40 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
   let width_of (x : I.t array) =
     Array.fold_left (fun acc i -> Float.max acc (I.width i)) 0.0 x
   in
+  let inside (next : I.t array) (b : I.t array) =
+    let subset = ref true in
+    for i = 0 to n - 1 do
+      if not (I.subset next.(i) b.(i)) then subset := false
+    done;
+    !subset
+  in
   (* One validated step on interval arrays; mirrors [flow_step]. *)
   let step_tape t0 h (x0 : I.t array) =
     let time_whole = I.make t0 (t0 +. h) in
     let h_itv = I.make 0.0 h in
+    let euler () = Array.init n (fun i -> I.add x0.(i) (I.mul h_itv fbuf.(i))) in
+    (* Containment is tested on the interval f(B) first, and the TM pass
+       runs only when that test fails.  The TM range is only ever
+       intersected into the interval one, and [I.add] and [I.mul] are
+       inclusion-monotone, so a passing interval test means the tightened
+       one passes too; an accepted iteration returns B itself. *)
     let rec picard b k =
       if k > cfg.max_picard then None
       else begin
         incr iters;
-        eval_field prep.rhs_tape sc_rhs time_whole b fbuf;
-        let next = Array.init n (fun i -> I.add x0.(i) (I.mul h_itv fbuf.(i))) in
-        let subset = ref true in
-        for i = 0 to n - 1 do
-          if not (I.subset next.(i) b.(i)) then subset := false
-        done;
-        if !subset then Some b
+        eval_interval prep.rhs_tape sc_rhs time_whole b fbuf;
+        let next = euler () in
+        if inside next b then Some b
         else
-          let widened =
-            Array.init n (fun i ->
-                let hl = I.hull b.(i) next.(i) in
-                I.inflate (cfg.inflation *. (I.width hl +. 1e-12)) hl)
-          in
-          picard widened (k + 1)
+          let next = if tm_tighten prep.rhs_tape sc_rhs fbuf then euler () else next in
+          if inside next b then Some b
+          else
+            let widened =
+              Array.init n (fun i ->
+                  let hl = I.hull b.(i) next.(i) in
+                  I.inflate (cfg.inflation *. (I.width hl +. 1e-12)) hl)
+            in
+            picard widened (k + 1)
       end
     in
     eval_field prep.rhs_tape sc_rhs time_whole x0 fbuf;
@@ -289,7 +319,9 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
       { vars = System.vars sys; steps = List.rev steps; final = box_of x;
         t_end = t; complete = true }
     else if width_of x > cfg.max_width then begin
-      Log.debug (fun m -> m "enclosure blow-up at t=%g (width %g)" t (width_of x));
+      Log.debug (fun m ->
+          m "enclosure blow-up at t=%g (width %g > max_width %g)" t (width_of x)
+            cfg.max_width);
       { vars = System.vars sys; steps = List.rev steps; final = box_of x;
         t_end = t; complete = false }
     end
@@ -318,7 +350,9 @@ let flow_tree config sys ~params ~init ~t_end ~iters t0 =
     if t >= t_end -. 1e-12 then
       { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t; complete = true }
     else if Box.width x > config.max_width then begin
-      Log.debug (fun m -> m "enclosure blow-up at t=%g (width %g)" t (Box.width x));
+      Log.debug (fun m ->
+          m "enclosure blow-up at t=%g (width %g > max_width %g)" t (Box.width x)
+            config.max_width);
       { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t; complete = false }
     end
     else

@@ -19,7 +19,11 @@ type config = {
   h_min : float;  (** give up (incomplete tube) rather than shrink below *)
   inflation : float;  (** multiplicative inflation in the Picard iteration *)
   max_picard : int;
-  max_width : float;  (** abort when the state box exceeds this width *)
+  max_width : float;
+      (** abort (incomplete tube) before a step from a state box wider
+          than this.  No state is narrower than the one before it, so
+          {!Reach.Checker} lowers it to its usability gate's limit and
+          ends a tube the gate would reject at its first state past it. *)
 }
 
 val default_config : config
@@ -66,10 +70,17 @@ val flow :
   System.t ->
   tube
 (** Guaranteed enclosure of every trajectory starting in [init] under any
-    parameter value in [params].  Runs on flat interval tapes by default
-    (bit-identical tube to the tree-walking path, which [BIOMC_NO_TAPE=1]
-    restores); [?prepared] (from {!prepare} on the same system) skips the
-    per-call compilation. *)
+    parameter value in [params].  Runs on flat interval tapes by default;
+    [BIOMC_NO_TAPE=1] restores the tree-walking path.  With the
+    Taylor-model layer off the two paths give the same tube bit for bit;
+    with it on, the tape path also intersects each field evaluation with
+    its Taylor-model range (in a Picard iteration only when the interval
+    containment test fails), so its tube can be tighter.  [?prepared]
+    (from {!prepare} on the same system) skips the per-call compilation.
+
+    Every step ends at a box at least as wide, per component, as the
+    state it started from, under either order and on either path (DESIGN
+    §5a). *)
 
 val tube_hull : tube -> Interval.Box.t
 val state_at : tube -> float -> Interval.Box.t option

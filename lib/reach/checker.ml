@@ -348,15 +348,21 @@ let seg_group cfg pb_sys ~inv ~t_end =
    otherwise — and the bracket stops at the invariant [inv].  [None] when
    even the ensemble produced nothing. *)
 let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
-  let tube =
-    Ode.Enclosure.flow ~config:cfg.enclosure ~prepared ~params:params_box
-      ~init:init_box ~t_end pb_sys
+  (* The gate's limit.  No state of a tube is narrower than the one
+     before it (DESIGN §5a), so a tube is lost at its first state wider
+     than the limit, and [max_width] ends it there; a larger or NaN
+     limit keeps the configured ceiling. *)
+  let limit = Float.max cfg.tube_quality_width (4.0 *. Box.width init_box) in
+  let config =
+    if limit < cfg.enclosure.max_width then { cfg.enclosure with max_width = limit }
+    else cfg.enclosure
   in
-  let init_width = Box.width init_box in
+  let tube =
+    Ode.Enclosure.flow ~config ~prepared ~params:params_box ~init:init_box ~t_end
+      pb_sys
+  in
   let tube_usable =
-    tube.Ode.Enclosure.complete
-    && Box.width tube.Ode.Enclosure.final
-       <= Float.max cfg.tube_quality_width (4.0 *. init_width)
+    tube.Ode.Enclosure.complete && Box.width tube.Ode.Enclosure.final <= limit
   in
   if tube_usable then Some { steps = tube.Ode.Enclosure.steps; rigorous = true }
   else begin

@@ -348,6 +348,98 @@ let test_flow_digest () =
   Alcotest.(check string) "flow tubes bit-identical"
     "f160da8d3d70a662c246e0e66a9e3794" (flow_digest ())
 
+(* ---- State widths never fall along a tube ----
+
+   Each Taylor-2 or Euler endpoint box contains, per component,
+   [x₀.lo + h·c, x₀.hi + h·c] for any c in both the endpoint's f(X₀)
+   and the accepted Picard iteration's f(B), and the derivative at any
+   point of X₀ is such a c.  So no step ends narrower than the state it
+   started from, which is what lets [Reach.Checker] stop a tube at its
+   first state wider than its usability gate's limit.  Random fields
+   over x, y, k and sometimes t, with exp, tanh and products, on random
+   init and parameter boxes, under both orders, the tape and tree paths
+   and TM on and off.  The strict growths are counted so the check
+   cannot pass on tubes that never step. *)
+
+let rec rand_field st depth =
+  let leaf () =
+    match Splitmix.int st 6 with
+    | 0 | 1 -> Expr.Term.var "x"
+    | 2 -> Expr.Term.var "y"
+    | 3 -> Expr.Term.var "k"
+    | 4 -> Expr.Term.var Sys.time_var
+    | _ -> Expr.Term.const (Splitmix.float st 4.0 -. 2.0)
+  in
+  if depth = 0 then leaf ()
+  else
+    let sub () = rand_field st (depth - 1) in
+    match Splitmix.int st 7 with
+    | 0 -> Expr.Term.add (sub ()) (sub ())
+    | 1 -> Expr.Term.sub (sub ()) (sub ())
+    | 2 | 3 -> Expr.Term.mul (sub ()) (sub ())
+    | 4 -> Expr.Term.exp (sub ())
+    | 5 -> Expr.Term.tanh (sub ())
+    | _ -> leaf ()
+
+let test_widths_never_fall () =
+  let st = ref 53L in
+  let draw lo span width =
+    let a = lo +. Splitmix.float st span in
+    I.make a (a +. Splitmix.float st width)
+  in
+  let compared = ref 0 and grew = ref 0 in
+  for case = 1 to 150 do
+    let sys =
+      Sys.create ~vars:[ "x"; "y" ] ~params:[ "k" ]
+        ~rhs:
+          [ ("x", rand_field st (1 + Splitmix.int st 3));
+            ("y", rand_field st (1 + Splitmix.int st 3)) ]
+    in
+    let init = Box.of_list [ ("x", draw (-1.0) 2.0 0.2); ("y", draw (-1.0) 2.0 0.2) ] in
+    let params = Box.of_list [ ("k", draw (-1.0) 2.0 0.5) ] in
+    List.iter
+      (fun (order, tape, tm) ->
+        Expr.Tape.set_enabled tape;
+        Interval.Tm.set_enabled tm;
+        let tube =
+          Fun.protect
+            ~finally:(fun () ->
+              Expr.Tape.clear_enabled_override ();
+              Interval.Tm.clear_enabled_override ())
+            (fun () ->
+              Enc.flow ~config:{ Enc.default_config with order } ~params ~init
+                ~t_end:1.0 sys)
+        in
+        ignore
+          (List.fold_left
+             (fun start (s : Enc.step) ->
+               List.iter
+                 (fun v ->
+                   let w0 = I.width (Box.find v start)
+                   and w1 = I.width (Box.find v s.Enc.at_end) in
+                   incr compared;
+                   if w1 > w0 then incr grew
+                   else if not (w1 >= w0) then
+                     Alcotest.failf
+                       "case %d (order %s, tape %b, tm %b): %s narrowed from %h to \
+                        %h at t=%g"
+                       case
+                       (if order = Enc.Euler_1 then "1" else "2")
+                       tape tm v w0 w1 s.Enc.t_hi)
+                 [ "x"; "y" ];
+               s.Enc.at_end)
+             init tube.Enc.steps))
+      (List.concat_map
+         (fun order ->
+           List.concat_map
+             (fun tape -> List.map (fun tm -> (order, tape, tm)) [ true; false ])
+             [ true; false ])
+         [ Enc.Euler_1; Enc.Taylor_2 ])
+  done;
+  if !compared < 20_000 || !grew < !compared / 2 then
+    Alcotest.failf "only %d widths compared, %d grew: the draw is too weak"
+      !compared !grew
+
 (* ---- Bit-identity digest of the numeric integrators ----
 
    Every point of [Int.simulate] traces under all four methods, and the
@@ -487,6 +579,7 @@ let () =
           Alcotest.test_case "oscillator" `Quick test_enclosure_oscillator;
           Alcotest.test_case "flow tubes match committed digest" `Quick
             test_flow_digest;
+          Alcotest.test_case "widths never fall" `Quick test_widths_never_fall;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -500,6 +500,97 @@ let test_bracket_oracle () =
        (C.ensemble_steps C.default_config decay ~inv:half ~params_box
           ~members:[ ([], [ ("x", 1.0) ]) ] ~t_end:3.0))
 
+(* ---- The usability gate keeps its results ----
+
+   [flow_enclosure] ends a tube at its first state wider than the
+   gate's limit.  Its answers must still be the full rule's, built here
+   from public pieces: a tube integrated under the checker's enclosure
+   config, usable when it is complete and no wider than
+   max(tube_quality_width, 4·width(init)) at its end; its steps when
+   usable, else the ensemble bracket.  Caches are off, so every call
+   integrates.  Each case runs at tube_quality_width 0, 1 and 1e5, which
+   is above the 1e4 width ceiling, and, when the full tube is complete,
+   at its final width: the tightest limit it passes, where a stop even
+   slightly early would lose it.  Neither the full tube nor the bracket
+   depends on tube_quality_width, so the oracle computes each once per
+   case. *)
+let test_gate_keeps_results () =
+  Cache.set_enabled false;
+  Fun.protect ~finally:Cache.clear_enabled_override @@ fun () ->
+  let usable = ref 0 and too_wide = ref 0 and incomplete = ref 0 in
+  let case name sys ~inv ~params_box ~init_box ~t_end =
+    let tube =
+      Ode.Enclosure.flow ~config:C.default_config.C.enclosure ~params:params_box
+        ~init:init_box ~t_end sys
+    in
+    let bracket =
+      lazy
+        (C.ensemble_steps C.default_config sys ~inv ~params_box
+           ~members:(C.ensemble_members C.default_config ~params_box ~init_box)
+           ~t_end)
+    in
+    let prepared = Ode.Enclosure.prepare sys in
+    let render = Option.map (fun (r, steps) -> (r, hex_steps steps)) in
+    List.iter
+      (fun w ->
+        let cfg = { C.default_config with tube_quality_width = w } in
+        let limit = Float.max w (4.0 *. Box.width init_box) in
+        let complete = tube.Ode.Enclosure.complete in
+        let want =
+          if complete && Box.width tube.Ode.Enclosure.final <= limit then begin
+            incr usable;
+            Some (true, tube.Ode.Enclosure.steps)
+          end
+          else begin
+            incr (if complete then too_wide else incomplete);
+            match Lazy.force bracket with [] -> None | steps -> Some (false, steps)
+          end
+        in
+        let got =
+          Option.map
+            (fun (s : C.segment_enclosure) -> (s.C.rigorous, s.C.steps))
+            (C.flow_enclosure cfg sys ~inv ~prepared ~params_box ~init_box ~t_end)
+        in
+        Alcotest.(check (option (pair bool (list string))))
+          (Printf.sprintf "%s, tube_quality_width %g" name w)
+          (render want) (render got))
+      ([ 0.0; 1.0; 1e5 ]
+      @ if tube.Ode.Enclosure.complete then [ Box.width tube.Ode.Enclosure.final ]
+        else [])
+  in
+  let modes name a pb ~t_end =
+    let params_box, init_box = C.interpret_box pb (C.searchable_box pb) in
+    List.iter
+      (fun q ->
+        case (name ^ " " ^ q) (A.mode_system a q) ~inv:(A.find_mode a q).A.invariant
+          ~params_box ~init_box ~t_end)
+      (A.mode_names a)
+  in
+  let fk = Biomodels.Fenton_karma.automaton () in
+  modes "E1" fk ~t_end:400.0
+    (E.create ~min_jumps:2 ~goal:(Biomodels.Fenton_karma.spike_and_dome_goal ()) ~k:4
+       ~time_bound:400.0 fk);
+  let tbi = Biomodels.Tbi.automaton () in
+  modes "E4" tbi ~t_end:40.0
+    (E.create
+       ~param_box:(Box.of_list [ ("theta1", I.make 0.6 2.0); ("theta2", I.make 0.4 2.0) ])
+       ~goal:(Biomodels.Tbi.recovery_goal ()) ~k:1 ~time_bound:40.0 tbi);
+  let decay = A.mode_system decay_k_automaton (List.hd (A.mode_names decay_k_automaton)) in
+  let x1 = Box.of_list [ ("x", pt 1.0) ] in
+  case "decay, k in [0.1, 3]" decay ~inv:Expr.Formula.tt
+    ~params_box:(Box.of_list [ ("k", I.make 0.1 3.0) ]) ~init_box:x1 ~t_end:1.0;
+  case "decay, k in [0.1, 0.5]" decay ~inv:Expr.Formula.tt
+    ~params_box:(Box.of_list [ ("k", I.make 0.1 0.5) ]) ~init_box:x1 ~t_end:1.0;
+  case "Lotka-Volterra" Biomodels.Classics.lotka_volterra ~inv:Expr.Formula.tt
+    ~params_box:(Box.of_list [ ("a", I.make 0.9 1.1); ("b", I.make 0.9 1.1) ])
+    ~init_box:(Box.of_list [ ("x", I.make 0.95 1.05); ("y", I.make 0.95 1.05) ])
+    ~t_end:1.0;
+  Alcotest.(check bool)
+    (Printf.sprintf "usable %d, complete but too wide %d, incomplete %d: each occurs"
+       !usable !too_wide !incomplete)
+    true
+    (!usable > 0 && !too_wide > 0 && !incomplete > 0)
+
 let test_synthesize_threshold () =
   (* Partition k ∈ [0.1, 3.0] for goal x <= 0.3 by t=1: the boundary is at
      k* = -ln 0.3 ≈ 1.204.  Feasible boxes must lie (mostly) right of it,
@@ -635,6 +726,7 @@ let () =
             test_bracket_oracle;
           Alcotest.test_case "synthesize respects the invariant" `Quick
             test_synthesize_respects_invariant;
+          Alcotest.test_case "gate keeps its results" `Quick test_gate_keeps_results;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
         ] );

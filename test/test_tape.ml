@@ -232,6 +232,35 @@ let test_revise_entailed () =
   if fst (counts ()) = fst before then
     Alcotest.fail "no TM truncation on the entailed cases: the check is blind"
 
+(* One counter per HC4 TM pass.  On x ∈ [0, 1], x·x − x has the
+   interval root [−1, 1] and a TM range within about [−1/4, 0]: toward
+   [0.1, 1] the TM pass empties the root (a refutation, and no
+   tightening), toward [−0.5, 0.5] it narrows the root and the box stays
+   alive (a tightening only). *)
+let test_revise_counters () =
+  let refutations = Telemetry.Counter.make ~always:true "tm.refutations"
+  and tightenings = Telemetry.Counter.make ~always:true "tm.tightenings" in
+  let counts () =
+    (Telemetry.Counter.value refutations, Telemetry.Counter.value tightenings)
+  in
+  let tp = Tape.compile ~vars [ P.term "x*x - x" ] in
+  let revise target =
+    let dom =
+      inputs_of_box
+        (Box.of_list
+           [ ("x", I.make 0.0 1.0); ("y", I.of_float 0.0); ("z", I.of_float 0.0) ])
+    in
+    let r0, t0 = counts () in
+    let alive = Tape.hc4_revise tp (Tape.scratch tp) ~tm:true ~target dom in
+    let r1, t1 = counts () in
+    (alive, r1 - r0, t1 - t0)
+  in
+  let outcome = Alcotest.(triple bool int int) in
+  Alcotest.check outcome "refuting pass: one refutation, no tightening"
+    (false, 1, 0) (revise (I.make 0.1 1.0));
+  Alcotest.check outcome "narrowing pass: one tightening, no refutation"
+    (true, 0, 1) (revise (I.make (-0.5) 0.5))
+
 let test_fixpoint_differential () =
   let st = Random.State.make [| 45 |] in
   for case = 1 to 400 do
@@ -473,6 +502,7 @@ let () =
         [ Alcotest.test_case "revise differential" `Quick
             test_revise_differential;
           Alcotest.test_case "revise entailed" `Quick test_revise_entailed;
+          Alcotest.test_case "revise counters" `Quick test_revise_counters;
           Alcotest.test_case "fixpoint differential" `Quick
             test_fixpoint_differential ] );
       ( "fixes",
