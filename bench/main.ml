@@ -1768,8 +1768,8 @@ let tm1 ?(quick = false) () =
     if tube_off.Ode.Enclosure.complete && not tube_on.Ode.Enclosure.complete
     then failwith "TM1 ode-logistic-flow: TM run lost completeness";
     ( "ode-logistic-flow", t_end,
-      List.length tube_off.Ode.Enclosure.steps, w_off, hull_off, t_off,
-      List.length tube_on.Ode.Enclosure.steps, w_on, hull_on, t_on )
+      Ode.Enclosure.length tube_off.Ode.Enclosure.steps, w_off, hull_off, t_off,
+      Ode.Enclosure.length tube_on.Ode.Enclosure.steps, w_on, hull_on, t_on )
   in
   let rows =
     List.map

@@ -71,5 +71,7 @@ let () =
       Report.rule;
       Report.text "reach x >= 1.8 within t <= 20:  %s"
         (Fmt.str "%a" Reach.Checker.pp_result reaches_90pct);
-      Report.text "overshoot x >= 2.4 refuted:     %b  (unsat = safety proof)"
-        overshoot_refuted ]
+      Report.text "overshoot x >= 2.4 refuted:     %s"
+        (match overshoot_refuted with
+        | Some e -> Fmt.str "yes (%a)" Reach.Checker.pp_evidence e
+        | None -> "no") ]

@@ -3,7 +3,9 @@
    "Cardiac cells filter out insignificant stimulations": a system is
    robust to an input range when the response goal is *unreachable* from
    every initial state in the range — an `unsat` answer is a proof of
-   robustness (the paper's key observation).  Conversely a certified
+   robustness (the paper's key observation) when it rests on validated
+   tubes only; one that used an ensemble bracket is a numerical claim,
+   and [Robust] carries which of the two it is.  Conversely a certified
    δ-sat witness shows the range can trigger the response.
 
    The input range is modelled as the initial box of the automaton; the
@@ -11,12 +13,14 @@
    threshold as the verdict crossover. *)
 
 type verdict =
-  | Robust  (** response unreachable from the whole range: proof *)
+  | Robust of Reach.Checker.evidence
+      (** response unreachable from the whole range: a proof or a
+          bracketed claim *)
   | Excitable of (string * float) list  (** certified triggering witness *)
   | Borderline of string  (** uncertified δ-sat or solver budget exhausted *)
 
 let pp_verdict ppf = function
-  | Robust -> Fmt.string ppf "robust (unsat)"
+  | Robust e -> Fmt.pf ppf "robust (unsat, %a)" Reach.Checker.pp_evidence e
   | Excitable w ->
       Fmt.pf ppf "excitable (witness %a)"
         Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string float))
@@ -29,7 +33,8 @@ let classify ?config ~goal ~k ~time_bound make range =
   let automaton = make range in
   let pb = Reach.Encoding.create ~goal ~k ~time_bound automaton in
   match Reach.Checker.check ?config pb with
-  | Reach.Checker.Unsat _ -> Robust
+  | Reach.Checker.Unsat { rigorous } ->
+      Robust (if rigorous then Reach.Checker.Proof else Reach.Checker.Bracketed)
   | Reach.Checker.Delta_sat w when w.Reach.Checker.certified ->
       Excitable (w.Reach.Checker.params @ w.Reach.Checker.init)
   | Reach.Checker.Delta_sat _ -> Borderline "uncertified delta-sat"
@@ -47,7 +52,7 @@ let threshold ?config ~goal ~k ~time_bound ~lo ~hi ?(tol = 1e-2) make =
   let is_excitable a =
     match classify ?config ~goal ~k ~time_bound make a with
     | Excitable _ -> true
-    | Robust | Borderline _ -> false
+    | Robust _ | Borderline _ -> false
   in
   if is_excitable lo then Some lo
   else if not (is_excitable hi) then None

@@ -1,9 +1,12 @@
 (** Time-bounded robustness analysis (Sec. IV-C): an `unsat` answer
-    proves the system filters out a whole range of inputs.  The input
-    range is the initial box of the automaton built by the caller. *)
+    proves the system filters out a whole range of inputs when it rests
+    on validated tubes only.  The input range is the initial box of the
+    automaton built by the caller. *)
 
 type verdict =
-  | Robust  (** response unreachable from the whole range: a proof *)
+  | Robust of Reach.Checker.evidence
+      (** response unreachable from the whole range: a proof only when
+          the evidence is [Proof] *)
   | Excitable of (string * float) list  (** certified triggering witness *)
   | Borderline of string
 

@@ -45,11 +45,13 @@ let check ?config ?(param_box = Interval.Box.empty_map) ~goal ~k ~time_bound aut
   Reach.Checker.check ?config pb
 
 (* A behaviour is refuted (model falsification against a *qualitative*
-   property) when its reachability is unsat for every parameter value. *)
+   property) when its reachability is unsat for every parameter value;
+   the evidence says whether that is a proof or rests on a bracket. *)
 let refutes ?config ?param_box ~goal ~k ~time_bound automaton =
   match check ?config ?param_box ~goal ~k ~time_bound automaton with
-  | Reach.Checker.Unsat _ -> true
-  | Reach.Checker.Delta_sat _ | Reach.Checker.Unknown _ -> false
+  | Reach.Checker.Unsat { rigorous } ->
+      Some (if rigorous then Reach.Checker.Proof else Reach.Checker.Bracketed)
+  | Reach.Checker.Delta_sat _ | Reach.Checker.Unknown _ -> None
 
 (* SMC screening of a behaviour under distributional uncertainty: the
    hypothesis-generation branch taken when calibration fails. *)

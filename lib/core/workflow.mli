@@ -32,9 +32,11 @@ val refutes :
   k:int ->
   time_bound:float ->
   Hybrid.Automaton.t ->
-  bool
-(** [true] iff the behaviour is unsat for every parameter value — model
-    falsification against a qualitative property. *)
+  Reach.Checker.evidence option
+(** [Some evidence] iff the behaviour is unsat for every parameter
+    value — model falsification against a qualitative property.  The
+    evidence is [Proof] only when the refutation used validated tubes
+    alone. *)
 
 val smc_screen :
   ?seed:int -> ?eps:float -> ?alpha:float -> Smc.Runner.problem -> Smc.Estimate.estimate

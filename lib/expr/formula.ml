@@ -182,19 +182,22 @@ let rec robustness lookup = function
 
 type verdict = Certain | Impossible | Unknown
 
-let eval_atom_interval box a =
+let range_verdict rel i =
   let module I = Interval.Ia in
-  let i = Term.eval_interval box a.term in
   if I.is_empty i then Impossible
   else
-    match a.rel with
+    match rel with
     | Gt -> if I.certainly_gt_zero i then Certain else if I.certainly_le_zero i then Impossible else Unknown
     | Ge -> if I.certainly_ge_zero i then Certain else if I.certainly_lt_zero i then Impossible else Unknown
+
+let eval_atom_interval box a = range_verdict a.rel (Term.eval_interval box a.term)
 
 (* The certification recursion, parameterized on the atom evaluator so
    callers can substitute a stronger-but-still-sound one (the solver's
    enclosure-assisted certifier tightens atom ranges with a
-   Taylor-model forward pass before comparing against zero). *)
+   Taylor-model forward pass before comparing against zero), and on
+   any representation of the box the evaluator reads (the reach
+   checker's compiled row checks pass interval arrays). *)
 let rec eval_cert_with ~atom box = function
   | True -> Certain
   | False -> Impossible

@@ -92,20 +92,26 @@ val eval_cert : Interval.Box.t -> t -> verdict
 (** [Certain]: every point of the box satisfies the formula;
     [Impossible]: no point does; [Unknown]: cannot tell at this width. *)
 
+val range_verdict : rel -> Interval.Ia.t -> verdict
+(** The verdict of [r rel 0] for every [r] in the enclosure: [Impossible]
+    when it is empty. *)
+
 val eval_atom_interval : Interval.Box.t -> atom -> verdict
 (** The default atom certifier behind {!eval_cert}: interval-evaluate
     the atom's term over the box and compare the enclosure against
-    zero under the atom's relation. *)
+    zero under the atom's relation ({!range_verdict}). *)
 
-val eval_cert_with :
-  atom:(Interval.Box.t -> atom -> verdict) -> Interval.Box.t -> t -> verdict
-(** {!eval_cert} with a caller-supplied atom certifier.  Sound as long
-    as [atom] is: [Certain]/[Impossible] claims propagate through the
-    And/Or recursion unchanged.  The solver's enclosure-assisted
-    certification path injects an evaluator that tightens atom ranges
-    with a Taylor-model forward pass before the zero comparison,
-    certifying feasible band boxes earlier than plain interval
-    evaluation can. *)
+val eval_cert_with : atom:('box -> atom -> verdict) -> 'box -> t -> verdict
+(** {!eval_cert} with a caller-supplied atom certifier, over whatever
+    representation of the box it reads.  Sound as long as [atom] is:
+    [Certain]/[Impossible] claims propagate through the And/Or recursion
+    unchanged, and atoms are evaluated left to right only until the
+    verdict is settled.  The solver's enclosure-assisted certification
+    path injects an evaluator that tightens atom ranges with a
+    Taylor-model forward pass before the zero comparison, certifying
+    feasible band boxes earlier than plain interval evaluation can; the
+    reach checker's compiled row checks read each atom's range from one
+    tape evaluation over an interval array. *)
 
 val sat_possible : delta:float -> Interval.Box.t -> t -> bool
 (** [false] is definitive: the δ-weakened formula has no solution in the

@@ -61,16 +61,106 @@ let flow_fingerprint cfg =
     cfg.h cfg.h_min cfg.inflation cfg.max_picard cfg.max_width
     (Expr.Tape.enabled ()) (Interval.Tm.enabled ()) (Interval.Tm.budget ())
 
-type step = {
-  t_lo : float;
-  t_hi : float;
-  enclosure : Box.t;  (** encloses the state over the whole step *)
-  at_end : Box.t;  (** encloses the state at [t_hi] *)
+(* ---- Steps as flat float rows ----
+
+   Row k of a tube over [dim] variables is [stride = 4·dim + 2]
+   consecutive unboxed floats:
+
+     t_lo, t_hi,
+     lo and hi of the enclosure over [t_lo, t_hi], variable by variable,
+     lo and hi of the end state at [t_hi], variable by variable.
+
+   Rows are stored in chunks of [per_chunk] rows, each chunk one float
+   array small enough for the minor heap: a growing tube then neither
+   copies its rows nor leaves a half-empty array in the major heap, and
+   wastes at most one chunk's tail.  The floats are the bounds the
+   step's intervals had, so a box built back from a row is the step's
+   box bit for bit.  Only this section reads the layout: callers build
+   rows through [builder]/[push] and read them through the accessors. *)
+
+type steps = {
+  names : string list;  (* the variables, in row order *)
+  dim : int;
+  per_chunk : int;  (* rows per chunk *)
+  len : int;  (* rows in use *)
+  chunks : float array array;
 }
+
+let stride dim = (4 * dim) + 2
+
+(* The largest array the minor heap takes is 256 words. *)
+let rows_per_chunk dim = Int.max 1 (256 / stride dim)
+
+type builder = {
+  b_names : string list;
+  b_dim : int;
+  b_per_chunk : int;
+  mutable b_len : int;
+  mutable b_chunks : float array array;  (* the first [b_len / b_per_chunk] full *)
+}
+
+let builder names =
+  let dim = List.length names in
+  { b_names = names; b_dim = dim; b_per_chunk = rows_per_chunk dim; b_len = 0;
+    b_chunks = [||] }
+
+let push b ~t_lo ~t_hi (enclosure : I.t array) (at_end : I.t array) =
+  let w = stride b.b_dim in
+  let c = b.b_len / b.b_per_chunk in
+  if c = Array.length b.b_chunks then begin
+    let dir = Array.make (Int.max 4 (2 * c)) [||] in
+    Array.blit b.b_chunks 0 dir 0 c;
+    b.b_chunks <- dir
+  end;
+  if b.b_len mod b.b_per_chunk = 0 then b.b_chunks.(c) <- Array.make (b.b_per_chunk * w) 0.0;
+  let r = b.b_chunks.(c) and base = b.b_len mod b.b_per_chunk * w in
+  r.(base) <- t_lo;
+  r.(base + 1) <- t_hi;
+  for i = 0 to b.b_dim - 1 do
+    let e = enclosure.(i) and x = at_end.(i) in
+    r.(base + 2 + (2 * i)) <- e.I.lo;
+    r.(base + 3 + (2 * i)) <- e.I.hi;
+    r.(base + 2 + (2 * (b.b_dim + i))) <- x.I.lo;
+    r.(base + 3 + (2 * (b.b_dim + i))) <- x.I.hi
+  done;
+  b.b_len <- b.b_len + 1
+
+(* The rows pushed so far; the chunk directory is trimmed. *)
+let contents b =
+  let n_chunks = (b.b_len + b.b_per_chunk - 1) / b.b_per_chunk in
+  { names = b.b_names; dim = b.b_dim; per_chunk = b.b_per_chunk; len = b.b_len;
+    chunks = Array.sub b.b_chunks 0 n_chunks }
+
+let length s = s.len
+let vars s = s.names
+let prefix s n = { s with len = Int.min n s.len }
+
+(* The chunk holding row k, and the row's offset in it. *)
+let[@inline] row s k = (s.chunks.(k / s.per_chunk), k mod s.per_chunk * stride s.dim)
+
+let t_lo s k = let r, j = row s k in r.(j)
+let t_hi s k = let r, j = row s k in r.(j + 1)
+
+(* Interval i of row k's enclosure ([part = 0]) or end state ([part = 1]).
+   An interval's bounds are ordered or both NaN (the empty one), so
+   [I.make] gives it back as it was pushed. *)
+let itv s k part i =
+  let r, j = row s k in
+  let j = j + 2 + (2 * ((part * s.dim) + i)) in
+  I.make r.(j) r.(j + 1)
+
+let enclosure_into s k (out : I.t array) =
+  for i = 0 to s.dim - 1 do
+    out.(i) <- itv s k 0 i
+  done
+
+let box_of_row s k part = Box.of_list (List.mapi (fun i v -> (v, itv s k part i)) s.names)
+let enclosure s k = box_of_row s k 0
+let at_end s k = box_of_row s k 1
 
 type tube = {
   vars : string list;
-  steps : step list;  (* in increasing time order *)
+  steps : steps;  (* in increasing time order *)
   final : Box.t;
   t_end : float;  (* time actually reached *)
   complete : bool;  (* false when integration aborted (blow-up) *)
@@ -145,8 +235,7 @@ let flow_step cfg sys second params t0 h x0 iters =
                for a tighter-than-either result. *)
             Box.inter taylor b
       in
-      if Box.is_empty at_end then None
-      else Some ({ t_lo = t0; t_hi = t0 +. h; enclosure = b; at_end }, at_end)
+      if Box.is_empty at_end then None else Some (b, at_end)
 
 (* ---- Tape-compiled flow path ----
 
@@ -314,61 +403,64 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
         in
         if Array.exists I.is_empty at_end then None else Some (b, at_end)
   in
-  let rec go t x h steps =
-    if t >= t_end -. 1e-12 then
-      { vars = System.vars sys; steps = List.rev steps; final = box_of x;
-        t_end = t; complete = true }
+  let rows = builder (System.vars sys) in
+  let finish t x complete =
+    { vars = System.vars sys; steps = contents rows; final = box_of x; t_end = t;
+      complete }
+  in
+  let rec go t x h =
+    if t >= t_end -. 1e-12 then finish t x true
     else if width_of x > cfg.max_width then begin
       Log.debug (fun m ->
           m "enclosure blow-up at t=%g (width %g > max_width %g)" t (width_of x)
             cfg.max_width);
-      { vars = System.vars sys; steps = List.rev steps; final = box_of x;
-        t_end = t; complete = false }
+      finish t x false
     end
     else
       let h = Float.min h (t_end -. t) in
       match step_tape t h x with
       | Some (b, x') ->
-          let step =
-            { t_lo = t; t_hi = t +. h; enclosure = box_of b; at_end = box_of x' }
-          in
-          go step.t_hi x' cfg.h (step :: steps)
+          push rows ~t_lo:t ~t_hi:(t +. h) b x';
+          go (t +. h) x' cfg.h
       | None ->
-          if h <= cfg.h_min then
-            { vars = System.vars sys; steps = List.rev steps; final = box_of x;
-              t_end = t; complete = false }
+          if h <= cfg.h_min then finish t x false
           else begin
             Telemetry.Counter.incr m_step_rejections;
-            go t x (h /. 2.0) steps
+            go t x (h /. 2.0)
           end
   in
-  go t0 (arr_of init) cfg.h []
+  go t0 (arr_of init) cfg.h
 
 let flow_tree config sys ~params ~init ~t_end ~iters t0 =
   let second = if config.order = Taylor_2 then second_derivative sys else [] in
-  let rec go t x h steps =
-    if t >= t_end -. 1e-12 then
-      { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t; complete = true }
+  let vars = System.vars sys in
+  let rows = builder vars in
+  let arr_of box = Array.of_list (List.map (fun v -> Box.find v box) vars) in
+  let finish t x complete =
+    { vars; steps = contents rows; final = x; t_end = t; complete }
+  in
+  let rec go t x h =
+    if t >= t_end -. 1e-12 then finish t x true
     else if Box.width x > config.max_width then begin
       Log.debug (fun m ->
           m "enclosure blow-up at t=%g (width %g > max_width %g)" t (Box.width x)
             config.max_width);
-      { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t; complete = false }
+      finish t x false
     end
     else
       let h = Float.min h (t_end -. t) in
       match flow_step config sys second params t h x iters with
-      | Some (step, x') -> go step.t_hi x' config.h (step :: steps)
+      | Some (b, x') ->
+          push rows ~t_lo:t ~t_hi:(t +. h) (arr_of b) (arr_of x');
+          go (t +. h) x' config.h
       | None ->
-          if h <= config.h_min then
-            { vars = System.vars sys; steps = List.rev steps; final = x; t_end = t;
-              complete = false }
+          if h <= config.h_min then finish t x false
           else begin
             Telemetry.Counter.incr m_step_rejections;
-            go t x (h /. 2.0) steps
+            go t x (h /. 2.0)
           end
   in
-  go t0 init config.h []
+  go t0 init config.h
 
 (* Integrate from [init] (a box over state variables) for [t_end] time
    units with parameters in [params] (a box over parameter names).
@@ -393,54 +485,47 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
   in
   Telemetry.Counter.incr m_flows;
   Telemetry.Counter.add m_picard_iters !iters;
-  Telemetry.Counter.add m_steps (List.length tube.steps);
+  Telemetry.Counter.add m_steps (length tube.steps);
   (* Journal provenance: inside a journaled reach/synth run every
      integration leaves one record. *)
   if Journal.on () && Journal.in_run () then
     Journal.tube
       ~sys:(String.sub (Digest.to_hex (Digest.string (System.digest sys))) 0 12)
-      ~t0 ~t1:tube.t_end ~steps:(List.length tube.steps) ~complete:tube.complete;
+      ~t0 ~t1:tube.t_end ~steps:(length tube.steps) ~complete:tube.complete;
   tube
+
+(* The hull of the enclosures of rows [a..b], a <= b. *)
+let hull_rows s a b =
+  Box.of_list
+    (List.mapi
+       (fun i v ->
+         let acc = ref (itv s a 0 i) in
+         for k = a + 1 to b do
+           acc := I.hull !acc (itv s k 0 i)
+         done;
+         (v, !acc))
+       s.names)
 
 (* Hull of the tube over its whole time span. *)
 let tube_hull tube =
-  match tube.steps with
-  | [] -> tube.final
-  | s :: rest -> List.fold_left (fun acc st -> Box.hull acc st.enclosure) s.enclosure rest
+  if tube.steps.len = 0 then tube.final else hull_rows tube.steps 0 (tube.steps.len - 1)
 
-(* Enclosure of the state at a given time (hull of covering steps). *)
+(* Enclosure of the state at a given time: the hull of the steps whose
+   window, widened by 1e-12 on both sides, holds [t].  Both ends of the
+   windows rise with k, so the covering steps are the run from the first
+   one that ends at or after [t] to the last one that starts at or
+   before it; two binary searches find it. *)
 let state_at tube t =
-  let covering =
-    List.filter (fun s -> s.t_lo -. 1e-12 <= t && t <= s.t_hi +. 1e-12) tube.steps
+  let s = tube.steps in
+  (* The first k in [0, len] at which [p] holds, [p] false then true. *)
+  let first p =
+    let lo = ref 0 and hi = ref s.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if p mid then hi := mid else lo := mid + 1
+    done;
+    !lo
   in
-  match covering with
-  | [] -> None
-  | s :: rest -> Some (List.fold_left (fun acc st -> Box.hull acc st.enclosure) s.enclosure rest)
-
-(* Three-valued truth of [formula] (over vars ∪ params ∪ t) along the tube:
-   - [`Never]: certainly false at every time in [0, t_end];
-   - [`Always]: certainly true at every time;
-   - [`Sometimes ts]: possibly true on the returned time windows. *)
-let formula_along tube ~params formula =
-  let verdicts =
-    List.map
-      (fun s ->
-        let box =
-          Box.set System.time_var (I.make s.t_lo s.t_hi)
-            (List.fold_left (fun b (k, i) -> Box.set k i b) params
-               (Box.to_list s.enclosure))
-        in
-        (s, Expr.Formula.eval_cert box formula))
-      tube.steps
-  in
-  let possible =
-    List.filter_map
-      (fun (s, v) ->
-        match v with
-        | Expr.Formula.Impossible -> None
-        | Expr.Formula.Certain | Expr.Formula.Unknown -> Some (s.t_lo, s.t_hi))
-      verdicts
-  in
-  if possible = [] then `Never
-  else if List.for_all (fun (_, v) -> v = Expr.Formula.Certain) verdicts then `Always
-  else `Sometimes possible
+  let a = first (fun k -> t <= t_hi s k +. 1e-12) in
+  let b = first (fun k -> not (t_lo s k -. 1e-12 <= t)) - 1 in
+  if a > b then None else Some (hull_rows s a b)

@@ -36,16 +36,59 @@ val flow_fingerprint : config -> string
     {!Interval.Tm.budget}), read at the call.  Callers that cache values
     derived from a flow key their groups with it. *)
 
-type step = {
-  t_lo : float;
-  t_hi : float;
-  enclosure : Interval.Box.t;  (** encloses the state over the whole step *)
-  at_end : Interval.Box.t;  (** encloses the state at [t_hi] *)
-}
+(** {1 Steps as flat float rows}
+
+    A tube keeps its steps as rows of unboxed floats, [4·dim + 2] per
+    step: the step's time window [t_lo, t_hi], the lo and hi of its
+    enclosure over the window and the lo and hi of its end state at
+    [t_hi], variable by variable in the system's order (DESIGN §5a).
+    The rows are stored in chunks small enough for the minor heap.
+    Boxes are built only on request, by {!enclosure} and {!at_end}, and
+    equal the step's boxes bit for bit.  Only this module knows the
+    layout: the validated flow and the reach checker's ensemble bracket
+    both build rows through {!builder}. *)
+
+type steps
+(** Immutable rows in increasing time order. *)
+
+val length : steps -> int
+val vars : steps -> string list
+val t_lo : steps -> int -> float
+val t_hi : steps -> int -> float
+
+val enclosure : steps -> int -> Interval.Box.t
+(** [enclosure s k] encloses the state over row [k]'s whole window. *)
+
+val at_end : steps -> int -> Interval.Box.t
+(** [at_end s k] encloses the state at row [k]'s [t_hi]. *)
+
+val enclosure_into : steps -> int -> Interval.Ia.t array -> unit
+(** Write row [k]'s enclosure, variable by variable, into the first
+    [dim] slots of the array: the allocation-light read of the checks
+    along a tube. *)
+
+val prefix : steps -> int -> steps
+(** The first [n] rows (all of them when [n] is larger), sharing the
+    storage. *)
+
+type builder
+(** Rows under construction; grows one chunk at a time, never copying
+    a row. *)
+
+val builder : string list -> builder
+(** An empty builder over these variables, in row order. *)
+
+val push :
+  builder -> t_lo:float -> t_hi:float -> Interval.Ia.t array -> Interval.Ia.t array -> unit
+(** [push b ~t_lo ~t_hi enclosure at_end] appends a row; both arrays hold
+    one interval per variable, in row order. *)
+
+val contents : builder -> steps
+(** The rows pushed so far.  Later pushes do not change them. *)
 
 type tube = {
   vars : string list;
-  steps : step list;  (** increasing time order *)
+  steps : steps;
   final : Interval.Box.t;
   t_end : float;  (** time actually reached *)
   complete : bool;  (** [false] when integration aborted early *)
@@ -83,17 +126,10 @@ val flow :
     §5a). *)
 
 val tube_hull : tube -> Interval.Box.t
-val state_at : tube -> float -> Interval.Box.t option
-(** Hull of the steps covering time [t]. *)
 
-val formula_along :
-  tube ->
-  params:Interval.Box.t ->
-  Expr.Formula.t ->
-  [ `Never | `Always | `Sometimes of (float * float) list ]
-(** Three-valued truth of a formula along the tube: [`Never] and
-    [`Always] are proofs; [`Sometimes] lists the time windows where the
-    formula may hold. *)
+val state_at : tube -> float -> Interval.Box.t option
+(** Hull of the steps covering time [t] (each window widened by 1e-12 on
+    both sides), in time order; found by binary search on the rows. *)
 
 val second_derivative : System.t -> (string * Expr.Term.t) list
 (** [Jf·f + ∂f/∂t] — the Taylor-2 remainder terms (exposed for tests). *)

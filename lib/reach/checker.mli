@@ -53,6 +53,17 @@ type result =
 
 val pp_result : result Fmt.t
 
+type evidence =
+  | Proof  (** every pruning used validated tubes only *)
+  | Bracketed
+      (** some pruning used an ensemble bracket: a numerical claim,
+          not a proof *)
+(** What a refutation rests on, for callers that report [Unsat]
+    ([Unsat {rigorous = true}] is a [Proof]). *)
+
+val pp_evidence : evidence Fmt.t
+(** ["proof"] or ["ensemble-bracketed"]. *)
+
 val check : ?config:config -> Encoding.t -> result
 (** Candidate paths are explored shortest-first (therapy identification
     wants minimal drug counts).  [config.jobs] workers drain the paths
@@ -85,13 +96,31 @@ val pp_synthesis : synthesis Fmt.t
 val searchable_box : Encoding.t -> Box.t
 val interpret_box : Encoding.t -> Box.t -> Box.t * Box.t
 
-type segment_enclosure = { steps : Ode.Enclosure.step list; rigorous : bool }
+type segment_enclosure = { steps : Ode.Enclosure.steps; rigorous : bool }
+
+(** {2 Checks along a segment} *)
+
+type judge
+(** A formula over a mode system's [vars @ params @ [t]], compiled once
+    to judge tube rows: one tape with a root per atom, walked by
+    [Expr.Formula.eval_cert_with] over the roots' ranges. *)
+
+val judge : Ode.System.t -> Expr.Formula.t -> judge
+(** @raise Invalid_argument if the formula mentions a name outside the
+    system's variables, parameters and time. *)
+
+val judge_row :
+  judge -> params_box:Box.t -> Ode.Enclosure.steps -> int -> Expr.Formula.verdict
+(** [judge_row j ~params_box steps k] is [Expr.Formula.eval_cert] of the
+    formula on the box of row [k]'s enclosure, [params_box] and the
+    row's time window (a parameter [params_box] lacks counts as any
+    value). *)
 
 val flow_enclosure :
   ?jseg:int * int * string ->
   config ->
   Ode.System.t ->
-  inv:Expr.Formula.t ->
+  inv:judge ->
   prepared:Ode.Enclosure.prepared ->
   params_box:Box.t ->
   init_box:Box.t ->
@@ -114,21 +143,22 @@ val ensemble_members :
 val ensemble_steps :
   config ->
   Ode.System.t ->
-  inv:Expr.Formula.t ->
+  inv:judge ->
   params_box:Box.t ->
   members:((string * float) list * (string * float) list) list ->
   t_end:float ->
-  Ode.Enclosure.step list
+  Ode.Enclosure.steps
 (** The ensemble bracket of one [(params, init)] member per trajectory:
     [config.fallback_windows] windows over [[0, t_end]], each the
     inflated hull of every member's [Ode.Integrate.state_at] samples at
-    the window's ends and midpoint, ending after the first window whose
-    box (with [params_box] and the window's time) makes [inv]
-    [Impossible].  A member whose integration cannot start is dropped.
-    The flow fallback runs it on {!ensemble_members}. *)
+    the window's ends and midpoint (enclosure and end state alike),
+    ending after the first window whose box (with [params_box] and the
+    window's time) makes [inv] [Impossible].  A member whose integration
+    cannot start is dropped.  The flow fallback runs it on
+    {!ensemble_members}. *)
 
 val truncate_at_invariant :
-  Expr.Formula.t -> params_box:Box.t -> Ode.Enclosure.step list -> Ode.Enclosure.step list
+  judge -> params_box:Box.t -> Ode.Enclosure.steps -> Ode.Enclosure.steps
 (** The steps up to and including the first one whose box makes the
     invariant [Impossible]. *)
 
@@ -142,7 +172,9 @@ val prepare_contract :
     branch is infeasible) and is safe to share across worker domains. *)
 
 val states_satisfying :
-  Ode.Enclosure.step list -> params_box:Box.t -> Expr.Formula.t -> Interval.Box.t option
+  Ode.Enclosure.steps -> params_box:Box.t -> judge -> Interval.Box.t option
+(** The hull of the enclosures of the steps on which the formula is not
+    [Impossible], over the steps' variables. *)
 
 type prep
 (** Per-problem compiled kernels: every mode's flow tapes and every
@@ -159,7 +191,10 @@ val path_feasible :
   string list ->
   params_box:Box.t ->
   init_box:Box.t ->
-  [ `Infeasible of bool | `Maybe ]
+  [ `Infeasible of bool | `Maybe ] * segment_enclosure option
+(** Whether the path can reach the goal from [init_box] under
+    [params_box] ([`Infeasible rigorous] refutes it), and the segment of
+    its last mode when the walk got there. *)
 
 val simulate_along_path :
   config ->

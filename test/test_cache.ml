@@ -157,17 +157,18 @@ let rand_flow_query st =
   let t_end = if Random.State.bool st then 0.5 else 1.0 in
   (params, init, t_end)
 
-let step_eq (a : Enc.step) (b : Enc.step) =
-  a.Enc.t_lo = b.Enc.t_lo && a.Enc.t_hi = b.Enc.t_hi
-  && Box.equal a.Enc.enclosure b.Enc.enclosure
-  && Box.equal a.Enc.at_end b.Enc.at_end
+let step_eq a b k =
+  Enc.t_lo a k = Enc.t_lo b k && Enc.t_hi a k = Enc.t_hi b k
+  && Box.equal (Enc.enclosure a k) (Enc.enclosure b k)
+  && Box.equal (Enc.at_end a k) (Enc.at_end b k)
 
 let tube_eq (a : Enc.tube) (b : Enc.tube) =
   a.Enc.vars = b.Enc.vars && a.Enc.t_end = b.Enc.t_end
   && a.Enc.complete = b.Enc.complete
   && Box.equal a.Enc.final b.Enc.final
-  && List.length a.Enc.steps = List.length b.Enc.steps
-  && List.for_all2 step_eq a.Enc.steps b.Enc.steps
+  && Enc.length a.Enc.steps = Enc.length b.Enc.steps
+  && List.for_all (step_eq a.Enc.steps b.Enc.steps)
+       (List.init (Enc.length a.Enc.steps) Fun.id)
 
 let test_flow_differential () =
   let st = Random.State.make [| 2029 |] in

@@ -65,7 +65,46 @@ let test_workflow_check_and_refute () =
     { Reach.Encoding.goal_modes = []; predicate = Expr.Parse.formula "x >= 2" }
   in
   Alcotest.(check bool) "growth refuted" true
-    (W.refutes ~param_box ~goal:impossible ~k:0 ~time_bound:2.0 automaton)
+    (Option.is_some (W.refutes ~param_box ~goal:impossible ~k:0 ~time_bound:2.0 automaton))
+
+(* A refutation that used the ensemble bracket is never reported as a
+   proof.  x' = -k x from 1 with k in [0.1, 3]: the validated tube to
+   t = 1 is complete but wider than the checker's usability gate, so
+   the flow is bracketed; with k in [0.1, 0.5] the tube is usable. *)
+let growth_goal =
+  { Reach.Encoding.goal_modes = []; predicate = Expr.Parse.formula "x >= 2" }
+
+let decay_from_one =
+  Hybrid.Automaton.of_system ~init:(Box.of_list [ ("x", I.of_float 1.0) ]) decay_k
+
+let test_refutes_evidence () =
+  let refutes k_hi =
+    W.refutes
+      ~param_box:(Box.of_list [ ("k", I.make 0.1 k_hi) ])
+      ~goal:growth_goal ~k:0 ~time_bound:1.0 decay_from_one
+  in
+  let pp = Fmt.(option ~none:(any "not refuted") Reach.Checker.pp_evidence) in
+  let evidence = Alcotest.testable pp ( = ) in
+  Alcotest.(check evidence) "k in [0.1, 3]: bracketed" (Some Reach.Checker.Bracketed)
+    (refutes 3.0);
+  Alcotest.(check evidence) "k in [0.1, 0.5]: proof" (Some Reach.Checker.Proof)
+    (refutes 0.5)
+
+(* The same decay for robustness, with k an input: a constant state
+   whose initial range is the input range.  The gate's limit then grows
+   with the range (4·2.9), so the flow to t = 2 is what brackets. *)
+let test_robust_evidence () =
+  let make (lo, hi) =
+    Hybrid.Automaton.of_system
+      ~init:(Box.of_list [ ("x", I.of_float 1.0); ("k", I.make lo hi) ])
+      (Ode.System.of_strings ~vars:[ "x"; "k" ] ~params:[] ~rhs:[ ("x", "-k*x"); ("k", "0") ])
+  in
+  let classify range = Ro.classify ~goal:growth_goal ~k:0 ~time_bound:2.0 make range in
+  let verdict = Alcotest.testable Ro.pp_verdict ( = ) in
+  Alcotest.(check verdict) "k in [0.1, 3]: bracketed" (Ro.Robust Reach.Checker.Bracketed)
+    (classify (0.1, 3.0));
+  Alcotest.(check verdict) "k in [0.1, 0.5]: proof" (Ro.Robust Reach.Checker.Proof)
+    (classify (0.1, 0.5))
 
 let test_smc_screen () =
   let prob =
@@ -221,7 +260,7 @@ let bcf_goal = Biomodels.Bueno_cherry_fenton.excitation_goal ()
 
 let test_robustness_classify () =
   (match Ro.classify ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make (0.0, 0.05) with
-  | Ro.Robust -> ()
+  | Ro.Robust _ -> ()
   | v -> Alcotest.failf "low range should be robust, got %s" (Fmt.str "%a" Ro.pp_verdict v));
   match Ro.classify ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make (0.35, 0.4) with
   | Ro.Excitable _ -> ()
@@ -231,7 +270,7 @@ let test_robustness_sweep_crossover () =
   let ranges = [ (0.0, 0.1); (0.1, 0.2); (0.32, 0.42) ] in
   let results = Ro.sweep ~goal:bcf_goal ~k:3 ~time_bound:100.0 bcf_make ranges in
   (match results with
-  | [ (_, Ro.Robust); (_, Ro.Robust); (_, Ro.Excitable _) ] -> ()
+  | [ (_, Ro.Robust _); (_, Ro.Robust _); (_, Ro.Excitable _) ] -> ()
   | _ ->
       Alcotest.failf "unexpected sweep: %s"
         (String.concat "; "
@@ -279,6 +318,7 @@ let () =
           Alcotest.test_case "calibrate success" `Quick test_calibrate_success;
           Alcotest.test_case "calibrate falsified" `Quick test_calibrate_falsified;
           Alcotest.test_case "check and refute" `Quick test_workflow_check_and_refute;
+          Alcotest.test_case "refutes keeps the evidence" `Quick test_refutes_evidence;
           Alcotest.test_case "smc screen" `Quick test_smc_screen;
           Alcotest.test_case "Fig. 2 story" `Quick test_fig2_story;
           Alcotest.test_case "paving csv" `Quick test_paving_csv;
@@ -291,6 +331,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "classify" `Quick test_robustness_classify;
+          Alcotest.test_case "robust keeps the evidence" `Quick test_robust_evidence;
           Alcotest.test_case "sweep crossover" `Slow test_robustness_sweep_crossover;
           Alcotest.test_case "threshold bisection" `Slow test_robustness_threshold_bisection;
         ] );

@@ -251,22 +251,119 @@ let test_enclosure_initial_box () =
         (I.mem (x0 *. Float.exp (-1.0)) final))
     [ 0.8; 0.9; 1.0; 1.1; 1.2 ]
 
+(* Three-valued truth of a formula along the tube, judged row by row by
+   the reach checker's compiled checks. *)
 let test_formula_along () =
   let tube =
     Enc.flow ~params:Box.empty_map ~init:(box1 "x" 1.0 1.0) ~t_end:2.0 decay
   in
-  (match Enc.formula_along tube ~params:Box.empty_map (P.formula "x <= 1/2") with
-  | `Never -> Alcotest.fail "crossing exists"
-  | `Always -> Alcotest.fail "not true initially"
-  | `Sometimes windows ->
-      let covers = List.exists (fun (lo, hi) -> lo <= Float.log 2.0 && Float.log 2.0 <= hi +. 0.1) windows in
-      Alcotest.(check bool) "window near ln 2" true covers);
-  (match Enc.formula_along tube ~params:Box.empty_map (P.formula "x >= 2") with
-  | `Never -> ()
-  | _ -> Alcotest.fail "x never reaches 2");
-  match Enc.formula_along tube ~params:Box.empty_map (P.formula "x > 0") with
-  | `Always -> ()
-  | _ -> Alcotest.fail "x stays positive"
+  let verdicts f =
+    let j = Reach.Checker.judge decay (P.formula f) in
+    List.init (Enc.length tube.Enc.steps) (fun k ->
+        ( Enc.t_lo tube.Enc.steps k,
+          Enc.t_hi tube.Enc.steps k,
+          Reach.Checker.judge_row j ~params_box:Box.empty_map tube.Enc.steps k ))
+  in
+  let half = verdicts "x <= 1/2" in
+  Alcotest.(check bool) "not true initially" false
+    (List.for_all (fun (_, _, v) -> v = Expr.Formula.Certain) half);
+  Alcotest.(check bool) "window near ln 2" true
+    (List.exists
+       (fun (lo, hi, v) ->
+         v <> Expr.Formula.Impossible && lo <= Float.log 2.0
+         && Float.log 2.0 <= hi +. 0.1)
+       half);
+  Alcotest.(check bool) "x never reaches 2" true
+    (List.for_all (fun (_, _, v) -> v = Expr.Formula.Impossible) (verdicts "x >= 2"));
+  Alcotest.(check bool) "x stays positive" true
+    (List.for_all (fun (_, _, v) -> v = Expr.Formula.Certain) (verdicts "x > 0"))
+
+(* [state_at] finds the covering steps by binary search; the linear scan
+   it replaced is the oracle.  Random tubes with steps of random length
+   (zero included), probed at random times, at every step boundary and
+   1e-12 to either side of one, and outside the tube. *)
+let linear_state_at (tube : Enc.tube) t =
+  let s = tube.Enc.steps in
+  let covering =
+    List.filter
+      (fun k -> Enc.t_lo s k -. 1e-12 <= t && t <= Enc.t_hi s k +. 1e-12)
+      (List.init (Enc.length s) Fun.id)
+  in
+  match covering with
+  | [] -> None
+  | k :: rest ->
+      Some
+        (List.fold_left (fun acc k -> Box.hull acc (Enc.enclosure s k))
+           (Enc.enclosure s k) rest)
+
+let test_state_at_binary_search () =
+  let st = Random.State.make [| 71 |] in
+  let probes = ref 0 and hits = ref 0 in
+  for _ = 1 to 300 do
+    let n = Random.State.int st 40 in
+    let rows = Enc.builder [ "x"; "y" ] in
+    let t = ref (Random.State.float st 2.0 -. 1.0) in
+    let itv () =
+      let a = Random.State.float st 4.0 -. 2.0 in
+      I.make a (a +. Random.State.float st 1.0)
+    in
+    for _ = 1 to n do
+      let h =
+        match Random.State.int st 4 with
+        | 0 -> 0.0
+        | 1 -> 1e-12
+        | _ -> Random.State.float st 0.5
+      in
+      let e = [| itv (); itv () |] in
+      Enc.push rows ~t_lo:!t ~t_hi:(!t +. h) e [| itv (); itv () |];
+      t := !t +. h
+    done;
+    let tube =
+      { Enc.vars = [ "x"; "y" ]; steps = Enc.contents rows; final = Box.empty_map;
+        t_end = !t; complete = true }
+    in
+    let s = tube.Enc.steps in
+    let boundaries =
+      List.concat_map
+        (fun k -> [ Enc.t_lo s k; Enc.t_hi s k ])
+        (List.init (Enc.length s) Fun.id)
+    in
+    let times =
+      List.concat_map (fun b -> [ b; b -. 1e-12; b +. 1e-12; b -. 2e-12; b +. 2e-12 ])
+        boundaries
+      @ List.init 20 (fun _ -> Random.State.float st 24.0 -. 2.0)
+      @ [ nan; infinity; neg_infinity ]
+    in
+    List.iter
+      (fun time ->
+        incr probes;
+        let want = linear_state_at tube time and got = Enc.state_at tube time in
+        if Option.is_some want then incr hits;
+        if not (Option.equal Box.equal want got) then
+          Alcotest.failf "state_at %h on a %d-step tube: %s, scan %s" time n
+            (Option.fold ~none:"None" ~some:Box.to_string got)
+            (Option.fold ~none:"None" ~some:Box.to_string want))
+      times
+  done;
+  if !hits < !probes / 2 then
+    Alcotest.failf "only %d of %d probes hit a step" !hits !probes
+
+(* A tube stores 4·dim + 2 floats per step in one unboxed array, so a
+   long Fenton-Karma tube (dimension 3) takes at most twice that many
+   words per step in all, with its variables and final box. *)
+let test_tube_layout () =
+  let fk = Biomodels.Fenton_karma.automaton () in
+  let tube =
+    Enc.flow ~params:Box.empty_map ~init:(Hybrid.Automaton.init_box fk) ~t_end:400.0
+      (Hybrid.Automaton.mode_system fk Biomodels.Fenton_karma.mode_mid)
+  in
+  let n = Enc.length tube.Enc.steps and dim = List.length tube.Enc.vars in
+  Alcotest.(check bool) (Printf.sprintf "%d steps, at least 1,000" n) true (n >= 1_000);
+  let words = Obj.reachable_words (Obj.repr tube) in
+  let bound = 2 * ((4 * dim) + 2) * n in
+  if words > bound then
+    Alcotest.failf "%d words for %d steps at dimension %d: more than %d" words n dim
+      bound
 
 let test_enclosure_oscillator () =
   let tube =
@@ -323,12 +420,12 @@ let flow_digest () =
             (List.map (fun p -> (p, draw 0.2 0.1)) (Sys.params sys))
         in
         let tube = Enc.flow ~params ~init ~t_end:2.0 sys in
-        List.iter
-          (fun (st : Enc.step) ->
-            Printf.bprintf buf "%h %h|" st.Enc.t_lo st.Enc.t_hi;
-            add_box st.Enc.enclosure;
-            add_box st.Enc.at_end)
-          tube.Enc.steps;
+        let s = tube.Enc.steps in
+        for k = 0 to Enc.length s - 1 do
+          Printf.bprintf buf "%h %h|" (Enc.t_lo s k) (Enc.t_hi s k);
+          add_box (Enc.enclosure s k);
+          add_box (Enc.at_end s k)
+        done;
         Printf.bprintf buf "%h %b|" tube.Enc.t_end tube.Enc.complete
       done)
     [ digest_autonomous; digest_timed ];
@@ -410,13 +507,15 @@ let test_widths_never_fall () =
               Enc.flow ~config:{ Enc.default_config with order } ~params ~init
                 ~t_end:1.0 sys)
         in
+        let s = tube.Enc.steps in
         ignore
           (List.fold_left
-             (fun start (s : Enc.step) ->
+             (fun start k ->
+               let at_end = Enc.at_end s k in
                List.iter
                  (fun v ->
                    let w0 = I.width (Box.find v start)
-                   and w1 = I.width (Box.find v s.Enc.at_end) in
+                   and w1 = I.width (Box.find v at_end) in
                    incr compared;
                    if w1 > w0 then incr grew
                    else if not (w1 >= w0) then
@@ -425,10 +524,11 @@ let test_widths_never_fall () =
                         %h at t=%g"
                        case
                        (if order = Enc.Euler_1 then "1" else "2")
-                       tape tm v w0 w1 s.Enc.t_hi)
+                       tape tm v w0 w1 (Enc.t_hi s k))
                  [ "x"; "y" ];
-               s.Enc.at_end)
-             init tube.Enc.steps))
+               at_end)
+             init
+             (List.init (Enc.length s) Fun.id)))
       (List.concat_map
          (fun order ->
            List.concat_map
@@ -580,6 +680,8 @@ let () =
           Alcotest.test_case "flow tubes match committed digest" `Quick
             test_flow_digest;
           Alcotest.test_case "widths never fall" `Quick test_widths_never_fall;
+          Alcotest.test_case "state_at = linear scan" `Quick test_state_at_binary_search;
+          Alcotest.test_case "tube rows layout" `Quick test_tube_layout;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -311,7 +311,7 @@ let test_synthesize_respects_invariant () =
    member integrated to [t_end] into a trace, each window hulled from
    [Ode.Integrate.state_at] samples over Map boxes, and the invariant
    applied afterwards by [truncate_at_invariant]. *)
-let bracket_of_traces (cfg : C.config) t_end traces =
+let bracket_of_traces (cfg : C.config) vars t_end traces =
   let windows = Stdlib.max 1 cfg.C.fallback_windows in
   let dt = t_end /. float_of_int windows in
   let steps =
@@ -356,10 +356,13 @@ let bracket_of_traces (cfg : C.config) t_end traces =
                 (fun itv -> I.inflate (cfg.C.fallback_margin *. I.width itv +. 1e-6) itv)
                 h
             in
-            Some
-              { Ode.Enclosure.t_lo; t_hi; enclosure = inflated; at_end = inflated })
+            Some (t_lo, t_hi, Array.of_list (List.map (fun v -> Box.find v inflated) vars)))
   in
-  List.filter_map Fun.id steps
+  let rows = Ode.Enclosure.builder vars in
+  List.iter
+    (fun (t_lo, t_hi, b) -> Ode.Enclosure.push rows ~t_lo ~t_hi b b)
+    (List.filter_map Fun.id steps);
+  Ode.Enclosure.contents rows
 
 let stored_bracket (cfg : C.config) sys ~inv ~params_box ~members ~t_end =
   let traces =
@@ -372,7 +375,8 @@ let stored_bracket (cfg : C.config) sys ~inv ~params_box ~members ~t_end =
         | exception _ -> None)
       members
   in
-  C.truncate_at_invariant inv ~params_box (bracket_of_traces cfg t_end traces)
+  C.truncate_at_invariant (C.judge sys inv) ~params_box
+    (bracket_of_traces cfg (Ode.System.vars sys) t_end traces)
 
 let hex_steps steps =
   let box b =
@@ -381,10 +385,10 @@ let hex_steps steps =
          (fun (v, i) -> Printf.sprintf "%s=[%h,%h]" v (I.lo i) (I.hi i))
          (Box.to_list b))
   in
-  List.map
-    (fun (s : Ode.Enclosure.step) ->
-      Printf.sprintf "[%h,%h] %s | %s" s.t_lo s.t_hi (box s.enclosure) (box s.at_end))
-    steps
+  let module Enc = Ode.Enclosure in
+  List.init (Enc.length steps) (fun k ->
+      Printf.sprintf "[%h,%h] %s | %s" (Enc.t_lo steps k) (Enc.t_hi steps k)
+        (box (Enc.enclosure steps k)) (box (Enc.at_end steps k)))
 
 (* Streamed and stored brackets agree bit for bit; returns the window
    count. *)
@@ -395,10 +399,10 @@ let check_bracket name ?(cfg = C.default_config) ?members sys ~inv ~params_box
     | Some m -> m
     | None -> C.ensemble_members cfg ~params_box ~init_box
   in
-  let streamed = C.ensemble_steps cfg sys ~inv ~params_box ~members ~t_end in
+  let streamed = C.ensemble_steps cfg sys ~inv:(C.judge sys inv) ~params_box ~members ~t_end in
   let stored = stored_bracket cfg sys ~inv ~params_box ~members ~t_end in
   Alcotest.(check (list string)) name (hex_steps stored) (hex_steps streamed);
-  List.length streamed
+  Ode.Enclosure.length streamed
 
 (* The boxes a path unrolling flows from, as [path_feasible] computes
    them over brackets: the initial box, then each jump's guard states
@@ -416,14 +420,15 @@ let path_boxes (pb : E.t) path =
           (List.find (fun (j : A.jump) -> String.equal j.A.target q') (A.jumps_from a q))
             .A.guard
         in
+        let sys = A.mode_system a q in
         let steps =
-          C.ensemble_steps C.default_config (A.mode_system a q) ~inv:(inv q) ~params_box
+          C.ensemble_steps C.default_config sys ~inv:(C.judge sys (inv q)) ~params_box
             ~members:(C.ensemble_members C.default_config ~params_box ~init_box:box)
             ~t_end:pb.E.time_bound
         in
         let contract f b = C.prepare_contract f ~params_box b in
         match
-          Option.bind (C.states_satisfying steps ~params_box guard) (fun gs ->
+          Option.bind (C.states_satisfying steps ~params_box (C.judge sys guard)) (fun gs ->
               Option.bind (contract (Expr.Formula.and_ [ guard; inv q ]) gs)
                 (contract (inv q')))
         with
@@ -497,7 +502,7 @@ let test_bracket_oracle () =
        ~init_box ~t_end:3.0);
   Alcotest.(check (list string)) "no member starts" []
     (hex_steps
-       (C.ensemble_steps C.default_config decay ~inv:half ~params_box
+       (C.ensemble_steps C.default_config decay ~inv:(C.judge decay half) ~params_box
           ~members:[ ([], [ ("x", 1.0) ]) ] ~t_end:3.0))
 
 (* ---- The usability gate keeps its results ----
@@ -523,6 +528,7 @@ let test_gate_keeps_results () =
       Ode.Enclosure.flow ~config:C.default_config.C.enclosure ~params:params_box
         ~init:init_box ~t_end sys
     in
+    let inv = C.judge sys inv in
     let bracket =
       lazy
         (C.ensemble_steps C.default_config sys ~inv ~params_box
@@ -543,7 +549,8 @@ let test_gate_keeps_results () =
           end
           else begin
             incr (if complete then too_wide else incomplete);
-            match Lazy.force bracket with [] -> None | steps -> Some (false, steps)
+            let steps = Lazy.force bracket in
+            if Ode.Enclosure.length steps = 0 then None else Some (false, steps)
           end
         in
         let got =
@@ -590,6 +597,105 @@ let test_gate_keeps_results () =
        !usable !too_wide !incomplete)
     true
     (!usable > 0 && !too_wide > 0 && !incomplete > 0)
+
+(* ---- Compiled row checks = [Formula.eval_cert] ----
+
+   [C.judge_row] evaluates a tape with a root per atom over the row's
+   intervals, the parameters and the row's time window.  Its verdict
+   must be
+   [eval_cert]'s on the same box, for random formulas from [Gen] (some
+   with a time atom) over two layouts of x and y (both states, or x a
+   state and y a parameter), on random rows whose intervals may be
+   empty, unbounded on either side, entire or a point. *)
+let test_compiled_checks () =
+  let st = Random.State.make [| 523 |] in
+  let itv () =
+    let a = Random.State.float st 4.0 -. 2.0 in
+    match Random.State.int st 9 with
+    | 0 -> I.empty
+    | 1 -> I.entire
+    | 2 -> I.make a infinity
+    | 3 -> I.make neg_infinity a
+    | 4 -> I.of_float a
+    | _ -> I.make a (a +. Random.State.float st 2.0)
+  in
+  let layouts =
+    [ Ode.System.of_strings ~vars:[ "x"; "y" ] ~params:[] ~rhs:[ ("x", "y"); ("y", "-x") ];
+      Ode.System.of_strings ~vars:[ "x" ] ~params:[ "y" ] ~rhs:[ ("x", "-y*x") ] ]
+  in
+  let verdicts = Hashtbl.create 3 in
+  for case = 1 to 400 do
+    let sys = List.nth layouts (case mod 2) in
+    let f = Gen.formula st in
+    let f =
+      if Random.State.int st 3 = 0 then
+        Expr.Formula.or_
+          [ f; Expr.Formula.ge (Expr.Term.var "t") (Expr.Term.const (Random.State.float st 2.0)) ]
+      else f
+    in
+    let vars = Ode.System.vars sys in
+    let params_box =
+      Box.of_list (List.map (fun p -> (p, itv ())) (Ode.System.params sys))
+    in
+    let rows = Ode.Enclosure.builder vars in
+    let n = 1 + Random.State.int st 6 in
+    for _ = 1 to n do
+      let t_lo = Random.State.float st 2.0 in
+      let t_hi = t_lo +. Random.State.float st 0.5 in
+      let e = Array.of_list (List.map (fun _ -> itv ()) vars) in
+      Ode.Enclosure.push rows ~t_lo ~t_hi e (Array.map (fun _ -> itv ()) e)
+    done;
+    let steps = Ode.Enclosure.contents rows in
+    let j = C.judge sys f in
+    for k = 0 to n - 1 do
+      let box =
+        Box.set Ode.System.time_var
+          (I.make (Ode.Enclosure.t_lo steps k) (Ode.Enclosure.t_hi steps k))
+          (Box.join params_box (Ode.Enclosure.enclosure steps k))
+      in
+      let want = Expr.Formula.eval_cert box f in
+      Hashtbl.replace verdicts want ();
+      if C.judge_row j ~params_box steps k <> want then
+        Alcotest.failf "case %d, row %d: %s on %s" case k (Expr.Formula.to_string f)
+          (Box.to_string box)
+    done
+  done;
+  Alcotest.(check int) "every verdict occurs" 3 (Hashtbl.length verdicts)
+
+(* A traced check books certification's simulations and the checks
+   along each segment to reach, under spans of their own. *)
+let test_check_spans () =
+  let count name json =
+    let key = Printf.sprintf "\"name\":\"%s\"" name in
+    let n = String.length json and m = String.length key in
+    let rec go i acc =
+      if i + m > n then acc
+      else go (i + 1) (if String.sub json i m = key then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Telemetry.reset ();
+  Telemetry.set_trace true;
+  let json =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.disable ();
+        Telemetry.reset ())
+      (fun () ->
+        (match
+           C.check
+             (E.create
+                ~param_box:(Box.of_list [ ("k", I.make 0.1 3.0) ])
+                ~goal:(goal "x <= 0.3") ~k:0 ~time_bound:1.0 decay_k_automaton)
+         with
+        | C.Delta_sat _ -> ()
+        | r -> Alcotest.failf "expected delta-sat, got %a" C.pp_result r);
+        Telemetry.Trace.to_json ())
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " recorded") true (count name json > 0))
+    [ "reach.seg_check"; "reach.certify" ]
 
 let test_synthesize_threshold () =
   (* Partition k ∈ [0.1, 3.0] for goal x <= 0.3 by t=1: the boundary is at
@@ -727,6 +833,8 @@ let () =
           Alcotest.test_case "synthesize respects the invariant" `Quick
             test_synthesize_respects_invariant;
           Alcotest.test_case "gate keeps its results" `Quick test_gate_keeps_results;
+          Alcotest.test_case "compiled checks = eval_cert" `Quick test_compiled_checks;
+          Alcotest.test_case "traced check books its checks" `Quick test_check_spans;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
         ] );
