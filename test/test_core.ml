@@ -318,10 +318,10 @@ let () =
           Alcotest.test_case "calibrate success" `Quick test_calibrate_success;
           Alcotest.test_case "calibrate falsified" `Quick test_calibrate_falsified;
           Alcotest.test_case "check and refute" `Quick test_workflow_check_and_refute;
-          Alcotest.test_case "refutes keeps the evidence" `Quick test_refutes_evidence;
           Alcotest.test_case "smc screen" `Quick test_smc_screen;
           Alcotest.test_case "Fig. 2 story" `Quick test_fig2_story;
           Alcotest.test_case "paving csv" `Quick test_paving_csv;
+          Alcotest.test_case "refutes keeps the evidence" `Quick test_refutes_evidence;
         ] );
       ( "therapy",
         [
@@ -331,9 +331,9 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "classify" `Quick test_robustness_classify;
-          Alcotest.test_case "robust keeps the evidence" `Quick test_robust_evidence;
           Alcotest.test_case "sweep crossover" `Slow test_robustness_sweep_crossover;
           Alcotest.test_case "threshold bisection" `Slow test_robustness_threshold_bisection;
+          Alcotest.test_case "robust keeps the evidence" `Quick test_robust_evidence;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
     ]
