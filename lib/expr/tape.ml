@@ -45,7 +45,6 @@ type t = {
       (* per-slot reciprocal models of the constant divisors, for the
          TM walker; empty when no division has a constant divisor *)
   interior_shared : int;  (* CSE hits on non-leaf slots *)
-  scratch_key : scratch Domain.DLS.key;
 }
 
 (* Interval slot values live in parallel unboxed lo/hi arrays, so the
@@ -180,17 +179,8 @@ let compile ~vars terms =
       ops;
     if !any then r else [||]
   in
-  let scratch_key =
-    Domain.DLS.new_key (fun () ->
-        { fvals = Array.make n 0.0;
-          ilos = Array.make n neg_infinity;
-          ihis = Array.make n infinity;
-          req = { rlo = neg_infinity; rhi = infinity };
-          tms = Array.make n tm_zero;
-          tm_consts = false })
-  in
   { inputs; ops; roots; var_slots; const_los; const_his; tm_recips;
-    interior_shared = !interior; scratch_key }
+    interior_shared = !interior }
 
 let num_inputs tp = Array.length tp.inputs
 let num_slots tp = Array.length tp.ops
@@ -207,8 +197,6 @@ let scratch tp =
     req = { rlo = neg_infinity; rhi = infinity };
     tms = Array.make n tm_zero;
     tm_consts = false }
-
-let dls_scratch tp = Domain.DLS.get tp.scratch_key
 
 (* ---- Float evaluation (Term.compile semantics, incl. pow fast paths) ---- *)
 
@@ -246,14 +234,14 @@ let forward_floats tp sc (inputs : float array) =
     Array.unsafe_set v s (float_op v inputs (Array.unsafe_get ops s))
   done
 
-let read_roots tp sc out =
+let read_roots tp (v : float array) out =
   for k = 0 to Array.length tp.roots - 1 do
-    out.(k) <- sc.fvals.(tp.roots.(k))
+    out.(k) <- v.(tp.roots.(k))
   done
 
 let eval_floats_into tp sc ~inputs ~out =
   forward_floats tp sc inputs;
-  read_roots tp sc out
+  read_roots tp sc.fvals out
 
 let eval_float tp sc inputs =
   forward_floats tp sc inputs;
@@ -265,15 +253,20 @@ let eval_float tp sc inputs =
    every other slot has the same value on every call that keeps the
    static inputs fixed.  [stage] partitions the slots once; the static
    ones are then computed once per binding of the static inputs and
-   only the dynamic ones per call.  Each slot runs the same operation
-   on the same operand values as in [forward_floats], so the roots are
+   only the dynamic ones per call, in a float-only workspace (one cell
+   per slot, then a spare).  A dynamic input's slot only copies the
+   input, so the caller writes the input straight into that slot (its
+   cell) and the per-call loop skips it; an input no term reads gets
+   the spare cell.  Every other slot runs the same operation on the
+   same operand values as in [forward_floats], so the roots are
    bit-identical to a full pass. *)
 
 type staged = {
   st_tape : t;
   static_slots : int array;
-  dyn_slots : int array;
+  dyn_slots : int array;  (* dynamic slots other than the inputs' *)
   dyn_ops : op array;  (* ops.(dyn_slots.(k)), contiguous for the hot loop *)
+  cells : int array;  (* each dynamic input's cell in the workspace *)
 }
 
 let operands = function
@@ -285,7 +278,8 @@ let operands = function
       [ a ]
 
 let stage tp ~dynamic =
-  let dyn = Array.make (Array.length tp.ops) false in
+  let n = Array.length tp.ops in
+  let dyn = Array.make n false in
   Array.iteri
     (fun s op ->
       dyn.(s) <-
@@ -293,24 +287,29 @@ let stage tp ~dynamic =
         | OVar i -> dynamic i
         | op -> List.exists (fun a -> dyn.(a)) (operands op)))
     tp.ops;
-  let slots keep =
-    Array.of_list (List.filter (fun s -> dyn.(s) = keep) (List.init (Array.length dyn) Fun.id))
-  in
-  let dyn_slots = slots true in
-  { st_tape = tp; static_slots = slots false; dyn_slots;
-    dyn_ops = Array.map (fun s -> tp.ops.(s)) dyn_slots }
+  let slots p = Array.of_list (List.filter p (List.init n Fun.id)) in
+  let is_input s = match tp.ops.(s) with OVar _ -> true | _ -> false in
+  let dyn_slots = slots (fun s -> dyn.(s) && not (is_input s)) in
+  let cells = Array.init (Array.length tp.inputs) (fun i -> if dynamic i then n else -1) in
+  Array.iter (fun (s, i) -> if dynamic i then cells.(i) <- s) tp.var_slots;
+  { st_tape = tp; static_slots = slots (fun s -> not dyn.(s)); dyn_slots;
+    dyn_ops = Array.map (fun s -> tp.ops.(s)) dyn_slots; cells }
 
-let eval_static st sc ~inputs =
-  let v = sc.fvals and ops = st.st_tape.ops in
+let input_cells st = Array.copy st.cells
+let staged_cells st = Array.make (Array.length st.st_tape.ops + 1) 0.0
+
+let eval_static st v ~inputs =
+  let ops = st.st_tape.ops in
   Array.iter (fun s -> v.(s) <- float_op v inputs ops.(s)) st.static_slots
 
-let eval_dynamic_into st sc ~inputs ~out =
-  let v = sc.fvals and slots = st.dyn_slots and ops = st.dyn_ops in
+(* [float_op] never reads [inputs] here: the loop skips the input slots. *)
+let eval_dynamic_into st v ~out =
+  let slots = st.dyn_slots and ops = st.dyn_ops in
   for k = 0 to Array.length slots - 1 do
     Array.unsafe_set v (Array.unsafe_get slots k)
-      (float_op v inputs (Array.unsafe_get ops k))
+      (float_op v v (Array.unsafe_get ops k))
   done;
-  read_roots st.st_tape sc out
+  read_roots st.st_tape v out
 
 (* ---- Interval forward pass (Term.eval_interval semantics) ----
 

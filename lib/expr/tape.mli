@@ -10,9 +10,8 @@
     no string-keyed lookups, and no per-node allocation in the hot path.
 
     Tapes are immutable after compilation and safe to share across
-    domains; all mutable state lives in {!scratch} buffers.  Use
-    {!dls_scratch} for a per-domain buffer when a tape-backed closure is
-    handed to worker domains. *)
+    domains; all mutable state lives in {!scratch} buffers, which belong
+    to whoever allocated them: a tape keeps none. *)
 
 module I = Interval.Ia
 
@@ -63,10 +62,6 @@ type scratch
 val scratch : t -> scratch
 (** A fresh scratch for the tape. *)
 
-val dls_scratch : t -> scratch
-(** The calling domain's cached scratch for this tape (allocated on first
-    use per domain, via [Domain.DLS]). *)
-
 (** {1 Float evaluation}
 
     Semantics match {!Term.compile} closures instruction for instruction
@@ -82,10 +77,12 @@ val eval_float : t -> scratch -> float array -> float
 
     For repeated evaluation in which some inputs stay fixed (an ODE
     field's parameters across a trajectory), the slots that read no
-    changing input are computed once and the rest per call.  Every slot
-    runs the same operation on the same operand values as
-    {!eval_floats_into}, so the roots are bit-identical to a full pass
-    over the same inputs. *)
+    changing input are computed once and the rest per call, in a
+    float-only workspace of cells ({!staged_cells}).  The changing
+    (dynamic) inputs are written by the caller straight into their
+    cells, so no call copies them.  Every slot runs the same operation
+    on the same operand values as {!eval_floats_into}, so the roots are
+    bit-identical to a full pass over the same inputs. *)
 
 type staged
 (** A tape with its slots split into static and dynamic ones.
@@ -95,16 +92,25 @@ val stage : t -> dynamic:(int -> bool) -> staged
 (** [stage tp ~dynamic]: a slot is dynamic when it is an input [i] with
     [dynamic i], or reads a dynamic slot. *)
 
-val eval_static : staged -> scratch -> inputs:float array -> unit
-(** Compute the static slots into the scratch.  Call it again whenever a
-    static input changes; dynamic inputs are not read. *)
+val staged_cells : staged -> float array
+(** A fresh workspace for the staged tape: one cell per slot, then a
+    spare one.  It must not be used from two domains at once. *)
 
-val eval_dynamic_into :
-  staged -> scratch -> inputs:float array -> out:float array -> unit
-(** Compute the dynamic slots and store root [k] in [out.(k)].  The
-    scratch must hold the static slots from {!eval_static} over the
-    same static inputs, and no other evaluation may have run on it in
-    between.  Allocation-free. *)
+val input_cells : staged -> int array
+(** [(input_cells st).(i)] is the cell of dynamic input [i]: the slot
+    of the input when a term reads it, else the spare cell, which no
+    slot reads.  [-1] for a static input. *)
+
+val eval_static : staged -> float array -> inputs:float array -> unit
+(** [eval_static st cells ~inputs] computes the static slots into
+    [cells].  Call it again whenever a static input changes; dynamic
+    inputs are not read. *)
+
+val eval_dynamic_into : staged -> float array -> out:float array -> unit
+(** [eval_dynamic_into st cells ~out] computes the dynamic slots from
+    the dynamic inputs in their cells and stores root [k] in
+    [out.(k)].  [cells] must hold the static slots from {!eval_static}
+    over the same static inputs.  Allocation-free. *)
 
 (** {1 Interval evaluation}
 

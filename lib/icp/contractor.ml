@@ -319,8 +319,9 @@ let fixpoint ?(tol = default_tol) ?(max_rounds = default_max_rounds) constraints
    rebuilt only on success.  The tree-walking [fixpoint] above is kept as
    the differential-testing oracle (and the BIOMC_NO_TAPE escape hatch). *)
 
-(* Per-domain reusable fixpoint workspace: allocated once per (compiled
-   system, domain) pair instead of on every query box. *)
+(* Reusable fixpoint workspace, one per compiled system in its slot: a
+   call takes it and puts it back, and a call that finds it taken (by
+   another domain) makes its own. *)
 type workspace = {
   dom : I.t array;
   present : bool array;
@@ -331,7 +332,7 @@ type workspace = {
 type compiled = {
   cvars : string array;  (* input ordering shared by all tapes *)
   ctapes : (Expr.Tape.t * I.t) array;  (* (tape, target) per constraint *)
-  ws_key : workspace Domain.DLS.key;
+  ws : workspace Parallel.Slot.t;
 }
 
 let compile constraints =
@@ -344,20 +345,19 @@ let compile constraints =
       (List.map (fun c -> (Expr.Tape.compile ~vars [ c.term ], c.target)) constraints)
   in
   let n = List.length vars in
-  let ws_key =
-    Domain.DLS.new_key (fun () ->
+  let ws =
+    Parallel.Slot.make (fun () ->
         { dom = Array.make n I.entire;
           present = Array.make n false;
           w_old = Array.make n 0.0;
-          scratches =
-            Array.map (fun (tp, _) -> Expr.Tape.dls_scratch tp) ctapes })
+          scratches = Array.map (fun (tp, _) -> Expr.Tape.scratch tp) ctapes })
   in
-  { cvars = Array.of_list vars; ctapes; ws_key }
+  { cvars = Array.of_list vars; ctapes; ws }
 
 let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
     ?(tm = false) cs box =
   let n = Array.length cs.cvars in
-  let ws = Domain.DLS.get cs.ws_key in
+  let ws = Parallel.Slot.take cs.ws in
   let dom = ws.dom and present = ws.present in
   let w_old = ws.w_old and scratches = ws.scratches in
   (* Variables absent from the box behave like the tree path: they read
@@ -424,7 +424,9 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
     end
   in
   Telemetry.Counter.incr m_fixpoints;
-  loop 0
+  let r = loop 0 in
+  Parallel.Slot.put cs.ws ws;
+  r
 
 (* The derivative system the contractor layers on its fixpoint: [None]
    when the layer is off or no constraint is differentiable.  The flag
@@ -436,7 +438,8 @@ let deriv_system constraints =
 
 (* Compile-once fixpoint closure: tape-backed when tapes are enabled,
    tree-walking otherwise.  The closure is safe to share across worker
-   domains (tapes are immutable; scratch is per-domain via Domain.DLS). *)
+   domains (tapes are immutable; a call borrows the workspace from the
+   system's slot). *)
 let contractor ?tol ?max_rounds ?newton constraints =
   let tape = Expr.Tape.enabled () in
   (* TM-tightened forward passes only exist on the tape path (the tree

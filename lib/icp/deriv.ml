@@ -72,9 +72,9 @@ type entry = {
   target : I.t;
 }
 
-(* Per-domain workspace: every array is reused across boxes, so the
-   steady state allocates only the interval records the {!Ia} kernels
-   return. *)
+(* Workspace, borrowed from the system's slot by each call: every array
+   is reused across boxes, so the steady state allocates only the
+   interval records the {!Ia} kernels return. *)
 type workspace = {
   dom : I.t array;  (* current component intervals (Gauss–Seidel state) *)
   usable : bool array;  (* component present in the box and bounded *)
@@ -89,7 +89,7 @@ type workspace = {
 type t = {
   vars : string array;  (* input ordering shared by all entry tapes *)
   entries : entry array;
-  ws_key : workspace Domain.DLS.key;
+  ws : workspace Parallel.Slot.t;  (* borrowed by each call *)
 }
 
 let vars_of t = Array.to_list t.vars
@@ -134,8 +134,8 @@ let compile constraints =
   if Array.length entries = 0 then None
   else begin
     let n = Array.length vars_arr in
-    let ws_key =
-      Domain.DLS.new_key (fun () ->
+    let ws =
+      Parallel.Slot.make (fun () ->
           { dom = Array.make n I.entire;
             usable = Array.make n false;
             wchanged = Array.make n false;
@@ -145,11 +145,10 @@ let compile constraints =
               Array.map
                 (fun e -> Array.make (1 + Array.length e.support) I.entire)
                 entries;
-            scratches =
-              Array.map (fun e -> Expr.Tape.dls_scratch e.tape) entries;
+            scratches = Array.map (fun e -> Expr.Tape.scratch e.tape) entries;
             smear = Array.make n 0.0 })
     in
-    Some { vars = vars_arr; entries; ws_key }
+    Some { vars = vars_arr; entries; ws }
   end
 
 (* ---- Shared per-box setup ---- *)
@@ -200,8 +199,7 @@ let eval_entry ws ei (e : entry) =
 
 exception Refuted
 
-let contract_inner sys box =
-  let ws = Domain.DLS.get sys.ws_key in
+let contract_inner sys ws box =
   load_box sys ws box;
   Array.fill ws.wchanged 0 (Array.length sys.vars) false;
   let any_change = ref false in
@@ -285,7 +283,11 @@ let contract_inner sys box =
    result is physically [box] when nothing changed, so callers can test
    progress with [==]. *)
 let contract sys box =
-  Telemetry.Span.with_ tm_newton (fun () -> contract_inner sys box)
+  Telemetry.Span.with_ tm_newton (fun () ->
+      let ws = Parallel.Slot.take sys.ws in
+      let r = contract_inner sys ws box in
+      Parallel.Slot.put sys.ws ws;
+      r)
 
 (* ---- Smear-guided branching ---- *)
 
@@ -303,7 +305,7 @@ let split sys ~min_width box =
   | None, _ -> None
   | Some _, w when w <= min_width || w = 0.0 -> None
   | Some _, _ ->
-      let ws = Domain.DLS.get sys.ws_key in
+      let ws = Parallel.Slot.take sys.ws in
       load_box sys ws box;
       let n = Array.length sys.vars in
       Array.fill ws.smear 0 n 0.0;
@@ -337,6 +339,7 @@ let split sys ~min_width box =
           end
         end
       done;
+      Parallel.Slot.put sys.ws ws;
       if !best >= 0 then begin
         Telemetry.Counter.incr m_smear_picks;
         Some (Box.split_var sys.vars.(!best) box)
@@ -351,16 +354,20 @@ let split sys ~min_width box =
    entries skipped on this box (unsupported, non-smooth or unbounded
    gradient). *)
 let gradient_enclosures sys box =
-  let ws = Domain.DLS.get sys.ws_key in
+  let ws = Parallel.Slot.take sys.ws in
   load_box sys ws box;
-  Array.to_list
-    (Array.mapi
-       (fun ei e ->
-         if supported ws e && eval_entry ws ei e then
-           Some
-             (Array.to_list
-                (Array.mapi
-                   (fun j vi -> (sys.vars.(vi), ws.gout.(ei).(1 + j)))
-                   e.support))
-         else None)
-       sys.entries)
+  let r =
+    Array.to_list
+      (Array.mapi
+         (fun ei e ->
+           if supported ws e && eval_entry ws ei e then
+             Some
+               (Array.to_list
+                  (Array.mapi
+                     (fun j vi -> (sys.vars.(vi), ws.gout.(ei).(1 + j)))
+                     e.support))
+           else None)
+         sys.entries)
+  in
+  Parallel.Slot.put sys.ws ws;
+  r

@@ -394,13 +394,19 @@ let pp_paving ppf p =
    One single-root tape per distinct atom term, shared by fingerprint
    and resolved for each of the formula's atoms when the certifier is
    built; the certifier looks an atom up by physical identity, so it
-   serves the atoms of [formula] itself.  Scratch, input and output
-   arrays are per-domain (Domain.DLS), so the returned certifier may be
-   called from concurrent worker domains. *)
+   serves the atoms of [formula] itself.  The box is loaded into the
+   tape's inputs once per atom, and the interval verdict comes from the
+   tape's forward pass, bit-equal to the tree walk
+   ({!Expr.Formula.eval_atom_interval}), before the TM pass reads the
+   same inputs.  Inputs, root range and scratch are borrowed from the
+   tape's slot, so the returned certifier may be called from concurrent
+   worker domains. *)
+type cert_io = { inputs : I.t array; out : I.t array; sc : Expr.Tape.scratch }
+
 type cert_tape = {
   tape : Expr.Tape.t;
   vars : string array;
-  io : (I.t array * I.t array) Domain.DLS.key;  (* inputs, root range *)
+  io : cert_io Parallel.Slot.t;
 }
 
 let enclosure_atom_cert formula =
@@ -414,12 +420,13 @@ let enclosure_atom_cert formula =
       | None ->
           let vars = Expr.Term.free_var_list t in
           let n = List.length vars in
+          let tape = Expr.Tape.compile ~vars [ t ] in
           let ct =
-            { tape = Expr.Tape.compile ~vars [ t ];
-              vars = Array.of_list vars;
+            { tape; vars = Array.of_list vars;
               io =
-                Domain.DLS.new_key (fun () ->
-                    (Array.make n I.entire, Array.make 1 I.empty)) }
+                Parallel.Slot.make (fun () ->
+                    { inputs = Array.make n I.entire; out = Array.make 1 I.empty;
+                      sc = Expr.Tape.scratch tape }) }
           in
           Hashtbl.add by_key k ct;
           ct
@@ -429,50 +436,43 @@ let enclosure_atom_cert formula =
         (fun (a : Expr.Formula.atom) -> (a.term, tape_of a.term))
         (Expr.Formula.atoms formula)
     in
-    let verdict_of (i : I.t) (rel : Expr.Formula.rel) =
-      if I.is_empty i then Expr.Formula.Impossible
-      else
-        match rel with
-        | Expr.Formula.Gt ->
-            if I.certainly_gt_zero i then Expr.Formula.Certain
-            else if I.certainly_le_zero i then Expr.Formula.Impossible
-            else Expr.Formula.Unknown
-        | Expr.Formula.Ge ->
-            if I.certainly_ge_zero i then Expr.Formula.Certain
-            else if I.certainly_lt_zero i then Expr.Formula.Impossible
-            else Expr.Formula.Unknown
-    in
     Some
       (fun box (a : Expr.Formula.atom) ->
-        (* [verdict_of] on the tree walk is [Formula.eval_atom_interval];
-           an Unknown range is nonempty. *)
-        let r = Expr.Term.eval_interval box a.term in
-        match verdict_of r a.rel with
-        | (Expr.Formula.Certain | Expr.Formula.Impossible) as v -> v
-        | Expr.Formula.Unknown -> (
-            match List.assq_opt a.term tapes with
-            | None -> Expr.Formula.Unknown
-            | Some ct ->
-                let inputs, out = Domain.DLS.get ct.io in
-                Array.iteri
-                  (fun i x ->
-                    inputs.(i) <-
-                      (match Box.find_opt x box with
-                       | Some itv -> itv
-                       | None -> I.entire))
-                  ct.vars;
-                let sc = Expr.Tape.dls_scratch ct.tape in
-                let r =
-                  Interval.Tm.with_span (fun () ->
-                      Expr.Tape.eval_tm_into ct.tape sc ~inputs ~out;
-                      let w = I.inter r out.(0) in
-                      if I.equal w r then r
-                      else begin
-                        Interval.Tm.note_tightening ();
-                        w
-                      end)
-                in
-                verdict_of r a.rel))
+        match List.assq_opt a.term tapes with
+        | None -> Expr.Formula.eval_atom_interval box a
+        | Some ct ->
+            let io = Parallel.Slot.take ct.io in
+            let inputs = io.inputs and out = io.out in
+            Array.iteri
+              (fun i x ->
+                inputs.(i) <-
+                  (match Box.find_opt x box with
+                   | Some itv -> itv
+                   | None ->
+                       invalid_arg
+                         (Printf.sprintf "Term.eval_interval: unbound variable %S" x)))
+              ct.vars;
+            Expr.Tape.eval_interval_into ct.tape io.sc ~inputs ~out;
+            let r = out.(0) in
+            let v =
+              match Expr.Formula.range_verdict a.rel r with
+              | (Expr.Formula.Certain | Expr.Formula.Impossible) as v -> v
+              | Expr.Formula.Unknown ->
+                  (* an Unknown range is nonempty *)
+                  let r =
+                    Interval.Tm.with_span (fun () ->
+                        Expr.Tape.eval_tm_into ct.tape io.sc ~inputs ~out;
+                        let w = I.inter r out.(0) in
+                        if I.equal w r then r
+                        else begin
+                          Interval.Tm.note_tightening ();
+                          w
+                        end)
+                  in
+                  Expr.Formula.range_verdict a.rel r
+            in
+            Parallel.Slot.put ct.io io;
+            v)
   end
 
 (* The box classifier used by the paving loops: [eval_cert] with the

@@ -245,32 +245,56 @@ let init_state sys init =
    [advance] runs the integration loop until it accepts one point, and
    [simulate], [simulate_until] and the SMC trace views are consumers of
    it.  The explicit methods run in place on preallocated stage buffers
-   (k1..k6 and a stage-argument scratch) over the write-into vector
-   field of [System.compile_into], and the state is updated in place:
-   a step allocates only the boxed times it passes to the field
-   closure.  Every linear combination below replicates the expression
-   shape (and fold order) of the allocating steppers above, so the
-   accepted points are bit-identical to them. *)
+   (k1..k6) over the in-place field of [System.field]: each stage's
+   state and time are written straight into the field's input cells,
+   and the state is updated in place, so a step allocates nothing.
+   Every linear combination below replicates the expression shape (and
+   fold order) of the allocating steppers above, so the accepted points
+   are bit-identical to them.  [restart] puts a stepper back at its
+   first point with new parameters and a new initial state, so one
+   stepper serves any number of trajectories of its system. *)
+
+(* RKF45's step-size factor after an accepted step with relative error
+   [err] in [0, 1]: 0.9 * (1/err)^(1/5), capped at 4.  The cap decides
+   for every err up to 0.9^5 / 4^5 = 5.7665e-4, so below
+   [rkf45_cap_err] = 5.7e-4 the factor is 4 without the power: there
+   the uncapped factor is at least 0.9 * (1/5.7e-4)^0.2 = 4.0093, 0.23%
+   above the cap, which no rounding of the power (an ulp or two) can
+   close.  test_ode checks the shortcut against the power bit for bit
+   on either side of the threshold. *)
+let rkf45_cap_err = 5.7e-4
+
+let[@inline] rkf45_growth err =
+  if err < rkf45_cap_err then 4.0
+  else Float.min 4.0 (0.9 *. Float.pow (1.0 /. Float.max err 1e-10) 0.2)
 
 (* The integration clock: an all-float record, so its fields are stored
    flat and updating them allocates nothing. *)
-type clock = { mutable t : float; mutable h : float; t_end : float }
+type clock = {
+  mutable t : float;
+  mutable h : float;
+  t_end : float;
+  t0 : float;  (* where [restart] puts [t] *)
+  h0 : float;  (* and [h] *)
+}
 
 type kernel =
-  | Fixed of { h0 : float; rk4 : bool; k1 : float array; k2 : float array;
-               k3 : float array; k4 : float array; stage : float array }
+  | Fixed of { rk4 : bool; k1 : float array; k2 : float array; k3 : float array;
+               k4 : float array }
   | Adaptive of { rtol : float; atol : float; h_max : float; k1 : float array;
                   k2 : float array; k3 : float array; k4 : float array;
-                  k5 : float array; k6 : float array; stage : float array;
-                  y4 : float array; y5 : float array }
-  | Implicit of { h0 : float; newton_iters : int; newton_tol : float;
+                  k5 : float array; k6 : float array; y4 : float array;
+                  y5 : float array }
+  | Implicit of { newton_iters : int; newton_tol : float;
                   f : float -> float array -> float array }
       (* Newton solves allocate per iteration regardless (residuals,
          Jacobians); an allocating adapter keeps this path simple. *)
 
 type stepper = {
   vars : string list;
-  f_into : float -> float array -> float array -> unit;
+  field : System.field;
+  cells : float array;  (* the field's inputs *)
+  cell_of : int array;  (* state i's cell in [cells]; entry [n] is t's *)
   clock : clock;
   y : float array;  (* the current point's state *)
   kernel : kernel;
@@ -278,33 +302,52 @@ type stepper = {
   mutable live : bool;  (* false once the loop has ended *)
 }
 
-let start ?(t0 = 0.0) ?(method_ = default_rkf45) ~params ~init ~t_end sys =
-  let f_into = System.compile_into ~param_env:params sys in
-  let y = init_state sys init in
-  let n = Array.length y in
+let create ?(t0 = 0.0) ?(method_ = default_rkf45) ~t_end sys =
+  let field = System.field sys in
+  let cells = System.field_cells field and cell_of = System.field_cell_of field in
+  let n = System.dim sys in
   let buf () = Array.make n 0.0 in
-  let kernel, h =
+  let kernel, h0 =
     match method_ with
     | Euler h0 | Rk4 h0 ->
         let rk4 = match method_ with Rk4 _ -> true | _ -> false in
-        ( Fixed { h0; rk4; k1 = buf (); k2 = buf (); k3 = buf (); k4 = buf ();
-                  stage = buf () },
-          h0 )
+        (Fixed { rk4; k1 = buf (); k2 = buf (); k3 = buf (); k4 = buf () }, h0)
     | Rkf45 { rtol; atol; h0; h_max } ->
         ( Adaptive { rtol; atol; h_max; k1 = buf (); k2 = buf (); k3 = buf ();
-                     k4 = buf (); k5 = buf (); k6 = buf (); stage = buf ();
-                     y4 = buf (); y5 = buf () },
+                     k4 = buf (); k5 = buf (); k6 = buf (); y4 = buf (); y5 = buf () },
           h0 )
     | Implicit_euler { h = h0; newton_iters; newton_tol } ->
         let f t y =
+          for i = 0 to n - 1 do
+            cells.(cell_of.(i)) <- y.(i)
+          done;
+          cells.(cell_of.(n)) <- t;
           let out = Array.make n 0.0 in
-          f_into t y out;
+          System.eval_field field out;
           out
         in
-        (Implicit { h0; newton_iters; newton_tol; f }, h0)
+        (Implicit { newton_iters; newton_tol; f }, h0)
   in
-  { vars = System.vars sys; f_into; clock = { t = t0; h; t_end }; y; kernel;
-    steps = 0; live = true }
+  { vars = System.vars sys; field; cells; cell_of;
+    clock = { t = t0; h = h0; t_end; t0; h0 }; y = buf (); kernel; steps = 0;
+    live = false }
+
+let restart st ~params ~init =
+  if Array.length init <> Array.length st.y then
+    invalid_arg "Integrate.restart: one initial value per state variable";
+  System.bind_field st.field params;
+  Array.blit init 0 st.y 0 (Array.length init);
+  st.clock.t <- st.clock.t0;
+  st.clock.h <- st.clock.h0;
+  st.steps <- 0;
+  st.live <- true
+
+let start ?t0 ?method_ ~params ~init ~t_end sys =
+  let params = System.param_values sys params in
+  let init = init_state sys init in
+  let st = create ?t0 ?method_ ~t_end sys in
+  restart st ~params ~init;
+  st
 
 let time st = st.clock.t
 let state st = st.y
@@ -316,13 +359,15 @@ let check_h h0 = if h0 <= 0.0 then invalid_arg "Integrate: step must be positive
 let advance st =
   st.live
   && begin
-    let c = st.clock and y = st.y and f_into = st.f_into in
+    let c = st.clock and y = st.y and field = st.field in
+    let x = st.cells and cell = st.cell_of in
     let n = Array.length y in
+    let tc = cell.(n) in
     (* 0: trying, 1: accepted a point, 2: the loop has ended *)
     let outcome = ref 0 in
     (match st.kernel with
-    | Implicit { h0; newton_iters; newton_tol; f } ->
-        let h0 = check_h h0 in
+    | Implicit { newton_iters; newton_tol; f } ->
+        let h0 = check_h c.h0 in
         if c.t < c.t_end -. 1e-15 then begin
           let h = Float.min h0 (c.t_end -. c.t) in
           let z = implicit_euler_step ~newton_iters ~newton_tol f c.t y h in
@@ -331,28 +376,35 @@ let advance st =
           outcome := 1
         end
         else outcome := 2
-    | Fixed { h0; rk4; k1; k2; k3; k4; stage } ->
-        let h0 = check_h h0 in
+    | Fixed { rk4; k1; k2; k3; k4 } ->
+        let h0 = check_h c.h0 in
         if c.t < c.t_end -. 1e-15 then begin
           let h = Float.min h0 (c.t_end -. c.t) in
-          f_into c.t y k1;
+          for i = 0 to n - 1 do
+            x.(cell.(i)) <- y.(i)
+          done;
+          x.(tc) <- c.t;
+          System.eval_field field k1;
           (if not rk4 then
              for i = 0 to n - 1 do
                y.(i) <- y.(i) +. (h *. k1.(i))
              done
            else begin
              for i = 0 to n - 1 do
-               stage.(i) <- y.(i) +. ((h /. 2.0) *. k1.(i))
+               x.(cell.(i)) <- y.(i) +. ((h /. 2.0) *. k1.(i))
              done;
-             f_into (c.t +. (h /. 2.0)) stage k2;
+             x.(tc) <- c.t +. (h /. 2.0);
+             System.eval_field field k2;
              for i = 0 to n - 1 do
-               stage.(i) <- y.(i) +. ((h /. 2.0) *. k2.(i))
+               x.(cell.(i)) <- y.(i) +. ((h /. 2.0) *. k2.(i))
              done;
-             f_into (c.t +. (h /. 2.0)) stage k3;
+             x.(tc) <- c.t +. (h /. 2.0);
+             System.eval_field field k3;
              for i = 0 to n - 1 do
-               stage.(i) <- y.(i) +. (h *. k3.(i))
+               x.(cell.(i)) <- y.(i) +. (h *. k3.(i))
              done;
-             f_into (c.t +. h) stage k4;
+             x.(tc) <- c.t +. h;
+             System.eval_field field k4;
              for i = 0 to n - 1 do
                y.(i) <-
                  y.(i)
@@ -363,7 +415,7 @@ let advance st =
           outcome := 1
         end
         else outcome := 2
-    | Adaptive { rtol; atol; h_max; k1; k2; k3; k4; k5; k6; stage; y4; y5 } ->
+    | Adaptive { rtol; atol; h_max; k1; k2; k3; k4; k5; k6; y4; y5 } ->
         let safety = 0.9 and h_min = 1e-12 in
         while !outcome = 0 do
           if not (c.t < c.t_end -. 1e-15) then outcome := 2
@@ -371,38 +423,46 @@ let advance st =
             let hstep = Float.min c.h (c.t_end -. c.t) in
             (* The six stages, with the same fold-order linear
                combinations as [rkf45_step]. *)
-            f_into c.t y k1;
             for i = 0 to n - 1 do
-              stage.(i) <- y.(i) +. (hstep *. (0.0 +. (0.25 *. k1.(i))))
+              x.(cell.(i)) <- y.(i)
             done;
-            f_into (c.t +. (0.25 *. hstep)) stage k2;
+            x.(tc) <- c.t;
+            System.eval_field field k1;
             for i = 0 to n - 1 do
-              stage.(i) <-
+              x.(cell.(i)) <- y.(i) +. (hstep *. (0.0 +. (0.25 *. k1.(i))))
+            done;
+            x.(tc) <- c.t +. (0.25 *. hstep);
+            System.eval_field field k2;
+            for i = 0 to n - 1 do
+              x.(cell.(i)) <-
                 y.(i)
                 +. (hstep
                    *. ((0.0 +. (3.0 /. 32.0 *. k1.(i))) +. (9.0 /. 32.0 *. k2.(i))))
             done;
-            f_into (c.t +. (0.375 *. hstep)) stage k3;
+            x.(tc) <- c.t +. (0.375 *. hstep);
+            System.eval_field field k3;
             for i = 0 to n - 1 do
-              stage.(i) <-
+              x.(cell.(i)) <-
                 y.(i)
                 +. (hstep
                    *. (((0.0 +. (1932.0 /. 2197.0 *. k1.(i)))
                         +. (-7200.0 /. 2197.0 *. k2.(i)))
                       +. (7296.0 /. 2197.0 *. k3.(i))))
             done;
-            f_into (c.t +. (12.0 /. 13.0 *. hstep)) stage k4;
+            x.(tc) <- c.t +. (12.0 /. 13.0 *. hstep);
+            System.eval_field field k4;
             for i = 0 to n - 1 do
-              stage.(i) <-
+              x.(cell.(i)) <-
                 y.(i)
                 +. (hstep
                    *. ((((0.0 +. (439.0 /. 216.0 *. k1.(i))) +. (-8.0 *. k2.(i)))
                         +. (3680.0 /. 513.0 *. k3.(i)))
                       +. (-845.0 /. 4104.0 *. k4.(i))))
             done;
-            f_into (c.t +. (1.0 *. hstep)) stage k5;
+            x.(tc) <- c.t +. (1.0 *. hstep);
+            System.eval_field field k5;
             for i = 0 to n - 1 do
-              stage.(i) <-
+              x.(cell.(i)) <-
                 y.(i)
                 +. (hstep
                    *. (((((0.0 +. (-8.0 /. 27.0 *. k1.(i))) +. (2.0 *. k2.(i)))
@@ -410,7 +470,8 @@ let advance st =
                         +. (1859.0 /. 4104.0 *. k4.(i)))
                       +. (-11.0 /. 40.0 *. k5.(i))))
             done;
-            f_into (c.t +. (0.5 *. hstep)) stage k6;
+            x.(tc) <- c.t +. (0.5 *. hstep);
+            System.eval_field field k6;
             for i = 0 to n - 1 do
               y4.(i) <-
                 y.(i)
@@ -448,8 +509,7 @@ let advance st =
               done;
               c.t <- c.t +. hstep;
               outcome := 1;
-              let grow = safety *. Float.pow (1.0 /. Float.max !err 1e-10) 0.2 in
-              c.h <- Float.min h_max (hstep *. Float.min 4.0 grow)
+              c.h <- Float.min h_max (hstep *. rkf45_growth !err)
             end
             else begin
               let shrink = safety *. Float.pow (1.0 /. !err) 0.25 in

@@ -77,10 +77,13 @@ val simulate_until :
     The integration loop as a value: {!advance} runs it until it accepts
     one more point, with the arithmetic of {!simulate}.  {!simulate} and
     {!simulate_until} copy every point into a trace; the SMC trace views
-    read points on demand and stop when a verdict is fixed. *)
+    read points on demand and stop when a verdict is fixed.  A stepper
+    compiles its system's field once ({!System.field}); {!restart} runs
+    it again from a new initial point, so a caller that integrates many
+    trajectories of one system (an SMC query) builds one stepper. *)
 
 type stepper
-(** Owns its field closure and buffers: use it from one domain. *)
+(** Owns its field and buffers: use it from one domain. *)
 
 val start :
   ?t0:float ->
@@ -90,8 +93,21 @@ val start :
   t_end:float ->
   System.t ->
   stepper
-(** A stepper at the initial point [(t0, init)].
+(** A stepper at the initial point [(t0, init)]: {!create}, then
+    {!restart} with the values of [params] and [init].
     @raise Invalid_argument on missing initial values or parameters. *)
+
+val create : ?t0:float -> ?method_:method_ -> t_end:float -> System.t -> stepper
+(** A stepper with no trajectory yet: {!advance} returns [false] until
+    {!restart} gives it an initial point. *)
+
+val restart : stepper -> params:float array -> init:float array -> unit
+(** [restart st ~params ~init] puts [st] at [(t0, init)] with the
+    parameters [params] ({!System.params} order) and the initial state
+    [init] ({!System.vars} order), with its first step size and no
+    steps taken.  From there it accepts the points a fresh {!start}
+    would: nothing of an earlier trajectory is read again.
+    @raise Invalid_argument on an array of the wrong length. *)
 
 val advance : stepper -> bool
 (** Integrate until one more point is accepted and return [true]; return
@@ -120,6 +136,17 @@ val rkf45_step :
   (float -> float array -> float array) ->
   float -> float array -> float -> float array * float array
 (** One RKF 4(5) step, returning the order-4 and order-5 solutions. *)
+
+val rkf45_growth : float -> float
+(** The factor RKF45 multiplies its step size by after accepting a step
+    whose relative error is [err] (in [0, 1]):
+    [Float.min 4.0 (0.9 *. Float.pow (1.0 /. Float.max err 1e-10) 0.2)],
+    bit for bit.  It is 4 without the power below {!rkf45_cap_err}. *)
+
+val rkf45_cap_err : float
+(** 5.7e-4: below it the cap of 4 decides the growth factor.  The power
+    reaches 4 only at err = 5.7665e-4 (0.9⁵/4⁵); at the threshold the
+    uncapped factor is 4.0093. *)
 
 val implicit_euler_step :
   newton_iters:int ->

@@ -15,8 +15,8 @@ type t = {
   rhs : (string * Expr.Term.t) list;  (* one entry per state variable *)
   mutable rhs_tape : Expr.Tape.t option;
       (* cached flat tape of the field over vars @ params @ [t]; built on
-         first compile and reused by every later one (e.g. one compile
-         per SMC sample).  Writing the cache twice from racing domains is
+         first compile and reused by every later one (e.g. one field
+         per stepper).  Writing the cache twice from racing domains is
          benign: both tapes are equivalent and immutable. *)
   mutable rhs_staged : Expr.Tape.staged option;
       (* the tape's split into slots that read a state variable or t and
@@ -137,55 +137,101 @@ let digest s =
       s.digest <- Some d;
       d
 
-(* The vector field as a write-into closure [t -> state -> out -> unit]
-   with the parameters fixed.  This is the allocation-free form the
-   numerical steppers use: per-evaluation arrays (4-6 field evaluations
-   per RKF45 step) were most of what kept the tape speedup flat on the
-   SMC trajectory path.
+(* ---- The field, compiled for in-place evaluation ----
 
-   Tape path: the system's cached tape makes repeated compiles (one per
-   SMC sample) a parameter-array fill instead of a substitution plus a
-   closure-tree build, and the slots that read only constants and
-   parameters are evaluated here, once, leaving each call the slots
-   that read a state variable or t.  The closure owns its scratch and
-   input buffers, so it must not be called from two domains at once —
-   callers compile per worker. *)
-let field_into ~caller param_env s =
-  List.iter
-    (fun p ->
-      if not (List.mem_assoc p param_env) then
-        invalid_arg (Printf.sprintf "System.%s: parameter %S not bound" caller p))
-    s.params;
+   The numerical steppers evaluate the field 4-6 times per step, so
+   their field takes its state and time where the evaluation reads
+   them: each stage's values are written straight into the field's
+   input cells, and an evaluation is then a call with the output array
+   only (no argument copy, no boxed time).  The parameters are set
+   separately, once per trajectory.
+
+   Tape path: the cells are the staged tape's float-only workspace
+   (see [Expr.Tape.stage]).  The system's cached tape makes a new field
+   (one per stepper) an array allocation, and setting the parameters
+   evaluates the slots that read only constants and parameters, once,
+   leaving each call the slots that read a state variable or t.
+   Tree path: the cells are an array [state..., t] and setting the
+   parameters substitutes them and builds the closures again.  A field
+   owns its buffers, so it must not be used from two domains at once. *)
+
+type field_eval =
+  | Staged of { st : Expr.Tape.staged; pin : float array }
+      (* [pin]: the tape's inputs for [eval_static], which reads only
+         the parameters' *)
+  | Tree of { mutable fs : (float array -> float) array }
+
+type field = {
+  fsys : t;
+  cells : float array;
+  cell_of : int array;  (* state variable i's cell; entry [dim] is t's *)
+  eval : field_eval;
+}
+
+let field s =
   let n = List.length s.vars in
   if Expr.Tape.enabled () then begin
     let st = rhs_staged s in
     let np = List.length s.params in
-    let inp = Array.make (n + np + 1) 0.0 in
-    List.iteri (fun j p -> inp.(n + j) <- List.assoc p param_env) s.params;
-    let sc = Expr.Tape.scratch (rhs_tape s) in
-    Expr.Tape.eval_static st sc ~inputs:inp;
-    fun t state out ->
-      for i = 0 to n - 1 do
-        inp.(i) <- state.(i)
-      done;
-      inp.(n + np) <- t;
-      Expr.Tape.eval_dynamic_into st sc ~inputs:inp ~out
+    let tape_cells = Expr.Tape.input_cells st in
+    { fsys = s; cells = Expr.Tape.staged_cells st;
+      cell_of = Array.init (n + 1) (fun i -> tape_cells.(if i < n then i else n + np));
+      eval = Staged { st; pin = Array.make (n + np + 1) 0.0 } }
   end
-  else begin
-    let bound = bind_params param_env s in
-    let order = bound.vars @ [ time_var ] in
-    let compiled =
-      Array.of_list
-        (List.map (fun (_, t) -> Expr.Term.compile ~vars:order t) bound.rhs)
-    in
-    let arr = Array.make (n + 1) 0.0 in
-    fun t state out ->
-      Array.blit state 0 arr 0 n;
-      arr.(n) <- t;
-      for i = 0 to n - 1 do
-        out.(i) <- compiled.(i) arr
+  else
+    { fsys = s; cells = Array.make (n + 1) 0.0; cell_of = Array.init (n + 1) Fun.id;
+      eval = Tree { fs = [||] } }
+
+let field_cells fld = fld.cells
+let field_cell_of fld = Array.copy fld.cell_of
+
+let bind_field fld values =
+  let s = fld.fsys in
+  if Array.length values <> List.length s.params then
+    invalid_arg "System.bind_field: one value per parameter";
+  match fld.eval with
+  | Staged { st; pin } ->
+      Array.blit values 0 pin (List.length s.vars) (Array.length values);
+      Expr.Tape.eval_static st fld.cells ~inputs:pin
+  | Tree tree ->
+      let bound = bind_params (List.combine s.params (Array.to_list values)) s in
+      let order = bound.vars @ [ time_var ] in
+      tree.fs <-
+        Array.of_list (List.map (fun (_, t) -> Expr.Term.compile ~vars:order t) bound.rhs)
+
+let eval_field fld out =
+  match fld.eval with
+  | Staged { st; _ } -> Expr.Tape.eval_dynamic_into st fld.cells ~out
+  | Tree { fs } ->
+      let x = fld.cells in
+      for i = 0 to Array.length fs - 1 do
+        out.(i) <- fs.(i) x
       done
-  end
+
+(* The system's parameter values in [params] order, read from [env]. *)
+let param_values_for ~caller s env =
+  Array.of_list
+    (List.map
+       (fun p ->
+         match List.assoc_opt p env with
+         | Some v -> v
+         | None -> invalid_arg (Printf.sprintf "System.%s: parameter %S not bound" caller p))
+       s.params)
+
+let param_values s env = param_values_for ~caller:"param_values" s env
+
+(* A bound field as a write-into closure [t -> state -> out -> unit]. *)
+let field_into ~caller param_env s =
+  let values = param_values_for ~caller s param_env in
+  let fld = field s in
+  bind_field fld values;
+  let n = List.length s.vars and x = fld.cells and cell = fld.cell_of in
+  fun t state out ->
+    for i = 0 to n - 1 do
+      x.(cell.(i)) <- state.(i)
+    done;
+    x.(cell.(n)) <- t;
+    eval_field fld out
 
 let compile_into ?(param_env = []) s = field_into ~caller:"compile_into" param_env s
 

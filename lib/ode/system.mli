@@ -54,12 +54,53 @@ val compile_into :
   unit
 (** [compile_into ~param_env sys] is the field as a write-into closure
     [t -> state -> out -> unit]: like {!compile} but allocation-free per
-    evaluation (the numerical steppers' hot path).  On the tape path the
-    field's constant and parameter-only slots are evaluated once, when
-    the closure is built, and each call runs only the slots that read a
+    evaluation.  It copies its arguments into a {!field}'s cells.  Same
+    sharing rules as {!compile}: the closure owns scratch, compile one
+    per domain.
+    @raise Invalid_argument on an unbound parameter. *)
+
+(** {2 In-place field}
+
+    The form the numerical steppers evaluate: the state and the time
+    are written straight into the field's input cells, and an
+    evaluation writes the derivative into an output array, with no
+    argument copied and no float boxed.  On the tape path the field's
+    constant and parameter-only slots are evaluated when the parameters
+    are bound, and each evaluation runs only the slots that read a
     state variable or [t]; outputs are bit-identical to a full
-    {!Expr.Tape.eval_floats_into} pass.  Same sharing rules as
-    {!compile}: the closure owns scratch, compile one per domain.
+    {!Expr.Tape.eval_floats_into} pass.  A field owns its buffers: use
+    it from one domain. *)
+
+type field
+
+val field : t -> field
+(** The field compiled once; {!bind_field} sets its parameters before
+    the first evaluation. *)
+
+val bind_field : field -> float array -> unit
+(** Set the parameters, one value per {!params} entry in that order.
+    On the tree path this substitutes them and builds the closures
+    again.
+    @raise Invalid_argument on a wrong number of values. *)
+
+val field_cells : field -> float array
+(** The input cells: write state variable [i] into
+    [cells.((field_cell_of f).(i))] and the time into
+    [cells.((field_cell_of f).(dim))] before {!eval_field}.  Any other
+    cell is the field's own. *)
+
+val field_cell_of : field -> int array
+(** Where each state variable, then the time, lives in
+    {!field_cells} ([dim + 1] entries). *)
+
+val eval_field : field -> float array -> unit
+(** [eval_field f out] writes the derivative at the state and time in
+    the cells into [out].  Allocation-free on the tape path. *)
+
+val param_values : t -> (string * float) list -> float array
+(** The values of {!params}, in order, read from an environment (its
+    first binding of each name); names that are not parameters are
+    ignored.
     @raise Invalid_argument on an unbound parameter. *)
 
 val digest : t -> string

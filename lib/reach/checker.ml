@@ -212,10 +212,7 @@ let judge sys formula =
 
 (* A judge at work under one parameter box: its inputs, with the
    parameters set (one the box lacks is any value) and the state and
-   the time filled per step, a scratch and the atoms' ranges.  The
-   scratch is its own, not [Expr.Tape.dls_scratch]: a domain keeps
-   every per-domain scratch it hands out, and these tapes are compiled
-   again for every problem. *)
+   the time filled per step, a scratch and the atoms' ranges. *)
 type row_check = {
   j : judge;
   inp : I.t array;
@@ -416,7 +413,10 @@ let seg_group cfg pb_sys ~inv ~t_end =
 (* Compute an enclosure of the flow of [sys] from [init_box] under
    [params_box] over [0, t_end]; validated when possible, bracketed
    otherwise — and the bracket stops at the invariant [inv].  [None] when
-   even the ensemble produced nothing. *)
+   even the ensemble produced nothing.  Second: the tube the gate
+   rejected, when it completed anyway (its final state is too wide); it
+   is the same tube step for step as one integrated without the gate's
+   limit, which a complete tube never reached before [t_end]. *)
 let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
   (* The gate's limit.  No state of a tube is narrower than the one
      before it (DESIGN §5a), so a tube is lost at its first state wider
@@ -434,19 +434,25 @@ let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_e
   let tube_usable =
     tube.Ode.Enclosure.complete && Box.width tube.Ode.Enclosure.final <= limit
   in
-  if tube_usable then Some { steps = tube.Ode.Enclosure.steps; rigorous = true }
+  if tube_usable then (Some { steps = tube.Ode.Enclosure.steps; rigorous = true }, None)
   else begin
+    let rejected =
+      if tube.Ode.Enclosure.complete then Some tube.Ode.Enclosure.steps else None
+    in
     Telemetry.Counter.incr m_brackets;
     match
       Telemetry.Span.with_ tm_bracket (fun () ->
           ensemble_steps cfg pb_sys ~inv ~params_box
             ~members:(ensemble_members cfg ~params_box ~init_box) ~t_end)
     with
-    | steps when Ode.Enclosure.length steps = 0 -> None
-    | steps -> Some { steps; rigorous = false }
+    | steps when Ode.Enclosure.length steps = 0 -> (None, rejected)
+    | steps -> (Some { steps; rigorous = false }, rejected)
   end
 
-let flow_enclosure ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
+(* The segment, through the segment store, and on a miss the complete
+   tube the gate rejected (see [flow_enclosure_uncached]): the store
+   keeps only the segment. *)
+let flow_segment ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
   let group = seg_group cfg pb_sys ~inv ~t_end in
   let key = Box.join params_box init_box in
   let cached = Cache.find seg_cache ~group key in
@@ -458,14 +464,17 @@ let flow_enclosure ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end 
       Journal.seg ~path:p ~index:i ~mode:m ~cached:(Option.is_some cached)
   | _ -> ());
   match cached with
-  | Some seg -> seg
+  | Some seg -> (seg, None)
   | None ->
-      let seg =
+      let seg, rejected =
         flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box
           ~t_end
       in
       Cache.add seg_cache ~group key seg;
-      seg
+      (seg, rejected)
+
+let flow_enclosure ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
+  fst (flow_segment ?jseg cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end)
 
 (* ---- Validated path feasibility ---- *)
 
@@ -617,14 +626,15 @@ let traced_segment ~depth f =
 (* The checks along one segment, booked to reach. *)
 let seg_check f = Telemetry.Span.with_ tm_seg_check f
 
-(* [`Infeasible rigor | `Maybe], and the segment of the path's last mode
-   when the walk got there ([None] also when the flow gave nothing). *)
+(* [`Infeasible rigor | `Maybe], and a complete tube of the path's last
+   mode when the walk got there and one is at hand: the rigorous
+   segment's, or a fresh tube the gate rejected on its final width. *)
 let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
     ~init_box =
   let automaton = pb.Encoding.automaton in
   let segment depth q state_box =
     traced_segment ~depth (fun () ->
-        flow_enclosure ~jseg:(jpath, depth, q) cfg
+        flow_segment ~jseg:(jpath, depth, q) cfg
           (Hybrid.Automaton.mode_system automaton q)
           ~inv:(Hashtbl.find prep.inv_judge q)
           ~prepared:(Hashtbl.find prep.flow_prep q)
@@ -634,8 +644,9 @@ let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
     | [] -> (`Infeasible true, None)
     | [ last ] -> (
         match segment depth last state_box with
-        | None -> (`Maybe, None)
-        | Some enc as seg ->
+        | None, rejected -> (`Maybe, rejected)
+        | Some enc, rejected ->
+            let tube = if enc.rigorous then Some enc.steps else rejected in
             let rigorous = rigorous && enc.rigorous in
             seg_check (fun () ->
                 let steps =
@@ -643,10 +654,10 @@ let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
                     enc.steps
                 in
                 match states_satisfying steps ~params_box prep.goal_judge with
-                | None -> (`Infeasible rigorous, seg)
-                | Some _ -> (`Maybe, seg)))
+                | None -> (`Infeasible rigorous, tube)
+                | Some _ -> (`Maybe, tube)))
     | q :: (q' :: _ as rest) -> (
-        match segment depth q state_box with
+        match fst (segment depth q state_box) with
         | None -> (`Maybe, None)
         | Some enc -> (
             let rigorous = rigorous && enc.rigorous in
@@ -904,18 +915,18 @@ let check ?(config = default_config) (pb : Encoding.t) =
 (* Universal feasibility on jump-free paths (see the synthesis notes):
    some step of the validated tube certainly meets the goal, and the
    invariant certainly holds on it and on every earlier step, so every
-   run reaches the goal while it is still inside the mode.  [seg] is the
-   segment [path_feasible] built for the mode.  A rigorous one is a
-   complete tube, and the same tube step for step as one integrated
-   without the gate's width limit (DESIGN §5a), so it is judged as it
-   is; otherwise the tube is integrated without the limit. *)
-let path_surely_reaches cfg (pb : Encoding.t) prep path ~seg ~params_box ~init_box =
+   run reaches the goal while it is still inside the mode.  [tube] is
+   the complete tube [path_feasible] had at hand for the mode, the same
+   tube step for step as one integrated without the gate's width limit
+   (DESIGN §5a), so it is judged as it is; without one the tube is
+   integrated without the limit. *)
+let path_surely_reaches cfg (pb : Encoding.t) prep path ~tube ~params_box ~init_box =
   match path with
   | [ only ] -> (
       let steps =
-        match seg with
-        | Some { steps; rigorous = true } -> Some steps
-        | Some { rigorous = false; _ } | None ->
+        match tube with
+        | Some _ -> tube
+        | None ->
             let tube =
               Ode.Enclosure.flow ~config:cfg.enclosure
                 ~prepared:(Hashtbl.find prep.flow_prep only)
@@ -992,8 +1003,8 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
     end
     else if
       List.exists2
-        (fun path (_, seg) ->
-          path_surely_reaches config pb prep path ~seg ~params_box ~init_box)
+        (fun path (_, tube) ->
+          path_surely_reaches config pb prep path ~tube ~params_box ~init_box)
         paths verdicts
     then
       let w =

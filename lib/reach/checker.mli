@@ -191,10 +191,13 @@ val path_feasible :
   string list ->
   params_box:Box.t ->
   init_box:Box.t ->
-  [ `Infeasible of bool | `Maybe ] * segment_enclosure option
+  [ `Infeasible of bool | `Maybe ] * Ode.Enclosure.steps option
 (** Whether the path can reach the goal from [init_box] under
-    [params_box] ([`Infeasible rigorous] refutes it), and the segment of
-    its last mode when the walk got there. *)
+    [params_box] ([`Infeasible rigorous] refutes it), and a complete
+    tube of its last mode when the walk got there and one is at hand:
+    the rigorous segment's, or a tube the usability gate rejected on its
+    final width although it completed (freshly integrated, not replayed:
+    the segment store keeps only the segment). *)
 
 val simulate_along_path :
   config ->

@@ -59,10 +59,10 @@ type trace_view = {
   mutable n : int;  (* points filled so far *)
   mutable dim : int;
   mutable vars : string array;
-  mutable params : (string * float) list;  (* shadow t and the state *)
+  mutable pnames : string array;  (* parameters, which shadow t and the state *)
+  mutable pvals : float array;
   mutable source : Ode.Integrate.stepper option;  (* [None] once complete *)
-  mutable at : int;  (* the point [read] reads *)
-  mutable read : string -> float;  (* atoms' lookup at point [at] *)
+  mutable at : int;  (* the point the atoms read *)
 }
 
 let reserve view npts =
@@ -84,30 +84,18 @@ let push view t y =
   done;
   view.n <- view.n + 1
 
-(* The value of [x] at point [at], with the precedence of the
-   environment [params @ [t; vars...]]: parameters first, then time,
-   then the state. *)
-let lookup view x =
-  match List.assoc_opt x view.params with
-  | Some v -> v
-  | None ->
-      if String.equal x Ode.System.time_var then view.times.(view.at)
-      else begin
-        let rec find j =
-          if j >= view.dim then invalid_arg (Printf.sprintf "Bltl: unbound variable %S" x)
-          else if String.equal view.vars.(j) x then view.states.((view.at * view.dim) + j)
-          else find (j + 1)
-        in
-        find 0
-      end
+(* A name's first binding shadows any later one: atoms read the first
+   position of a name (see [term_fn]). *)
+let set_params view params =
+  view.pnames <- Array.of_list (List.map fst params);
+  view.pvals <- Array.of_list (List.map snd params)
 
-(* One [read] closure per view, so evaluating an atom allocates none. *)
 let make ~params ~vars =
   let view =
     { times = [||]; states = [||]; n = 0; dim = List.length vars;
-      vars = Array.of_list vars; params; source = None; at = 0; read = Fun.const nan }
+      vars = Array.of_list vars; pnames = [||]; pvals = [||]; source = None; at = 0 }
   in
-  view.read <- lookup view;
+  set_params view params;
   view
 
 let of_trace ?(params = []) (tr : Ode.Integrate.trace) =
@@ -144,9 +132,9 @@ let stream ?(params = []) view stepper =
     view.times <- [||];
     view.states <- [||]
   end;
-  view.n <- 0;
   view.vars <- Array.of_list vars;
-  view.params <- params;
+  set_params view params;
+  view.n <- 0;
   view.source <- Some stepper;
   push view (Ode.Integrate.time stepper) (Ode.Integrate.state stepper)
 
@@ -168,21 +156,164 @@ let rec has view j =
         false
       end
 
+(* ---- Monitors: formulas with resolved atoms ----
+
+   An atom's term becomes a closure over the view that reads a name
+   where the layout puts it: a parameter's value, else the time of
+   point [at], else a state column of point [at].  The closures keep
+   [Expr.Term.eval]'s arithmetic node for node ([Float.pow] for every
+   power, no simplification), so an atom's value is the one
+   [Expr.Formula.holds] and [Expr.Formula.robustness] compute through a
+   name lookup, bit for bit.  A name the layout lacks becomes a closure
+   that raises when it is evaluated, as the lookup did. *)
+
+let term_fn ~pnames ~vars term =
+  let index arr x =
+    let rec go j = if j >= Array.length arr then -1 else if String.equal arr.(j) x then j else go (j + 1) in
+    go 0
+  in
+  let rec go : Expr.Term.t -> trace_view -> float = function
+    | Var x ->
+        let p = index pnames x in
+        if p >= 0 then fun v -> v.pvals.(p)
+        else if String.equal x Ode.System.time_var then fun v -> v.times.(v.at)
+        else begin
+          let j = index vars x in
+          if j >= 0 then fun v -> v.states.((v.at * v.dim) + j)
+          else fun _ -> invalid_arg (Printf.sprintf "Bltl: unbound variable %S" x)
+        end
+    | Const c -> fun _ -> c
+    | Add (a, b) ->
+        let fa = go a and fb = go b in
+        fun v -> fa v +. fb v
+    | Sub (a, b) ->
+        let fa = go a and fb = go b in
+        fun v -> fa v -. fb v
+    | Mul (a, b) ->
+        let fa = go a and fb = go b in
+        fun v -> fa v *. fb v
+    | Div (a, b) ->
+        let fa = go a and fb = go b in
+        fun v -> fa v /. fb v
+    | Neg a ->
+        let fa = go a in
+        fun v -> -.fa v
+    | Pow (a, k) ->
+        let fa = go a and e = float_of_int k in
+        fun v -> Float.pow (fa v) e
+    | Exp a ->
+        let fa = go a in
+        fun v -> Float.exp (fa v)
+    | Log a ->
+        let fa = go a in
+        fun v -> Float.log (fa v)
+    | Sqrt a ->
+        let fa = go a in
+        fun v -> Float.sqrt (fa v)
+    | Sin a ->
+        let fa = go a in
+        fun v -> Float.sin (fa v)
+    | Cos a ->
+        let fa = go a in
+        fun v -> Float.cos (fa v)
+    | Tan a ->
+        let fa = go a in
+        fun v -> Float.tan (fa v)
+    | Atan a ->
+        let fa = go a in
+        fun v -> Float.atan (fa v)
+    | Tanh a ->
+        let fa = go a in
+        fun v -> Float.tanh (fa v)
+    | Abs a ->
+        let fa = go a in
+        fun v -> Float.abs (fa v)
+    | Min (a, b) ->
+        let fa = go a and fb = go b in
+        fun v -> Float.min (fa v) (fb v)
+    | Max (a, b) ->
+        let fa = go a and fb = go b in
+        fun v -> Float.max (fa v) (fb v)
+  in
+  go term
+
+(* A state predicate's satisfaction and robustness at point [at]: the
+   recursions of [Expr.Formula.holds] (short-circuit, left to right)
+   and [Expr.Formula.robustness] (min/max folds from ±infinity). *)
+type prop = { sat_at : trace_view -> bool; rob_at : trace_view -> float }
+
+let prop_fns ~pnames ~vars f =
+  let rec go : Expr.Formula.t -> prop = function
+    | True -> { sat_at = (fun _ -> true); rob_at = (fun _ -> infinity) }
+    | False -> { sat_at = (fun _ -> false); rob_at = (fun _ -> neg_infinity) }
+    | Atom { term; rel } ->
+        let value = term_fn ~pnames ~vars term in
+        let sat_at =
+          match rel with Gt -> fun v -> value v > 0.0 | Ge -> fun v -> value v >= 0.0
+        in
+        { sat_at; rob_at = value }
+    | And fs ->
+        let ps = List.map go fs in
+        let rec all v = function [] -> true | p :: rest -> p.sat_at v && all v rest in
+        let rec lowest v acc = function
+          | [] -> acc
+          | p :: rest -> lowest v (Float.min acc (p.rob_at v)) rest
+        in
+        { sat_at = (fun v -> all v ps); rob_at = (fun v -> lowest v infinity ps) }
+    | Or fs ->
+        let ps = List.map go fs in
+        let rec any v = function [] -> false | p :: rest -> p.sat_at v || any v rest in
+        let rec highest v acc = function
+          | [] -> acc
+          | p :: rest -> highest v (Float.max acc (p.rob_at v)) rest
+        in
+        { sat_at = (fun v -> any v ps); rob_at = (fun v -> highest v neg_infinity ps) }
+  in
+  go f
+
+type node =
+  | MProp of prop
+  | MNot of node
+  | MAnd of node * node
+  | MOr of node * node
+  | MImplies of node * node
+  | MNext of node
+  | MUntil of float * node * node
+  | MFinally of float * node
+  | MGlobally of float * node
+
+type monitor = { m_pnames : string array; m_vars : string array; root : node }
+
+let monitor ~params ~vars f =
+  let pnames = Array.of_list params and vars = Array.of_list vars in
+  let rec go = function
+    | Prop p -> MProp (prop_fns ~pnames ~vars p)
+    | Not f -> MNot (go f)
+    | And (a, b) -> MAnd (go a, go b)
+    | Or (a, b) -> MOr (go a, go b)
+    | Implies (a, b) -> MImplies (go a, go b)
+    | Next f -> MNext (go f)
+    | Until (b, f, g) -> MUntil (b, go f, go g)
+    | Finally (b, f) -> MFinally (b, go f)
+    | Globally (b, f) -> MGlobally (b, go f)
+  in
+  { m_pnames = pnames; m_vars = vars; root = go f }
+
 (* ---- Semantics over a sampled trace ---- *)
 
 (* Qualitative satisfaction at sample index [i]. *)
 let rec sat view i = function
-  | Prop f ->
+  | MProp p ->
       view.at <- i;
-      Expr.Formula.holds view.read f
-  | Not f -> not (sat view i f)
-  | And (a, b) -> sat view i a && sat view i b
-  | Or (a, b) -> sat view i a || sat view i b
-  | Implies (a, b) -> (not (sat view i a)) || sat view i b
-  | Next f -> if has view (i + 1) then sat view (i + 1) f else sat view i f
-  | Finally (b, f) -> exists_within view i b (fun j -> sat view j f)
-  | Globally (b, f) -> not (exists_within view i b (fun j -> not (sat view j f)))
-  | Until (b, f, g) ->
+      p.sat_at view
+  | MNot f -> not (sat view i f)
+  | MAnd (a, b) -> sat view i a && sat view i b
+  | MOr (a, b) -> sat view i a || sat view i b
+  | MImplies (a, b) -> (not (sat view i a)) || sat view i b
+  | MNext f -> if has view (i + 1) then sat view (i + 1) f else sat view i f
+  | MFinally (b, f) -> exists_within view i b (fun j -> sat view j f)
+  | MGlobally (b, f) -> not (exists_within view i b (fun j -> not (sat view j f)))
+  | MUntil (b, f, g) ->
       let t0 = view.times.(i) in
       let rec go j =
         if (not (has view j)) || view.times.(j) -. t0 > b then false
@@ -200,29 +331,32 @@ and exists_within view i bound p =
   in
   go i
 
-let start_at name view at =
+let start_at name view m at =
+  let same a b = Array.length a = Array.length b && Array.for_all2 String.equal a b in
+  if not (same m.m_pnames view.pnames && same m.m_vars view.vars) then
+    invalid_arg (Printf.sprintf "Bltl.%s: the monitor was resolved against another layout" name);
   if not (has view 0) then invalid_arg (Printf.sprintf "Bltl.%s: empty trace" name);
   if not (has view at) then invalid_arg (Printf.sprintf "Bltl.%s: index out of bounds" name)
 
-let holds ?(at = 0) view f =
-  start_at "holds" view at;
-  sat view at f
+let check ?(at = 0) view m =
+  start_at "holds" view m at;
+  sat view at m.root
 
 (* Quantitative robustness degree (Fainekos-Pappas style). *)
 let rec rob view i = function
-  | Prop f ->
+  | MProp p ->
       view.at <- i;
-      Expr.Formula.robustness view.read f
-  | Not f -> -.rob view i f
-  | And (a, b) -> Float.min (rob view i a) (rob view i b)
-  | Or (a, b) -> Float.max (rob view i a) (rob view i b)
-  | Implies (a, b) -> Float.max (-.rob view i a) (rob view i b)
-  | Next f -> if has view (i + 1) then rob view (i + 1) f else rob view i f
-  | Finally (b, f) ->
+      p.rob_at view
+  | MNot f -> -.rob view i f
+  | MAnd (a, b) -> Float.min (rob view i a) (rob view i b)
+  | MOr (a, b) -> Float.max (rob view i a) (rob view i b)
+  | MImplies (a, b) -> Float.max (-.rob view i a) (rob view i b)
+  | MNext f -> if has view (i + 1) then rob view (i + 1) f else rob view i f
+  | MFinally (b, f) ->
       fold_within view i b neg_infinity Float.max (fun j -> rob view j f)
-  | Globally (b, f) ->
+  | MGlobally (b, f) ->
       fold_within view i b infinity Float.min (fun j -> rob view j f)
-  | Until (b, f, g) ->
+  | MUntil (b, f, g) ->
       let t0 = view.times.(i) in
       let rec go j best prefix =
         if (not (has view j)) || view.times.(j) -. t0 > b then best
@@ -241,6 +375,12 @@ and fold_within view i bound init combine f =
   in
   go i init
 
-let robustness ?(at = 0) view f =
-  start_at "robustness" view at;
-  rob view at f
+let check_robustness ?(at = 0) view m =
+  start_at "robustness" view m at;
+  rob view at m.root
+
+let monitor_of view f =
+  monitor ~params:(Array.to_list view.pnames) ~vars:(Array.to_list view.vars) f
+
+let holds ?at view f = check ?at view (monitor_of view f)
+let robustness ?at view f = check_robustness ?at view (monitor_of view f)

@@ -53,7 +53,8 @@ val stream : ?params:(string * float) list -> trace_view -> Ode.Integrate.steppe
 (** [stream view stepper] resets [view] to the stepper's current point
     and then fills it on demand from [stepper], which it advances: the
     caller must not advance it too.  The view keeps its buffers from
-    earlier samples and grows them only past their largest length. *)
+    earlier samples and grows them only past their largest length.
+    Its layout is [params]' names and the stepper's variables. *)
 
 val points : trace_view -> int
 (** Points in the view so far: for a streamed view, its initial point
@@ -62,10 +63,11 @@ val points : trace_view -> int
 (** {1 Semantics}
 
     Discretized semantics over the points of a view.  Atoms are
-    evaluated at a point with {!Expr.Formula.holds} (robustness:
-    {!Expr.Formula.robustness}) over the environment [params @ [t; x]]:
-    a parameter shadows time and state variables of the same name, and
-    an unbound name raises [Invalid_argument].  The bounded operators at
+    evaluated at a point with the arithmetic of {!Expr.Formula.holds}
+    (robustness: {!Expr.Formula.robustness}) over the environment
+    [params @ [t; x]]: a parameter shadows time and state variables of
+    the same name, and evaluating an unbound name raises
+    [Invalid_argument].  The bounded operators at
     point i range over the points j ≥ i with [tⱼ - tᵢ ≤ b]: [Finally]
     needs one of them to satisfy its argument, [Globally] all of them,
     and [Until (b, φ, ψ)] a point j among them where ψ holds, with φ
@@ -77,14 +79,42 @@ val points : trace_view -> int
     the stepper's integration ends, so it has the same last point as
     the stored trace. *)
 
-val holds : ?at:int -> trace_view -> t -> bool
+type monitor
+(** A formula with every atom resolved against a view layout: its
+    parameter names, then [t], then its state variables.  Each atom is
+    a closure that reads its names by position and keeps
+    {!Expr.Term.eval}'s arithmetic ([Float.pow] for every power), so
+    its values are those of the name lookup bit for bit, with no name
+    compared per point.  Immutable: share it across views of its
+    layout. *)
+
+val monitor : params:string list -> vars:string list -> t -> monitor
+(** [monitor ~params ~vars f] resolves [f] against the layout of a
+    view with parameters [params] (the first of a repeated name counts)
+    and state variables [vars]: the layout of [of_trace ~params] of a
+    trace over [vars], and of a view that {!stream} fills from a
+    stepper over [vars] with parameters of those names.  A name outside
+    the layout raises [Invalid_argument] when it is evaluated, not
+    before. *)
+
+val check : ?at:int -> trace_view -> monitor -> bool
 (** Qualitative satisfaction at point index [at] (default 0).  On a
     streamed view the recursion pulls points only until the verdict is
     fixed: [Finally] stops at its first satisfying point, [Globally] at
-    its first violation.
-    @raise Invalid_argument on an empty view or an [at] past its end. *)
+    its first violation, and [And]/[Or] inside an atom's formula at
+    their first deciding branch.
+    @raise Invalid_argument when the view's layout is not the
+    monitor's, on an empty view or an [at] past its end. *)
 
-val robustness : ?at:int -> trace_view -> t -> float
+val check_robustness : ?at:int -> trace_view -> monitor -> float
 (** Quantitative robustness degree (max-min signed margin); positive
     implies satisfaction at the sampled resolution.  Reads every point
-    within the bounds of the temporal operators. *)
+    within the bounds of the temporal operators.
+    @raise Invalid_argument as {!check}. *)
+
+val holds : ?at:int -> trace_view -> t -> bool
+(** {!check} with a monitor resolved against the view's layout. *)
+
+val robustness : ?at:int -> trace_view -> t -> float
+(** {!check_robustness} with a monitor resolved against the view's
+    layout. *)

@@ -32,50 +32,105 @@ let problem ?(max_jumps = 100) ~model ~init_dist ~param_dist ~property ~t_end ()
   if t_end <= 0.0 then invalid_arg "Smc.problem: t_end must be positive";
   { model; init_dist; param_dist; property; t_end; max_jumps }
 
-(* Each domain's streamed trace view.  A sample's verdict is read to
-   the end before the next sample starts on the same domain, so one
-   view per domain is never shared by two live samples, and its point
-   buffers are allocated once per domain instead of once per sample. *)
-let view_key = Domain.DLS.new_key Bltl.streaming
+(* ---- A problem compiled for one worker ----
 
-(* Draw one sample and [read] its view.  An ODE sample streams its
-   points from the stepper, so integration stops where [read] has what
-   it needs, and [smc.steps] adds the steps it took; a hybrid sample
-   simulates the whole trajectory first. *)
-let read_sample rng prob read =
+   Every name is resolved once per query and worker domain, never per
+   sample or per point: an ODE worker holds one stepper (its field
+   compiled once, see [Ode.Integrate.restart]), one streamed view whose
+   point buffers grow to the longest sample, the property's monitor
+   with its atoms resolved against that view, and where each sampled
+   value goes.  A sample then draws its values, restarts the stepper in
+   place and streams it into the view, so integration stops where the
+   verdict is fixed, and [smc.steps] adds the steps it took.  A hybrid
+   sample simulates its whole trajectory first and reads it with
+   [Bltl.holds]. *)
+
+type ode_worker = {
+  stepper : Ode.Integrate.stepper;
+  view : Bltl.trace_view;
+  monitor : Bltl.monitor;
+  init_at : int array;  (* state variable i's position in the init spec *)
+  param_at : int array;  (* parameter j's position in the parameter spec *)
+  y0 : float array;
+  p0 : float array;
+}
+
+type worker = Ode_worker of ode_worker | Hybrid_worker of Hybrid.Automaton.t
+
+(* The position of the first entry named [x] in [spec], or -1. *)
+let position (spec : Sampler.spec) x =
+  let rec go k = function
+    | [] -> -1
+    | (y, _) :: rest -> if String.equal x y then k else go (k + 1) rest
+  in
+  go 0 spec
+
+let compile prob =
+  match prob.model with
+  | Hybrid_model h -> Hybrid_worker h
+  | Ode_model sys ->
+      let resolve spec what x =
+        match position spec x with
+        | -1 -> invalid_arg (Printf.sprintf "Smc: no %s distribution for %S" what x)
+        | k -> k
+      in
+      let vars = Ode.System.vars sys and params = Ode.System.params sys in
+      let init_at = Array.of_list (List.map (resolve prob.init_dist "initial") vars) in
+      let param_at = Array.of_list (List.map (resolve prob.param_dist "parameter") params) in
+      Ode_worker
+        { stepper = Ode.Integrate.create ~t_end:prob.t_end sys;
+          view = Bltl.streaming ();
+          monitor =
+            Bltl.monitor ~params:(List.map fst prob.param_dist) ~vars prob.property;
+          init_at; param_at; y0 = Array.make (List.length vars) 0.0;
+          p0 = Array.make (List.length params) 0.0 }
+
+(* [dst.(i)] gets the value drawn at position [at.(i)] of its spec. *)
+let place dst at (drawn : (string * float) list) =
+  let values = Array.of_list (List.map snd drawn) in
+  Array.iteri (fun i k -> dst.(i) <- values.(k)) at
+
+(* Draw one sample and read it: [read view monitor] on an ODE worker's
+   streamed view, [read_trajectory view] on a hybrid one. *)
+let read_sample w rng prob read read_trajectory =
   let init = Sampler.sample rng prob.init_dist in
   let params = Sampler.sample rng prob.param_dist in
-  match prob.model with
-  | Ode_model sys ->
-      List.iter
-        (fun v ->
-          if not (List.mem_assoc v init) then
-            invalid_arg (Printf.sprintf "Smc: no initial distribution for %S" v))
-        (Ode.System.vars sys);
-      let stepper = Ode.Integrate.start ~params ~init ~t_end:prob.t_end sys in
-      let view = Domain.DLS.get view_key in
-      Bltl.stream ~params view stepper;
-      let r = read view in
-      Telemetry.Counter.add m_steps (Ode.Integrate.steps stepper);
+  match w with
+  | Ode_worker o ->
+      place o.y0 o.init_at init;
+      place o.p0 o.param_at params;
+      Ode.Integrate.restart o.stepper ~params:o.p0 ~init:o.y0;
+      Bltl.stream ~params o.view o.stepper;
+      let r = read o.view o.monitor in
+      Telemetry.Counter.add m_steps (Ode.Integrate.steps o.stepper);
       r
-  | Hybrid_model h ->
+  | Hybrid_worker h ->
       let traj =
         Hybrid.Simulate.simulate ~params ~init ~t_end:prob.t_end
           ~max_jumps:prob.max_jumps h
       in
-      read (Bltl.of_trajectory ~params traj)
+      read_trajectory (Bltl.of_trajectory ~params traj)
 
 (* One Bernoulli sample of the property.  Sampling only observes the
    outcome, so telemetry never perturbs the Bernoulli stream. *)
-let sample_once rng prob =
-  let outcome = read_sample rng prob (fun view -> Bltl.holds view prob.property) in
+let holds_once w rng prob =
+  let outcome =
+    read_sample w rng prob
+      (fun view m -> Bltl.check view m)
+      (fun view -> Bltl.holds view prob.property)
+  in
   Telemetry.Counter.incr m_samples;
   if outcome then Telemetry.Counter.incr m_successes;
   outcome
 
 (* Robustness of one random trajectory (quantitative sample). *)
-let sample_robustness rng prob =
-  read_sample rng prob (fun view -> Bltl.robustness view prob.property)
+let robustness_once w rng prob =
+  read_sample w rng prob
+    (fun view m -> Bltl.check_robustness view m)
+    (fun view -> Bltl.robustness view prob.property)
+
+let sample_once rng prob = holds_once (compile prob) rng prob
+let sample_robustness rng prob = robustness_once (compile prob) rng prob
 
 (* ---- Parallel sampling ----
 
@@ -91,26 +146,27 @@ let sample_robustness rng prob =
 
 let worker_rng ~seed w = Random.State.make [| seed; w |]
 
-(* Per-domain tally of [f rng] over a static slice of [n] samples;
-   returns the summed tallies combined with [add] from [zero]. *)
-let fan_out ~seed ~jobs ~n ~zero ~add f =
+(* Per-domain tally of [f worker rng] over a static slice of [n]
+   samples, each domain with [prob] compiled for it; returns the summed
+   tallies combined with [add] from [zero]. *)
+let fan_out ~seed ~jobs ~n ~zero ~add prob f =
   let parts =
     Parallel.Pool.parallel_for_chunks ~jobs n (fun w lo hi ->
         Telemetry.Span.with_ ~arg:(float_of_int (hi - lo)) tm_batch
         @@ fun () ->
         let rng = worker_rng ~seed w in
+        let worker = compile prob in
         let acc = ref zero in
         for _ = lo to hi - 1 do
-          acc := add !acc (f rng)
+          acc := add !acc (f worker rng)
         done;
         !acc)
   in
   Array.fold_left add zero parts
 
 let count_successes ~seed ~jobs ~n prob =
-  fan_out ~seed ~jobs ~n ~zero:0
-    ~add:( + )
-    (fun rng -> if sample_once rng prob then 1 else 0)
+  fan_out ~seed ~jobs ~n ~zero:0 ~add:( + ) prob (fun w rng ->
+      if holds_once w rng prob then 1 else 0)
 
 (* Hypothesis test: is P(property) >= theta?  With [jobs > 1] outcomes
    are precomputed in speculative batches (each worker extends its own
@@ -130,12 +186,14 @@ let test ?(seed = 42) ?(jobs = 1) ?config prob =
   Telemetry.Span.with_ tm_test @@ fun () ->
   if jobs <= 1 then begin
     let rng = Random.State.make [| seed |] in
-    Sprt.run ?config (fun _ -> sample_once rng prob)
+    let w = compile prob in
+    Sprt.run ?config (fun _ -> holds_once w rng prob)
   end
   else begin
     let jobs = Stdlib.max 1 jobs in
     let adaptive = Parallel.Pool.workstealing_enabled () in
     let rngs = Array.init jobs (fun w -> worker_rng ~seed w) in
+    let workers = Array.init jobs (fun _ -> compile prob) in
     let buffer = ref [||] (* outcomes so far, in global order *) in
     let extend st =
       (* round: worker w computes outcomes for its next slice; global
@@ -151,7 +209,7 @@ let test ?(seed = 42) ?(jobs = 1) ?config prob =
       @@ fun () ->
       let batch =
         Parallel.Pool.run ~jobs (fun w ->
-            Array.init per_worker (fun _ -> sample_once rngs.(w) prob))
+            Array.init per_worker (fun _ -> holds_once workers.(w) rngs.(w) prob))
       in
       let woven =
         Array.init (jobs * per_worker) (fun i -> batch.(i mod jobs).(i / jobs))
@@ -176,7 +234,8 @@ let estimate ?(seed = 42) ?(jobs = 1) ?(eps = 0.05) ?(alpha = 0.05) prob =
   Telemetry.Span.with_ tm_estimate @@ fun () ->
   if jobs <= 1 then begin
     let rng = Random.State.make [| seed |] in
-    Estimate.monte_carlo ~eps ~alpha (fun _ -> sample_once rng prob)
+    let w = compile prob in
+    Estimate.monte_carlo ~eps ~alpha (fun _ -> holds_once w rng prob)
   end
   else begin
     let n = Estimate.chernoff_sample_size ~eps ~alpha in
@@ -189,7 +248,8 @@ let estimate_bayesian ?(seed = 42) ?(jobs = 1) ?(n = 500) ?confidence prob =
   Telemetry.Span.with_ tm_estimate @@ fun () ->
   if jobs <= 1 then begin
     let rng = Random.State.make [| seed |] in
-    Estimate.bayesian ?confidence ~n (fun _ -> sample_once rng prob)
+    let w = compile prob in
+    Estimate.bayesian ?confidence ~n (fun _ -> holds_once w rng prob)
   end
   else begin
     let successes = count_successes ~seed ~jobs ~n prob in
@@ -203,15 +263,16 @@ let mean_robustness ?(seed = 42) ?(jobs = 1) ?(n = 100) prob =
   let clamp r = Float.max (-1e6) (Float.min 1e6 r) in
   if jobs <= 1 then begin
     let rng = Random.State.make [| seed |] in
+    let w = compile prob in
     let total = ref 0.0 in
     for _ = 1 to n do
-      total := !total +. clamp (sample_robustness rng prob)
+      total := !total +. clamp (robustness_once w rng prob)
     done;
     !total /. float_of_int n
   end
   else
     let total =
-      fan_out ~seed ~jobs ~n ~zero:0.0 ~add:( +. ) (fun rng ->
-          clamp (sample_robustness rng prob))
+      fan_out ~seed ~jobs ~n ~zero:0.0 ~add:( +. ) prob (fun w rng ->
+          clamp (robustness_once w rng prob))
     in
     total /. float_of_int n

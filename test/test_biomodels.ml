@@ -299,22 +299,6 @@ let test_stability_subjects_relax () =
    Each closure is called many times, so a stale or clobbered static
    slot would show. *)
 
-let all_fields () =
-  let modes h =
-    List.map
-      (fun m -> Hybrid.Automaton.mode_system h m)
-      (Hybrid.Automaton.mode_names h)
-  in
-  [ Cl.lotka_volterra; Cl.lotka_volterra_full; Cl.erk_cascade; Cl.proofreading;
-    Cl.damped_nonlinear; Cl.damped_rotation; Cl.p53_mdm2; Cl.sir;
-    Biomodels.Genetic.toggle_switch; Biomodels.Genetic.repressilator ]
-  @ modes (FK.automaton ())
-  @ modes (FK.automaton ~free_params:[ "tau_si"; "tau_d" ] ())
-  @ modes (BCF.automaton ~free_params:[ "tau_so1" ] ())
-  @ modes (Pro.automaton ())
-  @ modes (Tbi.automaton ())
-  @ modes (Biomodels.Genetic.toggle_automaton ())
-
 let test_hoisted_fields () =
   Expr.Tape.set_enabled true;
   Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
@@ -345,7 +329,7 @@ let test_hoisted_fields () =
             out
         done
       done)
-    (all_fields ())
+    (Fields.all ())
 
 let () =
   Alcotest.run "biomodels"

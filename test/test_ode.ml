@@ -605,6 +605,151 @@ let test_integrator_digest () =
   Alcotest.(check string) "integrator traces bit-identical"
     "c1d35c1eb1508e40e11a2486f9da502f" (integrator_digest ())
 
+(* ---- The in-place field and the restarted stepper ---- *)
+
+let same_bits what got want =
+  Array.iteri
+    (fun i v ->
+      if Int64.bits_of_float v <> Int64.bits_of_float want.(i) then
+        Alcotest.failf "%s, component %d: %h, expected %h" what i v want.(i))
+    got
+
+(* [System.field] driven as the steppers drive it (each state value and
+   the time written straight into its cell, then an evaluation) must
+   give what [System.compile_into] gives, bit for bit, on every field of
+   the model library, on the tape path and on the tree path; on the
+   tape path both must also equal a full [Expr.Tape.eval_floats_into]
+   pass.  The field's parameters are bound again between batches of
+   calls, so a stale parameter slot would show. *)
+let test_in_place_field () =
+  List.iter
+    (fun tape ->
+      Expr.Tape.set_enabled tape;
+      Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
+      let st = ref 71L in
+      let draw () = Splitmix.float st 4.0 -. 1.0 in
+      List.iteri
+        (fun k sys ->
+          let n = Sys.dim sys in
+          let fld = Sys.field sys in
+          let cells = Sys.field_cells fld and cell_of = Sys.field_cell_of fld in
+          let tp = Sys.rhs_tape sys in
+          let sc = Expr.Tape.scratch tp in
+          for _ = 1 to 4 do
+            let param_env = List.map (fun p -> (p, draw ())) (Sys.params sys) in
+            let values = Sys.param_values sys param_env in
+            Sys.bind_field fld values;
+            let f = Sys.compile_into ~param_env sys in
+            for _ = 1 to 25 do
+              let state = Array.init n (fun _ -> draw ()) and t = draw () in
+              Array.iteri (fun i v -> cells.(cell_of.(i)) <- v) state;
+              cells.(cell_of.(n)) <- t;
+              let got = Array.make n 0.0 and want = Array.make n 0.0 in
+              Sys.eval_field fld got;
+              f t state want;
+              let what = Printf.sprintf "field %d (tape %b)" k tape in
+              same_bits (what ^ " vs compile_into") got want;
+              if tape then begin
+                let full = Array.make n 0.0 in
+                Expr.Tape.eval_floats_into tp sc
+                  ~inputs:(Array.concat [ state; values; [| t |] ])
+                  ~out:full;
+                same_bits (what ^ " vs a full tape pass") got full
+              end
+            done
+          done)
+        (Fields.all ()))
+    [ true; false ]
+
+(* RKF45's growth factor takes the cap of 4 without [Float.pow] below
+   [rkf45_cap_err]; it must equal the power's capped value bit for bit
+   at err = 0, on 10^6 random errors below the threshold (half of them
+   log-uniform, down past the 1e-10 clamp), on the 10^5 floats just
+   under it, and above it, where the power decides. *)
+let test_rkf45_growth () =
+  let power err = Float.min 4.0 (0.9 *. Float.pow (1.0 /. Float.max err 1e-10) 0.2) in
+  let check err =
+    let got = Int.rkf45_growth err and want = power err in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then
+      Alcotest.failf "err %h: %h, the power gives %h" err got want
+  in
+  let cap = Int.rkf45_cap_err in
+  check 0.0;
+  let st = ref 97L in
+  for i = 1 to 1_000_000 do
+    check
+      (if i land 1 = 0 then Splitmix.float st cap
+       else cap *. Float.pow 10.0 (-.Splitmix.float st 16.0))
+  done;
+  let e = ref (Float.pred cap) in
+  for _ = 1 to 100_000 do
+    check !e;
+    e := Float.pred !e
+  done;
+  let e = ref cap in
+  for _ = 1 to 100_000 do
+    check !e;
+    e := Float.succ !e
+  done;
+  for _ = 1 to 100_000 do
+    check (cap +. Splitmix.float st (1.0 -. cap))
+  done;
+  Alcotest.(check bool) "the cap decides below the threshold" true (power (Float.pred cap) = 4.0);
+  Alcotest.(check bool) "the power decides at 5.77e-4" true (power 5.77e-4 < 4.0)
+
+(* A stepper restarted in place, with new parameters and a new initial
+   state, mid-trajectory or after its end, accepts the same points as a
+   fresh [start], bit for bit, under every method; a created stepper
+   has no point to advance from until its first restart. *)
+let test_restart_stepper () =
+  let points st =
+    let acc = ref [ (Int.time st, Array.copy (Int.state st)) ] in
+    while Int.advance st do
+      acc := (Int.time st, Array.copy (Int.state st)) :: !acc
+    done;
+    List.rev !acc
+  in
+  let st = ref 43L in
+  let env names = List.map (fun x -> (x, 0.2 +. Splitmix.float st 1.0)) names in
+  let methods =
+    [ Int.Euler 0.05; Int.Rk4 0.05; Int.default_rkf45; Int.default_implicit 0.05;
+      Int.Rkf45 { rtol = 1e-3; atol = 1e-6; h0 = 0.5; h_max = 1.0 } ]
+  in
+  List.iter
+    (fun method_ ->
+      List.iter
+        (fun (sys, t_end) ->
+          let stepper =
+            Int.start ~method_ ~params:(env (Sys.params sys)) ~init:(env (Sys.vars sys))
+              ~t_end sys
+          in
+          for round = 0 to 3 do
+            (* leave the last trajectory part way, or at its end *)
+            let k = if round = 3 then max_int else Splitmix.int st 40 in
+            let i = ref 0 in
+            while !i < k && Int.advance stepper do
+              incr i
+            done;
+            let params = env (Sys.params sys) and init = env (Sys.vars sys) in
+            Int.restart stepper ~params:(Sys.param_values sys params)
+              ~init:(Array.of_list (List.map snd init));
+            let fresh = Int.start ~method_ ~params ~init ~t_end sys in
+            let a = points stepper and b = points fresh in
+            let what = Fmt.str "%a, round %d" Sys.pp sys round in
+            Alcotest.(check int) (what ^ ": points") (List.length b) (List.length a);
+            List.iter2
+              (fun (ta, ya) (tb, yb) ->
+                same_bits what [| ta |] [| tb |];
+                same_bits what ya yb)
+              a b;
+            Alcotest.(check int) (what ^ ": steps") (Int.steps fresh) (Int.steps stepper)
+          done)
+        [ (decay_k, 2.0); (oscillator, 3.0); (Biomodels.Classics.p53_mdm2, 30.0);
+          (Biomodels.Classics.lotka_volterra, 5.0) ])
+    methods;
+  let idle = Int.create ~t_end:1.0 oscillator in
+  Alcotest.(check bool) "no point before the first restart" false (Int.advance idle)
+
 (* ---- Properties ---- *)
 
 let prop_enclosure_contains_exact =
@@ -667,6 +812,9 @@ let () =
           Alcotest.test_case "no event" `Quick test_simulate_until_no_event;
           Alcotest.test_case "immediate event" `Quick test_simulate_until_immediate;
           Alcotest.test_case "traces match committed digest" `Quick test_integrator_digest;
+          Alcotest.test_case "in-place field = compile_into" `Quick test_in_place_field;
+          Alcotest.test_case "rkf45 growth shortcut = power" `Quick test_rkf45_growth;
+          Alcotest.test_case "restarted stepper = fresh start" `Quick test_restart_stepper;
         ] );
       ( "enclosure",
         [

@@ -18,9 +18,11 @@
    fewer steps and an earlier end; "check parameterized delta-sat" and
    "synthesize" were re-pinned so when reach tubes began to stop at
    the usability gate's width limit.  "synthesize" was re-pinned again
-   when it stopped integrating a usable jump-free tube a second time:
-   the change's rendering is the parent's without the tube records
-   that repeated the one just before them, every other line identical. *)
+   when it stopped integrating a usable jump-free tube a second time,
+   and once more when it stopped integrating a second time a complete
+   tube the gate had rejected: each time the change's rendering is the
+   parent's without the tube records that repeated the one just before
+   them, every other line identical. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -272,7 +274,7 @@ let queries =
       "150c6b730468cd917e7be78104ccdd28" );
     ( "synthesize",
       synthesize ~config:{ C.default_config with epsilon = 0.1 } decay_threshold,
-      "551a597258861d9d54d1b0ff19617bae" );
+      "5998c9435cec0db3893c601856dacc52" );
     ( "biopsy",
       biopsy ~config:{ B.default_config with epsilon = 0.05 } decay_fit,
       "58fe145032951dcf2db25b34bcbdc0ee" );

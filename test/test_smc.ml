@@ -116,6 +116,7 @@ let test_bltl_trajectory_view () =
 
 module T = Expr.Term
 module F = Expr.Formula
+module P = Expr.Parse
 
 let streamed ?(params = []) ?method_ ~init ~t_end sys =
   let view = L.streaming () in
@@ -148,7 +149,9 @@ let rand_method st =
   | 3 -> Ode.Integrate.Rkf45 { rtol = 1e-4; atol = 1e-7; h0 = 0.01; h_max = 0.5 }
   | _ -> Ode.Integrate.default_rkf45
 
-let rand_formula st (tr : Ode.Integrate.trace) ~t_end =
+(* A random atom over the trace's variables, t and the parameter a,
+   its threshold a value the trace takes. *)
+let rand_atom st (tr : Ode.Integrate.trace) =
   let n = Ode.Integrate.length tr in
   let vars = Array.of_list tr.Ode.Integrate.vars in
   let point () = Splitmix.int st n in
@@ -156,22 +159,25 @@ let rand_formula st (tr : Ode.Integrate.trace) ~t_end =
     let j = Splitmix.int st (Array.length vars) in
     (T.var vars.(j), fun i -> tr.Ode.Integrate.states.(i).(j))
   in
-  let atom () =
-    let rel = if Splitmix.int st 2 = 0 then F.ge else F.gt in
-    let flip a b = if Splitmix.int st 2 = 0 then rel a b else rel b a in
-    match Splitmix.int st 4 with
-    | 0 ->
-        let x, value = state_var () in
-        flip x (T.const (value (point ())))
-    | 1 ->
-        let x, vx = state_var () and y, vy = state_var () in
-        let i = point () in
-        flip (T.sub x y) (T.const (vx i -. vy i))
-    | 2 -> flip (T.var "t") (T.const tr.Ode.Integrate.times.(point ()))
-    | _ ->
-        let x, value = state_var () in
-        flip (T.mul (T.var "a") x) (T.const (value (point ()) *. 0.5))
-  in
+  let rel = if Splitmix.int st 2 = 0 then F.ge else F.gt in
+  let flip a b = if Splitmix.int st 2 = 0 then rel a b else rel b a in
+  match Splitmix.int st 4 with
+  | 0 ->
+      let x, value = state_var () in
+      flip x (T.const (value (point ())))
+  | 1 ->
+      let x, vx = state_var () and y, vy = state_var () in
+      let i = point () in
+      flip (T.sub x y) (T.const (vx i -. vy i))
+  | 2 -> flip (T.var "t") (T.const tr.Ode.Integrate.times.(point ()))
+  | _ ->
+      let x, value = state_var () in
+      flip (T.mul (T.var "a") x) (T.const (value (point ()) *. 0.5))
+
+let rand_formula st (tr : Ode.Integrate.trace) ~t_end =
+  let n = Ode.Integrate.length tr in
+  let point () = Splitmix.int st n in
+  let atom () = rand_atom st tr in
   let bound () =
     match Splitmix.int st 5 with
     | 0 ->
@@ -291,6 +297,110 @@ let test_streamed_unbound () =
   in
   raises "stored" (L.of_trace (decay_trace ()));
   raises "streamed" (streamed ~init:[ ("x", 1.0) ] ~t_end:2.0 decay)
+
+(* ---- Monitors: atoms resolved against the layout ----
+
+   A monitor's atoms read their names by position; at every point of a
+   view they must give [Expr.Formula.holds] and
+   [Expr.Formula.robustness] through a name lookup over
+   [params @ [t; x]], bit for bit, raising where the lookup raises.
+   The state formulas nest the random atoms of "streamed = stored
+   (random)" and atoms with powers (positive and negative), quotients
+   and exponentials in And/Or lists; some cases add a parameter named
+   like a state variable or like t. *)
+
+let lookup params (tr : Ode.Integrate.trace) i x =
+  match List.assoc_opt x params with
+  | Some v -> v
+  | None -> (
+      if String.equal x "t" then tr.Ode.Integrate.times.(i)
+      else
+        match List.find_index (String.equal x) tr.Ode.Integrate.vars with
+        | Some j -> tr.Ode.Integrate.states.(i).(j)
+        | None -> invalid_arg (Printf.sprintf "Bltl: unbound variable %S" x))
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let rand_state_formula st (tr : Ode.Integrate.trace) =
+  let vars = Array.of_list tr.Ode.Integrate.vars in
+  let var () = T.var vars.(Splitmix.int st (Array.length vars)) in
+  let threshold () = T.const (Splitmix.float st 2.0 -. 1.0) in
+  let atom () =
+    let rel = if Splitmix.int st 2 = 0 then F.ge else F.gt in
+    match Splitmix.int st 6 with
+    | 0 -> rel (T.pow (var ()) (List.nth [ -2; -1; 2; 3; 4; 5 ] (Splitmix.int st 6))) (threshold ())
+    | 1 -> rel (T.div (var ()) (T.add (var ()) (T.const 1.5))) (threshold ())
+    | 2 -> rel (T.exp (T.mul (T.var "b") (var ()))) (T.const (Splitmix.float st 2.0))
+    | _ -> rand_atom st tr
+  in
+  let rec go d =
+    match Splitmix.int st (if d = 0 then 8 else 11) with
+    | 8 -> F.And (List.init (1 + Splitmix.int st 3) (fun _ -> go (d - 1)))
+    | 9 | 10 -> F.Or (List.init (1 + Splitmix.int st 3) (fun _ -> go (d - 1)))
+    | 7 -> if Splitmix.int st 2 = 0 then F.True else F.False
+    | _ -> atom ()
+  in
+  go 2
+
+let test_monitor_atoms () =
+  let st = ref 0xa70L in
+  let checked = ref 0 and raised = ref 0 in
+  for case = 1 to 60 do
+    let sys = rand_system st in
+    let method_ = rand_method st in
+    let params = [ ("a", 0.2 +. Splitmix.float st 1.0); ("b", Splitmix.float st 1.0 -. 0.5) ] in
+    let params =
+      match Splitmix.int st 4 with
+      | 0 -> ("x0", Splitmix.float st 2.0 -. 1.0) :: params
+      | 1 -> params @ [ ("t", Splitmix.float st 2.0) ]
+      | _ -> params
+    in
+    let init = List.map (fun v -> (v, Splitmix.float st 2.0 -. 1.0)) (Ode.System.vars sys) in
+    let t_end = 0.5 +. Splitmix.float st 2.5 in
+    let tr = Ode.Integrate.simulate ~method_ ~params ~init ~t_end sys in
+    let view = L.of_trace ~params tr in
+    let vars = tr.Ode.Integrate.vars in
+    for _ = 1 to 10 do
+      let f = rand_state_formula st tr in
+      let m = L.monitor ~params:(List.map fst params) ~vars (L.Prop f) in
+      for i = 0 to Ode.Integrate.length tr - 1 do
+        let what = Fmt.str "case %d at %d: %a" case i F.pp f in
+        let env = lookup params tr i in
+        if outcome (fun () -> L.check ~at:i view m) <> outcome (fun () -> F.holds env f) then
+          Alcotest.failf "%s: verdicts differ" what;
+        (match
+           ( outcome (fun () -> L.check_robustness ~at:i view m),
+             outcome (fun () -> F.robustness env f) )
+         with
+        | Ok r, Ok want when Int64.bits_of_float r = Int64.bits_of_float want -> ()
+        | Error e, Error want when e = want -> incr raised
+        | Ok r, Ok want -> Alcotest.failf "%s: robustness %h, lookup %h" what r want
+        | _ -> Alcotest.failf "%s: robustness raised on one side only" what);
+        incr checked
+      done
+    done
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d points checked" !checked) true (!checked > 5_000);
+  Alcotest.(check int) "no random atom is unbound" 0 !raised
+
+(* A name outside the layout raises only when its atom is evaluated: an
+   Or whose first branch holds, or an And whose first branch fails,
+   never reads it; robustness reads every atom and raises as the lookup
+   does. *)
+let test_monitor_unbound_branch () =
+  let view = L.of_trace (decay_trace ()) in
+  let zzz = F.gt (T.var "zzz") (T.const 0.0) in
+  let m f = L.monitor ~params:[] ~vars:[ "x" ] (L.Prop f) in
+  let unbound = Invalid_argument "Bltl: unbound variable \"zzz\"" in
+  Alcotest.(check bool) "or" true (L.check view (m (F.Or [ P.formula "x > 0"; zzz ])));
+  Alcotest.(check bool) "and" false (L.check view (m (F.And [ P.formula "x < 0"; zzz ])));
+  Alcotest.check_raises "or, second branch read" unbound (fun () ->
+      ignore (L.check view (m (F.Or [ P.formula "x < 0"; zzz ]))));
+  Alcotest.check_raises "robustness" unbound (fun () ->
+      ignore (L.check_robustness view (m (F.Or [ P.formula "x > 0"; zzz ]))));
+  Alcotest.check_raises "another layout"
+    (Invalid_argument "Bltl.holds: the monitor was resolved against another layout")
+    (fun () -> ignore (L.check view (L.monitor ~params:[] ~vars:[ "y" ] (L.prop "x > 0"))))
 
 (* ---- Sampler ---- *)
 
@@ -522,6 +632,21 @@ let test_p53_outcomes () =
   Fun.protect ~finally:Parallel.Pool.clear_workstealing_override @@ fun () ->
   Alcotest.(check (list string)) "p53 outcomes" p53_expected (p53_outcomes ())
 
+(* The Chernoff estimate of perfbench's 0.1-0.5 regime (eps 0.02, 4,612
+   samples) at jobs = 2, where every worker compiles the problem for
+   itself, and the mean robustness over 200 samples: both computed when
+   each sample still looked its names up and compiled its own field. *)
+let test_jobs2_counts () =
+  let pb = p53_problem 0.1 0.5 in
+  List.iter
+    (fun (seed, want, robust) ->
+      let e = R.estimate ~seed ~jobs:2 ~eps:0.02 ~alpha:0.05 pb in
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) want
+        (Printf.sprintf "%d/%d" e.Es.successes e.Es.n);
+      Alcotest.(check string) (Printf.sprintf "seed %d robustness" seed) robust
+        (Printf.sprintf "%h" (R.mean_robustness ~seed ~jobs:2 ~n:200 pb)))
+    [ (1, "4034/4612", "0x1.0950886c6a27ep-3"); (17, "4019/4612", "0x1.e0453d7e22d03p-4") ]
+
 let () =
   Alcotest.run "smc"
     [
@@ -541,6 +666,8 @@ let () =
           Alcotest.test_case "streamed near-end property" `Quick test_streamed_near_end;
           Alcotest.test_case "streamed parameter shadowing" `Quick test_streamed_param_shadowing;
           Alcotest.test_case "streamed unbound variable" `Quick test_streamed_unbound;
+          Alcotest.test_case "monitor atoms = formula lookup" `Quick test_monitor_atoms;
+          Alcotest.test_case "monitor unbound branch" `Quick test_monitor_unbound_branch;
         ] );
       ( "sampler",
         [
@@ -572,5 +699,6 @@ let () =
           Alcotest.test_case "mean robustness" `Quick test_runner_robustness;
           Alcotest.test_case "hybrid model" `Quick test_runner_hybrid_model;
           Alcotest.test_case "p53 outcomes match committed" `Quick test_p53_outcomes;
+          Alcotest.test_case "jobs 2 counts match committed" `Quick test_jobs2_counts;
         ] );
     ]
