@@ -37,13 +37,13 @@ type t = {
   ops : op array;  (* slots in topological order *)
   roots : int array;  (* root slot of each compiled term *)
   var_slots : (int * int) array;  (* (slot, input position) of every OVar *)
-  const_los : float array;  (* per-slot constant bounds (nan elsewhere):
-                               let the forward pass reset OConst slots
-                               without allocating *)
-  const_his : float array;
   tm_recips : Interval.Tm.t option array;
       (* per-slot reciprocal models of the constant divisors, for the
          TM walker; empty when no division has a constant divisor *)
+  reads : int array;
+      (* per-slot bitmask of the inputs the slot reads, directly or
+         through its operands (bit i for input i); empty past
+         [mask_inputs] inputs *)
   interior_shared : int;  (* CSE hits on non-leaf slots *)
 }
 
@@ -59,9 +59,14 @@ and scratch = {
   ilos : float array;
   ihis : float array;
   req : reqcell;
-  tms : Interval.Tm.t array;  (* Taylor-model walker slot values *)
-  mutable tm_consts : bool;  (* whether the constant slots of [tms] hold
-                                their models *)
+  mutable tms : Interval.Tm.t array;
+      (* Taylor-model walker slot values; empty until the first TM pass,
+         which most scratches never run *)
+  mutable tm_in : float array;
+      (* each input's bounds at the last TM pass, lo at 2i and hi at
+         2i + 1; empty until the first TM pass *)
+  mutable tm_budget : int;  (* the TM budget of the last complete TM
+                               pass; 0 before the first *)
 }
 
 and reqcell = { mutable rlo : float; mutable rhi : float }
@@ -83,6 +88,10 @@ let clear_enabled_override () = Atomic.set override None
 (* The initial value of every TM slot of a scratch, shared: each slot is
    written before it is read. *)
 let tm_zero = Interval.Tm.const 0.0
+
+(* The most inputs a tape can have and still record its slots' read
+   masks in an int: bits 0 to 61 stay clear of the sign bit. *)
+let mask_inputs = 62
 
 let compile ~vars terms =
   let inputs = Array.of_list vars in
@@ -157,10 +166,6 @@ let compile ~vars terms =
     Array.of_list (List.rev !acc)
   in
   let n = Array.length ops in
-  let const_of f =
-    Array.map (function OConst c -> f (I.of_float c) | _ -> nan) ops
-  in
-  let const_los = const_of I.lo and const_his = const_of I.hi in
   (* For a finite constant y, [T.div x y] computes [mul x (inv y)], and
      [inv] of a constant divisor's model is the same on every
      evaluation: compute it once here.  An infinite constant takes
@@ -172,15 +177,36 @@ let compile ~vars terms =
         | ODiv (_, b) -> (
             match ops.(b) with
             | OConst c when Float.is_finite c ->
-                r.(b) <- Some Interval.Tm.(inv (const c));
+                (* Every domain that runs a TM pass on the tape reads
+                   this model: its range is computed here. *)
+                r.(b) <- Some Interval.Tm.(share (inv (const c)));
                 any := true
             | _ -> ())
         | _ -> ())
       ops;
     if !any then r else [||]
   in
-  { inputs; ops; roots; var_slots; const_los; const_his; tm_recips;
-    interior_shared = !interior }
+  let reads =
+    if Array.length inputs > mask_inputs then [||]
+    else begin
+      let m = Array.make n 0 in
+      Array.iteri
+        (fun s op ->
+          m.(s) <-
+            (match op with
+            | OVar i -> 1 lsl i
+            | OConst _ -> 0
+            | OAdd (a, b) | OSub (a, b) | OMul (a, b) | ODiv (a, b) | OMin (a, b)
+            | OMax (a, b) ->
+                m.(a) lor m.(b)
+            | ONeg a | OPow (a, _) | OExp a | OLog a | OSqrt a | OSin a | OCos a
+            | OTan a | OAtan a | OTanh a | OAbs a ->
+                m.(a)))
+        ops;
+      m
+    end
+  in
+  { inputs; ops; roots; var_slots; tm_recips; reads; interior_shared = !interior }
 
 let num_inputs tp = Array.length tp.inputs
 let num_slots tp = Array.length tp.ops
@@ -195,8 +221,9 @@ let scratch tp =
     ilos = Array.make n neg_infinity;
     ihis = Array.make n infinity;
     req = { rlo = neg_infinity; rhi = infinity };
-    tms = Array.make n tm_zero;
-    tm_consts = false }
+    tms = [||];
+    tm_in = [||];
+    tm_budget = 0 }
 
 (* ---- Float evaluation (Term.compile semantics, incl. pow fast paths) ---- *)
 
@@ -389,9 +416,11 @@ let forward_intervals tp sc (inputs : I.t array) =
           Array.unsafe_set lo s l;
           Array.unsafe_set hi s h
         end
-    | OConst _ ->
-        Array.unsafe_set lo s (Array.unsafe_get tp.const_los s);
-        Array.unsafe_set hi s (Array.unsafe_get tp.const_his s)
+    | OConst c ->
+        (* [I.of_float c]: the point, or the empty pair for a NaN. *)
+        let c = if c <> c then nan else c in
+        Array.unsafe_set lo s c;
+        Array.unsafe_set hi s c
     | OAdd (a, b) ->
         (* NaN operands propagate through the sums into the guard. *)
         let l = down (Array.unsafe_get lo a +. Array.unsafe_get lo b)
@@ -567,49 +596,76 @@ module T = Interval.Tm
 let[@inline] recip recips b =
   if Array.length recips = 0 then None else Array.unsafe_get recips b
 
-(* [T.const c] is the same model on every evaluation, so a scratch's
-   first TM pass stores each constant slot's model and later passes
-   reuse it.  (Filled lazily: most scratches, such as an SMC sample's,
-   never run a TM pass.) *)
+(* A slot's model is a pure function of its operands' models and of the
+   TM budget, and only this pass writes [sc.tms]: a model stays right
+   for as long as the inputs its slot reads and the budget stay the
+   same.  So a scratch records the bounds of the inputs and the budget
+   of its last pass, and a pass rebuilds only the slots that read an
+   input whose bounds changed bit for bit (−0.0 and +0.0 apart).  It
+   rebuilds every slot on the scratch's first pass, after a budget
+   change, and on a tape with no read masks.  Constant slots read no
+   input, so the first pass builds their models and later passes keep
+   them.  A pass cut short by an exception leaves [tm_budget] at 0, so
+   the next one rebuilds every slot. *)
+let[@inline] same_bits (x : float) (y : float) =
+  Int64.bits_of_float x = Int64.bits_of_float y
+
 let forward_tm tp sc (inputs : I.t array) =
-  let tm = sc.tms in
-  let ops = tp.ops in
-  if not sc.tm_consts then begin
-    for s = 0 to Array.length ops - 1 do
-      match Array.unsafe_get ops s with
-      | OConst c -> tm.(s) <- T.const c
-      | _ -> ()
-    done;
-    sc.tm_consts <- true
+  let ops = tp.ops and reads = tp.reads in
+  if Array.length sc.tms <> Array.length ops then begin
+    sc.tms <- Array.make (Array.length ops) tm_zero;
+    sc.tm_in <- Array.make (2 * Array.length tp.inputs) nan
   end;
+  let tm = sc.tms in
+  let budget = T.budget () in
+  let all = sc.tm_budget <> budget || Array.length reads = 0 in
+  let changed = ref 0 in
+  if Array.length reads > 0 then begin
+    let vs = tp.var_slots and last = sc.tm_in in
+    for k = 0 to Array.length vs - 1 do
+      let _, i = Array.unsafe_get vs k in
+      let x = Array.unsafe_get inputs i in
+      let l = x.I.lo and h = x.I.hi in
+      if
+        not
+          (same_bits l (Array.unsafe_get last (2 * i))
+          && same_bits h (Array.unsafe_get last ((2 * i) + 1)))
+      then begin
+        Array.unsafe_set last (2 * i) l;
+        Array.unsafe_set last ((2 * i) + 1) h;
+        changed := !changed lor (1 lsl i)
+      end
+    done
+  end;
+  sc.tm_budget <- 0;
   for s = 0 to Array.length ops - 1 do
-    let r =
-      match Array.unsafe_get ops s with
-      | OVar i -> T.of_interval ~sym:i (Array.unsafe_get inputs i)
-      | OConst _ -> Array.unsafe_get tm s
-      | OAdd (a, b) -> T.add tm.(a) tm.(b)
-      | OSub (a, b) -> T.sub tm.(a) tm.(b)
-      | OMul (a, b) -> T.mul tm.(a) tm.(b)
-      | ODiv (a, b) -> (
-          match recip tp.tm_recips b with
-          | Some r -> T.mul tm.(a) r
-          | None -> T.div tm.(a) tm.(b))
-      | ONeg a -> T.neg tm.(a)
-      | OPow (a, k) -> T.pow_int tm.(a) k
-      | OExp a -> T.exp tm.(a)
-      | OLog a -> T.log tm.(a)
-      | OSqrt a -> T.sqrt tm.(a)
-      | OSin a -> T.sin tm.(a)
-      | OCos a -> T.cos tm.(a)
-      | OTan a -> T.tan tm.(a)
-      | OAtan a -> T.atan tm.(a)
-      | OTanh a -> T.tanh tm.(a)
-      | OAbs a -> T.abs tm.(a)
-      | OMin (a, b) -> T.min_ tm.(a) tm.(b)
-      | OMax (a, b) -> T.max_ tm.(a) tm.(b)
-    in
-    tm.(s) <- r
-  done
+    if all || Array.unsafe_get reads s land !changed <> 0 then
+      tm.(s) <-
+        (match Array.unsafe_get ops s with
+        | OVar i -> T.of_interval ~sym:i (Array.unsafe_get inputs i)
+        | OConst c -> T.const c
+        | OAdd (a, b) -> T.add tm.(a) tm.(b)
+        | OSub (a, b) -> T.sub tm.(a) tm.(b)
+        | OMul (a, b) -> T.mul tm.(a) tm.(b)
+        | ODiv (a, b) -> (
+            match recip tp.tm_recips b with
+            | Some r -> T.mul tm.(a) r
+            | None -> T.div tm.(a) tm.(b))
+        | ONeg a -> T.neg tm.(a)
+        | OPow (a, k) -> T.pow_int tm.(a) k
+        | OExp a -> T.exp tm.(a)
+        | OLog a -> T.log tm.(a)
+        | OSqrt a -> T.sqrt tm.(a)
+        | OSin a -> T.sin tm.(a)
+        | OCos a -> T.cos tm.(a)
+        | OTan a -> T.tan tm.(a)
+        | OAtan a -> T.atan tm.(a)
+        | OTanh a -> T.tanh tm.(a)
+        | OAbs a -> T.abs tm.(a)
+        | OMin (a, b) -> T.min_ tm.(a) tm.(b)
+        | OMax (a, b) -> T.max_ tm.(a) tm.(b))
+  done;
+  sc.tm_budget <- budget
 
 let eval_tm_into tp sc ~inputs ~out =
   forward_tm tp sc inputs;

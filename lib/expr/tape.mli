@@ -60,7 +60,8 @@ type scratch
     must not be used from two domains at once. *)
 
 val scratch : t -> scratch
-(** A fresh scratch for the tape. *)
+(** A fresh scratch for the tape.  Its Taylor-model arrays are made on
+    its first TM pass. *)
 
 (** {1 Float evaluation}
 
@@ -137,7 +138,17 @@ val eval_interval : t -> scratch -> I.t array -> I.t
 
     Division by a constant multiplies by the reciprocal model that
     {!compile} computed once, which is exactly what the division
-    computes on every call. *)
+    computes on every call.  The tape's domains share those models, so
+    {!compile} computes their ranges ({!Interval.Tm.share}).
+
+    A scratch keeps each slot's model between TM passes and rebuilds
+    only the slots that read an input whose bounds changed, bit for bit
+    ([-0.0] and [+0.0] apart), since its last TM pass; it rebuilds every
+    slot on its first TM pass, when {!Interval.Tm.budget} has changed
+    since its last one, and on a tape with more than 62 inputs.  A model
+    is a pure function of its operands' models and the budget, so the
+    results are the ones a fresh scratch gives, bit for bit.  Interval
+    and HC4 passes in between do not disturb the kept models. *)
 
 val eval_tm_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 (** Evaluate every root as a Taylor model over the input box and store

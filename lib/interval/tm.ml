@@ -81,9 +81,15 @@ let set_budget b = Atomic.set budget_cell (Some (Stdlib.max 1 b))
 
 (* The scalars of a model, in one all-float record so they are stored
    flat: the constant [c], the range [plo, phi] of the polynomial part
-   (constant included), computed once where the model is built, and the
+   (constant included), NaN until [range] first computes it, and the
    remainder [rlo, rhi], a nonempty bounded interval. *)
-type scalars = { c : float; plo : float; phi : float; rlo : float; rhi : float }
+type scalars = {
+  c : float;
+  mutable plo : float;
+  mutable phi : float;
+  rlo : float;
+  rhi : float;
+}
 
 (* Monomial families are kept as parallel (key, coefficient) arrays,
    each sorted by key with finite nonzero coefficients.  A linear or
@@ -284,8 +290,8 @@ let quad_range r f =
   r.lo <- !lo;
   r.hi <- !hi
 
-(* Range of the polynomial part over the given families, accumulated
-   onto [r], which holds the constant on entry.  Per variable the
+(* Range of the polynomial part over the given families, with the
+   constant [s.c], written to [s.plo], [s.phi].  Per variable the
    univariate slice g(t) = q·t² + l·t on [−1,1] is bounded by its
    degree-2 Bernstein coefficients — over [−1,1] these are
    b₀ = g(−1) = q − l, b₁ = −q, b₂ = g(1) = q + l, and the control
@@ -296,10 +302,13 @@ let quad_range r f =
    [−1,1]), so the intersection is sound, and since both enclose the
    slice's range it is never empty.  Coefficient arithmetic is
    outward-rounded.  Cross monomials, which couple two variables, are
-   bounded by magnitude.  Only [build] calls this: a model stores its
-   range. *)
-let poly_range r lin_idx lin diag_idx diag cross =
-  let lo = ref r.lo and hi = ref r.hi in
+   bounded by magnitude.  No bound is NaN: the constant and the
+   coefficients are finite, every term added to the lower bound is at
+   most 0 and every term added to the upper one at least 0, so the
+   lower bound can reach −∞ but never +∞, and the upper one the
+   reverse.  Only [range] calls this. *)
+let poly_range s lin_idx lin diag_idx diag cross =
+  let lo = ref s.c and hi = ref s.c in
   let nl = Array.length lin_idx and nd = Array.length diag_idx in
   let i = ref 0 and j = ref 0 in
   while !i < nl || !j < nd do
@@ -321,10 +330,21 @@ let poly_range r lin_idx lin diag_idx diag cross =
     lo := down (!lo +. sym_lo v);
     hi := up (!hi +. sym_hi v)
   done;
-  r.lo <- !lo;
-  r.hi <- !hi
+  s.phi <- !hi;
+  s.plo <- !lo
+
+(* The model's polynomial range, computed on its first read:
+   [concretize_form], [product_rem] and [sqr_form] read it through here.
+   A model's families never change, so this is the range of the
+   families it was built with, whenever it runs; it writes two flat
+   fields of [f.sc] and allocates nothing.  Since [poly_range] gives no
+   NaN, a NaN [plo] marks a range not yet computed. *)
+let[@inline] range f =
+  let s = f.sc in
+  if s.plo <> s.plo then poly_range s f.lin_idx f.lin f.diag_idx f.diag f.cross
 
 let concretize_form f =
+  range f;
   let s = f.sc in
   I.make_unordered (down (s.plo +. s.rlo)) (up (s.phi +. s.rhi))
 
@@ -332,6 +352,10 @@ let concretize = function
   | Bot -> I.empty
   | Itv v -> v
   | Tm f -> concretize_form f
+
+let share m =
+  (match m with Tm f -> range f | Bot | Itv _ -> ());
+  m
 
 let is_bot = function Bot -> true | _ -> false
 
@@ -392,19 +416,17 @@ let pp ppf = function
 let mk_itv v = if I.is_empty v then Bot else Itv v
 
 (* The model over final families with the remainder ordered from
-   [rl, rh] (as [Ia.make_unordered] orders it): the polynomial range is
-   computed here, in the scratch cell [r], once per model. *)
-let[@inline] build r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh =
-  r.lo <- c;
-  r.hi <- c;
-  poly_range r lin_idx lin diag_idx diag cross;
+   [rl, rh] (as [Ia.make_unordered] orders it).  Its polynomial range is
+   left to [range]: many models are only operands of sums and scalings,
+   which read it only on their interval fallbacks. *)
+let[@inline] build ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh =
   Tm
     {
       sc =
         {
           c;
-          plo = r.lo;
-          phi = r.hi;
+          plo = nan;
+          phi = nan;
           rlo = (if rl <= rh then rl else rh);
           rhi = (if rl <= rh then rh else rl);
         };
@@ -507,7 +529,7 @@ let condensed r b ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi =
   let sl = down (e1l +. down (e2l +. r.lo)) and sh = up (e1h +. up (e2h +. r.hi)) in
   let rl = down (rlo +. sl) and rh = up (rhi +. sh) in
   if finite rl && finite rh then
-    build r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh
+    build ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh
   else Itv I.entire
 
 (* Smart constructor over the remainder [rlo, rhi]: folds accumulated
@@ -537,7 +559,7 @@ let[@inline] mk r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rlo ~rhi
     else begin
       let rl = down (rlo +. uncondensed_lo) and rh = up (rhi +. uncondensed_hi) in
       if finite rl && finite rh then
-        build r ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh
+        build ~c ~lin_idx ~lin ~diag_idx ~diag ~cross_idx ~cross ~rl ~rh
       else Itv I.entire
     end
   end
@@ -565,7 +587,7 @@ let of_interval ~sym iv =
     let rad = I.mag (I.sub_float iv c) in
     if rad = 0.0 then const c
     else
-      build { lo = 0.0; hi = 0.0 } ~c ~lin_idx:[| sym |] ~lin:[| rad |]
+      build ~c ~lin_idx:[| sym |] ~lin:[| rad |]
         ~diag_idx:no_ints ~diag:no_coefs ~cross_idx:no_ints ~cross:no_coefs
         ~rl:0.0 ~rh:0.0
   end
@@ -857,6 +879,8 @@ let monomial_free f = Array.length f.lin_idx = 0 && is_linear_form f
 (* Remainder of x·y: Aₓ·rem_y + A_y·remₓ + remₓ·rem_y + the truncated
    part [fl, fh], with A the stored polynomial range. *)
 let product_rem r fx fy fl fh =
+  range fx;
+  range fy;
   let x = fx.sc and y = fy.sc in
   let axl = x.plo and axh = x.phi and ayl = y.plo and ayh = y.phi in
   let xl = x.rlo and xh = x.rhi and yl = y.rlo and yh = y.rhi in
@@ -1077,6 +1101,7 @@ let sqr_form f =
   end;
   let fl = r.lo and fh = r.hi in
   (* Remainder: 2·(A·rem) + rem² + truncated part. *)
+  range f;
   let al = f.sc.plo and ah = f.sc.phi in
   let xl = f.sc.rlo and xh = f.sc.rhi in
   let pl = mul_lo al ah xl xh and ph = mul_hi al ah xl xh in

@@ -96,7 +96,21 @@ val of_interval : sym:int -> Ia.t -> t
 val concretize : t -> Ia.t
 (** The interval enclosure of the model (empty for bottom): Bernstein ∩
     interval range of the polynomial part, plus the remainder.  A model
-    stores its polynomial range, computed once when it is built. *)
+    computes its polynomial range on the first read — this function, or
+    a {!mul}, {!sqr} or unary operation that takes it as an operand —
+    and stores it in place; sums and scalings read it only when they
+    fall back to interval arithmetic.  The range
+    depends only on the model's own coefficients, so when it is
+    computed never changes a bit of any result. *)
+
+val share : t -> t
+(** [share m] computes [m]'s polynomial range now and returns [m].
+    Apart from that range a model is immutable, so a model that more
+    than one domain may read at once — a constant kept in a compiled
+    object, a module-level value — must go through [share] before it is
+    published; then every read only reads.  A model that one domain
+    builds and reads, such as a tape scratch's slot values, needs
+    nothing. *)
 
 val is_bot : t -> bool
 

@@ -167,7 +167,14 @@ type segment_enclosure = {
   rigorous : bool;
 }
 
-(* Deterministic sample points of a box: midpoint + uniform draws. *)
+(* Deterministic sample points of a box: midpoint + uniform draws.  The
+   [w <= 0.0] branch never fires on a point: [I.width] rounds outward,
+   so a point's width is 2⁻¹⁰⁷⁴ and a point coordinate still draws,
+   [lo + Random.State.float rng 2⁻¹⁰⁷⁴], which is [lo] itself unless
+   [lo] is a zero or subnormal.  So a point box whose coordinates are
+   neither yields copies of its midpoint, which [ensemble_steps]
+   integrates once.  The draws stay as they are: each consumes the
+   generator, and a changed draw would move every bracket. *)
 let sample_envs ~seed ~n box =
   let rng = Random.State.make [| seed; Box.cardinal box |] in
   let mid = Box.mid_env box in
@@ -310,14 +317,31 @@ let sample_into m t out =
     done
   end
 
+(* The members in order, each kept at its first occurrence only.  Two
+   members whose bindings agree name for name and bit for bit (−0.0 and
+   +0.0 apart) trace the same trajectory, and [I.hull] is idempotent:
+   a copy adds nothing to any window's hull, and it is reached in the
+   windows its first occurrence is. *)
+let distinct_members members =
+  let same (k, x) (k', y) =
+    String.equal k k' && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  let same_member (p, i) (p', i') = List.equal same p p' && List.equal same i i' in
+  List.rev
+    (List.fold_left
+       (fun seen m -> if List.exists (same_member m) seen then seen else m :: seen)
+       [] members)
+
 (* The bracket of the members [(params, init)] over [0, t_end], cut after
    the first window that makes [inv] [Impossible].  Per variable, a
    member's window hull is the hull of its t_lo, midpoint and t_hi
    samples, hulled across members in order; a member whose trace ended
    before t_lo sits the window out, and a window no member reaches ends
-   the bracket. *)
+   the bracket.  Each distinct member is integrated once. *)
 let ensemble_steps cfg pb_sys ~inv ~params_box ~members ~t_end =
-  let members = List.filter_map (start_member cfg pb_sys ~t_end) members in
+  let members =
+    List.filter_map (start_member cfg pb_sys ~t_end) (distinct_members members)
+  in
   let vars = Ode.System.vars pb_sys in
   let n = List.length vars in
   let s_lo = Array.make n 0.0 and s_mid = Array.make n 0.0 in

@@ -154,8 +154,11 @@ val ensemble_steps :
     the window's ends and midpoint (enclosure and end state alike),
     ending after the first window whose box (with [params_box] and the
     window's time) makes [inv] [Impossible].  A member whose integration
-    cannot start is dropped.  The flow fallback runs it on
-    {!ensemble_members}. *)
+    cannot start is dropped.  A member whose bindings equal an earlier
+    member's, name for name and bit for bit, is integrated once: it
+    traces the same trajectory, so the bracket is the same with or
+    without it, and [reach.bracket_steps] counts each distinct member's
+    steps once.  The flow fallback runs it on {!ensemble_members}. *)
 
 val truncate_at_invariant :
   judge -> params_box:Box.t -> Ode.Enclosure.steps -> Ode.Enclosure.steps

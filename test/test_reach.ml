@@ -505,6 +505,92 @@ let test_bracket_oracle () =
        (C.ensemble_steps C.default_config decay ~inv:(C.judge decay half) ~params_box
           ~members:[ ([], [ ("x", 1.0) ]) ] ~t_end:3.0))
 
+(* ---- Duplicate members integrate once ----
+
+   [ensemble_steps] integrates each distinct (params, init) member once,
+   telling members apart bit for bit, so −0.0 and +0.0 differ.  On
+   member lists with repeats its bracket must equal, in hex, the
+   stored-trace oracle's, which integrates every member, and the
+   bracket of the list without its repeats; [reach.bracket_steps] must
+   grow by as much as for that list. *)
+let test_duplicate_members () =
+  let bracket_steps = Telemetry.Counter.make "reach.bracket_steps" in
+  Telemetry.reset ();
+  Telemetry.set_metrics true;
+  Fun.protect ~finally:(fun () -> Telemetry.disable (); Telemetry.reset ()) @@ fun () ->
+  let same_bits (k, x) (k', y) =
+    String.equal k k' && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  let same (p, i) (p', i') = List.equal same_bits p p' && List.equal same_bits i i' in
+  let distinct ms =
+    List.rev
+      (List.fold_left
+         (fun acc m -> if List.exists (same m) acc then acc else m :: acc)
+         [] ms)
+  in
+  (* The bracket of [members] and the bracket steps it counted. *)
+  let run sys ~inv ~params_box ~t_end members =
+    let before = Telemetry.Counter.value bracket_steps in
+    let steps =
+      C.ensemble_steps C.default_config sys ~inv:(C.judge sys inv) ~params_box ~members
+        ~t_end
+    in
+    (hex_steps steps, Telemetry.Counter.value bracket_steps - before)
+  in
+  (* Checks [members] and returns its distinct members and step count. *)
+  let case name sys ~inv ~params_box ~t_end members =
+    let bracket, n = run sys ~inv ~params_box ~t_end members in
+    Alcotest.(check (list string)) (name ^ ": stored-trace oracle")
+      (hex_steps (stored_bracket C.default_config sys ~inv ~params_box ~members ~t_end))
+      bracket;
+    let d = distinct members in
+    let bracket', n' = run sys ~inv ~params_box ~t_end d in
+    Alcotest.(check (list string)) (name ^ ": distinct members") bracket' bracket;
+    Alcotest.(check int) (name ^ ": steps of the distinct members") n' n;
+    Alcotest.(check bool) (name ^ ": integrates") true (n > 0);
+    (d, n)
+  in
+  (* E1's first flow: the ensemble of a point joint box is 25 copies of
+     its midpoint. *)
+  let fk = Biomodels.Fenton_karma.automaton () in
+  let e1 =
+    E.create ~min_jumps:2 ~goal:(Biomodels.Fenton_karma.spike_and_dome_goal ()) ~k:4
+      ~time_bound:400.0 fk
+  in
+  let params_box, init_box = C.interpret_box e1 (C.searchable_box e1) in
+  let q = A.init_mode fk in
+  let members = C.ensemble_members C.default_config ~params_box ~init_box in
+  let d, _ =
+    case "E1 first flow" (A.mode_system fk q) ~inv:(A.find_mode fk q).A.invariant
+      ~params_box ~t_end:400.0 members
+  in
+  Alcotest.(check (pair int int)) "E1: 25 members, one distinct"
+    (C.default_config.C.fallback_samples + 1, 1) (List.length members, List.length d);
+  (* Repeats in an explicit list. *)
+  let decay =
+    Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ]
+  in
+  let params_box = Box.of_list [ ("k", I.make 0.5 2.0) ] in
+  let m k x = ([ ("k", k) ], [ ("x", x) ]) in
+  let a = m 1.0 1.0 and b = m 2.0 0.9 and c = m 0.5 1.1 in
+  let d, _ =
+    case "explicit repeats" decay ~inv:(P.formula "x >= 0.2") ~params_box ~t_end:3.0
+      [ a; b; a; a; c; b; a ]
+  in
+  Alcotest.(check int) "explicit repeats: three distinct" 3 (List.length d);
+  (* Members that differ only in the sign of a zero are both
+     integrated: their traces agree, so the pair counts twice the steps
+     of either. *)
+  let pos = m 0.0 1.0 and neg = m (-0.0) 1.0 in
+  let d, n =
+    case "signed zeros" decay ~inv:Expr.Formula.tt ~params_box ~t_end:3.0
+      [ pos; neg; pos ]
+  in
+  Alcotest.(check int) "signed zeros: two distinct" 2 (List.length d);
+  let _, n_pos = run decay ~inv:Expr.Formula.tt ~params_box ~t_end:3.0 [ pos ]
+  and _, n_neg = run decay ~inv:Expr.Formula.tt ~params_box ~t_end:3.0 [ neg ] in
+  Alcotest.(check int) "signed zeros: both integrated" (n_pos + n_neg) n
+
 (* ---- The usability gate keeps its results ----
 
    [flow_enclosure] ends a tube at its first state wider than the
@@ -837,6 +923,8 @@ let () =
           Alcotest.test_case "traced check books its checks" `Quick test_check_spans;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
           Alcotest.test_case "witness replays" `Quick test_witness_replays;
+          Alcotest.test_case "duplicate members integrate once" `Quick
+            test_duplicate_members;
         ] );
       ("properties", qcheck_tests);
     ]

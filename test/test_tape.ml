@@ -292,6 +292,120 @@ let test_fixpoint_differential () =
             (Box.to_string bb)
   done
 
+(* ---- Taylor-model passes on a used scratch ----
+
+   A scratch keeps a slot's Taylor model while the inputs the slot reads
+   and the TM budget stay the same.  Each random term is compiled with
+   every subterm as a root: CSE puts each subterm's root on its slot, so
+   the roots cover every slot.  One scratch then runs a sequence of
+   passes that changes random subsets of inputs, repeats the current or
+   an earlier step's inputs bit for bit, flips the sign of zero bounds,
+   interleaves interval and HC4 passes, and changes the budget once,
+   with the inputs kept or changed.  After each step, every root of a
+   TM pass on the used scratch must equal a fresh scratch's bit for
+   bit.  An input unbounded on one side enters as its interval, so the
+   sign of its zero bound reaches the roots. *)
+
+let rec subterms (t : T.t) =
+  t
+  ::
+  (match t with
+  | T.Var _ | T.Const _ -> []
+  | T.Add (a, b) | T.Sub (a, b) | T.Mul (a, b) | T.Div (a, b) | T.Min (a, b)
+  | T.Max (a, b) ->
+      subterms a @ subterms b
+  | T.Neg a | T.Pow (a, _) | T.Exp a | T.Log a | T.Sqrt a | T.Sin a | T.Cos a
+  | T.Tan a | T.Atan a | T.Tanh a | T.Abs a ->
+      subterms a)
+
+(* An input interval, often with a zero bound of either sign. *)
+let rand_input st =
+  let zero () = if Random.State.bool st then 0.0 else -0.0 in
+  let w () = Random.State.float st 2.0 in
+  match Random.State.int st 8 with
+  | 0 -> I.make (zero ()) (w ())
+  | 1 -> I.make (-.w ()) (zero ())
+  | 2 -> I.of_float (zero ())
+  | 3 -> I.make (zero ()) Float.infinity
+  | 4 -> I.make Float.neg_infinity (zero ())
+  | 5 -> I.of_float (Random.State.float st 8.0 -. 4.0)
+  | _ ->
+      let a = Random.State.float st 8.0 -. 4.0 in
+      I.make a (a +. w ())
+
+let flip_zero x = if x = 0.0 then -.x else x
+
+let hex_itv r =
+  Printf.sprintf "[%Lx,%Lx]" (Int64.bits_of_float (I.lo r)) (Int64.bits_of_float (I.hi r))
+
+let test_tm_used_scratch () =
+  let st = Random.State.make [| 47 |] in
+  let saved = Interval.Tm.budget () in
+  Fun.protect ~finally:(fun () -> Interval.Tm.set_budget saved) @@ fun () ->
+  for case = 1 to 300 do
+    Interval.Tm.set_budget saved;
+    let t = rand_term st (1 + Random.State.int st 4) in
+    let tp = Tape.compile ~vars (subterms t) in
+    let n = Tape.num_roots tp in
+    let used = Tape.scratch tp in
+    let inputs = ref (Array.init nvars (fun _ -> rand_input st)) in
+    let history = ref [] in
+    (* Fresh records with the same bounds: equality is bit for bit. *)
+    let copy = Array.map (fun x -> I.make (I.lo x) (I.hi x)) in
+    let change () =
+      inputs :=
+        Array.map (fun x -> if Random.State.bool st then rand_input st else x) !inputs
+    in
+    let check step what =
+      let got = Array.make n I.empty and want = Array.make n I.empty in
+      Tape.eval_tm_into tp used ~inputs:!inputs ~out:got;
+      Tape.eval_tm_into tp (Tape.scratch tp) ~inputs:!inputs ~out:want;
+      history := !inputs :: !history;
+      Array.iteri
+        (fun k w ->
+          if hex_itv w <> hex_itv got.(k) then
+            Alcotest.failf "case %d, step %d (%s): root %d is %s, fresh %s on %s" case
+              step what k (hex_itv got.(k)) (hex_itv w) (T.to_string t))
+        want
+    in
+    check 0 "first pass";
+    for step = 1 to 12 do
+      if step = 7 then begin
+        Interval.Tm.set_budget (if saved = 1 then 2 else 1);
+        if Random.State.bool st then change ();
+        check step "budget change"
+      end
+      else
+        match Random.State.int st 6 with
+        | 0 ->
+            change ();
+            check step "changed subset"
+        | 1 ->
+            inputs := copy !inputs;
+            check step "repeated inputs"
+        | 2 ->
+            let h = !history in
+            inputs := copy (List.nth h (Random.State.int st (List.length h)));
+            check step "an earlier step's inputs"
+        | 3 ->
+            let flip x = I.make (flip_zero (I.lo x)) (flip_zero (I.hi x)) in
+            inputs := Array.map flip !inputs;
+            check step "flipped zeros"
+        | 4 ->
+            ignore (Tape.eval_interval tp used !inputs);
+            check step "after an interval pass"
+        | _ ->
+            let dom = Array.copy !inputs in
+            let tm = Random.State.bool st in
+            let feasible = Tape.hc4_revise tp used ~tm ~target:(rand_target st) dom in
+            check step "after an HC4 pass";
+            if feasible then begin
+              inputs := dom;
+              check step "on the contracted box"
+            end
+    done
+  done
+
 (* ---- satellite fixes: negative powers and tan branches ---- *)
 
 let both_paths name t ~target b checks =
@@ -429,6 +543,47 @@ let test_pave_tape_parallel () =
           check "undecided" base.S.undecided p.S.undecided)
         [ 2; 4 ])
 
+(* Two domains run TM passes on one tape whose terms divide by
+   constants, each on its own scratch and over the same boxes, so both
+   read the tape's reciprocal models at once.  Every root must equal the
+   jobs = 1 run's bit for bit.  The domain cap is raised to 2 for the
+   run, so the two workers get real domains even on one core. *)
+let test_tm_shared_recips () =
+  let st = Random.State.make [| 48 |] in
+  let divisor () = T.Const (Random.State.float st 6.0 -. 3.0) in
+  let terms =
+    List.init 12 (fun _ ->
+        T.Add
+          ( T.Div (rand_term st 3, divisor ()),
+            T.Mul (T.Div (rand_term st 2, divisor ()), rand_term st 2) ))
+  in
+  let tp = Tape.compile ~vars terms in
+  let boxes = Array.init 300 (fun _ -> inputs_of_box (rand_box st)) in
+  let run _ =
+    let sc = Tape.scratch tp in
+    Array.map
+      (fun inputs ->
+        let out = Array.make (Tape.num_roots tp) I.empty in
+        Tape.eval_tm_into tp sc ~inputs ~out;
+        String.concat " " (Array.to_list (Array.map hex_itv out)))
+      boxes
+  in
+  let seq = run 0 in
+  let par =
+    Parallel.Pool.set_domain_cap (Some 2);
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.set_domain_cap None)
+      (fun () -> Parallel.Pool.run ~jobs:2 run)
+  in
+  Array.iteri
+    (fun w roots ->
+      Array.iteri
+        (fun b r ->
+          if r <> seq.(b) then
+            Alcotest.failf "worker %d, box %d: %s, jobs = 1 gives %s" w b r seq.(b))
+        roots)
+    par
+
 (* ---- the kill switch: BIOMC_NO_TAPE reproduces the tree walkers ---- *)
 
 let stats_list (s : S.stats) =
@@ -505,6 +660,11 @@ let () =
           Alcotest.test_case "revise counters" `Quick test_revise_counters;
           Alcotest.test_case "fixpoint differential" `Quick
             test_fixpoint_differential ] );
+      ( "taylor models",
+        [ Alcotest.test_case "TM pass on a used scratch = fresh scratch" `Quick
+            test_tm_used_scratch;
+          Alcotest.test_case "shared reciprocals at jobs = 2" `Quick
+            test_tm_shared_recips ] );
       ( "fixes",
         [ Alcotest.test_case "pow negative even" `Quick test_pow_negative_even;
           Alcotest.test_case "pow negative odd" `Quick test_pow_negative_odd;
