@@ -801,14 +801,12 @@ let p1 ?(quick = false) () =
        \  \"cores\": %d,\n\
        \  \"default_jobs\": %d,\n\
        \  \"domain_cap\": %d,\n\
-       \  \"workstealing\": %b,\n\
        \  \"quick\": %b,\n\
        \  \"note\": \"1-core containers multiplex jobs > cores onto the available domains; speedups are bounded by cores, and the acceptance bar is jobs=2 >= 1.0x (no coordination overhead). Scheduler counters come from one extra untimed run per cell with metrics enabled; timed rounds ran with metrics off. wall_s is the per-cell minimum over all samples (each run preceded by a major GC); speedup for jobs=k is the median of adjacent-pair ratios against jobs=1 (the two cells timed back to back, order alternating per round), which cancels the multi-second throttling waves of a shared container.\",\n\
        \  \"kernels\": [\n"
        (Domain.recommended_domain_count ())
        (Parallel.Pool.default_jobs ())
        (Parallel.Pool.domain_cap ())
-       (Parallel.Pool.workstealing_enabled ())
        quick);
   List.iteri
     (fun i (name, runs) ->

@@ -47,6 +47,22 @@ let journal_flags jobs =
     ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("jobs", string_of_int jobs) ]
 
+let journaled ~kind ~jobs ~verdict body =
+  if not (Journal.on ()) then body ()
+  else begin
+    let run =
+      Journal.begin_run ~kind ~flags:(journal_flags (Stdlib.max 1 jobs)) ()
+    in
+    match body () with
+    | r ->
+        let v, truncated = verdict r in
+        Journal.end_run ~truncated ~verdict:v run;
+        r
+    | exception e ->
+        Journal.end_run ~truncated:true ~verdict:"error" run;
+        raise e
+  end
+
 (* A worker's private accumulators. *)
 type 'leaf worker = {
   lease : Lease.local;

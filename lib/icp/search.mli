@@ -61,6 +61,16 @@ val journal_flags : int -> (string * string) list
     [Reach.Checker] and [Synth.Biopsy].  The journal audit checks each
     prune reason against it. *)
 
+val journaled :
+  kind:string -> jobs:int -> verdict:('a -> string * bool) -> (unit -> 'a) -> 'a
+(** [journaled ~kind ~jobs ~verdict body] runs one query as a journal
+    run when the journal is on: a run header of [kind] carrying
+    [journal_flags (max 1 jobs)], then [body ()], then an end record
+    with the verdict string and truncation flag [verdict] renders from
+    the result.  If [body] raises, the run ends as a truncated ["error"]
+    and the exception propagates.  With the journal off it is
+    [body ()]. *)
+
 val run :
   jobs:int ->
   budget:budget ->

@@ -324,32 +324,18 @@ let verdict_string = function
   | Delta_sat _ -> "delta-sat"
   | Unknown _ -> "unknown"
 
-let decide_with_stats ?config formula box =
-  Telemetry.Span.with_ tm_decide (fun () ->
-      let jrun =
-        if Journal.on () then begin
-          let cfg = Option.value config ~default:default_config in
-          Journal.begin_run ~kind:"decide"
-            ~flags:(Search.journal_flags (Stdlib.max 1 cfg.jobs))
-            ()
-        end
-        else 0
-      in
-      match decide_with_stats_inner ?config formula box with
-      | ((result, stats) as r) ->
-          Telemetry.Counter.add m_decide_boxes stats.boxes_processed;
-          Telemetry.Counter.add m_decide_splits stats.splits;
-          Telemetry.Counter.add m_decide_prunings stats.prunings;
-          Telemetry.Counter.add m_decide_certifications stats.certifications;
-          if jrun <> 0 then
-            Journal.end_run
-              ~truncated:(match result with Unknown _ -> true | _ -> false)
-              ~verdict:(verdict_string result) jrun;
-          r
-      | exception e ->
-          if jrun <> 0 then
-            Journal.end_run ~truncated:true ~verdict:"error" jrun;
-          raise e)
+let decide_with_stats ?(config = default_config) formula box =
+  Telemetry.Span.with_ tm_decide @@ fun () ->
+  Search.journaled ~kind:"decide" ~jobs:config.jobs
+    ~verdict:(fun (result, _) ->
+      (verdict_string result, match result with Unknown _ -> true | _ -> false))
+  @@ fun () ->
+  let ((_, stats) as r) = decide_with_stats_inner ~config formula box in
+  Telemetry.Counter.add m_decide_boxes stats.boxes_processed;
+  Telemetry.Counter.add m_decide_splits stats.splits;
+  Telemetry.Counter.add m_decide_prunings stats.prunings;
+  Telemetry.Counter.add m_decide_certifications stats.certifications;
+  r
 
 let decide ?config formula box = fst (decide_with_stats ?config formula box)
 
@@ -553,33 +539,19 @@ let pave_default ?(config = default_config) formula box =
       prunings = c.Search.prunes; max_depth = c.Search.max_depth;
       certifications = 0 } )
 
-let pave_with_stats ?config formula box =
-  Telemetry.Span.with_ tm_pave (fun () ->
-      let jrun =
-        if Journal.on () then begin
-          let cfg = Option.value config ~default:default_config in
-          Journal.begin_run ~kind:"pave"
-            ~flags:(Search.journal_flags (Stdlib.max 1 cfg.jobs))
-            ()
-        end
-        else 0
-      in
-      match pave_default ?config formula box with
-      | ((paving, stats) as r) ->
-          Telemetry.Counter.add m_pave_boxes stats.boxes_processed;
-          Telemetry.Counter.add m_pave_splits stats.splits;
-          Telemetry.Counter.add m_pave_prunings stats.prunings;
-          if jrun <> 0 then
-            Journal.end_run
-              ~verdict:
-                (Printf.sprintf "paving sat=%d unsat=%d undecided=%d"
-                   (List.length paving.sat) (List.length paving.unsat)
-                   (List.length paving.undecided))
-              jrun;
-          r
-      | exception e ->
-          if jrun <> 0 then
-            Journal.end_run ~truncated:true ~verdict:"error" jrun;
-          raise e)
+let pave_with_stats ?(config = default_config) formula box =
+  Telemetry.Span.with_ tm_pave @@ fun () ->
+  Search.journaled ~kind:"pave" ~jobs:config.jobs
+    ~verdict:(fun (paving, _) ->
+      ( Printf.sprintf "paving sat=%d unsat=%d undecided=%d"
+          (List.length paving.sat) (List.length paving.unsat)
+          (List.length paving.undecided),
+        false ))
+  @@ fun () ->
+  let ((_, stats) as r) = pave_default ~config formula box in
+  Telemetry.Counter.add m_pave_boxes stats.boxes_processed;
+  Telemetry.Counter.add m_pave_splits stats.splits;
+  Telemetry.Counter.add m_pave_prunings stats.prunings;
+  r
 
 let pave ?config formula box = fst (pave_with_stats ?config formula box)

@@ -9,11 +9,10 @@
    - {!run}: fork/join over a fixed set of logical workers, scheduled
      over at most {!domain_cap} hardware domains (worker 0 runs on the
      calling domain, so [jobs = 1] spawns nothing);
-   - {!Frontier}: a cancellable work pool drained by [jobs] workers —
-     per-worker work-stealing deques (owner-local LIFO, steal-half) by
-     default, the historical single-monitor queue under
-     [BIOMC_NO_WORKSTEAL=1] — the pattern behind parallel [decide],
-     [pave] and parameter synthesis;
+   - {!Frontier}: a cancellable work pool drained by [jobs] workers over
+     per-worker work-stealing deques (owner-local LIFO, steal-half) —
+     the pattern behind parallel [decide], [pave] and parameter
+     synthesis;
    - {!Lease}: per-worker leases over a shared work budget, so the
      search budget costs one atomic operation per lease instead of one
      per box;
@@ -38,15 +37,14 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Scheduling telemetry: how often workers pick up items, how often a
    pickup crossed deques (a steal), how often a full victim sweep found
    nothing, how long workers sit in Condition.wait, how deep the deques
-   (and, on the legacy path, the shared queue) run, and how often budget
-   leases go back to the shared counter for a refill. *)
+   run, and how often budget leases go back to the shared counter for a
+   refill. *)
 let tm_drain = Telemetry.Span.probe "pool.drain"
 let m_takes = Telemetry.Counter.make "pool.takes"
 let m_steals = Telemetry.Counter.make "pool.steals"
 let m_steal_fails = Telemetry.Counter.make "pool.steal_fails"
 let m_idle_ns = Telemetry.Counter.make "pool.idle_ns"
 let m_lease_refills = Telemetry.Counter.make "pool.lease_refills"
-let h_queue_depth = Telemetry.Histogram.make "pool.queue_depth"
 let h_deque_depth = Telemetry.Histogram.make "pool.deque_depth"
 
 (* Cap the default well below huge machines: branch-and-prune frontiers
@@ -56,21 +54,6 @@ let default_jobs () = Stdlib.max 1 (Stdlib.min 8 (Domain.recommended_domain_coun
 
 let validate_jobs jobs =
   if jobs < 1 then invalid_arg "Parallel.Pool: jobs must be >= 1"
-
-(* ---- Kill-switch: BIOMC_NO_WORKSTEAL=1 restores the PR-1 monitor
-   frontier, per-box budget spends and fixed SMC batches bit-for-bit
-   (the same discipline as BIOMC_NO_TAPE / BIOMC_NO_NEWTON /
-   BIOMC_NO_TM). ---- *)
-
-let ws_override : bool option Atomic.t = Atomic.make None
-
-let workstealing_enabled () =
-  match Atomic.get ws_override with
-  | Some b -> b
-  | None -> not (Telemetry.env_switch "BIOMC_NO_WORKSTEAL")
-
-let set_workstealing b = Atomic.set ws_override (Some b)
-let clear_workstealing_override () = Atomic.set ws_override None
 
 (* ---- Hardware domain budget ----
 
@@ -130,319 +113,211 @@ let run ~jobs worker =
     Array.map (function Some (Ok v) -> v | _ -> assert false) results
   end
 
-(* ---- Work-stealing / work-sharing frontier ---- *)
+(* ---- Work-stealing frontier ---- *)
 
+(* One deque per logical worker, owner pops LIFO, dry workers steal the
+   oldest half of a victim chosen by a seeded per-worker sweep.
+   Termination and sleeping:
+
+   - [pending] counts items that are queued or in flight; it is
+     incremented {e before} an item is published and decremented only
+     after [process] returns, so [pending = 0] proves there is nothing
+     left anywhere and nothing in flight that could push.
+   - A dry worker that found [pending > 0] registers in [idlers], reads
+     the wake generation, re-scans every deque once, and only then
+     waits for a generation bump.  A producer bumps the generation only
+     when [idlers > 0] at push time.  The handshake cannot lose a
+     wakeup: if the producer misses the idler registration, the idler's
+     re-scan necessarily runs after the item was published (both sides
+     cross the deque mutexes and the [idlers] atomic, which order the
+     two races); if the idler's re-scan misses the item, the producer
+     necessarily sees [idlers > 0] and bumps.  See DESIGN.md §15. *)
 module Frontier = struct
-  (* -- Legacy monitor queue (one mutex + condition around a shared
-     list), kept verbatim as the BIOMC_NO_WORKSTEAL=1 fallback and the
-     differential-testing oracle for the deque scheduler.  One fix
-     relative to PR 1: [take]'s steal accounting resets after every
-     successful take — previously a worker that had waited once was
-     counted as "stealing" every item it took for the rest of the call,
-     inflating pool.steals. -- *)
-  module Mon = struct
-    type 'a t = {
-      mutex : Mutex.t;
-      wake : Condition.t;  (* new item, cancellation, or drain *)
-      mutable queue : 'a list;  (* LIFO: keeps the search depth-first-ish *)
-      mutable depth : int;  (* List.length queue, maintained O(1) *)
-      mutable active : int;  (* workers currently processing an item *)
-      mutable stopped : bool;
-    }
+  type 'a t = {
+    mutable deques : 'a Deque.t array;  (* one per worker; set by drain *)
+    mutable seeds : 'a list;  (* initial items, in take order *)
+    mutable seq : bool;  (* sequential drive: see [drain] below *)
+    pending : int Atomic.t;
+    stop_flag : bool Atomic.t;
+    idlers : int Atomic.t;
+    lock : Mutex.t;  (* sleep monitor: guards [gen] *)
+    wake : Condition.t;
+    mutable gen : int;
+  }
 
-    let create init =
-      { mutex = Mutex.create (); wake = Condition.create (); queue = init;
-        depth = List.length init; active = 0; stopped = false }
-
-    let push t x =
-      Mutex.lock t.mutex;
-      if not t.stopped then begin
-        t.queue <- x :: t.queue;
-        t.depth <- t.depth + 1;
-        Telemetry.Histogram.observe h_queue_depth t.depth;
-        Condition.signal t.wake
-      end;
-      Mutex.unlock t.mutex
-
-    let stop t =
-      Mutex.lock t.mutex;
-      t.stopped <- true;
-      t.queue <- [];
-      t.depth <- 0;
-      Condition.broadcast t.wake;
-      Mutex.unlock t.mutex
-
-    let stopped t = t.stopped
-
-    (* Blocking take: [None] once the frontier is drained (empty queue
-       and no active worker that could still push) or stopped. *)
-    let take t =
-      Mutex.lock t.mutex;
-      let waited = ref false in
-      let rec go () =
-        if t.stopped then None
-        else
-          match t.queue with
-          | x :: rest ->
-              t.queue <- rest;
-              t.depth <- t.depth - 1;
-              t.active <- t.active + 1;
-              Telemetry.Counter.incr m_takes;
-              if !waited then Telemetry.Counter.incr m_steals;
-              waited := false;
-              Some x
-          | [] ->
-              if t.active = 0 then None
-              else begin
-                let t0 = if Telemetry.metrics_on () then Telemetry.now_ns () else 0 in
-                Condition.wait t.wake t.mutex;
-                if t0 <> 0 then
-                  Telemetry.Counter.add m_idle_ns (Telemetry.now_ns () - t0);
-                waited := true;
-                go ()
-              end
-      in
-      let r = go () in
-      (* On drain/stop, wake the remaining sleepers so they can exit. *)
-      if Option.is_none r then Condition.broadcast t.wake;
-      Mutex.unlock t.mutex;
-      r
-
-    let finish_item t =
-      Mutex.lock t.mutex;
-      t.active <- t.active - 1;
-      if t.active = 0 && t.queue = [] then Condition.broadcast t.wake;
-      Mutex.unlock t.mutex
-  end
-
-  (* -- Work-stealing scheduler: one deque per logical worker, owner
-     pops LIFO, dry workers steal the oldest half of a victim chosen by
-     a seeded per-worker sweep.  Termination and sleeping:
-
-     - [pending] counts items that are queued or in flight; it is
-       incremented {e before} an item is published and decremented only
-       after [process] returns, so [pending = 0] proves there is
-       nothing left anywhere and nothing in flight that could push.
-     - A dry worker that found [pending > 0] registers in [idlers],
-       reads the wake generation, re-scans every deque once, and only
-       then waits for a generation bump.  A producer bumps the
-       generation only when [idlers > 0] at push time.  The handshake
-       cannot lose a wakeup: if the producer misses the idler
-       registration, the idler's re-scan necessarily runs after the
-       item was published (both sides cross the deque mutexes and the
-       [idlers] atomic, which order the two races); if the idler's
-       re-scan misses the item, the producer necessarily sees
-       [idlers > 0] and bumps.  See DESIGN.md §15. -- *)
-  module Ws = struct
-    type 'a t = {
-      mutable deques : 'a Deque.t array;  (* one per worker; set by drain *)
-      mutable seeds : 'a list;  (* initial items, in take order *)
-      mutable seq : bool;  (* sequential drive: see [drain] below *)
-      pending : int Atomic.t;
-      stop_flag : bool Atomic.t;
-      idlers : int Atomic.t;
-      lock : Mutex.t;  (* sleep monitor: guards [gen] *)
-      wake : Condition.t;
-      mutable gen : int;
-    }
-
-    let create init =
-      { deques = [||]; seeds = init; seq = false;
-        pending = Atomic.make (List.length init);
-        stop_flag = Atomic.make false; idlers = Atomic.make 0;
-        lock = Mutex.create (); wake = Condition.create (); gen = 0 }
-
-    let wake_all t =
-      Mutex.lock t.lock;
-      t.gen <- t.gen + 1;
-      Condition.broadcast t.wake;
-      Mutex.unlock t.lock
-
-    let stop t =
-      Atomic.set t.stop_flag true;
-      wake_all t
-
-    let stopped t = Atomic.get t.stop_flag
-
-    let observe_depth my =
-      (* guarded here rather than relying on the histogram's own check:
-         [Deque.size] is evaluated eagerly as the argument, and this
-         runs once per published batch *)
-      if Telemetry.metrics_on () then
-        Telemetry.Histogram.observe h_deque_depth (Deque.size my)
-
-    (* Publication order matters: [pending] goes up before the item is
-       visible, and comes down only after the item is fully processed
-       ([finish]), so [pending = 0] can never race with a live item.
-       In sequential-drive mode ([t.seq], single-threaded by
-       construction) there is nobody to publish to: no pending counter,
-       no locks, no wakeups. *)
-    let push t my x =
-      if not (Atomic.get t.stop_flag) then
-        if t.seq then begin
-          Deque.unsafe_push my x;
-          observe_depth my
-        end
-        else begin
-          Atomic.incr t.pending;
-          Deque.push my x;
-          observe_depth my;
-          if Atomic.get t.idlers > 0 then wake_all t
-        end
-
-    let push_batch t my xs =
-      match xs with
-      | [] -> ()
-      | xs ->
-          if not (Atomic.get t.stop_flag) then
-            if t.seq then begin
-              Deque.unsafe_push_list my xs;
-              observe_depth my
-            end
-            else begin
-              ignore (Atomic.fetch_and_add t.pending (List.length xs));
-              Deque.push_list my xs;
-              observe_depth my;
-              if Atomic.get t.idlers > 0 then wake_all t
-            end
-
-    let finish t =
-      if Atomic.fetch_and_add t.pending (-1) = 1 then
-        (* last outstanding item: wake sleepers so they can exit *)
-        wake_all t
-
-    (* One seeded-random cyclic sweep over the other deques; [Some] on
-       the first successful steal-half.  [steal] is {!Deque.steal_half}
-       or its unsafe variant in sequential-drive mode. *)
-    let try_steal_gen ~steal t my w rng =
-      let n = Array.length t.deques in
-      if n <= 1 then None
-      else begin
-        let start = Random.State.int rng n in
-        let rec sweep i =
-          if i >= n then None
-          else
-            let v = (start + i) mod n in
-            if v = w then sweep (i + 1)
-            else
-              match steal t.deques.(v) ~into:my with
-              | Some _ as r -> r
-              | None -> sweep (i + 1)
-        in
-        sweep 0
-      end
-
-    let try_steal t my w rng = try_steal_gen ~steal:Deque.steal_half t my w rng
-
-    let take_local () = Telemetry.Counter.incr m_takes
-    let take_stolen () =
-      Telemetry.Counter.incr m_takes;
-      Telemetry.Counter.incr m_steals
-
-    (* Next item for worker [w]: own deque, then steal, then the
-       eventcount sleep described above.  [None] = drained or stopped. *)
-    let rec acquire t my w rng =
-      if Atomic.get t.stop_flag then None
-      else
-        match Deque.pop my with
-        | Some _ as r -> take_local (); r
-        | None ->
-            if Atomic.get t.pending = 0 then None
-            else (
-              match try_steal t my w rng with
-              | Some _ as r -> take_stolen (); r
-              | None ->
-                  Telemetry.Counter.incr m_steal_fails;
-                  if Atomic.get t.pending = 0 then None
-                  else begin
-                    Atomic.incr t.idlers;
-                    Mutex.lock t.lock;
-                    let g0 = t.gen in
-                    Mutex.unlock t.lock;
-                    (* one more scan after registering as idle: items a
-                       producer published without seeing us are
-                       guaranteed visible here *)
-                    let again =
-                      match Deque.pop my with
-                      | Some _ as r -> take_local (); r
-                      | None -> (
-                          match try_steal t my w rng with
-                          | Some _ as r -> take_stolen (); r
-                          | None -> None)
-                    in
-                    match again with
-                    | Some _ ->
-                        Atomic.decr t.idlers;
-                        again
-                    | None ->
-                        if
-                          Atomic.get t.pending > 0
-                          && not (Atomic.get t.stop_flag)
-                        then begin
-                          let t0 =
-                            if Telemetry.metrics_on () then Telemetry.now_ns ()
-                            else 0
-                          in
-                          Mutex.lock t.lock;
-                          while
-                            t.gen = g0
-                            && Atomic.get t.pending > 0
-                            && not (Atomic.get t.stop_flag)
-                          do
-                            Condition.wait t.wake t.lock
-                          done;
-                          Mutex.unlock t.lock;
-                          if t0 <> 0 then
-                            Telemetry.Counter.add m_idle_ns
-                              (Telemetry.now_ns () - t0)
-                        end;
-                        Atomic.decr t.idlers;
-                        acquire t my w rng
-                  end)
-
-    (* Build the per-worker deques and spread the seeds round-robin, in
-       index order within each deque (so worker w starts on the
-       lowest-indexed seed it owns — [Reach.Checker] relies on
-       low-index-first preference for its shortest-path-first scan). *)
-    let install ~jobs t =
-      let deques = Array.init jobs (fun _ -> Deque.create ()) in
-      t.deques <- deques;
-      let seeds = t.seeds in
-      t.seeds <- [];
-      let buckets = Array.make jobs [] in
-      List.iteri
-        (fun i x -> buckets.(i mod jobs) <- x :: buckets.(i mod jobs))
-        seeds;
-      Array.iteri (fun w b -> Deque.push_list deques.(w) (List.rev b)) buckets;
-      deques
-  end
-
-  type 'a t = T_ws of 'a Ws.t | T_mon of 'a Mon.t
-
-  (* A worker's handle on the frontier: its own deque (work-stealing) or
-     the shared monitor (legacy).  Allocated once per worker per drain. *)
-  type 'a slot = S_ws of 'a Ws.t * 'a Deque.t | S_mon of 'a Mon.t
+  (* A worker's handle on the frontier: the frontier and its own deque.
+     Allocated once per worker per drain. *)
+  type 'a slot = 'a t * 'a Deque.t
 
   let create init =
-    if workstealing_enabled () then T_ws (Ws.create init)
-    else T_mon (Mon.create init)
+    { deques = [||]; seeds = init; seq = false;
+      pending = Atomic.make (List.length init);
+      stop_flag = Atomic.make false; idlers = Atomic.make 0;
+      lock = Mutex.create (); wake = Condition.create (); gen = 0 }
 
-  let push slot x =
-    match slot with
-    | S_ws (ws, my) -> Ws.push ws my x
-    | S_mon m -> Mon.push m x
+  let wake_all t =
+    Mutex.lock t.lock;
+    t.gen <- t.gen + 1;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.lock
 
-  (* Batched publish: one lock acquisition on the work-stealing path.
-     The next item popped by this worker is [List.hd xs] (the legacy
-     path emulates this by pushing in reverse, exactly the push pairs
-     PR 1's call sites wrote out by hand). *)
-  let push_batch slot xs =
-    match slot with
-    | S_ws (ws, my) -> Ws.push_batch ws my xs
-    | S_mon m -> List.iter (Mon.push m) (List.rev xs)
+  let stop t =
+    Atomic.set t.stop_flag true;
+    wake_all t
 
-  let stop = function T_ws ws -> Ws.stop ws | T_mon m -> Mon.stop m
-  let stopped = function T_ws ws -> Ws.stopped ws | T_mon m -> Mon.stopped m
+  let observe_depth my =
+    (* guarded here rather than relying on the histogram's own check:
+       [Deque.size] is evaluated eagerly as the argument, and this runs
+       once per published batch *)
+    if Telemetry.metrics_on () then
+      Telemetry.Histogram.observe h_deque_depth (Deque.size my)
+
+  (* Publication order matters: [pending] goes up before the item is
+     visible, and comes down only after the item is fully processed
+     ([finish]), so [pending = 0] can never race with a live item.  In
+     sequential-drive mode ([t.seq], single-threaded by construction)
+     there is nobody to publish to: no pending counter, no locks, no
+     wakeups. *)
+  let push (t, my) x =
+    if not (Atomic.get t.stop_flag) then
+      if t.seq then begin
+        Deque.unsafe_push my x;
+        observe_depth my
+      end
+      else begin
+        Atomic.incr t.pending;
+        Deque.push my x;
+        observe_depth my;
+        if Atomic.get t.idlers > 0 then wake_all t
+      end
+
+  (* Batched publish under one lock acquisition; the next item popped by
+     this worker is [List.hd xs]. *)
+  let push_batch (t, my) xs =
+    match xs with
+    | [] -> ()
+    | xs ->
+        if not (Atomic.get t.stop_flag) then
+          if t.seq then begin
+            Deque.unsafe_push_list my xs;
+            observe_depth my
+          end
+          else begin
+            ignore (Atomic.fetch_and_add t.pending (List.length xs));
+            Deque.push_list my xs;
+            observe_depth my;
+            if Atomic.get t.idlers > 0 then wake_all t
+          end
+
+  let finish t =
+    if Atomic.fetch_and_add t.pending (-1) = 1 then
+      (* last outstanding item: wake sleepers so they can exit *)
+      wake_all t
+
+  (* One seeded-random cyclic sweep over the other deques; [Some] on the
+     first successful steal-half.  [steal] is {!Deque.steal_half} or its
+     unsafe variant in sequential-drive mode. *)
+  let try_steal_gen ~steal t my w rng =
+    let n = Array.length t.deques in
+    if n <= 1 then None
+    else begin
+      let start = Random.State.int rng n in
+      let rec sweep i =
+        if i >= n then None
+        else
+          let v = (start + i) mod n in
+          if v = w then sweep (i + 1)
+          else
+            match steal t.deques.(v) ~into:my with
+            | Some _ as r -> r
+            | None -> sweep (i + 1)
+      in
+      sweep 0
+    end
+
+  let try_steal t my w rng = try_steal_gen ~steal:Deque.steal_half t my w rng
+
+  let take_local () = Telemetry.Counter.incr m_takes
+  let take_stolen () =
+    Telemetry.Counter.incr m_takes;
+    Telemetry.Counter.incr m_steals
+
+  (* Next item for worker [w]: own deque, then steal, then the eventcount
+     sleep described above.  [None] = drained or stopped. *)
+  let rec acquire t my w rng =
+    if Atomic.get t.stop_flag then None
+    else
+      match Deque.pop my with
+      | Some _ as r -> take_local (); r
+      | None ->
+          if Atomic.get t.pending = 0 then None
+          else (
+            match try_steal t my w rng with
+            | Some _ as r -> take_stolen (); r
+            | None ->
+                Telemetry.Counter.incr m_steal_fails;
+                if Atomic.get t.pending = 0 then None
+                else begin
+                  Atomic.incr t.idlers;
+                  Mutex.lock t.lock;
+                  let g0 = t.gen in
+                  Mutex.unlock t.lock;
+                  (* one more scan after registering as idle: items a
+                     producer published without seeing us are guaranteed
+                     visible here *)
+                  let again =
+                    match Deque.pop my with
+                    | Some _ as r -> take_local (); r
+                    | None -> (
+                        match try_steal t my w rng with
+                        | Some _ as r -> take_stolen (); r
+                        | None -> None)
+                  in
+                  match again with
+                  | Some _ ->
+                      Atomic.decr t.idlers;
+                      again
+                  | None ->
+                      if
+                        Atomic.get t.pending > 0
+                        && not (Atomic.get t.stop_flag)
+                      then begin
+                        let t0 =
+                          if Telemetry.metrics_on () then Telemetry.now_ns ()
+                          else 0
+                        in
+                        Mutex.lock t.lock;
+                        while
+                          t.gen = g0
+                          && Atomic.get t.pending > 0
+                          && not (Atomic.get t.stop_flag)
+                        do
+                          Condition.wait t.wake t.lock
+                        done;
+                        Mutex.unlock t.lock;
+                        if t0 <> 0 then
+                          Telemetry.Counter.add m_idle_ns
+                            (Telemetry.now_ns () - t0)
+                      end;
+                      Atomic.decr t.idlers;
+                      acquire t my w rng
+                end)
+
+  (* Build the per-worker deques and spread the seeds round-robin, in
+     index order within each deque (so worker w starts on the
+     lowest-indexed seed it owns — [Reach.Checker] relies on
+     low-index-first preference for its shortest-path-first scan). *)
+  let install ~jobs t =
+    let deques = Array.init jobs (fun _ -> Deque.create ()) in
+    t.deques <- deques;
+    let seeds = t.seeds in
+    t.seeds <- [];
+    let buckets = Array.make jobs [] in
+    List.iteri
+      (fun i x -> buckets.(i mod jobs) <- x :: buckets.(i mod jobs))
+      seeds;
+    Array.iteri (fun w b -> Deque.push_list deques.(w) (List.rev b)) buckets;
+    deques
 
   (* Drain the frontier with [jobs] workers.  [process w slot item] may
      [push]/[push_batch] follow-up items through its slot and may [stop]
@@ -455,92 +330,71 @@ module Frontier = struct
     Fun.protect
       ~finally:(fun () -> Telemetry.Span.exit tm_drain tok)
       (fun () ->
-        match t with
-        | T_mon m ->
-            ignore
-              (run ~jobs (fun w ->
-                   let slot = S_mon m in
-                   let rec loop () =
-                     match Mon.take m with
-                     | None -> ()
-                     | Some item ->
-                         (match process w slot item with
-                         | () -> Mon.finish_item m
-                         | exception e ->
-                             Mon.finish_item m;
-                             Mon.stop m;
-                             raise e);
-                         loop ()
-                   in
-                   loop ()))
-        | T_ws ws ->
-            let deques = Ws.install ~jobs ws in
-            let doms = Stdlib.min jobs (domain_cap ()) in
-            ws.Ws.seq <- doms = 1;
-            if doms = 1 then
-              (* Sequential drive: one effective domain means [run] would
-                 execute the logical workers back to back on the calling
-                 domain anyway, with every push/pop paying mutexes and
-                 pending-counter RMWs that coordinate with nobody.  This
-                 loop is that same schedule — worker 0 drains its own
-                 deque LIFO, then steals the remaining seeds worker by
-                 worker — minus all synchronization, so [jobs > 1] on one
-                 core costs the same as [jobs = 1].  Item-granular
-                 cancellation is preserved (the stop flag is checked
-                 before every item), and so is worker identity (the
-                 callback still sees the logical [w] that owns the
-                 deque).  A failed steal sweep here means global
-                 emptiness, i.e. normal termination — not contention —
-                 so it does not count toward [pool.steal_fails]. *)
-              for w = 0 to jobs - 1 do
-                let my = deques.(w) in
-                let slot = S_ws (ws, my) in
-                let rng = Random.State.make [| 0x5ca1ab1e; w |] in
-                let rec loop () =
-                  if not (Atomic.get ws.Ws.stop_flag) then begin
-                    let item =
-                      match Deque.unsafe_pop my with
-                      | Some _ as r -> Ws.take_local (); r
-                      | None -> (
-                          match
-                            Ws.try_steal_gen ~steal:Deque.unsafe_steal_half
-                              ws my w rng
-                          with
-                          | Some _ as r -> Ws.take_stolen (); r
-                          | None -> None)
-                    in
-                    match item with
-                    | None -> ()
-                    | Some item ->
-                        (match process w slot item with
-                        | () -> ()
-                        | exception e ->
-                            Ws.stop ws;
-                            raise e);
-                        loop ()
-                  end
+        let deques = install ~jobs t in
+        let doms = Stdlib.min jobs (domain_cap ()) in
+        t.seq <- doms = 1;
+        if doms = 1 then
+          (* Sequential drive: one effective domain means [run] would
+             execute the logical workers back to back on the calling
+             domain anyway, with every push/pop paying mutexes and
+             pending-counter RMWs that coordinate with nobody.  This loop
+             is that same schedule — worker 0 drains its own deque LIFO,
+             then steals the remaining seeds worker by worker — minus all
+             synchronization, so [jobs > 1] on one core costs the same as
+             [jobs = 1].  Item-granular cancellation is preserved (the
+             stop flag is checked before every item), and so is worker
+             identity (the callback still sees the logical [w] that owns
+             the deque).  A failed steal sweep here means global
+             emptiness, i.e. normal termination — not contention — so it
+             does not count toward [pool.steal_fails]. *)
+          for w = 0 to jobs - 1 do
+            let my = deques.(w) in
+            let slot = (t, my) in
+            let rng = Random.State.make [| 0x5ca1ab1e; w |] in
+            let rec loop () =
+              if not (Atomic.get t.stop_flag) then begin
+                let item =
+                  match Deque.unsafe_pop my with
+                  | Some _ as r -> take_local (); r
+                  | None -> (
+                      match
+                        try_steal_gen ~steal:Deque.unsafe_steal_half t my w rng
+                      with
+                      | Some _ as r -> take_stolen (); r
+                      | None -> None)
                 in
-                loop ()
-              done
-            else
-              ignore
-                (run ~jobs (fun w ->
-                     let my = deques.(w) in
-                     let slot = S_ws (ws, my) in
-                     let rng = Random.State.make [| 0x5ca1ab1e; w |] in
-                     let rec loop () =
-                       match Ws.acquire ws my w rng with
-                       | None -> ()
-                       | Some item ->
-                           (match process w slot item with
-                           | () -> Ws.finish ws
-                           | exception e ->
-                               Ws.finish ws;
-                               Ws.stop ws;
-                               raise e);
-                           loop ()
-                     in
-                     loop ())))
+                match item with
+                | None -> ()
+                | Some item ->
+                    (match process w slot item with
+                    | () -> ()
+                    | exception e ->
+                        stop t;
+                        raise e);
+                    loop ()
+              end
+            in
+            loop ()
+          done
+        else
+          ignore
+            (run ~jobs (fun w ->
+                 let my = deques.(w) in
+                 let slot = (t, my) in
+                 let rng = Random.State.make [| 0x5ca1ab1e; w |] in
+                 let rec loop () =
+                   match acquire t my w rng with
+                   | None -> ()
+                   | Some item ->
+                       (match process w slot item with
+                       | () -> finish t
+                       | exception e ->
+                           finish t;
+                           stop t;
+                           raise e);
+                       loop ()
+                 in
+                 loop ())))
 end
 
 (* ---- Budget leases ---- *)
@@ -555,8 +409,7 @@ end
    [jobs * chunk] units early when workers hold unspent leases —
    irrelevant in practice because budgets are orders of magnitude larger
    than the lease chunk, and tests only fix behaviour when the budget is
-   not exhausted.  Under BIOMC_NO_WORKSTEAL=1 the chunk is forced to 1,
-   which is bit-for-bit the historical per-box spend. *)
+   not exhausted. *)
 module Lease = struct
   type t = { total : int; chunk : int; taken : int Atomic.t }
   type local = { shared : t; mutable remaining : int }
@@ -565,7 +418,6 @@ module Lease = struct
 
   let create ?(chunk = default_chunk) ~total () =
     if chunk < 1 then invalid_arg "Parallel.Pool.Lease.create: chunk must be >= 1";
-    let chunk = if workstealing_enabled () then chunk else 1 in
     { total; chunk; taken = Atomic.make 0 }
 
   let local t = { shared = t; remaining = 0 }

@@ -21,20 +21,6 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [1, 8]. *)
 
-val workstealing_enabled : unit -> bool
-(** Whether the work-stealing scheduler (per-worker deques, budget
-    leases with chunk > 1, adaptive SMC batches) is active.  Defaults to
-    [true] unless the environment sets [BIOMC_NO_WORKSTEAL=1] (any value
-    {!Telemetry.env_switch} accepts), which restores the PR-1 monitor
-    frontier and per-box budget spends bit-for-bit. *)
-
-val set_workstealing : bool -> unit
-(** Programmatic override (tests, benches); wins over the environment.
-    Affects frontiers and leases created {e after} the call. *)
-
-val clear_workstealing_override : unit -> unit
-(** Drop the {!set_workstealing} override and re-read the environment. *)
-
 val domain_cap : unit -> int
 (** Hardware domain budget: how many domains {!run} keeps runnable at
     once.  Defaults to [Domain.recommended_domain_count ()]. *)
@@ -60,11 +46,11 @@ val run : jobs:int -> (int -> 'a) -> 'a array
 
 (** A shared pool of independent work items, drained concurrently.
 
-    Work-stealing by default: each worker owns a {!Deque}, pushes
-    follow-up items locally (LIFO, so the search stays depth-first-ish),
-    and steals the oldest half of a seeded-randomly chosen victim when
-    dry.  Under [BIOMC_NO_WORKSTEAL=1] the frontier is the historical
-    single monitor queue instead; the API is identical. *)
+    Each worker owns a {!Deque}, pushes follow-up items locally (LIFO,
+    so the search stays depth-first-ish), and steals the oldest half of
+    a seeded-randomly chosen victim when dry.  On one effective domain
+    ([min jobs (domain_cap ()) = 1]) {!drain} runs the same schedule as
+    a plain loop on the calling domain, without synchronization. *)
 module Frontier : sig
   type 'a t
 
@@ -86,10 +72,8 @@ module Frontier : sig
 
   val stop : 'a t -> unit
   (** Cancel: discard queued items and wake all workers.  Items already
-      being processed run to completion (cancellation is item-granular —
-      long-running items poll {!stopped}). *)
-
-  val stopped : 'a t -> bool
+      being processed run to completion (cancellation is
+      item-granular). *)
 
   val drain : jobs:int -> 'a t -> (int -> 'a slot -> 'a -> unit) -> unit
   (** [drain ~jobs t process] runs [jobs] workers until the frontier is
@@ -109,9 +93,7 @@ end
     exceeds [total], and unspent units are returned by
     {!Lease.return_unspent} — the only slack being that exhaustion can
     be declared up to [jobs * chunk] units early while other workers
-    hold unspent leases.  Under [BIOMC_NO_WORKSTEAL=1] the chunk is
-    forced to 1, which is exactly the historical per-box
-    [Atomic.fetch_and_add]. *)
+    hold unspent leases. *)
 module Lease : sig
   type t
   (** The shared budget. *)

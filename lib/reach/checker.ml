@@ -902,39 +902,19 @@ let check_paths config pb prep paths =
 
 let check ?(config = default_config) (pb : Encoding.t) =
   Telemetry.Span.with_ tm_check @@ fun () ->
-  let jrun =
-    if Journal.on () then
-      Journal.begin_run ~kind:"reach"
-        ~flags:(Icp.Search.journal_flags (Stdlib.max 1 config.jobs))
-        ()
-    else 0
+  Icp.Search.journaled ~kind:"reach" ~jobs:config.jobs
+    ~verdict:(function
+      | Unsat _ -> ("unsat", false)
+      | Delta_sat _ -> ("delta-sat", false)
+      | Unknown _ -> ("unknown", true))
+  @@ fun () ->
+  let paths =
+    List.sort
+      (fun a b -> compare (List.length a) (List.length b))
+      (Encoding.candidate_paths pb)
   in
-  let finish r =
-    if jrun <> 0 then
-      Journal.end_run
-        ~truncated:(match r with Unknown _ -> true | _ -> false)
-        ~verdict:
-          (match r with
-          | Unsat _ -> "unsat"
-          | Delta_sat _ -> "delta-sat"
-          | Unknown _ -> "unknown")
-        jrun;
-    r
-  in
-  let body () =
-    let paths =
-      List.sort
-        (fun a b -> compare (List.length a) (List.length b))
-        (Encoding.candidate_paths pb)
-    in
-    Log.info (fun m -> m "checking %d candidate path(s)" (List.length paths));
-    check_paths config pb (prepare_pb pb) paths
-  in
-  match body () with
-  | r -> finish r
-  | exception e ->
-      if jrun <> 0 then Journal.end_run ~truncated:true ~verdict:"error" jrun;
-      raise e
+  Log.info (fun m -> m "checking %d candidate path(s)" (List.length paths));
+  check_paths config pb (prepare_pb pb) paths
 
 (* Universal feasibility on jump-free paths (see the synthesis notes):
    some step of the validated tube certainly meets the goal, and the
@@ -994,13 +974,13 @@ type synthesis = {
 
 let synthesize ?(config = default_config) (pb : Encoding.t) =
   Telemetry.Span.with_ tm_synth @@ fun () ->
-  let jrun =
-    if Journal.on () then
-      Journal.begin_run ~kind:"synth"
-        ~flags:(Icp.Search.journal_flags (Stdlib.max 1 config.jobs))
-        ()
-    else 0
-  in
+  Icp.Search.journaled ~kind:"synth" ~jobs:config.jobs
+    ~verdict:(fun s ->
+      ( Printf.sprintf "synthesis feasible=%d infeasible=%d undecided=%d"
+          (List.length s.feasible) (List.length s.infeasible)
+          (List.length s.undecided),
+        false ))
+  @@ fun () ->
   let paths =
     List.sort
       (fun a b -> compare (List.length a) (List.length b))
@@ -1048,7 +1028,7 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
             ("undecided", Some "sub-epsilon",
              Some (`Undecided (sbox, certify_box sbox)))
   in
-  match
+  let r =
     (* Classification is a pure function of the box, so the leaf set
        does not depend on [jobs] while the budget lasts; only the list
        order does. *)
@@ -1059,28 +1039,13 @@ let synthesize ?(config = default_config) (pb : Encoding.t) =
         Icp.Search.Leaf
           ("undecided", Some "budget-exhaust", Some (`Undecided (sbox, None))))
       classify (searchable_box pb)
-  with
-  | r ->
-      let leaves = r.Icp.Search.leaves in
-      let s =
-        { feasible =
-            List.filter_map (function `Feasible l -> Some l | _ -> None) leaves;
-          infeasible =
-            List.filter_map (function `Infeasible l -> Some l | _ -> None) leaves;
-          undecided =
-            List.filter_map (function `Undecided l -> Some l | _ -> None) leaves }
-      in
-      if jrun <> 0 then
-        Journal.end_run
-          ~verdict:
-            (Printf.sprintf "synthesis feasible=%d infeasible=%d undecided=%d"
-               (List.length s.feasible) (List.length s.infeasible)
-               (List.length s.undecided))
-          jrun;
-      s
-  | exception e ->
-      if jrun <> 0 then Journal.end_run ~truncated:true ~verdict:"error" jrun;
-      raise e
+  in
+  let leaves = r.Icp.Search.leaves in
+  { feasible = List.filter_map (function `Feasible l -> Some l | _ -> None) leaves;
+    infeasible =
+      List.filter_map (function `Infeasible l -> Some l | _ -> None) leaves;
+    undecided =
+      List.filter_map (function `Undecided l -> Some l | _ -> None) leaves }
 
 let pp_synthesis ppf s =
   Fmt.pf ppf "synthesis: %d feasible, %d infeasible, %d undecided boxes"

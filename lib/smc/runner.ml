@@ -176,12 +176,9 @@ let count_successes ~seed ~jobs ~n prob =
    [Sprt.min_remaining] further samples (no shorter batch can decide the
    test), so batches are large while the llr is far from both Wald
    boundaries and shrink as a decision approaches — bounding the
-   speculative samples discarded past the decision point, which the old
-   fixed-32 batches threw away wholesale.  The round structure is a
-   deterministic function of the consumed outcome prefix, so the verdict
-   is still bit-reproducible at a fixed (seed, jobs).  Under
-   BIOMC_NO_WORKSTEAL=1 the batch is pinned at the historical 32 per
-   worker, reproducing the old sample stream exactly. *)
+   speculative samples discarded past the decision point.  The round
+   structure is a deterministic function of the consumed outcome prefix,
+   so the verdict is bit-reproducible at a fixed (seed, jobs). *)
 let test ?(seed = 42) ?(jobs = 1) ?config prob =
   Telemetry.Span.with_ tm_test @@ fun () ->
   if jobs <= 1 then begin
@@ -191,7 +188,6 @@ let test ?(seed = 42) ?(jobs = 1) ?config prob =
   end
   else begin
     let jobs = Stdlib.max 1 jobs in
-    let adaptive = Parallel.Pool.workstealing_enabled () in
     let rngs = Array.init jobs (fun w -> worker_rng ~seed w) in
     let workers = Array.init jobs (fun _ -> compile prob) in
     let buffer = ref [||] (* outcomes so far, in global order *) in
@@ -199,10 +195,8 @@ let test ?(seed = 42) ?(jobs = 1) ?config prob =
       (* round: worker w computes outcomes for its next slice; global
          order interleaves the slices round-robin by worker. *)
       let per_worker =
-        if adaptive then
-          let need = Sprt.min_remaining st in
-          Stdlib.max 1 (Stdlib.min 256 ((need + jobs - 1) / jobs))
-        else 32
+        let need = Sprt.min_remaining st in
+        Stdlib.max 1 (Stdlib.min 256 ((need + jobs - 1) / jobs))
       in
       Telemetry.Counter.incr m_batches;
       Telemetry.Span.with_ ~arg:(float_of_int (jobs * per_worker)) tm_batch

@@ -168,31 +168,20 @@ let pp_result ppf r =
 
 let synthesize ?(config = default_config) prob =
   Telemetry.Span.with_ tm_synth @@ fun () ->
-  let jobs = Stdlib.max 1 config.jobs in
-  let jrun =
-    if Journal.on () then
-      Journal.begin_run ~kind:"synth" ~flags:(Icp.Search.journal_flags jobs) ()
-    else 0
-  in
-  let jon = jrun <> 0 in
-  let finish result =
-    if jon then
-      Journal.end_run
-        ~verdict:
-          (Printf.sprintf "synthesis consistent=%d inconsistent=%d undecided=%d"
-             (List.length result.consistent)
-             (List.length result.inconsistent)
-             (List.length result.undecided))
-        jrun;
-    result
-  in
-  let body () =
+  Icp.Search.journaled ~kind:"synth" ~jobs:config.jobs
+    ~verdict:(fun result ->
+      ( Printf.sprintf "synthesis consistent=%d inconsistent=%d undecided=%d"
+          (List.length result.consistent)
+          (List.length result.inconsistent)
+          (List.length result.undecided),
+        false ))
+  @@ fun () ->
   let prepared = Ode.Enclosure.prepare prob.sys in
   let group = problem_group config prob in
   (* [classify] is a pure function of the box, so the leaf set does not
      depend on [jobs] while the budget lasts; only the list order does. *)
   let r =
-    Icp.Search.run ~jobs
+    Icp.Search.run ~jobs:config.jobs
       ~budget:(Icp.Search.budget config.max_boxes)
       ~heur:"bisect"
       ~exhausted:(fun pbox ->
@@ -226,12 +215,6 @@ let synthesize ?(config = default_config) prob =
         (List.length result.inconsistent)
         (List.length result.undecided));
   result
-  in
-  match body () with
-  | r -> finish r
-  | exception e ->
-      if jon then Journal.end_run ~truncated:true ~verdict:"error" jrun;
-      raise e
 
 (* The model is falsified when no parameter box survives. *)
 let falsified r = r.consistent = [] && r.undecided = []

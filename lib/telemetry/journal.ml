@@ -779,6 +779,12 @@ let audit f =
       | Tube { run; _ } | Path { run; _ } | Seg { run; _ } ->
           check_run run)
     f.f_records;
+  (* a run without an end record was left open: its query raised past
+     it, or the journal lost its tail *)
+  List.iter
+    (fun (r : run_info) ->
+      if Option.is_none r.verdict then add "run %d (%s): no end record" r.rid r.kind)
+    (runs f);
   (* structural checks per node *)
   let sorted_bounds (b : bounds) =
     Array.to_list b |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)

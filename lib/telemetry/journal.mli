@@ -258,13 +258,13 @@ val leaf_bounds_fingerprint : bounds list -> string
 
 val audit : forest -> string list
 (** Soundness audit; [[]] means clean.  Checks, per run: every record
-    references a known run; split children exist, are distinct and
-    partition the split box (adjacent on the split variable, identical
-    elsewhere), which is itself contained in the parent's entered
-    bounds; every node has at most one outcome; in every un-truncated
-    pave or synth run, and every un-truncated decide run whose verdict
-    is unsat, every reachable node is accounted for (split or
-    terminal); prune reasons are consistent with the run
+    references a known run; the run has an end record; split children
+    exist, are distinct and partition the split box (adjacent on the
+    split variable, identical elsewhere), which is itself contained in
+    the parent's entered bounds; every node has at most one outcome; in
+    every un-truncated pave or synth run, and every un-truncated decide
+    run whose verdict is unsat, every reachable node is accounted for
+    (split or terminal); prune reasons are consistent with the run
     header's flag snapshot (["newton"]/["mean-value"] need the newton
     flag, ["tm-refute"] the tm flag, ["cache-replay"] the cache flag,
     and ["affine-refute"] — found in journals written while the affine

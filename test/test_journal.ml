@@ -574,6 +574,27 @@ let test_audit_layer_reasons_every_kind () =
         layers)
     [ "decide"; "pave"; "reach"; "synth" ]
 
+(* A decide journal with its end record dropped: the audit names the
+   open run. *)
+let test_audit_rejects_open_run () =
+  J.set_sink J.Memory;
+  let sq = Box.of_list [ ("x", I.make (-2.0) 2.0); ("y", I.make (-2.0) 2.0) ] in
+  ignore (S.decide (formula "x^2 + y^2 = 1 and x*y = 1") sq);
+  let lines = String.split_on_char '\n' (J.contents ()) in
+  let is_end l = contains l "\"k\":\"end\"" in
+  Alcotest.(check int) "one end record" 1 (List.length (List.filter is_end lines));
+  match J.of_string (String.concat "\n" (List.filter (fun l -> not (is_end l)) lines)) with
+  | Error e -> Alcotest.failf "journal parse: %s" e
+  | Ok records ->
+      let forest = J.reconstruct records in
+      let run = the_run forest in
+      let problems = J.audit forest in
+      Alcotest.(check bool)
+        (Printf.sprintf "audit names run %d in %s" run.J.rid
+           (String.concat "; " problems))
+        true
+        (List.exists (fun p -> contains p (Printf.sprintf "run %d " run.J.rid)) problems)
+
 (* ---- disabled mode is a no-op ---- *)
 
 let test_disabled_noop () =
@@ -590,6 +611,59 @@ let test_disabled_noop () =
   Alcotest.(check string) "verdict bit-identical"
     (Fmt.str "%a" S.pp_result r_off)
     (Fmt.str "%a" S.pp_result r_on)
+
+(* Every journaled entry point, on a problem that names an unbound
+   variable, raises and ends its run as a truncated "error", leaving no
+   run open. *)
+let test_raising_queries_end_their_runs () =
+  let x = Box.of_list [ ("x", I.make 0.0 1.0) ] in
+  let decay_k =
+    Ode.System.of_strings ~vars:[ "x" ] ~params:[ "k" ] ~rhs:[ ("x", "-k*x") ]
+  in
+  let unbound_goal =
+    E.create
+      ~param_box:(Box.of_list [ ("k", I.make 0.1 3.0) ])
+      ~goal:{ E.goal_modes = []; predicate = formula "x + z <= 0.3" }
+      ~k:0 ~time_bound:1.0
+      (A.of_system ~init:(Box.of_list [ ("x", I.of_float 1.0) ]) decay_k)
+  in
+  let fit =
+    Synth.Biopsy.problem ~sys:decay_k
+      ~param_box:(Box.of_list [ ("k", I.make 0.5 1.5) ])
+      ~init:(Box.of_list [ ("x", I.of_float 1.0) ])
+      ~data:
+        [ Synth.Data.point ~time:1.0 ~var:"x" ~value:(Float.exp (-1.0))
+            ~tolerance:0.1 ]
+  in
+  let queries =
+    [ ("decide", fun () -> ignore (S.decide (formula "x + z >= 1") x));
+      ("pave", fun () -> ignore (S.pave (formula "x + z >= 1") x));
+      ("reach", fun () -> ignore (C.check unbound_goal));
+      ("synth", fun () -> ignore (C.synthesize unbound_goal));
+      ( "synth",
+        fun () ->
+          (* the data names [z], which [problem] would reject *)
+          ignore
+            (Synth.Biopsy.synthesize
+               { fit with
+                 Synth.Biopsy.data =
+                   [ Synth.Data.point ~time:1.0 ~var:"z" ~value:0.5
+                       ~tolerance:0.1 ] }) ) ]
+  in
+  List.iter
+    (fun (kind, query) ->
+      J.set_sink J.Memory;
+      J.reset ();
+      (match query () with
+      | () -> Alcotest.failf "%s: expected the unbound variable to raise" kind
+      | exception _ -> ());
+      Alcotest.(check bool) (kind ^ ": no run left open") false (J.in_run ());
+      let _, forest = load_forest () in
+      let run = the_run forest in
+      Alcotest.(check string) "kind" kind run.J.kind;
+      Alcotest.(check (option string)) (kind ^ ": verdict") (Some "error") run.J.verdict;
+      Alcotest.(check bool) (kind ^ ": truncated") true run.J.truncated)
+    queries
 
 let () =
   Alcotest.run "journal"
@@ -625,7 +699,11 @@ let () =
          Alcotest.test_case "layer prune reasons on every run kind" `Quick
            (clean test_audit_layer_reasons_every_kind);
          Alcotest.test_case "budget flags are positive integers" `Quick
-           (clean test_audit_budget_flags) ]);
+           (clean test_audit_budget_flags);
+         Alcotest.test_case "names a run with no end record" `Quick
+           (clean test_audit_rejects_open_run) ]);
       ("discipline",
        [ Alcotest.test_case "disabled journaling is a no-op" `Quick
-           (clean test_disabled_noop) ]) ]
+           (clean test_disabled_noop);
+         Alcotest.test_case "a raising query ends its run" `Quick
+           (clean test_raising_queries_end_their_runs) ]) ]

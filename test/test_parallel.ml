@@ -39,10 +39,6 @@ let with_domain_cap n f =
   Parallel.Pool.set_domain_cap (Some n);
   Fun.protect ~finally:(fun () -> Parallel.Pool.set_domain_cap saved) f
 
-let with_workstealing b f =
-  Parallel.Pool.set_workstealing b;
-  Fun.protect ~finally:Parallel.Pool.clear_workstealing_override f
-
 (* ---- Pool primitives ---- *)
 
 let test_run_worker_order () =
@@ -235,20 +231,6 @@ let test_lease_partial_return () =
     incr n
   done;
   Alcotest.(check int) "remainder spendable" 970 !n
-
-let test_lease_legacy_chunk_one () =
-  (* With work-stealing disabled the lease degenerates to the historical
-     per-box atomic: chunk forced to 1, same exact accounting. *)
-  with_workstealing false @@ fun () ->
-  let lease = Parallel.Pool.Lease.create ~chunk:64 ~total:100 () in
-  let l = Parallel.Pool.Lease.local lease in
-  let n = ref 0 in
-  while Parallel.Pool.Lease.spend l do
-    incr n
-  done;
-  Parallel.Pool.Lease.return_unspent l;
-  Alcotest.(check int) "exactly total spends" 100 !n;
-  Alcotest.(check int) "consumed exact" 100 (Parallel.Pool.Lease.consumed lease)
 
 (* ---- decide: parallel vs sequential verdict kinds ---- *)
 
@@ -622,60 +604,57 @@ let test_sprt_min_remaining_lower_bound () =
     end
   done
 
-(* ---- Work-stealing off/on differential ---- *)
+(* ---- One scheduler, two drives ---- *)
 
-(* The monitor fallback and the deque scheduler must produce the same
-   verdicts, leaf sets, and (jobs-stable) SMC decisions. *)
+(* At jobs = 2 a domain cap of 1 runs the frontier's sequential drive and
+   multiplexes Pool.run's workers on the calling domain; a cap of 2 runs
+   the threaded deque drive on two domains.  Results must not depend on
+   which drive ran (pool.mli's determinism contracts). *)
 
-let test_workstealing_differential_decide () =
+let on_both_drives run = (with_domain_cap 1 run, with_domain_cap 2 run)
+
+let test_drives_decide () =
   let f = P.formula "x^2 + y^2 <= 1 and x + y >= 3" in
   let bx = box [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ] in
-  let run () =
-    verdict_kind (S.decide ~config:{ S.default_config with jobs = 2 } f bx)
+  let seq, thr =
+    on_both_drives (fun () ->
+        verdict_kind (S.decide ~config:{ S.default_config with jobs = 2 } f bx))
   in
-  let on = run () in
-  let off = with_workstealing false run in
-  Alcotest.(check string) "decide verdict off = on" off on
+  Alcotest.(check string) "decide verdict cap 1 = cap 2" seq thr
 
-let test_workstealing_differential_pave () =
+let test_drives_pave () =
   let f = P.formula "x^2 + y^2 <= 1" in
   let bx = box [ ("x", -1.0, 1.0); ("y", -1.0, 1.0) ] in
   let config = { S.default_config with epsilon = 0.05; jobs = 2 } in
   let over = [ "x"; "y" ] in
-  let run () = S.pave ~config f bx in
-  let on = run () in
-  let off = with_workstealing false run in
+  let (seq, seq_stats), (thr, thr_stats) =
+    on_both_drives (fun () -> S.pave_with_stats ~config f bx)
+  in
+  Alcotest.(check int) "boxes_processed cap 1 = cap 2"
+    seq_stats.S.boxes_processed thr_stats.S.boxes_processed;
   List.iter
     (fun (label, proj) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s leaves off = on" label)
+        (Printf.sprintf "%s leaves cap 1 = cap 2" label)
         true
-        (sort_boxes over (proj on) = sort_boxes over (proj off)))
+        (sort_boxes over (proj seq) = sort_boxes over (proj thr)))
     [ ("sat", fun (p : S.paving) -> p.S.sat);
       ("unsat", fun p -> p.S.unsat);
       ("undecided", fun p -> p.S.undecided) ]
 
-let test_workstealing_differential_smc () =
-  (* Adaptive and fixed-32 batching consume the worker streams at
-     different offsets, so sample counts may differ; the verdict on a
-     clear-cut property must not. *)
+let test_drives_smc () =
   let prob = smc_problem () in
-  let kind = function
-    | Smc.Sprt.Accept -> "accept"
-    | Smc.Sprt.Reject -> "reject"
-    | Smc.Sprt.Inconclusive -> "inconclusive"
+  let seq, thr = on_both_drives (fun () -> Smc.Runner.test ~seed:11 ~jobs:2 prob) in
+  Alcotest.(check bool) "sprt verdict cap 1 = cap 2" true
+    (seq.Smc.Sprt.verdict = thr.Smc.Sprt.verdict);
+  Alcotest.(check int) "sprt samples cap 1 = cap 2" seq.Smc.Sprt.samples_used
+    thr.Smc.Sprt.samples_used;
+  let seq, thr =
+    on_both_drives (fun () ->
+        Smc.Runner.estimate ~seed:7 ~jobs:2 ~eps:0.1 ~alpha:0.05 prob)
   in
-  let run () = kind (Smc.Runner.test ~seed:11 ~jobs:2 prob).Smc.Sprt.verdict in
-  let on = run () in
-  let off = with_workstealing false run in
-  Alcotest.(check string) "smc verdict off = on" off on;
-  (* and the estimator path is stream-identical (fan_out is untouched by
-     the scheduler choice) *)
-  let est () = Smc.Runner.estimate ~seed:7 ~jobs:2 ~eps:0.1 ~alpha:0.05 prob in
-  let e_on = est () in
-  let e_off = with_workstealing false est in
-  Alcotest.(check (float 0.0)) "estimate p_hat off = on" e_off.Smc.Estimate.p_hat
-    e_on.Smc.Estimate.p_hat
+  Alcotest.(check (float 0.0)) "estimate p_hat cap 1 = cap 2"
+    seq.Smc.Estimate.p_hat thr.Smc.Estimate.p_hat
 
 let () =
   Alcotest.run "parallel"
@@ -699,19 +678,15 @@ let () =
       ( "lease",
         [ Alcotest.test_case "exact consumption" `Quick
             test_lease_exact_consumption;
-          Alcotest.test_case "partial return" `Quick test_lease_partial_return;
-          Alcotest.test_case "legacy chunk=1" `Quick test_lease_legacy_chunk_one ] );
+          Alcotest.test_case "partial return" `Quick test_lease_partial_return ] );
       ( "sprt-state",
         [ Alcotest.test_case "state fold = run" `Quick test_sprt_state_matches_run;
           Alcotest.test_case "min_remaining lower bound" `Quick
             test_sprt_min_remaining_lower_bound ] );
-      ( "workstealing-differential",
-        [ Alcotest.test_case "decide off = on" `Quick
-            test_workstealing_differential_decide;
-          Alcotest.test_case "pave off = on" `Quick
-            test_workstealing_differential_pave;
-          Alcotest.test_case "smc off = on" `Quick
-            test_workstealing_differential_smc ] );
+      ( "sequential-threaded-drive",
+        [ Alcotest.test_case "decide cap 1 = cap 2" `Quick test_drives_decide;
+          Alcotest.test_case "pave cap 1 = cap 2" `Quick test_drives_pave;
+          Alcotest.test_case "smc cap 1 = cap 2" `Quick test_drives_smc ] );
       ( "decide",
         [ Alcotest.test_case "sqrt2" `Quick test_decide_sqrt2;
           Alcotest.test_case "geometric unsat" `Quick test_decide_geom_unsat;

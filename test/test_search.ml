@@ -22,7 +22,12 @@
    and once more when it stopped integrating a second time a complete
    tube the gate had rejected: each time the change's rendering is the
    parent's without the tube records that repeated the one just before
-   them, every other line identical. *)
+   them, every other line identical.
+
+   Four of the pinned queries run again at jobs = 2 on two domains,
+   where the frontier's schedule varies from run to run: while the
+   budget lasts, the verdict, the sorted leaves and the box counts must
+   be those of the pinned jobs = 1 run. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -58,7 +63,8 @@ let unstamp line =
   in
   find (String.length line - k)
 
-(* Run [f] with the journal in the memory sink; its result and records. *)
+(* Run [f] with the journal in the memory sink; its result and the
+   journal's text. *)
 let journaled f =
   J.set_sink J.Memory;
   J.reset ();
@@ -68,11 +74,45 @@ let journaled f =
       J.clear_sink_override ())
   @@ fun () ->
   let r = f () in
-  let records =
-    List.map unstamp
-      (List.filter (fun l -> l <> "") (String.split_on_char '\n' (J.contents ())))
+  (r, J.contents ())
+
+(* The records in order, without their stamps. *)
+let records journal =
+  List.map unstamp (List.filter (fun l -> l <> "") (String.split_on_char '\n' journal))
+
+(* A journaled query's rendering, whose digest is pinned at jobs = 1,
+   and the verdict line and journal text behind it. *)
+type report = { rendering : string; head : string; journal : string }
+
+(* What no schedule moves while the budget lasts: the verdict line with
+   the numbers of entered, split and pruned boxes, and the leaf boxes
+   with their outcomes, sorted. *)
+let schedule_free r =
+  let nodes =
+    match J.of_string r.journal with
+    | Ok rs -> J.nodes (J.reconstruct rs)
+    | Error e -> Alcotest.fail e
   in
-  (r, records)
+  let count p = List.length (List.filter p nodes) in
+  let leaf (n : J.node) =
+    let box =
+      String.concat ";"
+        (List.map
+           (fun (x, lo, hi) -> Printf.sprintf "%s=[%h,%h]" x lo hi)
+           (Array.to_list (Option.value n.J.bounds ~default:[||])))
+    in
+    match n.J.outcome with
+    | Some (J.O_prune (reason, _)) -> Some ("prune " ^ reason ^ " " ^ box)
+    | Some (J.O_leaf (cls, _)) -> Some (cls ^ " " ^ box)
+    | Some (J.O_sat _) -> Some ("sat " ^ box)
+    | Some J.O_split | None -> None
+  in
+  ( Printf.sprintf "%s entered=%d splits=%d prunes=%d" r.head
+      (count (fun n -> n.J.entered))
+      (count (fun n -> n.J.outcome = Some J.O_split))
+      (count (fun n ->
+           match n.J.outcome with Some (J.O_prune _) -> true | _ -> false)),
+    List.sort compare (List.filter_map leaf nodes) )
 
 let pinned f () =
   Cache.set_enabled false;
@@ -141,31 +181,35 @@ let biopsy_leaves (r : B.result) =
 
 (* ---- the queries ---- *)
 
+let report head body journal =
+  { rendering = lines head (body @ records journal); head; journal }
+
 let decide ?(config = S.default_config) f b () =
-  let (r, s), records =
+  let (r, s), journal =
     journaled (fun () -> S.decide_with_stats ~config (P.formula f) (box b))
   in
-  lines (decide_verdict r) (stats s :: records)
+  report (decide_verdict r) [ stats s ] journal
 
 let pave ?(config = S.default_config) f b () =
-  let (p, s), records =
+  let (p, s), journal =
     journaled (fun () -> S.pave_with_stats ~config (P.formula f) (box b))
   in
-  lines "paving" ((stats s :: paving_leaves p) @ records)
+  report "paving" (stats s :: paving_leaves p) journal
 
 let check ?(config = C.default_config) pb () =
-  let r, records = journaled (fun () -> C.check ~config pb) in
-  lines (reach_verdict r) records
+  let r, journal = journaled (fun () -> C.check ~config pb) in
+  report (reach_verdict r) [] journal
 
 let synthesize ?(config = C.default_config) pb () =
-  let s, records = journaled (fun () -> C.synthesize ~config pb) in
-  lines "synthesis" (synthesis_leaves s @ records)
+  let s, journal = journaled (fun () -> C.synthesize ~config pb) in
+  report "synthesis" (synthesis_leaves s) journal
 
 let biopsy ?(config = B.default_config) prob () =
-  let r, records = journaled (fun () -> B.synthesize ~config prob) in
-  lines
-    (Printf.sprintf "biopsy explored=%d" r.B.boxes_explored)
-    (biopsy_leaves r @ records)
+  let r, journal = journaled (fun () -> B.synthesize ~config prob) in
+  report (Printf.sprintf "biopsy explored=%d" r.B.boxes_explored) (biopsy_leaves r)
+    journal
+
+let rendering query () = (query ()).rendering
 
 (* Budget-exhausting runs: verdict and sorted leaf set. *)
 let exhausted_decide config f b () =
@@ -249,35 +293,52 @@ let impulse_fit =
 
 let impulse_box = [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ]
 
+(* The queries the scheduler test runs at jobs = 1 and 2; none exhausts
+   its budget. *)
+let scheduled =
+  [ ( "decide unsat",
+      fun jobs -> decide ~config:{ S.default_config with jobs } circle_hyperbola wider );
+    ( "pave impulse fit, workload epsilon",
+      fun jobs ->
+        pave ~config:{ S.default_config with epsilon = 0.002; jobs } impulse_fit
+          impulse_box );
+    ( "synthesize",
+      fun jobs ->
+        synthesize ~config:{ C.default_config with epsilon = 0.1; jobs }
+          decay_threshold );
+    ( "biopsy",
+      fun jobs -> biopsy ~config:{ B.default_config with epsilon = 0.05; jobs } decay_fit
+    ) ]
+
+let at_jobs_1 name = rendering (List.assoc name scheduled 1)
+
 (* (name, query, digest of its rendering computed on the parent). *)
 let queries =
   [ ( "decide delta-sat",
-      decide "x^2 + y^2 = 1 and y = x^2" square,
+      rendering (decide "x^2 + y^2 = 1 and y = x^2" square),
       "96dcfc3f0fa73abaed4fe7883d9f32a4" );
     ( "decide delta-sat, one variable",
-      decide "x^3 - x = 1/4" [ ("x", -2.0, 2.0) ],
+      rendering (decide "x^3 - x = 1/4" [ ("x", -2.0, 2.0) ]),
       "b2ef90a9f16b6e9063ecc6514f60ea6d" );
-    ("decide unsat", decide circle_hyperbola wider, "263e5f0809cdc5cf27bbcc2c30854155");
+    ("decide unsat", at_jobs_1 "decide unsat", "263e5f0809cdc5cf27bbcc2c30854155");
     ( "decide dnf",
-      decide ("(" ^ circle_hyperbola ^ ") or (x^2 + y^2 = 1 and y = x^2)") wider,
+      rendering
+        (decide ("(" ^ circle_hyperbola ^ ") or (x^2 + y^2 = 1 and y = x^2)") wider),
       "f234b3ba1ca781a9ff7bcb7c7d836348" );
     ( "pave",
-      pave ~config:{ S.default_config with epsilon = 0.1 } "x^2 + y^2 <= 1" wide,
+      rendering
+        (pave ~config:{ S.default_config with epsilon = 0.1 } "x^2 + y^2 <= 1" wide),
       "c875121e3aab20cb1d749c72b0b0f686" );
-    ("check delta-sat", check switch_sat, "5182bd92021eefb72af7797c55a946f3");
-    ("check unsat", check switch_unsat, "59db4d2fcadb1263f5f75207286bb3f9");
+    ("check delta-sat", rendering (check switch_sat), "5182bd92021eefb72af7797c55a946f3");
+    ("check unsat", rendering (check switch_unsat), "59db4d2fcadb1263f5f75207286bb3f9");
     ( "check parameterized delta-sat",
-      check decay_threshold,
+      rendering (check decay_threshold),
       "848babd09ea9c9d3488ff42172c11085" );
     ( "check parameterized unsat",
-      check decay_slow,
+      rendering (check decay_slow),
       "150c6b730468cd917e7be78104ccdd28" );
-    ( "synthesize",
-      synthesize ~config:{ C.default_config with epsilon = 0.1 } decay_threshold,
-      "5998c9435cec0db3893c601856dacc52" );
-    ( "biopsy",
-      biopsy ~config:{ B.default_config with epsilon = 0.05 } decay_fit,
-      "58fe145032951dcf2db25b34bcbdc0ee" );
+    ("synthesize", at_jobs_1 "synthesize", "5998c9435cec0db3893c601856dacc52");
+    ("biopsy", at_jobs_1 "biopsy", "58fe145032951dcf2db25b34bcbdc0ee");
     ( "decide exhausted",
       exhausted_decide { S.default_config with max_boxes = 5 } circle_hyperbola wider,
       "0327fe6c16fe4343364edf9ad4e3868c" );
@@ -295,21 +356,39 @@ let queries =
         decay_threshold,
       "dd3d816f619e5c7c9b08b18d68677a11" );
     ( "pave impulse fit",
-      pave ~config:{ S.default_config with epsilon = 0.05 } impulse_fit
-        impulse_box,
+      rendering
+        (pave ~config:{ S.default_config with epsilon = 0.05 } impulse_fit impulse_box),
       "a60340adb8d1a71aad5a59cc58b968b0" );
     ( "pave impulse fit, workload epsilon",
-      pave ~config:{ S.default_config with epsilon = 0.002 } impulse_fit
-        impulse_box,
+      at_jobs_1 "pave impulse fit, workload epsilon",
       "d6dd1cc40aa640fcc31137902c88f52e" );
     ( "decide two-sided band",
-      decide "x^3 - x >= 0.2 and x^3 - x <= 0.25" [ ("x", -2.0, 2.0) ],
+      rendering (decide "x^3 - x >= 0.2 and x^3 - x <= 0.25" [ ("x", -2.0, 2.0) ]),
       "84b180b2088faf9c81e4fee7c51ed8ff" );
     ( "biopsy exhausted",
       exhausted_biopsy
         { B.default_config with epsilon = 0.05; max_boxes = 6 }
         decay_fit,
       "ef2e8e16d9c021603b3743df0c70a843" ) ]
+
+let digest s = Digest.to_hex (Digest.string s)
+
+(* The jobs = 1 run must still render to its pinned digest, and the
+   jobs = 2 run on two domains must share its schedule-free part. *)
+let same_at_jobs_2 name query () =
+  let _, _, pin = List.find (fun (n, _, _) -> n = name) queries in
+  let one = query 1 () in
+  Alcotest.(check string) (name ^ " at jobs=1") pin (digest one.rendering);
+  Parallel.Pool.set_domain_cap (Some 2);
+  let two =
+    Fun.protect ~finally:(fun () -> Parallel.Pool.set_domain_cap None) (query 2)
+  in
+  let counts1, leaves1 = schedule_free one and counts2, leaves2 = schedule_free two in
+  Alcotest.(check string) (name ^ ": verdict and counts at jobs=2") counts1 counts2;
+  Alcotest.(check string)
+    (name ^ ": sorted leaves at jobs=2")
+    (digest (String.concat "\n" leaves1))
+    (digest (String.concat "\n" leaves2))
 
 let () =
   Alcotest.run "search"
@@ -318,6 +397,10 @@ let () =
           (fun (name, render, expected) ->
             Alcotest.test_case name `Quick
               (pinned (fun () ->
-                   Alcotest.(check string) name expected
-                     (Digest.to_hex (Digest.string (render ()))))))
-          queries ) ]
+                   Alcotest.(check string) name expected (digest (render ())))))
+          queries );
+      ( "jobs=2 = jobs=1",
+        List.map
+          (fun (name, query) ->
+            Alcotest.test_case name `Quick (pinned (same_at_jobs_2 name query)))
+          scheduled ) ]

@@ -571,8 +571,8 @@ let test_runner_hybrid_model () =
    workload, at seeds 0-2 and jobs 1 and 2.  The expected lines were
    computed when every sample still integrated to [t_end] into a stored
    trace: reading the stepper on demand and stopping at the verdict must
-   not move one Bernoulli outcome.  Work stealing is pinned on because
-   it sizes the jobs = 2 SPRT batches. *)
+   not move one Bernoulli outcome.  The jobs = 2 SPRT counts also pin
+   the adaptive batch sizes. *)
 
 let p53_regimes = [ ("0.0-0.1", 0.0, 0.1); ("0.1-0.5", 0.1, 0.5); ("0.5-1.5", 0.5, 1.5) ]
 
@@ -628,8 +628,6 @@ let p53_expected =
     "j2 s2 0.5-1.5: 185/185 accept@37 100/100" ]
 
 let test_p53_outcomes () =
-  Parallel.Pool.set_workstealing true;
-  Fun.protect ~finally:Parallel.Pool.clear_workstealing_override @@ fun () ->
   Alcotest.(check (list string)) "p53 outcomes" p53_expected (p53_outcomes ())
 
 (* The Chernoff estimate of perfbench's 0.1-0.5 regime (eps 0.02, 4,612

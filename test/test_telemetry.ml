@@ -322,10 +322,6 @@ let test_env_switch_values () =
         fun () ->
           Interval.Tm.clear_enabled_override ();
           Interval.Tm.enabled () );
-      ( "BIOMC_NO_WORKSTEAL",
-        fun () ->
-          Parallel.Pool.clear_workstealing_override ();
-          Parallel.Pool.workstealing_enabled () );
       ( "BIOMC_NO_CACHE",
         fun () ->
           Cache.clear_enabled_override ();
