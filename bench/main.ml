@@ -900,7 +900,7 @@ let t1 () =
         (List.init 8 Fun.id)
     in
     let run () =
-      let contract = Icp.Contractor.contractor ~max_rounds:20 cs in
+      let contract = Icp.Contractor.(contractor ~max_rounds:20 (compile cs)) in
       List.fold_left
         (fun acc b -> if Option.is_none (contract b) then acc + 1 else acc)
         0 grid

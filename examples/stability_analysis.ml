@@ -31,9 +31,14 @@ let () =
         [ Fmt.str "[%.2f, %.2f]" lo hi; Fmt.str "%a" Core.Robustness.pp_verdict v ])
       sweep
   in
-  let threshold =
+  let threshold, probes =
     Core.Robustness.threshold ~goal ~k:3 ~time_bound:100.0 ~lo:0.05 ~hi:0.5 ~tol:0.02
       (fun a -> make (a, a +. 0.001))
+  in
+  let probe_rows =
+    List.map
+      (fun (a, v) -> [ Fmt.str "%.4f" a; Fmt.str "%a" Core.Robustness.pp_verdict v ])
+      probes
   in
   (* --- Lyapunov certificates for the relaxation networks --- *)
   let lyap_rows =
@@ -62,6 +67,7 @@ let () =
         (match threshold with
         | Some t -> Fmt.str "%.3f (model threshold theta_v = 0.3)" t
         | None -> "not found");
+      Report.table ~header:[ "bisection probe"; "verdict" ] probe_rows;
       Report.rule;
       Report.heading "Lyapunov stability via exists-forall delta-decisions";
       Report.table

@@ -47,20 +47,23 @@ let sweep ?config ~goal ~k ~time_bound make ranges =
   List.map (fun r -> (r, classify ?config ~goal ~k ~time_bound make r)) ranges
 
 (* Locate the threshold by bisection on a scalar amplitude, assuming
-   monotonicity (higher amplitude ⇒ more excitable). *)
+   monotonicity (higher amplitude ⇒ more excitable); every probe's
+   verdict is kept as its step's evidence. *)
 let threshold ?config ~goal ~k ~time_bound ~lo ~hi ?(tol = 1e-2) make =
+  let probes = ref [] in
   let is_excitable a =
-    match classify ?config ~goal ~k ~time_bound make a with
-    | Excitable _ -> true
-    | Robust _ | Borderline _ -> false
+    let v = classify ?config ~goal ~k ~time_bound make a in
+    probes := (a, v) :: !probes;
+    match v with Excitable _ -> true | Robust _ | Borderline _ -> false
   in
-  if is_excitable lo then Some lo
-  else if not (is_excitable hi) then None
-  else begin
-    let lo = ref lo and hi = ref hi in
-    while !hi -. !lo > tol do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if is_excitable mid then hi := mid else lo := mid
-    done;
-    Some !hi
-  end
+  let rec bisect lo hi =
+    if not (hi -. lo > tol) then hi
+    else
+      let mid = 0.5 *. (lo +. hi) in
+      if is_excitable mid then bisect lo mid else bisect mid hi
+  in
+  let t =
+    if is_excitable lo then Some lo
+    else if is_excitable hi then Some (bisect lo hi) else None
+  in
+  (t, List.rev !probes)

@@ -39,7 +39,10 @@ val threshold :
   hi:float ->
   ?tol:float ->
   (float -> Hybrid.Automaton.t) ->
-  float option
-(** Bisection on a scalar amplitude, assuming monotone excitability. *)
+  float option * (float * verdict) list
+(** Bisection on a scalar amplitude, assuming monotone excitability: the
+    threshold ([None] when [hi] is not [Excitable]) and every probe's
+    amplitude and verdict, in order; the bisection reads [Robust] and
+    [Borderline] alike as not excitable. *)
 
 val pp_verdict : verdict Fmt.t

@@ -673,6 +673,10 @@ let eval_tm_into tp sc ~inputs ~out =
     out.(k) <- T.concretize sc.tms.(tp.roots.(k))
   done
 
+let eval_tm tp sc inputs =
+  forward_tm tp sc inputs;
+  sc.tms.(tp.roots.(0))
+
 (* Intersect the interval slot enclosures (left by [forward_intervals])
    with the concretized TM slot ranges.  Returns [true] iff some slot
    strictly tightened.  An empty intersection certifies that the slot's

@@ -154,6 +154,10 @@ val eval_tm_into : t -> scratch -> inputs:I.t array -> out:I.t array -> unit
 (** Evaluate every root as a Taylor model over the input box and store
     the concretized range of root [k] in [out.(k)]. *)
 
+val eval_tm : t -> scratch -> I.t array -> Interval.Tm.t
+(** Root 0's Taylor model over the input box (the model whose range
+    {!eval_tm_into} stores), for a caller that applies one more step. *)
+
 val smooth_on : t -> scratch -> bool
 (** Must be called directly after an interval evaluation over a box
     ([eval_interval]/[eval_interval_into] with the box's component

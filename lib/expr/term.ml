@@ -183,11 +183,6 @@ let fingerprint_acc buf t =
   in
   go t
 
-let fingerprint t =
-  let buf = Buffer.create 128 in
-  fingerprint_acc buf t;
-  Buffer.contents buf
-
 (* ---- Mapping and substitution ---- *)
 
 let rec map_vars f = function

@@ -91,14 +91,9 @@ val mentions : string -> t -> bool
 val equal : t -> t -> bool
 (** Structural equality. *)
 
-val fingerprint : t -> string
-(** Canonical injective serialization (floats rendered exactly with %h):
-    two terms share a fingerprint iff they are structurally equal.  Used
-    as a collision-safe memoization key (cache groups, per-query tape
-    tables). *)
-
 val fingerprint_acc : Buffer.t -> t -> unit
-(** {!fingerprint} into an existing buffer (for composite keys). *)
+(** Append the term's canonical injective serialization (floats exact,
+    %h) to the buffer: equal strings iff structurally equal terms. *)
 
 (** {1 Transformation} *)
 

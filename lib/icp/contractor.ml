@@ -229,7 +229,8 @@ let bound_of : Expr.Term.t -> bound = function
   | Neg e -> { e; lower = false; c = 0.0 }
   | e -> { e; lower = true; c = 0.0 }
 
-let of_atoms ?(delta = 0.0) (atoms : Expr.Formula.atom list) =
+(* Each range constraint, with the atoms it bounds. *)
+let ranges ?(delta = 0.0) (atoms : Expr.Formula.atom list) =
   (* [c − δ] rounded down and [c′ + δ] rounded up; exact at δ = 0. *)
   let range e lo hi =
     let lo = if delta = 0.0 then lo else Interval.Round.next_down (lo -. delta)
@@ -242,7 +243,7 @@ let of_atoms ?(delta = 0.0) (atoms : Expr.Formula.atom list) =
   let slots =
     Array.map
       (fun (a : Expr.Formula.atom) ->
-        Some { term = a.term; target = I.make (-.delta) infinity })
+        Some ({ term = a.term; target = I.make (-.delta) infinity }, [ a ]))
       atoms
   in
   Array.iteri
@@ -264,11 +265,14 @@ let of_atoms ?(delta = 0.0) (atoms : Expr.Formula.atom list) =
           unpaired.(j) <- false;
           slots.(i) <-
             Some
-              (if b.lower then range first.e b.c first.c
-               else range first.e first.c b.c);
+              ( (if b.lower then range first.e b.c first.c
+                 else range first.e first.c b.c),
+                [ atoms.(i); atoms.(j) ] );
           slots.(j) <- None)
     bounds;
   List.filter_map Fun.id (Array.to_list slots)
+
+let of_atoms ?delta atoms = List.map fst (ranges ?delta atoms)
 
 (* Fixpoint contraction with all constraints.  Stops when no component
    shrinks by more than [tol] (relative to its width) or after
@@ -317,11 +321,12 @@ let fixpoint ?(tol = default_tol) ?(max_rounds = default_max_rounds) constraints
    a single interval array: the box is converted once per query, the
    revise rounds mutate the array in place, and the contracted box is
    rebuilt only on success.  The tree-walking [fixpoint] above is kept as
-   the differential-testing oracle (and the BIOMC_NO_TAPE escape hatch). *)
+   the differential-testing oracle (and the BIOMC_NO_TAPE escape hatch).
+   [certify] shares HC4's tapes and scratches, and so its kept models. *)
 
-(* Reusable fixpoint workspace, one per compiled system in its slot: a
-   call takes it and puts it back, and a call that finds it taken (by
-   another domain) makes its own. *)
+(* Reusable workspace, one per compiled system in its slot: a call takes
+   it and puts it back, and a call that finds it taken (by another
+   domain) makes its own. *)
 type workspace = {
   dom : I.t array;
   present : bool array;
@@ -329,20 +334,42 @@ type workspace = {
   scratches : Expr.Tape.scratch array;
 }
 
+(* An atom's term as an operation on its constraint's term e: e (an
+   unpaired atom's constraint is its own term), e − c, c − e or −e. *)
+let outer_of c (a : Expr.Formula.atom) =
+  let module T = Interval.Tm in
+  match a.term with
+  | _ when a.term == c.term -> (Fun.id, Fun.id)
+  | Sub (_, Const k) -> ((fun e -> I.sub e (I.of_float k)), fun m -> T.sub m (T.const k))
+  | Sub (Const k, _) -> ((fun e -> I.sub (I.of_float k) e), fun m -> T.sub (T.const k) m)
+  | Neg _ -> (I.neg, T.neg)
+  | _ -> (Fun.id, Fun.id)
+
 type compiled = {
+  cons : constr list;
   cvars : string array;  (* input ordering shared by all tapes *)
   ctapes : (Expr.Tape.t * I.t) array;  (* (tape, target) per constraint *)
+  catoms : (Expr.Term.t * int * ((I.t -> I.t) * (Interval.Tm.t -> Interval.Tm.t))) list;
+      (* per atom: its term (by identity), constraint and [outer_of] *)
   ws : workspace Parallel.Slot.t;
 }
 
-let compile constraints =
+let compile_ranges ranges =
+  let cons = List.map fst ranges in
   let vars =
     List.sort_uniq String.compare
-      (List.concat_map (fun c -> Expr.Term.free_var_list c.term) constraints)
+      (List.concat_map (fun c -> Expr.Term.free_var_list c.term) cons)
   in
   let ctapes =
     Array.of_list
-      (List.map (fun c -> (Expr.Tape.compile ~vars [ c.term ], c.target)) constraints)
+      (List.map (fun c -> (Expr.Tape.compile ~vars [ c.term ], c.target)) cons)
+  in
+  let catoms =
+    List.concat
+      (List.mapi
+         (fun k (c, atoms) ->
+           List.map (fun (a : Expr.Formula.atom) -> (a.term, k, outer_of c a)) atoms)
+         ranges)
   in
   let n = List.length vars in
   let ws =
@@ -352,7 +379,11 @@ let compile constraints =
           w_old = Array.make n 0.0;
           scratches = Array.map (fun (tp, _) -> Expr.Tape.scratch tp) ctapes })
   in
-  { cvars = Array.of_list vars; ctapes; ws }
+  { cons; cvars = Array.of_list vars; ctapes; catoms; ws }
+
+let compile constraints = compile_ranges (List.map (fun c -> (c, [])) constraints)
+let compile_atoms ?delta atoms = compile_ranges (ranges ?delta atoms)
+let constraints cs = cs.cons
 
 let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
     ?(tm = false) cs box =
@@ -428,6 +459,39 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
   Parallel.Slot.put cs.ws ws;
   r
 
+(* Only the variables the atom's tape reads must be in the box. *)
+let certify cs box (a : Expr.Formula.atom) =
+  match List.find_opt (fun (t, _, _) -> t == a.term) cs.catoms with
+  | None -> None
+  | Some (_, k, (itv_op, tm_op)) ->
+      let tp = fst cs.ctapes.(k) in
+      let ws = Parallel.Slot.take cs.ws in
+      let dom = ws.dom and sc = ws.scratches.(k) in
+      Array.iteri
+        (fun i x ->
+          dom.(i) <-
+            (match Box.find_opt x box with
+            | Some itv -> itv
+            | None when Expr.Tape.reads_input tp i ->
+                Parallel.Slot.put cs.ws ws;
+                invalid_arg (Printf.sprintf "Term.eval_interval: unbound variable %S" x)
+            | None -> I.entire))
+        cs.cvars;
+      let r = itv_op (Expr.Tape.eval_interval tp sc dom) in
+      let v =
+        match Expr.Formula.range_verdict a.rel r with
+        | (Expr.Formula.Certain | Expr.Formula.Impossible) as v -> v
+        | Expr.Formula.Unknown ->
+            (* an Unknown range is nonempty *)
+            Interval.Tm.with_span (fun () ->
+                let m = tm_op (Expr.Tape.eval_tm tp sc dom) in
+                let w = I.inter r (Interval.Tm.concretize m) in
+                if not (I.equal w r) then Interval.Tm.note_tightening ();
+                Expr.Formula.range_verdict a.rel w)
+      in
+      Parallel.Slot.put cs.ws ws;
+      Some v
+
 (* The derivative system the contractor layers on its fixpoint: [None]
    when the layer is off or no constraint is differentiable.  The flag
    is sampled here, at build time, like [tape]. *)
@@ -436,28 +500,26 @@ let deriv_system constraints =
     Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
   else None
 
-(* Compile-once fixpoint closure: tape-backed when tapes are enabled,
-   tree-walking otherwise.  The closure is safe to share across worker
-   domains (tapes are immutable; a call borrows the workspace from the
-   system's slot). *)
-let contractor ?tol ?max_rounds ?newton constraints =
-  let tape = Expr.Tape.enabled () in
+(* Compile-once fixpoint closure over a compiled system: tape-backed
+   when tapes are enabled, tree-walking over its constraints otherwise.
+   The closure is safe to share across worker domains (tapes are
+   immutable; a call borrows the workspace from the system's slot). *)
+let contractor ?tol ?max_rounds ?newton cs =
   (* TM-tightened forward passes only exist on the tape path (the tree
-     walker has no slot arrays to intersect into); sampled at build time
-     like [tape]. *)
-  let tm = tape && Interval.Tm.enabled () in
+     walker has no slot arrays to intersect into); both switches are
+     sampled at build time. *)
   let base =
-    if tape then begin
-      let cs = compile constraints in
+    if Expr.Tape.enabled () then begin
+      let tm = Interval.Tm.enabled () in
       fun box -> fixpoint_compiled ?tol ?max_rounds ~tm cs box
     end
-    else fun box -> fixpoint ?tol ?max_rounds constraints box
+    else fun box -> fixpoint ?tol ?max_rounds cs.cons box
   in
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
      fixpoint round lets HC4 exploit the tightened components. *)
   let newton =
-    match newton with Some sys -> sys | None -> deriv_system constraints
+    match newton with Some sys -> sys | None -> deriv_system cs.cons
   in
   let base =
     match newton with

@@ -62,8 +62,17 @@ val fixpoint :
     structurally shared subterms let requirements accumulate). *)
 
 type compiled
+(** One tape per constraint over the sorted union of the constraints'
+    variables, and one workspace of scratches in a {!Parallel.Slot}. *)
 
 val compile : constr list -> compiled
+
+val compile_atoms : ?delta:float -> Expr.Formula.atom list -> compiled
+(** [compile (of_atoms ?delta atoms)], recording for each atom its
+    constraint and how its term reads the constraint's term [e] ([e],
+    [e − c], [c − e] or [−e]), for {!certify}. *)
+
+val constraints : compiled -> constr list
 
 val fixpoint_compiled :
   ?tol:float ->
@@ -76,6 +85,19 @@ val fixpoint_compiled :
     pass into every HC4 revise (see {!Expr.Tape.hc4_revise}); sound
     either way, possibly tighter with it on. *)
 
+val certify :
+  compiled -> Interval.Box.t -> Expr.Formula.atom -> Expr.Formula.verdict option
+(** [certify cs box a] judges an atom of [cs] ([None] for any other;
+    atoms are found by the physical identity of their terms) on [box]:
+    the interval range of its term, bit-equal to
+    {!Expr.Formula.eval_atom_interval}, and when that verdict is
+    [Unknown], that range intersected with the term's Taylor-model
+    range (in the [icp.tm] span, counting [tm.tightenings]).  Both come
+    from the root of the atom's constraint with the atom's outer
+    operation applied, on the scratch HC4 revises the constraint with,
+    so the models it builds on a box serve HC4's next pass on that box.
+    @raise Invalid_argument when [box] lacks a variable of the atom. *)
+
 val deriv_system : constr list -> Deriv.t option
 (** The derivative system {!contractor} layers on its fixpoint:
     {!Deriv.compile} of the constraints, or [None] when the derivative
@@ -86,22 +108,23 @@ val contractor :
   ?tol:float ->
   ?max_rounds:int ->
   ?newton:Deriv.t option ->
-  constr list ->
+  compiled ->
   Interval.Box.t ->
   Interval.Box.t option
-(** [contractor constraints] compiles once and returns the fixpoint as a
-    closure — tape-backed unless tapes are disabled ([BIOMC_NO_TAPE=1]).
-    The HC4 fixpoint is followed, when [newton] (default
-    [deriv_system constraints]) is a system, by a mean-value-form
-    refutation test and an interval Newton (Gauss–Seidel) contraction
-    sweep over its constraints, with one extra fixpoint round when
-    Newton tightened the box.  Pass [~newton] to share one compiled
-    system with the smear split ({!Deriv.split}); it must be compiled
-    from the same constraints.  Both layers only remove
-    points violating a constraint, so the contraction contract is
-    unchanged; with Newton disabled the closure reproduces the HC4-only
-    result bit for bit.  The closure may be shared across worker
-    domains: tapes are immutable and scratch buffers are per-domain.
+(** [contractor cs] returns the fixpoint over [cs] as a closure —
+    tape-backed unless tapes are disabled ([BIOMC_NO_TAPE=1]), when the
+    tree walker runs over {!constraints}.  The HC4 fixpoint is followed,
+    when [newton] (default [deriv_system (constraints cs)]) is a system,
+    by a mean-value-form refutation test and an interval Newton
+    (Gauss–Seidel) contraction sweep over its constraints, with one
+    extra fixpoint round when Newton tightened the box.  Pass [~newton]
+    to share one compiled system with the smear split ({!Deriv.split});
+    it must be compiled from the same constraints.  Both layers only
+    remove points violating a constraint, so the contraction contract
+    is unchanged; with Newton disabled the closure reproduces the
+    HC4-only result bit for bit.  The closure may be shared across
+    worker domains: tapes are immutable and a call borrows the
+    workspace from the system's slot.
 
     The tape, Newton and Taylor-model layers follow their global
     switches, sampled when the closure (or the [newton] system) is

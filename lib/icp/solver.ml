@@ -215,24 +215,23 @@ let process_box cfg stats ?dsys contract formula b =
         raise e
   end
 
-(* One conjunction's range constraints, the contractor over them and
-   the derivative system behind both its Newton contraction and the
-   smear split.  [dsys] is [None] when the derivative layer is disabled
-   or no constraint is differentiable; the split sites then fall back
-   to widest-dimension bisection, the pre-Newton behaviour.  Compiled
-   once per query (tape-backed unless BIOMC_NO_TAPE=1); the closure and
-   the system are shared by all boxes of the search, across domains:
-   [Deriv.contract] and [Deriv.split] each reload the per-domain
-   workspace. *)
+(* One conjunction's range constraints, compiled (also when no
+   contraction runs: the paving certifier reads them), the contractor
+   over them and the derivative system behind both its Newton
+   contraction and the smear split.  [dsys] is [None] when the
+   derivative layer is disabled or no constraint is differentiable; the
+   split sites then fall back to widest-dimension bisection, the
+   pre-Newton behaviour.  Compiled once per query; the closure and the
+   systems are shared by all boxes of the search, across domains, each
+   call borrowing its system's workspace. *)
 let conjunction_contractor ~max_rounds ~delta ~use_contraction atoms =
-  let constraints = Contractor.of_atoms ~delta atoms in
-  let dsys = Contractor.deriv_system constraints in
+  let cs = Contractor.compile_atoms ~delta atoms in
+  let dsys = Contractor.deriv_system (Contractor.constraints cs) in
   let contract =
-    if use_contraction then
-      Contractor.contractor ~max_rounds ~newton:dsys constraints
+    if use_contraction then Contractor.contractor ~max_rounds ~newton:dsys cs
     else fun b -> Some b
   in
-  (contract, dsys)
+  (contract, dsys, cs)
 
 (* Decide one conjunction of atoms on [box] with [jobs] workers; every
    DNF branch of a race is one such search at [jobs = 1], over the
@@ -244,7 +243,7 @@ let decide_conjunction ~jobs ~budget ?cancelled ?label cfg worker_stats atoms
   let formula =
     Expr.Formula.and_ (List.map (fun a -> Expr.Formula.Atom a) atoms)
   in
-  let contract, dsys =
+  let contract, dsys, _ =
     conjunction_contractor ~max_rounds:cfg.contractor_rounds ~delta:cfg.delta
       ~use_contraction:cfg.use_contraction atoms
   in
@@ -366,107 +365,23 @@ let pp_paving ppf p =
    of each atom, so a feasible band box only certifies once bisection
    has shrunk the interval overestimate below the band's slack — on
    dependency-rich atoms that is exactly the overestimate the
-   Taylor-model walker removes.  Build a per-query atom certifier that
-   re-evaluates Unknown atoms through the tape's TM pass and intersects
-   the ranges before the zero test; sound because both passes enclose
-   the atom's true value set on the box.
-
-   The certifier belongs to the Taylor-model layer: it is built only
-   when that layer is live (so [BIOMC_NO_TM=1]/[--no-tm] restores the
-   plain {!Expr.Formula.eval_cert} classifier — and with it the
-   interval-only pave — bit for bit).  Returns [None] when disabled
-   (kill-switch or [BIOMC_NO_TAPE]).
-
-   One single-root tape per distinct atom term, shared by fingerprint
-   and resolved for each of the formula's atoms when the certifier is
-   built; the certifier looks an atom up by physical identity, so it
-   serves the atoms of [formula] itself.  The box is loaded into the
-   tape's inputs once per atom, and the interval verdict comes from the
-   tape's forward pass, bit-equal to the tree walk
-   ({!Expr.Formula.eval_atom_interval}), before the TM pass reads the
-   same inputs.  Inputs, root range and scratch are borrowed from the
-   tape's slot, so the returned certifier may be called from concurrent
-   worker domains. *)
-type cert_io = { inputs : I.t array; out : I.t array; sc : Expr.Tape.scratch }
-
-type cert_tape = {
-  tape : Expr.Tape.t;
-  vars : string array;
-  io : cert_io Parallel.Slot.t;
-}
-
-let enclosure_atom_cert formula =
-  if not (Expr.Tape.enabled () && Interval.Tm.enabled ()) then None
-  else begin
-    let by_key = Hashtbl.create 8 in
-    let tape_of (t : Expr.Term.t) =
-      let k = Expr.Term.fingerprint t in
-      match Hashtbl.find_opt by_key k with
-      | Some ct -> ct
-      | None ->
-          let vars = Expr.Term.free_var_list t in
-          let n = List.length vars in
-          let tape = Expr.Tape.compile ~vars [ t ] in
-          let ct =
-            { tape; vars = Array.of_list vars;
-              io =
-                Parallel.Slot.make (fun () ->
-                    { inputs = Array.make n I.entire; out = Array.make 1 I.empty;
-                      sc = Expr.Tape.scratch tape }) }
-          in
-          Hashtbl.add by_key k ct;
-          ct
-    in
-    let tapes =
-      List.map
-        (fun (a : Expr.Formula.atom) -> (a.term, tape_of a.term))
-        (Expr.Formula.atoms formula)
-    in
-    Some
-      (fun box (a : Expr.Formula.atom) ->
-        match List.assq_opt a.term tapes with
-        | None -> Expr.Formula.eval_atom_interval box a
-        | Some ct ->
-            let io = Parallel.Slot.take ct.io in
-            let inputs = io.inputs and out = io.out in
-            Array.iteri
-              (fun i x ->
-                inputs.(i) <-
-                  (match Box.find_opt x box with
-                   | Some itv -> itv
-                   | None ->
-                       invalid_arg
-                         (Printf.sprintf "Term.eval_interval: unbound variable %S" x)))
-              ct.vars;
-            Expr.Tape.eval_interval_into ct.tape io.sc ~inputs ~out;
-            let r = out.(0) in
-            let v =
-              match Expr.Formula.range_verdict a.rel r with
-              | (Expr.Formula.Certain | Expr.Formula.Impossible) as v -> v
-              | Expr.Formula.Unknown ->
-                  (* an Unknown range is nonempty *)
-                  let r =
-                    Interval.Tm.with_span (fun () ->
-                        Expr.Tape.eval_tm_into ct.tape io.sc ~inputs ~out;
-                        let w = I.inter r out.(0) in
-                        if I.equal w r then r
-                        else begin
-                          Interval.Tm.note_tightening ();
-                          w
-                        end)
-                  in
-                  Expr.Formula.range_verdict a.rel r
-            in
-            Parallel.Slot.put ct.io io;
-            v)
-  end
-
-(* The box classifier used by the paving loops: [eval_cert] with the
-   enclosure-assisted atom certifier when one is live. *)
-let pave_cert formula =
-  match enclosure_atom_cert formula with
-  | None -> Expr.Formula.eval_cert
-  | Some atom -> Expr.Formula.eval_cert_with ~atom
+   Taylor-model walker removes.  The paving's classifier re-evaluates
+   Unknown atoms through the TM pass and intersects the ranges before
+   the zero test ({!Contractor.certify}); sound because both passes
+   enclose the atom's true value set on the box.  An atom is judged on
+   the compiled system of the first DNF branch that holds it, whose
+   scratches that branch's HC4 contracts with.  The certifier belongs
+   to the Taylor-model layer: without it or without tapes
+   ([BIOMC_NO_TM=1]/[--no-tm], [BIOMC_NO_TAPE=1]) the plain
+   {!Expr.Formula.eval_cert} classifier — and with it the interval-only
+   pave — is restored bit for bit. *)
+let pave_cert systems =
+  if not (Expr.Tape.enabled () && Interval.Tm.enabled ()) then Expr.Formula.eval_cert
+  else
+    Expr.Formula.eval_cert_with ~atom:(fun box a ->
+        match List.find_map (fun cs -> Contractor.certify cs box a) systems with
+        | Some v -> v
+        | None -> Expr.Formula.eval_atom_interval box a)
 
 (* The pave step.  Classification is deterministic, so pavings at any
    [jobs] contain the same leaf boxes (only the list order differs) as
@@ -504,20 +419,16 @@ let pave_default ?(config = default_config) formula box =
     conjunction_contractor ~max_rounds:2 ~delta:0.0
       ~use_contraction:config.use_contraction
   in
+  let branches = List.map contract_branch (Expr.Formula.dnf formula) in
   let refutes, dsys =
-    match Expr.Formula.dnf formula with
-    | [ atoms ] ->
-        let contract, dsys = contract_branch atoms in
-        ((fun b -> Option.is_none (contract b)), dsys)
-    | branches ->
-        let contracts =
-          List.map (fun atoms -> fst (contract_branch atoms)) branches
-        in
-        ( (fun b -> List.for_all (fun c -> Option.is_none (c b)) contracts),
+    match branches with
+    | [ (contract, dsys, _) ] -> ((fun b -> Option.is_none (contract b)), dsys)
+    | _ ->
+        ( (fun b -> List.for_all (fun (c, _, _) -> Option.is_none (c b)) branches),
           Contractor.deriv_system
             (Contractor.of_atoms (Expr.Formula.atoms formula)) )
   in
-  let cert = pave_cert formula in
+  let cert = pave_cert (List.map (fun (_, _, cs) -> cs) branches) in
   (* A box that finds the budget exhausted becomes an undecided leaf. *)
   let r =
     Search.run ~jobs:config.jobs

@@ -531,8 +531,7 @@ let prepare_contract formula =
     let branch_contractors =
       List.map
         (fun atoms ->
-          Icp.Contractor.contractor ~max_rounds:5
-            (Icp.Contractor.of_atoms atoms))
+          Icp.Contractor.(contractor ~max_rounds:5 (compile (of_atoms atoms))))
         (F.dnf formula)
     in
     fun ~params_box state_box ->

@@ -439,8 +439,8 @@ let test_contractor_samples_switches () =
   Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   let cs = C.of_atoms (F.atoms (P.formula "x*(1 - x) >= 0.3")) in
   let off = (false, false) and on = (true, true) in
-  let c_off = Layers.with_layers off (fun () -> C.contractor cs) in
-  let c_on = Layers.with_layers on (fun () -> C.contractor cs) in
+  let c_off = Layers.with_layers off (fun () -> C.contractor (C.compile cs)) in
+  let c_on = Layers.with_layers on (fun () -> C.contractor (C.compile cs)) in
   let compiled = C.compile cs in
   let show = function None -> "refuted" | Some b -> Box.to_string b in
   List.iter
@@ -580,7 +580,7 @@ let test_of_atoms_empty_target () =
         (fun l ->
           Layers.with_layers l (fun () ->
               let what = Printf.sprintf "tape=%b %s" tape (Layers.name l) in
-              refutes ("contractor " ^ what) (C.contractor cs);
+              refutes ("contractor " ^ what) (C.contractor (C.compile cs));
               expect_unsat what
                 (S.decide ~config:cfg f (box [ ("x", -10.0, 10.0) ]));
               let p = S.pave ~config:cfg f (box [ ("x", -10.0, 10.0) ]) in
@@ -684,7 +684,7 @@ let test_of_atoms_witness_survival () =
             (fun delta ->
               List.iter
                 (fun (atoms, b, pt) ->
-                  let c = C.contractor (C.of_atoms ~delta atoms) in
+                  let c = C.contractor (C.compile (C.of_atoms ~delta atoms)) in
                   match c b with
                   | Some b' when Box.contains_env pt b' -> ()
                   | r ->
@@ -824,13 +824,14 @@ let qcheck_tests =
 
 (* ---- Workspaces die with their owners ----
 
-   Compiled contractors, Newton systems and the paving's enclosure
-   certifier keep their per-call workspaces (tape scratches, interval
-   arrays) in a slot of their own, so a workspace is garbage once its
-   owner is.  Paving 2,000 small formulas, each compiling all three and
-   running them on a few boxes, must leave fewer than 2,000 more live
-   words after a full major collection; per-domain storage kept every
-   workspace (+86,034 words for 2,000 tapes evaluated once each). *)
+   Compiled contractor systems (whose scratches the paving's enclosure
+   certifier shares) and Newton systems keep their per-call workspaces
+   (tape scratches, interval arrays) in a slot of their own, so a
+   workspace is garbage once its owner is.  Paving 2,000 small
+   formulas, each compiling both and running them and the certifier on
+   a few boxes, must leave fewer than 2,000 more live words after a
+   full major collection; per-domain storage kept every workspace
+   (+86,034 words for 2,000 tapes evaluated once each). *)
 let test_workspaces_die () =
   Expr.Tape.set_enabled true;
   Icp.Deriv.set_enabled true;
@@ -863,6 +864,166 @@ let test_workspaces_die () =
   let grown = live () - before in
   Alcotest.(check bool) (Printf.sprintf "live words grew by %d" grown) true (grown < 2000)
 
+(* ---- One compiled system for the certifier and HC4 ----
+
+   A paving judges atoms ([C.certify]) and contracts
+   ([C.fixpoint_compiled] with the Taylor-model pass) on one compiled
+   system per DNF branch, so each constraint's scratch serves both and
+   keeps Taylor models from one caller's pass to the other's.  Random
+   conjunctions of paired bounds [e ≥ c₁ ∧ e ≤ c₂] and unpaired atoms
+   over z, y and x (most terms name their variables out of sorted
+   order), every third with a disjunction, run a sequence of steps on
+   their systems over a box repeated bit for bit, a contracted box, a
+   child of a split, a new box and a TM budget change; a step certifies
+   every atom, contracts, or does both in either order.  Every atom
+   verdict and contracted box must equal, in hex, the same call on
+   freshly compiled systems. *)
+
+let shared_vars = [| "z"; "y"; "x" |]
+
+let rec shared_term st depth =
+  if depth = 0 then
+    if Random.State.int st 4 = 0 then T.const (0.5 +. Random.State.float st 2.0)
+    else T.var shared_vars.(Random.State.int st 3)
+  else
+    let sub () = shared_term st (depth - 1) in
+    match Random.State.int st 6 with
+    | 0 -> T.add (sub ()) (sub ())
+    | 1 -> T.sub (sub ()) (sub ())
+    | 2 | 3 -> T.mul (sub ()) (sub ())
+    | 4 -> T.exp (T.neg (sub ()))
+    | _ -> T.pow (sub ()) 2
+
+let shared_box st =
+  Box.of_list
+    (Array.to_list
+       (Array.map
+          (fun v ->
+            let a = Random.State.float st 3.0 -. 1.0 in
+            (v, I.make a (a +. 0.05 +. Random.State.float st 1.5)))
+          shared_vars))
+
+let hex_box b =
+  String.concat ";"
+    (List.map
+       (fun (x, i) ->
+         Printf.sprintf "%s=[%Lx,%Lx]" x (Int64.bits_of_float (I.lo i))
+           (Int64.bits_of_float (I.hi i)))
+       (Box.to_list b))
+
+let test_shared_scratch () =
+  let st = Random.State.make [| 30 |] in
+  let saved = Interval.Tm.budget () in
+  Expr.Tape.set_enabled true;
+  Interval.Tm.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Interval.Tm.set_budget saved;
+      Expr.Tape.clear_enabled_override ();
+      Interval.Tm.clear_enabled_override ())
+  @@ fun () ->
+  for case = 1 to 150 do
+    Interval.Tm.set_budget saved;
+    let root = shared_box st in
+    (* bounds inside the term's range on the root box, so the verdicts
+       and contractions vary along the sequence *)
+    let bounded () =
+      let e = shared_term st (1 + Random.State.int st 3) in
+      let r = T.eval_interval root e in
+      let lo, hi = if I.is_bounded r then (I.lo r, I.hi r) else (0.0, 1.0) in
+      let pick () = lo +. (Random.State.float st 1.0 *. (hi -. lo)) in
+      let c1 = pick () and c2 = pick () in
+      F.and_
+        [ F.ge e (T.const (Float.min c1 c2)); F.le e (T.const (Float.max c1 c2)) ]
+    in
+    let unpaired () =
+      F.atom (if Random.State.bool st then F.Gt else F.Ge)
+        (shared_term st (1 + Random.State.int st 3))
+    in
+    let parts =
+      List.init (1 + Random.State.int st 2) (fun _ -> bounded ())
+      @ List.init (Random.State.int st 2) (fun _ -> unpaired ())
+    in
+    let f =
+      F.and_ (if case mod 3 = 0 then F.or_ [ bounded (); unpaired () ] :: parts else parts)
+    in
+    let branches = F.dnf f and atoms = F.atoms f in
+    let used = List.map C.compile_atoms branches in
+    let fresh () = List.map C.compile_atoms branches in
+    let verdict systems b a =
+      match List.find_map (fun cs -> C.certify cs b a) systems with
+      | Some F.Certain -> "certain"
+      | Some F.Impossible -> "impossible"
+      | Some F.Unknown -> "unknown"
+      | None -> "none"
+    in
+    let contract systems b =
+      String.concat " | "
+        (List.map
+           (fun cs ->
+             match C.fixpoint_compiled ~max_rounds:2 ~tm:true cs b with
+             | None -> "refuted"
+             | Some b' -> hex_box b')
+           systems)
+    in
+    let check step what b =
+      let certify () =
+        List.iteri
+          (fun k a ->
+            let want = verdict (fresh ()) b a in
+            let got = verdict used b a in
+            if got <> want then
+              Alcotest.failf "case %d, step %d (%s): atom %d of %s is %s, fresh %s"
+                case step what k (F.to_string f) got want)
+          atoms
+      and contract_ () =
+        let want = contract (fresh ()) b in
+        let got = contract used b in
+        if got <> want then
+          Alcotest.failf "case %d, step %d (%s): %s contracts %s to %s, fresh %s" case
+            step what (F.to_string f) (hex_box b) got want
+      in
+      match Random.State.int st 4 with
+      | 0 -> certify ()
+      | 1 -> contract_ ()
+      | 2 ->
+          certify ();
+          contract_ ()
+      | _ ->
+          contract_ ();
+          certify ()
+    in
+    let history = ref [ root ] and cur = ref root in
+    check 0 "root box" root;
+    for step = 1 to 16 do
+      let what, b =
+        match Random.State.int st 5 with
+        | 0 ->
+            let h = !history in
+            let b = List.nth h (Random.State.int st (List.length h)) in
+            ( "a box repeated",
+              Box.of_list
+                (List.map (fun (x, i) -> (x, I.make (I.lo i) (I.hi i))) (Box.to_list b)) )
+        | 1 -> (
+            match C.fixpoint_compiled ~max_rounds:2 ~tm:true (C.compile_atoms atoms) !cur with
+            | Some b -> ("a contracted box", b)
+            | None -> ("a box repeated", !cur))
+        | 2 -> (
+            match Box.split !cur with
+            | Some (l, r) -> ("a split child", if Random.State.bool st then l else r)
+            | None -> ("a box repeated", !cur))
+        | 3 ->
+            let other = if saved = 1 then 2 else 1 in
+            Interval.Tm.set_budget (if Interval.Tm.budget () = saved then other else saved);
+            ("a budget change", !cur)
+        | _ -> ("a new box", shared_box st)
+      in
+      check step what b;
+      cur := b;
+      history := b :: !history
+    done
+  done
+
 let () =
   Alcotest.run "icp"
     [
@@ -885,6 +1046,8 @@ let () =
           Alcotest.test_case "ranges: rounding" `Quick test_of_atoms_rounding;
           Alcotest.test_case "ranges: witnesses survive" `Quick
             test_of_atoms_witness_survival;
+          Alcotest.test_case "certify and HC4 share a scratch" `Quick
+            test_shared_scratch;
         ] );
       ( "solver",
         [

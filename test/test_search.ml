@@ -293,6 +293,15 @@ let impulse_fit =
 
 let impulse_box = [ ("k", 0.05, 2.5); ("a", 0.2, 3.0) ]
 
+(* test_tm's cubic band on [square]: at epsilon 0.05 only the
+   Taylor-model certifier proves sat leaves in it. *)
+let cubic_band =
+  "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
+   y^3 - 2*y^2 + 1.25*y >= 0.2 and y^3 - 2*y^2 + 1.25*y <= 0.3"
+
+(* Pavings with no contractor: the certifier alone classifies boxes. *)
+let no_contraction = { S.default_config with epsilon = 0.05; use_contraction = false }
+
 (* The queries the scheduler test runs at jobs = 1 and 2; none exhausts
    its budget. *)
 let scheduled =
@@ -369,7 +378,13 @@ let queries =
       exhausted_biopsy
         { B.default_config with epsilon = 0.05; max_boxes = 6 }
         decay_fit,
-      "ef2e8e16d9c021603b3743df0c70a843" ) ]
+      "ef2e8e16d9c021603b3743df0c70a843" );
+    ( "pave cubic band, no contraction",
+      rendering (pave ~config:no_contraction cubic_band square),
+      "68d37e3f256fbd91c553a3fc368e36ff" );
+    ( "pave impulse fit, no contraction",
+      rendering (pave ~config:no_contraction impulse_fit impulse_box),
+      "caab9184253755b15a4caedcd24a394b" ) ]
 
 let digest s = Digest.to_hex (Digest.string s)
 
