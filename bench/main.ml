@@ -837,144 +837,6 @@ let p1 ?(quick = false) () =
   Report.print [ Report.text "wrote BENCH_icp.json" ]
 
 (* ------------------------------------------------------------------ *)
-(* T1: tree-walking vs tape-compiled kernels (jobs = 1)                *)
-(* ------------------------------------------------------------------ *)
-
-(* Same workload through both code paths: the tree walkers
-   (BIOMC_NO_TAPE semantics, forced via [Expr.Tape.set_enabled false])
-   and the flat SSA tapes.  Tape compilation happens once per query —
-   inside the timed region for the first call, as in the solver —
-   and the verdicts are checked to agree call-for-call.  Results land
-   in BENCH_tape.json (ns/op per path and the speedup column). *)
-
-let t1 () =
-  section "T1  Tape-compiled kernels vs tree walkers (jobs = 1)";
-  let with_tapes flag f =
-    Expr.Tape.set_enabled flag;
-    Fun.protect ~finally:Expr.Tape.clear_enabled_override f
-  in
-  let time_reps reps f =
-    let _, dt = timed (fun () -> for _ = 1 to reps do ignore (f ()) done) in
-    dt /. float_of_int reps *. 1e9
-  in
-  (* The container's clock is noisy (external throttling), so each
-     kernel alternates tree and tape timing rounds and keeps the
-     per-path minimum: spikes hit both paths alike and the min filters
-     them out. *)
-  let measure_pair ?(rounds = 5) ~reps run =
-    let tree = ref infinity and tape = ref infinity in
-    for _ = 1 to rounds do
-      let t = with_tapes false (fun () -> time_reps reps run) in
-      if t < !tree then tree := t;
-      let t = with_tapes true (fun () -> time_reps reps run) in
-      if t < !tape then tape := t
-    done;
-    (!tree, !tape)
-  in
-  (* HC4 fixpoint: enzyme-kinetics conservation/equilibrium constraints
-     (the shape Reach.Checker feeds the contractor) over a grid of query
-     boxes, the contractor compiled once per query as Icp.Solver does.
-     The conservation laws make the fixpoint iterate: contraction of one
-     variable propagates to the others over several rounds. *)
-  let hc4_kernel () =
-    let c t target = { Icp.Contractor.term = Expr.Parse.term t; target } in
-    let eq = I.make (-1e-4) 1e-4 in
-    let cs =
-      [ c "e + cx - 1" eq;
-        c "s + cx + p - 2" eq;
-        c "2*s*e - cx" eq;
-        c "cx / (s + 1/2) - p" (I.make (-0.1) 0.1);
-        c "s^2 + p^2" (I.make 0.0 4.0) ]
-    in
-    let grid =
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun j ->
-              let sc = 2.0 /. 8.0 in
-              Box.of_list
-                [ ("s", I.make (float_of_int i *. sc) ((float_of_int i +. 1.0) *. sc));
-                  ("p", I.make (float_of_int j *. sc) ((float_of_int j +. 1.0) *. sc));
-                  ("e", I.make 0.0 1.0); ("cx", I.make 0.0 1.0) ])
-            (List.init 8 Fun.id))
-        (List.init 8 Fun.id)
-    in
-    let run () =
-      let contract = Icp.Contractor.(contractor ~max_rounds:20 (compile cs)) in
-      List.fold_left
-        (fun acc b -> if Option.is_none (contract b) then acc + 1 else acc)
-        0 grid
-    in
-    let pruned_tree = with_tapes false run in
-    let pruned_tape = with_tapes true run in
-    assert (pruned_tree = pruned_tape);
-    let tree, tape = measure_pair ~reps:12 run in
-    ("hc4-fixpoint", tree, tape, Fmt.str "%d/64 boxes pruned, both paths" pruned_tree)
-  in
-  (* Validated enclosure: Picard + Taylor steps on a 2-D oscillator. *)
-  let enclosure_kernel () =
-    let sys =
-      Ode.System.of_strings ~vars:[ "x"; "y" ] ~params:[ "w" ]
-        ~rhs:[ ("x", "w*y"); ("y", "-w*x") ]
-    in
-    let params = Box.of_list [ ("w", I.make 1.9 2.1) ] in
-    let init =
-      Box.of_list [ ("x", I.make 0.99 1.01); ("y", I.of_float 0.0) ]
-    in
-    let run () =
-      (Ode.Enclosure.flow ~params ~init ~t_end:0.5 sys).Ode.Enclosure.final
-    in
-    let f_tree = with_tapes false run in
-    let f_tape = with_tapes true run in
-    assert (Box.equal f_tree f_tape);
-    let tree, tape = measure_pair ~reps:40 run in
-    ("picard-taylor-flow", tree, tape, "identical final boxes")
-  in
-  (* SMC sampling hot loop: the compiled vector field driving RK4
-     trajectories of the p53 module (what every SMC sample executes). *)
-  let smc_kernel () =
-    let sys = Biomodels.Classics.p53_mdm2 in
-    let run () =
-      Ode.Integrate.simulate ~method_:(Ode.Integrate.Rk4 0.05)
-        ~params:[ ("damage", 1.0) ]
-        ~init:[ ("p53", 0.05); ("mdm2", 0.05) ]
-        ~t_end:30.0 sys
-    in
-    let tree, tape = measure_pair ~reps:8 run in
-    ("smc-trajectory-batch", tree, tape, "RK4 p53 trajectory")
-  in
-  let results = [ hc4_kernel (); enclosure_kernel (); smc_kernel () ] in
-  let fmt_ns ns =
-    if ns > 1e9 then Fmt.str "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Fmt.str "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Fmt.str "%.2f us" (ns /. 1e3)
-    else Fmt.str "%.0f ns" ns
-  in
-  Report.print
-    [ Report.table
-        ~header:[ "kernel"; "tree ns/op"; "tape ns/op"; "speedup"; "check" ]
-        (List.map
-           (fun (name, tree, tape, note) ->
-             [ name; fmt_ns tree; fmt_ns tape;
-               Fmt.str "%.2fx" (tree /. tape); note ])
-           results) ];
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"jobs\": 1,\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, tree, tape, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"tree_ns_per_op\": %.0f, \"tape_ns_per_op\": %.0f, \"speedup\": %.3f}%s\n"
-           name tree tape (tree /. tape)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_tape.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Report.print [ Report.text "wrote BENCH_tape.json" ]
-
-(* ------------------------------------------------------------------ *)
 (* C1: exact-replay caches off vs on (jobs = 1)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1249,8 +1111,8 @@ let o1 ?(quick = false) () =
     (d, p)
   in
   let rounds = if quick then 4 else 6 in
-  (* The per-mode minimum over the rounds filters the container's clock
-     spikes (see T1). *)
+  (* The per-mode minimum over the rounds filters the clock's throttling
+     spikes, which hit every mode alike. *)
   let measure setup =
     Telemetry.reset ();
     setup ();
@@ -1612,8 +1474,8 @@ let n1 ?(quick = false) () =
    legitimately grow: certifying earlier is the point).  Box reductions
    are recorded honestly, regressions included.  The ODE workload
    records tube widths, not verdicts: the TM pass may only tighten the
-   enclosure.  Wall times are per-run minima over a few rounds (see
-   T1). *)
+   enclosure.  Wall times are per-run minima over a few rounds, which
+   filter the clock's throttling spikes. *)
 
 let tm1 ?(quick = false) () =
   section
@@ -1996,7 +1858,7 @@ let () =
   let sections =
     [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
       ("e7", e7); ("e8", e8); ("e9", e9); ("s1", s1); ("a1", a1); ("a2", a2);
-      ("a3", a3); ("a4", a4); ("p1", fun () -> p1 ~quick ()); ("t1", t1);
+      ("a3", a3); ("a4", a4); ("p1", fun () -> p1 ~quick ());
       ("c1", fun () -> c1 ~quick ());
       ("o1", fun () -> o1 ~quick ());
       ("j1", fun () -> j1 ~quick ());

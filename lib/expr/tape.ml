@@ -71,18 +71,6 @@ and scratch = {
 
 and reqcell = { mutable rlo : float; mutable rhi : float }
 
-(* ---- Enable/disable switch ---- *)
-
-let override : bool option Atomic.t = Atomic.make None
-
-let enabled () =
-  match Atomic.get override with
-  | Some b -> b
-  | None -> not (Telemetry.env_switch "BIOMC_NO_TAPE")
-
-let set_enabled b = Atomic.set override (Some b)
-let clear_enabled_override () = Atomic.set override None
-
 (* ---- Compilation ---- *)
 
 (* The initial value of every TM slot of a scratch, shared: each slot is

@@ -11,26 +11,17 @@
 
     Tapes are immutable after compilation and safe to share across
     domains; all mutable state lives in {!scratch} buffers, which belong
-    to whoever allocated them: a tape keeps none. *)
+    to whoever allocated them: a tape keeps none.
+
+    Every interval, HC4, ODE and SMC hot loop runs on tapes.  The tree
+    walkers ({!Term.eval_interval}, {!Term.compile},
+    [Icp.Contractor.revise] and [fixpoint]) are the references the
+    differential tests compare tapes against. *)
 
 module I = Interval.Ia
 
 type t
 (** A compiled tape (possibly multi-root: one root per compiled term). *)
-
-val enabled : unit -> bool
-(** Whether tape-backed kernels should be used.  True by default; the
-    environment variable [BIOMC_NO_TAPE=1] (any value
-    {!Telemetry.env_switch} accepts) switches the hot paths back to the
-    tree-walking implementations.  {!set_enabled} overrides the
-    environment. *)
-
-val set_enabled : bool -> unit
-(** Override {!enabled} (used by benchmarks and differential tests to pin
-    one implementation). *)
-
-val clear_enabled_override : unit -> unit
-(** Return {!enabled} to the environment-variable default. *)
 
 (** {1 Compilation} *)
 
@@ -205,15 +196,15 @@ val hc4_revise :
     With [~tm:false] the TM walker never runs, restoring the
     interval-only search bit-for-bit.
 
-    Matches the tree-walking [Icp.Contractor.revise] exactly when
+    Matches the tree-walking reference [Icp.Contractor.revise] exactly when
     {!interior_sharing} is [0]; shared interior slots accumulate
     requirements from all their occurrences and can contract strictly
     more (never less — soundness is preserved either way). *)
 
 (** {1 Preimage helpers}
 
-    Shared by the tape backward pass and the tree-walking
-    [Icp.Contractor]; exposed so the two stay in lockstep. *)
+    Shared by the tape backward pass and the tree-walking reference
+    in [Icp.Contractor]; exposed so the two stay in lockstep. *)
 
 val pow_preimage : I.t -> I.t -> int -> I.t
 (** Preimage of [r] under [x ↦ x^k], intersected with [x].  Handles even

@@ -136,7 +136,8 @@ val eval_interval : Interval.Box.t -> t -> Interval.Ia.t
 val compile : vars:string list -> t -> float array -> float
 (** [compile ~vars t] resolves variables to positions in [vars] once and
     returns a closure evaluating [t] on value arrays — no name lookups in
-    the hot path.
+    the hot path.  The tape float evaluator ({!Tape.eval_floats_into})
+    follows it operation for operation and is tested against it.
     @raise Invalid_argument at compile time on unbound variables. *)
 
 (** {1 Calculus} *)

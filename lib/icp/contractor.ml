@@ -95,7 +95,7 @@ let rec forward box (n : ann) : I.t =
   v
 
 (* Preimage helpers shared with the tape backward pass (Expr.Tape), so the
-   tree-walking oracle and the compiled kernels contract identically. *)
+   tree-walking reference and the compiled kernels contract identically. *)
 let pow_preimage = Expr.Tape.pow_preimage
 let abs_preimage = Expr.Tape.abs_preimage
 let tan_preimage = Expr.Tape.tan_preimage
@@ -320,8 +320,9 @@ let fixpoint ?(tol = default_tol) ?(max_rounds = default_max_rounds) constraints
    (the sorted union of the free variables), so a whole fixpoint runs on
    a single interval array: the box is converted once per query, the
    revise rounds mutate the array in place, and the contracted box is
-   rebuilt only on success.  The tree-walking [fixpoint] above is kept as
-   the differential-testing oracle (and the BIOMC_NO_TAPE escape hatch).
+   rebuilt only on success.  The tree-walking [revise] and [fixpoint]
+   above are the references the differential tests compare it against;
+   no search runs them.
    [certify] shares HC4's tapes and scratches, and so its kept models. *)
 
 (* Reusable workspace, one per compiled system in its slot: a call takes
@@ -391,7 +392,7 @@ let fixpoint_compiled ?(tol = default_tol) ?(max_rounds = default_max_rounds)
   let ws = Parallel.Slot.take cs.ws in
   let dom = ws.dom and present = ws.present in
   let w_old = ws.w_old and scratches = ws.scratches in
-  (* Variables absent from the box behave like the tree path: they read
+  (* Variables absent from the box behave as in the tree walker: they read
      as entire and their contractions are dropped (never written back),
      so each revise sees them fresh.  The workspace is reused, so both
      arrays are refilled for every variable. *)
@@ -494,27 +495,19 @@ let certify cs box (a : Expr.Formula.atom) =
 
 (* The derivative system the contractor layers on its fixpoint: [None]
    when the layer is off or no constraint is differentiable.  The flag
-   is sampled here, at build time, like [tape]. *)
+   is sampled here, at build time, like [tm]. *)
 let deriv_system constraints =
   if Deriv.enabled () then
     Deriv.compile (List.map (fun c -> (c.term, c.target)) constraints)
   else None
 
-(* Compile-once fixpoint closure over a compiled system: tape-backed
-   when tapes are enabled, tree-walking over its constraints otherwise.
-   The closure is safe to share across worker domains (tapes are
-   immutable; a call borrows the workspace from the system's slot). *)
+(* Compile-once fixpoint closure over a compiled system.  The closure
+   is safe to share across worker domains (tapes are immutable; a call
+   borrows the workspace from the system's slot).  The Taylor-model
+   switch is sampled at build time. *)
 let contractor ?tol ?max_rounds ?newton cs =
-  (* TM-tightened forward passes only exist on the tape path (the tree
-     walker has no slot arrays to intersect into); both switches are
-     sampled at build time. *)
-  let base =
-    if Expr.Tape.enabled () then begin
-      let tm = Interval.Tm.enabled () in
-      fun box -> fixpoint_compiled ?tol ?max_rounds ~tm cs box
-    end
-    else fun box -> fixpoint ?tol ?max_rounds cs.cons box
-  in
+  let tm = Interval.Tm.enabled () in
+  let base box = fixpoint_compiled ?tol ?max_rounds ~tm cs box in
   (* Derivative layer (mean-value refutation + interval Newton), run
      after the HC4 fixpoint; when Newton contracts the box, one more
      fixpoint round lets HC4 exploit the tightened components. *)

@@ -40,8 +40,9 @@ val pp_constr : constr Fmt.t
 
 val revise :
   term:Expr.Term.t -> target:Interval.Ia.t -> Interval.Box.t -> Interval.Box.t option
-(** One HC4-revise step.  [None] means the constraint is infeasible on the
-    box (a proof). *)
+(** One HC4-revise step by walking the term tree.  [None] means the
+    constraint is infeasible on the box (a proof).  No search runs it:
+    it is the reference {!Expr.Tape.hc4_revise} is tested against. *)
 
 val fixpoint :
   ?tol:float ->
@@ -51,7 +52,8 @@ val fixpoint :
   Interval.Box.t option
 (** Round-robin contraction with all constraints until no component
     shrinks by more than [tol] (relative) or [max_rounds] is reached.
-    [None] on infeasibility. *)
+    [None] on infeasibility.  The tree-walking reference for
+    {!fixpoint_compiled}, which every search runs. *)
 
 (** {1 Tape-compiled constraint systems}
 
@@ -111,9 +113,8 @@ val contractor :
   compiled ->
   Interval.Box.t ->
   Interval.Box.t option
-(** [contractor cs] returns the fixpoint over [cs] as a closure —
-    tape-backed unless tapes are disabled ([BIOMC_NO_TAPE=1]), when the
-    tree walker runs over {!constraints}.  The HC4 fixpoint is followed,
+(** [contractor cs] returns the tape fixpoint over [cs]
+    ({!fixpoint_compiled}) as a closure.  The HC4 fixpoint is followed,
     when [newton] (default [deriv_system (constraints cs)]) is a system,
     by a mean-value-form refutation test and an interval Newton
     (Gauss–Seidel) contraction sweep over its constraints, with one
@@ -126,6 +127,5 @@ val contractor :
     worker domains: tapes are immutable and a call borrows the
     workspace from the system's slot.
 
-    The tape, Newton and Taylor-model layers follow their global
-    switches, sampled when the closure (or the [newton] system) is
-    built; the Taylor-model pass also requires the tape path. *)
+    The Newton and Taylor-model layers follow their global switches,
+    sampled when the closure (or the [newton] system) is built. *)

@@ -20,7 +20,7 @@ type t
 
 (** {1 Enable switch}
 
-    Same pattern as {!Expr.Tape.enabled}: the environment variable
+    Same pattern as {!Interval.Tm.enabled}: the environment variable
     [BIOMC_NO_NEWTON=1] ({!Telemetry.env_switch}) disables the derivative
     layer, restoring the HC4-only search bit for bit; {!set_enabled}
     overrides the environment (used by the [--no-newton] CLI flag,

@@ -44,7 +44,6 @@ let journal_flags jobs =
     ("tm", string_of_bool (Interval.Tm.enabled ()));
     ("tm_budget", string_of_int (Interval.Tm.budget ()));
     ("cache", string_of_bool (Cache.enabled ()));
-    ("tape", string_of_bool (Expr.Tape.enabled ()));
     ("jobs", string_of_int jobs) ]
 
 let journaled ~kind ~jobs ~verdict body =

@@ -371,12 +371,11 @@ let pp_paving ppf p =
    enclose the atom's true value set on the box.  An atom is judged on
    the compiled system of the first DNF branch that holds it, whose
    scratches that branch's HC4 contracts with.  The certifier belongs
-   to the Taylor-model layer: without it or without tapes
-   ([BIOMC_NO_TM=1]/[--no-tm], [BIOMC_NO_TAPE=1]) the plain
-   {!Expr.Formula.eval_cert} classifier — and with it the interval-only
-   pave — is restored bit for bit. *)
+   to the Taylor-model layer: without it ([BIOMC_NO_TM=1]/[--no-tm])
+   the plain {!Expr.Formula.eval_cert} classifier — and with it the
+   interval-only pave — is restored bit for bit. *)
 let pave_cert systems =
-  if not (Expr.Tape.enabled () && Interval.Tm.enabled ()) then Expr.Formula.eval_cert
+  if not (Interval.Tm.enabled ()) then Expr.Formula.eval_cert
   else
     Expr.Formula.eval_cert_with ~atom:(fun box a ->
         match List.find_map (fun cs -> Contractor.certify cs box a) systems with

@@ -1,23 +1,28 @@
 (* CEGIS synthesis of Lyapunov functions with δ-decisions (Sec. IV-C).
 
    The ∃∀ problem — find coefficients c such that for all x in the region
-   (minus a small ball around the equilibrium) V_c(x) > 0 and V̇_c(x) ≤ 0 —
-   is decomposed counterexample-guided:
+   (minus a small ball around the equilibrium) V_c(x) > 0 and V_c
+   strictly decreases — is decomposed counterexample-guided:
 
    ∃-step  Coefficients must satisfy, at every counterexample point x_j,
            V_c(x_j) ≥ μ·|x_j|²  and  V̇_c(x_j) ≤ -μ·|x_j|².
            Both are *linear* constraints in c, decided by the ICP solver
            over the coefficient box.
 
-   ∀-step  With c fixed, search the region for a violation
-           V(x) ≤ 0  or  V̇(x) ≥ ζ   (ζ > 0 is the robustness margin of
-           the numerically-sound proof rules the paper cites).
+   ∀-step  With c fixed, search the annulus r² ≤ |x|² inside the region
+           for a violation
+           V(x) ≤ 0  or  V̇(x) + ζ·|x|² ≥ 0   (ζ > 0 is the decrease
+           margin, which scales like the ∃-step's μ·|x|²).
            `unsat` for both ⇒ certificate.  A δ-sat witness becomes a new
            counterexample.
 
-   Both V and V̇ are canonicalized as polynomials when possible, so
-   symbolically cancelling Lie derivatives are proved decreasing without
-   fighting interval dependency. *)
+   So a [Proved] certificate means V > 0 and V̇ < −ζ·|x|² on the
+   annulus.  No sublevel set of V is checked to lie inside the region,
+   so it is not a proved region of attraction.
+
+   V, V̇ and V̇ + ζ·|x|² are canonicalized as polynomials when possible,
+   so symbolically cancelling Lie derivatives are proved decreasing
+   without fighting interval dependency. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -33,7 +38,7 @@ type problem = {
   inner_radius : float;  (** points with |x|² < r² are exempt *)
   template : Template.t;
   mu : float;  (** positivity margin used in the ∃-step *)
-  zeta : float;  (** decrease margin proved in the ∀-step *)
+  zeta : float;  (** decrease margin: the ∀-step proves V̇ < −ζ·|x|² *)
 }
 
 let problem ?(inner_radius = 0.1) ?(mu = 1e-2) ?(zeta = 1e-3) ~region ~template sys =
@@ -96,8 +101,6 @@ let seed_points prob =
   let axis =
     List.concat_map
       (fun v ->
-        let base = List.map (fun (u, itv) -> (u, if u = v then 0.0 else I.mid itv)) bindings in
-        ignore base;
         [ List.map (fun (u, itv) -> (u, if u = v then I.hi itv else 0.0)) bindings;
           List.map (fun (u, itv) -> (u, if u = v then I.lo itv else 0.0)) bindings ])
       vars
@@ -118,7 +121,10 @@ let default_config =
     coeff_bound = 2.0;
     max_iterations = 30;
     exists_solver = { Icp.Solver.default_config with delta = 1e-4; epsilon = 1e-3 };
-    forall_solver = { Icp.Solver.default_config with delta = 1e-4; epsilon = 1e-3 };
+    (* δ below ζ·r² = 10⁻⁵ at the inner radius: at δ = 10⁻⁴ the cubic
+       system's δ-weakened decrease condition has spurious witnesses near
+       the inner radius, where its V̇ + ζ·|x|² is only about −10⁻⁴ *)
+    forall_solver = { Icp.Solver.default_config with delta = 1e-6; epsilon = 1e-3 };
   }
 
 let synthesize ?(config = default_config) prob =
@@ -155,9 +161,12 @@ let synthesize ?(config = default_config) prob =
     let bindings = List.map (fun (c, v) -> (c, T.const v)) coeffs in
     let v = Expr.Poly.canonicalize (T.subst bindings v_template) in
     let vdot = Expr.Poly.canonicalize (T.subst bindings vdot_template) in
+    let margin = T.mul (T.const prob.zeta) (norm2_term vars) in
     let annulus = F.ge (norm2_term vars) (T.const r0sq) in
     let violation_pos = F.and_ [ annulus; F.le v T.zero ] in
-    let violation_dec = F.and_ [ annulus; F.ge vdot (T.const prob.zeta) ] in
+    let violation_dec =
+      F.and_ [ annulus; F.ge (Expr.Poly.canonicalize (T.add vdot margin)) T.zero ]
+    in
     let check violation =
       match Icp.Solver.decide ~config:config.forall_solver violation prob.region with
       | Icp.Solver.Unsat -> `Ok
@@ -200,8 +209,10 @@ let synthesize ?(config = default_config) prob =
   in
   loop (seed_points prob) 1
 
-(* Independent validation of a certificate by dense random sampling —
-   belt-and-braces re-checking used by the test-suite and the benches. *)
+(* Independent validation of a certificate by dense random sampling of
+   the annulus: V > 0 and the strict decrease V̇ < −ζ·|x|² that the
+   ∀-step proves — belt-and-braces re-checking used by the test-suite
+   and the benches. *)
 let validate ?(samples = 1000) ?(seed = 7) prob cert =
   let vars = Ode.System.vars prob.sys in
   let rng = Random.State.make [| seed |] in
@@ -216,11 +227,12 @@ let validate ?(samples = 1000) ?(seed = 7) prob cert =
           (v, I.lo itv +. Random.State.float rng (Float.max 1e-12 (I.width itv))))
         vars
     in
-    if norm2_value vars env >= r0sq then begin
+    let n2 = norm2_value vars env in
+    if n2 >= r0sq then begin
       incr tries;
       let v = T.eval_env env cert.v in
       let vdot = T.eval_env env cert.vdot in
-      if v <= 0.0 || vdot > prob.zeta then ok := false
+      if v <= 0.0 || vdot >= -.prob.zeta *. n2 then ok := false
     end
     else incr tries
   done;

@@ -1,12 +1,16 @@
 (** CEGIS synthesis of Lyapunov functions with δ-decisions (Sec. IV-C).
 
-    The ∃∀ problem — coefficients c such that V_c > 0 and V̇_c ≤ 0 on the
-    region minus a small ball — is decomposed counterexample-guided:
-    the ∃-step solves the (linear-in-c) point constraints with the ICP
-    solver; the ∀-step searches the region for a violation
-    [V ≤ 0 ∨ V̇ ≥ ζ] (ζ > 0 is the robustness margin of the
-    numerically-sound proof rules the paper cites).  `unsat` for both
-    violations certifies the candidate. *)
+    The ∃∀ problem — coefficients c such that V_c > 0 and V_c strictly
+    decreases on the region minus a small ball — is decomposed
+    counterexample-guided: the ∃-step solves the (linear-in-c) point
+    constraints with the ICP solver; the ∀-step searches the annulus
+    [|x|² ≥ r²] inside the region for a violation
+    [V ≤ 0 ∨ V̇ + ζ·|x|² ≥ 0] (ζ > 0 is the decrease margin).  `unsat`
+    for both violations certifies the candidate.
+
+    What [Proved] means: V > 0 and V̇ < −ζ·|x|² at every point of the
+    annulus.  No sublevel set of V is checked to lie inside the region,
+    so a certificate is not a proved region of attraction. *)
 
 type problem = {
   sys : Ode.System.t;  (** autonomous, parameter-free *)
@@ -14,7 +18,7 @@ type problem = {
   inner_radius : float;  (** points with |x|² < r² are exempt *)
   template : Template.t;
   mu : float;  (** positivity margin used in the ∃-step *)
-  zeta : float;  (** decrease margin proved in the ∀-step *)
+  zeta : float;  (** decrease margin: the ∀-step proves V̇ < −ζ·|x|² *)
 }
 
 val problem :
@@ -54,6 +58,7 @@ val default_config : config
 val synthesize : ?config:config -> problem -> outcome
 
 val validate : ?samples:int -> ?seed:int -> problem -> certificate -> bool
-(** Independent re-check by dense random sampling of the annulus. *)
+(** Independent re-check by dense random sampling of the annulus: every
+    sample must have V > 0 and V̇ < −ζ·|x|². *)
 
 val pp_outcome : outcome Fmt.t

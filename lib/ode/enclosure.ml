@@ -52,14 +52,14 @@ let default_config =
 
 (* Everything besides the system, the boxes and the horizon that decides
    what [flow] returns: the config (floats rendered with %h), the
-   evaluation path, the Taylor-model switch and its monomial budget.
-   Caches of values derived from a flow key this one string, so no
-   layer switch can replay a value computed under another setting. *)
+   Taylor-model switch and its monomial budget.  Caches of values
+   derived from a flow key this one string, so no layer switch can
+   replay a value computed under another setting. *)
 let flow_fingerprint cfg =
-  Printf.sprintf "%s|%h|%h|%h|%d|%h|%b|%b|%d"
+  Printf.sprintf "%s|%h|%h|%h|%d|%h|%b|%d"
     (match cfg.order with Euler_1 -> "e1" | Taylor_2 -> "t2")
     cfg.h cfg.h_min cfg.inflation cfg.max_picard cfg.max_width
-    (Expr.Tape.enabled ()) (Interval.Tm.enabled ()) (Interval.Tm.budget ())
+    (Interval.Tm.enabled ()) (Interval.Tm.budget ())
 
 (* ---- Steps as flat float rows ----
 
@@ -176,82 +176,15 @@ let second_derivative sys =
       (v, Expr.Term.add along time_part))
     field
 
-(* Evaluate the field over [state ∪ params ∪ t]. *)
-let eval_field terms params time state =
-  let box =
-    Box.set System.time_var time
-      (List.fold_left (fun b (k, i) -> Box.set k i b) params (Box.to_list state))
-  in
-  List.map (fun (v, t) -> (v, Expr.Term.eval_interval box t)) terms
+(* ---- The compiled flow ----
 
-let box_add_scaled state scale deriv =
-  List.fold_left
-    (fun b (v, d) -> Box.update v (fun x -> I.add x (I.mul scale d)) b)
-    state deriv
-
-(* One validated step; [None] when no a-priori enclosure was found.
-   [iters] accumulates Picard iterations. *)
-let flow_step cfg sys second params t0 h x0 iters =
-  let time_whole = I.make t0 (t0 +. h) in
-  let h_itv = I.make 0.0 h in
-  let field = System.rhs sys in
-  (* Picard iteration for the a-priori enclosure. *)
-  let rec picard b k =
-    if k > cfg.max_picard then None
-    else
-      let () = incr iters in
-      let f_b = eval_field field params time_whole b in
-      let next = box_add_scaled x0 h_itv f_b in
-      if Box.subset next b then Some b
-      else
-        let widened =
-          Box.map
-            (fun i -> I.inflate (cfg.inflation *. (I.width i +. 1e-12)) i)
-            (Box.hull b next)
-        in
-        picard widened (k + 1)
-  in
-  let seed =
-    let f0 = eval_field field params time_whole x0 in
-    Box.map (fun i -> I.inflate (cfg.inflation *. (I.width i +. 1e-9)) i)
-      (box_add_scaled x0 h_itv f0)
-    |> Box.hull x0
-  in
-  match picard seed 0 with
-  | None -> None
-  | Some b ->
-      let at_end =
-        match cfg.order with
-        | Euler_1 ->
-            let f_b = eval_field field params time_whole b in
-            box_add_scaled x0 (I.of_float h) f_b
-        | Taylor_2 ->
-            let f_x0 = eval_field field params (I.of_float t0) x0 in
-            let d2_b = eval_field second params time_whole b in
-            let first = box_add_scaled x0 (I.of_float h) f_x0 in
-            box_add_scaled first (I.make 0.0 (0.5 *. h *. h)) d2_b
-            |> fun taylor ->
-            (* The endpoint also lies in the a-priori enclosure: intersect
-               for a tighter-than-either result. *)
-            Box.inter taylor b
-      in
-      if Box.is_empty at_end then None else Some (b, at_end)
-
-(* ---- Tape-compiled flow path ----
-
-   The Picard iteration dominates the cost of [flow]: per iteration, per
-   step, the tree path rebuilds a Box (state ∪ params ∪ t) and tree-walks
-   every right-hand side with string-keyed lookups.  The compiled path
-   flattens both the field and the Taylor-2 remainder terms into tapes
-   over [vars @ params @ [t]] once, and runs every evaluation as a loop
-   over interval arrays.  The interval arithmetic per component is
-   identical operation for operation (interval operations are
-   deterministic), so with the Taylor-model pass off the tube is exactly
-   the tree path's tube.  With it on, this path also intersects field
-   evaluations with their TM range, which the tree path has no pass for,
-   so its tube can be tighter; a Picard iteration runs that pass only
-   when its interval containment test fails.  The tree path remains as
-   the differential-testing oracle and BIOMC_NO_TAPE path. *)
+   The Picard iteration dominates the cost of [flow], so the field and
+   the Taylor-2 remainder terms are flattened into tapes over
+   [vars @ params @ [t]] once, and every evaluation runs as a loop over
+   interval arrays: no box is rebuilt and no name looked up per step.
+   With the Taylor-model layer on, each field evaluation is also
+   intersected with its Taylor-model range; a Picard iteration runs that
+   pass only when its interval containment test fails. *)
 
 type prepared = {
   p_sys : System.t;
@@ -339,7 +272,8 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
     done;
     !subset
   in
-  (* One validated step on interval arrays; mirrors [flow_step]. *)
+  (* One validated step on interval arrays; [None] when no a-priori
+     enclosure was found. *)
   let step_tape t0 h (x0 : I.t array) =
     let time_whole = I.make t0 (t0 +. h) in
     let h_itv = I.make 0.0 h in
@@ -431,37 +365,6 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
   in
   go t0 (arr_of init) cfg.h
 
-let flow_tree config sys ~params ~init ~t_end ~iters t0 =
-  let second = if config.order = Taylor_2 then second_derivative sys else [] in
-  let vars = System.vars sys in
-  let rows = builder vars in
-  let arr_of box = Array.of_list (List.map (fun v -> Box.find v box) vars) in
-  let finish t x complete =
-    { vars; steps = contents rows; final = x; t_end = t; complete }
-  in
-  let rec go t x h =
-    if t >= t_end -. 1e-12 then finish t x true
-    else if Box.width x > config.max_width then begin
-      Log.debug (fun m ->
-          m "enclosure blow-up at t=%g (width %g > max_width %g)" t (Box.width x)
-            config.max_width);
-      finish t x false
-    end
-    else
-      let h = Float.min h (t_end -. t) in
-      match flow_step config sys second params t h x iters with
-      | Some (b, x') ->
-          push rows ~t_lo:t ~t_hi:(t +. h) (arr_of b) (arr_of x');
-          go (t +. h) x' config.h
-      | None ->
-          if h <= config.h_min then finish t x false
-          else begin
-            Telemetry.Counter.incr m_step_rejections;
-            go t x (h /. 2.0)
-          end
-  in
-  go t0 init config.h
-
 (* Integrate from [init] (a box over state variables) for [t_end] time
    units with parameters in [params] (a box over parameter names).
    [prepared] skips the per-call tape compilation; build it once per
@@ -470,19 +373,15 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
     sys =
   Telemetry.Span.with_ tm_flow @@ fun () ->
   let iters = ref 0 in
-  let tube =
-    if Expr.Tape.enabled () then
-      let prep =
-        match prepared with
-        | Some p -> p
-        | None ->
-            (* One-time symbolic + tape compilation: negligible against
-               the thousands of Picard evaluations of a typical flow. *)
-            prepare sys
-      in
-      flow_tape config prep ~params ~init ~t_end ~iters t0
-    else flow_tree config sys ~params ~init ~t_end ~iters t0
+  let prep =
+    match prepared with
+    | Some p -> p
+    | None ->
+        (* One-time symbolic + tape compilation: negligible against
+           the thousands of Picard evaluations of a typical flow. *)
+        prepare sys
   in
+  let tube = flow_tape config prep ~params ~init ~t_end ~iters t0 in
   Telemetry.Counter.incr m_flows;
   Telemetry.Counter.add m_picard_iters !iters;
   Telemetry.Counter.add m_steps (length tube.steps);

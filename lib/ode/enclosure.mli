@@ -31,10 +31,10 @@ val default_config : config
 val flow_fingerprint : config -> string
 (** Everything besides the system, the boxes and the horizon that
     decides what {!flow} returns: the config (floats rendered with %h),
-    the evaluation path ({!Expr.Tape.enabled}), the Taylor-model switch
-    and its monomial budget ({!Interval.Tm.enabled},
-    {!Interval.Tm.budget}), read at the call.  Callers that cache values
-    derived from a flow key their groups with it. *)
+    the Taylor-model switch and its monomial budget
+    ({!Interval.Tm.enabled}, {!Interval.Tm.budget}), read at the call.
+    Callers that cache values derived from a flow key their groups with
+    it. *)
 
 (** {1 Steps as flat float rows}
 
@@ -113,17 +113,14 @@ val flow :
   System.t ->
   tube
 (** Guaranteed enclosure of every trajectory starting in [init] under any
-    parameter value in [params].  Runs on flat interval tapes by default;
-    [BIOMC_NO_TAPE=1] restores the tree-walking path.  With the
-    Taylor-model layer off the two paths give the same tube bit for bit;
-    with it on, the tape path also intersects each field evaluation with
-    its Taylor-model range (in a Picard iteration only when the interval
-    containment test fails), so its tube can be tighter.  [?prepared]
-    (from {!prepare} on the same system) skips the per-call compilation.
+    parameter value in [params], computed on flat interval tapes.  With
+    the Taylor-model layer on, each field evaluation is also intersected
+    with its Taylor-model range (in a Picard iteration only when the
+    interval containment test fails).  [?prepared] (from {!prepare} on
+    the same system) skips the per-call compilation.
 
     Every step ends at a box at least as wide, per component, as the
-    state it started from, under either order and on either path (DESIGN
-    §5a). *)
+    state it started from, under either order (DESIGN §5a). *)
 
 val tube_hull : tube -> Interval.Box.t
 

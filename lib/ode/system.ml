@@ -146,41 +146,31 @@ let digest s =
    only (no argument copy, no boxed time).  The parameters are set
    separately, once per trajectory.
 
-   Tape path: the cells are the staged tape's float-only workspace
-   (see [Expr.Tape.stage]).  The system's cached tape makes a new field
-   (one per stepper) an array allocation, and setting the parameters
+   The cells are the staged tape's float-only workspace (see
+   [Expr.Tape.stage]).  The system's cached tape makes a new field (one
+   per stepper) an array allocation, and setting the parameters
    evaluates the slots that read only constants and parameters, once,
-   leaving each call the slots that read a state variable or t.
-   Tree path: the cells are an array [state..., t] and setting the
-   parameters substitutes them and builds the closures again.  A field
-   owns its buffers, so it must not be used from two domains at once. *)
-
-type field_eval =
-  | Staged of { st : Expr.Tape.staged; pin : float array }
-      (* [pin]: the tape's inputs for [eval_static], which reads only
-         the parameters' *)
-  | Tree of { mutable fs : (float array -> float) array }
+   leaving each call the slots that read a state variable or t.  A
+   field owns its buffers, so it must not be used from two domains at
+   once. *)
 
 type field = {
   fsys : t;
+  st : Expr.Tape.staged;
   cells : float array;
   cell_of : int array;  (* state variable i's cell; entry [dim] is t's *)
-  eval : field_eval;
+  pin : float array;
+      (* the tape's inputs for [eval_static], which reads only the
+         parameters' *)
 }
 
 let field s =
-  let n = List.length s.vars in
-  if Expr.Tape.enabled () then begin
-    let st = rhs_staged s in
-    let np = List.length s.params in
-    let tape_cells = Expr.Tape.input_cells st in
-    { fsys = s; cells = Expr.Tape.staged_cells st;
-      cell_of = Array.init (n + 1) (fun i -> tape_cells.(if i < n then i else n + np));
-      eval = Staged { st; pin = Array.make (n + np + 1) 0.0 } }
-  end
-  else
-    { fsys = s; cells = Array.make (n + 1) 0.0; cell_of = Array.init (n + 1) Fun.id;
-      eval = Tree { fs = [||] } }
+  let n = List.length s.vars and np = List.length s.params in
+  let st = rhs_staged s in
+  let tape_cells = Expr.Tape.input_cells st in
+  { fsys = s; st; cells = Expr.Tape.staged_cells st;
+    cell_of = Array.init (n + 1) (fun i -> tape_cells.(if i < n then i else n + np));
+    pin = Array.make (n + np + 1) 0.0 }
 
 let field_cells fld = fld.cells
 let field_cell_of fld = Array.copy fld.cell_of
@@ -189,24 +179,10 @@ let bind_field fld values =
   let s = fld.fsys in
   if Array.length values <> List.length s.params then
     invalid_arg "System.bind_field: one value per parameter";
-  match fld.eval with
-  | Staged { st; pin } ->
-      Array.blit values 0 pin (List.length s.vars) (Array.length values);
-      Expr.Tape.eval_static st fld.cells ~inputs:pin
-  | Tree tree ->
-      let bound = bind_params (List.combine s.params (Array.to_list values)) s in
-      let order = bound.vars @ [ time_var ] in
-      tree.fs <-
-        Array.of_list (List.map (fun (_, t) -> Expr.Term.compile ~vars:order t) bound.rhs)
+  Array.blit values 0 fld.pin (List.length s.vars) (Array.length values);
+  Expr.Tape.eval_static fld.st fld.cells ~inputs:fld.pin
 
-let eval_field fld out =
-  match fld.eval with
-  | Staged { st; _ } -> Expr.Tape.eval_dynamic_into st fld.cells ~out
-  | Tree { fs } ->
-      let x = fld.cells in
-      for i = 0 to Array.length fs - 1 do
-        out.(i) <- fs.(i) x
-      done
+let eval_field fld out = Expr.Tape.eval_dynamic_into fld.st fld.cells ~out
 
 (* The system's parameter values in [params] order, read from [env]. *)
 let param_values_for ~caller s env =

@@ -41,8 +41,7 @@ val compile : ?param_env:(string * float) list -> t -> float -> float array -> f
 (** [compile ~param_env sys] is the vector field as a fast closure
     [t -> state -> derivative]; all parameters must be bound.  The
     closure owns internal scratch buffers: share it freely within one
-    domain, but compile per worker domain (as a fresh tree-walking
-    closure would also require).
+    domain, but compile per worker domain.
     @raise Invalid_argument on an unbound parameter. *)
 
 val compile_into :
@@ -64,12 +63,12 @@ val compile_into :
     The form the numerical steppers evaluate: the state and the time
     are written straight into the field's input cells, and an
     evaluation writes the derivative into an output array, with no
-    argument copied and no float boxed.  On the tape path the field's
-    constant and parameter-only slots are evaluated when the parameters
-    are bound, and each evaluation runs only the slots that read a
-    state variable or [t]; outputs are bit-identical to a full
-    {!Expr.Tape.eval_floats_into} pass.  A field owns its buffers: use
-    it from one domain. *)
+    argument copied and no float boxed.  The field is the system's
+    staged tape ({!Expr.Tape.stage}): its constant and parameter-only
+    slots are evaluated when the parameters are bound, and each
+    evaluation runs only the slots that read a state variable or [t];
+    outputs are bit-identical to a full {!Expr.Tape.eval_floats_into}
+    pass.  A field owns its buffers: use it from one domain. *)
 
 type field
 
@@ -79,8 +78,6 @@ val field : t -> field
 
 val bind_field : field -> float array -> unit
 (** Set the parameters, one value per {!params} entry in that order.
-    On the tree path this substitutes them and builds the closures
-    again.
     @raise Invalid_argument on a wrong number of values. *)
 
 val field_cells : field -> float array
@@ -95,7 +92,7 @@ val field_cell_of : field -> int array
 
 val eval_field : field -> float array -> unit
 (** [eval_field f out] writes the derivative at the state and time in
-    the cells into [out].  Allocation-free on the tape path. *)
+    the cells into [out].  Allocation-free. *)
 
 val param_values : t -> (string * float) list -> float array
 (** The values of {!params}, in order, read from an environment (its

@@ -300,8 +300,6 @@ let test_stability_subjects_relax () =
    slot would show. *)
 
 let test_hoisted_fields () =
-  Expr.Tape.set_enabled true;
-  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   let st = ref 53L in
   let draw () = Splitmix.float st 4.0 -. 1.0 in
   List.iteri

@@ -437,15 +437,14 @@ let test_concurrent_access () =
       Alcotest.(check (list int)) "all domains joined" [ 0; 1; 2; 3 ] done_)
 
 (* Both stores cache values derived from a validated flow, and both key
-   them by [Enclosure.flow_fingerprint]: the tape switch, the
-   Taylor-model switch and its monomial budget.  A Lotka–Volterra reach
-   check (the segment store) and a Lotka–Volterra calibration (the
-   verdict store) run under four settings — TM at budget 64, TM at
-   budget 1, TM off, tapes off — each on a cleared cache, and every flip
-   away from budget 64 moves both answers.  Then, in one process with
-   the caches on and never cleared, each setting runs right after the
-   budget-64 one and must give its cleared-cache answers, not replay
-   the budget-64 ones. *)
+   them by [Enclosure.flow_fingerprint]: the Taylor-model switch and its
+   monomial budget.  A Lotka–Volterra reach check (the segment store)
+   and a Lotka–Volterra calibration (the verdict store) run under three
+   settings — TM at budget 64, TM at budget 1, TM off — each on a
+   cleared cache, and every flip away from budget 64 moves both
+   answers.  Then, in one process with the caches on and never
+   cleared, each setting runs right after the budget-64 one and must
+   give its cleared-cache answers, not replay the budget-64 ones. *)
 let test_budget_keys_groups () =
   let near_one = I.make 0.9 1.1 in
   let reach_pb =
@@ -473,23 +472,18 @@ let test_budget_keys_groups () =
     Fmt.str "%a" B.pp_result
       (B.synthesize ~config:{ B.default_config with epsilon = 0.05 } lv)
   in
-  (* (name, tapes, TM, budget); the first is the reference setting. *)
+  (* (name, TM, budget); the first is the reference setting. *)
   let settings =
-    [ ("budget 64", true, true, 64); ("budget 1", true, true, 1);
-      ("TM off", true, false, 64); ("tapes off", false, true, 64) ]
+    [ ("budget 64", true, 64); ("budget 1", true, 1); ("TM off", false, 64) ]
   in
-  let run (_, tape, tm, budget) =
-    Expr.Tape.set_enabled tape;
+  let run (_, tm, budget) =
     TM.set_enabled tm;
     TM.set_budget budget;
     (reach (), biopsy ())
   in
   (* Newton and TM pinned, so the settings mean the same under every
      BIOMC_NO_* leg. *)
-  Fun.protect ~finally:(fun () ->
-      TM.set_budget TM.default_budget;
-      Expr.Tape.clear_enabled_override ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> TM.set_budget TM.default_budget) @@ fun () ->
   Layers.with_layers (true, true) @@ fun () ->
   with_cache true @@ fun () ->
   let fresh =
@@ -501,13 +495,13 @@ let test_budget_keys_groups () =
   in
   let reach64, bio64 = List.hd fresh in
   List.iter2
-    (fun (name, _, _, _) (r, b) ->
+    (fun (name, _, _) (r, b) ->
       Alcotest.(check bool) (name ^ " moves the reach check") true (r <> reach64);
       Alcotest.(check bool) (name ^ " moves the biopsy") true (b <> bio64))
     (List.tl settings) (List.tl fresh);
   Cache.clear ();
   List.iter2
-    (fun ((name, _, _, _) as s) (r, b) ->
+    (fun ((name, _, _) as s) (r, b) ->
       ignore (run (List.hd settings));
       let r', b' = run s in
       Alcotest.(check string) (name ^ " reach check after a budget-64 one") r r';

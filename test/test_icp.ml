@@ -435,8 +435,6 @@ let test_pave_agreement () =
    has no solution on [0, 1] (the maximum is 1/4), which the HC4 pass
    alone cannot see but the Newton and Taylor-model layers refute. *)
 let test_contractor_samples_switches () =
-  Expr.Tape.set_enabled true;
-  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   let cs = C.of_atoms (F.atoms (P.formula "x*(1 - x) >= 0.3")) in
   let off = (false, false) and on = (true, true) in
   let c_off = Layers.with_layers off (fun () -> C.contractor (C.compile cs)) in
@@ -573,21 +571,15 @@ let test_of_atoms_empty_target () =
              true (Icp.Deriv.contract sys b = None))
          [ box [ ("x", -10.0, 10.0) ]; box [ ("x", 0.5, 0.5) ] ]);
   List.iter
-    (fun tape ->
-      Expr.Tape.set_enabled tape;
-      Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
-      List.iter
-        (fun l ->
-          Layers.with_layers l (fun () ->
-              let what = Printf.sprintf "tape=%b %s" tape (Layers.name l) in
-              refutes ("contractor " ^ what) (C.contractor (C.compile cs));
-              expect_unsat what
-                (S.decide ~config:cfg f (box [ ("x", -10.0, 10.0) ]));
-              let p = S.pave ~config:cfg f (box [ ("x", -10.0, 10.0) ]) in
-              Alcotest.(check int) ("pave: no sat leaf " ^ what) 0
-                (List.length p.S.sat + List.length p.S.undecided)))
-        Layers.settings)
-    [ true; false ]
+    (fun l ->
+      Layers.with_layers l (fun () ->
+          let what = Layers.name l in
+          refutes ("contractor " ^ what) (C.contractor (C.compile cs));
+          expect_unsat what (S.decide ~config:cfg f (box [ ("x", -10.0, 10.0) ]));
+          let p = S.pave ~config:cfg f (box [ ("x", -10.0, 10.0) ]) in
+          Alcotest.(check int) ("pave: no sat leaf " ^ what) 0
+            (List.length p.S.sat + List.length p.S.undecided)))
+    Layers.settings
 
 (* The δ-widened bounds enclose the reals c - δ and c' + δ, checked in
    exact arithmetic: TwoSum gives s + e = a + b exactly, and the
@@ -833,14 +825,12 @@ let qcheck_tests =
    full major collection; per-domain storage kept every workspace
    (+86,034 words for 2,000 tapes evaluated once each). *)
 let test_workspaces_die () =
-  Expr.Tape.set_enabled true;
   Icp.Deriv.set_enabled true;
   Interval.Tm.set_enabled true;
   (* a journal would keep every run's records *)
   Journal.set_sink Journal.Off;
   Fun.protect
     ~finally:(fun () ->
-      Expr.Tape.clear_enabled_override ();
       Icp.Deriv.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ();
       Journal.clear_sink_override ())
@@ -914,12 +904,10 @@ let hex_box b =
 let test_shared_scratch () =
   let st = Random.State.make [| 30 |] in
   let saved = Interval.Tm.budget () in
-  Expr.Tape.set_enabled true;
   Interval.Tm.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Interval.Tm.set_budget saved;
-      Expr.Tape.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ())
   @@ fun () ->
   for case = 1 to 150 do

@@ -391,23 +391,21 @@ let test_flags_follow_switches () =
       Icp.Deriv.clear_enabled_override ();
       Interval.Tm.set_budget Interval.Tm.default_budget;
       Interval.Tm.clear_enabled_override ();
-      Expr.Tape.clear_enabled_override ();
       Cache.clear_enabled_override ())
   @@ fun () ->
   let set on =
     Icp.Deriv.set_enabled on;
     Interval.Tm.set_enabled on;
-    Expr.Tape.set_enabled on;
     Cache.set_enabled on
   in
-  let switches = [ "newton"; "tm"; "cache"; "tape" ] in
+  let switches = [ "newton"; "tm"; "cache" ] in
   List.iter
     (fun on ->
       set on;
       let flags = Icp.Search.journal_flags 3 in
       Alcotest.(check (list string))
         "header keys"
-        [ "cache"; "jobs"; "newton"; "tape"; "tm"; "tm_budget" ]
+        [ "cache"; "jobs"; "newton"; "tm"; "tm_budget" ]
         (List.sort compare (List.map fst flags));
       List.iter
         (fun k ->

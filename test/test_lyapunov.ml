@@ -146,7 +146,8 @@ let test_cegis_rejects_parameterized () =
 
 let test_cegis_certificate_is_lyapunov () =
   (* independent re-check: on a dense grid of the annulus, V > 0 and
-     Vdot below the margin. *)
+     the strict decrease Vdot < -zeta*|x|^2 that the forall-step
+     proves. *)
   let sys = Biomodels.Classics.damped_rotation in
   let prob = Cegis.problem ~region:region2 ~template:(Tpl.quadratic [ "x"; "y" ]) sys in
   let cert = expect_proved "grid check" (Cegis.synthesize prob) in
@@ -157,7 +158,8 @@ let test_cegis_certificate_is_lyapunov () =
       if (x *. x) +. (y *. y) >= 0.01 then begin
         let env = [ ("x", x); ("y", y) ] in
         if T.eval_env env cert.Cegis.v <= 0.0 then incr bad;
-        if T.eval_env env cert.Cegis.vdot > 1e-3 then incr bad
+        if T.eval_env env cert.Cegis.vdot >= -.prob.Cegis.zeta *. ((x *. x) +. (y *. y))
+        then incr bad
       end
     done
   done;
@@ -181,6 +183,45 @@ let test_stability_erk () =
       Alcotest.(check bool) "validated" true
         (Core.Stability.validate ~region Biomodels.Classics.erk_cascade cert)
   | None -> Alcotest.fail "ERK cascade should be provably stable"
+
+(* ---- A strict decrease ----
+
+   ẋ = A·x on [−1, 1]² with A = −w·wᵀ + ε·u·uᵀ, u the unit vector at
+   22.5° and w ⊥ u: the origin attracts along w and repels along u,
+   which misses every seed point (the corners and the axis points).
+   Along u, V̇ > 0 for any positive definite V, but for small ε it stays
+   below a fixed margin: with a ∀-step that refuted only V̇ ≥ 10⁻³, an
+   even-quartic V was proved in 3 iterations at ε = 10⁻⁴. *)
+
+let saddle eps =
+  let a = Float.pi /. 8.0 in
+  let c = Float.cos a and s = Float.sin a in
+  let row p q = T.add (T.mul (T.const p) (T.var "x")) (T.mul (T.const q) (T.var "y")) in
+  Ode.System.create ~vars:[ "x"; "y" ] ~params:[]
+    ~rhs:
+      [ ("x", row ((eps *. c *. c) -. (s *. s)) ((1.0 +. eps) *. s *. c));
+        ("y", row ((1.0 +. eps) *. s *. c) ((eps *. s *. s) -. (c *. c))) ]
+
+let test_saddle_not_proved () =
+  let prob =
+    Cegis.problem ~region:region2 ~template:(Tpl.even_quartic [ "x"; "y" ]) (saddle 1e-4)
+  in
+  let config = { Cegis.default_config with max_iterations = 3 } in
+  match Cegis.synthesize ~config prob with
+  | Cegis.Proved c ->
+      Alcotest.failf "unstable saddle proved stable in %d iterations: V = %a"
+        c.Cegis.iterations T.pp c.Cegis.v
+  | Cegis.No_candidate _ | Cegis.Budget_exhausted _ -> ()
+
+let test_saddle_validate_rejects () =
+  let sys = saddle 1e-4 in
+  let v = P.term "x^2 + y^2" in
+  let cert =
+    { Cegis.v; vdot = Poly.canonicalize (T.lie_derivative (Ode.System.rhs sys) v);
+      coefficients = []; iterations = 0; counterexamples = [] }
+  in
+  Alcotest.(check bool) "x² + y² is no strict Lyapunov function" false
+    (Core.Stability.validate ~region:region2 sys cert)
 
 let () =
   Alcotest.run "lyapunov"
@@ -212,5 +253,11 @@ let () =
         [
           Alcotest.test_case "prove damped rotation" `Quick test_stability_prove;
           Alcotest.test_case "prove ERK cascade" `Slow test_stability_erk;
+        ] );
+      ( "strict decrease",
+        [
+          Alcotest.test_case "saddle not proved" `Quick test_saddle_not_proved;
+          Alcotest.test_case "validate rejects the saddle" `Quick
+            test_saddle_validate_rejects;
         ] );
     ]

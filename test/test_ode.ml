@@ -385,9 +385,9 @@ let test_enclosure_oscillator () =
    (the Taylor-2 terms fold c² with [Float.pow]), so every bound is
    fixed by IEEE 754 and the digest does not depend on the platform's
    libm.  One system is autonomous, with constant divisors and a
-   parameter box; the other reads t.  The tape and TM layers are pinned
-   on, at the default monomial budget, so the digest covers the default
-   path whatever the environment. *)
+   parameter box; the other reads t.  The TM layer is pinned on, at the
+   default monomial budget, so the digest covers the default path
+   whatever the environment. *)
 
 let digest_autonomous =
   Sys.of_strings ~vars:[ "x"; "y" ] ~params:[ "k" ]
@@ -433,12 +433,10 @@ let flow_digest () =
 
 let test_flow_digest () =
   let budget0 = Interval.Tm.budget () in
-  Expr.Tape.set_enabled true;
   Interval.Tm.set_enabled true;
   Interval.Tm.set_budget Interval.Tm.default_budget;
   Fun.protect
     ~finally:(fun () ->
-      Expr.Tape.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ();
       Interval.Tm.set_budget budget0)
   @@ fun () ->
@@ -454,9 +452,9 @@ let test_flow_digest () =
    started from, which is what lets [Reach.Checker] stop a tube at its
    first state wider than its usability gate's limit.  Random fields
    over x, y, k and sometimes t, with exp, tanh and products, on random
-   init and parameter boxes, under both orders, the tape and tree paths
-   and TM on and off.  The strict growths are counted so the check
-   cannot pass on tubes that never step. *)
+   init and parameter boxes, under both orders and TM on and off.  The
+   strict growths are counted so the check cannot pass on tubes that
+   never step. *)
 
 let rec rand_field st depth =
   let leaf () =
@@ -495,14 +493,10 @@ let test_widths_never_fall () =
     let init = Box.of_list [ ("x", draw (-1.0) 2.0 0.2); ("y", draw (-1.0) 2.0 0.2) ] in
     let params = Box.of_list [ ("k", draw (-1.0) 2.0 0.5) ] in
     List.iter
-      (fun (order, tape, tm) ->
-        Expr.Tape.set_enabled tape;
+      (fun (order, tm) ->
         Interval.Tm.set_enabled tm;
         let tube =
-          Fun.protect
-            ~finally:(fun () ->
-              Expr.Tape.clear_enabled_override ();
-              Interval.Tm.clear_enabled_override ())
+          Fun.protect ~finally:Interval.Tm.clear_enabled_override
             (fun () ->
               Enc.flow ~config:{ Enc.default_config with order } ~params ~init
                 ~t_end:1.0 sys)
@@ -520,25 +514,95 @@ let test_widths_never_fall () =
                    if w1 > w0 then incr grew
                    else if not (w1 >= w0) then
                      Alcotest.failf
-                       "case %d (order %s, tape %b, tm %b): %s narrowed from %h to \
-                        %h at t=%g"
+                       "case %d (order %s, tm %b): %s narrowed from %h to %h at t=%g"
                        case
                        (if order = Enc.Euler_1 then "1" else "2")
-                       tape tm v w0 w1 (Enc.t_hi s k))
+                       tm v w0 w1 (Enc.t_hi s k))
                  [ "x"; "y" ];
                at_end)
              init
              (List.init (Enc.length s) Fun.id)))
       (List.concat_map
-         (fun order ->
-           List.concat_map
-             (fun tape -> List.map (fun tm -> (order, tape, tm)) [ true; false ])
-             [ true; false ])
+         (fun order -> List.map (fun tm -> (order, tm)) [ true; false ])
          [ Enc.Euler_1; Enc.Taylor_2 ])
   done;
   if !compared < 20_000 || !grew < !compared / 2 then
     Alcotest.failf "only %d widths compared, %d grew: the draw is too weak"
       !compared !grew
+
+(* ---- Flows contain true trajectories ----
+
+   Every step of a default [Enc.flow] tube must hold the trajectories it
+   encloses.  From 17 points of the initial and parameter box (its
+   midpoint and 16 SplitMix64 draws), an accurate RKF45 run restarts at
+   each step's t_lo from the state the run reached at the previous
+   step's t_hi: every point it accepts must lie in the step's enclosure,
+   and its state at t_hi in the step's end box.  The cases are FK's
+   three modes, TBI's m0 and mA, and the logistic flow over a box of
+   rates.  An endpoint without its Taylor-2 remainder (h²/2)·f′(B) fails
+   it on FK's high mode. *)
+
+let logistic = Sys.of_strings ~vars:[ "x" ] ~params:[ "r" ] ~rhs:[ ("x", "r*x*(1 - x)") ]
+
+let test_flows_contain_trajectories () =
+  let module Fk = Biomodels.Fenton_karma in
+  let module Tbi = Biomodels.Tbi in
+  let rkf45 = Int.Rkf45 { rtol = 1e-10; atol = 1e-12; h0 = 1e-3; h_max = 0.05 } in
+  let fk = Fk.automaton () in
+  let tbi = Tbi.automaton ~theta1:(`Fixed 0.8) ~theta2:(`Fixed 0.9) () in
+  let itv = List.map (fun (x, lo, hi) -> (x, I.make lo hi)) in
+  let fk_init (u_lo, u_hi) (lo, hi) = itv [ ("u", u_lo, u_hi); ("v", lo, hi); ("w", lo, hi) ] in
+  let tbi_init =
+    itv
+      (("clox", 0.5, 0.52)
+      :: List.map (fun v -> (v, 0.1, 0.11)) [ "rip3"; "casp3"; "lip"; "il"; "par" ])
+  in
+  let cases =
+    [ ("FK low", Hybrid.Automaton.mode_system fk Fk.mode_low, [],
+       fk_init (0.0, 0.01) (0.95, 1.0), 50.0);
+      ("FK mid", Hybrid.Automaton.mode_system fk Fk.mode_mid, [],
+       fk_init (0.08, 0.09) (0.9, 0.91), 50.0);
+      ("FK high", Hybrid.Automaton.mode_system fk Fk.mode_high, [],
+       fk_init (0.5, 0.51) (0.9, 0.91), 50.0);
+      ("TBI m0", Hybrid.Automaton.mode_system tbi Tbi.mode0, [], tbi_init, 10.0);
+      ("TBI mA", Hybrid.Automaton.mode_system tbi Tbi.mode_a, [], tbi_init, 10.0);
+      ("logistic", logistic, itv [ ("r", 0.9, 1.1) ], itv [ ("x", 0.1, 0.12) ], 5.0) ]
+  in
+  let st = ref 67L in
+  List.iter
+    (fun (name, sys, params, init, t_end) ->
+      let tube = Enc.flow ~params:(Box.of_list params) ~init:(Box.of_list init) ~t_end sys in
+      let s = tube.Enc.steps and vars = Sys.vars sys in
+      if Enc.length s = 0 then Alcotest.failf "%s: the tube has no step" name;
+      for p = 0 to 16 do
+        let draw =
+          List.map (fun (x, i) ->
+              (x, if p = 0 then I.mid i else I.lo i +. Splitmix.float st (I.width i)))
+        in
+        let params = draw params in
+        let state = ref (Array.of_list (List.map snd (draw init))) in
+        for k = 0 to Enc.length s - 1 do
+          let inside what box t (x : float array) =
+            List.iteri
+              (fun i v ->
+                let b = Box.find v box in
+                if not (I.mem x.(i) b) then
+                  Alcotest.failf "%s, point %d, step %d: %s = %h at t = %g outside the \
+                                  %s [%h, %h]"
+                    name p k v x.(i) t what (I.lo b) (I.hi b))
+              vars
+          in
+          let tr =
+            Int.simulate ~t0:(Enc.t_lo s k) ~method_:rkf45 ~params
+              ~init:(List.combine vars (Array.to_list !state)) ~t_end:(Enc.t_hi s k) sys
+          in
+          let enclosure = Enc.enclosure s k in
+          Array.iteri (fun j t -> inside "enclosure" enclosure t tr.Int.states.(j)) tr.Int.times;
+          state := Int.final_state tr;
+          inside "end box" (Enc.at_end s k) (Int.final_time tr) !state
+        done
+      done)
+    cases
 
 (* ---- Bit-identity digest of the numeric integrators ----
 
@@ -600,8 +664,6 @@ let integrator_digest () =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_integrator_digest () =
-  Expr.Tape.set_enabled true;
-  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   Alcotest.(check string) "integrator traces bit-identical"
     "c1d35c1eb1508e40e11a2486f9da502f" (integrator_digest ())
 
@@ -616,50 +678,42 @@ let same_bits what got want =
 
 (* [System.field] driven as the steppers drive it (each state value and
    the time written straight into its cell, then an evaluation) must
-   give what [System.compile_into] gives, bit for bit, on every field of
-   the model library, on the tape path and on the tree path; on the
-   tape path both must also equal a full [Expr.Tape.eval_floats_into]
-   pass.  The field's parameters are bound again between batches of
-   calls, so a stale parameter slot would show. *)
+   give what [System.compile_into] gives and what a full
+   [Expr.Tape.eval_floats_into] pass gives, bit for bit, on every field
+   of the model library.  The field's parameters are bound again
+   between batches of calls, so a stale parameter slot would show. *)
 let test_in_place_field () =
-  List.iter
-    (fun tape ->
-      Expr.Tape.set_enabled tape;
-      Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
-      let st = ref 71L in
-      let draw () = Splitmix.float st 4.0 -. 1.0 in
-      List.iteri
-        (fun k sys ->
-          let n = Sys.dim sys in
-          let fld = Sys.field sys in
-          let cells = Sys.field_cells fld and cell_of = Sys.field_cell_of fld in
-          let tp = Sys.rhs_tape sys in
-          let sc = Expr.Tape.scratch tp in
-          for _ = 1 to 4 do
-            let param_env = List.map (fun p -> (p, draw ())) (Sys.params sys) in
-            let values = Sys.param_values sys param_env in
-            Sys.bind_field fld values;
-            let f = Sys.compile_into ~param_env sys in
-            for _ = 1 to 25 do
-              let state = Array.init n (fun _ -> draw ()) and t = draw () in
-              Array.iteri (fun i v -> cells.(cell_of.(i)) <- v) state;
-              cells.(cell_of.(n)) <- t;
-              let got = Array.make n 0.0 and want = Array.make n 0.0 in
-              Sys.eval_field fld got;
-              f t state want;
-              let what = Printf.sprintf "field %d (tape %b)" k tape in
-              same_bits (what ^ " vs compile_into") got want;
-              if tape then begin
-                let full = Array.make n 0.0 in
-                Expr.Tape.eval_floats_into tp sc
-                  ~inputs:(Array.concat [ state; values; [| t |] ])
-                  ~out:full;
-                same_bits (what ^ " vs a full tape pass") got full
-              end
-            done
-          done)
-        (Fields.all ()))
-    [ true; false ]
+  let st = ref 71L in
+  let draw () = Splitmix.float st 4.0 -. 1.0 in
+  List.iteri
+    (fun k sys ->
+      let n = Sys.dim sys in
+      let fld = Sys.field sys in
+      let cells = Sys.field_cells fld and cell_of = Sys.field_cell_of fld in
+      let tp = Sys.rhs_tape sys in
+      let sc = Expr.Tape.scratch tp in
+      for _ = 1 to 4 do
+        let param_env = List.map (fun p -> (p, draw ())) (Sys.params sys) in
+        let values = Sys.param_values sys param_env in
+        Sys.bind_field fld values;
+        let f = Sys.compile_into ~param_env sys in
+        for _ = 1 to 25 do
+          let state = Array.init n (fun _ -> draw ()) and t = draw () in
+          Array.iteri (fun i v -> cells.(cell_of.(i)) <- v) state;
+          cells.(cell_of.(n)) <- t;
+          let got = Array.make n 0.0 and want = Array.make n 0.0 in
+          Sys.eval_field fld got;
+          f t state want;
+          let what = Printf.sprintf "field %d" k in
+          same_bits (what ^ " vs compile_into") got want;
+          let full = Array.make n 0.0 in
+          Expr.Tape.eval_floats_into tp sc
+            ~inputs:(Array.concat [ state; values; [| t |] ])
+            ~out:full;
+          same_bits (what ^ " vs a full tape pass") got full
+        done
+      done)
+    (Fields.all ())
 
 (* RKF45's growth factor takes the cap of 4 without [Float.pow] below
    [rkf45_cap_err]; it must equal the power's capped value bit for bit
@@ -830,6 +884,8 @@ let () =
           Alcotest.test_case "widths never fall" `Quick test_widths_never_fall;
           Alcotest.test_case "state_at = linear scan" `Quick test_state_at_binary_search;
           Alcotest.test_case "tube rows layout" `Quick test_tube_layout;
+          Alcotest.test_case "flows contain RKF45 trajectories" `Quick
+            test_flows_contain_trajectories;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -9,8 +9,8 @@
    The digests were computed on the code before the searches shared one
    driver; recompute them only for a change that is meant to move a
    search's output, on a clean archive of the parent commit, never from
-   the changed code.  Caches are off and the tape, Newton and
-   Taylor-model layers pinned on, so every CI leg must reproduce them.
+   the changed code.  Caches are off and the Newton and Taylor-model
+   layers pinned on, so every CI leg must reproduce them.
    A change that only shortens journaled tubes may pin the changed
    code's digest once a script shows that the parent's rendering and
    the change's differ only in "tube" records (same count and order,
@@ -22,7 +22,11 @@
    and once more when it stopped integrating a second time a complete
    tube the gate had rejected: each time the change's rendering is the
    parent's without the tube records that repeated the one just before
-   them, every other line identical.
+   them, every other line identical.  Every journaled pin was re-derived
+   when the tape switch went: on an archive of the parent with only the
+   "tape" key deleted from the journal's flag header, each rendering is
+   the parent's with the "tape":"true" member gone from its run record,
+   every other line identical.
 
    Four of the pinned queries run again at jobs = 2 on two domains,
    where the frontier's schedule varies from run to run: while the
@@ -116,13 +120,11 @@ let schedule_free r =
 
 let pinned f () =
   Cache.set_enabled false;
-  Expr.Tape.set_enabled true;
   Icp.Deriv.set_enabled true;
   Interval.Tm.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Cache.clear_enabled_override ();
-      Expr.Tape.clear_enabled_override ();
       Icp.Deriv.clear_enabled_override ();
       Interval.Tm.clear_enabled_override ())
     f
@@ -325,29 +327,29 @@ let at_jobs_1 name = rendering (List.assoc name scheduled 1)
 let queries =
   [ ( "decide delta-sat",
       rendering (decide "x^2 + y^2 = 1 and y = x^2" square),
-      "96dcfc3f0fa73abaed4fe7883d9f32a4" );
+      "56ef90ca5bd82a878f098b6d48c3295d" );
     ( "decide delta-sat, one variable",
       rendering (decide "x^3 - x = 1/4" [ ("x", -2.0, 2.0) ]),
-      "b2ef90a9f16b6e9063ecc6514f60ea6d" );
-    ("decide unsat", at_jobs_1 "decide unsat", "263e5f0809cdc5cf27bbcc2c30854155");
+      "2b20140b1e78a74130a4a73420198725" );
+    ("decide unsat", at_jobs_1 "decide unsat", "e6611af4ab781c7537dfeddaecc32eaf");
     ( "decide dnf",
       rendering
         (decide ("(" ^ circle_hyperbola ^ ") or (x^2 + y^2 = 1 and y = x^2)") wider),
-      "f234b3ba1ca781a9ff7bcb7c7d836348" );
+      "83467f52d615f4c9a442b8d190591d2f" );
     ( "pave",
       rendering
         (pave ~config:{ S.default_config with epsilon = 0.1 } "x^2 + y^2 <= 1" wide),
-      "c875121e3aab20cb1d749c72b0b0f686" );
-    ("check delta-sat", rendering (check switch_sat), "5182bd92021eefb72af7797c55a946f3");
-    ("check unsat", rendering (check switch_unsat), "59db4d2fcadb1263f5f75207286bb3f9");
+      "b09e7151b55e2d09ff33b2cff9e1c7a6" );
+    ("check delta-sat", rendering (check switch_sat), "6b8f47a227d04cb8ce8a64583dabda6c");
+    ("check unsat", rendering (check switch_unsat), "15f1f23e877e7e79e802d662a9c83055");
     ( "check parameterized delta-sat",
       rendering (check decay_threshold),
-      "848babd09ea9c9d3488ff42172c11085" );
+      "cfaf25096d2a2f96995e61843f9dd344" );
     ( "check parameterized unsat",
       rendering (check decay_slow),
-      "150c6b730468cd917e7be78104ccdd28" );
-    ("synthesize", at_jobs_1 "synthesize", "5998c9435cec0db3893c601856dacc52");
-    ("biopsy", at_jobs_1 "biopsy", "58fe145032951dcf2db25b34bcbdc0ee");
+      "1094fca93e14b0e4e4ce5f05a27d2a36" );
+    ("synthesize", at_jobs_1 "synthesize", "7f470bf43227ee50732a2b275dd5b0ae");
+    ("biopsy", at_jobs_1 "biopsy", "3d649037e88daa66f58f83124b51bffb");
     ( "decide exhausted",
       exhausted_decide { S.default_config with max_boxes = 5 } circle_hyperbola wider,
       "0327fe6c16fe4343364edf9ad4e3868c" );
@@ -367,13 +369,13 @@ let queries =
     ( "pave impulse fit",
       rendering
         (pave ~config:{ S.default_config with epsilon = 0.05 } impulse_fit impulse_box),
-      "a60340adb8d1a71aad5a59cc58b968b0" );
+      "ac16877551e275ec513058f5aff40756" );
     ( "pave impulse fit, workload epsilon",
       at_jobs_1 "pave impulse fit, workload epsilon",
-      "d6dd1cc40aa640fcc31137902c88f52e" );
+      "8c50d1f6d08f5f3a419121c9f1a861d1" );
     ( "decide two-sided band",
       rendering (decide "x^3 - x >= 0.2 and x^3 - x <= 0.25" [ ("x", -2.0, 2.0) ]),
-      "84b180b2088faf9c81e4fee7c51ed8ff" );
+      "4d877f41c9831820f952c27e2e9f3e9f" );
     ( "biopsy exhausted",
       exhausted_biopsy
         { B.default_config with epsilon = 0.05; max_boxes = 6 }
@@ -381,10 +383,10 @@ let queries =
       "ef2e8e16d9c021603b3743df0c70a843" );
     ( "pave cubic band, no contraction",
       rendering (pave ~config:no_contraction cubic_band square),
-      "68d37e3f256fbd91c553a3fc368e36ff" );
+      "b98d01a6ef19c8783a8cff12afdcdb55" );
     ( "pave impulse fit, no contraction",
       rendering (pave ~config:no_contraction impulse_fit impulse_box),
-      "caab9184253755b15a4caedcd24a394b" ) ]
+      "5b9f0dde9668e2048d3963044ea3cd35" ) ]
 
 let digest s = Digest.to_hex (Digest.string s)
 

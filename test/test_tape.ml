@@ -476,11 +476,7 @@ let test_tan_multi_branch_unchanged () =
       Alcotest.(check bool) (name ^ " unchanged") true
         (I.equal x (I.make 0.0 10.0)))
 
-(* ---- end-to-end: tape on/off and seq/parallel agreement ---- *)
-
-let with_tapes flag f =
-  Tape.set_enabled flag;
-  Fun.protect ~finally:Tape.clear_enabled_override f
+(* ---- end-to-end: seq/parallel agreement ---- *)
 
 let verdict_kind = function
   | S.Delta_sat _ -> "delta-sat"
@@ -496,52 +492,41 @@ let decide_cases =
       box [ ("x", -1.0, 1.0); ("y", -1.0, 1.0) ] );
     ("sin", "sin(x) = 1/2", box [ ("x", 0.0, 3.0) ]) ]
 
-let test_decide_tape_vs_tree () =
+let test_decide_tape_parallel () =
   List.iter
     (fun (name, fs, bx) ->
       let f = P.formula fs in
-      let on = with_tapes true (fun () -> verdict_kind (S.decide f bx)) in
-      let off = with_tapes false (fun () -> verdict_kind (S.decide f bx)) in
-      Alcotest.(check string) (name ^ " tape agrees with tree") off on)
-    decide_cases
-
-let test_decide_tape_parallel () =
-  with_tapes true (fun () ->
-      List.iter
-        (fun (name, fs, bx) ->
-          let f = P.formula fs in
-          let kind jobs =
-            verdict_kind (S.decide ~config:{ S.default_config with jobs } f bx)
-          in
-          let seq = kind 1 in
-          List.iter
-            (fun jobs ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s at jobs=%d" name jobs)
-                seq (kind jobs))
-            [ 2; 4 ])
-        decide_cases)
-
-let test_pave_tape_parallel () =
-  with_tapes true (fun () ->
-      let f = P.formula "x^2 + y^2 <= 1" in
-      let bx = box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] in
-      let config jobs = { S.default_config with S.epsilon = 0.05; jobs } in
-      let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
-      let base = S.pave ~config:(config 1) f bx in
+      let kind jobs =
+        verdict_kind (S.decide ~config:{ S.default_config with jobs } f bx)
+      in
+      let seq = kind 1 in
       List.iter
         (fun jobs ->
-          let p = S.pave ~config:(config jobs) f bx in
-          let check label l l' =
-            Alcotest.(check bool)
-              (Printf.sprintf "%s leaves equal at jobs=%d" label jobs)
-              true
-              (List.equal Box.equal (sort l) (sort l'))
-          in
-          check "sat" base.S.sat p.S.sat;
-          check "unsat" base.S.unsat p.S.unsat;
-          check "undecided" base.S.undecided p.S.undecided)
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs=%d" name jobs)
+            seq (kind jobs))
         [ 2; 4 ])
+    decide_cases
+
+let test_pave_tape_parallel () =
+  let f = P.formula "x^2 + y^2 <= 1" in
+  let bx = box [ ("x", -1.5, 1.5); ("y", -1.5, 1.5) ] in
+  let config jobs = { S.default_config with S.epsilon = 0.05; jobs } in
+  let sort = List.sort (fun a b -> compare (Box.to_list a) (Box.to_list b)) in
+  let base = S.pave ~config:(config 1) f bx in
+  List.iter
+    (fun jobs ->
+      let p = S.pave ~config:(config jobs) f bx in
+      let check label l l' =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s leaves equal at jobs=%d" label jobs)
+          true
+          (List.equal Box.equal (sort l) (sort l'))
+      in
+      check "sat" base.S.sat p.S.sat;
+      check "unsat" base.S.unsat p.S.unsat;
+      check "undecided" base.S.undecided p.S.undecided)
+    [ 2; 4 ]
 
 (* Two domains run TM passes on one tape whose terms divide by
    constants, each on its own scratch and over the same boxes, so both
@@ -583,51 +568,6 @@ let test_tm_shared_recips () =
             Alcotest.failf "worker %d, box %d: %s, jobs = 1 gives %s" w b r seq.(b))
         roots)
     par
-
-(* ---- the kill switch: BIOMC_NO_TAPE reproduces the tree walkers ---- *)
-
-let stats_list (s : S.stats) =
-  [ s.S.boxes_processed; s.S.splits; s.S.prunings; s.S.max_depth;
-    s.S.certifications ]
-
-let leaf_strings boxes =
-  List.map
-    (fun b ->
-      String.concat ";"
-        (List.map
-           (fun (v, itv) -> Printf.sprintf "%s=%h,%h" v (I.lo itv) (I.hi itv))
-           (Box.to_list b)))
-    boxes
-
-(* Tapes off, on, off again, with the caches at their default setting:
-   the second off run must reproduce the first bit for bit (verdict,
-   stats, every pave leaf in order), so no tape-era state (a cache
-   entry, a compiled closure) leaks into the tree-walking search. *)
-let test_kill_switch_reproduces () =
-  let f = P.formula "x^3 - 2*x^2 + 1.25*x = 0.25 and (x - y)^2 >= 0.3" in
-  let bx = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in
-  let config = { S.default_config with jobs = 1 } in
-  let pconfig = { config with S.epsilon = 0.05 } in
-  let run flag =
-    with_tapes flag (fun () ->
-        let r, st = S.decide_with_stats ~config f bx in
-        let p, pst = S.pave_with_stats ~config:pconfig f bx in
-        (verdict_kind r, stats_list st, p, stats_list pst))
-  in
-  let k1, st1, p1, pst1 = run false in
-  let k2, _, _, _ = run true in
-  let k3, st3, p3, pst3 = run false in
-  Alcotest.(check string) "tapes agree with the tree walkers" k1 k2;
-  Alcotest.(check string) "verdict kind reproduced" k1 k3;
-  Alcotest.(check (list int)) "decide stats reproduced" st1 st3;
-  Alcotest.(check (list int)) "pave stats reproduced" pst1 pst3;
-  List.iter
-    (fun (label, l1, l3) ->
-      Alcotest.(check (list string))
-        (label ^ " leaves reproduced") (leaf_strings l1) (leaf_strings l3))
-    [ ("sat", p1.S.sat, p3.S.sat);
-      ("unsat", p1.S.unsat, p3.S.unsat);
-      ("undecided", p1.S.undecided, p3.S.undecided) ]
 
 (* ---- tape structure ---- *)
 
@@ -676,15 +616,10 @@ let () =
           Alcotest.test_case "tan multi branch" `Quick
             test_tan_multi_branch_unchanged ] );
       ( "solver",
-        [ Alcotest.test_case "decide tape vs tree" `Quick
-            test_decide_tape_vs_tree;
-          Alcotest.test_case "decide tape parallel" `Quick
+        [ Alcotest.test_case "decide tape parallel" `Quick
             test_decide_tape_parallel;
           Alcotest.test_case "pave tape parallel" `Quick
             test_pave_tape_parallel ] );
-      ( "kill switch",
-        [ Alcotest.test_case "off-on-off bit-for-bit" `Quick
-            test_kill_switch_reproduces ] );
       ( "structure",
         [ Alcotest.test_case "cse shares slots" `Quick test_cse_shares_slots;
           Alcotest.test_case "unbound rejected" `Quick

@@ -310,11 +310,7 @@ let test_env_switch_values () =
     Journal.sink () <> Journal.Off
   in
   let switches =
-    [ ( "BIOMC_NO_TAPE",
-        fun () ->
-          Expr.Tape.clear_enabled_override ();
-          Expr.Tape.enabled () );
-      ( "BIOMC_NO_NEWTON",
+    [ ( "BIOMC_NO_NEWTON",
         fun () ->
           Icp.Deriv.clear_enabled_override ();
           Icp.Deriv.enabled () );

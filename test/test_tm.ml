@@ -1105,12 +1105,7 @@ let test_decide_on_vs_off () =
    share volume with an unsat leaf of the other; feasibility must
    agree; and the TM paving must be identical between jobs=1 and
    jobs=2. *)
-(* Pinned on the tape path: the TM certifier exists only there, so
-   under BIOMC_NO_TAPE=1 the on run would certify nothing, which is
-   legitimate but not what this test measures. *)
 let test_pave_on_vs_off () =
-  Expr.Tape.set_enabled true;
-  Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
   let f =
     P.formula
       "x^3 - 2*x^2 + 1.25*x >= 0.2 and x^3 - 2*x^2 + 1.25*x <= 0.3 and \
@@ -1156,10 +1151,10 @@ let test_pave_on_vs_off () =
       ("unsat", p_on.S.unsat, p_on2.S.unsat);
       ("undecided", p_on.S.undecided, p_on2.S.undecided) ]
 
-(* The pave certifier reads the TM and tape switches when a paving
-   starts: it certifies the band's sat leaves only when both are on (at
-   this ε the interval classifier alone leaves the band undecided), and
-   a run under each setting sees that setting whatever ran before. *)
+(* The pave certifier reads the TM switch when a paving starts: it
+   certifies the band's sat leaves only when it is on (at this ε the
+   interval classifier alone leaves the band undecided), and a run under
+   each setting sees that setting whatever ran before. *)
 let test_pave_certifier_follows_switches () =
   let f =
     P.formula
@@ -1168,21 +1163,11 @@ let test_pave_certifier_follows_switches () =
   in
   let bx = box [ ("x", 0.0, 2.0); ("y", 0.0, 2.0) ] in
   let config = { S.default_config with S.epsilon = 0.05; jobs = 1 } in
-  let sat_leaves ~tape ~tm =
-    Expr.Tape.set_enabled tape;
-    Fun.protect ~finally:Expr.Tape.clear_enabled_override @@ fun () ->
-    with_tm tm (fun () -> List.length (S.pave ~config f bx).S.sat)
-  in
-  let certified = sat_leaves ~tape:true ~tm:true in
-  Alcotest.(check bool) "tape + TM certify the band" true (certified > 0);
-  List.iter
-    (fun (tape, tm) ->
-      Alcotest.(check int)
-        (Printf.sprintf "no certified leaf with tape=%b tm=%b" tape tm)
-        0 (sat_leaves ~tape ~tm))
-    [ (true, false); (false, true); (false, false) ];
-  Alcotest.(check int) "tape + TM again" certified
-    (sat_leaves ~tape:true ~tm:true)
+  let sat_leaves tm = with_tm tm (fun () -> List.length (S.pave ~config f bx).S.sat) in
+  let certified = sat_leaves true in
+  Alcotest.(check bool) "TM certifies the band" true (certified > 0);
+  Alcotest.(check int) "no certified leaf with TM off" 0 (sat_leaves false);
+  Alcotest.(check int) "TM again" certified (sat_leaves true)
 
 (* ---- the kill-switch: BIOMC_NO_TM reproduces the old search ---- *)
 
