@@ -54,9 +54,11 @@ let prove ?(inner_radius = 0.1) ?(mu = 1e-2) ?(zeta = 1e-3) ?config ~region sys 
   go [] templates
 
 (* Cross-validate a certificate by dense sampling (defense in depth for
-   reports; the δ-decision proof stands on its own). *)
-let validate ?(inner_radius = 0.1) ?samples ~region sys (cert : Lyapunov.Cegis.certificate)
-    =
+   reports; the δ-decision proof stands on its own).  The certificate
+   carries the margin and inner radius [prove] used. *)
+let validate ?samples ~region sys (cert : Lyapunov.Cegis.certificate) =
   let template = Lyapunov.Template.quadratic (Ode.System.vars sys) in
-  let prob = Lyapunov.Cegis.problem ~inner_radius ~region ~template sys in
+  let prob =
+    Lyapunov.Cegis.problem ~inner_radius:cert.inner_radius ~region ~template sys
+  in
   Lyapunov.Cegis.validate ?samples prob cert

@@ -19,12 +19,12 @@ val prove :
 (** Try quadratic-form, even-quartic, then full degree ≤ 4 templates. *)
 
 val validate :
-  ?inner_radius:float ->
   ?samples:int ->
   region:Interval.Box.t ->
   Ode.System.t ->
   Lyapunov.Cegis.certificate ->
   bool
-(** Cross-validate a certificate by dense sampling (defense in depth). *)
+(** Cross-validate a certificate by dense sampling (defense in depth), at
+    the decrease margin and inner radius it was proved under. *)
 
 val pp_report : report Fmt.t

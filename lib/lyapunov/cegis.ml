@@ -58,6 +58,8 @@ type certificate = {
   coefficients : (string * float) list;
   iterations : int;
   counterexamples : (string * float) list list;
+  zeta : float;  (** the decrease margin it was proved under *)
+  inner_radius : float;  (** the exempt ball's radius it was proved under *)
 }
 
 type outcome =
@@ -196,7 +198,8 @@ let synthesize ?(config = default_config) prob =
           | `Proved (v, vdot) ->
               Proved
                 { v; vdot; coefficients = coeffs; iterations = iter;
-                  counterexamples = cexs }
+                  counterexamples = cexs; zeta = prob.zeta;
+                  inner_radius = prob.inner_radius }
           | `Cex pt ->
               Log.debug (fun m ->
                   m "iter %d: counterexample %a" iter
@@ -212,11 +215,12 @@ let synthesize ?(config = default_config) prob =
 (* Independent validation of a certificate by dense random sampling of
    the annulus: V > 0 and the strict decrease V̇ < −ζ·|x|² that the
    ∀-step proves — belt-and-braces re-checking used by the test-suite
-   and the benches. *)
+   and the benches.  The margin and the annulus are the certificate's:
+   the ones it was proved under. *)
 let validate ?(samples = 1000) ?(seed = 7) prob cert =
   let vars = Ode.System.vars prob.sys in
   let rng = Random.State.make [| seed |] in
-  let r0sq = prob.inner_radius *. prob.inner_radius in
+  let r0sq = cert.inner_radius *. cert.inner_radius in
   let ok = ref true in
   let tries = ref 0 in
   while !tries < samples do
@@ -232,7 +236,7 @@ let validate ?(samples = 1000) ?(seed = 7) prob cert =
       incr tries;
       let v = T.eval_env env cert.v in
       let vdot = T.eval_env env cert.vdot in
-      if v <= 0.0 || vdot >= -.prob.zeta *. n2 then ok := false
+      if v <= 0.0 || vdot >= -.cert.zeta *. n2 then ok := false
     end
     else incr tries
   done;

@@ -38,6 +38,8 @@ type certificate = {
   coefficients : (string * float) list;
   iterations : int;
   counterexamples : (string * float) list list;
+  zeta : float;  (** the decrease margin it was proved under *)
+  inner_radius : float;  (** the exempt ball's radius it was proved under *)
 }
 
 type outcome =
@@ -58,7 +60,10 @@ val default_config : config
 val synthesize : ?config:config -> problem -> outcome
 
 val validate : ?samples:int -> ?seed:int -> problem -> certificate -> bool
-(** Independent re-check by dense random sampling of the annulus: every
-    sample must have V > 0 and V̇ < −ζ·|x|². *)
+(** Independent re-check by dense random sampling of the problem's
+    region outside the certificate's exempt ball: every sample must have
+    V > 0 and V̇ < −ζ·|x|², at the certificate's own ζ and inner radius
+    (not the problem's), so a certificate is re-checked against the
+    claim it was proved for. *)
 
 val pp_outcome : outcome Fmt.t

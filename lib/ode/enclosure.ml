@@ -18,7 +18,11 @@
    the accepted f(B), and the derivative at any point of X0 is such a c
    (DESIGN §5a).  So once a state is wider than some bound, every later
    one is too: a caller that rejects such tubes can pass the bound as
-   [max_width] and lose nothing. *)
+   [max_width] and lose nothing.
+
+   A flow ends at whichever comes first: [t_end], a state wider than
+   [max_width] (incomplete), or a step its caller's [until] accepts
+   (complete), such as the first step that leaves a mode invariant. *)
 
 module I = Interval.Ia
 module Box = Interval.Box
@@ -201,7 +205,7 @@ let prepare sys =
       Expr.Tape.compile ~vars:inputs (List.map snd (second_derivative sys));
   }
 
-let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
+let flow_tape cfg prep ~until ~params ~init ~t_end ~iters t0 =
   let sys = prep.p_sys in
   let vars = Array.of_list (System.vars sys) in
   let n = Array.length vars in
@@ -354,8 +358,9 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
       let h = Float.min h (t_end -. t) in
       match step_tape t h x with
       | Some (b, x') ->
-          push rows ~t_lo:t ~t_hi:(t +. h) b x';
-          go (t +. h) x' cfg.h
+          let t' = t +. h in
+          push rows ~t_lo:t ~t_hi:t' b x';
+          if until ~t_lo:t ~t_hi:t' b then finish t' x' true else go t' x' cfg.h
       | None ->
           if h <= cfg.h_min then finish t x false
           else begin
@@ -366,11 +371,12 @@ let flow_tape cfg prep ~params ~init ~t_end ~iters t0 =
   go t0 (arr_of init) cfg.h
 
 (* Integrate from [init] (a box over state variables) for [t_end] time
-   units with parameters in [params] (a box over parameter names).
-   [prepared] skips the per-call tape compilation; build it once per
-   problem when calling [flow] many times on the same system. *)
-let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
-    sys =
+   units with parameters in [params] (a box over parameter names), or
+   until a step [until] accepts.  [prepared] skips the per-call tape
+   compilation; build it once per problem when calling [flow] many times
+   on the same system. *)
+let flow ?(config = default_config) ?prepared ?(t0 = 0.0)
+    ?(until = fun ~t_lo:_ ~t_hi:_ _ -> false) ~params ~init ~t_end sys =
   Telemetry.Span.with_ tm_flow @@ fun () ->
   let iters = ref 0 in
   let prep =
@@ -381,7 +387,7 @@ let flow ?(config = default_config) ?prepared ?(t0 = 0.0) ~params ~init ~t_end
            the thousands of Picard evaluations of a typical flow. *)
         prepare sys
   in
-  let tube = flow_tape config prep ~params ~init ~t_end ~iters t0 in
+  let tube = flow_tape config prep ~until ~params ~init ~t_end ~iters t0 in
   Telemetry.Counter.incr m_flows;
   Telemetry.Counter.add m_picard_iters !iters;
   Telemetry.Counter.add m_steps (length tube.steps);

@@ -107,6 +107,7 @@ val flow :
   ?config:config ->
   ?prepared:prepared ->
   ?t0:float ->
+  ?until:(t_lo:float -> t_hi:float -> Interval.Ia.t array -> bool) ->
   params:Interval.Box.t ->
   init:Interval.Box.t ->
   t_end:float ->
@@ -118,6 +119,18 @@ val flow :
     with its Taylor-model range (in a Picard iteration only when the
     interval containment test fails).  [?prepared] (from {!prepare} on
     the same system) skips the per-call compilation.
+
+    The tube ends at whichever comes first: [t_end] (complete), a state
+    wider than [config.max_width] (incomplete, before stepping from it),
+    or a step that [until] accepts (complete, with that step as the last
+    row and its [t_hi] as [t_end]).  [until] is called after each
+    accepted step with its time window and its enclosure over the
+    window, one interval per variable in the system's order, as the row
+    stores it.  {!Reach.Checker} passes the
+    test that the step leaves the mode invariant, so a tube ends where
+    every run has left its mode.  Without [until] the tube runs to
+    [t_end]; with it, the tube is the uncut one's first rows, step for
+    step.
 
     Every step ends at a box at least as wide, per component, as the
     state it started from, under either order (DESIGN §5a). *)

@@ -24,7 +24,8 @@
 
    Flow enclosures come in two strengths:
    - a *validated tube* (Ode.Enclosure) — rigorous, used whenever it
-     stays tight;
+     stays tight up to the first step that leaves the mode invariant,
+     where it ends;
    - an *ensemble bracket* — when the validated tube blows up (stiff
      cardiac dynamics make single-shot interval Taylor methods explode,
      a known limitation), the checker hulls a deterministic ensemble of
@@ -56,7 +57,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
    [reach.certify], so all of it is booked to reach.  Counters record
    how many candidate paths and flow segments were evaluated, how often
    the validated tube was replaced by the non-rigorous ensemble
-   bracket, and how many steps the bracket's members integrated. *)
+   bracket, how many steps the bracket's members integrated, and how
+   many validated flows ended at their mode invariant. *)
 let tm_check = Telemetry.Span.probe "reach.check"
 let tm_synth = Telemetry.Span.probe "reach.synthesize"
 let tm_path = Telemetry.Span.probe "reach.path"
@@ -68,6 +70,7 @@ let m_paths = Telemetry.Counter.make "reach.paths"
 let m_segments = Telemetry.Counter.make "reach.segments"
 let m_brackets = Telemetry.Counter.make "reach.fallback_brackets"
 let m_bracket_steps = Telemetry.Counter.make "reach.bracket_steps"
+let m_invariant_stops = Telemetry.Counter.make "reach.invariant_stops"
 
 type config = {
   delta : float;
@@ -259,6 +262,27 @@ let judge_row j ~params_box steps k =
    the mode and later steps are spurious.  [c] holds the step. *)
 let leaves_invariant c = c.j.formula <> F.True && verdict c = F.Impossible
 
+(* [leaves_invariant] on a step given as its time window and its
+   enclosure, one interval per variable: the test after which a
+   validated flow or an ensemble bracket ends. *)
+let invariant_exit j ~params_box =
+  let c = row_check j ~params_box in
+  fun ~t_lo ~t_hi (enclosure : I.t array) ->
+    Array.blit enclosure 0 c.inp 0 j.n_vars;
+    set_time c ~t_lo ~t_hi;
+    leaves_invariant c
+
+(* The [until] of a validated flow in a mode: the invariant's exit,
+   counted. *)
+let stop_at_invariant j ~params_box =
+  let leaves = invariant_exit j ~params_box in
+  fun ~t_lo ~t_hi enclosure ->
+    leaves ~t_lo ~t_hi enclosure
+    && begin
+         Telemetry.Counter.incr m_invariant_stops;
+         true
+       end
+
 (* ---- Ensemble bracket ----
 
    One stepper per sample point, advanced window by window in lockstep.
@@ -349,7 +373,7 @@ let ensemble_steps cfg pb_sys ~inv ~params_box ~members ~t_end =
   let windows = Stdlib.max 1 cfg.fallback_windows in
   let dt = t_end /. float_of_int windows in
   let rows = Ode.Enclosure.builder vars in
-  let inv = row_check inv ~params_box in
+  let leaves = invariant_exit inv ~params_box in
   let rec window i =
     if i < windows then begin
       let t_lo = dt *. float_of_int i and t_hi = dt *. float_of_int (i + 1) in
@@ -381,9 +405,7 @@ let ensemble_steps cfg pb_sys ~inv ~params_box ~members ~t_end =
             hull
         in
         Ode.Enclosure.push rows ~t_lo ~t_hi enclosure enclosure;
-        Array.blit enclosure 0 inv.inp 0 n;
-        set_time inv ~t_lo ~t_hi;
-        if not (leaves_invariant inv) then window (i + 1)
+        if not (leaves ~t_lo ~t_hi enclosure) then window (i + 1)
       end
     end
   in
@@ -435,12 +457,13 @@ let seg_group cfg pb_sys ~inv ~t_end =
     cfg.tube_quality_width t_end
 
 (* Compute an enclosure of the flow of [sys] from [init_box] under
-   [params_box] over [0, t_end]; validated when possible, bracketed
-   otherwise — and the bracket stops at the invariant [inv].  [None] when
-   even the ensemble produced nothing.  Second: the tube the gate
-   rejected, when it completed anyway (its final state is too wide); it
-   is the same tube step for step as one integrated without the gate's
-   limit, which a complete tube never reached before [t_end]. *)
+   [params_box] over [0, t_end], up to the first step that leaves the
+   invariant [inv]; validated when possible, bracketed otherwise — and
+   the bracket stops at [inv] too.  [None] when even the ensemble
+   produced nothing.  Second: the tube the gate rejected, when it
+   completed anyway (its final state is too wide); it is the same tube
+   step for step as one integrated without the gate's limit, which a
+   complete tube never reached before its end. *)
 let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_end =
   (* The gate's limit.  No state of a tube is narrower than the one
      before it (DESIGN §5a), so a tube is lost at its first state wider
@@ -452,8 +475,8 @@ let flow_enclosure_uncached cfg pb_sys ~inv ~prepared ~params_box ~init_box ~t_e
     else cfg.enclosure
   in
   let tube =
-    Ode.Enclosure.flow ~config ~prepared ~params:params_box ~init:init_box ~t_end
-      pb_sys
+    Ode.Enclosure.flow ~config ~prepared ~until:(stop_at_invariant inv ~params_box)
+      ~params:params_box ~init:init_box ~t_end pb_sys
   in
   let tube_usable =
     tube.Ode.Enclosure.complete && Box.width tube.Ode.Enclosure.final <= limit
@@ -604,8 +627,9 @@ let prepare_pb (pb : Encoding.t) =
   { flow_prep; inv_judge; guard_judge; goal_judge; guard_contract; inv_contract }
 
 (* Drop tube steps past the first one that leaves the mode invariant.
-   (Over-approximation keeps this sound for pruning.)  A bracket was
-   already cut there, so this is a no-op on one. *)
+   (Over-approximation keeps this sound for pruning.)  Validated flows
+   and brackets already end there, so on a segment this is a no-op: it
+   stays as the reference the tests hold them to. *)
 let truncate_at_invariant inv ~params_box steps =
   let n = Ode.Enclosure.length steps in
   if inv.formula = F.True then steps
@@ -672,11 +696,7 @@ let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
             let tube = if enc.rigorous then Some enc.steps else rejected in
             let rigorous = rigorous && enc.rigorous in
             seg_check (fun () ->
-                let steps =
-                  truncate_at_invariant (Hashtbl.find prep.inv_judge last) ~params_box
-                    enc.steps
-                in
-                match states_satisfying steps ~params_box prep.goal_judge with
+                match states_satisfying enc.steps ~params_box prep.goal_judge with
                 | None -> (`Infeasible rigorous, tube)
                 | Some _ -> (`Maybe, tube)))
     | q :: (q' :: _ as rest) -> (
@@ -691,16 +711,12 @@ let path_feasible ?(jpath = -1) cfg (pb : Encoding.t) prep path ~params_box
                       (fun (j : Hybrid.Automaton.jump) -> String.equal j.target q')
                       (Hybrid.Automaton.jumps_from automaton q)
                   in
-                  let steps =
-                    truncate_at_invariant (Hashtbl.find prep.inv_judge q) ~params_box
-                      enc.steps
-                  in
                   (* ICP-tighten: jump states satisfy the guard and the
                      source invariant; post-reset states satisfy the
                      target invariant.  The contractors were compiled
                      once by [prepare_pb]. *)
                   Option.bind
-                    (states_satisfying steps ~params_box
+                    (states_satisfying enc.steps ~params_box
                        (Hashtbl.find prep.guard_judge (q, q')))
                     (fun guard_states ->
                       Option.bind
@@ -922,7 +938,8 @@ let check ?(config = default_config) (pb : Encoding.t) =
    the complete tube [path_feasible] had at hand for the mode, the same
    tube step for step as one integrated without the gate's width limit
    (DESIGN §5a), so it is judged as it is; without one the tube is
-   integrated without the limit. *)
+   integrated without the limit.  Either way it ends at its first step
+   that leaves the invariant, past which [reaches] never reads. *)
 let path_surely_reaches cfg (pb : Encoding.t) prep path ~tube ~params_box ~init_box =
   match path with
   | [ only ] -> (
@@ -933,6 +950,7 @@ let path_surely_reaches cfg (pb : Encoding.t) prep path ~tube ~params_box ~init_
             let tube =
               Ode.Enclosure.flow ~config:cfg.enclosure
                 ~prepared:(Hashtbl.find prep.flow_prep only)
+                ~until:(stop_at_invariant (Hashtbl.find prep.inv_judge only) ~params_box)
                 ~params:params_box ~init:init_box ~t_end:pb.Encoding.time_bound
                 (Hybrid.Automaton.mode_system pb.Encoding.automaton only)
             in

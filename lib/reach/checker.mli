@@ -10,12 +10,13 @@
 
     Flow enclosures are validated tubes when tight, and deterministic
     *ensemble brackets* (sampled trajectories hulled over time windows)
-    when the tube degenerates on stiff dynamics.  A bracket streams its
-    trajectories window by window and stops after the first window that
-    leaves the mode invariant.  Verdicts carry a [rigorous] flag:
-    [Unsat {rigorous = false}] is a high-confidence numerical claim, not
-    an interval proof.  δ-sat witnesses with [certified = true] are sound
-    regardless. *)
+    when the tube degenerates on stiff dynamics.  Both end after their
+    first step that leaves the mode invariant: a validated flow stops
+    there, and the usability gate judges that tube; a bracket streams
+    its trajectories window by window and stops there.  Verdicts carry
+    a [rigorous] flag: [Unsat {rigorous = false}] is a high-confidence
+    numerical claim, not an interval proof.  δ-sat witnesses with
+    [certified = true] are sound regardless. *)
 
 module Box = Interval.Box
 
@@ -126,11 +127,13 @@ val flow_enclosure :
   init_box:Box.t ->
   t_end:float ->
   segment_enclosure option
-(** The validated tube when it is usable, else the ensemble bracket cut
-    at the mode invariant [inv].  [?jseg:(path, depth, mode)] attaches
-    journal segment provenance: inside a journaled run, one
-    [Journal.seg] record per call, tagged with whether the enclosure was
-    replayed from the segment store. *)
+(** The validated tube when it is usable, else the ensemble bracket;
+    either ends at its first step that makes the mode invariant [inv]
+    [Impossible], and the gate judges the tube so ended (a validated
+    flow that stops there counts in [reach.invariant_stops]).
+    [?jseg:(path, depth, mode)] attaches journal segment provenance:
+    inside a journaled run, one [Journal.seg] record per call, tagged
+    with whether the enclosure was replayed from the segment store. *)
 
 val ensemble_members :
   config ->
@@ -163,7 +166,8 @@ val ensemble_steps :
 val truncate_at_invariant :
   judge -> params_box:Box.t -> Ode.Enclosure.steps -> Ode.Enclosure.steps
 (** The steps up to and including the first one whose box makes the
-    invariant [Impossible]. *)
+    invariant [Impossible].  Every segment {!flow_enclosure} returns
+    already ends there; this is the reference the tests check it by. *)
 
 val prepare_contract :
   Expr.Formula.t ->

@@ -218,10 +218,27 @@ let test_saddle_validate_rejects () =
   let v = P.term "x^2 + y^2" in
   let cert =
     { Cegis.v; vdot = Poly.canonicalize (T.lie_derivative (Ode.System.rhs sys) v);
-      coefficients = []; iterations = 0; counterexamples = [] }
+      coefficients = []; iterations = 0; counterexamples = []; zeta = 1e-3;
+      inner_radius = 0.1 }
   in
   Alcotest.(check bool) "x² + y² is no strict Lyapunov function" false
     (Core.Stability.validate ~region:region2 sys cert)
+
+(* A certificate is re-checked at the margin it was proved under: with
+   ζ = 10⁻⁵, ẋ = −0.0004·x has V = x² with V̇ = −0.0008·x² < −ζ·x² on
+   [−1, 1], but V̇ ≥ −10⁻³·x², so a re-check at the default ζ would
+   reject the valid certificate. *)
+let test_validate_at_proved_margin () =
+  let sys = Ode.System.of_strings ~vars:[ "x" ] ~params:[] ~rhs:[ ("x", "-0.0004*x") ] in
+  let region = Box.of_list [ ("x", I.make (-1.0) 1.0) ] in
+  let r = Core.Stability.prove ~mu:1e-4 ~zeta:1e-5 ~region sys in
+  match r.Core.Stability.certificate with
+  | None -> Alcotest.fail "expected a certificate at zeta = 1e-5"
+  | Some cert ->
+      Alcotest.(check (pair (float 0.0) int)) "proved at zeta = 1e-5 in one iteration"
+        (1e-5, 1) (cert.Cegis.zeta, cert.Cegis.iterations);
+      Alcotest.(check bool) "validates at its own margin" true
+        (Core.Stability.validate ~region sys cert)
 
 let () =
   Alcotest.run "lyapunov"
@@ -257,6 +274,8 @@ let () =
       ( "strict decrease",
         [
           Alcotest.test_case "saddle not proved" `Quick test_saddle_not_proved;
+          Alcotest.test_case "validate at the proved margin" `Quick
+            test_validate_at_proved_margin;
           Alcotest.test_case "validate rejects the saddle" `Quick
             test_saddle_validate_rejects;
         ] );

@@ -544,29 +544,41 @@ let test_widths_never_fall () =
 
 let logistic = Sys.of_strings ~vars:[ "x" ] ~params:[ "r" ] ~rhs:[ ("x", "r*x*(1 - x)") ]
 
-let test_flows_contain_trajectories () =
+let itv = List.map (fun (x, lo, hi) -> (x, I.make lo hi))
+
+(* FK's three modes and TBI's modes (at fixed thresholds) as
+   [(name, automaton, mode, init, t_end)], each from a box inside or at
+   the edge of its invariant. *)
+let fk_modes =
   let module Fk = Biomodels.Fenton_karma in
-  let module Tbi = Biomodels.Tbi in
-  let rkf45 = Int.Rkf45 { rtol = 1e-10; atol = 1e-12; h0 = 1e-3; h_max = 0.05 } in
   let fk = Fk.automaton () in
-  let tbi = Tbi.automaton ~theta1:(`Fixed 0.8) ~theta2:(`Fixed 0.9) () in
-  let itv = List.map (fun (x, lo, hi) -> (x, I.make lo hi)) in
-  let fk_init (u_lo, u_hi) (lo, hi) = itv [ ("u", u_lo, u_hi); ("v", lo, hi); ("w", lo, hi) ] in
-  let tbi_init =
+  let init (u_lo, u_hi) (lo, hi) = itv [ ("u", u_lo, u_hi); ("v", lo, hi); ("w", lo, hi) ] in
+  [ ("FK low", fk, Fk.mode_low, init (0.0, 0.01) (0.95, 1.0), 50.0);
+    ("FK mid", fk, Fk.mode_mid, init (0.08, 0.09) (0.9, 0.91), 50.0);
+    ("FK high", fk, Fk.mode_high, init (0.5, 0.51) (0.9, 0.91), 50.0) ]
+
+let tbi_modes =
+  let tbi = Biomodels.Tbi.automaton ~theta1:(`Fixed 0.8) ~theta2:(`Fixed 0.9) () in
+  let init =
     itv
       (("clox", 0.5, 0.52)
       :: List.map (fun v -> (v, 0.1, 0.11)) [ "rip3"; "casp3"; "lip"; "il"; "par" ])
   in
+  List.map
+    (fun q -> ("TBI " ^ q, tbi, q, init, 10.0))
+    (Hybrid.Automaton.mode_names tbi)
+
+let test_flows_contain_trajectories () =
+  let module Tbi = Biomodels.Tbi in
+  let rkf45 = Int.Rkf45 { rtol = 1e-10; atol = 1e-12; h0 = 1e-3; h_max = 0.05 } in
+  let mode (name, a, q, init, t_end) =
+    (name, Hybrid.Automaton.mode_system a q, [], init, t_end)
+  in
+  let tbi q = List.find (fun (_, _, q', _, _) -> String.equal q q') tbi_modes in
   let cases =
-    [ ("FK low", Hybrid.Automaton.mode_system fk Fk.mode_low, [],
-       fk_init (0.0, 0.01) (0.95, 1.0), 50.0);
-      ("FK mid", Hybrid.Automaton.mode_system fk Fk.mode_mid, [],
-       fk_init (0.08, 0.09) (0.9, 0.91), 50.0);
-      ("FK high", Hybrid.Automaton.mode_system fk Fk.mode_high, [],
-       fk_init (0.5, 0.51) (0.9, 0.91), 50.0);
-      ("TBI m0", Hybrid.Automaton.mode_system tbi Tbi.mode0, [], tbi_init, 10.0);
-      ("TBI mA", Hybrid.Automaton.mode_system tbi Tbi.mode_a, [], tbi_init, 10.0);
-      ("logistic", logistic, itv [ ("r", 0.9, 1.1) ], itv [ ("x", 0.1, 0.12) ], 5.0) ]
+    List.map mode fk_modes
+    @ [ mode (tbi Tbi.mode0); mode (tbi Tbi.mode_a);
+        ("logistic", logistic, itv [ ("r", 0.9, 1.1) ], itv [ ("x", 0.1, 0.12) ], 5.0) ]
   in
   let st = ref 67L in
   List.iter
@@ -603,6 +615,92 @@ let test_flows_contain_trajectories () =
         done
       done)
     cases
+
+(* ---- A flow that stops where [until] says ----
+
+   [Enc.flow ~until] gives the uncut tube's rows, bit for bit, up to and
+   including the first step [until] accepts, and ends there, complete,
+   at that step's t_hi and end state; [until] is called once per step
+   with the window and enclosure the row stores.  The predicates: one
+   that never fires (the uncut tube), the first, a middle and the last
+   step, and the reach checker's stop, the mode invariant certainly
+   left on the step's box ([eval_cert] gives [Impossible]).  FK's three
+   modes and every TBI mode. *)
+
+let hex_box b =
+  String.concat ";"
+    (List.map (fun (_, i) -> Printf.sprintf "%h %h" (I.lo i) (I.hi i)) (Box.to_list b))
+
+(* A step's window and enclosure. *)
+let hex_window t_lo t_hi b = Printf.sprintf "%h %h|%s" t_lo t_hi (hex_box b)
+
+let hex_row s k =
+  hex_window (Enc.t_lo s k) (Enc.t_hi s k) (Enc.enclosure s k)
+  ^ "|" ^ hex_box (Enc.at_end s k)
+
+let hex_rows s = List.init (Enc.length s) (hex_row s)
+
+let test_flow_until () =
+  let invariant_cuts = ref 0 in
+  List.iter
+    (fun (name, a, q, init, t_end) ->
+      let sys = Hybrid.Automaton.mode_system a q in
+      let vars = Sys.vars sys in
+      let flow until =
+        Enc.flow ?until ~params:Box.empty_map ~init:(Box.of_list init) ~t_end sys
+      in
+      let full = flow None in
+      let s = full.Enc.steps in
+      let n = Enc.length s in
+      if n = 0 then Alcotest.failf "%s: the tube has no step" name;
+      (* Flows with [stop k ~t_lo ~t_hi box] as [until], k counting the
+         calls from 0, and checks the tube against the uncut one. *)
+      let check what stop =
+        let name = Printf.sprintf "%s, %s" name what in
+        let calls = ref 0 and fired = ref None in
+        let until ~t_lo ~t_hi (enc : I.t array) =
+          let k = !calls in
+          incr calls;
+          let b = Box.of_list (List.mapi (fun i v -> (v, enc.(i))) vars) in
+          let want = hex_window (Enc.t_lo s k) (Enc.t_hi s k) (Enc.enclosure s k)
+          and got = hex_window t_lo t_hi b in
+          if got <> want then
+            Alcotest.failf "%s: step %d's window and enclosure %s, row %s" name k got want;
+          let stop = stop k ~t_lo ~t_hi b in
+          if stop then fired := Some k;
+          stop
+        in
+        let tube = flow (Some until) in
+        let rows, complete, t_end, final =
+          match !fired with
+          | None -> (n, full.Enc.complete, full.Enc.t_end, full.Enc.final)
+          | Some k -> (k + 1, true, Enc.t_hi s k, Enc.at_end s k)
+        in
+        Alcotest.(check (list string)) (name ^ ": rows")
+          (List.filteri (fun k _ -> k < rows) (hex_rows s))
+          (hex_rows tube.Enc.steps);
+        Alcotest.(check int) (name ^ ": one call per step") rows !calls;
+        Alcotest.(check (pair bool string)) (name ^ ": end")
+          (complete, Printf.sprintf "%h %s" t_end (hex_box final))
+          (tube.Enc.complete, Printf.sprintf "%h %s" tube.Enc.t_end (hex_box tube.Enc.final));
+        !fired
+      in
+      ignore (check "never" (fun _ ~t_lo:_ ~t_hi:_ _ -> false));
+      List.iter
+        (fun j ->
+          if check (Printf.sprintf "step %d" j) (fun k ~t_lo:_ ~t_hi:_ _ -> k = j) <> Some j
+          then Alcotest.failf "%s: no stop at step %d" name j)
+        [ 0; n / 2; n - 1 ];
+      let inv = (Hybrid.Automaton.find_mode a q).Hybrid.Automaton.invariant in
+      let leaves _ ~t_lo ~t_hi b =
+        Expr.Formula.eval_cert (Box.set Sys.time_var (I.make t_lo t_hi) b) inv
+        = Expr.Formula.Impossible
+      in
+      if check "invariant left" leaves <> None then incr invariant_cuts)
+    (fk_modes @ tbi_modes);
+  Alcotest.(check bool)
+    (Printf.sprintf "the invariant cuts %d tubes" !invariant_cuts)
+    true (!invariant_cuts > 0)
 
 (* ---- Bit-identity digest of the numeric integrators ----
 
@@ -886,6 +984,7 @@ let () =
           Alcotest.test_case "tube rows layout" `Quick test_tube_layout;
           Alcotest.test_case "flows contain RKF45 trajectories" `Quick
             test_flows_contain_trajectories;
+          Alcotest.test_case "until = uncut prefix" `Quick test_flow_until;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -42,6 +42,13 @@ let switch_automaton =
     ~init_mode:"up"
     ~init:(Box.of_list [ ("x", pt 0.0) ])
 
+(* x' = -k x from x0 = 1 in one mode with invariant [inv]. *)
+let decay_inv_automaton inv =
+  A.create ~vars:[ "x" ] ~params:[ "k" ]
+    ~modes:[ A.mode ~name:"m" ~flow:[ ("x", P.term "-k*x") ] ~invariant:(P.formula inv) () ]
+    ~jumps:[] ~init_mode:"m"
+    ~init:(Box.of_list [ ("x", pt 1.0) ])
+
 let goal ?(modes = []) pred = { E.goal_modes = modes; predicate = P.formula pred }
 
 let expect_delta_sat name r =
@@ -246,14 +253,7 @@ let test_seg_cache_keys_tm () =
    must integrate its own segment: replaying the strict bracket would
    make the goal look unreachable. *)
 let test_seg_cache_keys_inv () =
-  let automaton inv =
-    A.create ~vars:[ "x" ] ~params:[ "k" ]
-      ~modes:[ A.mode ~name:"m" ~flow:[ ("x", P.term "-k*x") ]
-                 ~invariant:(P.formula inv) () ]
-      ~jumps:[] ~init_mode:"m"
-      ~init:(Box.of_list [ ("x", pt 1.0) ])
-  in
-  let strict = automaton "x >= 0.5" and loose = automaton "x >= 0.2" in
+  let strict = decay_inv_automaton "x >= 0.5" and loose = decay_inv_automaton "x >= 0.2" in
   Alcotest.(check string) "one vector field"
     (Ode.System.digest (A.mode_system strict "m"))
     (Ode.System.digest (A.mode_system loose "m"));
@@ -287,17 +287,10 @@ let test_seg_cache_keys_inv () =
    certainly violated: here every run leaves x >= 0.5 before it can
    reach x <= 0.49, so no box is feasible. *)
 let test_synthesize_respects_invariant () =
-  let automaton =
-    A.create ~vars:[ "x" ] ~params:[ "k" ]
-      ~modes:[ A.mode ~name:"m" ~flow:[ ("x", P.term "-k*x") ]
-                 ~invariant:(P.formula "x >= 0.5") () ]
-      ~jumps:[] ~init_mode:"m"
-      ~init:(Box.of_list [ ("x", pt 1.0) ])
-  in
   let pb =
     E.create
       ~param_box:(Box.of_list [ ("k", I.make 1.0 1.01) ])
-      ~goal:(goal "x <= 0.49") ~k:0 ~time_bound:3.0 automaton
+      ~goal:(goal "x <= 0.49") ~k:0 ~time_bound:3.0 (decay_inv_automaton "x >= 0.5")
   in
   let s = C.synthesize pb in
   Alcotest.(check int) "no feasible box" 0 (List.length s.C.feasible);
@@ -405,14 +398,24 @@ let check_bracket name ?(cfg = C.default_config) ?members sys ~inv ~params_box
   Ode.Enclosure.length streamed
 
 (* The boxes a path unrolling flows from, as [path_feasible] computes
-   them over brackets: the initial box, then each jump's guard states
-   contracted with the guard and source invariant and with the target
-   invariant.  (FK and TBI jumps reset nothing.)  Stops at the first
-   refuted jump. *)
-let path_boxes (pb : E.t) path =
+   them over the steps [flow] gives in each mode (by default the
+   brackets): the initial box, then each jump's guard states contracted
+   with the guard and source invariant and with the target invariant.
+   (FK and TBI jumps reset nothing.)  Stops at the first refuted jump. *)
+let path_boxes ?flow (pb : E.t) path =
   let a = pb.E.automaton in
   let params_box, init_box = C.interpret_box pb (C.searchable_box pb) in
   let inv q = (A.find_mode a q).A.invariant in
+  let flow =
+    match flow with
+    | Some f -> f
+    | None ->
+        fun q box ->
+          let sys = A.mode_system a q in
+          C.ensemble_steps C.default_config sys ~inv:(C.judge sys (inv q)) ~params_box
+            ~members:(C.ensemble_members C.default_config ~params_box ~init_box:box)
+            ~t_end:pb.E.time_bound
+  in
   let rec go box acc = function
     | q :: (q' :: _ as rest) -> (
         let acc = (q, box) :: acc in
@@ -421,11 +424,7 @@ let path_boxes (pb : E.t) path =
             .A.guard
         in
         let sys = A.mode_system a q in
-        let steps =
-          C.ensemble_steps C.default_config sys ~inv:(C.judge sys (inv q)) ~params_box
-            ~members:(C.ensemble_members C.default_config ~params_box ~init_box:box)
-            ~t_end:pb.E.time_bound
-        in
+        let steps = flow q box in
         let contract f b = C.prepare_contract f ~params_box b in
         match
           Option.bind (C.states_satisfying steps ~params_box (C.judge sys guard)) (fun gs ->
@@ -594,27 +593,37 @@ let test_duplicate_members () =
 (* ---- The usability gate keeps its results ----
 
    [flow_enclosure] ends a tube at its first state wider than the
-   gate's limit.  Its answers must still be the full rule's, built here
-   from public pieces: a tube integrated under the checker's enclosure
-   config, usable when it is complete and no wider than
-   max(tube_quality_width, 4·width(init)) at its end; its steps when
+   gate's limit, and at its first step that leaves the mode invariant.
+   Its answers must still be the full rule's, built here from public
+   pieces: a tube integrated under the checker's enclosure config to
+   [t_end], cut by [truncate_at_invariant] at its first step that leaves
+   the invariant (a tube so cut ends there, complete, at that step's end
+   state); then usable when it is complete and no wider than
+   max(tube_quality_width, 4·width(init)) at its end; its cut steps when
    usable, else the ensemble bracket.  Caches are off, so every call
    integrates.  Each case runs at tube_quality_width 0, 1 and 1e5, which
    is above the 1e4 width ceiling, and, when the full tube is complete,
-   at its final width: the tightest limit it passes, where a stop even
-   slightly early would lose it.  Neither the full tube nor the bracket
-   depends on tube_quality_width, so the oracle computes each once per
-   case. *)
+   at its final width; and, when the cut tube is complete, at its final
+   width: the tightest limit it passes, where a stop even slightly early
+   would lose it.  Neither the tubes nor the bracket depend on
+   tube_quality_width, so the oracle computes each once per case. *)
 let test_gate_keeps_results () =
   Cache.set_enabled false;
   Fun.protect ~finally:Cache.clear_enabled_override @@ fun () ->
   let usable = ref 0 and too_wide = ref 0 and incomplete = ref 0 in
   let case name sys ~inv ~params_box ~init_box ~t_end =
-    let tube =
+    let full =
       Ode.Enclosure.flow ~config:C.default_config.C.enclosure ~params:params_box
         ~init:init_box ~t_end sys
     in
     let inv = C.judge sys inv in
+    let steps = C.truncate_at_invariant inv ~params_box full.Ode.Enclosure.steps in
+    let n = Ode.Enclosure.length steps in
+    let complete, final =
+      if n > 0 && C.judge_row inv ~params_box steps (n - 1) = Expr.Formula.Impossible
+      then (true, Ode.Enclosure.at_end steps (n - 1))
+      else (full.Ode.Enclosure.complete, full.Ode.Enclosure.final)
+    in
     let bracket =
       lazy
         (C.ensemble_steps C.default_config sys ~inv ~params_box
@@ -627,11 +636,10 @@ let test_gate_keeps_results () =
       (fun w ->
         let cfg = { C.default_config with tube_quality_width = w } in
         let limit = Float.max w (4.0 *. Box.width init_box) in
-        let complete = tube.Ode.Enclosure.complete in
         let want =
-          if complete && Box.width tube.Ode.Enclosure.final <= limit then begin
+          if complete && Box.width final <= limit then begin
             incr usable;
-            Some (true, tube.Ode.Enclosure.steps)
+            Some (true, steps)
           end
           else begin
             incr (if complete then too_wide else incomplete);
@@ -648,8 +656,9 @@ let test_gate_keeps_results () =
           (Printf.sprintf "%s, tube_quality_width %g" name w)
           (render want) (render got))
       ([ 0.0; 1.0; 1e5 ]
-      @ if tube.Ode.Enclosure.complete then [ Box.width tube.Ode.Enclosure.final ]
-        else [])
+      @ (if full.Ode.Enclosure.complete then [ Box.width full.Ode.Enclosure.final ]
+         else [])
+      @ if complete then [ Box.width final ] else [])
   in
   let modes name a pb ~t_end =
     let params_box, init_box = C.interpret_box pb (C.searchable_box pb) in
@@ -683,6 +692,79 @@ let test_gate_keeps_results () =
        !usable !too_wide !incomplete)
     true
     (!usable > 0 && !too_wide > 0 && !incomplete > 0)
+
+(* ---- Segments end at the invariant ----
+
+   Every segment [flow_enclosure] returns ends at its first step that
+   leaves the mode invariant, so [truncate_at_invariant] keeps all of
+   it and [path_feasible] reads the segments as they come.  Checked in
+   hex on every segment of E1's and E4's path unrollings, each unrolled
+   over the segments themselves, and on a decay whose tight tube leaves
+   its invariant x >= 0.5 at t ≈ 0.69.  The stop is what makes E1's
+   tube in fk_mid from the guard u = 0.13 usable: u falls below the
+   invariant's 0.04 by t ≈ 15, and the tube ends there at width 0.01,
+   where the full tube ran on to t = 112 and was rejected at width 1. *)
+let test_segments_end_at_invariant () =
+  let ended = ref 0 and rigor = Hashtbl.create 16 in
+  let unrolled name (pb : E.t) =
+    let a = pb.E.automaton in
+    let params_box = fst (C.interpret_box pb (C.searchable_box pb)) in
+    let segment q box =
+      let sys = A.mode_system a q in
+      let inv = C.judge sys (A.find_mode a q).A.invariant in
+      let seg =
+        C.flow_enclosure C.default_config sys ~inv ~prepared:(Ode.Enclosure.prepare sys)
+          ~params_box ~init_box:box ~t_end:pb.E.time_bound
+      in
+      Option.iter
+        (fun (seg : C.segment_enclosure) ->
+          let steps = seg.C.steps in
+          let n = Ode.Enclosure.length steps in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s from %s" name q (Box.to_string box))
+            (hex_steps (C.truncate_at_invariant inv ~params_box steps))
+            (hex_steps steps);
+          if n > 0 && C.judge_row inv ~params_box steps (n - 1) = Expr.Formula.Impossible
+          then incr ended)
+        seg;
+      seg
+    in
+    let flow q box =
+      match segment q box with
+      | Some seg -> seg.C.steps
+      | None -> Ode.Enclosure.(contents (builder (A.vars a)))
+    in
+    List.iter
+      (fun path ->
+        List.iteri
+          (fun i (q, box) ->
+            Hashtbl.replace rigor
+              (name, String.concat "->" path, i)
+              (Option.fold ~none:false ~some:(fun s -> s.C.rigorous) (segment q box)))
+          (snd (path_boxes ~flow pb path)))
+      (E.candidate_paths pb)
+  in
+  let fk = Biomodels.Fenton_karma.automaton () in
+  unrolled "E1"
+    (E.create ~min_jumps:2 ~goal:(Biomodels.Fenton_karma.spike_and_dome_goal ()) ~k:4
+       ~time_bound:400.0 fk);
+  let tbi = Biomodels.Tbi.automaton () in
+  unrolled "E4"
+    (E.create
+       ~param_box:(Box.of_list [ ("theta1", I.make 0.6 2.0); ("theta2", I.make 0.4 2.0) ])
+       ~goal:(Biomodels.Tbi.recovery_goal ()) ~k:2 ~time_bound:40.0 tbi);
+  unrolled "decay"
+    (E.create
+       ~param_box:(Box.of_list [ ("k", I.make 1.0 1.01) ])
+       ~goal:(goal "x <= 0.3") ~k:0 ~time_bound:3.0 (decay_inv_automaton "x >= 0.5"));
+  Alcotest.(check (option bool)) "decay: rigorous" (Some true)
+    (Hashtbl.find_opt rigor ("decay", "m", 0));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d segments end at the invariant" !ended)
+    true (!ended > 0);
+  Alcotest.(check (option bool)) "E1: the fk_mid tube from the guard is rigorous"
+    (Some true)
+    (Hashtbl.find_opt rigor ("E1", "fk_high->fk_mid->fk_high", 1))
 
 (* ---- Compiled row checks = [Formula.eval_cert] ----
 
@@ -919,6 +1001,8 @@ let () =
           Alcotest.test_case "synthesize respects the invariant" `Quick
             test_synthesize_respects_invariant;
           Alcotest.test_case "gate keeps its results" `Quick test_gate_keeps_results;
+          Alcotest.test_case "segments end at the invariant" `Quick
+            test_segments_end_at_invariant;
           Alcotest.test_case "compiled checks = eval_cert" `Quick test_compiled_checks;
           Alcotest.test_case "traced check books its checks" `Quick test_check_spans;
           Alcotest.test_case "synthesize threshold" `Slow test_synthesize_threshold;
